@@ -28,9 +28,10 @@ class IdSpace:
 
     bits: int = DEFAULT_BITS
 
-    @property
-    def size(self) -> int:
-        return 1 << self.bits
+    def __post_init__(self) -> None:
+        # computed once: every wrap/distance reads it (not a dataclass field,
+        # so equality, hashing and repr stay functions of ``bits`` alone)
+        object.__setattr__(self, "size", 1 << self.bits)
 
     def wrap(self, value: int) -> int:
         """Reduce *value* into the identifier space."""
@@ -65,13 +66,15 @@ class IdSpace:
         value other than the endpoint is inside (and the endpoint itself is
         inside only if an endpoint is inclusive).
         """
-        value, low, high = self.wrap(value), self.wrap(low), self.wrap(high)
-        if low == high:
-            if value == low:
+        # clockwise distances from *low*; reducing a difference reduces its
+        # terms, so no operand needs wrapping first
+        size = self.size
+        d_vh = (value - low) % size
+        d_lh = (high - low) % size
+        if d_lh == 0:
+            if d_vh == 0:
                 return include_low or include_high
             return True
-        d_vh = self.distance(low, value)
-        d_lh = self.distance(low, high)
         if d_vh == 0:
             return include_low
         if d_vh == d_lh:

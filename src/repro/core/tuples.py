@@ -13,7 +13,8 @@ a tuple means building a new one.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, Optional, Sequence, Tuple as PyTuple
+from operator import itemgetter
+from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, Tuple as PyTuple
 
 from . import values
 from .errors import TupleError
@@ -55,6 +56,23 @@ class Tuple:
         object.__setattr__(self, "_hash", hash((name, coerced)))  # det: allow(DET002): in-process key only
 
     # -- construction helpers -------------------------------------------------
+    @classmethod
+    def trusted(cls, name: str, fields: PyTuple[Any, ...]) -> "Tuple":
+        """Build a tuple from a ``tuple`` of values that are already P2 values.
+
+        The constructor the generated strand code uses for head tuples:
+        fields copied out of existing tuples were coerced when those were
+        built, and computed fields are coerced by the caller, so neither the
+        name check nor the per-field :func:`~repro.core.values.coerce` pass
+        of ``__init__`` runs again.  Handing it anything else breaks the
+        marshaling and hashing guarantees — it is not an ingress path.
+        """
+        self = _new(cls)
+        _set_name(self, name)
+        _set_fields(self, fields)
+        _set_hash(self, hash((name, fields)))  # det: allow(DET002): in-process key only
+        return self
+
     @classmethod
     def make(cls, name: str, *fields: Any) -> "Tuple":
         """Convenience constructor: ``Tuple.make("succ", ni, s, si)``."""
@@ -120,3 +138,28 @@ class Tuple:
     def __repr__(self) -> str:
         inner = ", ".join(values.to_str(f) for f in self.fields)
         return f"{self.name}({inner})"
+
+
+# slot descriptors: write the (otherwise immutable) slots without the
+# by-name lookup of ``object.__setattr__``
+_new = object.__new__
+_set_name = Tuple.name.__set__
+_set_fields = Tuple.fields.__set__
+_set_hash = Tuple._hash.__set__
+
+
+def key_getter(positions: Sequence[int]) -> Callable[[PyTuple[Any, ...]], PyTuple[Any, ...]]:
+    """``fields -> key`` for fixed *positions*, as :meth:`Tuple.key` builds it.
+
+    Tables, secondary indices and aggregates extract the same positions from
+    every tuple they see; an :func:`operator.itemgetter` built once does it
+    without a generator per call.  (``itemgetter`` of one position returns the
+    bare value and of none is an error, so those two cases are wrapped.)
+    """
+    positions = tuple(positions)
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    if not positions:
+        return lambda fields: ()
+    (position,) = positions
+    return lambda fields: (fields[position],)

@@ -89,6 +89,8 @@ def value_type(value: ValueLike) -> ValueType:
 
 def to_int(value: ValueLike) -> int:
     """Convert to an integer with P2 coercion rules."""
+    if type(value) is int:  # the common case first
+        return value
     if value is None:
         return 0
     if isinstance(value, bool):
@@ -167,8 +169,9 @@ def compare(a: ValueLike, b: ValueLike) -> int:
     """
     ra, rb = _rank(a), _rank(b)
     if ra == 2 and rb == 2:
-        fa, fb = float(a), float(b)  # type: ignore[arg-type]
-        return (fa > fb) - (fa < fb)
+        # native comparison: Python's int/int and int/float orderings are
+        # exact, so identifiers above 2**53 (160-bit Chord ids) stay distinct
+        return (a > b) - (a < b)  # type: ignore[operator]
     if ra != rb:
         return (ra > rb) - (ra < rb)
     if a == b:

@@ -36,7 +36,7 @@ class ElementStats:
     maintained by the operators' own ``process`` logic.  Strand execution —
     interpreted *and* fused alike — calls operators without going through
     ``push``, so inside strands only the latter group advances, and the
-    fused closures are required to advance it identically to the
+    generated functions are required to advance it identically to the
     interpreted walk (the strand-fusion differential suite asserts this).
     """
 

@@ -10,24 +10,20 @@ Every operator needs a *host* to build evaluation contexts: the hosting node
 runtime (clock, RNG, address, identifier space, built-in registry).  Tests use
 a lightweight stand-in.
 
-Each operator additionally exposes a *compile hook* (``fuse_stage`` /
-``fuse_builder``) that hands the strand compiler
-(:mod:`repro.planner.strand_compiler`) a closure over the operator's bound
-programs, table, and statistics counters.  The closures operate on bare field
-tuples (no intermediate :class:`~repro.core.tuples.Tuple` objects, no per-eval
-:class:`~repro.pel.vm.EvalContext`) but maintain the exact same per-element
-stats the interpreted ``process`` methods do, so fused and interpreted strand
-execution are observably identical.
+``process`` is each operator's reference semantics.  The strand compiler
+(:mod:`repro.planner.strand_compiler`) reads an operator's programs, table
+and positions to generate the same behaviour as source, and the generated
+code advances the operator's ``stats`` exactly as ``process`` does.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple as PyTuple
+from typing import Any, Iterable, List, Optional, Sequence, Tuple as PyTuple
 
 from ..core import values
 from ..core.errors import DataflowError
 from ..core.idspace import IdSpace
-from ..core.tuples import Tuple
+from ..core.tuples import Tuple, key_getter
 from ..pel.program import Program
 from ..pel.vm import EvalContext, VM
 from ..tables.table import Table
@@ -95,21 +91,6 @@ class Select(PelElement):
         self.stats.dropped += 1
         return ()
 
-    def fuse_stage(self, ctx: EvalContext, now: Callable[[], float], downstream):
-        """Compile hook: filter fused field tuples through the predicate."""
-        fn = self.program.compiled()
-        stats = self.stats
-        to_bool = values.to_bool
-
-        def stage(fields):
-            ctx.fields = fields
-            if to_bool(fn(ctx)):
-                downstream(fields)
-            else:
-                stats.dropped += 1
-
-        return stage
-
 
 class Assign(PelElement):
     """Appends the value of a PEL expression as a new field (``X := expr``)."""
@@ -122,22 +103,6 @@ class Assign(PelElement):
 
     def process(self, tup: Tuple, port: int = 0) -> Iterable[Tuple]:
         return (tup.append(self._eval(self.program, tup.fields)),)
-
-    def fuse_stage(self, ctx: EvalContext, now: Callable[[], float], downstream):
-        """Compile hook: append the (coerced) expression value to the fields.
-
-        Coercion here mirrors what :meth:`~repro.core.tuples.Tuple.append`
-        does on the interpreted path, so downstream programs observe exactly
-        the same value either way.
-        """
-        fn = self.program.compiled()
-        coerce = values.coerce
-
-        def stage(fields):
-            ctx.fields = fields
-            downstream(fields + (coerce(fn(ctx)),))
-
-        return stage
 
 
 class Project(PelElement):
@@ -159,34 +124,6 @@ class Project(PelElement):
     def process(self, tup: Tuple, port: int = 0) -> Iterable[Tuple]:
         fields = [self._eval(p, tup.fields) for p in self.programs]
         return (Tuple(self.output_name, fields),)
-
-    def fuse_builder(self, ctx: EvalContext) -> Callable[[PyTuple[Any, ...]], Tuple]:
-        """Compile hook: ``build(fields) -> head Tuple``.
-
-        Head fields that are bare variable references become plain field
-        accesses; only computed fields go through their compiled programs.
-        The returned :class:`Tuple` constructor applies the same coercion the
-        interpreted path relies on.
-        """
-        name = self.output_name
-        spec = []
-        for p in self.programs:
-            i = p.as_field_load()
-            spec.append((i, None) if i is not None else (None, p.compiled()))
-        if all(fn is None for _, fn in spec):
-            idx = tuple(i for i, _ in spec)
-
-            def build(fields):
-                return Tuple(name, [fields[i] for i in idx])
-
-            return build
-        spec = tuple(spec)
-
-        def build(fields):
-            ctx.fields = fields
-            return Tuple(name, [fields[i] if fn is None else fn(ctx) for i, fn in spec])
-
-        return build
 
 
 class LookupJoin(PelElement):
@@ -243,77 +180,6 @@ class LookupJoin(PelElement):
             self.stats.dropped += 1
         return out
 
-    def _fuse_key_builder(self, ctx: EvalContext):
-        """``key_of(fields) -> tuple`` for the fused probe (None = full scan).
-
-        Join keys are usually bare variable loads (the planner binds them
-        with ``load_program``), which compile down to direct field accesses;
-        computed or constant keys fall back to the compiled programs.
-        """
-        if not self.table_positions:
-            return None
-        idx = [p.as_field_load() for p in self.key_programs]
-        if all(i is not None for i in idx):
-            if len(idx) == 1:
-                i0 = idx[0]
-                return lambda fields: (fields[i0],)
-            idx = tuple(idx)
-            return lambda fields: tuple(fields[i] for i in idx)
-        consts = [p.as_constant() for p in self.key_programs]
-        if all(i is not None or ok for i, (ok, _) in zip(idx, consts)):
-            # loads and literal constants only (constants in body-predicate
-            # arguments): prebind the constants, fetch the rest by position
-            parts = tuple(
-                (True, i) if i is not None else (False, value)
-                for i, (_, value) in zip(idx, consts)
-            )
-            if len(parts) == 1:
-                key = (parts[0][1],)
-                return lambda fields: key
-            return lambda fields: tuple(
-                fields[x] if is_load else x for is_load, x in parts
-            )
-        fns = [p.compiled() for p in self.key_programs]
-
-        def key_of(fields):
-            ctx.fields = fields
-            return tuple(fn(ctx) for fn in fns)
-
-        return key_of
-
-    def fuse_stage(self, ctx: EvalContext, now: Callable[[], float], downstream):
-        """Compile hook: probe the table and fan out ``binding ++ row``.
-
-        Matches are materialized before descending (exactly like the eager
-        list the interpreted ``process`` builds), so a deeper stage that
-        triggers expiry on the same table cannot invalidate the probe.
-        """
-        table = self.table
-        stats = self.stats
-        key_of = self._fuse_key_builder(ctx)
-        if key_of is None:
-
-            def stage(fields):
-                rows = table.scan(now())
-                if not rows:
-                    stats.dropped += 1
-                    return
-                for row in rows:
-                    downstream(fields + row.fields)
-
-            return stage
-        positions = tuple(self.table_positions)
-
-        def stage(fields):
-            rows = table.lookup(positions, key_of(fields), now())
-            if not rows:
-                stats.dropped += 1
-                return
-            for row in rows:
-                downstream(fields + row.fields)
-
-        return stage
-
 
 class AntiJoin(LookupJoin):
     """Negation: passes the binding tuple through only when the table has
@@ -326,31 +192,6 @@ class AntiJoin(LookupJoin):
             self.stats.dropped += 1
             return ()
         return (tup,)
-
-    def fuse_stage(self, ctx: EvalContext, now: Callable[[], float], downstream):
-        """Compile hook: pass the fields through only on an empty probe."""
-        table = self.table
-        stats = self.stats
-        key_of = self._fuse_key_builder(ctx)
-        if key_of is None:
-
-            def stage(fields):
-                if next(iter(table.scan_iter(now())), None) is not None:
-                    stats.dropped += 1
-                else:
-                    downstream(fields)
-
-            return stage
-        positions = tuple(self.table_positions)
-
-        def stage(fields):
-            probe = table.lookup_iter(positions, key_of(fields), now())
-            if next(iter(probe), None) is not None:
-                stats.dropped += 1
-            else:
-                downstream(fields)
-
-        return stage
 
 
 class Aggregate(Element):
@@ -373,6 +214,7 @@ class Aggregate(Element):
     ):
         super().__init__(name)
         self.group_positions = list(group_positions)
+        self.group_key = key_getter(self.group_positions)
         self.agg_specs = list(agg_specs)
         # Resolve the aggregate callables once; the registry lookup used to
         # run per group per firing (and unknown names now fail at plan time
@@ -392,7 +234,7 @@ class Aggregate(Element):
         groups: "dict[tuple, List[Tuple]]" = {}
         order: List[tuple] = []
         for tup in batch:
-            key = tup.key(self.group_positions)
+            key = self.group_key(tup.fields)
             if key not in groups:
                 groups[key] = []
                 order.append(key)
@@ -403,7 +245,9 @@ class Aggregate(Element):
             fields = list(rows[0].fields)
             for pos, fn in self._agg_funcs:
                 fields[pos] = fn([r.fields[pos] for r in rows])
-            out.append(Tuple(rows[0].name, fields))
+            # group fields come from tuples; every aggregate function returns
+            # one of its inputs or an exact int/float
+            out.append(Tuple.trusted(rows[0].name, tuple(fields)))
         self.stats.emitted += len(out)
         return out
 

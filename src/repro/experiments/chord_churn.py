@@ -98,7 +98,7 @@ def run_churn_experiment(
 
     ``shards >= 2`` runs the population on that many event loops under
     conservative lookahead; ``fused=False`` interprets the rule strands
-    instead of running their compiled closures.  Results are identical
+    instead of running their generated functions.  Results are identical
     either way.  ``crash=True`` turns departures into crashes (soft state
     wiped, no leave processing) — the harsher regime the paper's robustness
     claim is about; ``faults``/``monitors``/``lookup_timeout`` work as in

@@ -104,7 +104,7 @@ def run_static_experiment(
 
     ``shards >= 2`` runs the population on that many event loops under
     conservative lookahead; ``fused=False`` interprets the rule strands
-    instead of running their compiled closures.  Results are identical
+    instead of running their generated functions.  Results are identical
     either way.  ``faults`` arms a fault schedule, ``monitors`` installs
     periodic invariant probes (instances or network-taking factories), and
     ``lookup_timeout`` makes abandoned lookups count as failed — all off by

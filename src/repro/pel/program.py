@@ -18,8 +18,8 @@ class Program:
     compiled from, which makes planner debugging and the logging facility
     (Section 3.5 of the paper) far more pleasant.
 
-    The instruction list is closure-compiled to a single callable on first
-    execution and cached in ``_compiled`` (invalidated by :meth:`emit` /
+    The instruction list is compiled to one generated Python function on
+    first execution and cached in ``_compiled`` (invalidated by :meth:`emit` /
     :meth:`extend`); see :func:`repro.pel.vm.compile_program`.
     """
 
@@ -43,43 +43,13 @@ class Program:
         return self
 
     def compiled(self) -> Callable[..., Any]:
-        """The closure-compiled form of this program (built once, cached)."""
+        """This program as one callable ``fn(ctx)`` (built once, cached)."""
         fn = self._compiled
         if fn is None:
             from .vm import compile_program
 
             fn = self._compiled = compile_program(self)
         return fn
-
-    # -- shape introspection (used by the strand compiler) --------------------
-    def _effective_instructions(self) -> List[Instruction]:
-        """Instructions up to (excluding) the first STOP."""
-        out: List[Instruction] = []
-        for instr in self.instructions:
-            if instr[0] is Op.STOP:
-                break
-            out.append(instr)
-        return out
-
-    def as_field_load(self) -> Optional[int]:
-        """The field position when this program is exactly ``LOAD n``.
-
-        The planner emits bare variable references (join keys, head fields
-        that copy a body variable) as single-LOAD programs; the strand
-        compiler turns those evals into plain field accesses.  Returns
-        ``None`` for anything else.
-        """
-        instrs = self._effective_instructions()
-        if len(instrs) == 1 and instrs[0][0] is Op.LOAD:
-            return instrs[0][1]
-        return None
-
-    def as_constant(self) -> PyTuple[bool, Any]:
-        """``(True, value)`` when this program is exactly ``PUSH value``."""
-        instrs = self._effective_instructions()
-        if len(instrs) == 1 and instrs[0][0] is Op.PUSH:
-            return True, instrs[0][1]
-        return False, None
 
     def __len__(self) -> int:
         return len(self.instructions)

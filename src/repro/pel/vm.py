@@ -9,21 +9,26 @@ Execution strategy
 ------------------
 
 PEL programs are compiled by the planner once and then executed per tuple —
-often millions of times per experiment.  Instead of re-dispatching on the
-opcode of every instruction at every execution (a long ``if/elif`` chain per
-instruction), each :class:`~repro.pel.program.Program` is *closure-compiled*
-once, at load time: every instruction becomes a small Python closure that
-performs its operation and tail-calls the next instruction's closure, so the
-whole program collapses into a single callable.  ``VM.execute`` then is one
-call — the Python analogue of the paper's "tens of machine instructions per
-element hand-off" claim.  The original opcode interpreter is kept as
-:meth:`PelVM.execute_interpreted` and serves as the differential-testing
-oracle for the compiled path.
+often millions of times per experiment.  A program has no jumps, so a
+*symbolic-stack pass* (:class:`ExpressionEmitter`) turns it into one Python
+expression over the field tuple: operands are popped as expression texts and
+the operator's text pushed back.  Behind :meth:`Program.compiled` that
+expression is the body of one ``compile()``d function; the strand compiler
+(:mod:`repro.planner.strand_compiler`) inlines the same text into the
+function it generates per rule strand.  Every operator has one definition,
+the :data:`BINARY` / :data:`UNARY` tables: the opcode interpreter
+(:meth:`PelVM.execute_interpreted`, the reference semantics and the fallback
+for programs the emitter declines) calls the table's function, and generated
+code calls the same function unless both operands have exactly the type for
+which a plain Python operator means the same thing.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
+import linecache
+import os
+import zlib
+from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence
 
 from ..core import values
 from ..core.errors import PELError
@@ -33,10 +38,9 @@ from .program import Program
 
 BuiltinFunction = Callable[..., Any]
 
-#: Programs longer than this are run through the interpreter instead of the
-#: closure chain (tail-calls nest one Python frame per instruction, and real
-#: planner output is tens of instructions at most — this is purely a guard
-#: against pathological hand-built programs hitting the recursion limit).
+#: Programs longer than this run through the interpreter: the generated
+#: expression nests once per operator and CPython's parser caps the nesting
+#: (planner output is tens of instructions; this guards hand-built programs).
 MAX_CHAINED_INSTRUCTIONS = 400
 
 
@@ -77,10 +81,9 @@ class EvalContext:
 
         The per-eval construction above defensively copies the builtin map;
         a reusable context instead *shares* the host's live mapping (so later
-        registrations are visible, matching the copy-per-eval behaviour) and
-        is rebound to each tuple by assigning :attr:`fields` in place.  This
-        is the context-reuse API the fused strand pipelines are built on: one
-        context per compiled strand, zero allocations per eval.
+        registrations are visible, matching the copy-per-eval behaviour).
+        Generated strands bind one per node and assign :attr:`fields` in
+        place before an expression that calls a built-in.
         """
         ctx = cls.__new__(cls)
         ctx.fields = ()
@@ -93,330 +96,360 @@ class EvalContext:
         return ctx
 
     def call(self, name: str, args: Sequence[Any]) -> Any:
-        fn = self.builtins.get(name)
-        if fn is None:
-            raise PELError(f"unknown built-in function {name!r}")
-        return fn(self, *args)
+        return (self.builtins.get(name) or _unknown_builtin(name))(self, *args)
 
 
-# --------------------------------------------------------------------- helpers
+# ------------------------------------------------------------------- operators
+to_int, to_float, to_bool = values.to_int, values.to_float, values.to_bool
+equal, compare = values.equal, values.compare
+
+
 def _arith(a: Any, b: Any, op: str) -> Any:
     # String concatenation mirrors P2's Value semantics for '+'.
     if op == "+" and (isinstance(a, str) or isinstance(b, str)):
         return values.to_str(a) + values.to_str(b)
-    fa = values.to_float(a)
-    fb = values.to_float(b)
-    if op == "+":
-        result = fa + fb
-    elif op == "-":
-        result = fa - fb
-    else:
-        result = fa * fb
     if isinstance(a, int) and isinstance(b, int) and not isinstance(a, bool) and not isinstance(b, bool):
-        return int(result)
-    return result
+        # int∘int stays in integers: identifiers above 2**53 must not round
+        return a + b if op == "+" else a - b if op == "-" else a * b
+    fa = to_float(a)
+    fb = to_float(b)
+    return fa + fb if op == "+" else fa - fb if op == "-" else fa * fb
 
 
 def _divide(a: Any, b: Any) -> float:
-    fb = values.to_float(b)
+    fb = to_float(b)
     if fb == 0:
         raise PELError("division by zero")
-    return values.to_float(a) / fb
+    return to_float(a) / fb
 
 
-# ---------------------------------------------------------- closure compilation
-# Each factory takes (operand, next_step) and returns a closure
-# ``step(stack, ctx)`` that performs the instruction and tail-calls
-# ``next_step``.  The chain's terminator returns the top of the stack.
-
-def _terminator(stack: List[Any], ctx: EvalContext) -> Any:
-    return stack[-1] if stack else None
-
-
-def _c_push(operand, nxt):
-    def step(stack, ctx):
-        stack.append(operand)
-        return nxt(stack, ctx)
-    return step
+def _ring_in(ring: IdSpace, v: Any, lo: Any, hi: Any, include_low: bool, include_high: bool) -> bool:
+    # Range tests over non-numeric values (e.g. the "-" null address used by
+    # Chord's pred/landmark bootstrap facts) are simply false rather than an
+    # error, so rules like ((PI1 == "-") || (P in (P1, N))) behave as intended.
+    try:
+        iv, ilo, ihi = to_int(v), to_int(lo), to_int(hi)
+    except Exception:
+        return False
+    return ring.in_interval(iv, ilo, ihi, include_low, include_high)
 
 
-def _c_load(operand, nxt):
-    def step(stack, ctx):
-        try:
-            stack.append(ctx.fields[operand])
-        except IndexError:
-            raise PELError(
-                f"LOAD {operand} out of range (tuple arity {len(ctx.fields)})"
-            ) from None
-        return nxt(stack, ctx)
-    return step
+def _unknown_builtin(name: str) -> BuiltinFunction:
+    """Stands in for a missing built-in: the error is raised when it is
+    *called*, i.e. after the arguments were evaluated, as the stack machine
+    does."""
+
+    def missing(ctx: EvalContext, *args: Any) -> Any:
+        raise PELError(f"unknown built-in function {name!r}")
+
+    return missing
 
 
-def _c_pop(operand, nxt):
-    def step(stack, ctx):
-        stack.pop()
-        return nxt(stack, ctx)
-    return step
+_INT, _BOOL, _ORDERED = (int,), (bool,), (int, str)
+
+#: ``opcode -> (name, function(a, b, ring), inline form, exact operand types)``.
+#: The function *is* the operator.  Generated code may replace the call by
+#: the inline form only when both operands have (the same) one of the exact
+#: types, where the two agree: ``type(x) is int`` excludes ``bool``, and
+#: :func:`repro.core.values.compare` orders two ints, or two strs, natively.
+#: Both operands are evaluated before either form runs, so ``&&``/``||``
+#: never short-circuit.
+BINARY: Dict[Op, tuple] = {
+    Op.ADD: ("add", lambda a, b, ring: _arith(a, b, "+"), "{} + {}", _INT),
+    Op.SUB: ("sub", lambda a, b, ring: _arith(a, b, "-"), "{} - {}", _INT),
+    Op.MUL: ("mul", lambda a, b, ring: _arith(a, b, "*"), "{} * {}", _INT),
+    Op.DIV: ("div", lambda a, b, ring: _divide(a, b), None, ()),
+    Op.MOD: ("mod", lambda a, b, ring: to_int(a) % to_int(b), "{} % {}", _INT),
+    Op.SHL: ("shl", lambda a, b, ring: to_int(a) << to_int(b), "{} << {}", _INT),
+    Op.SHR: ("shr", lambda a, b, ring: to_int(a) >> to_int(b), "{} >> {}", _INT),
+    Op.EQ: ("eq", lambda a, b, ring: equal(a, b), "{} == {}", _ORDERED),
+    Op.NE: ("ne", lambda a, b, ring: not equal(a, b), "{} != {}", _ORDERED),
+    Op.LT: ("lt", lambda a, b, ring: compare(a, b) < 0, "{} < {}", _ORDERED),
+    Op.LE: ("le", lambda a, b, ring: compare(a, b) <= 0, "{} <= {}", _ORDERED),
+    Op.GT: ("gt", lambda a, b, ring: compare(a, b) > 0, "{} > {}", _ORDERED),
+    Op.GE: ("ge", lambda a, b, ring: compare(a, b) >= 0, "{} >= {}", _ORDERED),
+    Op.AND: ("and_", lambda a, b, ring: to_bool(a) and to_bool(b), "{} & {}", _BOOL),
+    Op.OR: ("or_", lambda a, b, ring: to_bool(a) or to_bool(b), "{} | {}", _BOOL),
+    Op.RING_ADD: ("ring_add", lambda a, b, ring: ring.wrap(to_int(a) + to_int(b)), None, ()),
+    Op.RING_SUB: ("ring_sub", lambda a, b, ring: ring.wrap(to_int(a) - to_int(b)), None, ()),
+}
+#: ``opcode -> (name, function(a), inline form when the operand is a bool)``
+UNARY: Dict[Op, tuple] = {
+    Op.NEG: ("neg", lambda a: -to_float(a), None),
+    Op.NOT: ("not_", lambda a: not to_bool(a), "not {}"),
+}
+_ARITY = {**dict.fromkeys(BINARY, 2), **dict.fromkeys(UNARY, 1), Op.RING_IN: 3}
+#: operators whose result is a ``bool``; every other operator above returns
+#: an exact ``int``/``float``/``str``, whatever its operands — either way a
+#: value :func:`~repro.core.values.coerce` would return unchanged
+_BOOL_RESULT = frozenset({Op.EQ, Op.NE, Op.LT, Op.LE, Op.GT, Op.GE, Op.AND, Op.OR, Op.NOT})
 
 
-def _c_dup(operand, nxt):
-    def step(stack, ctx):
-        stack.append(stack[-1])
-        return nxt(stack, ctx)
-    return step
+# --------------------------------------------------------------- source emitter
+class Expression(NamedTuple):
+    """One PEL program as Python source."""
+
+    text: str
+    #: ``const`` (a literal), ``load`` (a field), ``bool`` / ``atomic`` (an
+    #: operator's result, see ``_BOOL_RESULT``) or ``any``
+    kind: str
+    #: the LOAD positions, in evaluation order (for the out-of-range message)
+    loads: tuple = ()
+    #: the constant, for ``kind == "const"``
+    value: Any = None
+    #: calls a built-in, which may read ``ctx.fields``
+    calls: bool = False
+
+    @property
+    def inline(self) -> bool:
+        """A bare field access or literal: cheap enough to sit inside another
+        statement instead of getting a line of its own."""
+        return self.kind in ("const", "load")
 
 
-def _c_binary_arith(symbol):
-    def factory(operand, nxt):
-        def step(stack, ctx):
-            b = stack.pop()
-            a = stack.pop()
-            stack.append(_arith(a, b, symbol))
-            return nxt(stack, ctx)
-        return step
-    return factory
+class ExpressionEmitter:
+    """Turns PEL programs into Python expressions for *one* generated function.
 
+    The expressions use these names, which the function must bind: the field
+    tuple under the name passed to :meth:`emit`, ``B`` (the built-in map),
+    ``R`` (the identifier space), ``ctx``, and ``K`` (:attr:`constants`);
+    everything else is in :data:`GENERATED_GLOBALS`.  Temporaries are
+    ``_1, _2, …`` — unique per emitter, since expressions nest.
+    """
 
-def _c_div(operand, nxt):
-    def step(stack, ctx):
-        b = stack.pop()
-        a = stack.pop()
-        stack.append(_divide(a, b))
-        return nxt(stack, ctx)
-    return step
+    def __init__(self) -> None:
+        self.temps = 0
+        #: constants with no literal form, referenced as ``K[i]``
+        self.constants: List[Any] = []
+        #: which of ``B`` / ``R`` the emitted text mentions
+        self.uses: set = set()
 
+    def emit(self, program: Program, fields: str) -> Optional[Expression]:
+        """*program* over the field tuple named *fields*; ``None`` = declined.
 
-def _c_mod(operand, nxt):
-    to_int = values.to_int
+        Declined, and left to the interpreter: ``DUP``/``POP`` (an operand
+        would be evaluated twice, or not at all), programs that underflow or
+        leave more than one value, over-long programs.
+        """
+        if len(program.instructions) > MAX_CHAINED_INSTRUCTIONS:
+            return None
+        stack: List[Expression] = []
+        loads: List[int] = []
+        calls = False
+        for op, operand in program.instructions:
+            if op is Op.STOP:
+                break
+            if op is Op.PUSH:
+                stack.append(self._constant(operand))
+                continue
+            if op is Op.LOAD:
+                if type(operand) is not int:
+                    return None
+                loads.append(operand)
+                stack.append(Expression(f"{fields}[{operand}]", "load"))
+                continue
+            arity = operand[1] if op is Op.CALL else _ARITY.get(op)
+            if arity is None or len(stack) < arity:
+                return None
+            args = stack[len(stack) - arity:]
+            del stack[len(stack) - arity:]
+            if op in BINARY:
+                stack.append(self._binary(op, *args))
+            elif op in UNARY:
+                name, _, inline = UNARY[op]
+                form = inline if inline and args[0].kind == "bool" else name + "({})"
+                kind = "bool" if op in _BOOL_RESULT else "atomic"
+                stack.append(Expression("(" + form.format(args[0].text) + ")", kind))
+            elif op is Op.RING_IN:
+                self.uses.add("R")
+                # three ints go straight to the ring; anything else through
+                # the conversion (``&``: every operand is evaluated and bound)
+                names = [self.temp() for _ in args]
+                test = " & ".join(f"(type({n} := {a.text}) is int)" for n, a in zip(names, args))
+                rest = f"{', '.join(names)}, {operand[0]!r}, {operand[1]!r})"
+                stack.append(Expression(
+                    f"(R.in_interval({rest} if {test} else ring_in(R, {rest})", "bool"
+                ))
+            else:
+                calls = True
+                self.uses.add("B")
+                name = repr(operand[0])
+                passed = "".join(", " + a.text for a in args)
+                stack.append(Expression(
+                    f"(B.get({name}) or unknown({name}))(ctx{passed})", "any"
+                ))
+        if len(stack) > 1:
+            return None
+        if not stack:
+            return Expression("None", "const")
+        return stack[0]._replace(loads=tuple(loads), calls=calls)
 
-    def step(stack, ctx):
-        b = stack.pop()
-        a = stack.pop()
-        stack.append(to_int(a) % to_int(b))
-        return nxt(stack, ctx)
-    return step
+    def temp(self) -> str:
+        self.temps += 1
+        return f"_{self.temps}"
 
+    def bindings(self) -> List[str]:
+        """Statements binding those of ``B`` / ``R`` the emitted text uses."""
+        binds = {"B": "B = ctx.builtins", "R": "R = ctx.idspace"}
+        return [binds[name] for name in sorted(self.uses & set(binds))]
 
-def _c_neg(operand, nxt):
-    to_float = values.to_float
+    def _constant(self, value: Any) -> Expression:
+        if type(value) in (int, str, bool, bytes, type(None)) or (
+            type(value) is float and value == value and abs(value) != float("inf")
+        ):
+            text = repr(value)
+            return Expression(f"({text})" if text[0] == "-" else text, "const", value=value)
+        self.constants.append(value)
+        return Expression(f"K[{len(self.constants) - 1}]", "any")
 
-    def step(stack, ctx):
-        stack.append(-to_float(stack.pop()))
-        return nxt(stack, ctx)
-    return step
-
-
-def _c_shift(left):
-    def factory(operand, nxt):
-        to_int = values.to_int
-
-        def step(stack, ctx):
-            b = stack.pop()
-            a = stack.pop()
-            stack.append(to_int(a) << to_int(b) if left else to_int(a) >> to_int(b))
-            return nxt(stack, ctx)
-        return step
-    return factory
-
-
-def _c_eq(operand, nxt):
-    equal = values.equal
-
-    def step(stack, ctx):
-        b = stack.pop()
-        a = stack.pop()
-        stack.append(equal(a, b))
-        return nxt(stack, ctx)
-    return step
-
-
-def _c_ne(operand, nxt):
-    equal = values.equal
-
-    def step(stack, ctx):
-        b = stack.pop()
-        a = stack.pop()
-        stack.append(not equal(a, b))
-        return nxt(stack, ctx)
-    return step
-
-
-def _c_compare(check):
-    def factory(operand, nxt):
-        compare = values.compare
-
-        def step(stack, ctx):
-            b = stack.pop()
-            a = stack.pop()
-            stack.append(check(compare(a, b)))
-            return nxt(stack, ctx)
-        return step
-    return factory
-
-
-def _c_not(operand, nxt):
-    to_bool = values.to_bool
-
-    def step(stack, ctx):
-        stack.append(not to_bool(stack.pop()))
-        return nxt(stack, ctx)
-    return step
-
-
-def _c_and(operand, nxt):
-    to_bool = values.to_bool
-
-    def step(stack, ctx):
-        b = stack.pop()
-        a = stack.pop()
-        stack.append(to_bool(a) and to_bool(b))
-        return nxt(stack, ctx)
-    return step
-
-
-def _c_or(operand, nxt):
-    to_bool = values.to_bool
-
-    def step(stack, ctx):
-        b = stack.pop()
-        a = stack.pop()
-        stack.append(to_bool(a) or to_bool(b))
-        return nxt(stack, ctx)
-    return step
-
-
-def _c_ring(sub):
-    def factory(operand, nxt):
-        to_int = values.to_int
-
-        def step(stack, ctx):
-            b = stack.pop()
-            a = stack.pop()
-            value = to_int(a) - to_int(b) if sub else to_int(a) + to_int(b)
-            stack.append(ctx.idspace.wrap(value))
-            return nxt(stack, ctx)
-        return step
-    return factory
-
-
-def _c_ring_in(operand, nxt):
-    include_low, include_high = operand
-    to_int = values.to_int
-
-    def step(stack, ctx):
-        hi = stack.pop()
-        lo = stack.pop()
-        v = stack.pop()
-        # Range tests over non-numeric values (e.g. the "-" null address used
-        # by Chord's pred/landmark bootstrap facts) are simply false rather
-        # than an error, so rules like ((PI1 == "-") || (P in (P1, N)))
-        # behave as intended.
-        try:
-            iv = to_int(v)
-            ilo = to_int(lo)
-            ihi = to_int(hi)
-        except Exception:
-            stack.append(False)
-        else:
-            stack.append(
-                ctx.idspace.in_interval(iv, ilo, ihi, include_low, include_high)
+    def _binary(self, op: Op, a: Expression, b: Expression) -> Expression:
+        name, _, inline, exact = BINARY[op]
+        ring = "None"
+        if op in (Op.RING_ADD, Op.RING_SUB):
+            self.uses.add("R")
+            ring = "R"
+        call = f"{name}({{}}, {{}}, {ring})"
+        kind = "bool" if op in _BOOL_RESULT else "atomic"
+        # known before running: a literal's type, a comparison's bool
+        static = [
+            type(x.value) if x.kind == "const" else bool if x.kind == "bool" else None
+            for x in (a, b)
+        ]
+        literal = a.kind == "const" or b.kind == "const"
+        form = call
+        usable = inline is not None and all(t is None or t in exact for t in static)
+        if usable and None not in static:
+            if static[0] is static[1]:
+                form = inline
+        elif usable and (literal or static == [None, None]):
+            # Bind each unknown operand to a temporary inside the type test
+            # (an ``is`` evaluates both its operands, left to right).  A known
+            # bool *expression* beside an unknown is left to the call, which
+            # keeps the evaluation order without a temporary for the bool.
+            if a.kind == "const":
+                uses = [a.text, self.temp()]
+                test = f"type({uses[1]} := {b.text}) is {static[0].__name__}"
+            elif b.kind == "const":
+                uses = [self.temp(), b.text]
+                test = f"type({uses[0]} := {a.text}) is {static[1].__name__}"
+            else:
+                uses = [self.temp(), self.temp()]
+                wanted = f"is {exact[0].__name__}" if len(exact) == 1 else "in ORDERED"
+                test = f"type({uses[0]} := {a.text}) is type({uses[1]} := {b.text}) {wanted}"
+            return Expression(
+                f"({inline.format(*uses)} if {test} else {call.format(*uses)})", kind
             )
-        return nxt(stack, ctx)
-    return step
+        return Expression("(" + form.format(a.text, b.text) + ")", kind)
 
 
-def _c_call(operand, nxt):
-    name, argc = operand
+def raise_as_interpreted(exc: Exception, sites: Mapping[int, tuple]) -> None:
+    """Re-raise *exc*, caught around generated code, as the interpreters would.
 
-    def step(stack, ctx):
-        if argc:
-            args = stack[-argc:]
-            del stack[-argc:]
-        else:
-            args = []
-        stack.append(ctx.call(name, args))
-        return nxt(stack, ctx)
-    return step
+    *sites* maps a line of the generated function to the PEL expression
+    inlined there: ``(repr of its source, loads, fields variable)``.  The
+    interpreters convert whatever a PEL evaluation raises into
+    :class:`PELError` and nothing else, so an exception from any other line —
+    a table probe, a ``coerce``, an aggregate — surfaces unchanged.  ``None``
+    in place of the source marks a line of bare field loads, where only the
+    out-of-range conversion applies.
+    """
+    tb = exc.__traceback__
+    site = sites.get(tb.tb_lineno)
+    if site is None or isinstance(exc, PELError):
+        raise exc
+    source, loads, fields_name = site
+    if tb.tb_next is None and isinstance(exc, IndexError):
+        # raised by the generated frame itself, not by a callee: a field load
+        fields = tb.tb_frame.f_locals[fields_name]
+        for position in loads:
+            try:
+                fields[position]
+            except IndexError:
+                raise PELError(
+                    f"LOAD {position} out of range (tuple arity {len(fields)})"
+                ) from None
+    if source is None:
+        raise exc
+    raise PELError(f"PEL execution failed ({source}): {exc}") from exc
 
 
-_STEP_FACTORIES: Dict[Op, Callable[[Any, Callable], Callable]] = {
-    Op.PUSH: _c_push,
-    Op.LOAD: _c_load,
-    Op.POP: _c_pop,
-    Op.DUP: _c_dup,
-    Op.ADD: _c_binary_arith("+"),
-    Op.SUB: _c_binary_arith("-"),
-    Op.MUL: _c_binary_arith("*"),
-    Op.DIV: _c_div,
-    Op.MOD: _c_mod,
-    Op.NEG: _c_neg,
-    Op.SHL: _c_shift(True),
-    Op.SHR: _c_shift(False),
-    Op.EQ: _c_eq,
-    Op.NE: _c_ne,
-    Op.LT: _c_compare(lambda c: c < 0),
-    Op.LE: _c_compare(lambda c: c <= 0),
-    Op.GT: _c_compare(lambda c: c > 0),
-    Op.GE: _c_compare(lambda c: c >= 0),
-    Op.NOT: _c_not,
-    Op.AND: _c_and,
-    Op.OR: _c_or,
-    Op.RING_ADD: _c_ring(False),
-    Op.RING_SUB: _c_ring(True),
-    Op.RING_IN: _c_ring_in,
-    Op.CALL: _c_call,
+#: the names generated code may use without binding them
+GENERATED_GLOBALS: Dict[str, Any] = {
+    "to_bool": to_bool,
+    "coerce": values.coerce,
+    "ring_in": _ring_in,
+    "unknown": _unknown_builtin,
+    "reraise": raise_as_interpreted,
+    "ORDERED": frozenset(_ORDERED),
+    #: exact types :func:`~repro.core.values.coerce` returns unchanged
+    "ATOMS": frozenset({int, float, str, bool, bytes, type(None)}),
+    **{name: fn for name, fn, *_ in list(BINARY.values()) + list(UNARY.values())},
 }
 
 
-def compile_program(program: Program) -> Callable[[EvalContext], Any]:
-    """Compile *program* into a single callable ``fn(ctx) -> result``.
+def load_generated(text: str, path: Sequence[str], names: Mapping[str, Any]) -> Optional[dict]:
+    """Compile and run generated module *text*; its namespace, or ``None``.
 
-    Built back-to-front so each instruction's closure captures its successor;
-    a ``STOP`` discards the (unreachable) chain built after it.
+    The code object's filename is ``<this package's parent>/<path…>`` — a
+    path that looks like the layer the code belongs to, so profilers bucket
+    it there — and the text is registered in :mod:`linecache` under it, so
+    tracebacks and ``pdb`` show the generated line.  Nothing is written to
+    disk.  ``None`` means CPython refused the text (nesting limits): the
+    caller falls back to the interpreter.
     """
-    if len(program.instructions) > MAX_CHAINED_INSTRUCTIONS:
+    filename = os.path.join(os.path.dirname(os.path.dirname(__file__)), *path)
+    try:
+        code = compile(text, filename, "exec")
+    except (SyntaxError, RecursionError, MemoryError):
+        return None
+    linecache.cache[filename] = (len(text), None, text.splitlines(True), filename)
+    namespace = {**GENERATED_GLOBALS, **names}
+    exec(code, namespace)
+    return namespace
+
+
+def compile_program(program: Program) -> Callable[[EvalContext], Any]:
+    """Compile *program* into a single callable ``fn(ctx) -> result``."""
+    emitter = ExpressionEmitter()
+    expr = emitter.emit(program, "f")
+    namespace = None
+    if expr is not None:
+        lines = [
+            "def run(ctx):",
+            "    f = ctx.fields",
+            *["    " + bind for bind in emitter.bindings()],
+            "    try:",
+            f"        return {expr.text}",
+            "    except Exception as exc:",
+            "        reraise(exc, SITES)",
+        ]
+        text = "\n".join(lines) + "\n"
+        sites = {len(lines) - 2: (repr(program.source), expr.loads, "f")}
+        namespace = load_generated(
+            text,
+            ("pel", "generated", f"{zlib.crc32(text.encode()):08x}.py"),
+            {"SITES": sites, "K": emitter.constants},
+        )
+    if namespace is None:
         return lambda ctx: VM.execute_interpreted(program, ctx)
-
-    step = _terminator
-    for op, operand in reversed(program.instructions):
-        if op is Op.STOP:
-            step = _terminator
-            continue
-        factory = _STEP_FACTORIES.get(op)
-        if factory is None:  # pragma: no cover - defensive
-            raise PELError(f"unhandled opcode {op!r}")
-        step = factory(operand, step)
-
-    chain = step
-    source = program.source
-
-    def run(ctx: EvalContext) -> Any:
-        try:
-            return chain([], ctx)
-        except PELError:
-            raise
-        except Exception as exc:
-            raise PELError(f"PEL execution failed ({source!r}): {exc}") from exc
-
-    return run
+    return namespace["run"]
 
 
 class PelVM:
     """Executes :class:`~repro.pel.program.Program` objects."""
 
     def execute(self, program: Program, ctx: EvalContext) -> Any:
-        """Run *program* (closure-compiled, cached on the program) on *ctx*."""
+        """Run *program* (compiled to source once, cached on the program)."""
         fn = program._compiled
         if fn is None:
             fn = program.compiled()
         return fn(ctx)
 
     def execute_interpreted(self, program: Program, ctx: EvalContext) -> Any:
-        """The original per-instruction opcode interpreter.
+        """The per-instruction opcode interpreter: the reference semantics.
 
-        Kept as the reference semantics for the closure-compiled path; the
-        differential tests in ``tests/test_pel.py`` assert both agree on every
-        opcode.
+        The differential tests in ``tests/test_pel.py`` assert the generated
+        source agrees with it on every opcode.
         """
         stack: List[Any] = []
         push = stack.append
@@ -432,80 +465,18 @@ class PelVM:
                         raise PELError(
                             f"LOAD {operand} out of range (tuple arity {len(ctx.fields)})"
                         ) from None
+                elif op in BINARY:
+                    b, a = pop(), pop()
+                    push(BINARY[op][1](a, b, ctx.idspace))
+                elif op in UNARY:
+                    push(UNARY[op][1](pop()))
                 elif op is Op.POP:
                     pop()
                 elif op is Op.DUP:
                     push(stack[-1])
-                elif op is Op.ADD:
-                    b, a = pop(), pop()
-                    push(_arith(a, b, "+"))
-                elif op is Op.SUB:
-                    b, a = pop(), pop()
-                    push(_arith(a, b, "-"))
-                elif op is Op.MUL:
-                    b, a = pop(), pop()
-                    push(_arith(a, b, "*"))
-                elif op is Op.DIV:
-                    b, a = pop(), pop()
-                    push(_divide(a, b))
-                elif op is Op.MOD:
-                    b, a = pop(), pop()
-                    push(values.to_int(a) % values.to_int(b))
-                elif op is Op.NEG:
-                    push(-values.to_float(pop()))
-                elif op is Op.SHL:
-                    b, a = pop(), pop()
-                    push(values.to_int(a) << values.to_int(b))
-                elif op is Op.SHR:
-                    b, a = pop(), pop()
-                    push(values.to_int(a) >> values.to_int(b))
-                elif op is Op.EQ:
-                    b, a = pop(), pop()
-                    push(values.equal(a, b))
-                elif op is Op.NE:
-                    b, a = pop(), pop()
-                    push(not values.equal(a, b))
-                elif op is Op.LT:
-                    b, a = pop(), pop()
-                    push(values.compare(a, b) < 0)
-                elif op is Op.LE:
-                    b, a = pop(), pop()
-                    push(values.compare(a, b) <= 0)
-                elif op is Op.GT:
-                    b, a = pop(), pop()
-                    push(values.compare(a, b) > 0)
-                elif op is Op.GE:
-                    b, a = pop(), pop()
-                    push(values.compare(a, b) >= 0)
-                elif op is Op.NOT:
-                    push(not values.to_bool(pop()))
-                elif op is Op.AND:
-                    b, a = pop(), pop()
-                    push(values.to_bool(a) and values.to_bool(b))
-                elif op is Op.OR:
-                    b, a = pop(), pop()
-                    push(values.to_bool(a) or values.to_bool(b))
-                elif op is Op.RING_ADD:
-                    b, a = pop(), pop()
-                    push(ctx.idspace.wrap(values.to_int(a) + values.to_int(b)))
-                elif op is Op.RING_SUB:
-                    b, a = pop(), pop()
-                    push(ctx.idspace.wrap(values.to_int(a) - values.to_int(b)))
                 elif op is Op.RING_IN:
-                    include_low, include_high = operand
                     hi, lo, v = pop(), pop(), pop()
-                    try:
-                        iv = values.to_int(v)
-                        ilo = values.to_int(lo)
-                        ihi = values.to_int(hi)
-                    except Exception:
-                        push(False)
-                    else:
-                        push(
-                            ctx.idspace.in_interval(
-                                iv, ilo, ihi, include_low, include_high
-                            )
-                        )
+                    push(_ring_in(ctx.idspace, v, lo, hi, *operand))
                 elif op is Op.CALL:
                     name, argc = operand
                     args = [pop() for _ in range(argc)][::-1]
@@ -521,10 +492,6 @@ class PelVM:
         if not stack:
             return None
         return stack[-1]
-
-    # -- arithmetic helpers (kept as static methods for API compatibility) ------
-    _arith = staticmethod(_arith)
-    _divide = staticmethod(_divide)
 
 
 #: A module-level VM instance; the VM is stateless so sharing it is safe.

@@ -18,14 +18,14 @@ from .optimizer import (
 )
 from .planner import CompiledDataflow, Planner
 from .strand import ContinuousAggregateStrand, HeadRoute, PeriodicSpec, RuleStrand, StrandResult
-from .strand_compiler import fuse_continuous, fuse_dataflow, fuse_strand
+from .strand_compiler import StrandSource, fuse_dataflow, strand_sources
 
 __all__ = [
     "Planner",
     "CompiledDataflow",
-    "fuse_strand",
-    "fuse_continuous",
     "fuse_dataflow",
+    "strand_sources",
+    "StrandSource",
     "RuleStrand",
     "ContinuousAggregateStrand",
     "PeriodicSpec",

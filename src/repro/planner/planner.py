@@ -54,9 +54,10 @@ class CompiledDataflow:
     #: every strand's remote-bound head tuples funnel through it so one
     #: run-queue drain becomes one datagram train per destination
     transmit: Optional[TransmitBuffer] = None
-    #: True when every strand runs through the closure compiled by
-    #: :mod:`repro.planner.strand_compiler` (the default); False is the
-    #: element-walking escape hatch / differential oracle
+    #: True when the strands run the functions generated as source by
+    #: :mod:`repro.planner.strand_compiler` (the default; a strand its emitter
+    #: declined keeps the walk); False is the element-walking escape hatch /
+    #: differential oracle
     fused: bool = False
     #: True when body terms were placed by the cost-based optimizer
     #: (:mod:`repro.planner.optimizer`); False is the naive body-order walk
@@ -107,8 +108,8 @@ class Planner:
         self.program = program
         self.host = host
         self.tables = tables
-        #: compile each strand into a fused closure (the default); False
-        #: keeps the interpreted element walk — the differential oracle
+        #: run each strand as one generated Python function (the default);
+        #: False keeps the interpreted element walk — the differential oracle
         self.fused = fused
         #: place body terms with the cost-based optimizer (the default);
         #: False keeps the naive body-order walk — the plan-level oracle
@@ -119,6 +120,16 @@ class Planner:
 
     # -- public API ---------------------------------------------------------------
     def compile(self) -> CompiledDataflow:
+        compiled = self._compile_rules()
+        compiled.facts = [self._resolve_fact(f) for f in self.program.facts]
+        if self.fused:
+            from .strand_compiler import fuse_dataflow
+
+            fuse_dataflow(compiled, self.host)
+        return compiled
+
+    def _compile_rules(self) -> CompiledDataflow:
+        """Tables, indexes and every rule's strands: all that needs no host."""
         from ..overlog.check import check_program
 
         diagnostics = check_program(self.program)
@@ -144,11 +155,6 @@ class Planner:
                     compiled.periodics.append(self._periodic_spec(rule, event_pred, strand))
                 else:
                     compiled.strands_by_event.setdefault(event_pred.name, []).append(strand)
-        compiled.facts = [self._resolve_fact(f) for f in self.program.facts]
-        if self.fused:
-            from .strand_compiler import fuse_dataflow
-
-            fuse_dataflow(compiled, self.host)
         return compiled
 
     # -- tables ---------------------------------------------------------------------
@@ -333,6 +339,22 @@ class Planner:
                     plan_strand(rule, event_pred, infos, optimize=False)
                 )
         return plan.render()
+
+    @classmethod
+    def explain_source(cls, program: "ast.Program | str", *, optimize: bool = True) -> str:
+        """The Python source generated for every strand of *program*.
+
+        What a fused node actually runs, one ``bind`` module per strand under
+        a ``# ----`` header naming it — the text the golden snapshots under
+        ``tests/golden/strands/`` pin.  Like :meth:`explain` it needs no host:
+        the text depends on the program and the plan only.
+        """
+        from .strand_compiler import strand_sources
+
+        compiled = cls(program, None, TableStore(), optimize=optimize)._compile_rules()
+        return "\n".join(
+            f"# ---- {source.name}\n{source.text}" for source in strand_sources(compiled)
+        )
 
     def _compile_join(
         self,

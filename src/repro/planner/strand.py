@@ -14,10 +14,11 @@ of P2's single-threaded event loop.
 Two executors exist per strand.  The *interpreted* walk below
 (:meth:`RuleStrand.process_interpreted`) iterates the element chain with one
 batch list per operator; it is the reference semantics.  The default
-execution path is the *fused* closure compiled by
-:mod:`repro.planner.strand_compiler`, installed over :meth:`process` at plan
-time — the interpreted walk is kept as the differential-testing oracle and
-as the ``fused=False`` escape hatch.
+execution path is the function :mod:`repro.planner.strand_compiler`
+generates as Python source and installs over :meth:`process` at plan time —
+the interpreted walk is kept as the differential-testing oracle, as the
+``fused=False`` escape hatch, and as the fallback for a strand the source
+emitter declines.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ class HeadRoute:
         return self.destination == local_address
 
 
-@dataclass
+@dataclass(slots=True)
 class StrandResult:
     """Everything one strand produced for one triggering event."""
 
@@ -87,7 +88,7 @@ class RuleStrand:
         self.min_event_arity = min_event_arity
         self.fired = 0
         self.produced = 0
-        #: True once the strand compiler has installed a fused ``process``
+        #: True once the strand compiler has installed a generated ``process``
         self.fused = False
 
     # -- execution -----------------------------------------------------------------
@@ -95,18 +96,33 @@ class RuleStrand:
         """Run the strand for one triggering *event* tuple.
 
         When the strand has been fused this method is shadowed by the
-        compiled closure (an instance attribute); this class-level fallback
-        is the interpreted path.
+        generated function (an instance attribute); this class-level
+        fallback is the interpreted path.
         """
         return self.process_interpreted(event, local_address)
 
+    def arity_error(self, event: Tuple) -> PlannerError:
+        """What both executors raise for an *event* shorter than the rule's."""
+        return PlannerError(
+            f"rule {self.rule_id}: event {event!r} has arity {len(event.fields)}, "
+            f"expected at least {self.min_event_arity}"
+        )
+
+    def route(self, results: Sequence[Tuple], local_address: Any) -> StrandResult:
+        """Address each head tuple (the tail both executors share when the
+        head aggregates; a plain head is routed inline by the generated code)."""
+        loc = self.loc_position
+        routes = [
+            HeadRoute(local_address if loc is None else tup.fields[loc], tup, self.is_delete)
+            for tup in results
+        ]
+        self.produced += len(routes)
+        return StrandResult(routes)
+
     def process_interpreted(self, event: Tuple, local_address: Any) -> StrandResult:
-        """The element-walking executor — the fused path's differential oracle."""
+        """The element-walking executor — the generated path's differential oracle."""
         if len(event.fields) < self.min_event_arity:
-            raise PlannerError(
-                f"rule {self.rule_id}: event {event!r} has arity {len(event.fields)}, "
-                f"expected at least {self.min_event_arity}"
-            )
+            raise self.arity_error(event)
         self.fired += 1
         batch: List[Tuple] = [event]
         prefix_batch: Optional[List[Tuple]] = None
@@ -133,16 +149,7 @@ class RuleStrand:
             results = self.aggregate.aggregate(projected, empty_fallback=fallback)
         else:
             results = projected
-
-        routes: List[HeadRoute] = []
-        for tup in results:
-            if self.loc_position is None:
-                dest = local_address
-            else:
-                dest = tup.fields[self.loc_position]
-            routes.append(HeadRoute(dest, tup, self.is_delete))
-        self.produced += len(routes)
-        return StrandResult(routes)
+        return self.route(results, local_address)
 
     # -- introspection -----------------------------------------------------------------
     def elements(self) -> List[Element]:
@@ -194,28 +201,44 @@ class ContinuousAggregateStrand:
         self.watched_tables = list(watched_tables)
         self._last_emitted: dict = {}
         self.recomputations = 0
-        #: True once the strand compiler has installed a fused ``recompute``
+        #: True once the strand compiler has installed a generated ``recompute``
         self.fused = False
 
     def reset(self) -> None:
         """Forget the change-suppression cache (node crash/restart).
 
-        Mutates ``_last_emitted`` in place: the fused ``recompute`` closure
-        captured the dict object itself, so rebinding would silently leave
-        the fused path suppressing re-emission of pre-crash values.
+        Both executors reach the cache through :meth:`emit_changed`, i.e. by
+        reference through the strand, so emptying it here is seen by the
+        generated ``recompute`` too.
         """
         self._last_emitted.clear()
 
     def recompute(self, now: float, local_address: Any) -> List[HeadRoute]:
         """Re-derive the aggregate and return routes for changed groups.
 
-        Shadowed by the fused closure (an instance attribute) when the
+        Shadowed by the generated function (an instance attribute) when the
         strand compiler has run; this class-level fallback interprets.
         """
         return self.recompute_interpreted(now, local_address)
 
+    def emit_changed(self, projected: List[Tuple], local_address: Any) -> List[HeadRoute]:
+        """Aggregate *projected* and route the groups whose value changed
+        since they were last emitted (the tail both executors share)."""
+        last_emitted = self._last_emitted
+        group_key = self.aggregate.group_key
+        loc = self.loc_position
+        routes: List[HeadRoute] = []
+        for tup in self.aggregate.aggregate(projected):
+            fields = tup.fields
+            key = group_key(fields)
+            if last_emitted.get(key) == fields:
+                continue
+            last_emitted[key] = fields
+            routes.append(HeadRoute(local_address if loc is None else fields[loc], tup, False))
+        return routes
+
     def recompute_interpreted(self, now: float, local_address: Any) -> List[HeadRoute]:
-        """The element-walking recompute — the fused path's oracle."""
+        """The element-walking recompute — the generated path's oracle."""
         self.recomputations += 1
         # scan() already returns a fresh list that is safe to consume
         batch: List[Tuple] = self.base_table.scan(now)
@@ -227,16 +250,11 @@ class ContinuousAggregateStrand:
         projected: List[Tuple] = []
         for tup in batch:
             projected.extend(self.project.process(tup))
-        results = self.aggregate.aggregate(projected)
-        routes: List[HeadRoute] = []
-        for tup in results:
-            key = tup.key(self.aggregate.group_positions)
-            if self._last_emitted.get(key) == tup.fields:
-                continue
-            self._last_emitted[key] = tup.fields
-            dest = local_address if self.loc_position is None else tup.fields[self.loc_position]
-            routes.append(HeadRoute(dest, tup, False))
-        return routes
+        return self.emit_changed(projected, local_address)
+
+    def describe(self) -> str:
+        chain = " -> ".join(e.kind for e in [*self.ops, self.project, self.aggregate])
+        return f"[{self.rule_id}] continuous over {self.base_table.name} :: {chain} => {self.head_name}"
 
     def __repr__(self) -> str:
         return f"<ContinuousAggregateStrand {self.rule_id} over {self.base_table.name!r}>"

@@ -1,250 +1,355 @@
-"""The strand compiler: fuse a rule strand's element chain into one closure.
+"""The strand compiler: one generated Python function per rule strand.
 
 The interpreted executor (:meth:`RuleStrand.process_interpreted`) walks the
 strand's element chain the way Section 3.5 of the paper describes it — a
 Python loop over :class:`~repro.dataflow.element.Element` objects, one
-intermediate batch list per operator, and one freshly allocated
-:class:`~repro.pel.vm.EvalContext` per PEL evaluation.  That dispatch
-overhead is exactly what rule-system compilers remove by specializing each
-rule's match-and-fire chain into host-language code, and it is the same move
-the PEL layer already made one level down (``pel/vm.py`` closure-compiles
-each program once and keeps the opcode interpreter as the differential
-oracle).
+intermediate batch list per operator, one :class:`~repro.pel.vm.EvalContext`
+per PEL evaluation.  Rule-system compilers remove that dispatch by
+specialising each rule's match-and-fire chain into host-language code; this
+module does so literally.  Each strand — select → assign → join(s)/antijoin
+→ project → optional aggregate → head routing — becomes the *source text* of
+one function: nested ``if``/``for`` over bare field tuples, every PEL program
+inlined as a Python expression (:class:`~repro.pel.vm.ExpressionEmitter`),
+table probes through :meth:`~repro.tables.table.Table.prober`, head tuples
+through :meth:`~repro.core.tuples.Tuple.trusted` (fields copied out of
+existing tuples are not coerced again; computed ones are).
 
-This module performs the equivalent specialization one layer up.  At plan
-time, each strand's chain — select → assign → join(s)/antijoin → project →
-optional aggregate → head routing — is fused into a single Python closure:
+Generated once, bound per node
+------------------------------
 
-* per-element ``process()`` dispatch and the intermediate ``List[Tuple]``
-  batches disappear into nested loops over bare field tuples (intermediate
-  relation names never matter, so no intermediate ``Tuple`` objects — with
-  their coercion pass and precomputed hash — are built at all);
-* one reusable :class:`EvalContext` per strand (fields swapped in place)
-  replaces the context-per-eval allocation, via
-  :meth:`EvalContext.for_host`;
-* join key programs, table references, ``host.now()``, aggregate functions,
-  ``loc_position`` routing, and the :class:`HeadRoute` constructor are all
-  bound into the closure at compile time;
-* the hot Chord shapes get extra specialization inside the operator hooks:
-  single-``LOAD`` key programs and head fields become plain field accesses
-  (see ``Program.as_field_load``), skipping the PEL closure chain entirely.
+The text depends on the program and the plan, never on a node.  It is
+generated and ``compile()``d **once per** :class:`~repro.overlog.ast.Program`
+(:func:`strand_sources`, cached on the program like ``check_program`` and
+``optimize_program`` results) as a module defining ``bind(strand, ctx, now)``;
+each node then only *binds*: ``bind`` reads the node's tables, stats objects,
+built-in map and identifier space into closure cells and installs the inner
+function over ``strand.process`` / ``strand.recompute``.  Every node's
+function shares one code object.
 
-Because a pure pipeline visits tuples in the same order whether it is run
-batch-by-batch (interpreted) or depth-first (fused), the fused closure
-produces the same :class:`HeadRoute` sequence, the same ``fired`` /
-``produced`` counters, and the same per-element ``dropped`` / ``emitted``
-stats as the interpreted walk — bit for bit.  The interpreted walk survives
-as the differential-testing oracle (``tests/test_strand_fusion.py``), and
-``fused=False`` threads through :class:`~repro.planner.planner.Planner`,
-:class:`~repro.runtime.node.P2Node`, and
-:class:`~repro.runtime.system.OverlaySimulation` as the escape hatch,
-exactly like ``batching`` and ``shards``.
+Contracts
+---------
 
-Compiled strands are *not* reentrant: one firing state is reused per strand,
-which is safe because strand execution is run-to-completion (head routes are
-applied only after the strand returns, so nothing can re-enter it).
+* Observably the interpreted walk, bit for bit: the same :class:`HeadRoute`
+  sequence (a pure pipeline visits tuples in the same order batch-by-batch
+  or depth-first), the same ``fired``/``produced`` counters, one ``dropped``
+  per empty probe, failed selection and antijoin hit, the same errors — a
+  line → PEL-expression table lets :func:`~repro.pel.vm.raise_as_interpreted`
+  convert exactly what the interpreters convert.  A join materialises its
+  matches before descending; the aggregate-fallback prefix is captured where
+  the first positive join is entered (at the sink when there is none).
+* The walk stays: as the differential oracle (``tests/test_strand_fusion.py``),
+  as ``fused=False``, and as the fallback for a strand the emitter declines
+  — an operator type it does not know, a PEL program the expression emitter
+  declines, or text CPython refuses (more than 20 nested blocks).
+* Generated functions are *not* reentrant (one ``ctx`` per node), which is
+  safe because strand execution is run-to-completion: head routes are
+  applied only after the strand returns.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Tuple as PyTuple
+import zlib
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple as PyTuple
 
-from ..core.errors import PlannerError
 from ..core.tuples import Tuple
-from ..pel.vm import EvalContext
+from ..dataflow.operators import AntiJoin, Assign, LookupJoin, Select
+from ..pel.program import Program
+from ..pel.vm import EvalContext, Expression, ExpressionEmitter, load_generated
 from .strand import ContinuousAggregateStrand, HeadRoute, RuleStrand, StrandResult
 
-Fields = PyTuple[Any, ...]
+_CACHE_ATTR = "_planner_strand_sources"
+_INDENT = "    "
 
 
-class _FiringState:
-    """Per-strand mutable cells threaded through the fused closure chain.
+class StrandSource(NamedTuple):
+    """One strand's generated module."""
 
-    One instance lives for the whole life of a compiled strand; each firing
-    resets the cells it uses.  Safe because strand execution is
-    run-to-completion and never reentrant.
+    name: str
+    text: str
+    #: ``bind(strand, ctx, now)``; ``None`` when the emitter declined
+    bind: Optional[Callable[[Any, EvalContext, Callable[[], float]], None]]
+
+
+def _tuple(items: Sequence[str]) -> str:
+    return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
+
+
+class _Declined(Exception):
+    """The strand has a shape the emitter leaves to the interpreted walk."""
+
+
+class _Emitter:
+    """Accumulates the text of one strand's ``bind`` module."""
+
+    def __init__(self, strand: Any):
+        self.strand = strand
+        self.continuous = isinstance(strand, ContinuousAggregateStrand)
+        self.pel = ExpressionEmitter()
+        self.binds: List[str] = []
+        self.body: List[str] = []
+        #: body line (0-based) -> (source, loads, fields variable)
+        self.sites: Dict[int, tuple] = {}
+        #: field positions every tuple reaching the strand is known to have
+        self.safe = 0 if self.continuous else strand.min_event_arity
+        self.ctx_fields: Optional[str] = None
+
+    # -- lines ---------------------------------------------------------------
+    def line(self, depth: int, text: str) -> None:
+        self.body.append(_INDENT * depth + text)
+
+    def site(self, depth: int, text: str, loads: Sequence[int], fields: str,
+             program: Optional[Program] = None) -> None:
+        """A line that evaluates PEL over *fields*: all of *program*, or (when
+        ``None``) only the bare field *loads* a caller left inline."""
+        if program is not None or any(not 0 <= n < self.safe for n in loads):
+            source = None if program is None else repr(program.source)
+            self.sites[len(self.body)] = (source, tuple(loads), fields)
+        self.line(depth, text)
+
+    def expr(self, depth: int, program: Program, fields: str) -> Expression:
+        expr = self.pel.emit(program, fields)
+        if expr is None:
+            raise _Declined(program.source)
+        if expr.calls and self.ctx_fields != fields:
+            # a built-in may read the tuple it is evaluated over
+            self.line(depth, f"ctx.fields = {fields}")
+            self.ctx_fields = fields
+        return expr
+
+    def value(self, depth: int, program: Program, fields: str, expr: Expression) -> str:
+        """Evaluate *expr* on a line of its own; the temporary holding it."""
+        name = self.pel.temp()
+        self.site(depth, f"{name} = {expr.text}", expr.loads, fields, program)
+        return name
+
+    def operands(self, depth: int, programs: Sequence[Program], fields: str,
+                 coerce: bool) -> PyTuple[List[str], List[int]]:
+        """Texts for *programs* evaluated in order, and the loads left inline.
+
+        Anything computed gets a line of its own (so an error names its
+        expression); a bare field load stays inline in the caller's line
+        unless it could fail *before* a later computed operand does — the
+        interpreters evaluate strictly in order, and report the first error.
+        With *coerce*, computed values are passed through ``coerce`` once all
+        operands are evaluated, as the ``Tuple`` constructor would.
+        """
+        exprs = [self.expr(depth, p, fields) for p in programs]
+        computed = [i for i, e in enumerate(exprs) if not e.inline]
+        texts: List[str] = []
+        inline_loads: List[int] = []
+        coerced: List[str] = []
+        for i, (program, e) in enumerate(zip(programs, exprs)):
+            fallible = any(not 0 <= n < self.safe for n in e.loads)
+            if e.inline and not (fallible and computed and i < computed[-1]):
+                texts.append(e.text)
+                inline_loads.extend(e.loads)
+                continue
+            name = self.value(depth, program, fields, e)
+            texts.append(name)
+            if coerce and e.kind == "any":
+                coerced.append(name)
+        for name in coerced:
+            self.line(depth, f"if type({name}) not in ATOMS: {name} = coerce({name})")
+        return texts, inline_loads
+
+    # -- the operator chain ---------------------------------------------------
+    def chain(self, index: int, depth: int, width: int) -> None:
+        """Emit ``ops[index:]`` and the sink, over the field tuple ``f<width>``."""
+        strand = self.strand
+        fields = f"f{width}"
+        wants_prefix = not self.continuous and strand.fallback_project is not None
+        if index == len(strand.ops):
+            if wants_prefix and strand.first_join_index is None:
+                self.line(depth, f"prefix = {fields}")
+            self.sink(depth, fields)
+            return
+        op = strand.ops[index]
+        if type(op) is Assign:
+            e = self.expr(depth, op.program, fields)
+            if e.inline:
+                self.site(depth, f"f{width + 1} = {fields} + ({e.text},)", e.loads, fields)
+            else:
+                value = self.value(depth, op.program, fields, e)
+                if e.kind == "any":
+                    value = f"{value} if type({value}) in ATOMS else coerce({value})"
+                self.line(depth, f"f{width + 1} = {fields} + ({value},)")
+            self.chain(index + 1, depth, width + 1)
+            return
+        self.binds.append(f"drop{index} = ops[{index}].stats")
+        if type(op) is Select:
+            e = self.expr(depth, op.program, fields)
+            if e.kind == "bool":
+                self.site(depth, f"if {e.text}:", e.loads, fields, op.program)
+            else:
+                self.line(depth, f"if to_bool({self.value(depth, op.program, fields, e)}):")
+        elif type(op) in (LookupJoin, AntiJoin):
+            if wants_prefix and index == strand.first_join_index:
+                self.line(depth, f"prefix = {fields}")
+            if op.table_positions:
+                self.binds.append(
+                    f"probe{index} = ops[{index}].table.prober({tuple(op.table_positions)!r})"
+                )
+                keys, loads = self.operands(depth, op.key_programs, fields, coerce=False)
+                probe = f"probe{index}({_tuple(keys)}, now())"
+            else:
+                self.binds.append(f"probe{index} = ops[{index}].table.scan")
+                probe, loads = f"probe{index}(now())", []
+            if type(op) is LookupJoin:
+                # materialised before descending: a deeper stage that expires
+                # rows of the same table cannot invalidate the probe
+                self.site(depth, f"rows{index} = {probe}", loads, fields)
+                self.line(depth, f"if not rows{index}:")
+                self.line(depth + 1, f"drop{index}.dropped += 1")
+                self.line(depth, f"for row in rows{index}:")
+                self.line(depth + 1, f"f{width + 1} = {fields} + row.fields")
+                self.chain(index + 1, depth + 1, width + 1)
+                return
+            self.site(depth, f"if not {probe}:", loads, fields)
+        else:
+            raise _Declined(f"operator {type(op).__name__}")
+        self.chain(index + 1, depth + 1, width)
+        self.line(depth, "else:")
+        self.line(depth + 1, f"drop{index}.dropped += 1")
+
+    def head(self, depth: int, project: Any, fields: str) -> PyTuple[str, List[str], List[int]]:
+        texts, loads = self.operands(depth, project.programs, fields, coerce=True)
+        built = f"trusted({project.output_name!r}, {_tuple(texts)})"
+        return built, texts, loads
+
+    def sink(self, depth: int, fields: str) -> None:
+        strand = self.strand
+        built, texts, loads = self.head(depth, strand.project, fields)
+        if strand.aggregate is not None:
+            self.site(depth, f"projected.append({built})", loads, fields)
+            return
+        dest = "local" if strand.loc_position is None else texts[strand.loc_position]
+        self.site(
+            depth, f"routes.append(HeadRoute({dest}, {built}, {strand.is_delete!r}))",
+            loads, fields,
+        )
+
+    # -- the module -------------------------------------------------------------
+    def module(self) -> PyTuple[str, Dict[int, tuple]]:
+        """The module text and its line → PEL site table."""
+        strand = self.strand
+        aggregates = strand.aggregate is not None
+        if self.continuous:
+            name = "recompute"
+            self.binds.append("scan = strand.base_table.scan")
+            head = ["def recompute(at, local):", "    strand.recomputations += 1"]
+            self.line(2, "for row in scan(at):")
+            self.line(3, "f0 = row.fields")
+            self.chain(0, 3, 0)
+            tail = ["    return strand.emit_changed(projected, local)"]
+        else:
+            name = "process"
+            head = [
+                "def process(event, local):",
+                "    f0 = event.fields",
+                f"    if len(f0) < {strand.min_event_arity}:",
+                "        raise strand.arity_error(event)",
+                "    strand.fired += 1",
+            ]
+            self.chain(0, 2, 0)
+            if not aggregates:
+                tail = ["    strand.produced += len(routes)", "    return StrandResult(routes)"]
+            else:
+                self.binds.append("aggregate = strand.aggregate.aggregate")
+                if strand.fallback_project is not None:
+                    self.line(2, "if not projected and prefix is not None:")
+                    self.ctx_fields = None
+                    built, _, loads = self.head(3, strand.fallback_project, "prefix")
+                    self.site(3, f"fallback = {built}", loads, "prefix")
+                    head.append("    prefix = fallback = None")
+                    tail = ["    return strand.route(aggregate(projected, fallback), local)"]
+                else:
+                    tail = ["    return strand.route(aggregate(projected), local)"]
+        head.append("    projected = []" if aggregates else "    routes = []")
+        binds = self.pel.bindings() + ["ops = strand.ops"] * bool(self.binds) + self.binds
+        prologue = [
+            f"# {strand.describe()}",
+            "def bind(strand, ctx, now):",
+            *[_INDENT + bind for bind in binds],
+        ]
+        inner = [*head, "    try:", *self.body, "    except Exception as exc:",
+                 "        reraise(exc, SITES)", *tail]
+        epilogue = [f"    strand.{name} = {name}", "    strand.fused = True"]
+        first_body_line = len(prologue) + len(head) + 2  # 1-based, after "try:"
+        sites = {first_body_line + n: site for n, site in self.sites.items()}
+        lines = prologue + [_INDENT + text for text in inner] + epilogue
+        return "\n".join(lines) + "\n", sites
+
+
+_NAMES = {"trusted": Tuple.trusted, "HeadRoute": HeadRoute, "StrandResult": StrandResult}
+
+
+def _generate(strand: Any, directory: str, name: str) -> StrandSource:
+    emitter = _Emitter(strand)
+    try:
+        text, sites = emitter.module()
+    except _Declined as why:
+        return StrandSource(name, f"# {strand.describe()}\n# left to the element walk: {why}\n", None)
+    namespace = load_generated(
+        text,
+        ("planner", "generated", directory, name + ".py"),
+        {**_NAMES, "SITES": sites, "K": emitter.pel.constants},
+    )
+    if namespace is None:
+        return StrandSource(
+            name, f"# {strand.describe()}\n# left to the element walk: CPython refused the text\n", None
+        )
+    return StrandSource(name, text, namespace["bind"])
+
+
+def _strands(compiled: Any) -> List[Any]:
+    return compiled.all_strands() + list(compiled.continuous)
+
+
+def strand_sources(compiled: Any) -> List[StrandSource]:
+    """The generated module of every strand of *compiled*, in strand order.
+
+    Text and code objects are cached on ``compiled.program`` per plan kind
+    and validated against the rules and materializations they were generated
+    from (identity first, so a hit costs one list comparison): a many-node
+    simulation — and every replacement node built under churn — generates
+    and compiles once.
     """
-
-    __slots__ = ("routes", "local", "prefix", "projected")
-
-    def __init__(self) -> None:
-        self.routes: List[HeadRoute] = []
-        self.local: Any = None
-        self.prefix: Optional[Fields] = None
-        self.projected: List[Tuple] = []
-
-
-def _compile_chain(
-    ops,
-    sink: Callable[[Fields], None],
-    ctx: EvalContext,
-    now: Callable[[], float],
-    state: _FiringState,
-    first_join_index: Optional[int],
-) -> Callable[[Fields], None]:
-    """Fuse *ops* into nested closures ending in *sink*.
-
-    Built back-to-front so each stage captures its successor (the same
-    construction as ``pel/vm.compile_program``).  When *first_join_index* is
-    given, a capture stage records the field tuple flowing into the first
-    positive join — the aggregate-fallback prefix of the interpreted walk.
-    """
-    stage = sink
-    for index in range(len(ops) - 1, -1, -1):
-        stage = ops[index].fuse_stage(ctx, now, stage)
-        if index == first_join_index:
-            inner = stage
-
-            def stage(fields, _inner=inner, _state=state):
-                _state.prefix = fields
-                _inner(fields)
-
-    return stage
+    program = compiled.program
+    key = (list(program.rules), list(program.materializations))
+    cache = getattr(program, _CACHE_ATTR, None)
+    if cache is None:
+        cache = {}
+        try:
+            setattr(program, _CACHE_ATTR, cache)
+        except AttributeError:  # pragma: no cover - Program is a plain dataclass
+            pass
+    cached = cache.get(compiled.optimized)
+    if cached is not None and cached[0] == key:
+        return cached[1]
+    # process-stable (never hash()): names the files tracebacks will show
+    crc = zlib.crc32(f"{program}\noptimized={compiled.optimized}".encode())
+    sources: List[StrandSource] = []
+    taken: Dict[str, int] = {}
+    for strand in _strands(compiled):
+        name = strand.rule_id
+        if isinstance(strand, RuleStrand):
+            name += "." + strand.event_name
+        taken[name] = taken.get(name, 0) + 1
+        if taken[name] > 1:
+            name += f".{taken[name]}"
+        sources.append(_generate(strand, f"{crc:08x}", name))
+    cache[compiled.optimized] = (key, sources)
+    return sources
 
 
-def fuse_strand(strand: RuleStrand, host: Any) -> Callable[[Tuple, Any], StrandResult]:
-    """Compile *strand* and install the fused closure as ``strand.process``.
+def fuse_dataflow(compiled: Any, host: Any) -> None:
+    """Bind every strand of a :class:`CompiledDataflow` to *host*, in place.
 
-    The interpreted walk remains available as ``strand.process_interpreted``.
+    Strands whose source was declined keep the interpreted walk.
     """
     ctx = EvalContext.for_host(host)
     now = host.now
-    state = _FiringState()
-    build = strand.project.fuse_builder(ctx)
-    loc = strand.loc_position
-    is_delete = strand.is_delete
-    aggregate = strand.aggregate
-    first_join = strand.first_join_index
-    min_arity = strand.min_event_arity
-    rule_id = strand.rule_id
-
-    if aggregate is None:
-        if loc is None:
-
-            def sink(fields):
-                tup = build(fields)
-                state.routes.append(HeadRoute(state.local, tup, is_delete))
-
-        else:
-
-            def sink(fields):
-                tup = build(fields)
-                state.routes.append(HeadRoute(tup.fields[loc], tup, is_delete))
-
-        chain = _compile_chain(strand.ops, sink, ctx, now, state, first_join)
-
-        def process(event: Tuple, local_address: Any) -> StrandResult:
-            fields = event.fields
-            if len(fields) < min_arity:
-                raise PlannerError(
-                    f"rule {rule_id}: event {event!r} has arity {len(fields)}, "
-                    f"expected at least {min_arity}"
-                )
-            strand.fired += 1
-            routes = state.routes = []
-            state.local = local_address
-            chain(fields)
-            strand.produced += len(routes)
-            return StrandResult(routes)
-
-    else:
-        fallback_build = (
-            strand.fallback_project.fuse_builder(ctx)
-            if strand.fallback_project is not None
-            else None
-        )
-        # With no positive join the interpreted walk's fallback prefix is the
-        # (at most one) tuple surviving the whole op chain, so capture it at
-        # the sink instead of mid-chain.
-        capture_at_sink = first_join is None
-
-        def sink(fields):
-            if capture_at_sink and state.prefix is None:
-                state.prefix = fields
-            state.projected.append(build(fields))
-
-        chain = _compile_chain(strand.ops, sink, ctx, now, state, first_join)
-
-        def process(event: Tuple, local_address: Any) -> StrandResult:
-            fields = event.fields
-            if len(fields) < min_arity:
-                raise PlannerError(
-                    f"rule {rule_id}: event {event!r} has arity {len(fields)}, "
-                    f"expected at least {min_arity}"
-                )
-            strand.fired += 1
-            projected = state.projected = []
-            state.prefix = None
-            chain(fields)
-            fallback = None
-            if not projected and fallback_build is not None and state.prefix is not None:
-                fallback = fallback_build(state.prefix)
-            results = aggregate.aggregate(projected, empty_fallback=fallback)
-            routes: List[HeadRoute] = []
-            for tup in results:
-                dest = local_address if loc is None else tup.fields[loc]
-                routes.append(HeadRoute(dest, tup, is_delete))
-            strand.produced += len(routes)
-            return StrandResult(routes)
-
-    strand.process = process  # instance attribute shadows the interpreted method
-    strand.fused = True
-    return process
-
-
-def fuse_continuous(
-    strand: ContinuousAggregateStrand, host: Any
-) -> Callable[[float, Any], List[HeadRoute]]:
-    """Compile a continuous aggregate's recompute pipeline.
-
-    The scan → ops → project leg is fused exactly like an event strand; the
-    aggregate and changed-group diffing reuse the element's own methods so
-    stats and emission order stay identical to
-    :meth:`ContinuousAggregateStrand.recompute_interpreted`.
-    """
-    ctx = EvalContext.for_host(host)
-    now_fn = host.now
-    state = _FiringState()
-    build = strand.project.fuse_builder(ctx)
-    aggregate = strand.aggregate
-    group_positions = aggregate.group_positions
-    loc = strand.loc_position
-    base_table = strand.base_table
-    last_emitted = strand._last_emitted
-
-    def sink(fields):
-        state.projected.append(build(fields))
-
-    chain = _compile_chain(strand.ops, sink, ctx, now_fn, state, None)
-
-    def recompute(now: float, local_address: Any) -> List[HeadRoute]:
-        strand.recomputations += 1
-        projected = state.projected = []
-        # scan() already returns a fresh list that is safe to consume
-        for row in base_table.scan(now):
-            chain(row.fields)
-        routes: List[HeadRoute] = []
-        for tup in aggregate.aggregate(projected):
-            key = tup.key(group_positions)
-            if last_emitted.get(key) == tup.fields:
-                continue
-            last_emitted[key] = tup.fields
-            dest = local_address if loc is None else tup.fields[loc]
-            routes.append(HeadRoute(dest, tup, False))
-        return routes
-
-    strand.recompute = recompute  # instance attribute shadows the interpreted method
-    strand.fused = True
-    return recompute
-
-
-def fuse_dataflow(compiled, host: Any) -> None:
-    """Fuse every strand of a :class:`CompiledDataflow` in place."""
-    for strands in compiled.strands_by_event.values():
-        for strand in strands:
-            fuse_strand(strand, host)
-    for spec in compiled.periodics:
-        fuse_strand(spec.strand, host)
-    for cont in compiled.continuous:
-        fuse_continuous(cont, host)
+    for strand, source in zip(_strands(compiled), strand_sources(compiled)):
+        if source.bind is not None:
+            source.bind(strand, ctx, now)
     compiled.fused = True

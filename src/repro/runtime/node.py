@@ -73,7 +73,7 @@ class P2Node:
         self.node_id = node_id
         self.alive = False
         self.batching = batching
-        #: strands run as fused closures by default; ``fused=False`` is the
+        #: strands run as generated functions by default; ``fused=False`` is the
         #: interpreted element-walk escape hatch (the differential oracle)
         self.fused = fused
         #: body terms placed by the cost-based optimizer by default;
@@ -143,9 +143,9 @@ class P2Node:
     def restart(self) -> None:
         """Power the node back up after :meth:`crash`/:meth:`fail`.
 
-        The node object is reused rather than rebuilt: fused strand closures
-        bind its table objects and aggregate caches by reference, and the
-        network keeps its topology index — so the reset happens *in place*,
+        The node object is reused rather than rebuilt: the generated strand
+        functions bind its table objects by reference, and the network keeps
+        its topology index — so the reset happens *in place*,
         then :meth:`boot` reinstalls start-of-day facts and periodic timers.
         External subscriptions (e.g. lookup trackers) survive the restart,
         as they would for a monitored process that was power-cycled.

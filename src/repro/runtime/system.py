@@ -78,7 +78,7 @@ class OverlaySimulation:
         #: whether nodes coalesce each drain's outbound tuples into datagram
         #: trains (the default) or send tuple-at-a-time (the escape hatch)
         self.batching = batching
-        #: whether node strands run as fused closures (the default) or
+        #: whether node strands run as generated functions (the default) or
         #: through the interpreted element walk (the differential oracle)
         self.fused = fused
         #: whether node plans come from the cost-based optimizer (the

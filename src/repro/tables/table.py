@@ -40,7 +40,7 @@ from typing import (
 )
 
 from ..core.errors import TableError
-from ..core.tuples import Tuple
+from ..core.tuples import Tuple, key_getter
 
 Key = PyTuple[Any, ...]
 Listener = Callable[[Tuple], None]
@@ -66,14 +66,15 @@ class _SecondaryIndex:
 
     def __init__(self, positions: Sequence[int]):
         self.positions = tuple(positions)
+        self._key_of = key_getter(self.positions)
         self._buckets: Dict[Key, Dict[Key, Tuple]] = {}
 
     def add(self, primary_key: Key, tup: Tuple) -> None:
-        key = tup.key(self.positions)
+        key = self._key_of(tup.fields)
         self._buckets.setdefault(key, {})[primary_key] = tup
 
     def remove(self, primary_key: Key, tup: Tuple) -> None:
-        key = tup.key(self.positions)
+        key = self._key_of(tup.fields)
         bucket = self._buckets.get(key)
         if bucket is not None:
             bucket.pop(primary_key, None)
@@ -110,6 +111,7 @@ class Table:
             raise TableError(f"table {name!r}: max_size must be >= 1")
         self.name = name
         self.key_positions = tuple(key_positions)
+        self._key_of = key_getter(self.key_positions)
         self.lifetime = lifetime
         self.max_size = max_size
         self.stats = TableStats()
@@ -162,7 +164,7 @@ class Table:
     # -- core operations ---------------------------------------------------------
     def primary_key(self, tup: Tuple) -> Key:
         try:
-            return tup.key(self.key_positions)
+            return self._key_of(tup.fields)
         except Exception as exc:
             raise TableError(
                 f"tuple {tup!r} does not fit table {self.name!r} key {self.key_positions}"
@@ -310,6 +312,44 @@ class Table:
             for tup, _ in self._rows.values()
             if tup.key(positions) == key
         )
+
+    def prober(self, positions: Sequence[int]) -> Callable[[Key, float], Sequence[Tuple]]:
+        """``probe(key, now) -> rows`` specialised for *positions*, for callers
+        that probe the same positions on every call (the generated strands).
+
+        Observably :meth:`lookup` — same lazy expiry, same ``stats.lookups``
+        count, a materialised result that later mutation of the table cannot
+        invalidate — with the choice between primary key, secondary index and
+        scan made once, here, instead of per probe.  An index installed after
+        this call is not picked up, so install indexes first.
+        """
+        positions = tuple(positions)
+        stats = self.stats
+        expire = self.expire
+        if positions == self.key_positions:
+            get = self._rows.get
+
+            def probe(key: Key, now: float) -> Sequence[Tuple]:
+                if now >= self._next_expiry:
+                    expire(now)
+                stats.lookups += 1
+                entry = get(key)
+                return (entry[0],) if entry is not None else ()
+
+            return probe
+        index = self._indices.get(positions)
+        if index is None:
+            return lambda key, now: self.lookup(positions, key, now)
+        get_bucket = index._buckets.get
+
+        def probe(key: Key, now: float) -> Sequence[Tuple]:
+            if now >= self._next_expiry:
+                expire(now)
+            stats.lookups += 1
+            bucket = get_bucket(key)
+            return list(bucket.values()) if bucket is not None else ()
+
+        return probe
 
     def scan(self, now: float) -> List[Tuple]:
         """All live tuples."""

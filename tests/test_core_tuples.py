@@ -64,6 +64,29 @@ class TestAccess:
         assert Tuple.make("a", 1).rename("b") == Tuple.make("b", 1)
 
 
+class TestTrustedAndKeyGetter:
+    def test_trusted_equals_checked_construction(self):
+        checked = Tuple("succ", ["n1", 5, 0.5, True, None])
+        trusted = Tuple.trusted("succ", ("n1", 5, 0.5, True, None))
+        assert trusted == checked
+        assert hash(trusted) == hash(checked)
+        assert trusted.fields is not None and trusted.name == "succ"
+        assert trusted in {checked}
+
+    def test_trusted_tuples_are_immutable_too(self):
+        with pytest.raises(TupleError):
+            Tuple.trusted("a", (1,)).name = "b"
+
+    @given(st.lists(st.integers(0, 4), max_size=4))
+    def test_key_getter_matches_tuple_key(self, positions):
+        from repro.core.tuples import key_getter
+
+        t = Tuple.make("t", "a", "b", "c", "d", "e")
+        key = key_getter(positions)(t.fields)
+        assert key == t.key(positions)
+        assert type(key) is tuple
+
+
 class TestEqualityHash:
     def test_equal_tuples_hash_equal(self):
         a = Tuple.make("t", 1, "x")

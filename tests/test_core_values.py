@@ -40,6 +40,10 @@ class TestConversions:
         assert values.to_int("42") == 42
         assert values.to_int("0x10") == 16
 
+    def test_to_int_keeps_large_ints_and_rejects_nothing_new(self):
+        assert values.to_int(1 << 159) == 1 << 159
+        assert values.to_int(False) == 0 and type(values.to_int(True)) is int
+
     def test_to_int_bad_string(self):
         with pytest.raises(ValueError_):
             values.to_int("not a number")
@@ -81,6 +85,23 @@ class TestCompare:
 
     def test_mixed_types_use_rank(self):
         assert values.compare(5, "5") < 0  # numbers before strings
+
+    def test_identifiers_above_2_53_stay_distinct(self):
+        # 160-bit (SHA-1) Chord identifiers: a float() round trip made
+        # neighbours compare equal
+        big = 1 << 159
+        assert values.compare(big, big + 1) == -1
+        assert values.compare(big + 1, big) == 1
+        assert values.compare(big, big) == 0
+        assert not values.equal(2**100, 2**100 + 1)
+        assert values.compare(2**53 + 1, float(2**53)) == 1  # int/float is exact too
+
+    def test_min_max_aggregates_tell_large_identifiers_apart(self):
+        from repro.dataflow.aggregates import agg_max, agg_min
+
+        ids = [(1 << 159) + 2, (1 << 159) + 1, (1 << 159) + 3]
+        assert agg_min(ids) == (1 << 159) + 1
+        assert agg_max(ids) == (1 << 159) + 3
 
     @given(st.integers(), st.integers())
     def test_antisymmetry_ints(self, a, b):

@@ -16,6 +16,12 @@ class TestBasics:
         assert ring.wrap(256) == 0
         assert ring.wrap(-1) == 255
 
+    def test_size_is_computed_once_and_is_not_a_field(self):
+        assert "size" in vars(ring)
+        assert IdSpace(160).size == 1 << 160
+        assert IdSpace(8) == ring and hash(IdSpace(8)) == hash(ring)
+        assert repr(ring) == "IdSpace(bits=8)"
+
     def test_distance(self):
         assert ring.distance(10, 20) == 10
         assert ring.distance(250, 5) == 11
@@ -75,6 +81,24 @@ class TestIntervals:
         inside = ring.between_open(v, lo, hi)
         expected = 0 < ring.distance(lo, v) < ring.distance(lo, hi)
         assert inside == expected
+
+
+    @given(
+        st.integers(-600, 600), st.integers(-600, 600), st.integers(-600, 600),
+        st.booleans(), st.booleans(),
+    )
+    def test_interval_matches_wrap_first_definition(self, v, lo, hi, inc_lo, inc_hi):
+        """Operands outside the ring behave as their wrapped values."""
+        wv, wlo, whi = ring.wrap(v), ring.wrap(lo), ring.wrap(hi)
+        if wlo == whi:
+            expected = (inc_lo or inc_hi) if wv == wlo else True
+        elif wv == wlo:
+            expected = inc_lo
+        elif wv == whi:
+            expected = inc_hi
+        else:
+            expected = ring.distance(wlo, wv) < ring.distance(wlo, whi)
+        assert ring.in_interval(v, lo, hi, inc_lo, inc_hi) == expected
 
 
 class TestOracle:

@@ -178,8 +178,9 @@ class TestBuiltins:
 
 
 class TestClosureCompilationDifferential:
-    """The closure-compiled execution path must agree with the opcode
-    interpreter on every opcode (results and errors alike)."""
+    """The compiled execution path (generated Python source; closures before
+    that — the class keeps its name so test ids stay stable) must agree with
+    the opcode interpreter on every opcode (results and errors alike)."""
 
     def _contexts(self):
         return EvalContext(
@@ -293,6 +294,152 @@ class TestClosureCompilationDifferential:
             program.emit(Op.PUSH, 1)
             program.emit(Op.ADD)
         assert run(program) == MAX_CHAINED_INSTRUCTIONS + 10
+
+
+class TestSourceCompilation:
+    """The generated-source path beyond the per-opcode differential: exact
+    integers, error identity, evaluation order, the fallback rule, and where
+    the generated code can be found."""
+
+    BIG = (1 << 159) + 12345  # a 160-bit (SHA-1) Chord identifier
+
+    def _both(self, program, **ctx):
+        make = lambda: EvalContext(builtins=make_builtins(), **ctx)
+        return VM.execute(program, make()), VM.execute_interpreted(program, make())
+
+    def test_arith_keeps_integers_above_2_53_exact(self):
+        from repro.pel.vm import _arith
+
+        assert _arith(2**60 + 1, 0, "+") == 2**60 + 1
+        assert _arith(self.BIG, 1, "-") == self.BIG - 1
+        assert _arith(self.BIG, 3, "*") == self.BIG * 3
+        # the int/float result rule and string concatenation are unchanged
+        assert _arith(2, 3, "*") == 6 and type(_arith(2, 3, "*")) is int
+        assert _arith(1.5, 2, "+") == 3.5
+        assert type(_arith(True, 1, "+")) is float
+        assert _arith("a", 1, "+") == "a1"
+
+    @pytest.mark.parametrize("op", [Op.ADD, Op.SUB, Op.MUL, Op.EQ, Op.NE, Op.LT, Op.GE])
+    def test_160_bit_operands_compiled_matches_interpreted(self, op):
+        program = Program([(Op.LOAD, 0), (Op.LOAD, 1), (op, None)])
+        for fields in ((self.BIG, self.BIG + 1), (self.BIG, self.BIG), (self.BIG + 1, 7)):
+            compiled, interpreted = self._both(program, fields=fields)
+            assert compiled == interpreted and type(compiled) is type(interpreted)
+        assert self._both(Program([(Op.LOAD, 0), (Op.LOAD, 1), (Op.EQ, None)]),
+                          fields=(self.BIG, self.BIG + 1)) == (False, False)
+
+    def test_ring_distance_test_is_exact_on_a_160_bit_ring(self):
+        """Chord L3's ``D == f_dist(B, K)`` must reject a D that is off by one."""
+        program = compile_expression(
+            parse_expression("D == f_dist(B, K)"), {"D": 0, "B": 1, "K": 2}
+        )
+        ring = IdSpace(160)
+        b, k = 5, self.BIG
+        exact = ring.distance(b, k)
+        for d, expected in ((exact, True), (exact + 1, False), (exact - 1, False)):
+            assert self._both(program, fields=(d, b, k), idspace=ring) == (expected, expected)
+
+    @pytest.mark.parametrize(
+        "instructions,fields",
+        [
+            ([(Op.PUSH, 1), (Op.PUSH, 0), (Op.DIV, None)], ()),
+            ([(Op.LOAD, 0), (Op.LOAD, 5), (Op.ADD, None)], (1, 2)),
+            ([(Op.LOAD, 7)], ()),
+            ([(Op.PUSH, 1), (Op.CALL, ("f_noSuch", 1))], ()),
+            ([(Op.PUSH, "abc"), (Op.PUSH, 2), (Op.MUL, None)], ()),
+            ([(Op.PUSH, 1), (Op.PUSH, 0), (Op.MOD, None)], ()),
+            ([(Op.CALL, ("f_rand", 0))], ()),                      # needs a node
+            ([(Op.PUSH, "x"), (Op.NEG, None)], ()),
+        ],
+    )
+    def test_errors_are_identical_message_for_message(self, instructions, fields):
+        program = Program(instructions=list(instructions), source="the source")
+        errors = []
+        for run_it in (VM.execute, VM.execute_interpreted):
+            with pytest.raises(PELError) as err:
+                run_it(program, EvalContext(fields=fields, builtins=make_builtins()))
+            errors.append(str(err.value))
+        assert errors[0] == errors[1]
+
+    def test_no_short_circuit_and_left_to_right(self):
+        """``&&``/``||`` evaluate both operands; operands run left to right."""
+        for text in ("f_log(1) == 1 || f_log(2) == 2", "f_log(0) == 1 && f_log(2) == 2",
+                     "f_log(1) + f_log(2) * f_log(3)", "f_log(1) in (f_log(2), f_log(3)]",
+                     "f_max(f_log(1), f_log(2)) - f_log(3)"):
+            program = compile_expression(parse_expression(text), {})
+            calls = {}
+            for name, run_it in (("compiled", VM.execute), ("interpreted", VM.execute_interpreted)):
+                seen = calls[name] = []
+                builtins = make_builtins({"f_log": lambda ctx, x, seen=seen: seen.append(x) or x})
+                run_it(program, EvalContext(builtins=builtins))
+            assert calls["compiled"] == calls["interpreted"] == sorted(calls["compiled"])
+            assert len(calls["compiled"]) == text.count("f_log")
+
+    def test_late_builtin_registration_is_visible(self):
+        program = compile_expression(parse_expression("f_late(2)"), {})
+        builtins = make_builtins()
+        ctx = EvalContext.for_host(type("H", (), {"builtins": builtins})())
+        with pytest.raises(PELError, match="unknown built-in function 'f_late'"):
+            VM.execute(program, ctx)
+        builtins["f_late"] = lambda ctx, x: x * 21
+        assert VM.execute(program, ctx) == 42
+
+    @pytest.mark.parametrize(
+        "instructions",
+        [
+            [(Op.PUSH, 4), (Op.DUP, None), (Op.ADD, None)],
+            [(Op.PUSH, 1), (Op.PUSH, 2), (Op.POP, None)],
+            [(Op.PUSH, 1), (Op.PUSH, 2)],            # leaves two values
+            [(Op.ADD, None)],                        # underflows
+        ],
+        ids=["dup", "pop", "two-values", "underflow"],
+    )
+    def test_declined_programs_run_through_the_interpreter(self, instructions):
+        from repro.pel.vm import ExpressionEmitter
+
+        program = Program(instructions=list(instructions))
+        assert ExpressionEmitter().emit(program, "f") is None
+        outcomes = []
+        for run_it in (VM.execute, VM.execute_interpreted):
+            try:
+                outcomes.append(run_it(program, EvalContext()))
+            except PELError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+
+    def test_500_instruction_program_runs(self):
+        program = Program().emit(Op.LOAD, 0)
+        for _ in range(250):
+            program.emit(Op.PUSH, 1).emit(Op.ADD)
+        assert len(program) > 500
+        assert self._both(program, fields=(5,)) == (255, 255)
+
+    def test_deeply_nested_program_under_the_length_cap_still_runs(self):
+        """Text CPython refuses (nesting) falls back like an over-long program."""
+        program = Program().emit(Op.LOAD, 0)
+        for _ in range(190):
+            program.emit(Op.PUSH, 1).emit(Op.ADD)
+        assert self._both(program, fields=(5,)) == (195, 195)
+
+    def test_constants_without_a_literal_form(self):
+        for value in (float("inf"), (1, 2), [1, 2], -7, -2.5):
+            program = Program([(Op.PUSH, value)])
+            compiled, interpreted = self._both(program)
+            assert compiled == interpreted and type(compiled) is type(interpreted)
+        nan = self._both(Program([(Op.PUSH, float("nan"))]))
+        assert nan[0] != nan[0] and nan[1] != nan[1]
+
+    def test_generated_code_is_findable(self):
+        import linecache
+        import os
+
+        import repro.pel
+
+        program = compile_expression(parse_expression("X + 1 < 3"), {"X": 0})
+        filename = program.compiled().__code__.co_filename
+        assert filename.startswith(os.path.join(os.path.dirname(repro.pel.__file__), "generated"))
+        assert not os.path.exists(filename)  # nothing is written to disk
+        assert any("f[0]" in line for line in linecache.getlines(filename))
 
 
 class TestPropertyBased:

@@ -232,6 +232,35 @@ class TestLookupsAndIndices:
         t.add_index([2])
         assert len(t.lookup([2], ("b1",), now=0.0)) == 1
 
+    def test_prober_is_lookup_for_every_access_path(self):
+        """Primary key, secondary index and scan probes: same rows, same
+        ``lookups`` count, same lazy expiry as ``lookup``."""
+        def filled():
+            t = Table("finger", key_positions=[1], lifetime=10.0)
+            t.add_index([2])
+            t.insert(Tuple.make("finger", "n1", 0, "b1", 7), now=0.0)
+            t.insert(Tuple.make("finger", "n1", 1, "b1", 8), now=5.0)
+            t.insert(Tuple.make("finger", "n1", 2, "b2", 7), now=5.0)
+            return t
+
+        for positions, keys in (([1], [(1,), (9,)]), ([2], [("b1",), ("zz",)]), ([3], [(7,)])):
+            a, b = filled(), filled()
+            probe = a.prober(positions)
+            for now in (6.0, 12.0):  # the second probe expires the first row
+                for key in keys:
+                    assert list(probe(key, now)) == b.lookup(positions, key, now)
+            assert a.stats == b.stats
+
+    def test_prober_result_survives_mutation(self):
+        t = Table("finger", key_positions=[1])
+        t.add_index([2])
+        t.insert(Tuple.make("finger", "n1", 0, "b1"), now=0.0)
+        t.insert(Tuple.make("finger", "n1", 1, "b1"), now=0.0)
+        rows = t.prober([2])(("b1",), 0.0)
+        for row in rows:  # a join body deleting what it matched
+            t.delete(row, now=0.0)
+        assert len(rows) == 2 and len(t) == 0
+
     def test_index_tracks_deletes(self):
         t = Table("finger", key_positions=[1])
         t.add_index([2])

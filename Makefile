@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-fast test-faults test-planner test-reliable lint lint-py bench bench-full check-pythonpath
+.PHONY: test test-fast test-faults test-planner test-reliable lint lint-py bench bench-full bench-p2 check-pythonpath
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -73,3 +73,13 @@ endif
 # gated against the newest committed baseline.
 bench-full: check-pythonpath
 	$(PYTHON) -m benchmarks --output BENCH_CURRENT.json $(if $(LATEST_BENCH),--compare $(LATEST_BENCH))
+
+# p2bench (BENCHMARK.json's harness) as a gate: the full report — interleaved
+# repetitions of the four workloads, the probes, one traced run each — into
+# benchmarks/p2bench/out/, then its verdict against the committed anchor:
+# counts and digests at zero tolerance, host metrics by their bounds.  The
+# exit status is the verdict.  Independent of the legacy `bench` chain above.
+P2BENCH_RESULT := benchmarks/p2bench/out/result_seed7.json
+bench-p2:
+	$(PYTHON) -m benchmarks.p2bench --output $(P2BENCH_RESULT)
+	$(PYTHON) -m benchmarks.p2bench --compare benchmarks/p2bench/baseline_seed7.json $(P2BENCH_RESULT)

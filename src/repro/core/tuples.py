@@ -48,12 +48,6 @@ class Tuple:
         coerced = tuple(values.coerce(f) for f in fields)
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "fields", coerced)
-        # Precomputed: tuples are hashed on every table insert/lookup and as
-        # index keys, so paying the hash once at construction keeps the table
-        # hot path free of the lazy-initialisation branch.
-        # The hash is an in-process dict/set key only: it never feeds seeds,
-        # persisted state, or cross-process ordering (those sort on fields).
-        object.__setattr__(self, "_hash", hash((name, coerced)))  # det: allow(DET002): in-process key only
 
     # -- construction helpers -------------------------------------------------
     @classmethod
@@ -70,7 +64,6 @@ class Tuple:
         self = _new(cls)
         _set_name(self, name)
         _set_fields(self, fields)
-        _set_hash(self, hash((name, fields)))  # det: allow(DET002): in-process key only
         return self
 
     @classmethod
@@ -128,7 +121,16 @@ class Tuple:
         )
 
     def __hash__(self) -> int:
-        return self._hash
+        # Computed on first use and cached in the slot: tables and indices
+        # key on field tuples, so most tuples are never hashed at all.  The
+        # hash is an in-process dict/set key only: it never feeds seeds,
+        # persisted state, or cross-process ordering (those sort on fields).
+        try:
+            return self._hash
+        except AttributeError:
+            value = hash((self.name, self.fields))  # det: allow(DET002): in-process key only
+            _set_hash(self, value)
+            return value
 
     # -- sizing / display --------------------------------------------------------
     def estimate_size(self) -> int:

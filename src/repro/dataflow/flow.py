@@ -231,10 +231,11 @@ class DeltaBuffer(Element):
     batch downstream as a single :meth:`Element.push_batch` call — so a strand
     that derives N tuples does one downstream push per batch, not N.
 
-    The node runtime applies the same idea directly (``P2Node._handle_routes``
-    appends a strand's local derivations to the run queue as one batch); this
-    element is the composable form for element graphs and is the intended
-    building block for the batched network serialization item in ROADMAP.md.
+    The node runtime applies the same idea directly (a firing's head tuples
+    reach the node's sink as one list, only once the strand has returned —
+    see ``P2Node._make_sink``); this element is the composable form for
+    element graphs and is the intended building block for the batched
+    network serialization item in ROADMAP.md.
     """
 
     kind = "delta-buffer"

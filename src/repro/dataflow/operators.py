@@ -27,7 +27,7 @@ from ..core.tuples import Tuple, key_getter
 from ..pel.program import Program
 from ..pel.vm import EvalContext, VM
 from ..tables.table import Table
-from .aggregates import EMPTY_GROUP_VALUE, get_aggregate
+from .aggregates import EMPTY_GROUP_VALUE, get_fold
 from .element import Element
 
 
@@ -216,10 +216,9 @@ class Aggregate(Element):
         self.group_positions = list(group_positions)
         self.group_key = key_getter(self.group_positions)
         self.agg_specs = list(agg_specs)
-        # Resolve the aggregate callables once; the registry lookup used to
-        # run per group per firing (and unknown names now fail at plan time
-        # instead of at the first firing).
-        self._agg_funcs = [(pos, get_aggregate(func)) for pos, func in self.agg_specs]
+        # Resolved once, so an unknown name fails at plan time instead of at
+        # the first firing.
+        self.folds = [(pos, get_fold(func)) for pos, func in self.agg_specs]
 
     def aggregate(self, batch: Sequence[Tuple], empty_fallback: Optional[Tuple] = None) -> List[Tuple]:
         if not batch:
@@ -231,23 +230,30 @@ class Aggregate(Element):
                     fields[pos] = EMPTY_GROUP_VALUE[func]
                 return [Tuple(empty_fallback.name, fields)]
             return []
-        groups: "dict[tuple, List[Tuple]]" = {}
-        order: List[tuple] = []
+        # key -> (relation name, the first match's fields with each aggregate
+        # position holding its fold state); dicts keep first-appearance order
+        groups: "dict[tuple, PyTuple[str, list]]" = {}
+        folds = self.folds
         for tup in batch:
-            key = self.group_key(tup.fields)
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append(tup)
+            fields = tup.fields
+            key = self.group_key(fields)
+            group = groups.get(key)
+            if group is None:
+                state = list(fields)
+                groups[key] = (tup.name, state)
+                for pos, fold in folds:
+                    state[pos] = fold.first(fields[pos])
+            else:
+                state = group[1]
+                for pos, fold in folds:
+                    state[pos] = fold.step(state[pos], fields[pos])
         out: List[Tuple] = []
-        for key in order:
-            rows = groups[key]
-            fields = list(rows[0].fields)
-            for pos, fn in self._agg_funcs:
-                fields[pos] = fn([r.fields[pos] for r in rows])
-            # group fields come from tuples; every aggregate function returns
-            # one of its inputs or an exact int/float
-            out.append(Tuple.trusted(rows[0].name, tuple(fields)))
+        for name, state in groups.values():
+            for pos, fold in folds:
+                state[pos] = fold.result(state[pos])
+            # group fields come from tuples; every fold returns one of its
+            # inputs or an exact int/float
+            out.append(Tuple.trusted(name, tuple(state)))
         self.stats.emitted += len(out)
         return out
 

@@ -75,11 +75,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple as PyTuple
 
 from ..sim.event_loop import EventHandle
-from .transport import (
-    Datagram,
-    NodeTrafficStats,
-    PACKET_OVERHEAD_BYTES,
-)
+from .transport import Datagram, PACKET_OVERHEAD_BYTES
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle avoidance
     from .transport import Network
@@ -251,7 +247,7 @@ class ReliableLayer:
         net = self.network
         src_loop = net._clock(src)
         now = src_loop.now
-        stats = net.stats.setdefault(src, NodeTrafficStats())
+        stats = net.stats_for(src)
         hooks = net._send_hooks
         known = dst in net._indices
         link = self._sender(src, dst) if known else None
@@ -360,7 +356,7 @@ class ReliableLayer:
         if epoch < st.epoch:
             # a datagram from a previous incarnation of src: stale duplicate
             net.dupes_dropped += 1
-            net.stats.setdefault(dst, NodeTrafficStats()).record_rx_datagram(
+            net.stats_for(dst).record_rx_datagram(
                 datagram.bytes_by_category, 0
             )
             return
@@ -373,7 +369,7 @@ class ReliableLayer:
             # already delivered: suppress, but re-ack (the dup usually means
             # our ack was lost)
             net.dupes_dropped += 1
-            net.stats.setdefault(dst, NodeTrafficStats()).record_rx_datagram(
+            net.stats_for(dst).record_rx_datagram(
                 datagram.bytes_by_category, 0
             )
             self._note_ack_needed(dst, src, st)
@@ -391,7 +387,7 @@ class ReliableLayer:
                 del st.ooo[st.cum]
         else:
             st.ooo[seq] = True
-        net.stats.setdefault(dst, NodeTrafficStats()).record_rx_datagram(
+        net.stats_for(dst).record_rx_datagram(
             datagram.bytes_by_category, len(datagram)
         )
         # arm the ack before delivering: tuples delivered below may generate
@@ -451,7 +447,7 @@ class ReliableLayer:
         )
         net.acks_sent += 1
         net.datagrams_sent += 1
-        net.stats.setdefault(owner, NodeTrafficStats()).record_tx_datagram(
+        net.stats_for(owner).record_tx_datagram(
             {ACK_CATEGORY: nbytes}, 0
         )
         self._control_transmit(
@@ -464,7 +460,7 @@ class ReliableLayer:
         if net._endpoint(owner) is None:
             net.dead_endpoint_drops += 1
             return
-        net.stats.setdefault(owner, NodeTrafficStats()).record_rx_datagram(
+        net.stats_for(owner).record_rx_datagram(
             {ACK_CATEGORY: nbytes}, 0
         )
         self._apply_ack(owner, peer, snapshot)
@@ -561,7 +557,7 @@ class ReliableLayer:
             )
             net.retransmits += 1
             net.datagrams_sent += 1
-            net.stats.setdefault(link.src, NodeTrafficStats()).record_tx_datagram(
+            net.stats_for(link.src).record_tx_datagram(
                 entry.datagram.bytes_by_category, 0
             )
             ack = self._ack_payload_for(link.src, link.dst)
@@ -621,7 +617,7 @@ class ReliableLayer:
         net = self.network
         nbytes = PACKET_OVERHEAD_BYTES + PROBE_BYTES
         net.datagrams_sent += 1
-        net.stats.setdefault(link.src, NodeTrafficStats()).record_tx_datagram(
+        net.stats_for(link.src).record_tx_datagram(
             {ACK_CATEGORY: nbytes}, 0
         )
         self._control_transmit(
@@ -636,7 +632,7 @@ class ReliableLayer:
         if net._endpoint(dst) is None:
             net.dead_endpoint_drops += 1
             return
-        net.stats.setdefault(dst, NodeTrafficStats()).record_rx_datagram(
+        net.stats_for(dst).record_rx_datagram(
             {ACK_CATEGORY: nbytes}, 0
         )
         st = self._receivers.get((dst, src))

@@ -263,7 +263,7 @@ class Network:
             member_loop = getattr(self.loop, "member_loop", None)
             own = member_loop(self.topology.shard_key(index)) if member_loop else self.loop
         self._loops[address] = own
-        self.stats.setdefault(address, NodeTrafficStats())
+        self.stats_for(address)
         self.topology.register(index)
         return index
 
@@ -379,7 +379,7 @@ class Network:
         self.datagrams_sent += 1
         size = tup.estimate_size() + PACKET_OVERHEAD_BYTES
         category = self.classifier(tup)
-        self.stats.setdefault(src, NodeTrafficStats()).record_tx(size, category)
+        self.stats_for(src).record_tx(size, category)
         for hook in self._send_hooks:
             hook(src, dst, tup, now)
         if dst not in self._indices:
@@ -429,7 +429,7 @@ class Network:
             return self.reliable_layer.send_train(
                 src, dst, pack_datagrams(batch, self.classifier, self.mtu)
             )
-        stats = self.stats.setdefault(src, NodeTrafficStats())
+        stats = self.stats_for(src)
         src_loop = self._clock(src)
         now = src_loop.now
         known = dst in self._indices
@@ -496,7 +496,7 @@ class Network:
             self.dead_endpoint_drops += 1
             self.messages_dropped += 1
             return
-        self.stats.setdefault(dst, NodeTrafficStats()).record_rx(size, category)
+        self.stats_for(dst).record_rx(size, category)
         node.receive(tup)
 
     def _deliver_datagram(self, dst: str, datagram: Datagram) -> None:
@@ -505,7 +505,7 @@ class Network:
             self.dead_endpoint_drops += 1
             self.messages_dropped += len(datagram)
             return
-        self.stats.setdefault(dst, NodeTrafficStats()).record_rx_datagram(
+        self.stats_for(dst).record_rx_datagram(
             datagram.bytes_by_category, len(datagram)
         )
         receive_batch = getattr(node, "receive_batch", None)
@@ -541,4 +541,10 @@ class Network:
         return sum(s.tx_bytes_by_category.get(category, 0) for s in self.stats.values())
 
     def stats_for(self, address: str) -> NodeTrafficStats:
-        return self.stats.setdefault(address, NodeTrafficStats())
+        """The traffic counters of *address* (created on first use)."""
+        stats = self.stats.get(address)
+        if stats is None:
+            # get-then-create: ``setdefault`` would build and discard a
+            # NodeTrafficStats on every send and every delivery
+            stats = self.stats[address] = NodeTrafficStats()
+        return stats

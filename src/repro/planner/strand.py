@@ -11,14 +11,17 @@ hosting node runtime acts upon.
 Execution is run-to-completion per event, matching the observable semantics
 of P2's single-threaded event loop.
 
-Two executors exist per strand.  The *interpreted* walk below
-(:meth:`RuleStrand.process_interpreted`) iterates the element chain with one
-batch list per operator; it is the reference semantics.  The default
-execution path is the function :mod:`repro.planner.strand_compiler`
-generates as Python source and installs over :meth:`process` at plan time —
-the interpreted walk is kept as the differential-testing oracle, as the
-``fused=False`` escape hatch, and as the fallback for a strand the source
-emitter declines.
+Two executors exist per strand, both ``event -> [head tuple, ...]``.  The
+*interpreted* walk below (:meth:`RuleStrand.fire_interpreted`) iterates the
+element chain with one batch list per operator; it is the reference
+semantics.  The default execution path is the function
+:mod:`repro.planner.strand_compiler` generates as Python source and installs
+over :meth:`RuleStrand.fire` at plan time — the interpreted walk is kept as
+the differential-testing oracle, as the ``fused=False`` escape hatch, and as
+the fallback for a strand the source emitter declines.  The node runtime
+applies the bare heads itself (it knows each strand's ``loc_position`` and
+``is_delete``); :meth:`RuleStrand.process` wraps them in :class:`HeadRoute`
+objects for tests, oracles and benchmarks.
 """
 
 from __future__ import annotations
@@ -35,12 +38,8 @@ from ..tables.table import Table
 
 @dataclass(slots=True)
 class HeadRoute:
-    """One derived head tuple and where it must go.
-
-    Slotted: one ``HeadRoute`` is allocated per derived tuple, which makes
-    this one of the hottest allocation sites in the engine (every strand
-    firing on every node), so it must not carry a per-instance ``__dict__``.
-    """
+    """One derived head tuple and where it must go (built only by
+    :func:`head_routes`, never on the node's own path)."""
 
     destination: Any          # network address (may equal the local address)
     tuple: Tuple
@@ -55,6 +54,15 @@ class StrandResult:
     """Everything one strand produced for one triggering event."""
 
     routes: List[HeadRoute] = field(default_factory=list)
+
+
+def head_routes(strand: Any, heads: Sequence[Tuple], local_address: Any) -> List[HeadRoute]:
+    """Address each of *strand*'s *heads*: its location field, or the local node."""
+    loc, is_delete = strand.loc_position, strand.is_delete
+    return [
+        HeadRoute(local_address if loc is None else tup.fields[loc], tup, is_delete)
+        for tup in heads
+    ]
 
 
 class RuleStrand:
@@ -88,18 +96,25 @@ class RuleStrand:
         self.min_event_arity = min_event_arity
         self.fired = 0
         self.produced = 0
-        #: True once the strand compiler has installed a generated ``process``
+        #: True once the strand compiler has installed a generated ``fire``
         self.fused = False
 
     # -- execution -----------------------------------------------------------------
-    def process(self, event: Tuple, local_address: Any) -> StrandResult:
-        """Run the strand for one triggering *event* tuple.
+    def fire(self, event: Tuple) -> List[Tuple]:
+        """Run the strand for one triggering *event*; the derived head tuples.
 
         When the strand has been fused this method is shadowed by the
         generated function (an instance attribute); this class-level
         fallback is the interpreted path.
         """
-        return self.process_interpreted(event, local_address)
+        return self.fire_interpreted(event)
+
+    def process(self, event: Tuple, local_address: Any) -> StrandResult:
+        """:meth:`fire`, with every head addressed (see :func:`head_routes`)."""
+        return StrandResult(head_routes(self, self.fire(event), local_address))
+
+    def process_interpreted(self, event: Tuple, local_address: Any) -> StrandResult:
+        return StrandResult(head_routes(self, self.fire_interpreted(event), local_address))
 
     def arity_error(self, event: Tuple) -> PlannerError:
         """What both executors raise for an *event* shorter than the rule's."""
@@ -108,18 +123,7 @@ class RuleStrand:
             f"expected at least {self.min_event_arity}"
         )
 
-    def route(self, results: Sequence[Tuple], local_address: Any) -> StrandResult:
-        """Address each head tuple (the tail both executors share when the
-        head aggregates; a plain head is routed inline by the generated code)."""
-        loc = self.loc_position
-        routes = [
-            HeadRoute(local_address if loc is None else tup.fields[loc], tup, self.is_delete)
-            for tup in results
-        ]
-        self.produced += len(routes)
-        return StrandResult(routes)
-
-    def process_interpreted(self, event: Tuple, local_address: Any) -> StrandResult:
+    def fire_interpreted(self, event: Tuple) -> List[Tuple]:
         """The element-walking executor — the generated path's differential oracle."""
         if len(event.fields) < self.min_event_arity:
             raise self.arity_error(event)
@@ -138,18 +142,17 @@ class RuleStrand:
         if prefix_batch is None:
             prefix_batch = list(batch) if self.first_join_index is None else []
 
-        projected: List[Tuple] = []
+        heads: List[Tuple] = []
         for tup in batch:
-            projected.extend(self.project.process(tup))
+            heads.extend(self.project.process(tup))
 
         if self.aggregate is not None:
             fallback = None
-            if not projected and self.fallback_project is not None and prefix_batch:
+            if not heads and self.fallback_project is not None and prefix_batch:
                 fallback = next(iter(self.fallback_project.process(prefix_batch[0])), None)
-            results = self.aggregate.aggregate(projected, empty_fallback=fallback)
-        else:
-            results = projected
-        return self.route(results, local_address)
+            heads = self.aggregate.aggregate(heads, empty_fallback=fallback)
+        self.produced += len(heads)
+        return heads
 
     # -- introspection -----------------------------------------------------------------
     def elements(self) -> List[Element]:
@@ -180,6 +183,8 @@ class ContinuousAggregateStrand:
     table and emit it whenever it changes" of Section 3.4.
     """
 
+    is_delete = False  # an aggregate head is never a delete
+
     def __init__(
         self,
         rule_id: str,
@@ -201,7 +206,7 @@ class ContinuousAggregateStrand:
         self.watched_tables = list(watched_tables)
         self._last_emitted: dict = {}
         self.recomputations = 0
-        #: True once the strand compiler has installed a generated ``recompute``
+        #: True once the strand compiler has installed a generated ``refresh``
         self.fused = False
 
     def reset(self) -> None:
@@ -209,35 +214,40 @@ class ContinuousAggregateStrand:
 
         Both executors reach the cache through :meth:`emit_changed`, i.e. by
         reference through the strand, so emptying it here is seen by the
-        generated ``recompute`` too.
+        generated ``refresh`` too.
         """
         self._last_emitted.clear()
 
-    def recompute(self, now: float, local_address: Any) -> List[HeadRoute]:
-        """Re-derive the aggregate and return routes for changed groups.
+    def refresh(self, now: float) -> List[Tuple]:
+        """Re-derive the aggregate; the head tuples of the changed groups.
 
         Shadowed by the generated function (an instance attribute) when the
         strand compiler has run; this class-level fallback interprets.
         """
-        return self.recompute_interpreted(now, local_address)
+        return self.refresh_interpreted(now)
 
-    def emit_changed(self, projected: List[Tuple], local_address: Any) -> List[HeadRoute]:
-        """Aggregate *projected* and route the groups whose value changed
-        since they were last emitted (the tail both executors share)."""
-        last_emitted = self._last_emitted
-        group_key = self.aggregate.group_key
-        loc = self.loc_position
-        routes: List[HeadRoute] = []
-        for tup in self.aggregate.aggregate(projected):
-            fields = tup.fields
-            key = group_key(fields)
-            if last_emitted.get(key) == fields:
-                continue
-            last_emitted[key] = fields
-            routes.append(HeadRoute(local_address if loc is None else fields[loc], tup, False))
-        return routes
+    def recompute(self, now: float, local_address: Any) -> List[HeadRoute]:
+        """:meth:`refresh`, with every head addressed."""
+        return head_routes(self, self.refresh(now), local_address)
 
     def recompute_interpreted(self, now: float, local_address: Any) -> List[HeadRoute]:
+        return head_routes(self, self.refresh_interpreted(now), local_address)
+
+    def emit_changed(self, heads: List[Tuple]) -> List[Tuple]:
+        """The groups of *heads* whose value changed since they were last
+        emitted (the tail both executors share)."""
+        last_emitted = self._last_emitted
+        group_key = self.aggregate.group_key
+        changed: List[Tuple] = []
+        for tup in heads:
+            fields = tup.fields
+            key = group_key(fields)
+            if last_emitted.get(key) != fields:
+                last_emitted[key] = fields
+                changed.append(tup)
+        return changed
+
+    def refresh_interpreted(self, now: float) -> List[Tuple]:
         """The element-walking recompute — the generated path's oracle."""
         self.recomputations += 1
         # scan() already returns a fresh list that is safe to consume
@@ -250,7 +260,7 @@ class ContinuousAggregateStrand:
         projected: List[Tuple] = []
         for tup in batch:
             projected.extend(self.project.process(tup))
-        return self.emit_changed(projected, local_address)
+        return self.emit_changed(self.aggregate.aggregate(projected))
 
     def describe(self) -> str:
         chain = " -> ".join(e.kind for e in [*self.ops, self.project, self.aggregate])

@@ -1,18 +1,23 @@
 """The strand compiler: one generated Python function per rule strand.
 
-The interpreted executor (:meth:`RuleStrand.process_interpreted`) walks the
+The interpreted executor (:meth:`RuleStrand.fire_interpreted`) walks the
 strand's element chain the way Section 3.5 of the paper describes it — a
 Python loop over :class:`~repro.dataflow.element.Element` objects, one
 intermediate batch list per operator, one :class:`~repro.pel.vm.EvalContext`
 per PEL evaluation.  Rule-system compilers remove that dispatch by
 specialising each rule's match-and-fire chain into host-language code; this
 module does so literally.  Each strand — select → assign → join(s)/antijoin
-→ project → optional aggregate → head routing — becomes the *source text* of
-one function: nested ``if``/``for`` over bare field tuples, every PEL program
+→ project → optional aggregate — becomes the *source text* of one function,
+``fire(event) -> [head tuple, ...]`` (``refresh(now)`` for a continuous
+aggregate): nested ``if``/``for`` over bare field tuples, every PEL program
 inlined as a Python expression (:class:`~repro.pel.vm.ExpressionEmitter`),
 table probes through :meth:`~repro.tables.table.Table.prober`, head tuples
 through :meth:`~repro.core.tuples.Tuple.trusted` (fields copied out of
-existing tuples are not coerced again; computed ones are).
+existing tuples are not coerced again; computed ones are).  Nothing is built
+that only the next step of the same rule would read: an aggregate folds each
+match into its group's state where it is found (one tuple per *group*), and
+no route object wraps a head (the caller knows the strand's ``loc_position``
+and ``is_delete``).
 
 Generated once, bound per node
 ------------------------------
@@ -23,27 +28,34 @@ generated and ``compile()``d **once per** :class:`~repro.overlog.ast.Program`
 ``optimize_program`` results) as a module defining ``bind(strand, ctx, now)``;
 each node then only *binds*: ``bind`` reads the node's tables, stats objects,
 built-in map and identifier space into closure cells and installs the inner
-function over ``strand.process`` / ``strand.recompute``.  Every node's
-function shares one code object.
+function over ``strand.fire`` / ``strand.refresh``.  Every node's function
+shares one code object.
 
 Contracts
 ---------
 
-* Observably the interpreted walk, bit for bit: the same :class:`HeadRoute`
-  sequence (a pure pipeline visits tuples in the same order batch-by-batch
-  or depth-first), the same ``fired``/``produced`` counters, one ``dropped``
-  per empty probe, failed selection and antijoin hit, the same errors — a
-  line → PEL-expression table lets :func:`~repro.pel.vm.raise_as_interpreted`
-  convert exactly what the interpreters convert.  A join materialises its
-  matches before descending; the aggregate-fallback prefix is captured where
-  the first positive join is entered (at the sink when there is none).
+* Observably the interpreted walk, bit for bit: the same head tuples in the
+  same order (a pure pipeline visits tuples in the same order batch-by-batch
+  or depth-first), the same ``fired``/``produced`` counters (``produced``
+  advances by the number of heads returned), one ``dropped`` per empty
+  probe, failed selection and antijoin hit, ``Aggregate.stats.emitted`` per
+  group, the same errors — a line → PEL-expression table lets
+  :func:`~repro.pel.vm.raise_as_interpreted` convert exactly what the
+  interpreters convert.  A join materialises its matches before descending;
+  the aggregate-fallback prefix is captured where the first positive join is
+  entered (at the sink when there is none).
+* Folds follow :mod:`repro.dataflow.aggregates` — groups in first-appearance
+  order with the first match's group fields, ``min``/``max`` replaced only
+  on a strict win — ``min``/``max``/``count`` inline, any other aggregate
+  through its one ``Fold``; a continuous strand's groups then pass
+  ``strand.emit_changed``, the change filter both executors share.
 * The walk stays: as the differential oracle (``tests/test_strand_fusion.py``),
   as ``fused=False``, and as the fallback for a strand the emitter declines
   — an operator type it does not know, a PEL program the expression emitter
   declines, or text CPython refuses (more than 20 nested blocks).
 * Generated functions are *not* reentrant (one ``ctx`` per node), which is
-  safe because strand execution is run-to-completion: head routes are
-  applied only after the strand returns.
+  safe because strand execution is run-to-completion: the heads are applied
+  only after the function returns (so a firing that raises applies none).
 """
 
 from __future__ import annotations
@@ -51,11 +63,12 @@ from __future__ import annotations
 import zlib
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple as PyTuple
 
+from ..core import values
 from ..core.tuples import Tuple
 from ..dataflow.operators import AntiJoin, Assign, LookupJoin, Select
 from ..pel.program import Program
 from ..pel.vm import EvalContext, Expression, ExpressionEmitter, load_generated
-from .strand import ContinuousAggregateStrand, HeadRoute, RuleStrand, StrandResult
+from .strand import ContinuousAggregateStrand, RuleStrand
 
 _CACHE_ATTR = "_planner_strand_sources"
 _INDENT = "    "
@@ -92,6 +105,8 @@ class _Emitter:
         #: field positions every tuple reaching the strand is known to have
         self.safe = 0 if self.continuous else strand.min_event_arity
         self.ctx_fields: Optional[str] = None
+        #: statements that turn a group's fold states into values, if any do
+        self.results: List[str] = []
 
     # -- lines ---------------------------------------------------------------
     def line(self, depth: int, text: str) -> None:
@@ -211,22 +226,48 @@ class _Emitter:
         self.line(depth, "else:")
         self.line(depth + 1, f"drop{index}.dropped += 1")
 
-    def head(self, depth: int, project: Any, fields: str) -> PyTuple[str, List[str], List[int]]:
+    def head(self, depth: int, project: Any, fields: str) -> PyTuple[str, List[int]]:
+        """The head's field tuple as text, and the loads left inline in it."""
         texts, loads = self.operands(depth, project.programs, fields, coerce=True)
-        built = f"trusted({project.output_name!r}, {_tuple(texts)})"
-        return built, texts, loads
+        return _tuple(texts), loads
 
     def sink(self, depth: int, fields: str) -> None:
         strand = self.strand
-        built, texts, loads = self.head(depth, strand.project, fields)
-        if strand.aggregate is not None:
-            self.site(depth, f"projected.append({built})", loads, fields)
+        built, loads = self.head(depth, strand.project, fields)
+        if strand.aggregate is None:
+            self.site(depth, f"out.append(trusted({strand.head_name!r}, {built}))", loads, fields)
             return
-        dest = "local" if strand.loc_position is None else texts[strand.loc_position]
-        self.site(
-            depth, f"routes.append(HeadRoute({dest}, {built}, {strand.is_delete!r}))",
-            loads, fields,
-        )
+        # Fold the match into its group: ``groups`` maps the group fields to
+        # the first match's head fields as a list, each aggregate position
+        # holding its fold state.  All head operands load on the one site line.
+        aggregate = strand.aggregate
+        self.site(depth, f"h = {built}", loads, fields)
+        key = _tuple([f"h[{pos}]" for pos in aggregate.group_positions])
+        self.line(depth, f"g = groups.get(k := {key})")
+        opened = [f"h[{pos}]" for pos in range(len(strand.project.programs))]
+        steps: List[str] = []
+        for index, (pos, func) in enumerate(aggregate.agg_specs):
+            if func == "count":
+                opened[pos] = "1"
+                steps.append(f"g[{pos}] += 1")
+            elif func in ("min", "max"):
+                # a strict win only (the earliest of equals is kept); two
+                # exact ints compare natively, anything else as the fold does
+                op = "<" if func == "min" else ">"
+                steps.append(
+                    f"if (v {op} b if type(v := h[{pos}]) is type(b := g[{pos}]) is int"
+                    f" else compare(v, b) {op} 0): g[{pos}] = v"
+                )
+            else:
+                self.binds.append(f"fold{pos} = strand.aggregate.folds[{index}][1]")
+                opened[pos] = f"fold{pos}.first(h[{pos}])"
+                steps.append(f"g[{pos}] = fold{pos}.step(g[{pos}], h[{pos}])")
+                self.results.append(f"g[{pos}] = fold{pos}.result(g[{pos}])")
+        self.line(depth, "if g is None:")
+        self.line(depth + 1, f"groups[k] = [{', '.join(opened)}]")
+        self.line(depth, "else:")
+        for step in steps:
+            self.line(depth + 1, step)
 
     # -- the module -------------------------------------------------------------
     def module(self) -> PyTuple[str, Dict[int, tuple]]:
@@ -234,37 +275,46 @@ class _Emitter:
         strand = self.strand
         aggregates = strand.aggregate is not None
         if self.continuous:
-            name = "recompute"
+            name = "refresh"
             self.binds.append("scan = strand.base_table.scan")
-            head = ["def recompute(at, local):", "    strand.recomputations += 1"]
+            head = ["def refresh(at):", "    strand.recomputations += 1"]
             self.line(2, "for row in scan(at):")
             self.line(3, "f0 = row.fields")
             self.chain(0, 3, 0)
-            tail = ["    return strand.emit_changed(projected, local)"]
         else:
-            name = "process"
+            name = "fire"
             head = [
-                "def process(event, local):",
+                "def fire(event):",
                 "    f0 = event.fields",
                 f"    if len(f0) < {strand.min_event_arity}:",
                 "        raise strand.arity_error(event)",
                 "    strand.fired += 1",
             ]
             self.chain(0, 2, 0)
-            if not aggregates:
-                tail = ["    strand.produced += len(routes)", "    return StrandResult(routes)"]
-            else:
+            if strand.fallback_project is not None:
+                # count<> over no match at all: the one fallback row
                 self.binds.append("aggregate = strand.aggregate.aggregate")
-                if strand.fallback_project is not None:
-                    self.line(2, "if not projected and prefix is not None:")
-                    self.ctx_fields = None
-                    built, _, loads = self.head(3, strand.fallback_project, "prefix")
-                    self.site(3, f"fallback = {built}", loads, "prefix")
-                    head.append("    prefix = fallback = None")
-                    tail = ["    return strand.route(aggregate(projected, fallback), local)"]
-                else:
-                    tail = ["    return strand.route(aggregate(projected), local)"]
-        head.append("    projected = []" if aggregates else "    routes = []")
+                self.line(2, "if not groups and prefix is not None:")
+                self.ctx_fields = None
+                built, loads = self.head(3, strand.fallback_project, "prefix")
+                self.site(3, f"out = aggregate((), trusted({strand.head_name!r}, {built}))",
+                          loads, "prefix")
+                head.append("    prefix = None")
+        head.append("    out = []")
+        tail: List[str] = []
+        if aggregates:
+            self.binds.append("agg_stats = strand.aggregate.stats")
+            head.append("    groups = {}")
+            tail = [
+                "    for g in groups.values():",
+                *[_INDENT * 2 + result for result in self.results],
+                f"        out.append(trusted({strand.head_name!r}, tuple(g)))",
+                "    agg_stats.emitted += len(groups)",
+            ]
+        if self.continuous:
+            tail.append("    return strand.emit_changed(out)")
+        else:
+            tail += ["    strand.produced += len(out)", "    return out"]
         binds = self.pel.bindings() + ["ops = strand.ops"] * bool(self.binds) + self.binds
         prologue = [
             f"# {strand.describe()}",
@@ -280,7 +330,7 @@ class _Emitter:
         return "\n".join(lines) + "\n", sites
 
 
-_NAMES = {"trusted": Tuple.trusted, "HeadRoute": HeadRoute, "StrandResult": StrandResult}
+_NAMES = {"trusted": Tuple.trusted, "compare": values.compare}
 
 
 def _generate(strand: Any, directory: str, name: str) -> StrandSource:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 import zlib
 from collections import deque
-from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Sequence, Set
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Set
 
 from ..core import values
 from ..core.errors import P2Error, PlannerError
@@ -27,7 +27,7 @@ from ..net.transport import Network
 from ..overlog import ast
 from ..overlog.builtins import make_builtins
 from ..planner.planner import CompiledDataflow, Planner
-from ..planner.strand import ContinuousAggregateStrand, HeadRoute, PeriodicSpec, RuleStrand
+from ..planner.strand import ContinuousAggregateStrand, PeriodicSpec
 from ..sim.event_loop import EventHandle, EventLoop
 from ..tables.table import TableStore
 
@@ -92,6 +92,9 @@ class P2Node:
         self._dirty_continuous: Deque[ContinuousAggregateStrand] = deque()
         self._dirty_set: Set[int] = set()
         self._subscriptions: Dict[str, List[Subscriber]] = {}
+        #: relation name -> its handler closure, built on first dispatch
+        self._handlers: Dict[str, Callable[[Tuple], None]] = {}
+        self._apply = self._make_sink()
         self._timers: List[EventHandle] = []
         self.dropped_remote_sends = 0
         self.events_processed = 0
@@ -226,16 +229,20 @@ class P2Node:
             return
         self._processing = True
         processed = 0
+        pending, dirty, handlers = self._pending, self._dirty_continuous, self._handlers
         try:
-            while self._pending or self._dirty_continuous:
-                if self._pending:
-                    current = self._pending.popleft()
-                    self._dispatch(current)
+            while pending or dirty:
+                if pending:
+                    current = pending.popleft()
+                    try:
+                        handler = handlers[current.name]
+                    except KeyError:
+                        handler = handlers[current.name] = self._make_handler(current.name)
+                    handler(current)
                 else:
-                    strand = self._dirty_continuous.popleft()
+                    strand = dirty.popleft()
                     self._dirty_set.discard(id(strand))
-                    routes = strand.recompute(self.now(), self.address)
-                    self._handle_routes(routes)
+                    self._apply(strand.refresh(self.loop.now), strand.loc_position, strand.is_delete)
                 processed += 1
                 if processed > MAX_DERIVATIONS_PER_EVENT:
                     raise P2Error(
@@ -246,41 +253,71 @@ class P2Node:
             self._processing = False
         self._flush_transmit()
 
-    def _dispatch(self, tup: Tuple) -> None:
-        self.events_processed += 1
-        for callback in self._subscriptions.get(tup.name, ()):
-            callback(tup)
-        if self.tables.has(tup.name):
-            self.tables.get(tup.name).insert(tup, self.now())
-        for strand in self.compiled.strands_by_event.get(tup.name, ()):
-            result = strand.process(tup, self.address)
-            self._handle_routes(result.routes)
+    def _make_handler(self, relation: str) -> Callable[[Tuple], None]:
+        """Everything one tuple of *relation* sets off, resolved once.
 
-    def _handle_routes(self, routes: Iterable[HeadRoute]) -> None:
-        # A strand's burst of locally-derived tuples is appended to the run
-        # queue as one batch (one extend) rather than tuple-by-tuple, mirroring
-        # the batched delta propagation of the dataflow layer; remote-bound
-        # tuples are likewise coalesced in the transmit buffer per destination
-        # and leave as datagram trains when the drain flushes.
-        local_batch: List[Tuple] = []
-        transmit = self.transmit if self.batching else None
-        for route in routes:
-            if route.is_delete:
-                if route.destination != self.address:
-                    raise PlannerError(
-                        f"node {self.address}: delete rules must target local tables"
-                    )
-                self.tables.get(route.tuple.name).delete(route.tuple, self.now())
-            elif route.destination == self.address:
-                local_batch.append(route.tuple)
-            elif transmit is not None:
-                transmit.enqueue(route.destination, route.tuple)
+        The planner knows at plan time what the demultiplexer would otherwise
+        ask per tuple — which table stores the relation, which strands it
+        triggers, where their heads go — so the closure binds the answers:
+        subscribers first (the live list, so a later :meth:`subscribe` is
+        seen), then the table insert, then each strand in ``strands_by_event``
+        order, its heads applied before the next strand fires.
+        """
+        subscribers = self._subscriptions.setdefault(relation, [])
+        insert = self.tables.get(relation).insert if self.tables.has(relation) else None
+        strands = [
+            (strand.fire, strand.loc_position, strand.is_delete)
+            for strand in self.compiled.strands_by_event.get(relation, ())
+        ]
+        loop, apply = self.loop, self._apply
+
+        def handle(tup: Tuple) -> None:
+            self.events_processed += 1
+            for callback in subscribers:
+                callback(tup)
+            if insert is not None:
+                insert(tup, loop.now)
+            for fire, loc, is_delete in strands:
+                heads = fire(tup)
+                if heads:
+                    apply(heads, loc, is_delete)
+
+        return handle
+
+    def _make_sink(self) -> Callable[[List[Tuple], Optional[int], bool], None]:
+        """``apply(heads, loc, is_delete)``: where one firing's head tuples go.
+
+        Only ever called with the complete result of a firing, so a firing
+        that raises has applied none of its heads.  Local derivations join
+        the run queue and remote ones the transmit buffer (which leaves as
+        per-destination datagram trains when the drain flushes), both in
+        derivation order; deletes are applied at once, in order.
+        """
+        address, tables, loop, network = self.address, self.tables, self.loop, self.network
+        pending, extend = self._pending.append, self._pending.extend
+        enqueue = self.transmit.enqueue if self.batching and self.transmit is not None else None
+
+        def apply(heads: List[Tuple], loc: Optional[int], is_delete: bool) -> None:
+            if is_delete:
+                for tup in heads:
+                    if loc is not None and tup.fields[loc] != address:
+                        raise PlannerError(
+                            f"node {address}: delete rules must target local tables"
+                        )
+                    tables.get(tup.name).delete(tup, loop.now)
+            elif loc is None:
+                extend(heads)
             else:
-                sent = self.network.send(self.address, route.destination, route.tuple)
-                if not sent:
-                    self.dropped_remote_sends += 1
-        if local_batch:
-            self._pending.extend(local_batch)
+                for tup in heads:
+                    destination = tup.fields[loc]
+                    if destination == address:
+                        pending(tup)
+                    elif enqueue is not None:
+                        enqueue(destination, tup)
+                    elif not network.send(address, destination, tup):
+                        self.dropped_remote_sends += 1
+
+        return apply
 
     def _flush_transmit(self) -> None:
         """Send everything buffered this drain as per-destination trains."""
@@ -313,8 +350,8 @@ class P2Node:
             if not self.alive:
                 return
             event = spec.make_event(self.address, fresh_tuple_id())
-            result = spec.strand.process(event, self.address)
-            self._handle_routes(result.routes)
+            strand = spec.strand
+            self._apply(strand.fire(event), strand.loc_position, strand.is_delete)
             self._run_queue()
             next_remaining = None if remaining is None else remaining - 1
             self._schedule_periodic(spec, next_remaining, first=False)

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
 from typing import Any, Callable, List, Optional, Tuple
 
 from ..core.errors import SimulationError
@@ -36,14 +35,22 @@ from ..core.errors import SimulationError
 Priority = Tuple[Any, ...]
 
 
-@dataclass(order=True)
 class _Event:
-    time: float
-    prio: Priority
-    seq: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-    done: bool = field(default=False, compare=False)
+    """One scheduled callback.  The heap holds ``(time, prio, seq, event)``
+    entries: ``seq`` is unique, so the ordering is decided by the C-level
+    tuple comparison and never reaches the event itself."""
+
+    __slots__ = ("time", "callback", "cancelled", "done")
+
+    def __init__(self, time: float, callback: Callable[[], None]):
+        self.time = time
+        self.callback = callback
+        self.cancelled = False
+        self.done = False
+
+
+#: a heap entry: ``(time, priority, seq, event)``
+_Entry = Tuple[float, Priority, int, _Event]
 
 
 class EventHandle:
@@ -86,7 +93,7 @@ class EventLoop:
 
     def __init__(self, start_time: float = 0.0):
         self._now = start_time
-        self._queue: List[_Event] = []
+        self._queue: List[_Entry] = []
         self._seq = itertools.count()
         self._live = 0          # non-cancelled events currently in the heap
         self._cancelled = 0     # cancelled events still occupying heap slots
@@ -112,8 +119,8 @@ class EventLoop:
             raise SimulationError(
                 f"cannot schedule at {when} which is before current time {self._now}"
             )
-        event = _Event(when, priority, next(self._seq), callback)
-        heapq.heappush(self._queue, event)
+        event = _Event(when, callback)
+        heapq.heappush(self._queue, (when, priority, next(self._seq), event))
         self._live += 1
         return EventHandle(event, self)
 
@@ -164,7 +171,7 @@ class EventLoop:
         """
         queue = self._queue
         while queue:
-            head = queue[0]
+            head = queue[0][3]
             if head.cancelled:
                 heapq.heappop(queue)
                 self._cancelled -= 1
@@ -183,14 +190,14 @@ class EventLoop:
             self._cancelled >= self._COMPACT_MIN_CANCELLED
             and self._cancelled * 2 > len(self._queue)
         ):
-            self._queue = [e for e in self._queue if not e.cancelled]
+            self._queue = [e for e in self._queue if not e[3].cancelled]
             heapq.heapify(self._queue)
             self._cancelled = 0
 
     def step(self) -> bool:
         """Process the next event; returns False when the queue is empty."""
         while self._queue:
-            event = heapq.heappop(self._queue)
+            event = heapq.heappop(self._queue)[3]
             if event.cancelled:
                 self._cancelled -= 1
                 continue
@@ -207,7 +214,7 @@ class EventLoop:
             raise SimulationError("deadline is in the past")
         # events exactly at the deadline run only on the inclusive path
         while self._queue:
-            head = self._queue[0]
+            head = self._queue[0][3]
             if head.cancelled:
                 heapq.heappop(self._queue)
                 self._cancelled -= 1

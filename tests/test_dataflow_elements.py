@@ -285,6 +285,20 @@ class TestAggregates:
         assert agg_sum([1.5, 2.5]) == 4.0
         assert agg_avg([2, 4]) == 3
 
+    def test_sum_and_avg_are_exact_above_2_to_the_53(self):
+        """Exact ints accumulate in integers: a float total rounds 2**60 + 1
+        (the sum came out as 2**60, off by two) and any 160-bit identifier."""
+        wide = (1 << 159) + 7
+        assert agg_sum([2**60 + 1, 1]) == 2**60 + 2
+        assert agg_sum([wide, wide, 3]) == 2 * wide + 3
+        assert type(agg_sum([wide, 1])) is int
+        assert agg_avg([2**60 + 1, 2**60 + 3]) == float(2**60 + 2)
+        assert agg_avg([wide, wide + 2]) == (2 * wide + 2) / 2
+        # anything but exact ints still makes the sum a float (a bool too)
+        assert agg_sum([2, True]) == 3.0 and type(agg_sum([2, True])) is float
+        assert agg_sum([1, 0.5, None]) == 1.5
+        assert agg_sum([]) == 0 and agg_count([]) == 0
+
     def test_empty_aggregates_raise(self):
         with pytest.raises(DataflowError):
             agg_min([])

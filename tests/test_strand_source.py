@@ -219,10 +219,10 @@ def test_nodes_compiled_from_one_program_share_code_objects():
     pairs = list(zip(a.compiled.all_strands(), b.compiled.all_strands()))
     assert pairs
     for sa, sb in pairs:
-        assert sa.process is not sb.process
-        assert sa.process.__code__ is sb.process.__code__
+        assert sa.fire is not sb.fire
+        assert sa.fire.__code__ is sb.fire.__code__
     for ca, cb in zip(a.compiled.continuous, b.compiled.continuous):
-        assert ca.recompute.__code__ is cb.recompute.__code__
+        assert ca.refresh.__code__ is cb.refresh.__code__
     # one generation per (program, plan kind): the cached list itself is reused
     assert strand_sources(a.compiled) is strand_sources(b.compiled)
     naive = make_node(program, True, address="c", optimize=False)
@@ -275,18 +275,16 @@ def test_generated_code_lives_under_the_planner_package():
     planner_dir = os.path.dirname(repro.planner.__file__)
     seen = set()
     for strand in node.compiled.all_strands():
-        filename = strand.process.__code__.co_filename
+        filename = strand.fire.__code__.co_filename
         assert filename.startswith(os.path.join(planner_dir, "generated") + os.sep)
         assert filename.endswith(".py") and "<" not in filename
         assert not os.path.exists(filename)  # nothing is written to disk
         assert filename not in seen  # one file per strand
         seen.add(filename)
         lines = linecache.getlines(filename)
-        assert lines[strand.process.__code__.co_firstlineno - 1].strip() == (
-            "def process(event, local):"
-        )
+        assert lines[strand.fire.__code__.co_firstlineno - 1].strip() == "def fire(event):"
     for cont in node.compiled.continuous:
-        assert cont.recompute.__code__.co_filename.startswith(planner_dir)
+        assert cont.refresh.__code__.co_filename.startswith(planner_dir)
 
 
 def test_tracebacks_show_the_generated_line():
@@ -304,10 +302,10 @@ def test_explain_source_is_the_text_nodes_run_and_needs_no_host():
     text = Planner.explain_source(OVERLAY_PROGRAMS["pingpong"])
     node = make_node(OVERLAY_PROGRAMS["pingpong"], True)
     for strand in node.compiled.all_strands():
-        generated = "".join(linecache.getlines(strand.process.__code__.co_filename))
+        generated = "".join(linecache.getlines(strand.fire.__code__.co_filename))
         assert generated and generated in text
     assert text == Planner.explain_source(OVERLAY_PROGRAMS["pingpong"])
-    assert "def process(event, local):" in Planner.explain_source(
+    assert "def fire(event):" in Planner.explain_source(
         OVERLAY_PROGRAMS["pingpong"], optimize=False
     )
 

@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-fast test-faults test-planner test-reliable lint lint-py bench bench-full bench-p2 check-pythonpath
+.PHONY: test test-fast test-faults test-planner test-reliable lint lint-py bench bench-full bench-p2 bench-pairs check-pythonpath
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -83,3 +83,13 @@ P2BENCH_RESULT := benchmarks/p2bench/out/result_seed7.json
 bench-p2:
 	$(PYTHON) -m benchmarks.p2bench --output $(P2BENCH_RESULT)
 	$(PYTHON) -m benchmarks.p2bench --compare benchmarks/p2bench/baseline_seed7.json $(P2BENCH_RESULT)
+
+# A perf claim's evidence: N interleaved pairs of one p2bench workload, the
+# committed files of BASE against this checkout, alternating which side runs
+# first; prints medians, quartiles, wins and the ratio of medians.
+#   make bench-pairs BASE=HEAD~1 [WORKLOAD=chord_static] [N=10]
+WORKLOAD ?= chord_static
+N ?= 10
+bench-pairs:
+	@test -n "$(BASE)" || { echo "usage: make bench-pairs BASE=<rev> [WORKLOAD=chord_static] [N=10]" >&2; exit 2; }
+	$(PYTHON) benchmarks/pairs.py $(BASE) --workload $(WORKLOAD) --pairs $(N)

@@ -135,7 +135,7 @@ class Tuple:
     # -- sizing / display --------------------------------------------------------
     def estimate_size(self) -> int:
         """Approximate marshaled size in bytes (name + fields)."""
-        return 4 + len(self.name) + sum(values.estimate_size(f) for f in self.fields)
+        return 4 + len(self.name) + values.estimate_sizes(self.fields)
 
     def __repr__(self) -> str:
         inner = ", ".join(values.to_str(f) for f in self.fields)
@@ -148,6 +148,34 @@ _new = object.__new__
 _set_name = Tuple.name.__set__
 _set_fields = Tuple.fields.__set__
 _set_hash = Tuple._hash.__set__
+
+
+def identical_fields(a: PyTuple[Any, ...], b: PyTuple[Any, ...]) -> bool:
+    """Equal values *and* equal value types, field for field.
+
+    Python's ``==`` alone calls ``1``, ``True`` and ``1.0`` the same field,
+    yet they order differently under :func:`~repro.core.values.compare` and
+    marshal to 5, 2 and 9 bytes.  This is the one definition of "the same
+    row" that licenses treating a table write as a pure refresh.
+
+    A NaN is identical to nothing, itself included — as under ``==`` on the
+    floats themselves, which tuple comparison skips for one shared object.
+    ``compare`` ties a NaN with every number, so which of the two a ``min`` or
+    ``max`` keeps depends on the order they are scanned in, and a refresh
+    moves a row to the end of that order: such a write counts as a change.
+    """
+    if a != b:
+        return False
+    types = [*map(type, a)]
+    if types != [*map(type, b)]:
+        return False
+    if float in types:
+        for x in a:
+            if x != x:
+                return False
+    return tuple not in types or all(
+        identical_fields(x, y) for x, y in zip(a, b) if type(x) is tuple
+    )
 
 
 def key_getter(positions: Sequence[int]) -> Callable[[PyTuple[Any, ...]], PyTuple[Any, ...]]:

@@ -192,21 +192,39 @@ def estimate_size(value: ValueLike) -> int:
     8-byte floats, length-prefixed strings, and big integers encoded in as many
     bytes as they need.
     """
-    tag = 1
-    if value is None or isinstance(value, bool):
-        return tag + 1
-    if isinstance(value, int):
-        nbytes = max(4, (value.bit_length() + 7) // 8)
-        return tag + nbytes
-    if isinstance(value, float):
-        return tag + 8
-    if isinstance(value, str):
-        return tag + 4 + len(value.encode("utf-8"))
-    if isinstance(value, bytes):
-        return tag + 4 + len(value)
-    if isinstance(value, tuple):
-        return tag + 4 + sum(estimate_size(v) for v in value)
-    raise ValueError_(f"unknown value {value!r}")
+    return estimate_sizes((value,))
+
+
+def estimate_sizes(items: Iterable[ValueLike]) -> int:
+    """Total :func:`estimate_size` of *items* — the one place the format is written.
+
+    Runs over the fields of every tuple sent, so it is a single pass that
+    tests the exact type of each value first.
+    """
+    size = 0
+    for v in items:
+        kind = type(v)
+        if kind is int:
+            nbytes = (v.bit_length() + 7) >> 3
+            size += 1 + nbytes if nbytes > 4 else 5
+        elif kind is str:
+            size += 5 + (len(v) if v.isascii() else len(v.encode("utf-8")))
+        elif kind is float:
+            size += 9
+        elif v is None or kind is bool:
+            size += 2
+        elif kind is bytes:
+            size += 5 + len(v)
+        elif kind is tuple:
+            size += 5 + estimate_sizes(v)
+        else:  # a subclass marshals as the atom it extends
+            for base in (int, float, str, bytes, tuple):
+                if isinstance(v, base):
+                    size += estimate_sizes((base(v),))
+                    break
+            else:
+                raise ValueError_(f"unknown value {v!r}")
+    return size
 
 
 def make_unique_id(seed: Iterable[Any]) -> int:

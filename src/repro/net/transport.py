@@ -9,9 +9,10 @@ maintenance-bandwidth figures (Figure 3(ii), Figure 4(i)) are produced.
 
 Two data paths exist:
 
-* :meth:`Network.send` — one tuple, one datagram, one delivery event (the
-  original path, kept as the ``batching=False`` escape hatch and as the
-  oracle for the accounting-equivalence tests);
+* :meth:`Network.send` — one tuple, one datagram, one delivery event: the
+  ``batching=False`` path, the oracle for the accounting-equivalence tests,
+  and — because a one-tuple train *is* one unbatched send — what most trains
+  of an idle overlay run through;
 * :meth:`Network.send_batch` — a per-destination burst marshaled as a
   *datagram train*: tuples are packed in arrival order into datagrams of up
   to :data:`MTU_BYTES` payload, each datagram pays
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -137,22 +139,6 @@ class NodeTrafficStats:
     rx_bytes_by_category: Dict[str, int] = field(default_factory=dict)
     tx_datagrams: int = 0
     rx_datagrams: int = 0
-
-    def record_tx(self, nbytes: int, category: str) -> None:
-        self.tx_messages += 1
-        self.tx_datagrams += 1
-        self.tx_bytes += nbytes
-        self.tx_bytes_by_category[category] = (
-            self.tx_bytes_by_category.get(category, 0) + nbytes
-        )
-
-    def record_rx(self, nbytes: int, category: str) -> None:
-        self.rx_messages += 1
-        self.rx_datagrams += 1
-        self.rx_bytes += nbytes
-        self.rx_bytes_by_category[category] = (
-            self.rx_bytes_by_category.get(category, 0) + nbytes
-        )
 
     def record_tx_datagram(self, bytes_by_category: Dict[str, int], messages: int) -> None:
         self.tx_messages += messages
@@ -368,21 +354,36 @@ class Network:
         unknown destination returns False (and counts the drop), while a
         message that reaches a node that died in flight is dropped at
         delivery time, exactly like UDP.
+
+        An idle overlay's trains are one tuple long (≈ 1.2 tuples per
+        datagram on Chord), so this body runs once per datagram: the steps
+        and their order are those of :meth:`send_batch` for a single
+        datagram, with the source's loop and stats object read directly and
+        :meth:`_datagram_lost` entered only when a loss rate or a conditioner
+        could make it draw.
         """
-        if src not in self._indices:
+        indices = self._indices
+        src_index = indices.get(src)
+        if src_index is None:
             raise NetworkError(f"unknown source address {src!r}")
         if self.reliable_layer is not None:
             return self.reliable_layer.send_tuple(src, dst, tup)
-        src_loop = self._clock(src)
+        src_loop = self._loops[src]
         now = src_loop.now
         self.messages_sent += 1
         self.datagrams_sent += 1
         size = tup.estimate_size() + PACKET_OVERHEAD_BYTES
         category = self.classifier(tup)
-        self.stats_for(src).record_tx(size, category)
+        stats = self.stats.get(src) or self.stats_for(src)
+        stats.tx_messages += 1
+        stats.tx_datagrams += 1
+        stats.tx_bytes += size
+        by_category = stats.tx_bytes_by_category
+        by_category[category] = by_category.get(category, 0) + size
         for hook in self._send_hooks:
             hook(src, dst, tup, now)
-        if dst not in self._indices:
+        dst_index = indices.get(dst)
+        if dst_index is None:
             self.messages_dropped += 1
             return False
         cond = self.conditioner
@@ -393,15 +394,14 @@ class Network:
             cond.unreachable_drops += 1
             self.messages_dropped += 1
             return False
-        if self._datagram_lost(src, dst):
+        if (self.loss_rate or cond is not None) and self._datagram_lost(src, dst):
             self.messages_dropped += 1
             return False
-        delay = self.topology.latency(self._indices[src], self._indices[dst])
+        delay = self.topology.latency(src_index, dst_index)
         if cond is not None:
             delay *= cond.latency_factor
         self._schedule_delivery(
-            src, src_loop, dst, now, delay,
-            lambda: self._deliver(dst, tup, size, category),
+            src, src_loop, dst, now, delay, partial(self._deliver, dst, tup, size, category)
         )
         return True
 
@@ -417,7 +417,7 @@ class Network:
         """
         if src not in self._indices:
             raise NetworkError(f"unknown source address {src!r}")
-        batch = list(tuples)
+        batch = tuples if type(tuples) is list else list(tuples)
         if not batch:
             return 0
         if len(batch) == 1:
@@ -496,7 +496,12 @@ class Network:
             self.dead_endpoint_drops += 1
             self.messages_dropped += 1
             return
-        self.stats_for(dst).record_rx(size, category)
+        stats = self.stats.get(dst) or self.stats_for(dst)
+        stats.rx_messages += 1
+        stats.rx_datagrams += 1
+        stats.rx_bytes += size
+        by_category = stats.rx_bytes_by_category
+        by_category[category] = by_category.get(category, 0) + size
         node.receive(tup)
 
     def _deliver_datagram(self, dst: str, datagram: Datagram) -> None:

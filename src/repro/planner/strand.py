@@ -205,6 +205,12 @@ class ContinuousAggregateStrand:
         self.loc_position = loc_position
         self.watched_tables = list(watched_tables)
         self._last_emitted: dict = {}
+        #: ``base_table.version`` as of the last generated ``refresh`` that
+        #: went through, and how many groups it found — what lets a
+        #: ``count``/``min``/``max`` strand answer "nothing changed" without
+        #: a rescan (see the strand compiler); ``None`` = rescan
+        self.seen_version: Optional[int] = None
+        self.seen_groups = 0
         self.recomputations = 0
         #: True once the strand compiler has installed a generated ``refresh``
         self.fused = False
@@ -214,9 +220,11 @@ class ContinuousAggregateStrand:
 
         Both executors reach the cache through :meth:`emit_changed`, i.e. by
         reference through the strand, so emptying it here is seen by the
-        generated ``refresh`` too.
+        generated ``refresh`` too — as is forgetting the table version it
+        last scanned at.
         """
         self._last_emitted.clear()
+        self.seen_version = None
 
     def refresh(self, now: float) -> List[Tuple]:
         """Re-derive the aggregate; the head tuples of the changed groups.

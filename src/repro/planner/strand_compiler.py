@@ -107,6 +107,11 @@ class _Emitter:
         self.ctx_fields: Optional[str] = None
         #: statements that turn a group's fold states into values, if any do
         self.results: List[str] = []
+        #: so far, running the chain again over unchanged rows could be left
+        #: out: it reads nothing but the rows (no built-in call, no probe of
+        #: another table) and counts nothing per row (no Select, whose
+        #: ``dropped`` moves with every row it filters)
+        self.skippable = True
 
     # -- lines ---------------------------------------------------------------
     def line(self, depth: int, text: str) -> None:
@@ -125,10 +130,12 @@ class _Emitter:
         expr = self.pel.emit(program, fields)
         if expr is None:
             raise _Declined(program.source)
-        if expr.calls and self.ctx_fields != fields:
-            # a built-in may read the tuple it is evaluated over
-            self.line(depth, f"ctx.fields = {fields}")
-            self.ctx_fields = fields
+        if expr.calls:
+            self.skippable = False  # f_now(), f_rand(), ...
+            if self.ctx_fields != fields:
+                # a built-in may read the tuple it is evaluated over
+                self.line(depth, f"ctx.fields = {fields}")
+                self.ctx_fields = fields
         return expr
 
     def value(self, depth: int, program: Program, fields: str, expr: Expression) -> str:
@@ -192,12 +199,14 @@ class _Emitter:
             return
         self.binds.append(f"drop{index} = ops[{index}].stats")
         if type(op) is Select:
+            self.skippable = False
             e = self.expr(depth, op.program, fields)
             if e.kind == "bool":
                 self.site(depth, f"if {e.text}:", e.loads, fields, op.program)
             else:
                 self.line(depth, f"if to_bool({self.value(depth, op.program, fields, e)}):")
         elif type(op) in (LookupJoin, AntiJoin):
+            self.skippable = False
             if wants_prefix and index == strand.first_join_index:
                 self.line(depth, f"prefix = {fields}")
             if op.table_positions:
@@ -274,6 +283,7 @@ class _Emitter:
         """The module text and its line → PEL site table."""
         strand = self.strand
         aggregates = strand.aggregate is not None
+        on_change = False
         if self.continuous:
             name = "refresh"
             self.binds.append("scan = strand.base_table.scan")
@@ -281,6 +291,25 @@ class _Emitter:
             self.line(2, "for row in scan(at):")
             self.line(3, "f0 = row.fields")
             self.chain(0, 3, 0)
+            # Rescan only when the table's content moved.  Sound when the
+            # groups are a function of the *set* of base rows and the scan
+            # leaves no other trace: the chain is skippable, and every fold
+            # is blind to the order rows are scanned in — which a refresh of
+            # an identical row does change, so sum/avg (float addition does
+            # not associate) rescan.  (A NaN would make min/max see the
+            # order too; a row holding one is never "identical".)
+            on_change = self.skippable and all(
+                func in ("count", "min", "max") for _, func in strand.aggregate.agg_specs
+            )
+            if on_change:
+                self.binds += ["table = strand.base_table", "expire = table.expire"]
+                head += [
+                    "    expire(at)",
+                    "    version = table.version",
+                    "    if version == strand.seen_version:",
+                    "        agg_stats.emitted += strand.seen_groups",
+                    "        return []",
+                ]
         else:
             name = "fire"
             head = [
@@ -311,7 +340,16 @@ class _Emitter:
                 f"        out.append(trusted({strand.head_name!r}, tuple(g)))",
                 "    agg_stats.emitted += len(groups)",
             ]
-        if self.continuous:
+        if on_change:
+            # remembered only once the refresh has gone through: one that
+            # raised leaves the old version behind and is rescanned
+            tail += [
+                "    out = strand.emit_changed(out)",
+                "    strand.seen_version = version",
+                "    strand.seen_groups = len(groups)",
+                "    return out",
+            ]
+        elif self.continuous:
             tail.append("    return strand.emit_changed(out)")
         else:
             tail += ["    strand.produced += len(out)", "    return out"]

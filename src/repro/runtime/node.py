@@ -242,7 +242,9 @@ class P2Node:
                 else:
                     strand = dirty.popleft()
                     self._dirty_set.discard(id(strand))
-                    self._apply(strand.refresh(self.loop.now), strand.loc_position, strand.is_delete)
+                    heads = strand.refresh(self.loop.now)
+                    if heads:  # mostly not: the table moved, the aggregate did not
+                        self._apply(heads, strand.loc_position, strand.is_delete)
                 processed += 1
                 if processed > MAX_DERIVATIONS_PER_EVENT:
                     raise P2Error(

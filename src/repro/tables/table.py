@@ -4,7 +4,10 @@ A table stores tuples of one relation at one node, with the semantics the
 paper describes in Sections 2.1 and 3.2:
 
 * every tuple carries an insertion time and expires ``lifetime`` seconds later
-  (re-inserting a tuple with the same primary key refreshes it);
+  (re-inserting a tuple with the same primary key refreshes it; a write whose
+  row is *identical* to the stored one — equal fields of equal types — moves
+  nothing but the row's age and its place in scan and bucket order, and leaves
+  the table's content :attr:`~Table.version` alone);
 * the table holds at most ``max_size`` tuples; when full the oldest tuple is
   evicted (FIFO over insertion time);
 * each tuple has a unique primary key (field positions given by the
@@ -40,7 +43,7 @@ from typing import (
 )
 
 from ..core.errors import TableError
-from ..core.tuples import Tuple, key_getter
+from ..core.tuples import Tuple, identical_fields, key_getter
 
 Key = PyTuple[Any, ...]
 Listener = Callable[[Tuple], None]
@@ -115,8 +118,15 @@ class Table:
         self.lifetime = lifetime
         self.max_size = max_size
         self.stats = TableStats()
+        #: Content version: moves whenever the *set of rows* does — a new
+        #: row, a replacement, a delete, an expiry, an eviction, ``clear`` —
+        #: and never on a refresh of an identical row, which changes only
+        #: ages and order.  Readers whose result is a function of the content
+        #: alone (the continuous ``count``/``min``/``max`` strands) skip
+        #: their rescan while it stands still.
+        self.version = 0
         # primary store: key -> (tuple, insertion_time); ordered by insertion
-        # time because refreshes re-insert at the tail.  That ordering is what
+        # time because refreshes move to the tail.  That ordering is what
         # makes expiry amortized O(expired): expire() pops from the head and
         # stops at the first live row instead of sweeping the whole table.
         self._rows: "OrderedDict[Key, PyTuple[Tuple, float]]" = OrderedDict()
@@ -162,13 +172,16 @@ class Table:
         return sorted(self._indices)
 
     # -- core operations ---------------------------------------------------------
+    def _misfit(self, tup: Tuple) -> TableError:
+        return TableError(
+            f"tuple {tup!r} does not fit table {self.name!r} key {self.key_positions}"
+        )
+
     def primary_key(self, tup: Tuple) -> Key:
         try:
             return self._key_of(tup.fields)
         except Exception as exc:
-            raise TableError(
-                f"tuple {tup!r} does not fit table {self.name!r} key {self.key_positions}"
-            ) from exc
+            raise self._misfit(tup) from exc
 
     def insert(self, tup: Tuple, now: float) -> bool:
         """Insert (or refresh) *tup* at time *now*.
@@ -176,57 +189,82 @@ class Table:
         Returns True if the table contents changed or the tuple was refreshed;
         in either case insert listeners fire (P2 propagates deltas on refresh,
         which is what keeps soft state alive across the overlay).
+
+        Soft state is kept alive by re-inserting it, so most writes find the
+        row they carry already stored.  Such a refresh — the stored fields are
+        :func:`~repro.core.tuples.identical_fields` to the new ones — pays for
+        what it changes: the row's age, its place at the tail of the scan
+        order and of each secondary-index bucket.  Anything else is a change
+        of content and bumps :attr:`version`.
         """
         if tup.name != self.name:
             raise TableError(f"tuple {tup.name!r} inserted into table {self.name!r}")
         if now >= self._next_expiry:
             self.expire(now)
-        pk = self.primary_key(tup)
+        fields = tup.fields
+        try:
+            pk = self._key_of(fields)
+        except Exception as exc:
+            raise self._misfit(tup) from exc
         rows = self._rows
         existing = rows.get(pk)
-        if existing is not None:
-            old_tup = existing[0]
-            self._remove_from_indices(pk, old_tup)
-            del rows[pk]
-            if old_tup == tup:
-                self.stats.refreshes += 1
-            else:
-                self.stats.replacements += 1
+        if existing is not None and identical_fields(existing[0].fields, fields):
+            self.stats.refreshes += 1
+            rows[pk] = (tup, now)
+            rows.move_to_end(pk)
+            if len(rows) == 1 and self.lifetime != INFINITY:
+                self._next_expiry = now + self.lifetime
+            for index in self._indices.values():
+                # to the tail of its bucket: bucket order is the order a join
+                # sees its matches, and a re-added row would be last
+                bucket = index._buckets[index._key_of(fields)]
+                del bucket[pk]
+                bucket[pk] = tup
         else:
-            self.stats.inserts += 1
-        if not rows and self.lifetime != INFINITY:
-            self._next_expiry = now + self.lifetime
-        rows[pk] = (tup, now)
-        self._add_to_indices(pk, tup)
-        if len(rows) > self.max_size:
-            self._enforce_size()
+            if existing is not None:
+                if self._indices:
+                    self._remove_from_indices(pk, existing[0])
+                del rows[pk]
+                self.stats.replacements += 1
+            else:
+                self.stats.inserts += 1
+            self.version += 1
+            if not rows and self.lifetime != INFINITY:
+                self._next_expiry = now + self.lifetime
+            rows[pk] = (tup, now)
+            for index in self._indices.values():
+                index.add(pk, tup)
+            if len(rows) > self.max_size:
+                self._enforce_size()
         for fn in self._insert_listeners:
             fn(tup)
         return True
 
     def delete(self, tup: Tuple, now: float) -> bool:
         """Delete the tuple with *tup*'s primary key.  Returns True if present."""
-        self.expire(now)
-        pk = self.primary_key(tup)
-        entry = self._rows.pop(pk, None)
-        if entry is None:
-            return False
-        stored, _ = entry
-        self._remove_from_indices(pk, stored)
-        self.stats.deletes += 1
-        for fn in self._delete_listeners:
-            fn(stored)
-        return True
+        if now >= self._next_expiry:
+            self.expire(now)
+        try:
+            pk = self._key_of(tup.fields)
+        except Exception as exc:
+            raise self._misfit(tup) from exc
+        return self._drop(pk) is not None
 
     def delete_by_key(self, key: Key, now: float) -> Optional[Tuple]:
         """Delete by primary key value; returns the removed tuple if any."""
-        self.expire(now)
-        entry = self._rows.pop(tuple(key), None)
+        if now >= self._next_expiry:
+            self.expire(now)
+        return self._drop(tuple(key))
+
+    def _drop(self, pk: Key) -> Optional[Tuple]:
+        entry = self._rows.pop(pk, None)
         if entry is None:
             return None
-        stored, _ = entry
-        self._remove_from_indices(tuple(key), stored)
+        stored = entry[0]
+        if self._indices:
+            self._remove_from_indices(pk, stored)
         self.stats.deletes += 1
+        self.version += 1
         for fn in self._delete_listeners:
             fn(stored)
         return stored
@@ -250,12 +288,14 @@ class Table:
                 self._next_expiry = inserted_at + self.lifetime
                 break
             del rows[pk]
-            self._remove_from_indices(pk, tup)
+            if self._indices:
+                self._remove_from_indices(pk, tup)
             expired.append(tup)
         else:
             self._next_expiry = INFINITY
         if expired:
             self.stats.expirations += len(expired)
+            self.version += 1
             for tup in expired:
                 for fn in self._expire_listeners:
                     fn(tup)
@@ -268,9 +308,11 @@ class Table:
         silently — no delete rules, no continuous-aggregate recomputation —
         which is exactly what distinguishes a crash from a graceful leave.
         Indices are emptied in place and the expiry bound reset; returns the
-        number of rows dropped.
+        number of rows dropped.  The content :attr:`version` moves even so —
+        a version-keyed reader must not mistake the reborn table for the old.
         """
         dropped = len(self._rows)
+        self.version += 1
         self._rows.clear()
         for index in self._indices.values():
             index._buckets.clear()
@@ -379,10 +421,6 @@ class Table:
         return entry is not None and entry[0] == tup
 
     # -- internals -----------------------------------------------------------------
-    def _add_to_indices(self, pk: Key, tup: Tuple) -> None:
-        for index in self._indices.values():
-            index.add(pk, tup)
-
     def _remove_from_indices(self, pk: Key, tup: Tuple) -> None:
         for index in self._indices.values():
             index.remove(pk, tup)
@@ -395,6 +433,7 @@ class Table:
             del self._rows[pk]
             self._remove_from_indices(pk, tup)
             self.stats.evictions += 1
+            self.version += 1
             for fn in self._delete_listeners:
                 fn(tup)
 

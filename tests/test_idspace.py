@@ -120,3 +120,23 @@ class TestOracle:
         succ = ring.successor_of(key, members)
         assert succ in members
         assert all(ring.distance(key, succ) <= ring.distance(key, m) for m in members)
+
+
+class TestRingBuiltinsOnTheWideRing:
+    """The OverLog ring built-ins compute in place on exact ints; on a 160-bit
+    ring that must still be exact integer arithmetic (no float in sight)."""
+
+    wide = IdSpace(bits=160)
+    wide_ids = st.integers(min_value=0, max_value=(1 << 160) - 1)
+
+    @given(a=wide_ids, b=wide_ids, index=st.integers(0, 159))
+    def test_builtins_are_the_idspace_methods(self, a, b, index):
+        from repro.overlog import builtins
+        from repro.pel import EvalContext
+
+        ctx = EvalContext(fields=(), builtins={}, idspace=self.wide)
+        assert builtins.f_dist(ctx, a, b) == self.wide.distance(a, b)
+        assert builtins.f_dist(ctx, a, a + 1) == 1 or a + 1 == 1 << 160
+        assert builtins.f_wrap(ctx, a + (1 << 160)) == a
+        assert builtins.f_fingerKey(ctx, a, index) == self.wide.finger_target(a, index)
+        assert self.wide.distance(a, builtins.f_fingerKey(ctx, a, index)) == 1 << index

@@ -140,6 +140,54 @@ class TestBuiltins:
         assert evaluate("f_dist(250, 5)", bits=8) == 11
         assert evaluate("f_fingerKey(200, 7)", bits=8) == (200 + 128) % 256
 
+    @given(
+        a=st.one_of(
+            st.sampled_from([None, True, False, 2.9, -2.9, "12", "0x10", "abc", "", b"x",
+                             (1 << 160) + 5, -(1 << 159), (1 << 159) + 7]),
+            st.integers(-300, 300),
+            st.floats(-1e6, 1e6),
+        ),
+        b=st.one_of(
+            st.sampled_from([None, True, False, 7.5, "3", "abc", (1 << 160) - 1, 159, 160, -1]),
+            st.integers(-10, 170),
+        ),
+        bits=st.sampled_from([8, 32, 160]),
+    )
+    def test_ring_builtins_exact_int_path_agrees_with_the_conversions(self, a, b, bits):
+        """f_wrap / f_dist / f_fingerKey do exact-``int`` operands in place;
+        the result — or the error — is what ``to_int`` + ``IdSpace`` give for
+        every atom type."""
+        from repro.core import values
+        from repro.overlog import builtins
+
+        space = IdSpace(bits=bits)
+        ctx = EvalContext(fields=(), builtins=make_builtins(), idspace=space)
+
+        def outcome(fn):
+            try:
+                result = fn()
+                return type(result), result
+            except Exception as exc:
+                return type(exc), str(exc)
+
+        assert outcome(lambda: builtins.f_wrap(ctx, a)) == outcome(
+            lambda: space.wrap(values.to_int(a)))
+        assert outcome(lambda: builtins.f_dist(ctx, a, b)) == outcome(
+            lambda: space.distance(values.to_int(a), values.to_int(b)))
+        assert outcome(lambda: builtins.f_fingerKey(ctx, a, b)) == outcome(
+            lambda: space.finger_target(values.to_int(a), values.to_int(b)))
+
+    def test_ring_builtins_on_mixed_atoms(self):
+        assert evaluate("f_dist(250, true)", bits=8) == 7
+        assert evaluate("f_dist(\"250\", 5.9)", bits=8) == 11
+        assert evaluate("f_wrap(\"0x104\")", bits=8) == 4
+        assert evaluate("f_wrap(-1)", bits=160) == (1 << 160) - 1
+        assert evaluate("f_fingerKey(true, 2.0)", bits=8) == 5
+        with pytest.raises(PELError):
+            evaluate("f_fingerKey(1, 8)", bits=8)
+        with pytest.raises(PELError):
+            evaluate("f_dist(\"abc\", 1)", bits=8)
+
     def test_node_dependent_builtins(self):
         class FakeNode:
             address = "addr-1"

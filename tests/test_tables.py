@@ -110,6 +110,54 @@ class TestSoftState:
         assert t.scan(1.0)[0][1] == 1
 
 
+class TestIdenticalMeansValuesAndTypes:
+    """A write is a refresh only when the stored row has equal fields *of
+    equal types*: ``1``, ``True`` and ``1.0`` are ``==`` in Python but order
+    differently under ``values.compare`` and marshal to 5, 2 and 9 bytes.
+    Regression: ``Table.insert`` used to classify with ``==`` alone."""
+
+    def test_cross_type_write_is_a_replacement(self):
+        t = Table("flag", key_positions=[0])
+        t.insert(Tuple.make("flag", "a", 1), now=0.0)
+        for value in (True, 1.0, 1):
+            before = t.version
+            t.insert(Tuple.make("flag", "a", value), now=1.0)
+            stored = t.get(("a",), now=1.0)[1]
+            assert stored == 1 and type(stored) is type(value)
+            assert t.version == before + 1
+        assert (t.stats.inserts, t.stats.replacements, t.stats.refreshes) == (1, 3, 0)
+        assert t.get(("a",), now=1.0).estimate_size() == 4 + len("flag") + 6 + 5
+
+    def test_cross_type_write_inside_a_nested_value(self):
+        t = Table("path", key_positions=[0])
+        t.insert(Tuple.make("path", "a", (1, "x")), now=0.0)
+        t.insert(Tuple.make("path", "a", (True, "x")), now=0.0)
+        t.insert(Tuple.make("path", "a", (True, "x")), now=0.0)
+        assert (t.stats.replacements, t.stats.refreshes) == (1, 1)
+
+    def test_cross_type_key_field_keeps_one_row(self):
+        # the key is looked up with ==/hash, so 1 and True address one row;
+        # the row itself is replaced, secondary index included
+        t = Table("flag", key_positions=[0])
+        t.add_index([1])
+        t.insert(Tuple.make("flag", 1, "x"), now=0.0)
+        t.insert(Tuple.make("flag", True, "x"), now=0.0)
+        assert len(t) == 1 and t.stats.replacements == 1
+        (row,) = t.lookup([1], ["x"], now=0.0)
+        assert type(row[0]) is bool
+
+    def test_identical_refresh_leaves_the_version_alone(self):
+        t = Table("flag", key_positions=[0], lifetime=10.0)
+        t.insert(Tuple.make("flag", "a", 1), now=0.0)
+        before = t.version
+        t.insert(Tuple.make("flag", "a", 1), now=5.0)
+        assert t.version == before and t.stats.refreshes == 1
+        assert len(t.scan(now=12.0)) == 1  # the refresh did renew the lifetime
+
+    def test_tuple_equality_itself_is_unchanged(self):
+        assert Tuple.make("flag", "a", 1) == Tuple.make("flag", "a", True)
+
+
 class TestExpiryOrderInvariant:
     """Lazy head-pop expiry must be observationally identical to the old
     eager full-table sweep: refreshes move tuples to the back of the

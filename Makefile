@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-fast test-faults test-planner test-reliable lint lint-py bench bench-full bench-p2 bench-pairs check-pythonpath
+.PHONY: test test-fast test-faults test-planner test-reliable lint lint-py bench bench-p2 bench-pairs loc check-pythonpath
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -53,32 +53,14 @@ check-pythonpath:
 	     "benchmarks would not import the in-tree package" >&2; exit 1 ;; \
 	esac
 
-# The newest committed benchmark baseline, e.g. BENCH_PR4.json (version sort
-# so BENCH_PR10 orders after BENCH_PR9).
-LATEST_BENCH := $(shell ls BENCH_PR*.json 2>/dev/null | sort -V | tail -1)
-
-# Tier-1 suite plus the quick benchmark sweep — the one-command CI target.
-# The regression gate re-runs the (full-mode, seconds-cheap) micro benches
-# and fails on any >25% slowdown against the newest committed baseline; the
-# multi-second fig3/fig4 rows are gated when producing a full BENCH_PR file.
-bench: check-pythonpath test-faults test-planner test-reliable test lint lint-py
-	$(PYTHON) -m benchmarks --quick
-ifneq ($(LATEST_BENCH),)
-	$(PYTHON) -m benchmarks --only micro --compare $(LATEST_BENCH)
-else
-	@echo "no BENCH_PR*.json baseline committed; skipping regression gate"
-endif
-
-# The full sweep used to produce the committed BENCH_*.json baselines,
-# gated against the newest committed baseline.
-bench-full: check-pythonpath
-	$(PYTHON) -m benchmarks --output BENCH_CURRENT.json $(if $(LATEST_BENCH),--compare $(LATEST_BENCH))
+# The one-command CI target: tier-1 suite, both lints, then the p2bench gate.
+bench: test lint lint-py bench-p2
 
 # p2bench (BENCHMARK.json's harness) as a gate: the full report — interleaved
 # repetitions of the four workloads, the probes, one traced run each — into
 # benchmarks/p2bench/out/, then its verdict against the committed anchor:
 # counts and digests at zero tolerance, host metrics by their bounds.  The
-# exit status is the verdict.  Independent of the legacy `bench` chain above.
+# exit status is the verdict.
 P2BENCH_RESULT := benchmarks/p2bench/out/result_seed7.json
 bench-p2:
 	$(PYTHON) -m benchmarks.p2bench --output $(P2BENCH_RESULT)
@@ -93,3 +75,15 @@ N ?= 10
 bench-pairs:
 	@test -n "$(BASE)" || { echo "usage: make bench-pairs BASE=<rev> [WORKLOAD=chord_static] [N=10]" >&2; exit 2; }
 	$(PYTHON) benchmarks/pairs.py $(BASE) --workload $(WORKLOAD) --pairs $(N)
+
+# The count aim-2 (less code) PRs cite: lines of tracked *.py files, src/ by
+# package, then benchmarks/ outside p2bench, benchmarks/p2bench/ and tests/.
+loc:
+	@git ls-files '*.py' | xargs wc -l | awk '$$2 != "total" { \
+	    n = split($$2, p, "/"); \
+	    if (p[1] == "src") key = "src/repro/" (n > 3 ? p[3] : "(top level)"); \
+	    else if (p[1] == "benchmarks") key = (p[2] == "p2bench") ? "benchmarks/p2bench/" : "benchmarks/ outside p2bench"; \
+	    else if (p[1] == "tests") key = "tests/"; \
+	    else next; \
+	    lines[key] += $$1; if (p[1] == "src") src += $$1 } \
+	  END { for (k in lines) printf "%7d  %s\n", lines[k], k; printf "%7d  src/ total\n", src }' | sort -k2

@@ -1,1 +1,1 @@
-"""Benchmark harness package (``python -m benchmarks`` runs the JSON runner)."""
+"""Benchmark package: ``p2bench`` (BENCHMARK.json's harness) and ``pairs.py``."""

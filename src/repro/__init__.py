@@ -4,7 +4,7 @@ The package provides:
 
 * :mod:`repro.overlog` — the OverLog language (parser, AST, built-ins);
 * :mod:`repro.planner` — compilation of OverLog rules into dataflow strands;
-* :mod:`repro.dataflow` — Click/P2-style dataflow elements;
+* :mod:`repro.dataflow` — P2-style dataflow elements (relational operators);
 * :mod:`repro.tables` — soft-state tables;
 * :mod:`repro.pel` — the PEL expression byte-code compiler and VM;
 * :mod:`repro.runtime` — per-node execution engine and overlay simulation API;
@@ -14,16 +14,15 @@ The package provides:
 
 Quickstart::
 
-    from repro import OverlaySimulation
     from repro.overlays import chord
 
-    sim = chord.build_chord_simulation(num_nodes=32, seed=1)
-    sim.run_for(120)
-    ring = chord.ring_order(sim)
+    network = chord.build_chord_network(32, seed=1)
+    network.simulation.run_for(120)
+    ring = network.ring_order()
 """
 
 from .core import IdSpace, Tuple
-from .runtime import OverlaySimulation, P2Node, transit_stub_simulation
+from .runtime import OverlaySimulation, P2Node
 
 __version__ = "0.1.0"
 
@@ -32,6 +31,5 @@ __all__ = [
     "IdSpace",
     "P2Node",
     "OverlaySimulation",
-    "transit_stub_simulation",
     "__version__",
 ]

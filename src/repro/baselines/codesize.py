@@ -5,7 +5,7 @@ become dramatically smaller when written declaratively: a Narada-style mesh in
 16 rules, Chord in 47 rules, versus thousands of lines for MIT Chord and 320+
 statements for MACEDON's (less complete) Chord.  This module measures the
 equivalent quantities for the artifacts in this repository so the comparison
-can be regenerated (``benchmarks/bench_conciseness.py``).
+can be regenerated (:func:`conciseness_table`, :func:`format_table`).
 """
 
 from __future__ import annotations
@@ -48,15 +48,11 @@ class SpecSize:
 
 def overlog_size(name: str, source: str) -> SpecSize:
     """Count rules / facts / tables and non-blank, non-comment source lines."""
-    program = parse_program(source)
-    lines = _count_overlog_lines(source)
     return SpecSize(
         name=name,
         kind="overlog",
-        rules=len(program.rules),
-        facts=len(program.facts),
-        tables=len(program.materializations),
-        lines=lines,
+        lines=_count_overlog_lines(source),
+        **parse_program(source).counts(),
     )
 
 

@@ -1,25 +1,13 @@
-"""Dataflow framework: Click/P2-style elements, glue, and relational operators."""
+"""Dataflow framework: P2-style elements, relational operators, the transmit buffer."""
 
 from .aggregates import AGGREGATES, get_aggregate
-from .element import Callback, Discard, Element, ElementStats, Graph, Sink
-from .flow import (
-    DeltaBuffer,
-    Demux,
-    Dup,
-    Filter,
-    Mux,
-    Queue,
-    RoundRobin,
-    TimedPullPush,
-    TransmitBuffer,
-)
+from .element import Element, ElementStats, Graph
+from .flow import TransmitBuffer
 from .operators import (
     Aggregate,
     AntiJoin,
     Assign,
-    Delete,
     Host,
-    Insert,
     LookupJoin,
     PelElement,
     Project,
@@ -30,26 +18,13 @@ __all__ = [
     "Element",
     "ElementStats",
     "Graph",
-    "Sink",
-    "Callback",
-    "Discard",
-    "Queue",
-    "DeltaBuffer",
-    "Dup",
-    "Mux",
-    "Demux",
-    "RoundRobin",
-    "TimedPullPush",
     "TransmitBuffer",
-    "Filter",
     "Select",
     "Assign",
     "Project",
     "LookupJoin",
     "AntiJoin",
     "Aggregate",
-    "Insert",
-    "Delete",
     "Host",
     "PelElement",
     "AGGREGATES",

@@ -1,10 +1,11 @@
 """Relational dataflow operators.
 
 These are the database-flavoured elements of Section 3.4: selection,
-projection, assignment, stream-table equijoin, anti-join (negation), tuple
-aggregation, and the table bridge elements (Insert / Delete).  Each is
-parameterised by PEL programs produced by the planner and evaluates them
-against the tuples flowing through.
+projection, assignment, stream-table equijoin, anti-join (negation) and tuple
+aggregation.  Each is parameterised by PEL programs produced by the planner
+and evaluates them against the tuples flowing through.  (Storing a head tuple
+is not an element here: the node's per-relation handlers call
+``Table.insert`` / ``Table.delete`` themselves.)
 
 Every operator needs a *host* to build evaluation contexts: the hosting node
 runtime (clock, RNG, address, identifier space, built-in registry).  Tests use
@@ -53,9 +54,6 @@ class Host:
     def now(self) -> float:
         return self._clock
 
-    def advance(self, dt: float) -> None:
-        self._clock += dt
-
 
 class PelElement(Element):
     """Shared machinery for elements that evaluate PEL programs."""
@@ -80,6 +78,7 @@ class Select(PelElement):
     """Drops tuples for which the boolean PEL program evaluates to false."""
 
     kind = "select"
+    counters = ("dropped",)
 
     def __init__(self, host: Any, program: Program, name: str = "select"):
         super().__init__(host, name)
@@ -136,6 +135,7 @@ class LookupJoin(PelElement):
     """
 
     kind = "join"
+    counters = ("dropped",)
 
     def __init__(
         self,
@@ -151,9 +151,6 @@ class LookupJoin(PelElement):
         self.table = table
         self.table_positions = list(table_positions)
         self.key_programs = list(key_programs)
-
-    def matches(self, tup: Tuple) -> List[Tuple]:
-        return list(self._matches_iter(tup))
 
     def _matches_iter(self, tup: Tuple) -> Iterable[Tuple]:
         """Matching rows as a live, copy-free iterable.
@@ -205,6 +202,7 @@ class Aggregate(Element):
     """
 
     kind = "aggregate"
+    counters = ("emitted",)
 
     def __init__(
         self,
@@ -256,37 +254,3 @@ class Aggregate(Element):
             out.append(Tuple.trusted(name, tuple(state)))
         self.stats.emitted += len(out)
         return out
-
-
-class Insert(Element):
-    """Stores incoming tuples in a table, then forwards them as deltas.
-
-    Forwarding-after-store is what drives table-delta rule strands (e.g. Chord
-    N1 ``succEvent :- succ``) and keeps soft state refreshed across rules.
-    """
-
-    kind = "insert"
-
-    def __init__(self, host: Any, table: Table, name: str = ""):
-        super().__init__(name or f"insert:{table.name}")
-        self.host = host
-        self.table = table
-
-    def process(self, tup: Tuple, port: int = 0) -> Iterable[Tuple]:
-        self.table.insert(tup, self.host.now())
-        return (tup,)
-
-
-class Delete(Element):
-    """Deletes the tuple's primary key from a table (``delete`` rules)."""
-
-    kind = "delete"
-
-    def __init__(self, host: Any, table: Table, name: str = ""):
-        super().__init__(name or f"delete:{table.name}")
-        self.host = host
-        self.table = table
-
-    def process(self, tup: Tuple, port: int = 0) -> Iterable[Tuple]:
-        self.table.delete(tup, self.host.now())
-        return ()

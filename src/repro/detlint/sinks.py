@@ -33,8 +33,6 @@ from typing import FrozenSet
 #:   event_loop.EventLoop` (and the sharded driver's member loops)
 #: * ``route`` / ``inject`` / ``receive`` / ``receive_batch`` —
 #:   :class:`repro.runtime.node.P2Node` entry points
-#: * ``emit`` / ``emit_batch`` / ``push`` / ``push_batch`` — dataflow
-#:   element hand-offs (:mod:`repro.dataflow.element`)
 #: * ``enqueue`` / ``flush`` — the transmit buffer's egress path
 SINK_NAMES: FrozenSet[str] = frozenset(
     {
@@ -47,10 +45,6 @@ SINK_NAMES: FrozenSet[str] = frozenset(
         "inject",
         "receive",
         "receive_batch",
-        "emit",
-        "emit_batch",
-        "push",
-        "push_batch",
         "enqueue",
         "flush",
     }

@@ -16,43 +16,23 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple as PyTuple
 
 from ..analysis import cdf, summarize
-from ..net.topology import TransitStubTopology
-from ..overlays import chord
 from ..sim.churn import ChurnProcess
-from ..sim.metrics import BandwidthMeter, ConsistencyOracle, LookupTracker
-from ..sim.monitors import RobustnessReport
-from ..sim.workload import LookupWorkload
+from .runner import ChordRun, ChordRunResult
 
 
-@dataclass
-class ChurnChordResult:
+@dataclass(kw_only=True)
+class ChurnChordResult(ChordRunResult):
     """Measurements from one churn run."""
 
-    population: int
     session_time: float
     lookup_latencies: List[float] = field(default_factory=list)
     maintenance_bytes_per_second: float = 0.0
-    completion_rate: float = 0.0
-    consistent_fraction: float = 0.0
     churn_events: int = 0
-    lookups_issued: int = 0
-    #: transport counters for the whole run: tuples handed to the network and
-    #: wire units (= delivery events) they traveled in — equal when unbatched
-    messages_sent: int = 0
+    #: wire units (= delivery events) the run's tuples traveled in — equal to
+    #: ``messages_sent`` when unbatched
     datagrams_sent: int = 0
-    #: lookups the timeout sweep abandoned (0 without ``lookup_timeout``)
-    lookups_failed: int = 0
     #: departures that were crashes rather than graceful failures
     crash_events: int = 0
-    #: wire-unit counters of the reliability layer (all 0 when
-    #: ``reliable=False``; see net/reliable.py for the counter taxonomy)
-    retransmits: int = 0
-    acks_sent: int = 0
-    dupes_dropped: int = 0
-    suppressed_sends: int = 0
-    dead_endpoint_drops: int = 0
-    #: monitor samples and alarms (None when the run had no monitors)
-    robustness: Optional[RobustnessReport] = None
 
     def latency_cdf(self, points: int = 20) -> List[PyTuple[float, float]]:
         return cdf(self.lookup_latencies, points=points)
@@ -83,60 +63,35 @@ def run_churn_experiment(
     drain_time: float = 30.0,
     domains: int = 10,
     program_kwargs: Optional[dict] = None,
-    batching: bool = True,
-    shards: int = 1,
-    fused: bool = True,
-    optimize: bool = True,
-    reliable: bool = False,
     crash: bool = False,
     faults=None,
     monitors: Sequence = (),
     monitor_period: float = 10.0,
     lookup_timeout: Optional[float] = None,
+    **engine,
 ) -> ChurnChordResult:
     """Boot, stabilise, then churn for *churn_duration* while issuing lookups.
 
-    ``shards >= 2`` runs the population on that many event loops under
-    conservative lookahead; ``fused=False`` interprets the rule strands
-    instead of running their generated functions.  Results are identical
-    either way.  ``crash=True`` turns departures into crashes (soft state
-    wiped, no leave processing) — the harsher regime the paper's robustness
-    claim is about; ``faults``/``monitors``/``lookup_timeout`` work as in
+    ``crash=True`` turns departures into crashes (soft state wiped, no leave
+    processing) — the harsher regime the paper's robustness claim is about;
+    ``engine``/``faults``/``monitors``/``lookup_timeout`` work as in
     :func:`~repro.experiments.chord_static.run_static_experiment`.
     """
-    topology = TransitStubTopology(domains=domains, seed=seed)
-    network = chord.build_chord_network(
+    run = ChordRun(
         population,
-        topology=topology,
         seed=seed,
         bits=bits,
         join_stagger=join_stagger,
+        stabilization_time=stabilization_time,
+        domains=domains,
         program_kwargs=program_kwargs,
-        batching=batching,
-        shards=shards,
-        fused=fused,
-        optimize=optimize,
-        reliable=reliable,
         faults=faults,
         monitors=monitors,
+        **engine,
     )
-    sim = network.simulation
-    sim.network.set_classifier(chord.classify_chord_traffic)
-    sim.run_for(population * join_stagger + stabilization_time)
-
-    runner = sim.monitor_runner
-    if runner.monitors:
-        runner.start(monitor_period)
-
-    controller = sim.fault_controller
-    oracle = ConsistencyOracle(
-        network.idspace,
-        network.alive_ids,
-        reachable=controller.conditioner.reachable if controller is not None else None,
-    )
-    tracker = LookupTracker(sim.loop, sim.network, oracle, timeout=lookup_timeout)
-    for node in network.nodes:
-        tracker.attach(node)
+    network = run.network
+    run.start_monitors(monitor_period)
+    tracker, workload = run.lookups(lookup_rate, seed + 11, lookup_timeout)
 
     def add_member():
         node = network.add_member(join_delay=0.0)
@@ -144,7 +99,7 @@ def run_churn_experiment(
         return node
 
     churn = ChurnProcess(
-        sim.loop,
+        run.sim.loop,
         session_time=session_time,
         list_members=lambda: [n.address for n in network.nodes if n.alive],
         fail_member=network.fail_member,
@@ -153,47 +108,23 @@ def run_churn_experiment(
         crash=crash,
         crash_member=network.crash_member if crash else None,
     )
-    meter = BandwidthMeter(
-        sim.loop,
-        sim.network,
-        category="maintenance",
-        window=churn_duration / 10,
-        alive_count=lambda: len([n for n in network.nodes if n.alive]),
-    )
-    workload = LookupWorkload(
-        sim.loop, network, tracker, rate_per_second=lookup_rate, seed=seed + 11
-    )
+    meter = run.maintenance_meter(window=churn_duration / 10)
 
     churn.start()
     meter.start()
     workload.start()
-    sim.run_for(churn_duration)
+    run.sim.run_for(churn_duration)
     churn.stop()
     workload.stop()
     meter.stop()
-    sim.run_for(drain_time)
-    tracker.stop_sweep()
-    tracker.expire_stale(sim.now)
-    if runner.monitors:
-        runner.stop()
+    run.finish(drain_time)
 
-    return ChurnChordResult(
-        population=population,
+    return run.result(
+        ChurnChordResult,
         session_time=session_time,
         lookup_latencies=tracker.latencies(),
         maintenance_bytes_per_second=meter.mean_rate(skip_initial=1),
-        completion_rate=tracker.completion_rate(),
-        consistent_fraction=tracker.consistent_fraction(),
         churn_events=churn.stats.failures,
-        lookups_issued=workload.issued,
-        messages_sent=sim.network.messages_sent,
-        datagrams_sent=sim.network.datagrams_sent,
-        lookups_failed=len(tracker.failures()),
+        datagrams_sent=run.sim.network.datagrams_sent,
         crash_events=churn.stats.crashes,
-        retransmits=sim.network.retransmits,
-        acks_sent=sim.network.acks_sent,
-        dupes_dropped=sim.network.dupes_dropped,
-        suppressed_sends=sim.network.suppressed_sends,
-        dead_endpoint_drops=sim.network.dead_endpoint_drops,
-        robustness=runner.report() if runner.monitors else None,
     )

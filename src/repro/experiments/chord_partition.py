@@ -34,19 +34,11 @@ Two protocol facts shape the scenario:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple as PyTuple
+from typing import Dict, List, Optional, Tuple as PyTuple
 
-from ..net.topology import TransitStubTopology
-from ..overlays import chord
 from ..sim import faults
-from ..sim.metrics import ConsistencyOracle, LookupTracker
-from ..sim.monitors import (
-    LookupHealthMonitor,
-    RingInvariantMonitor,
-    RobustnessReport,
-    StagnationMonitor,
-)
-from ..sim.workload import LookupWorkload
+from ..sim.monitors import LookupHealthMonitor, RingInvariantMonitor, StagnationMonitor
+from .runner import ChordRun, ChordRunResult
 
 #: Maintenance timers scaled down so partition/heal dynamics play out in a
 #: few simulated minutes; the lifetime/period relationship (succ_lifetime <
@@ -60,11 +52,10 @@ FAST_MAINTENANCE = {
 }
 
 
-@dataclass
-class PartitionChordResult:
+@dataclass(kw_only=True)
+class PartitionChordResult(ChordRunResult):
     """Measurements from one partition/heal run."""
 
-    population: int
     partition_at: float
     heal_at: float
     end_at: float
@@ -89,21 +80,8 @@ class PartitionChordResult:
     ring_split_alarms: int = 0
     lookup_alarms: int = 0
     stagnation_alarms: int = 0
-    lookups_issued: int = 0
     lookups_completed: int = 0
-    lookups_failed: int = 0
-    consistent_fraction: float = 0.0
-    completion_rate: float = 0.0
     unreachable_drops: int = 0
-    messages_sent: int = 0
-    #: wire-unit counters of the reliability layer (all 0 when
-    #: ``reliable=False``; see net/reliable.py for the counter taxonomy)
-    retransmits: int = 0
-    acks_sent: int = 0
-    dupes_dropped: int = 0
-    suppressed_sends: int = 0
-    dead_endpoint_drops: int = 0
-    robustness: Optional[RobustnessReport] = None
 
     def summary(self) -> Dict[str, float]:
         return {
@@ -139,11 +117,7 @@ def run_partition_experiment(
     rejoin_delay: float = 1.0,
     rejoin_stagger: float = 0.5,
     program_kwargs: Optional[dict] = None,
-    batching: bool = True,
-    shards: int = 1,
-    fused: bool = True,
-    optimize: bool = True,
-    reliable: bool = False,
+    **engine,
 ) -> PartitionChordResult:
     """Boot and stabilise a ring, split it in two, heal, measure reconvergence.
 
@@ -155,7 +129,8 @@ def run_partition_experiment(
     ``rejoin_stagger`` apart) unless ``rejoin_on_heal`` is False.  A lookup
     workload with timeouts runs throughout; the ring/stagnation/lookup-health
     monitors probe every ``monitor_period`` seconds and their series form the
-    recovery curve.
+    recovery curve.  ``engine`` is the engine modes, as in
+    :func:`~repro.experiments.chord_static.run_static_experiment`.
     """
     kwargs = dict(FAST_MAINTENANCE)
     kwargs.update(program_kwargs or {})
@@ -165,25 +140,18 @@ def run_partition_experiment(
             f"partition_duration ({partition_duration}) must exceed the successor "
             f"lifetime ({succ_lifetime}); shorter splits never diverge the rings"
         )
-    topology = TransitStubTopology(domains=domains, seed=seed)
-    network = chord.build_chord_network(
+    # Phase 1: boot + stabilise.
+    run = ChordRun(
         population,
-        topology=topology,
         seed=seed,
         bits=bits,
         join_stagger=join_stagger,
+        stabilization_time=stabilization_time,
+        domains=domains,
         program_kwargs=kwargs,
-        batching=batching,
-        shards=shards,
-        fused=fused,
-        optimize=optimize,
-        reliable=reliable,
+        **engine,
     )
-    sim = network.simulation
-    sim.network.set_classifier(chord.classify_chord_traffic)
-
-    # Phase 1: boot + stabilise.
-    sim.run_for(population * join_stagger + stabilization_time)
+    network, sim = run.network, run.sim
 
     # Phase 2: arm the schedule — two contiguous identifier arcs.
     ring = network.ring_order()
@@ -202,19 +170,14 @@ def run_partition_experiment(
     )
 
     # Phase 3: instruments — partition-aware oracle, timeout tracker, monitors.
-    oracle = ConsistencyOracle(
-        network.idspace, network.alive_ids, reachable=controller.conditioner.reachable
-    )
-    tracker = LookupTracker(sim.loop, sim.network, oracle, timeout=lookup_timeout)
-    for node in network.nodes:
-        tracker.attach(node)
+    tracker, workload = run.lookups(lookup_rate, seed + 1, lookup_timeout)
     runner = sim.monitor_runner
     ring_monitor = runner.add(
         RingInvariantMonitor(network, reachable=controller.conditioner.reachable)
     )
     runner.add(StagnationMonitor.for_chord(network, tracker))
     runner.add(LookupHealthMonitor(tracker))
-    runner.start(monitor_period)
+    run.start_monitors(monitor_period)
 
     if rejoin_on_heal:
         # Deterministic staggered re-joins on the control loop: the protocol
@@ -228,17 +191,11 @@ def run_partition_experiment(
             sim.loop.schedule_at(heal_at + rejoin_delay + i * rejoin_stagger, rejoin)
 
     # Phase 4: run the scenario under a continuous lookup workload.
-    workload = LookupWorkload(
-        sim.loop, network, tracker, rate_per_second=lookup_rate, seed=seed + 1
-    )
     workload.start()
     sim.run_until(end_at)
     workload.stop()
-    sim.run_for(lookup_timeout)
-    tracker.stop_sweep()
-    tracker.expire_stale(sim.now)
-    runner.stop()
-    report = runner.report()
+    run.finish(drain_time=lookup_timeout)
+    report = run.report
 
     # Phase 5: reduce the probe series to recovery metrics.
     cf_curve = report.series(ring_monitor.name, "consistent_fraction")
@@ -268,8 +225,8 @@ def run_partition_experiment(
     reconvergence = sustained_from(
         lambda t, v: v >= pre_level and ring_by_time.get(t, False)
     )
-    return PartitionChordResult(
-        population=population,
+    return run.result(
+        PartitionChordResult,
         partition_at=partition_at,
         heal_at=heal_at,
         end_at=end_at,
@@ -284,17 +241,6 @@ def run_partition_experiment(
         ring_split_alarms=len(report.alarms_for(ring_monitor.name)),
         lookup_alarms=len(report.alarms_for("lookup_health")),
         stagnation_alarms=len(report.alarms_for("stagnation")),
-        lookups_issued=workload.issued,
         lookups_completed=len(tracker.completed()),
-        lookups_failed=len(tracker.failures()),
-        consistent_fraction=tracker.consistent_fraction(),
-        completion_rate=tracker.completion_rate(),
         unreachable_drops=controller.conditioner.unreachable_drops,
-        messages_sent=sim.network.messages_sent,
-        retransmits=sim.network.retransmits,
-        acks_sent=sim.network.acks_sent,
-        dupes_dropped=sim.network.dupes_dropped,
-        suppressed_sends=sim.network.suppressed_sends,
-        dead_endpoint_drops=sim.network.dead_endpoint_drops,
-        robustness=report,
     )

@@ -18,42 +18,22 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple as PyTuple
 
 from ..analysis import cdf, histogram, summarize
-from ..net.topology import TransitStubTopology
-from ..overlays import chord
-from ..sim.metrics import BandwidthMeter, ConsistencyOracle, LookupTracker
-from ..sim.monitors import RobustnessReport
-from ..sim.workload import LookupWorkload
+from .runner import ChordRun, ChordRunResult
 
 
-@dataclass
-class StaticChordResult:
+@dataclass(kw_only=True)
+class StaticChordResult(ChordRunResult):
     """Measurements from one static-membership run."""
 
-    population: int
     hop_counts: List[int] = field(default_factory=list)
     lookup_latencies: List[float] = field(default_factory=list)
     maintenance_bytes_per_second: float = 0.0
-    completion_rate: float = 0.0
-    consistent_fraction: float = 0.0
     ring_consistency: float = 0.0
-    lookups_issued: int = 0
-    #: transport counters for the whole run: tuples handed to the network and
-    #: wire units (= delivery events) they traveled in — equal when unbatched
-    messages_sent: int = 0
+    #: wire units (= delivery events) the run's tuples traveled in — equal to
+    #: ``messages_sent`` when unbatched
     datagrams_sent: int = 0
-    #: lookups the timeout sweep abandoned (0 without ``lookup_timeout``)
-    lookups_failed: int = 0
-    #: wire-unit counters of the reliability layer (all 0 when
-    #: ``reliable=False``; see net/reliable.py for the counter taxonomy)
-    retransmits: int = 0
-    acks_sent: int = 0
-    dupes_dropped: int = 0
-    suppressed_sends: int = 0
-    dead_endpoint_drops: int = 0
     #: 99th-percentile of the per-link adaptive RTOs at the end of the run
     rto_p99: float = 0.0
-    #: monitor samples and alarms (None when the run had no monitors)
-    robustness: Optional[RobustnessReport] = None
 
     def hop_histogram(self, max_hops: int = 16) -> Dict[float, float]:
         return histogram(self.hop_counts, bins=range(max_hops + 1))
@@ -90,107 +70,62 @@ def run_static_experiment(
     drain_time: float = 30.0,
     domains: int = 10,
     program_kwargs: Optional[dict] = None,
-    batching: bool = True,
-    shards: int = 1,
-    fused: bool = True,
-    optimize: bool = True,
-    reliable: bool = False,
     faults=None,
     monitors: Sequence = (),
     monitor_period: float = 10.0,
     lookup_timeout: Optional[float] = None,
+    **engine,
 ) -> StaticChordResult:
     """Boot, stabilise, measure idle bandwidth, then drive lookups.
 
-    ``shards >= 2`` runs the population on that many event loops under
-    conservative lookahead; ``fused=False`` interprets the rule strands
-    instead of running their generated functions.  Results are identical
-    either way.  ``faults`` arms a fault schedule, ``monitors`` installs
-    periodic invariant probes (instances or network-taking factories), and
+    ``engine`` is the engine modes of
+    :class:`~repro.runtime.system.OverlaySimulation` (``batching``,
+    ``shards``, ``fused``, ``optimize``, ``reliable``), handed through
+    untouched; ``shards``, ``fused`` and ``optimize`` leave every result
+    identical.
+    ``faults`` arms a fault schedule, ``monitors`` installs periodic
+    invariant probes (instances or network-taking factories), and
     ``lookup_timeout`` makes abandoned lookups count as failed — all off by
     default, leaving the fault-free figures untouched.
     """
-    topology = TransitStubTopology(domains=domains, seed=seed)
-    network = chord.build_chord_network(
+    run = ChordRun(
         population,
-        topology=topology,
         seed=seed,
         bits=bits,
         join_stagger=join_stagger,
+        stabilization_time=stabilization_time,
+        domains=domains,
         program_kwargs=program_kwargs,
-        batching=batching,
-        shards=shards,
-        fused=fused,
-        optimize=optimize,
-        reliable=reliable,
         faults=faults,
         monitors=monitors,
+        **engine,
     )
-    sim = network.simulation
-    sim.network.set_classifier(chord.classify_chord_traffic)
+    run.start_monitors(monitor_period)
 
-    # Phase 1: joins + stabilisation.
-    sim.run_for(population * join_stagger + stabilization_time)
-
-    runner = sim.monitor_runner
-    if runner.monitors:
-        runner.start(monitor_period)
-
-    # Phase 2: idle maintenance-bandwidth measurement (no lookups in flight).
-    meter = BandwidthMeter(
-        sim.loop,
-        sim.network,
-        category="maintenance",
-        window=idle_measurement_time / 6,
-        alive_count=lambda: len([n for n in network.nodes if n.alive]),
-    )
+    # Idle maintenance-bandwidth measurement (no lookups in flight).
+    meter = run.maintenance_meter(window=idle_measurement_time / 6)
     meter.start()
-    sim.run_for(idle_measurement_time)
+    run.sim.run_for(idle_measurement_time)
     meter.stop()
 
-    # Phase 3: uniform lookup workload.
-    controller = sim.fault_controller
-    oracle = ConsistencyOracle(
-        network.idspace,
-        network.alive_ids,
-        reachable=controller.conditioner.reachable if controller is not None else None,
-    )
-    tracker = LookupTracker(sim.loop, sim.network, oracle, timeout=lookup_timeout)
-    for node in network.nodes:
-        tracker.attach(node)
-    workload = LookupWorkload(
-        sim.loop, network, tracker, rate_per_second=lookup_rate, seed=seed + 1
-    )
+    # Uniform lookup workload.
+    tracker, workload = run.lookups(lookup_rate, seed + 1, lookup_timeout)
     workload.start()
-    sim.run_for(lookup_count / lookup_rate)
+    run.sim.run_for(lookup_count / lookup_rate)
     workload.stop()
-    sim.run_for(drain_time)
-    tracker.stop_sweep()
-    tracker.expire_stale(sim.now)
-    if runner.monitors:
-        runner.stop()
+    run.finish(drain_time)
 
-    return StaticChordResult(
-        population=population,
+    net = run.sim.network
+    return run.result(
+        StaticChordResult,
         hop_counts=tracker.hop_counts(),
         lookup_latencies=tracker.latencies(),
         maintenance_bytes_per_second=meter.mean_rate(skip_initial=1),
-        completion_rate=tracker.completion_rate(),
-        consistent_fraction=tracker.consistent_fraction(),
-        ring_consistency=network.ring_consistency(),
-        lookups_issued=workload.issued,
-        messages_sent=sim.network.messages_sent,
-        datagrams_sent=sim.network.datagrams_sent,
-        lookups_failed=len(tracker.failures()),
-        retransmits=sim.network.retransmits,
-        acks_sent=sim.network.acks_sent,
-        dupes_dropped=sim.network.dupes_dropped,
-        suppressed_sends=sim.network.suppressed_sends,
-        dead_endpoint_drops=sim.network.dead_endpoint_drops,
+        ring_consistency=run.network.ring_consistency(),
+        datagrams_sent=net.datagrams_sent,
         rto_p99=(
-            sim.network.reliable_layer.rto_quantile(0.99)
-            if sim.network.reliable_layer is not None
+            net.reliable_layer.rto_quantile(0.99)
+            if net.reliable_layer is not None
             else 0.0
         ),
-        robustness=runner.report() if runner.monitors else None,
     )

@@ -3,10 +3,10 @@
 The paper's P2 ran its overlays over best-effort UDP: every lost maintenance
 tuple silently degrades the ring until soft-state refresh papers over it.
 This module gives the :class:`~repro.net.transport.Network` a TCP-flavoured
-reliability layer — enabled with ``reliable=True``, threaded through the
-stack exactly like ``batching``/``shards``/``fused``/``optimize`` — while
-keeping the ``reliable=False`` data path byte-identical to the best-effort
-transport (the layer object simply does not exist).
+reliability layer — enabled with ``reliable=True`` (an engine mode of
+:class:`~repro.runtime.system.OverlaySimulation`) — while keeping the
+``reliable=False`` data path byte-identical to the best-effort transport
+(the layer object simply does not exist).
 
 Mechanisms, per directed link:
 

@@ -26,6 +26,7 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 from ..core.idspace import IdSpace
 from ..core.tuples import Tuple, fresh_tuple_id
 from ..net.topology import Topology
+from ..overlog import parse_program
 from ..runtime.node import P2Node
 from ..runtime.system import OverlaySimulation
 
@@ -170,16 +171,9 @@ CM8 pred@NI(NI, P, PI) :- pred@NI(NI, P, PI), pingResp@NI(NI, PI, E).
 """
 
 
-def count_rules(source: Optional[str] = None) -> Dict[str, int]:
+def count_rules() -> Dict[str, int]:
     """Rule / fact / table counts for the conciseness comparison."""
-    from ..overlog import parse_program
-
-    program = parse_program(source if source is not None else chord_program())
-    return {
-        "rules": len(program.rules),
-        "facts": len(program.facts),
-        "tables": len(program.materializations),
-    }
+    return parse_program(chord_program()).counts()
 
 
 # ---------------------------------------------------------------------------
@@ -318,13 +312,9 @@ def build_chord_network(
     bits: int = 32,
     join_stagger: float = 2.0,
     program_kwargs: Optional[dict] = None,
-    batching: bool = True,
-    shards: int = 1,
-    fused: bool = True,
-    optimize: bool = True,
-    reliable: bool = False,
     faults=None,
     monitors: Sequence = (),
+    **engine,
 ) -> ChordNetwork:
     """Create a Chord overlay of *num_nodes* nodes (not yet stabilised).
 
@@ -338,6 +328,11 @@ def build_chord_network(
     *instances* or single-argument factories called with the finished
     :class:`ChordNetwork` (so e.g. ``RingInvariantMonitor`` can be passed as
     a class).  Start them with ``network.simulation.monitor_runner.start()``.
+
+    ``engine`` goes untouched to the :class:`OverlaySimulation` built here —
+    its engine modes (``batching``, ``shards``, ``fused``, ``optimize``,
+    ``reliable``) are declared and documented there.  A ``simulation`` passed
+    in was already built with its own, so naming one here too is an error.
     """
     kwargs = dict(program_kwargs or {})
     kwargs.setdefault("bits", bits)
@@ -349,11 +344,12 @@ def build_chord_network(
             seed=seed,
             id_bits=kwargs["bits"],
             classifier=classify_chord_traffic,
-            batching=batching,
-            shards=shards,
-            fused=fused,
-            optimize=optimize,
-            reliable=reliable,
+            **engine,
+        )
+    elif engine:
+        raise TypeError(
+            f"build_chord_network() got simulation= together with {sorted(engine)[0]!r}; "
+            "a simulation that already exists was built with its own engine modes"
         )
     network = ChordNetwork(simulation=simulation, landmark="")
     for i in range(num_nodes):
@@ -367,8 +363,3 @@ def build_chord_network(
             monitor = monitor(network)
         simulation.monitor_runner.add(monitor)
     return network
-
-
-def build_chord_simulation(num_nodes: int, **kwargs) -> OverlaySimulation:
-    """Convenience wrapper returning just the :class:`OverlaySimulation`."""
-    return build_chord_network(num_nodes, **kwargs).simulation

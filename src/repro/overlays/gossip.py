@@ -15,6 +15,7 @@ from typing import Dict, List, Optional, Set
 
 from ..core.tuples import Tuple, fresh_tuple_id
 from ..net.topology import Topology
+from ..overlog import parse_program
 from ..runtime.node import P2Node
 from ..runtime.system import OverlaySimulation
 
@@ -40,15 +41,9 @@ G4 neighbor@Y(Y, Z) :- gossipRound@X(X, E), neighbor@X(X, Y), neighbor@X(X, Z),
 """
 
 
-def count_rules(source: Optional[str] = None) -> Dict[str, int]:
-    from ..overlog import parse_program
-
-    program = parse_program(source if source is not None else gossip_program())
-    return {
-        "rules": len(program.rules),
-        "facts": len(program.facts),
-        "tables": len(program.materializations),
-    }
+def count_rules() -> Dict[str, int]:
+    """Rule / fact / table counts for the conciseness comparison."""
+    return parse_program(gossip_program()).counts()
 
 
 @dataclass

@@ -17,6 +17,7 @@ from typing import Dict, List, Optional
 
 from ..core.tuples import Tuple
 from ..net.topology import Topology
+from ..overlog import parse_program
 from ..runtime.node import P2Node
 from ..runtime.system import OverlaySimulation
 
@@ -87,15 +88,9 @@ U2 neighbor@X(X, Z) :- addNeighbor@X(X, Z).
 """
 
 
-def count_rules(source: Optional[str] = None) -> Dict[str, int]:
-    from ..overlog import parse_program
-
-    program = parse_program(source if source is not None else narada_program())
-    return {
-        "rules": len(program.rules),
-        "facts": len(program.facts),
-        "tables": len(program.materializations),
-    }
+def count_rules() -> Dict[str, int]:
+    """Rule / fact / table counts for the conciseness comparison."""
+    return parse_program(narada_program()).counts()
 
 
 @dataclass

@@ -26,7 +26,7 @@ errors can cite ``file:line:col``.  Spans never participate in equality.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 from .diagnostics import Span
 
@@ -353,6 +353,14 @@ class Program:
 
     def rule_count(self) -> int:
         return len(self.rules)
+
+    def counts(self) -> Dict[str, int]:
+        """Rule / fact / table counts (the paper's conciseness measure)."""
+        return {
+            "rules": len(self.rules),
+            "facts": len(self.facts),
+            "tables": len(self.materializations),
+        }
 
     def __str__(self) -> str:
         parts = [str(m) for m in self.materializations]

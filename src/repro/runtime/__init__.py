@@ -1,6 +1,6 @@
 """The P2 runtime: per-node execution engine and whole-overlay simulation API."""
 
 from .node import P2Node
-from .system import OverlaySimulation, transit_stub_simulation
+from .system import OverlaySimulation
 
-__all__ = ["P2Node", "OverlaySimulation", "transit_stub_simulation"]
+__all__ = ["P2Node", "OverlaySimulation"]

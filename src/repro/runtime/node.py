@@ -379,7 +379,8 @@ class P2Node:
 
     # ------------------------------------------------------------------ introspection
     def describe_dataflow(self) -> str:
-        return self.compiled.describe()
+        """The compiled strands, then every element with its live counters."""
+        return f"{self.compiled.describe()}\nelements:\n{self.compiled.graph.describe()}"
 
     def __repr__(self) -> str:
         where = f" shard={self.shard}" if self.shard is not None else ""

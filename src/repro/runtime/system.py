@@ -15,7 +15,7 @@ from ..core.errors import SimulationError
 from ..core.idspace import IdSpace
 from ..core.tuples import Tuple
 from ..core.values import make_unique_id
-from ..net.topology import Topology, TransitStubTopology, UniformTopology
+from ..net.topology import Topology, UniformTopology
 from ..net.transport import Network
 from ..overlog import ast, parse_program
 from ..sim.event_loop import EventLoop
@@ -28,15 +28,32 @@ from .node import P2Node
 class OverlaySimulation:
     """A population of P2 nodes running one OverLog specification.
 
-    With ``shards=1`` (the default and the escape hatch) everything runs on
-    one classic :class:`EventLoop`.  With ``shards>=2`` the node population
-    is partitioned across that many member loops of a
-    :class:`~repro.sim.shards.ShardedEventLoop` — assigned by the topology's
-    ``shard_key`` (stub domain on the transit-stub topology) so the
-    conservative lookahead window is the cross-domain latency floor — while
-    harness timers (:meth:`schedule`) run on its control loop.  A sharded run
-    is observably identical to the single-loop run; the determinism suite in
-    ``tests/test_sharded_sim.py`` enforces this.
+    The five engine modes are declared, defaulted and documented here;
+    :func:`~repro.overlays.chord.build_chord_network` and the experiment
+    drivers hand them through untouched as ``**engine``.  Each non-default
+    value is an oracle the differential suites compare against or an opt-in
+    layer:
+
+    ``batching=False``
+        nodes send tuple-at-a-time instead of coalescing each run-queue
+        drain's outbound tuples into one datagram train per destination.
+    ``shards>=2``
+        the node population is partitioned across that many member loops of
+        a :class:`~repro.sim.shards.ShardedEventLoop` — assigned by the
+        topology's ``shard_key`` (stub domain on the transit-stub topology)
+        so the conservative lookahead window is the cross-domain latency
+        floor — while harness timers (:meth:`schedule`) run on its control
+        loop.  Observably identical to the one classic :class:`EventLoop` of
+        ``shards=1`` (``tests/test_sharded_sim.py``).
+    ``fused=False``
+        strands walk their elements (the interpreted differential oracle)
+        instead of running as generated functions.
+    ``optimize=False``
+        plans keep the naive body-order walk (the plan-level oracle) instead
+        of the cost-based optimizer's.
+    ``reliable=True``
+        the network runs the ack/retransmit layer of ``net/reliable.py``;
+        off, it is best-effort datagrams and the layer is never constructed.
     """
 
     def __init__(
@@ -75,17 +92,9 @@ class OverlaySimulation:
         )
         self.idspace = IdSpace(bits=id_bits)
         self.seed = seed
-        #: whether nodes coalesce each drain's outbound tuples into datagram
-        #: trains (the default) or send tuple-at-a-time (the escape hatch)
         self.batching = batching
-        #: whether node strands run as generated functions (the default) or
-        #: through the interpreted element walk (the differential oracle)
         self.fused = fused
-        #: whether node plans come from the cost-based optimizer (the
-        #: default) or the naive body-order walk (the plan-level oracle)
         self.optimize = optimize
-        #: whether the network runs the ack/retransmit reliability layer
-        #: (net/reliable.py); False — the default — is best-effort datagrams
         self.reliable = reliable
         self._rng = random.Random(seed)
         self.nodes: Dict[str, P2Node] = {}
@@ -230,37 +239,3 @@ class OverlaySimulation:
         """Install one application fact per node (e.g. a landmark address)."""
         for node in self.nodes.values():
             node.route(make_tuple(node))
-
-
-def transit_stub_simulation(
-    program: "ast.Program | str",
-    *,
-    domains: int = 10,
-    seed: int = 0,
-    id_bits: int = 32,
-    loss_rate: float = 0.0,
-    classifier: Optional[Callable[[Tuple], str]] = None,
-    batching: bool = True,
-    shards: int = 1,
-    fused: bool = True,
-    optimize: bool = True,
-    reliable: bool = False,
-    faults: Optional[FaultSchedule] = None,
-    monitors: Sequence[Monitor] = (),
-) -> OverlaySimulation:
-    """A simulation configured like the paper's Emulab testbed (Section 5)."""
-    return OverlaySimulation(
-        program,
-        topology=TransitStubTopology(domains=domains, seed=seed),
-        loss_rate=loss_rate,
-        seed=seed,
-        id_bits=id_bits,
-        classifier=classifier,
-        batching=batching,
-        shards=shards,
-        fused=fused,
-        optimize=optimize,
-        reliable=reliable,
-        faults=faults,
-        monitors=monitors,
-    )

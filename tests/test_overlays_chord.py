@@ -147,3 +147,58 @@ class TestSingleNodeAndJoins:
         assert victim not in alive_ring
         # the ring re-closes around the failure
         assert network.ring_consistency() == 1.0
+
+
+class TestEngineModes:
+    """The five engine modes are declared once, on ``OverlaySimulation``;
+    everything above it hands them through as ``**engine``."""
+
+    MODES = [
+        ("batching", False),
+        ("shards", 2),
+        ("fused", False),
+        ("optimize", False),
+        ("reliable", True),
+    ]
+
+    def test_simulation_plus_engine_keyword_is_an_error(self):
+        # it used to be silently ignored: the knobs were only read when
+        # build_chord_network built the simulation itself
+        sim = chord.build_chord_network(2, seed=1).simulation
+        with pytest.raises(TypeError, match="'shards'"):
+            chord.build_chord_network(2, simulation=sim, shards=2)
+        assert chord.build_chord_network(2, simulation=sim).simulation is sim
+
+    def test_unknown_keyword_is_the_simulations_own_error(self):
+        with pytest.raises(TypeError, match=r"__init__\(\).*'shard'"):
+            chord.build_chord_network(2, shard=2)
+
+    @pytest.mark.parametrize("mode,value", MODES)
+    @pytest.mark.parametrize("experiment", ["static", "churn", "partition"])
+    def test_experiments_forward_every_mode(self, monkeypatch, experiment, mode, value):
+        """A dropped forward would let the shards/fused/reliable bit-identity
+        suites pass vacuously — both sides running the default."""
+        from repro import experiments
+        from repro.sim.shards import ShardedEventLoop
+
+        class Built(Exception):
+            """Carries the simulation out and ends the run before it starts."""
+
+        real = chord.OverlaySimulation
+
+        def spy(*args, **kwargs):
+            raise Built(real(*args, **kwargs), kwargs)
+
+        monkeypatch.setattr(chord, "OverlaySimulation", spy)
+        run = {
+            "static": lambda **kw: experiments.run_static_experiment(4, **kw),
+            "churn": lambda **kw: experiments.run_churn_experiment(4, 60.0, **kw),
+            "partition": lambda **kw: experiments.run_partition_experiment(4, **kw),
+        }[experiment]
+        with pytest.raises(Built) as built:
+            run(**{mode: value})
+        sim, kwargs = built.value.args
+        assert kwargs[mode] == value
+        assert getattr(sim, mode) == value
+        assert isinstance(sim.loop, ShardedEventLoop) == (mode == "shards")
+        assert (sim.network.reliable_layer is not None) == (mode == "reliable")

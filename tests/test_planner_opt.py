@@ -280,6 +280,24 @@ def test_planner_installs_plan_indexes():
     assert (0, 1) in node.tables.get("wide").indexed_positions()
 
 
+def test_join_order_work_counts_on_wide_vs_link():
+    """What reordering buys, as exact work: with 512 `wide` rows and 8 `link`
+    rows one firing derives the same 8 heads from 9 table probes (1 on
+    `link`, then 1 on `wide` per surviving row) instead of the naive 513
+    (1 on `wide`, then 1 on `link` per wide row)."""
+    probes = {}
+    for optimize in (True, False):
+        node = make_node(WIDE_VS_LINK, True, optimize=optimize)
+        for i in range(512):
+            node.tables.get("wide").insert(Tuple.make("wide", "n1", i, i * 2), 0.0)
+        for i in range(8):
+            node.tables.get("link").insert(Tuple.make("link", "n1", 7, i), 0.0)
+        (strand,) = node.compiled.strands_by_event["trig"]
+        assert len(strand.fire(Tuple.make("trig", "n1", 7))) == 8
+        probes[optimize] = sum(t.stats.lookups for t in node.tables)
+    assert probes == {True: 9, False: 513}
+
+
 def test_program_plan_is_cached_on_program():
     program = parse_program(WIDE_VS_LINK)
     assert optimize_program(program) is optimize_program(program)

@@ -98,6 +98,11 @@ class TestGossipOverlay:
         node = sim.add_node()
         text = node.describe_dataflow()
         assert "G2" in text and "tables:" in text
+        # a lone node gossips to nobody: G2/G3's neighbor joins reject every
+        # firing, and the element dump shows the drops as they happen
+        assert "G3:join:neighbor".ljust(40) + " dropped=0" in text
+        sim.run_for(3.5)
+        assert "G3:join:neighbor".ljust(40) + " dropped=3" in node.describe_dataflow()
 
 
 class TestRuntimeBasics:

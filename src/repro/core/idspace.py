@@ -15,7 +15,7 @@ all share one definition.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional
+from typing import Iterable, Optional
 
 from .errors import ValueError_
 
@@ -103,7 +103,3 @@ class IdSpace:
             if best_dist is None or d < best_dist:
                 best, best_dist = m, d
         return best
-
-    def sort_ring(self, members: Iterable[int], origin: int = 0) -> List[int]:
-        """Members sorted clockwise starting from *origin*."""
-        return sorted(members, key=lambda m: self.distance(origin, m))

@@ -71,10 +71,6 @@ class Tuple:
         """Convenience constructor: ``Tuple.make("succ", ni, s, si)``."""
         return cls(name, fields)
 
-    def rename(self, name: str) -> "Tuple":
-        """Return a copy of this tuple under a different relation name."""
-        return Tuple(name, self.fields)
-
     def append(self, *extra: Any) -> "Tuple":
         """Return a new tuple with *extra* values appended."""
         return Tuple(self.name, self.fields + tuple(values.coerce(x) for x in extra))

@@ -9,7 +9,8 @@ is not an element here: the node's per-relation handlers call
 
 Every operator needs a *host* to build evaluation contexts: the hosting node
 runtime (clock, RNG, address, identifier space, built-in registry).  Tests use
-a lightweight stand-in.
+a lightweight stand-in.  The planner builds a program's operators once, with
+no host, and gives every node copies pointed at it (:meth:`Element.rebind`).
 
 ``process`` is each operator's reference semantics.  The strand compiler
 (:mod:`repro.planner.strand_compiler`) reads an operator's programs, table
@@ -61,6 +62,11 @@ class PelElement(Element):
     def __init__(self, host: Any, name: str = ""):
         super().__init__(name)
         self.host = host
+
+    def rebind(self, host: Any, tables: Any) -> "PelElement":
+        clone = super().rebind(host, tables)
+        clone.host = host
+        return clone
 
     def _context(self, fields: Sequence[Any]) -> EvalContext:
         return EvalContext(
@@ -151,6 +157,11 @@ class LookupJoin(PelElement):
         self.table = table
         self.table_positions = list(table_positions)
         self.key_programs = list(key_programs)
+
+    def rebind(self, host: Any, tables: Any) -> "LookupJoin":
+        clone = super().rebind(host, tables)
+        clone.table = tables.get(self.table.name)
+        return clone
 
     def _matches_iter(self, tup: Tuple) -> Iterable[Tuple]:
         """Matching rows as a live, copy-free iterable.

@@ -26,7 +26,7 @@ errors can cite ``file:line:col``.  Spans never participate in equality.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 from .diagnostics import Span
 
@@ -338,6 +338,8 @@ class Program:
     rules: List[Rule] = field(default_factory=list)
     facts: List[Fact] = field(default_factory=list)
     pragmas: List[AllowPragma] = field(default_factory=list, compare=False, repr=False)
+    #: the one per-program memo (:func:`repro.overlog.check.analyze` owns it)
+    analysis: Any = field(default=None, compare=False, repr=False)
 
     def materialized_names(self) -> List[str]:
         return [m.name for m in self.materializations]
@@ -350,9 +352,6 @@ class Program:
             if m.name == name:
                 return m
         return None
-
-    def rule_count(self) -> int:
-        return len(self.rules)
 
     def counts(self) -> Dict[str, int]:
         """Rule / fact / table counts (the paper's conciseness measure)."""

@@ -32,16 +32,21 @@ finding in the program.  Intentional findings are suppressed inline with an
 Entry points
 ------------
 
+:func:`analyze`
+    ``Program -> ProgramAnalysis`` — one :meth:`ProgramChecker.run`, kept in
+    ``program.analysis``: **the** per-program memo.  The planner hangs its
+    node-independent plans on the same object (:func:`repro.planner.planner.
+    plan_program`), so nothing else caches on a program and one key guards
+    it all.
+
 :func:`check_program`
-    ``Program -> List[Diagnostic]`` — all findings, pragma-suppressed,
-    deduplicated, in source order.  Results are cached on the program
-    object, so the many per-node ``Planner`` instances of a simulation pay
-    for analysis once.
+    ``Program -> List[Diagnostic]`` — the memo's findings: pragma-suppressed,
+    deduplicated, in source order.
 
 :func:`signatures`
-    ``Program -> Dict[str, PredicateInfo]`` — the per-predicate signature
-    and usage map (arity, inferred field types, producers/consumers,
-    materialization) that a cost-based planner needs (ROADMAP open item 2).
+    ``Program -> Dict[str, PredicateInfo]`` — the memo's per-predicate
+    signature and usage map (arity, inferred field types,
+    producers/consumers, materialization), the cost-based planner's input.
 
 Command line
 ------------
@@ -57,7 +62,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from . import ast
 from .builtins import BUILTIN_SIGNATURES
@@ -78,34 +83,10 @@ PERIODIC = "periodic"
 #: it unifies with every type.
 NULL_WILDCARD = "-"
 
-_CACHE_ATTR = "_overlog_check_diagnostics"
-
 
 # ---------------------------------------------------------------------------
 # Public API
 # ---------------------------------------------------------------------------
-
-
-def check_program(program: ast.Program) -> List[Diagnostic]:
-    """All static-analysis findings for *program*, in source order.
-
-    Diagnostics matched by the program's ``olg:allow`` pragmas are dropped.
-    The result is cached on the program object (keyed by rule/fact/
-    materialization counts), so repeated planner invocations over one shared
-    AST — every node of a simulation — analyze once.
-    """
-    key = (len(program.materializations), len(program.rules), len(program.facts))
-    cached = getattr(program, _CACHE_ATTR, None)
-    if cached is not None and cached[0] == key:
-        return list(cached[1])
-    checker = ProgramChecker(program)
-    diagnostics = checker.run()
-    diagnostics = _apply_pragmas(diagnostics, program.pragmas)
-    try:
-        setattr(program, _CACHE_ATTR, (key, list(diagnostics)))
-    except AttributeError:  # pragma: no cover - Program is a plain dataclass
-        pass
-    return diagnostics
 
 
 @dataclass
@@ -130,16 +111,55 @@ class PredicateInfo:
     field_types: List[Optional[str]] = field(default_factory=list)
 
 
-def signatures(program: ast.Program) -> Dict[str, PredicateInfo]:
-    """Per-predicate signatures and usage maps for *program*.
+@dataclass
+class ProgramAnalysis:
+    """What is known about one program that no node can change."""
 
-    Runs the same inference as :func:`check_program` (diagnostics are
-    discarded here); the result feeds join ordering and constant
-    specialization in a future cost-based planner.
-    """
+    #: copies of the rules, materializations and facts lists all of this was
+    #: derived from; :func:`analyze` starts over once the program's differ
+    #: (compared identity first: a hit costs three list walks)
+    key: Tuple[list, list, list]
+    #: every finding, pragma-suppressed, deduplicated, in source order
+    diagnostics: List[Diagnostic]
+    #: per rule its :class:`~repro.planner.analyzer.RuleAnalysis`, or None
+    #: for a rule with an ``OLG001``–``OLG007`` error
+    rule_analyses: List[Optional[Any]]
+    signatures: Dict[str, PredicateInfo]
+    #: plan kind (``optimize``) -> what every node instantiates; filled by
+    #: :func:`repro.planner.planner.plan_program`
+    plans: Dict[bool, Any] = field(default_factory=dict)
+
+
+def analyze(program: ast.Program) -> ProgramAnalysis:
+    """The analysis of *program*: one checker run, remembered on the program."""
+    memo = program.analysis
+    if memo is not None and memo.key == (program.rules, program.materializations, program.facts):
+        return memo
     checker = ProgramChecker(program)
-    checker.run()
-    return checker.predicate_infos()
+    diagnostics = _apply_pragmas(checker.run(), program.pragmas)
+    memo = program.analysis = ProgramAnalysis(
+        (list(program.rules), list(program.materializations), list(program.facts)),
+        diagnostics,
+        checker.rule_analyses,
+        checker.predicate_infos(),
+    )
+    return memo
+
+
+def check_program(program: ast.Program) -> List[Diagnostic]:
+    """All static-analysis findings for *program*, in source order.
+
+    Diagnostics matched by the program's ``olg:allow`` pragmas are dropped.
+    A view of :func:`analyze`'s memo: every node of a simulation, and every
+    other question asked of the same AST, shares one checker run.
+    """
+    return list(analyze(program).diagnostics)
+
+
+def signatures(program: ast.Program) -> Dict[str, PredicateInfo]:
+    """Per-predicate signatures and usage maps for *program* (from the same
+    checker run as :func:`check_program`'s diagnostics)."""
+    return analyze(program).signatures
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +330,8 @@ class ProgramChecker:
         self.env = _TypeEnv(self.sink)
         #: predicate name -> list of (arity, span, usage description)
         self.occurrences: Dict[str, List[Tuple[int, Optional[Span], str]]] = {}
+        #: per rule, its classification — None when the rule has an error
+        self.rule_analyses: List[Optional[Any]] = []
 
     # -- driver ----------------------------------------------------------------
 
@@ -317,7 +339,10 @@ class ProgramChecker:
         from ..planner.analyzer import analyze_rule_into
 
         for rule in self.program.rules:
-            analyze_rule_into(rule, self.program, self.sink)
+            before = len(self.sink.diagnostics)
+            analysis = analyze_rule_into(rule, self.program, self.sink)
+            clean = not any(d.is_error for d in self.sink.diagnostics[before:])
+            self.rule_analyses.append(analysis if clean else None)
         self._collect_occurrences()
         self._check_arities()
         self._check_materializations()
@@ -364,9 +389,7 @@ class ProgramChecker:
                             subject=name,
                         )
                 continue
-            ordered = sorted(
-                uses, key=lambda u: (u[1].line, u[1].column) if u[1] else (0, 0)
-            )
+            ordered = self._in_source_order(uses)
             first_arity, first_span, first_what = ordered[0]
             for arity, span, what in ordered[1:]:
                 if arity != first_arity:
@@ -381,14 +404,14 @@ class ProgramChecker:
                         subject=name,
                     )
 
+    @staticmethod
+    def _in_source_order(uses: List[Tuple[int, Optional[Span], str]]) -> list:
+        return sorted(uses, key=lambda u: (u[1].line, u[1].column) if u[1] else (0, 0))
+
     def arity_of(self, name: str) -> Optional[int]:
+        """The arity of *name*'s first use in the source, or None if unused."""
         uses = self.occurrences.get(name)
-        if not uses:
-            return None
-        ordered = sorted(
-            uses, key=lambda u: (u[1].line, u[1].column) if u[1] else (0, 0)
-        )
-        return ordered[0][0]
+        return self._in_source_order(uses)[0][0] if uses else None
 
     def _check_materializations(self) -> None:
         seen: Dict[str, ast.Materialization] = {}

@@ -3,7 +3,6 @@
 from .analyzer import (
     RuleAnalysis,
     RuleKind,
-    analyze_program,
     analyze_rule,
     analyze_rule_into,
 )
@@ -13,17 +12,22 @@ from .optimizer import (
     ProgramPlan,
     RulePlan,
     join_choice,
-    optimize_program,
     plan_strand,
 )
-from .planner import CompiledDataflow, Planner
+from .planner import (
+    CompiledDataflow,
+    Planner,
+    optimize_program,
+    plan_program,
+    strand_sources,
+)
 from .strand import ContinuousAggregateStrand, HeadRoute, PeriodicSpec, RuleStrand, StrandResult
-from .strand_compiler import StrandSource, fuse_dataflow, strand_sources
+from .strand_compiler import StrandSource
 
 __all__ = [
     "Planner",
     "CompiledDataflow",
-    "fuse_dataflow",
+    "plan_program",
     "strand_sources",
     "StrandSource",
     "RuleStrand",
@@ -42,5 +46,4 @@ __all__ = [
     "RuleKind",
     "analyze_rule",
     "analyze_rule_into",
-    "analyze_program",
 ]

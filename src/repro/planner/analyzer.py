@@ -17,9 +17,12 @@ The analyzer answers, for every rule:
 Findings are emitted as spanned :class:`~repro.overlog.diagnostics.Diagnostic`
 records (codes ``OLG001``–``OLG007``, see :mod:`repro.overlog.diagnostics`)
 through :func:`analyze_rule_into`, so the whole-program pass in
-:mod:`repro.overlog.check` can report every broken rule at once.  The
-original fail-raising API, :func:`analyze_rule`, is a thin wrapper that
-raises :class:`~repro.core.errors.OverlogAnalysisError` (a
+:mod:`repro.overlog.check` can report every broken rule at once — and keep
+each rule's :class:`RuleAnalysis` in the per-program memo
+(``program.analysis.rule_analyses``), which is where the planner reads it:
+a rule is analyzed once per program, not once per node.  The fail-raising
+:func:`analyze_rule` is a thin wrapper for one rule on its own; it raises
+:class:`~repro.core.errors.OverlogAnalysisError` (a
 :class:`~repro.core.errors.PlannerError`) carrying all of the rule's
 diagnostics.
 """
@@ -47,7 +50,6 @@ class RuleAnalysis:
     kind: RuleKind
     #: names of body predicates that may trigger the rule (in body order)
     event_candidates: List[ast.Predicate] = field(default_factory=list)
-    location_variable: Optional[str] = None
 
 
 def analyze_rule(rule: ast.Rule, program: ast.Program) -> RuleAnalysis:
@@ -62,10 +64,6 @@ def analyze_rule(rule: ast.Rule, program: ast.Program) -> RuleAnalysis:
         raise OverlogAnalysisError(sink.sorted())
     assert analysis is not None
     return analysis
-
-
-def analyze_program(program: ast.Program) -> List[RuleAnalysis]:
-    return [analyze_rule(rule, program) for rule in program.rules]
 
 
 def analyze_rule_into(
@@ -89,14 +87,15 @@ def analyze_rule_into(
         )
         return None
 
-    location = _check_localized(rule, sink)
-    _check_safety(rule, sink)
-    _check_negation(rule, program, sink)
+    _check_localized(rule, sink)
+    bound = _bound_variables(rule)
+    _check_safety(rule, bound, sink)
+    _check_negation(rule, program, bound, sink)
 
     has_aggregate = bool(rule.head.aggregate_positions)
     candidates = _event_candidates(rule, program)
 
-    stream_preds = [p for p in positives if not _is_table(p, program)]
+    stream_preds = [p for p in positives if not program.is_materialized(p.name)]
     if stream_preds:
         if not candidates:
             names = ", ".join(p.name for p in stream_preds)
@@ -108,19 +107,15 @@ def analyze_rule_into(
                 subject=stream_preds[0].name,
             )
             return None
-        return RuleAnalysis(rule, RuleKind.EVENT, candidates, location)
+        return RuleAnalysis(rule, RuleKind.EVENT, candidates)
 
     # tables-only body
     if has_aggregate:
-        return RuleAnalysis(rule, RuleKind.CONTINUOUS_AGGREGATE, candidates, location)
-    return RuleAnalysis(rule, RuleKind.TABLE_DELTA, candidates, location)
+        return RuleAnalysis(rule, RuleKind.CONTINUOUS_AGGREGATE, candidates)
+    return RuleAnalysis(rule, RuleKind.TABLE_DELTA, candidates)
 
 
 # -- helpers -----------------------------------------------------------------------
-
-
-def _is_table(pred: ast.Predicate, program: ast.Program) -> bool:
-    return program.is_materialized(pred.name)
 
 
 def _event_candidates(rule: ast.Rule, program: ast.Program) -> List[ast.Predicate]:
@@ -133,12 +128,12 @@ def _event_candidates(rule: ast.Rule, program: ast.Program) -> List[ast.Predicat
     candidates = []
     for pred in positives:
         others = [p for p in positives if p is not pred]
-        if all(_is_table(p, program) for p in others):
+        if all(program.is_materialized(p.name) for p in others):
             candidates.append(pred)
     return candidates
 
 
-def _check_localized(rule: ast.Rule, sink: DiagnosticCollector) -> Optional[str]:
+def _check_localized(rule: ast.Rule, sink: DiagnosticCollector) -> None:
     locations: Set[str] = set()
     for pred in rule.body_predicates():
         if pred.location is not None:
@@ -152,9 +147,6 @@ def _check_localized(rule: ast.Rule, sink: DiagnosticCollector) -> Optional[str]
             rule.span,
             subject=rule.head.name,
         )
-    # min(), not next(iter(...)): with several locations (already an OLG002
-    # error above) the representative must still be hash-order independent.
-    return min(locations) if locations else None
 
 
 def _bound_variables(rule: ast.Rule) -> Set[str]:
@@ -179,8 +171,7 @@ def _bound_variables(rule: ast.Rule) -> Set[str]:
     return bound
 
 
-def _check_safety(rule: ast.Rule, sink: DiagnosticCollector) -> None:
-    bound = _bound_variables(rule)
+def _check_safety(rule: ast.Rule, bound: Set[str], sink: DiagnosticCollector) -> None:
     unbound: List[str] = []
     for f in rule.head.fields:
         if isinstance(f, ast.Aggregate):
@@ -210,9 +201,8 @@ def _check_safety(rule: ast.Rule, sink: DiagnosticCollector) -> None:
 
 
 def _check_negation(
-    rule: ast.Rule, program: ast.Program, sink: DiagnosticCollector
+    rule: ast.Rule, program: ast.Program, bound: Set[str], sink: DiagnosticCollector
 ) -> None:
-    bound = _bound_variables(rule)
     for pred in rule.body_predicates():
         if not pred.negated:
             continue

@@ -1,11 +1,14 @@
 """Cost-based plan optimization: join ordering, index selection, guard hoisting.
 
 This pass sits between whole-program analysis (:func:`repro.overlog.check.
-check_program`) and strand construction (:class:`repro.planner.planner.
-Planner`).  For every (rule, triggering predicate) pair it produces a
+analyze`) and strand construction (:func:`repro.planner.planner.
+plan_program`).  For every (rule, triggering predicate) pair it produces a
 :class:`RulePlan`: the complete placement order for the rule's body terms,
-decided by the greedy cost model below instead of the naive
-first-body-order-join-that-shares-a-variable walk the planner used before.
+decided by the greedy cost model below or — ``optimize=False``, the
+plan-level oracle — by the naive first-body-order-join-that-shares-a-variable
+walk.  Either way each join's :class:`JoinChoice` is *the* statement of which
+table fields it probes: the planner builds the join's key programs from it
+and :func:`index_plan` the secondary indexes.
 
 The cost model — the CHR compilation playbook (Sneyers et al.) restricted to
 what our signatures can estimate — scores each candidate join by
@@ -33,8 +36,9 @@ element types, so the interpreted element walk remains the differential
 oracle and optimized plans must be result-identical (same ``HeadRoute``
 multisets, same fixpoint table states) even where derivation order differs.
 
-:func:`optimize_program` caches its result on the program object (like
-``check_program``), so a many-node simulation plans once.
+Nothing here remembers anything: a program's :class:`ProgramPlan` is part of
+what :func:`repro.planner.planner.plan_program` keeps in the one per-program
+memo (``program.analysis``, see :mod:`repro.overlog.check`).
 """
 
 from __future__ import annotations
@@ -47,8 +51,6 @@ from ..overlog import ast
 
 #: rows assumed for materialized tables with no finite ``max_size`` hint
 DEFAULT_CARDINALITY = 64.0
-
-_CACHE_ATTR = "_planner_program_plan"
 
 
 @dataclass(frozen=True)
@@ -84,7 +86,6 @@ class RulePlan:
 
     rule_id: str
     event_name: str
-    event_body_index: int
     terms: List[PlannedTerm]
     #: True when the order differs from what the naive planner would pick
     reordered: bool = False
@@ -109,12 +110,6 @@ class ProgramPlan:
     rules: List[RulePlan] = field(default_factory=list)
     #: table name -> probe position sets needing a secondary index
     indexes: Dict[str, List[PyTuple[int, ...]]] = field(default_factory=dict)
-
-    def rule_plan(self, rule_id: str, event_body_index: int) -> Optional[RulePlan]:
-        for plan in self.rules:
-            if plan.rule_id == rule_id and plan.event_body_index == event_body_index:
-                return plan
-        return None
 
     def render(self) -> str:
         lines: List[str] = []
@@ -161,9 +156,9 @@ def _describe_term(planned: PlannedTerm) -> str:
 def join_choice(pred: ast.Predicate, bound: Sequence[str], infos: Dict[str, Any]) -> JoinChoice:
     """Cost one candidate (anti)join given the currently bound variables.
 
-    Mirrors ``Planner._compile_join``'s probe construction: bound variables
-    and constants become probe key positions; repeated *new* variables
-    become post-selects and do not narrow the probe.
+    Bound variables and constants become probe key positions (the planner
+    builds the join's key programs for exactly these); repeated *new*
+    variables become post-selects and do not narrow the probe.
     """
     bound_set = set(bound)
     probe: List[int] = []
@@ -242,15 +237,10 @@ def plan_strand(
     detect which optimized plans actually reordered anything.
     """
     bound = _initial_bound(event_pred)
-    event_body_index = next(
-        i for i, t in enumerate(rule.body) if t is event_pred
-    )
     remaining: List[PyTuple[int, ast.BodyTerm]] = [
         (i, t) for i, t in enumerate(rule.body) if t is not event_pred
     ]
-    positive_total = sum(
-        1 for _, t in remaining if isinstance(t, ast.Predicate) and not t.negated
-    )
+    any_positive = any(isinstance(t, ast.Predicate) and not t.negated for _, t in remaining)
     positive_placed = 0
     terms: List[PlannedTerm] = []
 
@@ -260,79 +250,50 @@ def plan_strand(
             for i, t in remaining
         )
 
+    def first_guard(kind: type) -> Optional[PyTuple[int, ast.BodyTerm]]:
+        return next(
+            (e for e in remaining if isinstance(e[1], kind) and _placeable_guard(e[1], bound)),
+            None,
+        )
+
     while remaining:
-        picked: Optional[PyTuple[int, ast.BodyTerm]] = None
-        kind = ""
-        choice: Optional[JoinChoice] = None
-        for i, t in remaining:
-            if isinstance(t, ast.Selection) and _placeable_guard(t, bound):
-                picked, kind = (i, t), "select"
-                break
-        if picked is None:
-            for i, t in remaining:
-                if isinstance(t, ast.Assignment) and _placeable_guard(t, bound):
-                    picked, kind = (i, t), "assign"
-                    break
-        if picked is None and optimize:
+        positive = [
+            e for e in remaining if isinstance(e[1], ast.Predicate) and not e[1].negated
+        ]
+        antijoin = next(
+            (
+                e for e in remaining
+                if isinstance(e[1], ast.Predicate) and e[1].negated
+                and _antijoin_ready(e[1], bound)
+            ),
+            None,
+        )
+        if picked := first_guard(ast.Selection):
+            kind = "select"
+        elif picked := first_guard(ast.Assignment):
+            kind = "assign"
+        elif optimize and antijoin and (positive_placed or not any_positive):
             # anti-joins are filters: run them as soon as they are legal
-            if positive_placed > 0 or positive_total == 0:
-                for i, t in remaining:
-                    if (
-                        isinstance(t, ast.Predicate)
-                        and t.negated
-                        and _antijoin_ready(t, bound)
-                    ):
-                        picked, kind = (i, t), "antijoin"
-                        choice = join_choice(t, bound, infos)
-                        break
-            if picked is None:
-                candidates = [
-                    (i, t)
-                    for i, t in remaining
-                    if isinstance(t, ast.Predicate) and not t.negated
-                ]
-                if candidates:
-                    scored = [
-                        (join_choice(t, bound, infos), i, t) for i, t in candidates
-                    ]
-                    scored.sort(key=lambda entry: _score(entry[0], entry[1]))
-                    choice, i, t = scored[0]
-                    picked, kind = (i, t), "join"
-        elif picked is None:
-            positive = [
-                (i, t)
-                for i, t in remaining
-                if isinstance(t, ast.Predicate) and not t.negated
-            ]
-            sharing = [
-                (i, t)
-                for i, t in positive
-                if any(v in bound for v in t.arg_variables())
-            ]
-            if sharing:
-                picked, kind = sharing[0], "join"
-            elif positive:
-                picked, kind = positive[0], "join"
-            if picked is not None:
-                choice = join_choice(picked[1], bound, infos)
-        if picked is None:
-            for i, t in remaining:
-                if (
-                    isinstance(t, ast.Predicate)
-                    and t.negated
-                    and _antijoin_ready(t, bound)
-                ):
-                    picked, kind = (i, t), "antijoin"
-                    choice = join_choice(t, bound, infos)
-                    break
-        if picked is None:
+            picked, kind = antijoin, "antijoin"
+        elif positive:
+            if optimize:
+                picked = min(
+                    positive, key=lambda e: _score(join_choice(e[1], bound, infos), e[0])
+                )
+            else:
+                sharing = [e for e in positive if any(v in bound for v in e[1].arg_variables())]
+                picked = (sharing or positive)[0]
+            kind = "join"
+        elif antijoin:
+            picked, kind = antijoin, "antijoin"
+        else:
             raise PlannerError(
                 f"rule {rule.rule_id}: cannot order body terms "
                 f"{[str(t) for _, t in remaining]} with bound variables {sorted(bound)}"
             )
-
         body_index, term = picked
-        hoisted = kind in ("select", "assign", "antijoin") and hoisted_past_join(body_index)
+        choice = join_choice(term, bound, infos) if kind in ("join", "antijoin") else None
+        hoisted = kind != "join" and hoisted_past_join(body_index)
         remaining.remove(picked)
         if kind == "assign":
             bound.add(term.variable)
@@ -342,7 +303,7 @@ def plan_strand(
                 bound.add(var)
         terms.append(PlannedTerm(body_index, term, kind, choice, hoisted))
 
-    return RulePlan(rule.rule_id, event_pred.name, event_body_index, terms)
+    return RulePlan(rule.rule_id, event_pred.name, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -350,58 +311,29 @@ def plan_strand(
 # ---------------------------------------------------------------------------
 
 
-def optimize_program(program: ast.Program) -> ProgramPlan:
-    """Plan every strand of *program* and derive the secondary-index plan.
+def index_plan(
+    rule_plans: Sequence[RulePlan], infos: Dict[str, Any]
+) -> Dict[str, List[PyTuple[int, ...]]]:
+    """The secondary indexes *rule_plans*' probes need, per table (sorted).
 
-    The result is cached on the program object (keyed like
-    ``check_program``'s cache), so the per-node planners of a simulation
-    share one plan.
+    A probe on exactly the declared primary key needs none.
     """
-    key = (len(program.materializations), len(program.rules), len(program.facts))
-    cached = getattr(program, _CACHE_ATTR, None)
-    if cached is not None and cached[0] == key:
-        return cached[1]
-
-    from ..overlog.check import signatures
-    from .analyzer import RuleKind, analyze_rule
-
-    infos = signatures(program)
-    plan = ProgramPlan()
-    for rule in program.rules:
-        analysis = analyze_rule(rule, program)
-        if analysis.kind is RuleKind.CONTINUOUS_AGGREGATE:
-            candidates = [rule.positive_predicates()[0]]
-        else:
-            candidates = list(analysis.event_candidates)
-        for event_pred in candidates:
-            optimized = plan_strand(rule, event_pred, infos, optimize=True)
-            naive = plan_strand(rule, event_pred, infos, optimize=False)
-            optimized.reordered = optimized.order() != naive.order()
-            plan.rules.append(optimized)
-
     key_positions = {
         name: tuple(k - 1 for k in info.keys)
         for name, info in infos.items()
         if info.materialized and info.keys
     }
-    seen: Dict[str, set] = {}
-    for rule_plan in plan.rules:
+    indexes: Dict[str, List[PyTuple[int, ...]]] = {}
+    for rule_plan in rule_plans:
         for planned in rule_plan.terms:
-            if planned.kind not in ("join", "antijoin") or planned.choice is None:
+            if planned.choice is None:
                 continue
             positions = planned.choice.probe_positions
             name = planned.term.name
             if not positions or positions == key_positions.get(name):
                 continue
-            if positions in seen.setdefault(name, set()):
-                continue
-            seen[name].add(positions)
-            plan.indexes.setdefault(name, []).append(positions)
-    for name in plan.indexes:
-        plan.indexes[name].sort()
-
-    try:
-        setattr(program, _CACHE_ATTR, (key, plan))
-    except AttributeError:  # pragma: no cover - Program is a plain dataclass
-        pass
-    return plan
+            if positions not in indexes.setdefault(name, []):
+                indexes[name].append(positions)
+    for positions in indexes.values():
+        positions.sort()
+    return indexes

@@ -11,12 +11,26 @@ Mirrors Section 3.5 of the paper: for every rule the planner
 5. records how head tuples are routed (local table insert, local stream
    loop-back, network send, or deletion).
 
-The output is a :class:`CompiledDataflow` that the node runtime executes.
+Planned once, bound per node
+----------------------------
+
+None of that depends on the node, so :func:`plan_program` does it **once per
+program and plan kind** — strands built with no host over schema-only tables
+— and keeps placement orders, index plan, operator chains with their PEL
+programs and the generated strand sources in the one per-program memo,
+``program.analysis`` (:func:`repro.overlog.check.analyze` owns it and its
+key; the diagnostics, rule classifications and signatures planning starts
+from are in the same object).  :meth:`Planner.compile` only *instantiates* a
+plan for one node: its tables and indexes, copies of the strands and
+operators pointed at its host and tables with counters of their own
+(:meth:`RuleStrand.rebind`), its facts, the generated functions bound to all
+of that — the :class:`CompiledDataflow` the node runtime executes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Any, Dict, List, Optional, Sequence, Tuple as PyTuple
 
 from ..core.errors import OverlogAnalysisError, PlannerError
@@ -32,12 +46,16 @@ from ..dataflow.operators import (
     Select,
 )
 from ..overlog import ast, parse_program
+from ..overlog.check import ProgramAnalysis, analyze
 from ..pel import compile_expression, constant_program, load_program
+from ..pel.opcodes import Op
 from ..pel.program import Program as PelProgram
-from ..tables.table import INFINITY, Table, TableStore
-from .analyzer import RuleAnalysis, RuleKind, analyze_rule
-from .optimizer import ProgramPlan, optimize_program, plan_strand
+from ..pel.vm import VM, EvalContext
+from ..tables.table import INFINITY, TableStore
+from .analyzer import RuleKind, analyze_rule
+from .optimizer import PlannedTerm, ProgramPlan, RulePlan, index_plan, plan_strand
 from .strand import ContinuousAggregateStrand, PeriodicSpec, RuleStrand
+from .strand_compiler import StrandSource, fuse_dataflow, generate_sources
 
 
 @dataclass
@@ -82,15 +100,77 @@ class CompiledDataflow:
         return "\n".join(lines)
 
 
-class Planner:
-    """Compiles one OverLog program for one hosting node.
+@dataclass
+class PlannedProgram:
+    """One plan kind of one program, with no node in it: what every node of
+    a simulation instantiates (:meth:`Planner.compile`)."""
 
-    Before planning, the whole-program static analyzer
-    (:func:`repro.overlog.check.check_program`) runs over the program; any
-    error diagnostic raises :class:`~repro.core.errors.OverlogAnalysisError`
-    with the full spanned report.  ``strict=True`` promotes warnings (dead
-    rules, unread tables, ...) to fatal as well.  Results are cached on the
-    shared program object, so a many-node simulation analyzes once.
+    #: every strand's placement order, and the secondary indexes they probe
+    plan: ProgramPlan
+    #: the strands themselves, their operators pointing at no host and at
+    #: schema-only tables; never fired — nodes run rebound copies
+    dataflow: CompiledDataflow
+
+    @cached_property
+    def sources(self) -> List[StrandSource]:
+        """The strands' generated modules, made when first asked for (the
+        first fused node to bind, or :meth:`Planner.explain_source`)."""
+        return generate_sources(self.dataflow)
+
+
+def plan_program(program: "ast.Program | str", *, optimize: bool = True) -> PlannedProgram:
+    """Everything about running *program* that does not depend on a node.
+
+    Built once per program and plan kind and kept in the program's memo
+    (``program.analysis.plans``), so it is dropped with it when a rule,
+    materialization or fact changes.  Raises what planning raises; whether
+    the program's *diagnostics* are fatal is the caller's call.
+    """
+    if isinstance(program, str):
+        program = parse_program(program)
+    analysis = analyze(program)
+    planned = analysis.plans.get(optimize)
+    if planned is None:
+        planned = analysis.plans[optimize] = _StrandBuilder(program, analysis, optimize).build()
+    return planned
+
+
+def optimize_program(program: ast.Program) -> ProgramPlan:
+    """The cost-based plan of every strand of *program*, and its index plan."""
+    return plan_program(program).plan
+
+
+def strand_sources(compiled: CompiledDataflow) -> List[StrandSource]:
+    """The generated module of every strand of *compiled*, in strand order:
+    one list per program and plan kind, shared by every node built from it."""
+    return plan_program(compiled.program, optimize=compiled.optimized).sources
+
+
+def create_tables(program: ast.Program, tables: TableStore) -> TableStore:
+    """Create in *tables* each of *program*'s materialized tables it lacks."""
+    for mat in program.materializations:
+        if tables.has(mat.name):
+            continue
+        key_positions = [k - 1 for k in mat.keys]
+        if any(k < 0 for k in key_positions):
+            raise PlannerError(f"table {mat.name}: keys(...) positions are 1-based")
+        tables.create(
+            mat.name,
+            key_positions,
+            lifetime=mat.lifetime if mat.lifetime != float("inf") else INFINITY,
+            max_size=mat.max_size if mat.max_size != float("inf") else INFINITY,
+        )
+    return tables
+
+
+class Planner:
+    """Instantiates one OverLog program for one hosting node.
+
+    The program's analysis and plan are shared (:func:`plan_program`); any
+    error diagnostic in the analysis raises
+    :class:`~repro.core.errors.OverlogAnalysisError` with the full spanned
+    report.  ``strict=True`` promotes warnings (dead rules, unread tables,
+    ...) to fatal as well.
     """
 
     def __init__(
@@ -116,72 +196,69 @@ class Planner:
         self.optimize = optimize
         #: treat analyzer warnings as fatal
         self.strict = strict
-        self._plan: Optional[ProgramPlan] = None
 
     # -- public API ---------------------------------------------------------------
     def compile(self) -> CompiledDataflow:
-        compiled = self._compile_rules()
-        compiled.facts = [self._resolve_fact(f) for f in self.program.facts]
-        if self.fused:
-            from .strand_compiler import fuse_dataflow
-
-            fuse_dataflow(compiled, self.host)
-        return compiled
-
-    def _compile_rules(self) -> CompiledDataflow:
-        """Tables, indexes and every rule's strands: all that needs no host."""
-        from ..overlog.check import check_program
-
-        diagnostics = check_program(self.program)
-        fatal = [d for d in diagnostics if d.is_error or self.strict]
+        """The plan, instantiated: what this node alone owns."""
+        program, host, tables = self.program, self.host, self.tables
+        fatal = [d for d in analyze(program).diagnostics if d.is_error or self.strict]
         if fatal:
             raise OverlogAnalysisError(fatal)
-        compiled = CompiledDataflow(self.program)
-        compiled.optimized = self.optimize
-        compiled.transmit = TransmitBuffer(name="transmit")
-        compiled.graph.add(compiled.transmit)
-        self._create_tables()
-        if self.optimize:
-            self._plan = optimize_program(self.program)
-            self._install_indexes(self._plan)
-        for rule in self.program.rules:
-            analysis = analyze_rule(rule, self.program)
-            if analysis.kind is RuleKind.CONTINUOUS_AGGREGATE:
-                compiled.continuous.append(self._compile_continuous(rule, compiled))
-                continue
-            for event_pred in analysis.event_candidates:
-                strand = self._compile_strand(rule, event_pred, compiled)
-                if event_pred.name == "periodic":
-                    compiled.periodics.append(self._periodic_spec(rule, event_pred, strand))
-                else:
-                    compiled.strands_by_event.setdefault(event_pred.name, []).append(strand)
-        return compiled
-
-    # -- tables ---------------------------------------------------------------------
-    def _create_tables(self) -> None:
-        for mat in self.program.materializations:
-            if self.tables.has(mat.name):
-                continue
-            key_positions = [k - 1 for k in mat.keys]
-            if any(k < 0 for k in key_positions):
-                raise PlannerError(f"table {mat.name}: keys(...) positions are 1-based")
-            self.tables.create(
-                mat.name,
-                key_positions,
-                lifetime=mat.lifetime if mat.lifetime != float("inf") else INFINITY,
-                max_size=mat.max_size if mat.max_size != float("inf") else INFINITY,
-            )
-
-    def _install_indexes(self, plan: ProgramPlan) -> None:
-        """Create the plan's secondary indexes up-front (still lazily safe:
-        ``_compile_join`` keeps adding any index a join needs on demand)."""
-        for name, position_sets in plan.indexes.items():
-            if not self.tables.has(name):
-                continue
-            table = self.tables.get(name)
+        planned = plan_program(program, optimize=self.optimize)
+        create_tables(program, tables)
+        for name, position_sets in planned.plan.indexes.items():
+            table = tables.get(name)
             for positions in position_sets:
                 if not table.has_index(positions):
                     table.add_index(positions)
+        template = planned.dataflow
+        compiled = CompiledDataflow(
+            program,
+            strands_by_event={
+                name: [strand.rebind(host, tables) for strand in strands]
+                for name, strands in template.strands_by_event.items()
+            },
+            continuous=[strand.rebind(host, tables) for strand in template.continuous],
+            periodics=[
+                replace(spec, strand=spec.strand.rebind(host, tables))
+                for spec in template.periodics
+            ],
+            facts=[self._resolve_fact(fact) for fact in program.facts],
+            transmit=TransmitBuffer(name="transmit"),
+            optimized=self.optimize,
+        )
+        compiled.graph.add(compiled.transmit)
+        for strand in compiled.all_strands() + compiled.continuous:
+            for element in strand.elements():
+                compiled.graph.add(element)
+        if self.fused:
+            fuse_dataflow(compiled, planned.sources, host)
+        return compiled
+
+    @classmethod
+    def explain(cls, program: "ast.Program | str", *, optimize: bool = True) -> str:
+        """Render the chosen plan for *program* as stable text.
+
+        Shows every strand's placement order (join order with probe/index
+        annotations, hoisted guards) followed by the secondary-index plan —
+        the output the golden plan snapshots under ``tests/golden/plans/``
+        pin.  Works on the AST alone: no host or table store is needed.
+        """
+        return plan_program(program, optimize=optimize).plan.render()
+
+    @classmethod
+    def explain_source(cls, program: "ast.Program | str", *, optimize: bool = True) -> str:
+        """The Python source generated for every strand of *program*.
+
+        What a fused node actually runs, one ``bind`` module per strand under
+        a ``# ----`` header naming it — the text the golden snapshots under
+        ``tests/golden/strands/`` pin.  Like :meth:`explain` it needs no host:
+        the text depends on the program and the plan only.
+        """
+        return "\n".join(
+            f"# ---- {source.name}\n{source.text}"
+            for source in plan_program(program, optimize=optimize).sources
+        )
 
     # -- facts ----------------------------------------------------------------------
     def _resolve_fact(self, fact: ast.Fact) -> Tuple:
@@ -199,22 +276,56 @@ class Planner:
                     )
             elif isinstance(arg, ast.FunctionCall):
                 program = compile_expression(arg, {})
-                from ..pel.vm import VM, EvalContext
-
-                ctx = EvalContext(
-                    fields=(),
-                    builtins=getattr(self.host, "builtins", {}),
-                    node=self.host,
-                    idspace=getattr(self.host, "idspace", None),
-                )
-                fields.append(VM.execute(program, ctx))
+                fields.append(VM.execute(program, EvalContext.for_host(self.host)))
             else:
                 raise PlannerError(f"fact {fact.name}: unsupported argument {arg}")
         return Tuple(fact.name, fields)
 
+
+class _StrandBuilder:
+    """Turns a program's rules into strands that point at no host.
+
+    One instance builds one plan kind (:func:`plan_program` is the only
+    caller): every operator gets ``host=None`` and a table of a scratch
+    store that only says which relations are materialized; a node's copies
+    are re-pointed by ``rebind``.
+    """
+
+    def __init__(self, program: ast.Program, analysis: ProgramAnalysis, optimize: bool):
+        self.program = program
+        self.analysis = analysis
+        self.optimize = optimize
+        self.tables = create_tables(program, TableStore())
+
+    def build(self) -> PlannedProgram:
+        """The one loop that turns rules into plans and strands."""
+        program, infos = self.program, self.analysis.signatures
+        dataflow = CompiledDataflow(program, optimized=self.optimize)
+        rule_plans: List[RulePlan] = []
+        for rule, analysis in zip(program.rules, self.analysis.rule_analyses):
+            if analysis is None:
+                analysis = analyze_rule(rule, program)  # raises the rule's errors
+            continuous = analysis.kind is RuleKind.CONTINUOUS_AGGREGATE
+            events = rule.positive_predicates()[:1] if continuous else analysis.event_candidates
+            for event_pred in events:
+                rule_plan = plan_strand(rule, event_pred, infos, optimize=self.optimize)
+                if self.optimize:
+                    naive = plan_strand(rule, event_pred, infos, optimize=False)
+                    rule_plan.reordered = rule_plan.order() != naive.order()
+                rule_plans.append(rule_plan)
+                strand = self._compile_strand(rule, event_pred, rule_plan.terms)
+                if continuous:
+                    dataflow.continuous.append(self._continuous(rule, strand))
+                elif event_pred.name == "periodic":
+                    dataflow.periodics.append(self._periodic_spec(rule, event_pred, strand))
+                else:
+                    dataflow.strands_by_event.setdefault(event_pred.name, []).append(strand)
+        plan = ProgramPlan(rule_plans, index_plan(rule_plans, infos))
+        return PlannedProgram(plan, dataflow)
+
     # -- strand compilation ------------------------------------------------------------
     def _compile_strand(
-        self, rule: ast.Rule, event_pred: ast.Predicate, compiled: CompiledDataflow
+        self, rule: ast.Rule, event_pred: ast.Predicate, terms: Sequence[PlannedTerm]
     ) -> RuleStrand:
         schema: Dict[str, int] = {}
         width = len(event_pred.args)
@@ -225,11 +336,11 @@ class Planner:
         for pos, arg in enumerate(event_pred.args):
             if isinstance(arg, ast.Variable):
                 if arg.name in schema:
-                    ops.append(self._equality_select(schema[arg.name], pos, rule))
+                    ops.append(self._eq_select(schema[arg.name], load_program(pos), rule, "eq"))
                 else:
                     schema[arg.name] = pos
             elif isinstance(arg, ast.Constant):
-                ops.append(self._constant_select(pos, arg.value, rule))
+                ops.append(self._eq_select(pos, constant_program(arg.value), rule, "const"))
             elif isinstance(arg, ast.DontCare):
                 continue
             else:
@@ -241,7 +352,7 @@ class Planner:
         if event_pred.location and event_pred.location not in schema:
             ops.append(
                 Assign(
-                    self.host,
+                    None,
                     PelProgram(source="f_localAddr()").extend(
                         compile_expression(ast.FunctionCall("f_localAddr", ()), {})
                     ),
@@ -254,11 +365,12 @@ class Planner:
         # 2. place the remaining body terms in plan order: the cost-based
         #    optimizer's choice by default, the naive body-order walk when
         #    ``optimize=False`` (the plan-level differential oracle)
-        for term in self._placement_order(rule, event_pred):
+        for planned in terms:
+            term = planned.term
             if isinstance(term, ast.Selection):
                 ops.append(
                     Select(
-                        self.host,
+                        None,
                         compile_expression(term.expression, schema),
                         name=f"{rule.rule_id}:select",
                     )
@@ -266,7 +378,7 @@ class Planner:
             elif isinstance(term, ast.Assignment):
                 ops.append(
                     Assign(
-                        self.host,
+                        None,
                         compile_expression(term.expression, schema),
                         name=f"{rule.rule_id}:assign:{term.variable}",
                     )
@@ -275,7 +387,7 @@ class Planner:
                 width += 1
             elif isinstance(term, ast.Predicate):
                 join_index = len(ops)
-                new_ops, width = self._compile_join(term, schema, width, rule)
+                new_ops, width = self._compile_join(planned, schema, width, rule)
                 ops.extend(new_ops)
                 if not term.negated and first_join_index is None:
                     first_join_index = join_index
@@ -283,127 +395,54 @@ class Planner:
                 raise PlannerError(f"rule {rule.rule_id}: unexpected body term {term}")
 
         # 3. head projection / aggregation / routing
-        strand = self._build_head(rule, event_pred, schema, ops, first_join_index)
-        for element in strand.elements():
-            compiled.graph.add(element)
-        return strand
-
-    def _placement_order(
-        self, rule: ast.Rule, event_pred: ast.Predicate
-    ) -> List[ast.BodyTerm]:
-        """The execution order for *rule*'s body terms (event excluded).
-
-        With ``optimize=True`` the order comes from the cached whole-program
-        :class:`~repro.planner.optimizer.ProgramPlan`; otherwise
-        :func:`~repro.planner.optimizer.plan_strand` replays the historical
-        naive walk (selections, then assignments — cheap, reduce work early,
-        the paper's "push a selection upstream of an equijoin" — then the
-        first body-order join sharing a bound variable, then any positive
-        join, negated predicates last).
-        """
-        if self.optimize and self._plan is not None:
-            event_body_index = next(
-                i for i, t in enumerate(rule.body) if t is event_pred
-            )
-            rule_plan = self._plan.rule_plan(rule.rule_id, event_body_index)
-            if rule_plan is not None:
-                return [planned.term for planned in rule_plan.terms]
-        rule_plan = plan_strand(rule, event_pred, {}, optimize=self.optimize)
-        return [planned.term for planned in rule_plan.terms]
-
-    @classmethod
-    def explain(cls, program: "ast.Program | str", *, optimize: bool = True) -> str:
-        """Render the chosen plan for *program* as stable text.
-
-        Shows every strand's placement order (join order with probe/index
-        annotations, hoisted guards) followed by the secondary-index plan —
-        the output the golden plan snapshots under ``tests/golden/plans/``
-        pin.  Works on the AST alone: no host or table store is needed.
-        """
-        if isinstance(program, str):
-            program = parse_program(program)
-        if optimize:
-            return optimize_program(program).render()
-        from ..overlog.check import signatures
-
-        infos = signatures(program)
-        plan = ProgramPlan()
-        for rule in program.rules:
-            analysis = analyze_rule(rule, program)
-            if analysis.kind is RuleKind.CONTINUOUS_AGGREGATE:
-                candidates = [rule.positive_predicates()[0]]
-            else:
-                candidates = list(analysis.event_candidates)
-            for event_pred in candidates:
-                plan.rules.append(
-                    plan_strand(rule, event_pred, infos, optimize=False)
-                )
-        return plan.render()
-
-    @classmethod
-    def explain_source(cls, program: "ast.Program | str", *, optimize: bool = True) -> str:
-        """The Python source generated for every strand of *program*.
-
-        What a fused node actually runs, one ``bind`` module per strand under
-        a ``# ----`` header naming it — the text the golden snapshots under
-        ``tests/golden/strands/`` pin.  Like :meth:`explain` it needs no host:
-        the text depends on the program and the plan only.
-        """
-        from .strand_compiler import strand_sources
-
-        compiled = cls(program, None, TableStore(), optimize=optimize)._compile_rules()
-        return "\n".join(
-            f"# ---- {source.name}\n{source.text}" for source in strand_sources(compiled)
-        )
+        return self._build_head(rule, event_pred, schema, ops, first_join_index)
 
     def _compile_join(
         self,
-        pred: ast.Predicate,
+        planned: PlannedTerm,
         schema: Dict[str, int],
         width: int,
         rule: ast.Rule,
     ) -> PyTuple[List[Element], int]:
+        """The (anti)join of *planned*, probing the fields its choice names."""
+        pred = planned.term
         if not self.tables.has(pred.name):
             raise PlannerError(
                 f"rule {rule.rule_id}: predicate {pred.name!r} is not a materialized "
                 "table and cannot be joined against (declare it with materialize)"
             )
         table = self.tables.get(pred.name)
-        table_positions: List[int] = []
+        table_positions = planned.choice.probe_positions
         key_programs: List[PelProgram] = []
         post_selects: List[Element] = []
         new_vars: Dict[str, int] = {}
         for pos, arg in enumerate(pred.args):
-            if isinstance(arg, ast.Variable):
-                if arg.name in schema:
-                    table_positions.append(pos)
+            if pos in table_positions:
+                if isinstance(arg, ast.Variable):
                     key_programs.append(load_program(schema[arg.name], arg.name))
-                elif arg.name in new_vars:
+                else:
+                    key_programs.append(constant_program(arg.value))
+            elif isinstance(arg, ast.Variable):
+                if arg.name in new_vars:
+                    repeat = width + new_vars[arg.name]
                     post_selects.append(
-                        self._equality_select(width + new_vars[arg.name], width + pos, rule)
+                        self._eq_select(repeat, load_program(width + pos), rule, "eq")
                     )
                 else:
                     new_vars[arg.name] = pos
-            elif isinstance(arg, ast.Constant):
-                table_positions.append(pos)
-                key_programs.append(constant_program(arg.value))
-            elif isinstance(arg, ast.DontCare):
-                continue
-            else:
+            elif not isinstance(arg, ast.DontCare):
                 raise PlannerError(
                     f"rule {rule.rule_id}: complex expression {arg} not allowed as a "
                     "body-predicate argument"
                 )
-        if table_positions and not table.has_index(table_positions):
-            table.add_index(table_positions)
         if pred.negated:
             op: Element = AntiJoin(
-                self.host, table, table_positions, key_programs,
+                None, table, table_positions, key_programs,
                 name=f"{rule.rule_id}:antijoin:{pred.name}",
             )
             return [op] + post_selects, width
         op = LookupJoin(
-            self.host, table, table_positions, key_programs,
+            None, table, table_positions, key_programs,
             name=f"{rule.rule_id}:join:{pred.name}",
         )
         for var, pos in new_vars.items():
@@ -453,9 +492,7 @@ class Planner:
                 "appear among the head fields so the tuple can be routed"
             )
 
-        project = Project(
-            self.host, head_programs, head.name, name=f"{rule.rule_id}:project"
-        )
+        project = Project(None, head_programs, head.name, name=f"{rule.rule_id}:project")
         aggregate: Optional[Aggregate] = None
         fallback_project: Optional[Project] = None
         if agg_specs:
@@ -510,21 +547,17 @@ class Planner:
             except Exception:
                 return None
         return Project(
-            self.host, programs, rule.head.name, name=f"{rule.rule_id}:fallback-project"
+            None, programs, rule.head.name, name=f"{rule.rule_id}:fallback-project"
         )
 
     # -- continuous aggregates -------------------------------------------------------
-    def _compile_continuous(
-        self, rule: ast.Rule, compiled: CompiledDataflow
-    ) -> ContinuousAggregateStrand:
+    def _continuous(self, rule: ast.Rule, strand: RuleStrand) -> ContinuousAggregateStrand:
+        """*strand* — *rule* triggered by its first table — as a continuous aggregate."""
         positives = rule.positive_predicates()
-        base_pred = positives[0]
-        strand = self._compile_strand(rule, base_pred, compiled)
-        base_table = self.tables.get(base_pred.name)
         watched = [self.tables.get(p.name) for p in positives if self.tables.has(p.name)]
-        continuous = ContinuousAggregateStrand(
+        return ContinuousAggregateStrand(
             rule.rule_id,
-            base_table,
+            self.tables.get(positives[0].name),
             strand.ops,
             strand.project,
             strand.aggregate,
@@ -532,7 +565,6 @@ class Planner:
             strand.loc_position,
             watched,
         )
-        return continuous
 
     # -- periodic events ----------------------------------------------------------------
     def _periodic_spec(
@@ -557,20 +589,8 @@ class Planner:
         return PeriodicSpec(strand=strand, period=period, count=count, arity=len(args))
 
     # -- small helpers ----------------------------------------------------------------------
-    def _equality_select(self, pos_a: int, pos_b: int, rule: ast.Rule) -> Select:
-        program = PelProgram(source=f"${pos_a} == ${pos_b}")
-        program.extend(load_program(pos_a))
-        program.extend(load_program(pos_b))
-        from ..pel.opcodes import Op
-
-        program.emit(Op.EQ)
-        return Select(self.host, program, name=f"{rule.rule_id}:eq")
-
-    def _constant_select(self, pos: int, value: Any, rule: ast.Rule) -> Select:
-        program = PelProgram(source=f"${pos} == {value!r}")
-        program.extend(load_program(pos))
-        program.extend(constant_program(value))
-        from ..pel.opcodes import Op
-
-        program.emit(Op.EQ)
-        return Select(self.host, program, name=f"{rule.rule_id}:const")
+    def _eq_select(self, pos: int, other: PelProgram, rule: ast.Rule, kind: str) -> Select:
+        """Keep tuples whose field *pos* equals what *other* computes."""
+        program = PelProgram(source=f"${pos} == {other.source}")
+        program.extend(load_program(pos)).extend(other).emit(Op.EQ)
+        return Select(None, program, name=f"{rule.rule_id}:{kind}")

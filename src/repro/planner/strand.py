@@ -27,13 +27,13 @@ objects for tests, oracles and benchmarks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Sequence, Tuple as PyTuple
+from typing import Any, List, Optional, Sequence
 
 from ..core.errors import PlannerError
 from ..core.tuples import Tuple
-from ..dataflow.element import Element
+from ..dataflow.element import Element, shallow_copy
 from ..dataflow.operators import Aggregate, AntiJoin, LookupJoin, Project
-from ..tables.table import Table
+from ..tables.table import Table, TableStore
 
 
 @dataclass(slots=True)
@@ -44,9 +44,6 @@ class HeadRoute:
     destination: Any          # network address (may equal the local address)
     tuple: Tuple
     is_delete: bool = False
-
-    def is_local(self, local_address: Any) -> bool:
-        return self.destination == local_address
 
 
 @dataclass(slots=True)
@@ -99,6 +96,23 @@ class RuleStrand:
         #: True once the strand compiler has installed a generated ``fire``
         self.fused = False
 
+    def rebind(self, host: Any, tables: TableStore) -> "RuleStrand":
+        """This strand for one node: its own operators, over *host* and *tables*.
+
+        The planner builds a program's strands once, pointing at no host and
+        never fired; every node runs copies whose elements are rebound
+        (:meth:`Element.rebind`), so counters start at zero and nothing a
+        node changes is shared.
+        """
+        clone = shallow_copy(self)
+        clone.ops = [op.rebind(host, tables) for op in self.ops]
+        clone.project = self.project.rebind(host, tables)
+        if self.aggregate is not None:
+            clone.aggregate = self.aggregate.rebind(host, tables)
+        if self.fallback_project is not None:
+            clone.fallback_project = self.fallback_project.rebind(host, tables)
+        return clone
+
     # -- execution -----------------------------------------------------------------
     def fire(self, event: Tuple) -> List[Tuple]:
         """Run the strand for one triggering *event*; the derived head tuples.
@@ -112,9 +126,6 @@ class RuleStrand:
     def process(self, event: Tuple, local_address: Any) -> StrandResult:
         """:meth:`fire`, with every head addressed (see :func:`head_routes`)."""
         return StrandResult(head_routes(self, self.fire(event), local_address))
-
-    def process_interpreted(self, event: Tuple, local_address: Any) -> StrandResult:
-        return StrandResult(head_routes(self, self.fire_interpreted(event), local_address))
 
     def arity_error(self, event: Tuple) -> PlannerError:
         """What both executors raise for an *event* shorter than the rule's."""
@@ -215,6 +226,21 @@ class ContinuousAggregateStrand:
         #: True once the strand compiler has installed a generated ``refresh``
         self.fused = False
 
+    def rebind(self, host: Any, tables: TableStore) -> "ContinuousAggregateStrand":
+        """This strand for one node (see :meth:`RuleStrand.rebind`): its own
+        operators, its node's tables, an empty change-suppression cache."""
+        clone = shallow_copy(self)
+        clone.base_table = tables.get(self.base_table.name)
+        clone.watched_tables = [tables.get(t.name) for t in self.watched_tables]
+        clone.ops = [op.rebind(host, tables) for op in self.ops]
+        clone.project = self.project.rebind(host, tables)
+        clone.aggregate = self.aggregate.rebind(host, tables)
+        clone._last_emitted = {}
+        return clone
+
+    def elements(self) -> List[Element]:
+        return [*self.ops, self.project, self.aggregate]
+
     def reset(self) -> None:
         """Forget the change-suppression cache (node crash/restart).
 
@@ -237,9 +263,6 @@ class ContinuousAggregateStrand:
     def recompute(self, now: float, local_address: Any) -> List[HeadRoute]:
         """:meth:`refresh`, with every head addressed."""
         return head_routes(self, self.refresh(now), local_address)
-
-    def recompute_interpreted(self, now: float, local_address: Any) -> List[HeadRoute]:
-        return head_routes(self, self.refresh_interpreted(now), local_address)
 
     def emit_changed(self, heads: List[Tuple]) -> List[Tuple]:
         """The groups of *heads* whose value changed since they were last
@@ -271,7 +294,7 @@ class ContinuousAggregateStrand:
         return self.emit_changed(self.aggregate.aggregate(projected))
 
     def describe(self) -> str:
-        chain = " -> ".join(e.kind for e in [*self.ops, self.project, self.aggregate])
+        chain = " -> ".join(e.kind for e in self.elements())
         return f"[{self.rule_id}] continuous over {self.base_table.name} :: {chain} => {self.head_name}"
 
     def __repr__(self) -> str:

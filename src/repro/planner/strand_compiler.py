@@ -24,9 +24,11 @@ Generated once, bound per node
 
 The text depends on the program and the plan, never on a node.  It is
 generated and ``compile()``d **once per** :class:`~repro.overlog.ast.Program`
-(:func:`strand_sources`, cached on the program like ``check_program`` and
-``optimize_program`` results) as a module defining ``bind(strand, ctx, now)``;
-each node then only *binds*: ``bind`` reads the node's tables, stats objects,
+and plan kind (:func:`generate_sources`, over the host-free strands of
+:func:`repro.planner.planner.plan_program`, which keeps the result with the
+rest of the plan in the one per-program memo, ``program.analysis``) as a
+module defining ``bind(strand, ctx, now)``; each node then only *binds*
+(:func:`fuse_dataflow`): ``bind`` reads the node's tables, stats objects,
 built-in map and identifier space into closure cells and installs the inner
 function over ``strand.fire`` / ``strand.refresh``.  Every node's function
 shares one code object.
@@ -70,7 +72,6 @@ from ..pel.program import Program
 from ..pel.vm import EvalContext, Expression, ExpressionEmitter, load_generated
 from .strand import ContinuousAggregateStrand, RuleStrand
 
-_CACHE_ATTR = "_planner_strand_sources"
 _INDENT = "    "
 
 
@@ -393,29 +394,15 @@ def _strands(compiled: Any) -> List[Any]:
     return compiled.all_strands() + list(compiled.continuous)
 
 
-def strand_sources(compiled: Any) -> List[StrandSource]:
+def generate_sources(compiled: Any) -> List[StrandSource]:
     """The generated module of every strand of *compiled*, in strand order.
 
-    Text and code objects are cached on ``compiled.program`` per plan kind
-    and validated against the rules and materializations they were generated
-    from (identity first, so a hit costs one list comparison): a many-node
-    simulation — and every replacement node built under churn — generates
-    and compiles once.
+    Reads the strands' shape only (operators, PEL programs, positions), so
+    the host-free strands of a plan do; :func:`fuse_dataflow` binds the
+    result to each node's copies.
     """
-    program = compiled.program
-    key = (list(program.rules), list(program.materializations))
-    cache = getattr(program, _CACHE_ATTR, None)
-    if cache is None:
-        cache = {}
-        try:
-            setattr(program, _CACHE_ATTR, cache)
-        except AttributeError:  # pragma: no cover - Program is a plain dataclass
-            pass
-    cached = cache.get(compiled.optimized)
-    if cached is not None and cached[0] == key:
-        return cached[1]
     # process-stable (never hash()): names the files tracebacks will show
-    crc = zlib.crc32(f"{program}\noptimized={compiled.optimized}".encode())
+    crc = zlib.crc32(f"{compiled.program}\noptimized={compiled.optimized}".encode())
     sources: List[StrandSource] = []
     taken: Dict[str, int] = {}
     for strand in _strands(compiled):
@@ -426,18 +413,18 @@ def strand_sources(compiled: Any) -> List[StrandSource]:
         if taken[name] > 1:
             name += f".{taken[name]}"
         sources.append(_generate(strand, f"{crc:08x}", name))
-    cache[compiled.optimized] = (key, sources)
     return sources
 
 
-def fuse_dataflow(compiled: Any, host: Any) -> None:
-    """Bind every strand of a :class:`CompiledDataflow` to *host*, in place.
+def fuse_dataflow(compiled: Any, sources: Sequence[StrandSource], host: Any) -> None:
+    """Bind every strand of a node's :class:`CompiledDataflow` to *host*, in place.
 
-    Strands whose source was declined keep the interpreted walk.
+    *sources* are :func:`generate_sources` of the plan *compiled* was
+    instantiated from; strands whose source was declined keep the walk.
     """
     ctx = EvalContext.for_host(host)
     now = host.now
-    for strand, source in zip(_strands(compiled), strand_sources(compiled)):
+    for strand, source in zip(_strands(compiled), sources):
         if source.bind is not None:
             source.bind(strand, ctx, now)
     compiled.fused = True

@@ -136,6 +136,10 @@ class P2Node:
         re-derives and re-emits from genuinely empty state.
         """
         self.fail()
+        self._wipe_soft_state()
+
+    def _wipe_soft_state(self) -> None:
+        """Empty, in place, everything a power cycle loses (see :meth:`restart`)."""
         self._pending.clear()
         self.tables.clear_all()
         for strand in self.compiled.continuous:
@@ -155,12 +159,7 @@ class P2Node:
         """
         if self.alive:
             raise P2Error(f"node {self.address}: restart of a live node")
-        self._pending.clear()
-        self.tables.clear_all()
-        for strand in self.compiled.continuous:
-            strand.reset()
-        self._dirty_continuous.clear()
-        self._dirty_set.clear()
+        self._wipe_soft_state()
         self.network.set_alive(self.address, True)
         # New incarnation: the reliability layer (if any) gives the reborn
         # node a fresh sequence space so receivers reset rather than confuse

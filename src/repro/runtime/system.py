@@ -197,10 +197,6 @@ class OverlaySimulation:
         )
         return self.fault_controller
 
-    def remove_node(self, address: str) -> None:
-        self.fail_node(address)
-        self.nodes.pop(address, None)
-
     def node(self, address: str) -> P2Node:
         try:
             return self.nodes[address]
@@ -209,12 +205,6 @@ class OverlaySimulation:
 
     def alive_nodes(self) -> List[P2Node]:
         return [n for n in self.nodes.values() if n.alive]
-
-    def random_alive_node(self) -> P2Node:
-        alive = self.alive_nodes()
-        if not alive:
-            raise SimulationError("no alive nodes")
-        return self._rng.choice(alive)
 
     # -- time -----------------------------------------------------------------------
     @property
@@ -234,8 +224,3 @@ class OverlaySimulation:
     # -- convenience ------------------------------------------------------------------
     def inject(self, address: str, tup: Tuple) -> None:
         self.node(address).inject(tup)
-
-    def broadcast_fact(self, make_tuple: Callable[[P2Node], Tuple]) -> None:
-        """Install one application fact per node (e.g. a landmark address)."""
-        for node in self.nodes.values():
-            node.route(make_tuple(node))

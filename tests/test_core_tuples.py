@@ -60,9 +60,6 @@ class TestAccess:
         with pytest.raises(TupleError):
             Tuple.make("a", 1).project([4])
 
-    def test_rename(self):
-        assert Tuple.make("a", 1).rename("b") == Tuple.make("b", 1)
-
 
 class TestTrustedAndKeyGetter:
     def test_trusted_equals_checked_construction(self):

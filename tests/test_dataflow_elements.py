@@ -37,7 +37,7 @@ class TestGraph:
         select = g.add(Select(host, compile_for("X > 3", {"X": 0})))
         g.add(Aggregate(group_positions=[0], agg_specs=[(1, "count")]))
         assert len(g) == 2
-        assert g.by_kind("select") == [select]
+        assert g.elements()[0] is select
         assert list(select.process(Tuple.make("t", 1))) == []
         # the dump shows the counters each element maintains
         lines = g.describe().splitlines()

@@ -112,9 +112,6 @@ class TestOracle:
     def test_successor_of_empty(self):
         assert ring.successor_of(5, []) is None
 
-    def test_sort_ring(self):
-        assert ring.sort_ring([200, 10, 100], origin=50) == [100, 200, 10]
-
     @given(st.lists(ids, min_size=1, unique=True), ids)
     def test_successor_is_a_member_with_min_distance(self, members, key):
         succ = ring.successor_of(key, members)

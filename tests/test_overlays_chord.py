@@ -8,7 +8,7 @@ from repro.core import Tuple
 from repro.net import UniformTopology
 from repro.overlays import chord
 from repro.overlog import parse_program
-from repro.planner import analyze_program
+from repro.planner import analyze_rule
 
 
 @pytest.fixture(scope="module")
@@ -26,7 +26,7 @@ def small_ring():
 class TestSpecification:
     def test_program_parses_and_analyzes(self):
         program = parse_program(chord.chord_program())
-        analyses = analyze_program(program)
+        analyses = [analyze_rule(rule, program) for rule in program.rules]
         assert len(analyses) == len(program.rules)
 
     def test_rule_count_close_to_paper(self):

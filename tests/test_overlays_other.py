@@ -5,13 +5,13 @@ import pytest
 from repro.net import TransitStubTopology, UniformTopology
 from repro.overlays import gossip, narada, pingpong
 from repro.overlog import parse_program
-from repro.planner import analyze_program
+from repro.planner import analyze_rule
 
 
 class TestNaradaSpecification:
     def test_parses_and_analyzes(self):
         program = parse_program(narada.narada_program())
-        assert analyze_program(program)
+        assert all(analyze_rule(rule, program) for rule in program.rules)
 
     def test_mesh_rule_count_close_to_paper(self):
         counts = narada.count_rules()

@@ -209,11 +209,10 @@ class TestWholePaperExamples:
     def test_narada_snippet_parses(self):
         prog = parse_program(self.NARADA_SNIPPET)
         assert len(prog.materializations) == 3
-        assert prog.rule_count() == 7
+        assert len(prog.rules) == 7
         assert {r.rule_id for r in prog.rules} == {"R1", "R2", "R3", "L1", "L2", "L3", "P0"}
 
     def test_program_str_reparses(self):
         prog = parse_program(self.NARADA_SNIPPET)
         again = parse_program(str(prog))
-        assert again.rule_count() == prog.rule_count()
-        assert len(again.materializations) == len(prog.materializations)
+        assert again.counts() == prog.counts()

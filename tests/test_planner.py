@@ -7,7 +7,7 @@ from repro.core.errors import PlannerError
 from repro.dataflow import Host
 from repro.overlog import parse_program
 from repro.overlog.builtins import make_builtins
-from repro.planner import Planner, RuleKind, analyze_program, analyze_rule
+from repro.planner import Planner, RuleKind, analyze_rule
 from repro.tables import TableStore
 
 
@@ -93,7 +93,9 @@ class TestAnalyzer:
             "materialize(t, infinity, infinity, keys(1)).\n"
             "A x@N(N) :- e@N(N).\nB y@N(N) :- t@N(N)."
         )
-        assert len(analyze_program(prog)) == 2
+        assert [analyze_rule(rule, prog).kind for rule in prog.rules] == [
+            RuleKind.EVENT, RuleKind.TABLE_DELTA
+        ]
 
 
 class TestPlannerCompilation:

@@ -146,19 +146,12 @@ class TestRuntimeBasics:
 
     def test_remove_node(self):
         sim = OverlaySimulation("materialize(t, infinity, infinity, keys(1)).")
+        assert sim.alive_nodes() == []
         node = sim.add_node("x")
-        sim.remove_node("x")
-        assert "x" not in sim.nodes
+        assert sim.alive_nodes() == [node]
+        sim.fail_node("x")
         assert not node.alive
-
-    def test_random_alive_node_and_empty_error(self):
-        from repro.core.errors import SimulationError
-
-        sim = OverlaySimulation("materialize(t, infinity, infinity, keys(1)).")
-        with pytest.raises(SimulationError):
-            sim.random_alive_node()
-        node = sim.add_node()
-        assert sim.random_alive_node() is node
+        assert sim.alive_nodes() == [] and sim.node("x") is node
 
     def test_periodic_one_shot_fires_once(self):
         program = "S0 seed@X(X, E) :- periodic@X(X, E, 1, 1)."
@@ -199,7 +192,8 @@ class TestRuntimeBasics:
         sim = OverlaySimulation(program)
         for _ in range(3):
             sim.add_node()
-        sim.broadcast_fact(lambda n: Tuple.make("landmark", n.address, "n0"))
+        for node in sim.nodes.values():
+            node.route(Tuple.make("landmark", node.address, "n0"))
         for node in sim.nodes.values():
             assert node.scan("landmark")[0][1] == "n0"
 

@@ -23,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core import Tuple
 from repro.overlays.chord import build_chord_network
 from repro.overlog import parse_program
-from repro.planner import strand_compiler
+from repro.planner import strand_sources
 from repro.tables import INFINITY, Table
 
 from tests.support.genprograms import make_twins
@@ -269,7 +269,7 @@ def _assert_refreshes_agree(twins, now):
 
 
 def test_only_order_blind_pure_strands_skip_the_rescan(twins):
-    sources = strand_compiler.strand_sources(twins[0].compiled)
+    sources = strand_sources(twins[0].compiled)
     skipping = {source.name for source in sources if "strand.seen_version" in source.text}
     assert skipping == ON_CHANGE
     # a Select (it counts every row it filters), sum<> (float addition does not

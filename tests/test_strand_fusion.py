@@ -228,7 +228,7 @@ def test_escape_hatch_and_default_flags():
     for sf, si in paired_strands(fused_node, interp_node):
         assert sf.fused and not si.fused
         # the oracle stays reachable on a fused strand
-        assert sf.process_interpreted is not None
+        assert sf.fire_interpreted is not None
 
 
 def test_fused_node_runs_whole_overlay():

@@ -11,11 +11,14 @@ test:
 test-faults:
 	$(PYTHON) -m pytest -x -q tests/test_faults.py
 
-# The reliable-delivery suite on its own: ack/retransmit/dedup unit tests,
-# the accrual failure detector, the cross-shard bit-identity regression, and
-# the slow chord loss-sweep acceptance (reliable=True dominates under loss).
+# The wire suites: the reliable layer's ack/retransmit/dedup units, accrual
+# failure detector, cross-shard bit-identity and slow chord loss sweep, plus
+# the best-effort transport, datagram trains and the one-tuple path whose
+# launch and landing steps every reliable wire unit shares (with the pinned
+# reliable-wire golden, tests/golden/wire/).
 test-reliable:
-	$(PYTHON) -m pytest -x -q tests/test_reliable.py
+	$(PYTHON) -m pytest -x -q tests/test_reliable.py tests/test_network.py \
+	  tests/test_transport_batching.py tests/test_one_tuple_path.py
 
 # The cost-based planner suite on its own: the optimize×fused differential
 # grid, plan unit tests, golden plan snapshots, and the slow full-run

@@ -163,27 +163,18 @@ class LookupJoin(PelElement):
         clone.table = tables.get(self.table.name)
         return clone
 
-    def _matches_iter(self, tup: Tuple) -> Iterable[Tuple]:
-        """Matching rows as a live, copy-free iterable.
-
-        Consumed to completion inside :meth:`process` before any table
-        mutation can happen (strand execution is run-to-completion and head
-        routes are applied only after the strand finishes), so skipping the
-        defensive copy is safe.
-        """
+    def _matches(self, tup: Tuple) -> List[Tuple]:
+        """The table rows *tup* joins with, in join match order."""
         now = self.host.now()
         if not self.table_positions:
-            return self.table.scan_iter(now)
+            return self.table.scan(now)
         key = [self._eval(p, tup.fields) for p in self.key_programs]
-        return self.table.lookup_iter(self.table_positions, key, now)
+        return self.table.lookup(self.table_positions, key, now)
 
     def process(self, tup: Tuple, port: int = 0) -> Iterable[Tuple]:
         name = tup.name
         fields = tup.fields
-        out = [
-            Tuple(name, fields + row.fields)
-            for row in self._matches_iter(tup)
-        ]
+        out = [Tuple(name, fields + row.fields) for row in self._matches(tup)]
         if not out:
             self.stats.dropped += 1
         return out
@@ -196,7 +187,7 @@ class AntiJoin(LookupJoin):
     kind = "antijoin"
 
     def process(self, tup: Tuple, port: int = 0) -> Iterable[Tuple]:
-        if next(iter(self._matches_iter(tup)), None) is not None:
+        if self._matches(tup):
             self.stats.dropped += 1
             return ()
         return (tup,)

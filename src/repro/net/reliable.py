@@ -37,16 +37,25 @@ Mechanisms, per directed link:
   counted, and a deterministic probe timer solicits an immediate ack from
   the peer — the half-open reopen path.  Any ack un-suspects the link.
 
+The layer is link state, not a transport.  The network counts what a train
+sends (messages, hooks, bytes, suppressed and unknown-destination drops) and
+asks the layer once per train (:meth:`ReliableLayer.open_train`), once per
+datagram (:meth:`~ReliableLayer.launch`) and once after it
+(:meth:`~ReliableLayer.close_train`); every datagram the layer puts on the
+wire — first send, retransmission, pure ack, probe — leaves through the
+network's one launch step and arrives through its one landing step, which
+run the layer's receive side on a live endpoint only.
+
 Determinism rules (the layer must stay bit-identical across ``shards``):
 
 * every timer (delayed ack, retransmit, probe) is an event-loop event on the
   loop of the node that owns the state it mutates — sender-side state only
   changes inside the sender's events, receiver-side state inside delivery
   events on the receiver's loop;
-* acks, probes and retransmissions travel through the network's
-  priority-stamped delivery scheduling (full topology latency, so the
-  sharded driver's lookahead contract holds) and draw loss from the same
-  per-source streams as data, advancing them in per-source event order;
+* acks, probes and retransmissions take the same launch step as any
+  datagram: partition check before any draw, loss from the same per-source
+  streams (advanced in per-source event order), full topology latency (so
+  the sharded driver's lookahead contract holds), priority-stamped delivery;
 * the layer introduces **no RNG streams of its own** and never reads a
   clock other than the owning event loop's;
 * every timer deadline carries a sub-microsecond per-link skew
@@ -65,16 +74,20 @@ Counter semantics: ``messages_sent``/``messages_dropped`` keep counting
 new counters — ``retransmits``, ``acks_sent``, ``dupes_dropped``,
 ``suppressed_sends`` — count *wire units*.  Pure acks and probes appear in
 ``datagrams_sent`` and in byte accounting under the ``"ack"`` category, with
-zero messages, so tuple-level observers are reliability-agnostic.
+zero messages, so tuple-level observers are reliability-agnostic.  Every
+datagram that reaches a live endpoint counts in its ``rx_datagrams`` and
+``rx_bytes`` — duplicates, stale epochs and datagrams beyond the reorder
+window too, with zero messages.
 """
 
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple as PyTuple
 
-from ..sim.event_loop import EventHandle
+from ..sim.event_loop import EventHandle, EventLoop
 from .transport import Datagram, PACKET_OVERHEAD_BYTES
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle avoidance
@@ -213,13 +226,21 @@ class _ReceiverLink:
 #: Ack payload: (sender epoch echoed back, cumulative seq or None, SACK list).
 AckPayload = PyTuple[int, Optional[int], PyTuple[int, ...]]
 
+#: An open train: its sender link and the ack payload every datagram carries.
+Train = PyTuple[_SenderLink, Optional[AckPayload]]
+
 
 class ReliableLayer:
     """Ack/retransmit/dedup/failure-detection over one :class:`Network`.
 
     Constructed by the network when ``reliable=True``; never instantiated on
     the best-effort path, so ``reliable=False`` stays byte-identical to the
-    pre-reliability transport.
+    pre-reliability transport.  The layer owns link state only — sequence
+    numbers and epochs, in-flight datagrams and RTOs, acks and dedup, the
+    failure detector; every datagram it sends leaves through the network's
+    ``_launch`` and arrives through its ``_land``, which run the layer's
+    receive side (:meth:`_accept`, :meth:`_apply_ack`, :meth:`_answer_probe`)
+    on a live endpoint.
     """
 
     def __init__(self, network: "Network", config: Optional[ReliableConfig] = None):
@@ -233,152 +254,67 @@ class ReliableLayer:
         self._epochs: Dict[str, int] = {}
 
     # ------------------------------------------------------------------ send path
-    def send_tuple(self, src: str, dst: str, tup) -> bool:
-        """Reliable counterpart of :meth:`Network.send` (one-tuple datagram)."""
-        datagram = Datagram()
-        datagram.add(tup, tup.estimate_size(), self.network.classifier(tup))
-        return self._send_datagrams(src, dst, [datagram]) == 1
+    def open_train(self, src: str, dst: str, now: float) -> Optional[Train]:
+        """Start one train src -> dst; None when the peer is suspected.
 
-    def send_train(self, src: str, dst: str, datagrams: List[Datagram]) -> int:
-        """Reliable counterpart of :meth:`Network.send_batch` (packed train)."""
-        return self._send_datagrams(src, dst, datagrams)
+        The accrual check and the piggybacked ack payload are taken once per
+        train: both move only inside the sender's own events, and a train is
+        sent inside one.
+        """
+        link = self._sender(src, dst)
+        if self._suspected_now(link, now):
+            return None
+        return link, self._ack_payload_for(src, dst)
 
-    def _send_datagrams(self, src: str, dst: str, datagrams: List[Datagram]) -> int:
+    def launch(self, train: Train, datagram: Datagram, src_loop: EventLoop, now: float) -> None:
+        """First transmission of one data datagram of *train*: it takes the
+        link's next sequence number and stays in flight until acknowledged."""
+        link, ack = train
+        entry = _InFlight(
+            seq=link.next_seq, datagram=datagram, sent_at=now, deadline=now + link.rto
+        )
+        link.next_seq += 1
+        link.inflight[entry.seq] = entry
         net = self.network
-        src_loop = net._clock(src)
-        now = src_loop.now
-        stats = net.stats_for(src)
-        hooks = net._send_hooks
-        known = dst in net._indices
-        link = self._sender(src, dst) if known else None
-        # The accrual check runs once per train (suspicion state only moves
-        # inside the sender's own events, and this *is* one).
-        suppressed = link is not None and self._suspected_now(link, now)
-        ack = self._ack_payload_for(src, dst) if (known and not suppressed) else None
-        cond = net.conditioner
-        reachable = known and (cond is None or cond.reachable(src, dst))
-        if known:
-            delay = net.topology.latency(net._indices[src], net._indices[dst])
-            if cond is not None:
-                delay *= cond.latency_factor
-        else:
-            delay = 0.0
-        sent = 0
-        for datagram in datagrams:
-            count = len(datagram)
-            net.messages_sent += count
-            if hooks:
-                for tup in datagram.tuples:
-                    for hook in hooks:
-                        hook(src, dst, tup, now)
-            if not known:
-                net.datagrams_sent += 1
-                stats.record_tx_datagram(datagram.bytes_by_category, count)
-                net.messages_dropped += count
-                continue
-            if suppressed:
-                # graceful degradation: nothing is marshaled for a suspected
-                # peer — the tuples are counted dropped, not queued
-                net.suppressed_sends += 1
-                net.messages_dropped += count
-                continue
-            net.datagrams_sent += 1
-            stats.record_tx_datagram(datagram.bytes_by_category, count)
-            entry = _InFlight(
-                seq=link.next_seq,
-                datagram=datagram,
-                sent_at=now,
-                deadline=now + link.rto,
-            )
-            link.next_seq += 1
-            link.inflight[entry.seq] = entry
-            self._transmit(link, entry, now, reachable, delay, ack)
-            sent += count
-        if link is not None and not suppressed and link.inflight:
-            self._arm_retransmit(link)
-        return sent
-
-    def _transmit(
-        self,
-        link: _SenderLink,
-        entry: _InFlight,
-        now: float,
-        reachable: bool,
-        delay: float,
-        ack: Optional[AckPayload],
-    ) -> None:
-        """One transmission attempt: partition check, loss draw, delivery."""
-        net = self.network
-        if not reachable:
-            # partition drop before any loss draw — same stream discipline as
-            # the best-effort path (partitions never shift loss streams)
-            if net.conditioner is not None:
-                net.conditioner.unreachable_drops += 1
-            return
-        if net._datagram_lost(link.src, link.dst):
-            return
-        src_loop = net._clock(link.src)
-        net._schedule_delivery(
-            link.src,
-            src_loop,
-            link.dst,
-            now,
-            delay,
-            lambda s=link.src, d=link.dst, e=link.epoch, q=entry.seq, dg=entry.datagram, a=ack: (
-                self._on_data(s, d, e, q, dg, a)
-            ),
+        net._launch(
+            link.src, src_loop, link.dst, now,
+            partial(net._land, link.dst, datagram.tuples, datagram.bytes_by_category,
+                    partial(self._accept, link.src, link.dst, link.epoch, entry, ack)),
         )
 
+    def close_train(self, train: Train) -> None:
+        """Arm the retransmit timer once for everything the train launched."""
+        self._arm_retransmit(train[0])
+
     # ------------------------------------------------------------------ receive path
-    def _on_data(
-        self,
-        src: str,
-        dst: str,
-        epoch: int,
-        seq: int,
-        datagram: Datagram,
-        ack: Optional[AckPayload],
-    ) -> None:
-        """A reliable data datagram arriving at *dst* (on dst's loop)."""
+    def _accept(
+        self, src: str, dst: str, epoch: int, entry: _InFlight, ack: Optional[AckPayload]
+    ) -> bool:
+        """Receive side of one data datagram from *src* at the live *dst*.
+
+        True hands its tuples to the endpoint.  False keeps them back: a
+        duplicate or a datagram of an older incarnation of *src* (counted in
+        ``dupes_dropped``), or one beyond the reorder window (its tuples
+        counted dropped, so the sender retries once the window has advanced).
+        """
         net = self.network
-        node = net._endpoint(dst)
-        if node is None:
-            # no acks from the dead: the datagram raced a crash, count the
-            # drop and mutate no receiver state
-            net.dead_endpoint_drops += 1
-            net.messages_dropped += len(datagram)
-            return
         if ack is not None:
             self._apply_ack(dst, src, ack)
-        st = self._receivers.get((dst, src))
-        if st is None:
-            st = self._receivers[(dst, src)] = _ReceiverLink(epoch)
+        st = self._receiver(dst, src, epoch)
         if epoch < st.epoch:
             # a datagram from a previous incarnation of src: stale duplicate
             net.dupes_dropped += 1
-            net.stats_for(dst).record_rx_datagram(
-                datagram.bytes_by_category, 0
-            )
-            return
-        if epoch > st.epoch:
-            # src restarted: fresh sequence space, reset in place
-            st.epoch = epoch
-            st.cum = None
-            st.ooo.clear()
+            return False
+        seq = entry.seq
         if st.cum is not None and (seq <= st.cum or seq in st.ooo):
             # already delivered: suppress, but re-ack (the dup usually means
             # our ack was lost)
             net.dupes_dropped += 1
-            net.stats_for(dst).record_rx_datagram(
-                datagram.bytes_by_category, 0
-            )
             self._note_ack_needed(dst, src, st)
-            return
+            return False
         if st.cum is not None and seq > st.cum + self.config.reorder_window:
-            # beyond the reorder window: drop unacknowledged so the sender
-            # retries once the window has advanced
-            net.messages_dropped += len(datagram)
-            return
+            net.messages_dropped += len(entry.datagram)
+            return False
         if st.cum is None or seq == st.cum + 1:
             # in order (or the adopted baseline of an unknown epoch)
             st.cum = seq
@@ -387,25 +323,28 @@ class ReliableLayer:
                 del st.ooo[st.cum]
         else:
             st.ooo[seq] = True
-        net.stats_for(dst).record_rx_datagram(
-            datagram.bytes_by_category, len(datagram)
-        )
-        # arm the ack before delivering: tuples delivered below may generate
+        # arm the ack before delivering: tuples delivered next may generate
         # reverse traffic in this very event, which then piggybacks the ack
         self._note_ack_needed(dst, src, st)
-        receive_batch = getattr(node, "receive_batch", None)
-        if receive_batch is not None:
-            receive_batch(datagram.tuples)
-        else:
-            for tup in datagram.tuples:
-                node.receive(tup)
+        return True
+
+    def _receiver(self, owner: str, peer: str, epoch: int) -> _ReceiverLink:
+        """*owner*'s receive state about *peer*, reset in place when a datagram
+        of a newer incarnation of *peer* (a fresh sequence space) arrives."""
+        st = self._receivers.get((owner, peer))
+        if st is None:
+            st = self._receivers[(owner, peer)] = _ReceiverLink(epoch)
+        elif epoch > st.epoch:
+            st.epoch = epoch
+            st.cum = None
+            st.ooo.clear()
+        return st
 
     # ------------------------------------------------------------------ acks
     def _note_ack_needed(self, owner: str, peer: str, st: _ReceiverLink) -> None:
         st.ack_pending = True
         if st.delack is None:
-            loop = self.network._loops.get(owner) or self.network.loop
-            st.delack = loop.schedule(
+            st.delack = self.network._clock(owner).schedule(
                 self.config.delayed_ack + _link_skew(owner, peer),
                 lambda: self._on_delack(owner, peer),
             )
@@ -416,7 +355,7 @@ class ReliableLayer:
             return
         st.delack = None
         if st.ack_pending:
-            self._send_pure_ack(owner, peer, st)
+            self._send_pure_ack(owner, peer)
 
     def _ack_payload_for(self, owner: str, peer: str) -> Optional[AckPayload]:
         """Current ack state to piggyback on a data send owner -> peer.
@@ -434,36 +373,15 @@ class ReliableLayer:
             st.delack = None
         return (st.epoch, st.cum, tuple(sorted(st.ooo)))
 
-    def _send_pure_ack(self, owner: str, peer: str, st: _ReceiverLink) -> None:
+    def _send_pure_ack(self, owner: str, peer: str) -> None:
         """One pure-ack wire unit owner -> peer (no tuples, 'ack' category)."""
-        net = self.network
-        st.ack_pending = False
-        if st.delack is not None:
-            st.delack.cancel()
-            st.delack = None
-        snapshot: AckPayload = (st.epoch, st.cum, tuple(sorted(st.ooo)))
-        nbytes = (
-            PACKET_OVERHEAD_BYTES + ACK_BASE_BYTES + SACK_ENTRY_BYTES * len(snapshot[2])
+        snapshot = self._ack_payload_for(owner, peer)
+        nbytes = PACKET_OVERHEAD_BYTES + ACK_BASE_BYTES + SACK_ENTRY_BYTES * len(snapshot[2])
+        self.network.acks_sent += 1
+        self.network._send_wire_unit(
+            owner, peer, (), {ACK_CATEGORY: nbytes},
+            partial(self._apply_ack, peer, owner, snapshot),
         )
-        net.acks_sent += 1
-        net.datagrams_sent += 1
-        net.stats_for(owner).record_tx_datagram(
-            {ACK_CATEGORY: nbytes}, 0
-        )
-        self._control_transmit(
-            owner, peer, lambda o=owner, p=peer, s=snapshot, b=nbytes: self._on_ack(p, o, s, b)
-        )
-
-    def _on_ack(self, owner: str, peer: str, snapshot: AckPayload, nbytes: int) -> None:
-        """A pure ack from *peer* arriving at *owner* (on owner's loop)."""
-        net = self.network
-        if net._endpoint(owner) is None:
-            net.dead_endpoint_drops += 1
-            return
-        net.stats_for(owner).record_rx_datagram(
-            {ACK_CATEGORY: nbytes}, 0
-        )
-        self._apply_ack(owner, peer, snapshot)
 
     def _apply_ack(self, owner: str, peer: str, snapshot: AckPayload) -> None:
         """Apply ack info to owner's sender link toward *peer* (owner's loop)."""
@@ -524,44 +442,36 @@ class ReliableLayer:
         if link.suspected or not link.inflight:
             return
         deadline = min(entry.deadline for entry in link.inflight.values())
-        loop = self.network._loops.get(link.src) or self.network.loop
-        link.timer = loop.schedule_at(
+        link.timer = self.network._clock(link.src).schedule_at(
             deadline + _link_skew(link.src, link.dst),
             lambda: self._on_retransmit_timer(link),
         )
 
     def _on_retransmit_timer(self, link: _SenderLink) -> None:
         link.timer = None
-        net = self.network
         if link.suspected or not link.inflight:
             return
-        src_loop = net._clock(link.src)
-        now = src_loop.now
+        net = self.network
+        now = net._clock(link.src).now
         if self._suspected_now(link, now):
             return  # accrual detector fired: in-flight wiped, probes armed
-        cond = net.conditioner
-        reachable = cond is None or cond.reachable(link.src, link.dst)
-        delay = net.topology.latency(net._indices[link.src], net._indices[link.dst])
-        if cond is not None:
-            delay *= cond.latency_factor
+        cfg = self.config
         due = [e for e in link.inflight.values() if e.deadline <= now + 1e-9]
         for entry in due:
-            if entry.retries >= self.config.max_retries:
+            if entry.retries >= cfg.max_retries:
                 # retry budget exhausted: the peer is presumed dead
                 self._suspect(link, now)
                 return
             entry.retries += 1
             entry.retransmitted = True
-            entry.deadline = now + min(
-                link.rto * (self.config.backoff ** entry.retries), self.config.rto_max
-            )
+            entry.deadline = now + min(link.rto * (cfg.backoff ** entry.retries), cfg.rto_max)
             net.retransmits += 1
-            net.datagrams_sent += 1
-            net.stats_for(link.src).record_tx_datagram(
-                entry.datagram.bytes_by_category, 0
-            )
             ack = self._ack_payload_for(link.src, link.dst)
-            self._transmit(link, entry, now, reachable, delay, ack)
+            datagram = entry.datagram
+            net._send_wire_unit(
+                link.src, link.dst, datagram.tuples, datagram.bytes_by_category,
+                partial(self._accept, link.src, link.dst, link.epoch, entry, ack),
+            )
         self._arm_retransmit(link)
 
     # ------------------------------------------------------------------ failure detection
@@ -599,71 +509,26 @@ class ReliableLayer:
         self._arm_probe(link)
 
     def _arm_probe(self, link: _SenderLink) -> None:
-        loop = self.network._loops.get(link.src) or self.network.loop
-        link.probe_timer = loop.schedule(
+        link.probe_timer = self.network._clock(link.src).schedule(
             self.config.probe_interval + _link_skew(link.src, link.dst),
             lambda: self._on_probe_timer(link),
         )
 
     def _on_probe_timer(self, link: _SenderLink) -> None:
+        """One probe wire unit soliciting an immediate ack (the reopen path)."""
         link.probe_timer = None
         if not link.suspected:
             return
-        self._send_probe(link)
+        self.network._send_wire_unit(
+            link.src, link.dst, (), {ACK_CATEGORY: PACKET_OVERHEAD_BYTES + PROBE_BYTES},
+            partial(self._answer_probe, link.src, link.dst, link.epoch),
+        )
         self._arm_probe(link)
 
-    def _send_probe(self, link: _SenderLink) -> None:
-        """One probe wire unit soliciting an immediate ack (the reopen path)."""
-        net = self.network
-        nbytes = PACKET_OVERHEAD_BYTES + PROBE_BYTES
-        net.datagrams_sent += 1
-        net.stats_for(link.src).record_tx_datagram(
-            {ACK_CATEGORY: nbytes}, 0
-        )
-        self._control_transmit(
-            link.src,
-            link.dst,
-            lambda s=link.src, d=link.dst, e=link.epoch, b=nbytes: self._on_probe(s, d, e, b),
-        )
-
-    def _on_probe(self, src: str, dst: str, epoch: int, nbytes: int) -> None:
-        """A probe from *src* arriving at *dst*: answer with an immediate ack."""
-        net = self.network
-        if net._endpoint(dst) is None:
-            net.dead_endpoint_drops += 1
-            return
-        net.stats_for(dst).record_rx_datagram(
-            {ACK_CATEGORY: nbytes}, 0
-        )
-        st = self._receivers.get((dst, src))
-        if st is None:
-            st = self._receivers[(dst, src)] = _ReceiverLink(epoch)
-        elif epoch > st.epoch:
-            st.epoch = epoch
-            st.cum = None
-            st.ooo.clear()
-        self._send_pure_ack(dst, src, st)
-
-    def _control_transmit(self, src: str, dst: str, callback) -> None:
-        """Put one control wire unit (ack/probe) on the simulated wire.
-
-        Control datagrams face the same partition checks, loss draws and
-        topology latency as data; they advance the per-source loss streams in
-        the sender's own event order, which the sharded driver preserves.
-        """
-        net = self.network
-        src_loop = net._clock(src)
-        now = src_loop.now
-        cond = net.conditioner
-        if cond is not None and not cond.reachable(src, dst):
-            cond.unreachable_drops += 1
-            return
-        if net._datagram_lost(src, dst):
-            return
-        delay = net.topology.latency(net._indices[src], net._indices[dst])
-        if cond is not None:
-            delay *= cond.latency_factor
-        net._schedule_delivery(src, src_loop, dst, now, delay, callback)
+    def _answer_probe(self, src: str, dst: str, epoch: int) -> None:
+        """A probe from *src* arrived at the live *dst*: ack it at once."""
+        self._receiver(dst, src, epoch)
+        self._send_pure_ack(dst, src)
 
     # ------------------------------------------------------------------ lifecycle
     def _sender(self, src: str, dst: str) -> _SenderLink:

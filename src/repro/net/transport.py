@@ -7,7 +7,7 @@ receive statistics.  Bandwidth accounting distinguishes traffic *categories*
 (maintenance vs. lookup) through a pluggable classifier, which is how the
 maintenance-bandwidth figures (Figure 3(ii), Figure 4(i)) are produced.
 
-Two data paths exist:
+Tuples enter through two doors:
 
 * :meth:`Network.send` — one tuple, one datagram, one delivery event: the
   ``batching=False`` path, the oracle for the accounting-equivalence tests,
@@ -18,6 +18,14 @@ Two data paths exist:
   to :data:`MTU_BYTES` payload, each datagram pays
   :data:`PACKET_OVERHEAD_BYTES` once, is lost or delivered as a unit, and is
   handed to the destination as a single event-loop event.
+
+Both count what they send (messages, send hooks, transmitted bytes, drops to
+unknown destinations) and leave the wire itself to one pair of steps that
+every datagram passes — best-effort ones and all four wire units of the
+opt-in reliable layer (:mod:`repro.net.reliable`: first sends,
+retransmissions, pure acks, probes): :meth:`Network._launch` decides
+partition, loss and latency and schedules the arrival; :meth:`Network._land`
+decides liveness, counts the received bytes and hands the tuples over.
 """
 
 from __future__ import annotations
@@ -27,14 +35,13 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import (
     TYPE_CHECKING,
-    Any,
     Callable,
     Dict,
     Iterable,
     List,
     Optional,
     Protocol,
-    Tuple as PyTuple,
+    Sequence,
 )
 
 from ..core.errors import NetworkError
@@ -146,14 +153,6 @@ class NodeTrafficStats:
         by_cat = self.tx_bytes_by_category
         for category, nbytes in bytes_by_category.items():
             self.tx_bytes += nbytes
-            by_cat[category] = by_cat.get(category, 0) + nbytes
-
-    def record_rx_datagram(self, bytes_by_category: Dict[str, int], messages: int) -> None:
-        self.rx_messages += messages
-        self.rx_datagrams += 1
-        by_cat = self.rx_bytes_by_category
-        for category, nbytes in bytes_by_category.items():
-            self.rx_bytes += nbytes
             by_cat[category] = by_cat.get(category, 0) + nbytes
 
 
@@ -353,21 +352,20 @@ class Network:
         Returns True when the message was put on the wire; a loss draw or an
         unknown destination returns False (and counts the drop), while a
         message that reaches a node that died in flight is dropped at
-        delivery time, exactly like UDP.
+        delivery time, exactly like UDP.  With the reliable layer on, the
+        tuple is a one-datagram train of :meth:`send_batch`.
 
         An idle overlay's trains are one tuple long (≈ 1.2 tuples per
-        datagram on Chord), so this body runs once per datagram: the steps
-        and their order are those of :meth:`send_batch` for a single
-        datagram, with the source's loop and stats object read directly and
-        :meth:`_datagram_lost` entered only when a loss rate or a conditioner
-        could make it draw.
+        datagram on Chord), so this body runs once per datagram: the
+        accounting of :meth:`send_batch` for a single datagram, with the
+        source's loop and stats object read directly and no :class:`Datagram`
+        built.
         """
         indices = self._indices
-        src_index = indices.get(src)
-        if src_index is None:
+        if src not in indices:
             raise NetworkError(f"unknown source address {src!r}")
         if self.reliable_layer is not None:
-            return self.reliable_layer.send_tuple(src, dst, tup)
+            return self.send_batch(src, dst, [tup]) == 1
         src_loop = self._loops[src]
         now = src_loop.now
         self.messages_sent += 1
@@ -382,28 +380,12 @@ class Network:
         by_category[category] = by_category.get(category, 0) + size
         for hook in self._send_hooks:
             hook(src, dst, tup, now)
-        dst_index = indices.get(dst)
-        if dst_index is None:
-            self.messages_dropped += 1
-            return False
-        cond = self.conditioner
-        if cond is not None and not cond.reachable(src, dst):
-            # Partition drop, decided *before* any loss draw: partition state
-            # must never shift the per-source loss streams, or an identical
-            # schedule-free run would diverge from its faulted prefix.
-            cond.unreachable_drops += 1
-            self.messages_dropped += 1
-            return False
-        if (self.loss_rate or cond is not None) and self._datagram_lost(src, dst):
-            self.messages_dropped += 1
-            return False
-        delay = self.topology.latency(src_index, dst_index)
-        if cond is not None:
-            delay *= cond.latency_factor
-        self._schedule_delivery(
-            src, src_loop, dst, now, delay, partial(self._deliver, dst, tup, size, category)
-        )
-        return True
+        if dst in indices and self._launch(
+            src, src_loop, dst, now, partial(self._land, dst, (tup,), {category: size})
+        ):
+            return True
+        self.messages_dropped += 1
+        return False
 
     def send_batch(self, src: str, dst: str, tuples: Iterable[Tuple]) -> int:
         """Marshal a burst from *src* to *dst* as one datagram train.
@@ -413,64 +395,108 @@ class Network:
         draw per datagram), and arrives as one event-loop event.  Send hooks
         still fire once per tuple and ``messages_sent`` still counts tuples,
         so observers are batching-agnostic.  Returns the number of tuples put
-        on the wire.
+        on the wire — with the reliable layer, every tuple not suppressed is
+        on the wire until acknowledged, whatever its first attempt meets.
         """
         if src not in self._indices:
             raise NetworkError(f"unknown source address {src!r}")
         batch = tuples if type(tuples) is list else list(tuples)
         if not batch:
             return 0
-        if len(batch) == 1:
+        layer = self.reliable_layer
+        if len(batch) == 1 and layer is None:
             # a one-tuple train is exactly one unbatched send: same datagram,
             # same bytes, same loss draw — skip the packing machinery (most
             # idle-maintenance rounds emit a single tuple per destination)
             return 1 if self.send(src, dst, batch[0]) else 0
-        if self.reliable_layer is not None:
-            return self.reliable_layer.send_train(
-                src, dst, pack_datagrams(batch, self.classifier, self.mtu)
-            )
         stats = self.stats_for(src)
         src_loop = self._clock(src)
         now = src_loop.now
         known = dst in self._indices
-        cond = self.conditioner
-        # Partition state only changes inside control events, never mid-send,
-        # so one reachability check covers the whole train.
-        reachable = known and (cond is None or cond.reachable(src, dst))
-        delay = (
-            self.topology.latency(self._indices[src], self._indices[dst])
-            if known
-            else 0.0
-        )
-        if cond is not None:
-            delay *= cond.latency_factor
+        reliable = layer is not None and known
+        # None when the layer suspects the peer: the train is suppressed
+        train = layer.open_train(src, dst, now) if reliable else None
         hooks = self._send_hooks
         sent = 0
         for datagram in pack_datagrams(batch, self.classifier, self.mtu):
             count = len(datagram)
             self.messages_sent += count
-            self.datagrams_sent += 1
-            stats.record_tx_datagram(datagram.bytes_by_category, count)
             if hooks:
                 for tup in datagram.tuples:
                     for hook in hooks:
                         hook(src, dst, tup, now)
+            if reliable and train is None:
+                # graceful degradation: nothing is marshaled for a suspected
+                # peer — the tuples are counted dropped, not queued
+                self.suppressed_sends += 1
+                self.messages_dropped += count
+                continue
+            self.datagrams_sent += 1
+            stats.record_tx_datagram(datagram.bytes_by_category, count)
             if not known:
                 self.messages_dropped += count
-                continue
-            if not reachable:
-                cond.unreachable_drops += 1
+            elif train is not None:
+                layer.launch(train, datagram, src_loop, now)
+                sent += count
+            elif self._launch(
+                src, src_loop, dst, now,
+                partial(self._land, dst, datagram.tuples, datagram.bytes_by_category),
+            ):
+                sent += count
+            else:
                 self.messages_dropped += count
-                continue
-            if self._datagram_lost(src, dst):
-                self.messages_dropped += count
-                continue
-            self._schedule_delivery(
-                src, src_loop, dst, now, delay,
-                lambda d=datagram: self._deliver_datagram(dst, d),
-            )
-            sent += count
+        if train is not None:
+            layer.close_train(train)
         return sent
+
+    def _send_wire_unit(
+        self,
+        src: str,
+        dst: str,
+        tuples: Sequence[Tuple],
+        bytes_by_category: Dict[str, int],
+        accept: Callable[[], Optional[bool]],
+    ) -> None:
+        """Count and launch one wire unit of the reliable layer that carries no
+        new message: a retransmission, a pure ack or a probe."""
+        self.datagrams_sent += 1
+        self.stats_for(src).record_tx_datagram(bytes_by_category, 0)
+        src_loop = self._clock(src)
+        self._launch(
+            src, src_loop, dst, src_loop.now,
+            partial(self._land, dst, tuples, bytes_by_category, accept),
+        )
+
+    def _launch(
+        self,
+        src: str,
+        src_loop: EventLoop,
+        dst: str,
+        now: float,
+        arrive: Callable[[], None],
+    ) -> bool:
+        """Put one datagram from *src* to the registered *dst* on the wire.
+
+        The decisions, in order: the partition check — before any loss draw
+        and consuming no randomness, so partition state never shifts the loss
+        streams, counted in ``unreachable_drops``; one loss decision, entered
+        only when a loss rate or a conditioner could make it draw; the
+        topology latency times the conditioner's spike factor; and
+        :meth:`_schedule_delivery` of *arrive*.  Returns False when the
+        datagram is dropped; what else a drop costs is the caller's to count.
+        """
+        cond = self.conditioner
+        if cond is not None and not cond.reachable(src, dst):
+            cond.unreachable_drops += 1
+            return False
+        if (self.loss_rate or cond is not None) and self._datagram_lost(src, dst):
+            return False
+        indices = self._indices
+        delay = self.topology.latency(indices[src], indices[dst])
+        if cond is not None:
+            delay *= cond.latency_factor
+        self._schedule_delivery(src, src_loop, dst, now, delay, arrive)
+        return True
 
     def _endpoint(self, dst: str) -> Optional[Endpoint]:
         """The live endpoint for *dst*, or None when delivery is a drop.
@@ -488,36 +514,45 @@ class Network:
             return None
         return node
 
-    def _deliver(self, dst: str, tup: Tuple, size: int, category: str) -> None:
+    def _land(
+        self,
+        dst: str,
+        tuples: Sequence[Tuple],
+        bytes_by_category: Dict[str, int],
+        accept: Optional[Callable[[], Optional[bool]]] = None,
+    ) -> None:
+        """One datagram arriving at *dst* (on the destination's loop).
+
+        A datagram that finds no live endpoint is a drop of its own kind.
+        Otherwise *accept* — the reliable layer's receive side, for its wire
+        units — runs first and a falsy answer keeps the tuples back; the
+        datagram's bytes are received either way, and the tuples that pass
+        are handed over as one batch (``receive_batch``, or ``receive`` per
+        tuple for an endpoint without it).
+        """
         node = self._endpoint(dst)
         if node is None:
             # the datagram raced a crash/unregister: a drop with its own
             # counter, distinguishable from loss and partition drops
             self.dead_endpoint_drops += 1
-            self.messages_dropped += 1
+            self.messages_dropped += len(tuples)
             return
+        if accept is not None and not accept():
+            tuples = ()
         stats = self.stats.get(dst) or self.stats_for(dst)
-        stats.rx_messages += 1
+        stats.rx_messages += len(tuples)
         stats.rx_datagrams += 1
-        stats.rx_bytes += size
         by_category = stats.rx_bytes_by_category
-        by_category[category] = by_category.get(category, 0) + size
-        node.receive(tup)
-
-    def _deliver_datagram(self, dst: str, datagram: Datagram) -> None:
-        node = self._endpoint(dst)
-        if node is None:
-            self.dead_endpoint_drops += 1
-            self.messages_dropped += len(datagram)
+        for category, nbytes in bytes_by_category.items():
+            stats.rx_bytes += nbytes
+            by_category[category] = by_category.get(category, 0) + nbytes
+        if not tuples:
             return
-        self.stats_for(dst).record_rx_datagram(
-            datagram.bytes_by_category, len(datagram)
-        )
         receive_batch = getattr(node, "receive_batch", None)
         if receive_batch is not None:
-            receive_batch(datagram.tuples)
+            receive_batch(tuples)
         else:
-            for tup in datagram.tuples:
+            for tup in tuples:
                 node.receive(tup)
 
     # -- reliability lifecycle -----------------------------------------------------------

@@ -1,7 +1,7 @@
 """Discrete-event simulation infrastructure: event loop, churn, faults, metrics."""
 
 from .churn import ChurnProcess, ChurnStats
-from .event_loop import EventHandle, EventLoop
+from .event_loop import EventHandle, EventLoop, Ticker
 from .faults import (
     FaultController,
     FaultEvent,
@@ -34,6 +34,7 @@ from .workload import LookupWorkload
 __all__ = [
     "EventLoop",
     "EventHandle",
+    "Ticker",
     "ShardedEventLoop",
     "lookahead_for",
     "ChurnProcess",

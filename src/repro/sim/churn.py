@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
-from .event_loop import EventHandle, EventLoop
+from .event_loop import EventLoop, Ticker
 
 
 @dataclass
@@ -75,51 +75,28 @@ class ChurnProcess:
         self.crash = crash
         self._crash_member = crash_member
         self._rng = random.Random(seed)
-        self._running = False
-        self._next: Optional[EventHandle] = None
+        # the next gap is drawn after a churn event, from the population it left
+        self._ticker = Ticker(loop, self._churn_once, self._next_gap)
         self.stats = ChurnStats()
 
     # -- control -------------------------------------------------------------------
     def start(self) -> None:
-        """Begin churning: each churn event fails one member and adds one.
-
-        Idempotent: a second start while running must not spawn a second
-        concurrent callback chain (which would double the churn rate).
-        """
-        if self._running:
-            return
-        self._running = True
-        self._schedule_next()
+        """Begin churning (idempotent): each churn event fails one member and
+        adds one."""
+        self._ticker.start()
 
     def stop(self) -> None:
-        """Stop churning and cancel the already-scheduled next event.
-
-        Without the cancel, the pending event stays live after stop(), and a
-        later start() would schedule a *second* chain alongside it — from
-        then on every chain fires and reschedules, doubling the churn rate.
-        """
-        self._running = False
-        if self._next is not None:
-            self._next.cancel()
-            self._next = None
+        """Stop churning; the already-scheduled next event is cancelled."""
+        self._ticker.stop()
 
     # -- internals ------------------------------------------------------------------
-    def _mean_interval(self) -> float:
-        population = max(len(self._list_members()), 1)
+    def _next_gap(self) -> float:
         # One failure (and one compensating join) every session_time/N seconds
         # keeps the expected session length at session_time.
-        return self.session_time / population
-
-    def _schedule_next(self) -> None:
-        if not self._running:
-            return
-        delay = self._rng.expovariate(1.0 / self._mean_interval())
-        self._next = self._loop.schedule(delay, self._churn_once)
+        population = max(len(self._list_members()), 1)
+        return self._rng.expovariate(1.0 / (self.session_time / population))
 
     def _churn_once(self) -> None:
-        self._next = None
-        if not self._running:
-            return
         members = self._list_members()
         if len(members) > 1:
             victim = self._rng.choice(members)
@@ -132,4 +109,3 @@ class ChurnProcess:
             self._add_member()
             self.stats.joins += 1
             self.stats.events.append(self._loop.now)
-        self._schedule_next()

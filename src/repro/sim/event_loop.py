@@ -247,3 +247,42 @@ class EventLoop:
         while (max_events is None or count < max_events) and self.step():
             count += 1
         return count
+
+
+class Ticker:
+    """A self-rescheduling timer: the chain churn, workload, meters, monitor
+    probes and the lookup-timeout sweep all run on.
+
+    Each tick runs *fn*, then draws ``next_delay()`` and schedules the next
+    tick, until :meth:`stop`.  :meth:`start` is idempotent and :meth:`stop`
+    cancels the pending tick, so however ``start``/``stop`` interleave — *fn*
+    may call either — exactly one chain exists while running and none after
+    (two concurrent chains would double the rate they drive).
+    """
+
+    def __init__(self, loop: EventLoop, fn: Callable[[], None], next_delay: Callable[[], float]):
+        self._loop = loop
+        self._fn = fn
+        self._next_delay = next_delay
+        self._handle: Optional[EventHandle] = None
+        self.running = False
+
+    def start(self, first_delay: Optional[float] = None) -> None:
+        """Schedule the first tick — after *first_delay*, else ``next_delay()``."""
+        if self.running:
+            return
+        self.running = True
+        delay = self._next_delay() if first_delay is None else first_delay
+        self._handle = self._loop.schedule(delay, self._tick)
+
+    def stop(self) -> None:
+        self.running = False
+        if self._handle is not None:
+            self._handle.cancel()
+            self._handle = None
+
+    def _tick(self) -> None:
+        self._handle = None
+        self._fn()
+        if self.running and self._handle is None:
+            self._handle = self._loop.schedule(self._next_delay(), self._tick)

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional,
 
 from ..core.idspace import IdSpace
 from ..core.tuples import Tuple
-from .event_loop import EventHandle, EventLoop
+from .event_loop import EventLoop, Ticker
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle avoidance (net imports sim)
     from ..net.transport import Network
@@ -140,9 +140,10 @@ class LookupTracker:
         self.timeout = timeout
         self.records: Dict[Any, LookupRecord] = {}
         self.late_completions = 0
-        self._sweeping = False
         self._sweep_period: Optional[float] = None
-        self._next_sweep: Optional[EventHandle] = None
+        self._sweeper = Ticker(
+            loop, lambda: self.expire_stale(self._loop.now), lambda: self._sweep_period
+        )
         network.add_send_hook(self._on_send)
 
     # -- issuing -------------------------------------------------------------------
@@ -174,26 +175,14 @@ class LookupTracker:
         """
         if self.timeout is None:
             raise ValueError("start_sweep() needs a tracker constructed with a timeout")
-        if self._sweeping:
+        if self._sweeper.running:
             return
-        self._sweeping = True
         self._sweep_period = period if period is not None else self.timeout
-        self._next_sweep = self._loop.schedule(self._sweep_period, self._sweep)
+        self._sweeper.start()
 
     def stop_sweep(self) -> None:
-        """Stop sweeping and cancel the pending sweep event (see BandwidthMeter.stop)."""
-        self._sweeping = False
-        if self._next_sweep is not None:
-            self._next_sweep.cancel()
-            self._next_sweep = None
-
-    def _sweep(self) -> None:
-        self._next_sweep = None
-        if not self._sweeping:
-            return
-        self.expire_stale(self._loop.now)
-        if self._sweeping:
-            self._next_sweep = self._loop.schedule(self._sweep_period, self._sweep)
+        """Stop sweeping; the pending sweep event is cancelled."""
+        self._sweeper.stop()
 
     def expire_stale(self, now: float) -> int:
         """Mark every in-flight lookup older than the timeout as failed.
@@ -303,25 +292,17 @@ class BandwidthMeter:
         self.samples: List[BandwidthSample] = []
         self._last_total = 0
         self._last_time = loop.now
-        self._running = False
-        self._next: Optional["EventHandle"] = None
+        self._ticker = Ticker(loop, self._sample, lambda: self.window)
 
     def start(self) -> None:
-        """Begin sampling; idempotent while already running."""
-        if self._running:
+        """Begin sampling, the first window from now; idempotent while running."""
+        if self._ticker.running:
             return
-        self._running = True
         self._last_total = self._network.total_tx_bytes(self.category)
         self._last_time = self._loop.now
-        self._next = self._loop.schedule(self.window, self._sample)
+        self._ticker.start()
 
     def _sample(self) -> None:
-        self._next = None
-        if not self._running:
-            # A stale event racing stop() must not record: a sample appended
-            # after stop() would cover the post-measurement phase and skew
-            # mean_rate() for meters stopped mid-run.
-            return
         now = self._loop.now
         total = self._network.total_tx_bytes(self.category)
         elapsed = max(now - self._last_time, 1e-9)
@@ -330,20 +311,11 @@ class BandwidthMeter:
         self.samples.append(BandwidthSample(self._last_time, now, rate, nodes))
         self._last_total = total
         self._last_time = now
-        if self._running:
-            self._next = self._loop.schedule(self.window, self._sample)
 
     def stop(self) -> None:
-        """Stop sampling and cancel the pending sample event.
-
-        Leaving the scheduled event live would both record one post-stop
-        window and, after a restart, leave two concurrent sampling chains
-        running (doubling the sample rate).
-        """
-        self._running = False
-        if self._next is not None:
-            self._next.cancel()
-            self._next = None
+        """Stop sampling; the pending sample event is cancelled, so no window
+        covering the time after the stop is ever recorded."""
+        self._ticker.stop()
 
     def mean_rate(self, skip_initial: int = 0) -> float:
         usable = self.samples[skip_initial:]

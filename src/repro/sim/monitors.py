@@ -41,6 +41,8 @@ from typing import (
     Tuple as PyTuple,
 )
 
+from .event_loop import Ticker
+
 
 @dataclass(frozen=True)
 class MonitorAlarm:
@@ -99,9 +101,8 @@ class RobustnessReport:
 class MonitorRunner:
     """Probes a set of monitors every ``period`` simulated seconds.
 
-    Follows the repo's timer-lifecycle discipline (see BandwidthMeter):
-    ``start`` is idempotent, ``stop`` cancels the pending probe so a
-    stop/start pair never leaves two concurrent probe chains running.
+    Runs on a :class:`~repro.sim.event_loop.Ticker`: ``start`` is idempotent,
+    ``stop`` cancels the pending probe.
     """
 
     def __init__(self, loop, period: float = 10.0):
@@ -110,8 +111,7 @@ class MonitorRunner:
         self.monitors: List[Monitor] = []
         self.samples: Dict[str, List[PyTuple[float, Dict[str, Any]]]] = {}
         self.alarms: List[MonitorAlarm] = []
-        self._running = False
-        self._next = None
+        self._ticker = Ticker(loop, self.probe_now, lambda: self.period)
         self._started_at: Optional[float] = None
         self._stopped_at: Optional[float] = None
 
@@ -121,35 +121,22 @@ class MonitorRunner:
         return monitor
 
     def start(self, period: Optional[float] = None) -> None:
-        if self._running:
+        if self._ticker.running:
             return
         if period is not None:
             self.period = period
-        self._running = True
         self._started_at = self._loop.now
         self._stopped_at = None
-        self._next = self._loop.schedule(self.period, self._tick)
+        self._ticker.start()
 
     def stop(self) -> None:
         self._stopped_at = self._loop.now
-        self._running = False
-        if self._next is not None:
-            self._next.cancel()
-            self._next = None
+        self._ticker.stop()
 
     def probe_now(self) -> None:
-        """Take one out-of-band probe immediately (e.g. right before a fault)."""
-        self._probe(self._loop.now)
-
-    def _tick(self) -> None:
-        self._next = None
-        if not self._running:
-            return
-        self._probe(self._loop.now)
-        if self._running:
-            self._next = self._loop.schedule(self.period, self._tick)
-
-    def _probe(self, now: float) -> None:
+        """Probe every monitor now (each tick does; callers may too, e.g.
+        right before a fault)."""
+        now = self._loop.now
         for monitor in self.monitors:
             observation = monitor.observe(now)
             self.samples.setdefault(monitor.name, []).append((now, observation.sample))

@@ -11,10 +11,10 @@ registers it with the :class:`~repro.sim.metrics.LookupTracker`.
 from __future__ import annotations
 
 import random
-from typing import Callable, Optional
+from typing import Optional
 
 from ..core.tuples import Tuple, fresh_tuple_id
-from .event_loop import EventHandle, EventLoop
+from .event_loop import EventLoop, Ticker
 from .metrics import LookupTracker
 
 
@@ -39,45 +39,27 @@ class LookupWorkload:
         self._interval = 1.0 / rate_per_second
         self._rng = random.Random(seed)
         self._bits = key_bits or chord_network.idspace.bits
-        self._running = False
-        self._next: Optional[EventHandle] = None
+        self._ticker = Ticker(loop, self._issue_one, lambda: self._interval)
         self.issued = 0
 
     def start(self) -> None:
-        """Begin issuing lookups; idempotent while already running.
+        """Begin issuing lookups, the first at a random phase within one
+        interval; idempotent while already running.
 
         A tracker constructed with a timeout gets its sweep started here
         too: a workload whose clients give up after the timeout is the
         natural pairing, and it keeps ``completion_rate`` honest about
         lookups abandoned under partitions or crashes.
         """
-        if self._running:
+        if self._ticker.running:
             return
-        self._running = True
         if self._tracker.timeout is not None:
             self._tracker.start_sweep()
-        self._next = self._loop.schedule(
-            self._rng.uniform(0, self._interval), self._tick
-        )
+        self._ticker.start(self._rng.uniform(0, self._interval))
 
     def stop(self) -> None:
-        """Stop the workload and cancel the already-scheduled next tick.
-
-        The pending tick must not stay live: it would fire after stop() and,
-        once start() ran again, reschedule alongside the new chain — two
-        concurrent chains issuing lookups at double the configured rate.
-        """
-        self._running = False
-        if self._next is not None:
-            self._next.cancel()
-            self._next = None
-
-    def _tick(self) -> None:
-        self._next = None
-        if not self._running:
-            return
-        self._issue_one()
-        self._next = self._loop.schedule(self._interval, self._tick)
+        """Stop the workload; the already-scheduled next tick is cancelled."""
+        self._ticker.stop()
 
     def _issue_one(self) -> None:
         alive = [n for n in self._network.nodes if n.alive]

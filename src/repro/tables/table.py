@@ -34,7 +34,6 @@ from typing import (
     Any,
     Callable,
     Dict,
-    Iterable,
     Iterator,
     List,
     Optional,
@@ -83,17 +82,6 @@ class _SecondaryIndex:
             bucket.pop(primary_key, None)
             if not bucket:
                 del self._buckets[key]
-
-    def lookup(self, key: Key) -> Iterable[Tuple]:
-        """Live view of the matching bucket.
-
-        *key* must already be a tuple (:meth:`Table.lookup` normalises it once,
-        avoiding the old double ``tuple(key)`` conversion).  The returned dict
-        view is not copied; callers that mutate the table while iterating must
-        materialise it first — the internal join paths never do.
-        """
-        bucket = self._buckets.get(key)
-        return bucket.values() if bucket is not None else ()
 
 
 class Table:
@@ -321,55 +309,28 @@ class Table:
 
     # -- queries -----------------------------------------------------------------
     def lookup(self, positions: Sequence[int], key: Sequence[Any], now: float) -> List[Tuple]:
-        """All live tuples whose fields at *positions* equal *key*.
-
-        Uses the primary key or a secondary index when one exists, otherwise
-        scans (and the planner will have created indices for every equijoin
-        key, so scans only happen for ad-hoc queries).
-        """
-        return list(self.lookup_iter(positions, key, now))
-
-    def lookup_iter(
-        self, positions: Sequence[int], key: Sequence[Any], now: float
-    ) -> Iterable[Tuple]:
-        """Like :meth:`lookup` but without the defensive copy.
-
-        The internal join paths (``LookupJoin``/``AntiJoin``) consume the
-        result immediately without mutating the table, so handing out the
-        index's live bucket view avoids allocating a list per probe.
-        """
-        if now >= self._next_expiry:
-            self.expire(now)
-        self.stats.lookups += 1
-        positions = tuple(positions)
-        key = tuple(key)
-        if positions == self.key_positions:
-            entry = self._rows.get(key)
-            return (entry[0],) if entry is not None else ()
-        index = self._indices.get(positions)
-        if index is not None:
-            return index.lookup(key)
-        return (
-            tup
-            for tup, _ in self._rows.values()
-            if tup.key(positions) == key
-        )
+        """All live tuples whose fields at *positions* equal *key*, by the
+        access path :meth:`prober` picks (the planner indexes every equijoin
+        key, so only ad-hoc queries scan)."""
+        return list(self.prober(positions)(tuple(key), now))
 
     def prober(self, positions: Sequence[int]) -> Callable[[Key, float], Sequence[Tuple]]:
-        """``probe(key, now) -> rows`` specialised for *positions*, for callers
-        that probe the same positions on every call (the generated strands).
+        """``probe(key, now) -> rows`` for *positions*: the one place the access
+        path — primary key, secondary index or scan — is chosen.
 
-        Observably :meth:`lookup` — same lazy expiry, same ``stats.lookups``
-        count, a materialised result that later mutation of the table cannot
-        invalidate — with the choice between primary key, secondary index and
-        scan made once, here, instead of per probe.  An index installed after
-        this call is not picked up, so install indexes first.
+        The generated strands take a prober per join once and call it per
+        probe; :meth:`lookup` takes one per call.  Every probe expires lazily,
+        counts one ``stats.lookups`` and returns a materialised result that
+        later mutation of the table cannot invalidate, in bucket (join match)
+        order.  *key* must be a tuple.  An index installed after this call is
+        not picked up, so install indexes first.
         """
         positions = tuple(positions)
         stats = self.stats
         expire = self.expire
+        rows = self._rows
         if positions == self.key_positions:
-            get = self._rows.get
+            get = rows.get
 
             def probe(key: Key, now: float) -> Sequence[Tuple]:
                 if now >= self._next_expiry:
@@ -380,16 +341,24 @@ class Table:
 
             return probe
         index = self._indices.get(positions)
-        if index is None:
-            return lambda key, now: self.lookup(positions, key, now)
-        get_bucket = index._buckets.get
+        if index is not None:
+            get_bucket = index._buckets.get
+
+            def probe(key: Key, now: float) -> Sequence[Tuple]:
+                if now >= self._next_expiry:
+                    expire(now)
+                stats.lookups += 1
+                bucket = get_bucket(key)
+                return list(bucket.values()) if bucket is not None else ()
+
+            return probe
+        key_of = key_getter(positions)
 
         def probe(key: Key, now: float) -> Sequence[Tuple]:
             if now >= self._next_expiry:
                 expire(now)
             stats.lookups += 1
-            bucket = get_bucket(key)
-            return list(bucket.values()) if bucket is not None else ()
+            return [tup for tup, _ in rows.values() if key_of(tup.fields) == key]
 
         return probe
 
@@ -397,11 +366,6 @@ class Table:
         """All live tuples."""
         self.expire(now)
         return [tup for tup, _ in self._rows.values()]
-
-    def scan_iter(self, now: float) -> Iterator[Tuple]:
-        """Iterate live tuples without building a list (internal hot paths)."""
-        self.expire(now)
-        return iter(tup for tup, _ in self._rows.values())
 
     def get(self, key: Sequence[Any], now: float) -> Optional[Tuple]:
         """The tuple with primary key *key*, if present."""

@@ -1,10 +1,10 @@
 """The one-tuple datagram path is cheaper — and nothing else changed.
 
-``Network.send`` and ``Network._deliver`` read the source's loop and the
-stats objects directly, enter ``_datagram_lost`` only when it could draw, and
-no longer go through ``record_tx`` / ``record_rx``, which are gone;
-``values.estimate_sizes`` sizes a tuple's fields in one exact-type pass.  Each
-is checked against what it replaced:
+``Network.send`` reads the source's loop and stats object directly and builds
+no ``Datagram``; its datagram, like every other, is launched and landed by
+``Network._launch`` / ``Network._land``, which enter ``_datagram_lost`` only
+when it could draw; ``values.estimate_sizes`` sizes a tuple's fields in one
+exact-type pass.  Each is checked against what it replaced:
 
 * the sizes against the ``isinstance`` chain ``values.estimate_size`` used to
   be, value by value;
@@ -14,9 +14,14 @@ is checked against what it replaced:
   and delivers the way the transport did before — same loss-stream positions,
   same drop counters of every kind, same byte totals per category, same
   arrivals at the same instants, under uniform loss and under a
-  Gilbert–Elliott burst installed in mid-run.
+  Gilbert–Elliott burst installed in mid-run;
+* the reliable layer's wire units on the same steps against a golden
+  recorded from the transport before it shared them.
 """
 
+import hashlib
+import json
+import os
 import random
 
 from hypothesis import given, settings, strategies as st
@@ -209,12 +214,12 @@ def _classify(tup):
     return "lookup" if tup.name == "lookup" else "maintenance"
 
 
-def _play(network_class, script, loss_rate, jitter):
+def _play(network_class, script, loss_rate, jitter, reliable=False):
     """Run *script* on a fresh network of *network_class*; everything observable."""
     loop = EventLoop()
     net = network_class(
         loop, TransitStubTopology(domains=2, jitter_fraction=jitter, seed=9),
-        loss_rate=loss_rate, seed=11, classifier=_classify,
+        loss_rate=loss_rate, seed=11, classifier=_classify, reliable=reliable,
     )
     log, hooked = [], []
     nodes = {}
@@ -232,6 +237,10 @@ def _play(network_class, script, loss_rate, jitter):
         elif kind == "train":
             _, src, dst, count = step
             returned.append(net.send_batch(src, dst, [Tuple("succ", (dst, i)) for i in range(count)]))
+        elif kind == "blobs":  # a train of several datagrams
+            _, src, dst, count = step
+            returned.append(net.send_batch(src, dst, [Tuple("blob", (dst, i, "x" * 600))
+                                                      for i in range(count)]))
         elif kind == "run":
             loop.run_for(step[1])
         elif kind == "burst":  # a Gilbert–Elliott burst appears in mid-run
@@ -252,7 +261,19 @@ def _play(network_class, script, loss_rate, jitter):
             net.unregister(step[1])
         elif kind == "down":
             net.set_alive(step[1], False)
-    loop.run()
+        elif kind == "peer_down":  # a crash-stop the reliable layer is told of
+            nodes[step[1]].alive = False
+            net.set_alive(step[1], False)
+            net.endpoint_down(step[1])
+        elif kind == "peer_up":
+            net.set_alive(step[1], True)
+            nodes[step[1]].alive = True
+            net.endpoint_up(step[1])
+    if reliable:
+        loop.run_for(120.0)  # a suspected link's probes re-arm for ever
+    else:
+        loop.run()
+    layer = net.reliable_layer
     return {
         "returned": returned,
         "arrivals": log,
@@ -264,9 +285,13 @@ def _play(network_class, script, loss_rate, jitter):
         },
         "counters": (net.messages_sent, net.datagrams_sent, net.messages_dropped,
                      net.dead_endpoint_drops, cond.unreachable_drops, cond.burst_drops),
+        "reliable_counters": (net.retransmits, net.acks_sent, net.dupes_dropped,
+                              net.suppressed_sends),
         "stats": {address: vars(stats).copy() for address, stats in sorted(net.stats.items())},
         "tx_seq": dict(net._tx_seq),
         "events": loop.processed,
+        "layer": layer and {"inflight": layer.inflight_count(), "rto": layer.rto_values(),
+                            "suspected": layer.suspected_links()},
     }
 
 
@@ -324,3 +349,77 @@ def test_a_long_lossy_run_with_a_burst_installed_half_way():
     assert all(set(c) <= {"lookup", "maintenance"} for c in by_category) and any(
         "lookup" in c for c in by_category
     )
+
+
+# ------------------------------------------------------------ the reliable wire, pinned
+RELIABLE_GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "wire", "reliable_play.json")
+
+
+def _reliable_script():
+    """One seeded script for ``reliable=True``: sends, trains of one and of
+    several datagrams, runs, a burst, a partition and its heal, a latency
+    spike, an endpoint dying unannounced, one going down, and a crash-stop
+    with restart the layer is told of.  Time advances often enough that no
+    link ever holds 64 datagrams beyond a gap (the reorder window)."""
+    rng = random.Random(25)
+    events = {
+        30: [("burst", None)],
+        60: [("partition", ("n0", "n1"))],
+        80: [("spike", 2.5)],
+        90: [("heal",)],
+        110: [("die", "n3")],
+        130: [("down", "n4")],
+        150: [("peer_down", "n2")],
+        175: [("run", 3.0), ("peer_up", "n2")],
+    }
+    script = []
+    for round_no in range(220):
+        src, dst = rng.choice(ADDRESSES), rng.choice(ADDRESSES + ["nowhere"])
+        script.append(("send", src, dst, rng.choice(["succ", "lookup"]), rng.randrange(1 << 40)))
+        if round_no % 9 == 0:
+            script.append(("train", src, dst, rng.randrange(2, 5)))
+        if round_no % 23 == 0:
+            script.append(("blobs", src, dst, rng.randrange(3, 7)))
+        if round_no % 3 == 0:
+            script.append(("run", rng.choice([0.0, 0.05, 0.3, 0.8])))
+        script += events.get(round_no, [])
+    return script
+
+
+def _as_json(played):
+    """*played* as stable text: events one per line, RNG states by digest."""
+    def digest(state):
+        return hashlib.sha256(repr(state).encode()).hexdigest()[:16]
+
+    def event(*parts, tup):
+        return " ".join(map(repr, parts + ((tup.name, tup.fields),)))
+
+    out = dict(played)
+    out["arrivals"] = [event(when, address, tup=tup) for when, address, tup in played["arrivals"]]
+    out["hooked"] = [event(src, dst, now, tup=tup) for src, dst, tup, now in played["hooked"]]
+    out["loss_streams"] = {src: digest(state) for src, state in played["loss_streams"].items()}
+    out["burst_chains"] = {
+        f"{region}:{src}>{dst}": [digest(state), bad]
+        for (region, (src, dst)), (state, bad) in played["burst_chains"].items()
+    }
+    return json.dumps(out, indent=1, sort_keys=True) + "\n"
+
+
+def test_the_reliable_wire_path_is_pinned(request):
+    """Every wire unit of the reliable layer — first sends, retransmissions,
+    pure acks, probes — against a run recorded before they shared the
+    best-effort path's launch and landing steps: arrivals, hooks, loss-stream
+    and burst-chain positions, every counter, per-node stats, the merge-key
+    sequence numbers, events processed and the layer's own link state.
+    Regenerate with ``pytest tests/test_one_tuple_path.py --update-golden``."""
+    played = _play(Network, _reliable_script(), 0.2, 0.1, reliable=True)
+    text = _as_json(played)
+    if request.config.getoption("--update-golden"):
+        os.makedirs(os.path.dirname(RELIABLE_GOLDEN), exist_ok=True)
+        with open(RELIABLE_GOLDEN, "w") as handle:
+            handle.write(text)
+    with open(RELIABLE_GOLDEN) as handle:
+        assert text == handle.read()
+    retransmits, acks, dupes, suppressed = played["reliable_counters"]
+    assert retransmits and acks and dupes and suppressed
+    assert played["counters"][3] and played["counters"][4] and played["counters"][5]

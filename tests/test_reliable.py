@@ -22,7 +22,7 @@ Five layers:
 import pytest
 
 from repro.core import Tuple
-from repro.net import Network, ReliableConfig, TransitStubTopology
+from repro.net import PACKET_OVERHEAD_BYTES, Network, ReliableConfig, TransitStubTopology
 from repro.net.reliable import ACK_CATEGORY
 from repro.overlays.chord import build_chord_network, classify_chord_traffic
 from repro.runtime import OverlaySimulation
@@ -123,6 +123,32 @@ class TestAckRetransmit:
         assert net.messages_sent == 12
         assert net.retransmits >= 2  # every datagram of the train was lost once
         assert net.reliable_layer.inflight_count() == 0
+
+    def test_datagrams_beyond_the_reorder_window_are_received_bytes(self):
+        """A datagram past the window is refused like a duplicate — counted in
+        the receiver's rx datagrams and bytes with no message — and its tuples
+        are counted dropped until a retransmission brings them."""
+        loop, net, a, b = make_net()
+        window = net.reliable_layer.config.reorder_window
+        net.send("a", "b", Tuple.make("ping", "b", 0))
+        loop.run_for(0.05)  # seq 0 delivered: the cumulative ack is 0
+        net.loss_rate = 1.0
+        net.send("a", "b", Tuple.make("ping", "b", 1))  # seq 1 lost: a gap
+        net.loss_rate = 0.0
+        extra = window + 1
+        for i in range(extra):  # seqs 2 .. window + 2; the last two overrun
+            net.send("a", "b", Tuple.make("ping", "b", 2 + i))
+        loop.run_for(0.05)  # everything has landed, no retransmission yet
+        rx = net.stats_for("b")
+        assert len(b.received) == 1 + window - 1
+        assert rx.rx_messages == len(b.received)
+        assert rx.rx_datagrams == 1 + extra
+        assert rx.rx_bytes == net.stats_for("a").tx_bytes - (
+            Tuple.make("ping", "b", 1).estimate_size() + PACKET_OVERHEAD_BYTES
+        )
+        assert net.messages_dropped == 2
+        loop.run_for(10.0)  # retransmissions fill the gap and the overrun
+        assert sorted(t[1] for t in b.received) == list(range(2 + extra))
 
     def test_rto_adapts_from_samples_within_clamp(self):
         loop, net, a, b = make_net()

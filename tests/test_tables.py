@@ -282,7 +282,8 @@ class TestLookupsAndIndices:
 
     def test_prober_is_lookup_for_every_access_path(self):
         """Primary key, secondary index and scan probes: same rows, same
-        ``lookups`` count, same lazy expiry as ``lookup``."""
+        ``lookups`` count, same lazy expiry as ``lookup`` — whether
+        ``lookup`` is handed its key as a tuple or as a list."""
         def filled():
             t = Table("finger", key_positions=[1], lifetime=10.0)
             t.add_index([2])
@@ -291,13 +292,21 @@ class TestLookupsAndIndices:
             t.insert(Tuple.make("finger", "n1", 2, "b2", 7), now=5.0)
             return t
 
-        for positions, keys in (([1], [(1,), (9,)]), ([2], [("b1",), ("zz",)]), ([3], [(7,)])):
-            a, b = filled(), filled()
+        cases = (
+            ([1], [(1,), (9,)]),
+            ([2], [("b1",), ("zz",)]),
+            ([3], [(7,)]),
+            ([3, 2], [(7, "b2"), (8, "b1"), (7, "zz")]),  # unindexed, two positions
+        )
+        for positions, keys in cases:
+            a, b, c = filled(), filled(), filled()
             probe = a.prober(positions)
             for now in (6.0, 12.0):  # the second probe expires the first row
                 for key in keys:
-                    assert list(probe(key, now)) == b.lookup(positions, key, now)
-            assert a.stats == b.stats
+                    rows = list(probe(key, now))
+                    assert rows == b.lookup(positions, key, now)
+                    assert rows == c.lookup(positions, list(key), now)
+            assert a.stats == b.stats == c.stats
 
     def test_prober_result_survives_mutation(self):
         t = Table("finger", key_positions=[1])

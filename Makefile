@@ -69,14 +69,16 @@ bench-p2:
 	$(PYTHON) -m benchmarks.p2bench --output $(P2BENCH_RESULT)
 	$(PYTHON) -m benchmarks.p2bench --compare benchmarks/p2bench/baseline_seed7.json $(P2BENCH_RESULT)
 
-# A perf claim's evidence: N interleaved pairs of one p2bench workload, the
+# A perf claim's evidence: N interleaved pairs of p2bench workloads, the
 # committed files of BASE against this checkout, alternating which side runs
-# first; prints medians, quartiles, wins and the ratio of medians.
-#   make bench-pairs BASE=HEAD~1 [WORKLOAD=chord_static] [N=10]
+# first; prints one row per workload: medians, quartiles, wins, the ratio of
+# medians and the set-up/RSS ratios.  WORKLOAD is one name, a comma-separated
+# list, or all (the no-regression check over every workload).
+#   make bench-pairs BASE=HEAD~1 [WORKLOAD=chord_static|a,b|all] [N=10]
 WORKLOAD ?= chord_static
 N ?= 10
 bench-pairs:
-	@test -n "$(BASE)" || { echo "usage: make bench-pairs BASE=<rev> [WORKLOAD=chord_static] [N=10]" >&2; exit 2; }
+	@test -n "$(BASE)" || { echo "usage: make bench-pairs BASE=<rev> [WORKLOAD=chord_static|a,b|all] [N=10]" >&2; exit 2; }
 	$(PYTHON) benchmarks/pairs.py $(BASE) --workload $(WORKLOAD) --pairs $(N)
 
 # The count aim-2 (less code) PRs cite: lines of *.py files git tracks or would

@@ -1,4 +1,4 @@
-"""Interleaved A/B pairs of one p2bench workload: a base revision vs this tree.
+"""Interleaved A/B pairs of p2bench workloads: a base revision vs this tree.
 
 The protocol every perf PR in this repo has run by hand (ROADMAP "Benchmarking";
 the choosing-metrics guide, section 8)::
@@ -6,18 +6,22 @@ the choosing-metrics guide, section 8)::
     python3 benchmarks/pairs.py BASE [--workload chord_static] [--pairs 10]
     make bench-pairs BASE=<rev> [WORKLOAD=chord_static] [N=10]
 
-*BASE*'s committed files are unpacked (``git archive``) into a temporary
-directory, then ``python3 benchmarks/p2bench/run.py --workload W --seed 7
---seconds 10 --trace 0`` — the driver's own command — runs in that directory
-and in this checkout as *N* back-to-back pairs, alternating which side goes
-first so neither always meets the warmer or the busier host.  Per side it
-prints the median, the quartiles, min/max of ``node_s_per_s`` (already stated
-at reference host speed by p2bench), the pairs won, the ratio of medians with
-its base, whether the difference exceeds the base's own inter-quartile range,
-the medians of the two end-to-end metrics that must not move (``setup_s``,
-``peak_rss_mb``), and whether ``"correct": true`` held on every run.  Exit
-status 0 means every run was correct — the verdict on the numbers is the
-reader's.
+``--workload`` names one workload, a comma-separated list, or ``all`` (every
+workload ``BENCHMARK.json`` declares), so the no-regression check over all
+of them is one command.  *BASE*'s committed files are unpacked (``git
+archive``) once into a temporary directory, then, workload by workload,
+``python3 benchmarks/p2bench/run.py --workload W --seed 7 --seconds 10
+--trace 0`` — the driver's own command — runs in that directory and in this
+checkout as *N* back-to-back pairs, alternating which side goes first so
+neither always meets the warmer or the busier host.  Each pair prints a line
+as it finishes; at the end one row per workload gives, per side, the median
+and quartiles of ``node_s_per_s`` (already stated at reference host speed by
+p2bench), the pairs the change won, the ratio of medians, whether the
+difference exceeds the base's own inter-quartile range, the new/base ratio
+of the medians of the two end-to-end metrics that must not move
+(``setup_s``, ``peak_rss_mb``), and whether ``"correct": true`` held on every
+run.  Exit status 0 means every run was correct — the verdict on the numbers
+is the reader's.
 
 Only the JSON line p2bench prints last is parsed; nothing of the engine or of
 p2bench is imported.  Neither tree keeps a file: the base directory is
@@ -88,62 +92,93 @@ def spread(values: List[float]) -> Tuple[float, float, float]:
     return q1, median(values), q3
 
 
+def workload_names(arg: str) -> List[str]:
+    """``all`` (``BENCHMARK.json``'s workloads, in its order), else a
+    comma-separated list of names."""
+    if arg == "all":
+        with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
+            return [workload["name"] for workload in json.load(fh)["workloads"]]
+    return [name for name in arg.split(",") if name]
+
+
+Runs = Dict[str, Dict[str, List[float]]]
+
+
+def run_pairs(trees: Dict[str, str], workload: str, pairs: int, seed: int,
+              scratch: str) -> Tuple[Runs, int, bool]:
+    """*pairs* interleaved pairs of *workload*: every run's metrics per side,
+    the pairs the new side won, and whether every run was correct."""
+    runs: Runs = {side: {name: [] for name in (CLAIMED, *FLAT)} for side in trees}
+    won, all_correct = 0, True
+    for pair in range(pairs):
+        order = ("base", "new") if pair % 2 == 0 else ("new", "base")
+        got = {}
+        for side in order:
+            metrics, correct = run_once(
+                trees[side], workload, seed, os.path.join(scratch, "pycache", side)
+            )
+            all_correct = all_correct and correct
+            for name, value in metrics.items():
+                runs[side][name].append(value)
+            got[side] = metrics[CLAIMED]
+        won += got["new"] > got["base"]
+        print(f"{workload} pair {pair + 1:2d} ({order[0]} first): base {got['base']:.1f}  "
+              f"new {got['new']:.1f}  new/base {got['new'] / got['base']:.3f}", flush=True)
+    return runs, won, all_correct
+
+
+HEADER = (f"{'workload':14s} {'base median [q1, q3]':>26s} {'new median [q1, q3]':>26s} "
+          f"{'won':>6s} {'ratio':>6s} {'> IQR':>6s} {'setup_s':>8s} {'rss_mb':>7s}  correct")
+
+
+def row(workload: str, runs: Runs, won: int, pairs: int, correct: bool) -> str:
+    """One workload's line under :data:`HEADER`."""
+    (base_q1, base_mid, base_q3), (new_q1, new_mid, new_q3) = (
+        spread(runs[side][CLAIMED]) for side in ("base", "new")
+    )
+    larger = abs(new_mid - base_mid) > base_q3 - base_q1
+    flat = [median(runs["new"][name]) / median(runs["base"][name]) for name in FLAT]
+    return (f"{workload:14s} {f'{base_mid:.1f} [{base_q1:.1f}, {base_q3:.1f}]':>26s} "
+            f"{f'{new_mid:.1f} [{new_q1:.1f}, {new_q3:.1f}]':>26s} {f'{won}/{pairs}':>6s} "
+            f"{new_mid / base_mid:6.3f} {'yes' if larger else 'NO':>6s} "
+            f"{flat[0]:8.3f} {flat[1]:7.3f}  {'yes' if correct else 'NO'}")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base", help="the revision to compare this checkout against")
-    parser.add_argument("--workload", default="chord_static")
+    parser.add_argument("--workload", default="chord_static",
+                        help="a workload, a comma-separated list, or 'all'")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args()
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    names = workload_names(args.workload)
+    if not names:
+        parser.error("--workload names no workload")
 
     had_pycache = os.path.exists(PYCACHE)
-    runs: Dict[str, List[float]] = {"base": [], "new": []}
-    flat: Dict[str, Dict[str, List[float]]] = {side: {name: [] for name in FLAT} for side in runs}
-    wins = {"base": 0, "new": 0}
+    rows: List[str] = []
     all_correct = True
     try:
         with tempfile.TemporaryDirectory(prefix="p2bench-pairs-") as scratch:
             base_tree = os.path.join(scratch, "base")
             unpack(args.base, base_tree)
             trees = {"base": base_tree, "new": ROOT}
-            for pair in range(args.pairs):
-                order = ("base", "new") if pair % 2 == 0 else ("new", "base")
-                got = {}
-                for side in order:
-                    metrics, correct = run_once(
-                        trees[side], args.workload, args.seed, os.path.join(scratch, "pycache", side)
-                    )
-                    all_correct = all_correct and correct
-                    got[side] = metrics[CLAIMED]
-                    runs[side].append(got[side])
-                    for name in FLAT:
-                        flat[side][name].append(metrics[name])
-                if got["new"] != got["base"]:
-                    wins["new" if got["new"] > got["base"] else "base"] += 1
-                print(f"pair {pair + 1:2d} ({order[0]} first): base {got['base']:.1f}  "
-                      f"new {got['new']:.1f}  new/base {got['new'] / got['base']:.3f}", flush=True)
+            for workload in names:
+                runs, won, correct = run_pairs(trees, workload, args.pairs, args.seed, scratch)
+                all_correct = all_correct and correct
+                rows.append(row(workload, runs, won, args.pairs, correct))
     finally:
         if not had_pycache:
             shutil.rmtree(PYCACHE, ignore_errors=True)
 
-    print(f"\n{args.workload} seed {args.seed}: {CLAIMED}, {args.pairs} interleaved pair(s), "
-          f"base = {args.base}")
-    stats = {side: spread(values) for side, values in runs.items()}
-    for side in ("base", "new"):
-        q1, mid, q3 = stats[side]
-        print(f"  {side:4s} median {mid:.1f}  [q1 {q1:.1f}, q3 {q3:.1f}]  "
-              f"min {min(runs[side]):.1f}  max {max(runs[side]):.1f}  "
-              f"wins {wins[side]}/{args.pairs}")
-    (base_q1, base_mid, base_q3), (_, new_mid, _) = stats["base"], stats["new"]
-    print(f"  ratio of medians new/base = {new_mid:.1f} / {base_mid:.1f} = {new_mid / base_mid:.3f}")
-    print(f"  difference {new_mid - base_mid:+.1f} vs base inter-quartile range {base_q3 - base_q1:.1f}: "
-          f"{'larger' if abs(new_mid - base_mid) > base_q3 - base_q1 else 'NOT larger'}")
-    for name in FLAT:
-        base_mid, new_mid = median(flat["base"][name]), median(flat["new"][name])
-        print(f"  {name}: median new/base = {new_mid:.4g} / {base_mid:.4g} = {new_mid / base_mid:.3f}")
-    print(f"  correct on every run: {'yes' if all_correct else 'NO'}")
+    print(f"\nseed {args.seed}, {args.pairs} interleaved pair(s) per workload, base = {args.base}; "
+          f"{CLAIMED} per side, then new/base of the medians")
+    print(HEADER)
+    for line in rows:
+        print(line)
     return 0 if all_correct else 1
 
 

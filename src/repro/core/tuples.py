@@ -159,19 +159,23 @@ def identical_fields(a: PyTuple[Any, ...], b: PyTuple[Any, ...]) -> bool:
     ``compare`` ties a NaN with every number, so which of the two a ``min`` or
     ``max`` keeps depends on the order they are scanned in, and a refresh
     moves a row to the end of that order: such a write counts as a change.
+
+    One pass over the field pairs: ``x != y`` on the fields themselves (not
+    inside a tuple comparison, which skips one shared object) is true for a
+    NaN, and a nested tuple is compared the same way, field by field.
     """
-    if a != b:
+    if len(a) != len(b):
         return False
-    types = [*map(type, a)]
-    if types != [*map(type, b)]:
-        return False
-    if float in types:
-        for x in a:
-            if x != x:
+    for x, y in zip(a, b):
+        kind = type(x)
+        if kind is not type(y):
+            return False
+        if kind is tuple:
+            if not identical_fields(x, y):
                 return False
-    return tuple not in types or all(
-        identical_fields(x, y) for x, y in zip(a, b) if type(x) is tuple
-    )
+        elif x != y:
+            return False
+    return True
 
 
 def key_getter(positions: Sequence[int]) -> Callable[[PyTuple[Any, ...]], PyTuple[Any, ...]]:

@@ -335,14 +335,15 @@ class Network:
         determined by the traffic itself, identically on a single loop and
         under any sharding — the deterministic cross-shard merge key.  A
         destination on another loop is posted to its inbox (drained at the
-        next lookahead barrier) instead of touching its heap directly.
+        next lookahead barrier) instead of touching its heap directly.  Nothing
+        cancels a delivery, so either way it is a bare heap entry.
         """
         seq = self._tx_seq.get(src, 0)
         self._tx_seq[src] = seq + 1
         priority = (now, self._indices[src], seq)
         dst_loop = self._loops.get(dst) or self.loop
         if dst_loop is src_loop:
-            dst_loop.schedule_at(now + delay, callback, priority)
+            dst_loop.deliver_at(now + delay, callback, priority)
         else:
             dst_loop.post_at(now + delay, callback, priority)
 

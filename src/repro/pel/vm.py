@@ -212,15 +212,17 @@ class ExpressionEmitter:
 
     The expressions use these names, which the function must bind: the field
     tuple under the name passed to :meth:`emit`, ``B`` (the built-in map),
-    ``R`` (the identifier space), ``ctx``, and ``K`` (:attr:`constants`);
-    everything else is in :data:`GENERATED_GLOBALS`.  Temporaries are
-    ``_1, _2, …`` — unique per emitter, since expressions nest.
+    ``R`` (the identifier space), ``ctx``, and ``K`` (:attr:`constants`, or
+    the name passed as *constants_name* when several emitters' text shares
+    one function); everything else is in :data:`GENERATED_GLOBALS`.
+    Temporaries are ``_1, _2, …`` — unique per emitter, since expressions nest.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, constants_name: str = "K") -> None:
         self.temps = 0
         #: constants with no literal form, referenced as ``K[i]``
         self.constants: List[Any] = []
+        self.constants_name = constants_name
         #: which of ``B`` / ``R`` the emitted text mentions
         self.uses: set = set()
 
@@ -300,7 +302,7 @@ class ExpressionEmitter:
             text = repr(value)
             return Expression(f"({text})" if text[0] == "-" else text, "const", value=value)
         self.constants.append(value)
-        return Expression(f"K[{len(self.constants) - 1}]", "any")
+        return Expression(f"{self.constants_name}[{len(self.constants) - 1}]", "any")
 
     def _binary(self, op: Op, a: Expression, b: Expression) -> Expression:
         name, _, inline, exact = BINARY[op]

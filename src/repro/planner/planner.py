@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Any, Dict, List, Optional, Sequence, Tuple as PyTuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple as PyTuple
 
 from ..core.errors import OverlogAnalysisError, PlannerError
 from ..core.tuples import Tuple
@@ -55,7 +55,14 @@ from ..tables.table import INFINITY, TableStore
 from .analyzer import RuleKind, analyze_rule
 from .optimizer import PlannedTerm, ProgramPlan, RulePlan, index_plan, plan_strand
 from .strand import ContinuousAggregateStrand, PeriodicSpec, RuleStrand
-from .strand_compiler import StrandSource, fuse_dataflow, generate_sources
+from .strand_compiler import (
+    RelationProcedure,
+    StrandSource,
+    fuse_dataflow,
+    generate_procedure,
+    generate_sources,
+    procedure_relations,
+)
 
 
 @dataclass
@@ -80,6 +87,11 @@ class CompiledDataflow:
     #: True when body terms were placed by the cost-based optimizer
     #: (:mod:`repro.planner.optimizer`); False is the naive body-order walk
     optimized: bool = False
+    #: on a fused node, the plan's :meth:`PlannedProgram.procedure`: the node
+    #: binds a relation's generated procedure on the relation's first tuple
+    procedure: Optional[Callable[[str], Optional[RelationProcedure]]] = None
+    #: the node's one evaluation context, shared by its generated functions
+    ctx: Optional[EvalContext] = None
 
     def all_strands(self) -> List[RuleStrand]:
         out: List[RuleStrand] = []
@@ -110,12 +122,24 @@ class PlannedProgram:
     #: the strands themselves, their operators pointing at no host and at
     #: schema-only tables; never fired — nodes run rebound copies
     dataflow: CompiledDataflow
+    #: relation -> its procedure, once generated
+    _procedures: Dict[str, Optional[RelationProcedure]] = field(
+        default_factory=dict, init=False, repr=False
+    )
 
     @cached_property
     def sources(self) -> List[StrandSource]:
         """The strands' generated modules, made when first asked for (the
         first fused node to bind, or :meth:`Planner.explain_source`)."""
         return generate_sources(self.dataflow)
+
+    def procedure(self, relation: str) -> Optional[RelationProcedure]:
+        """*relation*'s generated procedure, inlining its strands' bodies
+        (``None``: the program neither stores it nor fires on it).  Made the
+        first time any fused node binds it, so set-up compiles none."""
+        if relation not in self._procedures:
+            self._procedures[relation] = generate_procedure(self.dataflow, self.sources, relation)
+        return self._procedures[relation]
 
 
 def plan_program(program: "ast.Program | str", *, optimize: bool = True) -> PlannedProgram:
@@ -233,6 +257,7 @@ class Planner:
                 compiled.graph.add(element)
         if self.fused:
             fuse_dataflow(compiled, planned.sources, host)
+            compiled.procedure = planned.procedure
         return compiled
 
     @classmethod
@@ -251,13 +276,16 @@ class Planner:
         """The Python source generated for every strand of *program*.
 
         What a fused node actually runs, one ``bind`` module per strand under
-        a ``# ----`` header naming it — the text the golden snapshots under
+        a ``# ----`` header naming it, then each relation's procedure under
+        ``# ---- relation <name>`` — the text the golden snapshots under
         ``tests/golden/strands/`` pin.  Like :meth:`explain` it needs no host:
         the text depends on the program and the plan only.
         """
+        planned = plan_program(program, optimize=optimize)
         return "\n".join(
-            f"# ---- {source.name}\n{source.text}"
-            for source in plan_program(program, optimize=optimize).sources
+            [f"# ---- {source.name}\n{source.text}" for source in planned.sources]
+            + [f"# ---- relation {name}\n{planned.procedure(name).text}"
+               for name in procedure_relations(planned.dataflow)]
         )
 
     # -- facts ----------------------------------------------------------------------

@@ -33,6 +33,24 @@ built-in map and identifier space into closure cells and installs the inner
 function over ``strand.fire`` / ``strand.refresh``.  Every node's function
 shares one code object.
 
+Relation procedures
+-------------------
+
+A node still has to route each tuple to its strands.  Following the usual
+compilation scheme for rule systems (every occurrence of a constraint in one
+procedure, tried in order), :func:`generate_procedure` emits one
+``handle(event)`` per relation — what ``P2Node._make_handler``'s closure
+does, in its order: count the dispatch, call the live subscribers, insert
+into the relation's table, then each strand of ``strands_by_event`` with its
+body *inlined* (the same :class:`_Emitter` text as its own ``fire``, names
+prefixed ``s<i>_``: its arity check, counters, ``try`` and line → site
+table), and right after each strand's ``try`` that firing's heads routed by
+the strand's static ``loc_position``/``is_delete``.  A strand the emitter
+declined is called through its ``fire``.  Procedures are per program and
+plan kind like the strand modules, generated on the first tuple of their
+relation any node sees and bound per node (``bind(node, ctx, strands,
+subscribers, pending, egress)``).
+
 Contracts
 ---------
 
@@ -57,7 +75,9 @@ Contracts
   declines, or text CPython refuses (more than 20 nested blocks).
 * Generated functions are *not* reentrant (one ``ctx`` per node), which is
   safe because strand execution is run-to-completion: the heads are applied
-  only after the function returns (so a firing that raises applies none).
+  only once the firing's body is done — after ``fire`` returns, or after the
+  strand's ``try`` in a relation procedure — so a firing that raises applies
+  none.
 """
 
 from __future__ import annotations
@@ -66,6 +86,7 @@ import zlib
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple as PyTuple
 
 from ..core import values
+from ..core.errors import PlannerError
 from ..core.tuples import Tuple
 from ..dataflow.operators import AntiJoin, Assign, LookupJoin, Select
 from ..pel.program import Program
@@ -93,12 +114,17 @@ class _Declined(Exception):
 
 
 class _Emitter:
-    """Accumulates the text of one strand's ``bind`` module."""
+    """Accumulates the text of one strand's ``bind`` module (or of its part
+    of a relation procedure)."""
 
-    def __init__(self, strand: Any):
+    def __init__(self, strand: Any, ns: str = ""):
         self.strand = strand
+        #: prefix of every name bound per strand (``strand``, ``drop0``, ``K``,
+        #: ``SITES``, …): empty in the strand's own module, ``s<i>_`` where
+        #: several strands share one relation procedure
+        self.ns = ns
         self.continuous = isinstance(strand, ContinuousAggregateStrand)
-        self.pel = ExpressionEmitter()
+        self.pel = ExpressionEmitter(ns + "K")
         self.binds: List[str] = []
         self.body: List[str] = []
         #: body line (0-based) -> (source, loads, fields variable)
@@ -113,6 +139,8 @@ class _Emitter:
         #: another table) and counts nothing per row (no Select, whose
         #: ``dropped`` moves with every row it filters)
         self.skippable = True
+        #: the body probes a table, so it calls ``now()``
+        self.probes = False
 
     # -- lines ---------------------------------------------------------------
     def line(self, depth: int, text: str) -> None:
@@ -178,7 +206,7 @@ class _Emitter:
     # -- the operator chain ---------------------------------------------------
     def chain(self, index: int, depth: int, width: int) -> None:
         """Emit ``ops[index:]`` and the sink, over the field tuple ``f<width>``."""
-        strand = self.strand
+        strand, ns = self.strand, self.ns
         fields = f"f{width}"
         wants_prefix = not self.continuous and strand.fallback_project is not None
         if index == len(strand.ops):
@@ -198,7 +226,8 @@ class _Emitter:
                 self.line(depth, f"f{width + 1} = {fields} + ({value},)")
             self.chain(index + 1, depth, width + 1)
             return
-        self.binds.append(f"drop{index} = ops[{index}].stats")
+        drop = f"{ns}drop{index}"
+        self.binds.append(f"{drop} = {ns}ops[{index}].stats")
         if type(op) is Select:
             self.skippable = False
             e = self.expr(depth, op.program, fields)
@@ -208,23 +237,24 @@ class _Emitter:
                 self.line(depth, f"if to_bool({self.value(depth, op.program, fields, e)}):")
         elif type(op) in (LookupJoin, AntiJoin):
             self.skippable = False
+            self.probes = True
             if wants_prefix and index == strand.first_join_index:
                 self.line(depth, f"prefix = {fields}")
             if op.table_positions:
                 self.binds.append(
-                    f"probe{index} = ops[{index}].table.prober({tuple(op.table_positions)!r})"
+                    f"{ns}probe{index} = {ns}ops[{index}].table.prober({tuple(op.table_positions)!r})"
                 )
                 keys, loads = self.operands(depth, op.key_programs, fields, coerce=False)
-                probe = f"probe{index}({_tuple(keys)}, now())"
+                probe = f"{ns}probe{index}({_tuple(keys)}, now())"
             else:
-                self.binds.append(f"probe{index} = ops[{index}].table.scan")
-                probe, loads = f"probe{index}(now())", []
+                self.binds.append(f"{ns}probe{index} = {ns}ops[{index}].table.scan")
+                probe, loads = f"{ns}probe{index}(now())", []
             if type(op) is LookupJoin:
                 # materialised before descending: a deeper stage that expires
                 # rows of the same table cannot invalidate the probe
                 self.site(depth, f"rows{index} = {probe}", loads, fields)
                 self.line(depth, f"if not rows{index}:")
-                self.line(depth + 1, f"drop{index}.dropped += 1")
+                self.line(depth + 1, f"{drop}.dropped += 1")
                 self.line(depth, f"for row in rows{index}:")
                 self.line(depth + 1, f"f{width + 1} = {fields} + row.fields")
                 self.chain(index + 1, depth + 1, width + 1)
@@ -234,7 +264,7 @@ class _Emitter:
             raise _Declined(f"operator {type(op).__name__}")
         self.chain(index + 1, depth + 1, width)
         self.line(depth, "else:")
-        self.line(depth + 1, f"drop{index}.dropped += 1")
+        self.line(depth + 1, f"{drop}.dropped += 1")
 
     def head(self, depth: int, project: Any, fields: str) -> PyTuple[str, List[int]]:
         """The head's field tuple as text, and the loads left inline in it."""
@@ -269,22 +299,69 @@ class _Emitter:
                     f" else compare(v, b) {op} 0): g[{pos}] = v"
                 )
             else:
-                self.binds.append(f"fold{pos} = strand.aggregate.folds[{index}][1]")
-                opened[pos] = f"fold{pos}.first(h[{pos}])"
-                steps.append(f"g[{pos}] = fold{pos}.step(g[{pos}], h[{pos}])")
-                self.results.append(f"g[{pos}] = fold{pos}.result(g[{pos}])")
+                fold = f"{self.ns}fold{pos}"
+                self.binds.append(f"{fold} = {self.ns}strand.aggregate.folds[{index}][1]")
+                opened[pos] = f"{fold}.first(h[{pos}])"
+                steps.append(f"g[{pos}] = {fold}.step(g[{pos}], h[{pos}])")
+                self.results.append(f"g[{pos}] = {fold}.result(g[{pos}])")
         self.line(depth, "if g is None:")
         self.line(depth + 1, f"groups[k] = [{', '.join(opened)}]")
         self.line(depth, "else:")
         for step in steps:
             self.line(depth + 1, step)
 
+    # -- the function around the body -----------------------------------------
+    def bindings(self) -> List[str]:
+        """The statements binding this strand's names (``B``/``R`` aside)."""
+        ns = self.ns
+        return [f"{ns}ops = {ns}strand.ops"] * bool(self.binds) + self.binds
+
+    def grouped_heads(self) -> List[str]:
+        """After the ``try``: one head per group, in first-appearance order."""
+        return [
+            "for g in groups.values():",
+            *[_INDENT + result for result in self.results],
+            f"    out.append(trusted({self.strand.head_name!r}, tuple(g)))",
+            f"{self.ns}agg_stats.emitted += len(groups)",
+        ]
+
+    def firing(self) -> PyTuple[List[str], List[str]]:
+        """A rule strand's firing: the statements before its ``try`` and after.
+
+        Both lists are unindented, for a function whose ``f0`` already holds
+        the event's fields and whose ``out`` holds the heads afterwards; the
+        body between them is :attr:`body`.  The strand's own ``fire`` and the
+        relation procedure both wrap these.
+        """
+        strand, ns = self.strand, self.ns
+        entry = [
+            f"if len(f0) < {strand.min_event_arity}:",
+            f"    raise {ns}strand.arity_error(event)",
+            f"{ns}strand.fired += 1",
+        ]
+        self.chain(0, 2, 0)
+        if strand.fallback_project is not None:
+            # count<> over no match at all: the one fallback row
+            self.binds.append(f"{ns}aggregate = {ns}strand.aggregate.aggregate")
+            self.line(2, "if not groups and prefix is not None:")
+            self.ctx_fields = None
+            built, loads = self.head(3, strand.fallback_project, "prefix")
+            self.site(3, f"out = {ns}aggregate((), trusted({strand.head_name!r}, {built}))",
+                      loads, "prefix")
+            entry.append("prefix = None")
+        entry.append("out = []")
+        exit: List[str] = []
+        if strand.aggregate is not None:
+            self.binds.append(f"{ns}agg_stats = {ns}strand.aggregate.stats")
+            entry.append("groups = {}")
+            exit = self.grouped_heads()
+        exit.append(f"{ns}strand.produced += len(out)")
+        return entry, exit
+
     # -- the module -------------------------------------------------------------
     def module(self) -> PyTuple[str, Dict[int, tuple]]:
         """The module text and its line → PEL site table."""
         strand = self.strand
-        aggregates = strand.aggregate is not None
-        on_change = False
         if self.continuous:
             name = "refresh"
             self.binds.append("scan = strand.base_table.scan")
@@ -311,54 +388,29 @@ class _Emitter:
                     "        agg_stats.emitted += strand.seen_groups",
                     "        return []",
                 ]
+            head += ["    out = []", "    groups = {}"]
+            self.binds.append("agg_stats = strand.aggregate.stats")
+            tail = [_INDENT + text for text in self.grouped_heads()]
+            if on_change:
+                # remembered only once the refresh has gone through: one that
+                # raised leaves the old version behind and is rescanned
+                tail += [
+                    "    out = strand.emit_changed(out)",
+                    "    strand.seen_version = version",
+                    "    strand.seen_groups = len(groups)",
+                    "    return out",
+                ]
+            else:
+                tail.append("    return strand.emit_changed(out)")
         else:
             name = "fire"
-            head = [
-                "def fire(event):",
-                "    f0 = event.fields",
-                f"    if len(f0) < {strand.min_event_arity}:",
-                "        raise strand.arity_error(event)",
-                "    strand.fired += 1",
-            ]
-            self.chain(0, 2, 0)
-            if strand.fallback_project is not None:
-                # count<> over no match at all: the one fallback row
-                self.binds.append("aggregate = strand.aggregate.aggregate")
-                self.line(2, "if not groups and prefix is not None:")
-                self.ctx_fields = None
-                built, loads = self.head(3, strand.fallback_project, "prefix")
-                self.site(3, f"out = aggregate((), trusted({strand.head_name!r}, {built}))",
-                          loads, "prefix")
-                head.append("    prefix = None")
-        head.append("    out = []")
-        tail: List[str] = []
-        if aggregates:
-            self.binds.append("agg_stats = strand.aggregate.stats")
-            head.append("    groups = {}")
-            tail = [
-                "    for g in groups.values():",
-                *[_INDENT * 2 + result for result in self.results],
-                f"        out.append(trusted({strand.head_name!r}, tuple(g)))",
-                "    agg_stats.emitted += len(groups)",
-            ]
-        if on_change:
-            # remembered only once the refresh has gone through: one that
-            # raised leaves the old version behind and is rescanned
-            tail += [
-                "    out = strand.emit_changed(out)",
-                "    strand.seen_version = version",
-                "    strand.seen_groups = len(groups)",
-                "    return out",
-            ]
-        elif self.continuous:
-            tail.append("    return strand.emit_changed(out)")
-        else:
-            tail += ["    strand.produced += len(out)", "    return out"]
-        binds = self.pel.bindings() + ["ops = strand.ops"] * bool(self.binds) + self.binds
+            entry, exit = self.firing()
+            head = ["def fire(event):", "    f0 = event.fields", *[_INDENT + text for text in entry]]
+            tail = [*[_INDENT + text for text in exit], "    return out"]
         prologue = [
             f"# {strand.describe()}",
             "def bind(strand, ctx, now):",
-            *[_INDENT + bind for bind in binds],
+            *[_INDENT + bind for bind in self.pel.bindings() + self.bindings()],
         ]
         inner = [*head, "    try:", *self.body, "    except Exception as exc:",
                  "        reraise(exc, SITES)", *tail]
@@ -369,7 +421,7 @@ class _Emitter:
         return "\n".join(lines) + "\n", sites
 
 
-_NAMES = {"trusted": Tuple.trusted, "compare": values.compare}
+_NAMES = {"trusted": Tuple.trusted, "compare": values.compare, "PlannerError": PlannerError}
 
 
 def _generate(strand: Any, directory: str, name: str) -> StrandSource:
@@ -394,6 +446,13 @@ def _strands(compiled: Any) -> List[Any]:
     return compiled.all_strands() + list(compiled.continuous)
 
 
+def _directory(compiled: Any) -> str:
+    """Where *compiled*'s generated files appear to live: process-stable (never
+    ``hash()``), since it names the files tracebacks show."""
+    key = f"{compiled.program}\noptimized={compiled.optimized}"
+    return f"{zlib.crc32(key.encode()):08x}"
+
+
 def generate_sources(compiled: Any) -> List[StrandSource]:
     """The generated module of every strand of *compiled*, in strand order.
 
@@ -401,8 +460,7 @@ def generate_sources(compiled: Any) -> List[StrandSource]:
     the host-free strands of a plan do; :func:`fuse_dataflow` binds the
     result to each node's copies.
     """
-    # process-stable (never hash()): names the files tracebacks will show
-    crc = zlib.crc32(f"{compiled.program}\noptimized={compiled.optimized}".encode())
+    directory = _directory(compiled)
     sources: List[StrandSource] = []
     taken: Dict[str, int] = {}
     for strand in _strands(compiled):
@@ -412,17 +470,153 @@ def generate_sources(compiled: Any) -> List[StrandSource]:
         taken[name] = taken.get(name, 0) + 1
         if taken[name] > 1:
             name += f".{taken[name]}"
-        sources.append(_generate(strand, f"{crc:08x}", name))
+        sources.append(_generate(strand, directory, name))
     return sources
+
+
+# ------------------------------------------------------------ relation procedures
+class RelationProcedure(NamedTuple):
+    """One relation's generated procedure: everything a tuple of it sets off."""
+
+    relation: str
+    text: str
+    #: ``bind(node, ctx, strands, subscribers, pending, egress) -> handle``;
+    #: ``None`` when CPython refused the text
+    bind: Optional[Callable[..., Callable[[Tuple], None]]]
+
+
+#: what a procedure's ``bind`` derives from its arguments, each bound only
+#: when the handler uses it
+_NODE_NAMES = {
+    "loop": "loop = node.loop",
+    "address": "address = node.address",
+    "now": "now = node.now",
+    "push": "push = pending.append",
+    "extend": "extend = pending.extend",
+}
+
+
+def _route(strand: Any, ns: str) -> PyTuple[List[str], List[str], List[str]]:
+    """The statements sending one firing's heads (``out``) where *strand*'s
+    static ``loc_position`` / ``is_delete`` say, the bindings they need, and
+    the :data:`_NODE_NAMES` they use."""
+    loc = strand.loc_position
+    if strand.is_delete:
+        lines = ["for h in out:"]
+        if loc is not None:
+            lines += [
+                f"    if h.fields[{loc}] != address:",
+                '        raise PlannerError(f"node {address}: delete rules must target local tables")',
+            ]
+        lines.append(f"    {ns}delete(h, loop.now)")
+        binds = [f"{ns}delete = node.tables.get({strand.head_name!r}).delete"]
+        return lines, binds, ["loop"] + ["address"] * (loc is not None)
+    if loc is None:
+        return ["extend(out)"], [], ["extend"]
+    return [
+        "for h in out:",
+        f"    if (d := h.fields[{loc}]) == address:",
+        "        push(h)",
+        "    else:",
+        "        egress(d, h)",
+    ], [], ["address", "push"]
+
+
+def procedure_relations(compiled: Any) -> List[str]:
+    """The relations *compiled* has a procedure for, in order: those it fires
+    strands on (``strands_by_event``'s order), then the stored ones it does not."""
+    return list(compiled.strands_by_event) + [
+        name for name in compiled.program.materialized_names()
+        if name not in compiled.strands_by_event
+    ]
+
+
+def generate_procedure(compiled: Any, sources: Sequence[StrandSource],
+                       relation: str) -> Optional[RelationProcedure]:
+    """*relation*'s procedure: what ``P2Node._make_handler``'s closure does,
+    with the body of every strand whose own module was generated inlined in
+    order (a declined or refused one is called through its ``fire``).
+
+    ``None`` when *compiled* neither stores *relation* nor fires a strand on
+    it.  *sources* are :func:`generate_sources` of *compiled*.  Like them,
+    made once per program and plan kind and bound per node.
+    """
+    strands = compiled.strands_by_event.get(relation, [])
+    stored = relation in compiled.program.materialized_names()
+    if not strands and not stored:
+        return None
+    generated = {id(s) for s, source in zip(_strands(compiled), sources) if source.bind is not None}
+    handle = [
+        "def handle(event):",
+        "    node.events_processed += 1",
+        "    for callback in subscribers:",
+        "        callback(event)",
+    ]
+    uses: set = set()
+    binds: List[str] = []
+    pel_binds: set = set()
+    names: Dict[str, Any] = dict(_NAMES)
+    sites: List[PyTuple[str, int, Dict[int, tuple]]] = []
+    if stored:
+        uses.add("loop")
+        binds.append(f"insert = node.tables.get({relation!r}).insert")
+        handle.append("    insert(event, loop.now)")
+    if generated.intersection(map(id, strands)):
+        handle.append("    f0 = event.fields")
+    for i, strand in enumerate(strands):
+        ns = f"s{i}_"
+        handle.append(f"    # {strand.describe()}")
+        if id(strand) in generated:
+            emitter = _Emitter(strand, ns)
+            entry, exit = emitter.firing()
+            if emitter.probes:
+                uses.add("now")
+            binds += [f"{ns}strand = strands[{i}]", *emitter.bindings()]
+            pel_binds.update(emitter.pel.bindings())
+            names[f"{ns}K"] = emitter.pel.constants
+            handle += [_INDENT + text for text in entry]
+            handle.append("    try:")
+            sites.append((ns, len(handle), emitter.sites))
+            handle += emitter.body
+            handle += ["    except Exception as exc:", f"        reraise(exc, {ns}SITES)"]
+            handle += [_INDENT + text for text in exit]
+        else:
+            binds.append(f"{ns}fire = strands[{i}].fire")
+            handle.append(f"    out = {ns}fire(event)")
+        route, route_binds, route_uses = _route(strand, ns)
+        binds += route_binds
+        uses.update(route_uses)
+        handle += [_INDENT + text for text in route]
+    node_binds = [line for name, line in _NODE_NAMES.items() if name in uses]
+    header = f"# relation {relation}: {'stored' if stored else 'not stored'}, {len(strands)} strand(s)"
+    prologue = [
+        header,
+        "def bind(node, ctx, strands, subscribers, pending, egress):",
+        *[_INDENT + bind for bind in node_binds + sorted(pel_binds) + binds],
+    ]
+    for ns, start, table in sites:
+        # 1-based lines of the file; the handler sits one indent in
+        names[f"{ns}SITES"] = {len(prologue) + start + 1 + n: site for n, site in table.items()}
+    text = "\n".join(prologue + [_INDENT + line for line in handle] + ["    return handle"]) + "\n"
+    namespace = load_generated(
+        text, ("planner", "generated", _directory(compiled), "relations", relation + ".py"), names
+    )
+    if namespace is None:
+        return RelationProcedure(
+            relation, f"{header}\n# left to the node's handler: CPython refused the text\n", None
+        )
+    return RelationProcedure(relation, text, namespace["bind"])
 
 
 def fuse_dataflow(compiled: Any, sources: Sequence[StrandSource], host: Any) -> None:
     """Bind every strand of a node's :class:`CompiledDataflow` to *host*, in place.
 
     *sources* are :func:`generate_sources` of the plan *compiled* was
-    instantiated from; strands whose source was declined keep the walk.
+    instantiated from; strands whose source was declined keep the walk.  The
+    one evaluation context they share is left in ``compiled.ctx`` for the
+    relation procedures the node binds later.
     """
-    ctx = EvalContext.for_host(host)
+    ctx = compiled.ctx = EvalContext.for_host(host)
     now = host.now
     for strand, source in zip(_strands(compiled), sources):
         if source.bind is not None:

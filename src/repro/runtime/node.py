@@ -92,8 +92,9 @@ class P2Node:
         self._dirty_continuous: Deque[ContinuousAggregateStrand] = deque()
         self._dirty_set: Set[int] = set()
         self._subscriptions: Dict[str, List[Subscriber]] = {}
-        #: relation name -> its handler closure, built on first dispatch
+        #: relation name -> its handler, bound on first dispatch
         self._handlers: Dict[str, Callable[[Tuple], None]] = {}
+        self._egress = self._make_egress()
         self._apply = self._make_sink()
         self._timers: List[EventHandle] = []
         self.dropped_remote_sends = 0
@@ -205,10 +206,12 @@ class P2Node:
         local derivations are fully chased before the next tuple in the
         datagram is considered, exactly as if each had arrived alone.
         """
+        pending, run = self._pending.append, self._run_queue
         for tup in batch:
             if not self.alive:
                 return
-            self.route(tup)
+            pending(tup)
+            run()
 
     # ------------------------------------------------------------------ dataflow core
     def route(self, tup: Tuple) -> None:
@@ -236,7 +239,7 @@ class P2Node:
                     try:
                         handler = handlers[current.name]
                     except KeyError:
-                        handler = handlers[current.name] = self._make_handler(current.name)
+                        handler = handlers[current.name] = self._bind_handler(current.name)
                     handler(current)
                 else:
                     strand = dirty.popleft()
@@ -253,6 +256,30 @@ class P2Node:
         finally:
             self._processing = False
         self._flush_transmit()
+
+    def _bind_handler(self, relation: str) -> Callable[[Tuple], None]:
+        """Everything one tuple of *relation* sets off, bound once.
+
+        On a fused node that is the relation's generated procedure (see
+        :func:`repro.planner.strand_compiler.generate_procedure`): the steps
+        of :meth:`_make_handler` in the same order, with each strand's body
+        inlined and its heads routed by the strand's static ``loc_position``
+        and ``is_delete``.  :meth:`_make_handler` stays the oracle, and runs
+        for ``fused=False`` and for relations the program neither stores nor
+        triggers a strand on.
+        """
+        find = self.compiled.procedure
+        procedure = find(relation) if find is not None else None
+        if procedure is None or procedure.bind is None:
+            return self._make_handler(relation)
+        return procedure.bind(
+            self,
+            self.compiled.ctx,
+            self.compiled.strands_by_event.get(relation, []),
+            self._subscriptions.setdefault(relation, []),
+            self._pending,
+            self._egress,
+        )
 
     def _make_handler(self, relation: str) -> Callable[[Tuple], None]:
         """Everything one tuple of *relation* sets off, resolved once.
@@ -285,6 +312,19 @@ class P2Node:
 
         return handle
 
+    def _make_egress(self) -> Callable[[Any, Tuple], None]:
+        """``egress(destination, tup)``: how a remote-bound head leaves — into
+        the transmit buffer, or with ``batching=False`` onto the network at once."""
+        if self.batching and self.transmit is not None:
+            return self.transmit.enqueue
+        address, network = self.address, self.network
+
+        def send(destination: Any, tup: Tuple) -> None:
+            if not network.send(address, destination, tup):
+                self.dropped_remote_sends += 1
+
+        return send
+
     def _make_sink(self) -> Callable[[List[Tuple], Optional[int], bool], None]:
         """``apply(heads, loc, is_delete)``: where one firing's head tuples go.
 
@@ -294,9 +334,8 @@ class P2Node:
         per-destination datagram trains when the drain flushes), both in
         derivation order; deletes are applied at once, in order.
         """
-        address, tables, loop, network = self.address, self.tables, self.loop, self.network
+        address, tables, loop, egress = self.address, self.tables, self.loop, self._egress
         pending, extend = self._pending.append, self._pending.extend
-        enqueue = self.transmit.enqueue if self.batching and self.transmit is not None else None
 
         def apply(heads: List[Tuple], loc: Optional[int], is_delete: bool) -> None:
             if is_delete:
@@ -313,10 +352,8 @@ class P2Node:
                     destination = tup.fields[loc]
                     if destination == address:
                         pending(tup)
-                    elif enqueue is not None:
-                        enqueue(destination, tup)
-                    elif not network.send(address, destination, tup):
-                        self.dropped_remote_sends += 1
+                    else:
+                        egress(destination, tup)
 
         return apply
 

@@ -21,6 +21,12 @@ For sharding, a loop can also accept events from *other* loops through
 folds them into the heap in deterministic ``(time, priority)`` order.  The
 sharded driver drains inboxes only at lookahead barriers, so the heap is
 never mutated while a shard is mid-window.
+
+Nothing ever cancels a datagram delivery, so deliveries (:meth:`deliver_at`)
+and posted events enter the heap *bare* — ``(time, priority, seq,
+callback)`` — while :meth:`schedule_at` wraps its callback in an
+:class:`_Event` and hands out an :class:`EventHandle` that can cancel it.
+Both kinds share one heap and one order.
 """
 
 from __future__ import annotations
@@ -36,9 +42,10 @@ Priority = Tuple[Any, ...]
 
 
 class _Event:
-    """One scheduled callback.  The heap holds ``(time, prio, seq, event)``
-    entries: ``seq`` is unique, so the ordering is decided by the C-level
-    tuple comparison and never reaches the event itself."""
+    """One cancellable scheduled callback.  The heap holds ``(time, prio,
+    seq, event)`` entries — or ``(time, prio, seq, callback)`` for the bare
+    ones nothing can cancel: ``seq`` is unique, so the ordering is decided by
+    the C-level tuple comparison and never reaches the last item."""
 
     __slots__ = ("time", "callback", "cancelled", "done")
 
@@ -49,8 +56,8 @@ class _Event:
         self.done = False
 
 
-#: a heap entry: ``(time, priority, seq, event)``
-_Entry = Tuple[float, Priority, int, _Event]
+#: a heap entry: ``(time, priority, seq, event or bare callback)``
+_Entry = Tuple[float, Priority, int, Any]
 
 
 class EventHandle:
@@ -92,7 +99,9 @@ class EventLoop:
     _COMPACT_MIN_CANCELLED = 64
 
     def __init__(self, start_time: float = 0.0):
-        self._now = start_time
+        #: the simulated clock — a plain attribute, read on every probe and
+        #: by every ``f_now``; only the loop itself moves it
+        self.now = start_time
         self._queue: List[_Entry] = []
         self._seq = itertools.count()
         self._live = 0          # non-cancelled events currently in the heap
@@ -100,29 +109,37 @@ class EventLoop:
         self._posted: List[Tuple[float, Priority, Callable[[], None]]] = []
         self.processed = 0
 
-    @property
-    def now(self) -> float:
-        return self._now
-
     def schedule(
         self, delay: float, callback: Callable[[], None], priority: Priority = ()
     ) -> EventHandle:
         """Run *callback* after *delay* simulated seconds."""
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay}s into the past")
-        return self.schedule_at(self._now + delay, callback, priority)
+        return self.schedule_at(self.now + delay, callback, priority)
 
     def schedule_at(
         self, when: float, callback: Callable[[], None], priority: Priority = ()
     ) -> EventHandle:
-        if when < self._now:
+        if when < self.now:
             raise SimulationError(
-                f"cannot schedule at {when} which is before current time {self._now}"
+                f"cannot schedule at {when} which is before current time {self.now}"
             )
         event = _Event(when, callback)
         heapq.heappush(self._queue, (when, priority, next(self._seq), event))
         self._live += 1
         return EventHandle(event, self)
+
+    def deliver_at(
+        self, when: float, callback: Callable[[], None], priority: Priority = ()
+    ) -> None:
+        """:meth:`schedule_at` for a callback nothing will cancel (a datagram
+        delivery): a bare heap entry, no :class:`_Event`, no handle."""
+        if when < self.now:
+            raise SimulationError(
+                f"cannot schedule at {when} which is before current time {self.now}"
+            )
+        heapq.heappush(self._queue, (when, priority, next(self._seq), callback))
+        self._live += 1
 
     # -- cross-loop scheduling (sharding) ------------------------------------------
     def post_at(
@@ -151,7 +168,7 @@ class EventLoop:
         posted, self._posted = self._posted, []
         posted.sort(key=lambda item: (item[0], item[1]))
         for when, priority, callback in posted:
-            self.schedule_at(when, callback, priority)
+            self.deliver_at(when, callback, priority)
         return len(posted)
 
     def posted_count(self) -> int:
@@ -172,11 +189,11 @@ class EventLoop:
         queue = self._queue
         while queue:
             head = queue[0][3]
-            if head.cancelled:
+            if type(head) is _Event and head.cancelled:
                 heapq.heappop(queue)
                 self._cancelled -= 1
                 continue
-            return head.time
+            return queue[0][0]
         return None
 
     def _note_cancelled(self) -> None:
@@ -190,39 +207,46 @@ class EventLoop:
             self._cancelled >= self._COMPACT_MIN_CANCELLED
             and self._cancelled * 2 > len(self._queue)
         ):
-            self._queue = [e for e in self._queue if not e[3].cancelled]
+            self._queue = [
+                e for e in self._queue if type(e[3]) is not _Event or not e[3].cancelled
+            ]
             heapq.heapify(self._queue)
             self._cancelled = 0
 
     def step(self) -> bool:
         """Process the next event; returns False when the queue is empty."""
         while self._queue:
-            event = heapq.heappop(self._queue)[3]
-            if event.cancelled:
-                self._cancelled -= 1
-                continue
-            event.done = True
+            when, _, _, callback = heapq.heappop(self._queue)
+            if type(callback) is _Event:
+                if callback.cancelled:
+                    self._cancelled -= 1
+                    continue
+                callback.done = True
+                callback = callback.callback
             self._live -= 1
-            self._now = event.time
+            self.now = when
             self.processed += 1
-            event.callback()
+            callback()
             return True
         return False
 
     def _run_to(self, deadline: float, inclusive: bool) -> None:
-        if deadline < self._now:
+        if deadline < self.now:
             raise SimulationError("deadline is in the past")
         # events exactly at the deadline run only on the inclusive path
+        # (self._queue is re-read every turn: a callback may cancel enough
+        # events to make the heap compact into a new list)
         while self._queue:
-            head = self._queue[0][3]
-            if head.cancelled:
+            head = self._queue[0]
+            event = head[3]
+            if type(event) is _Event and event.cancelled:
                 heapq.heappop(self._queue)
                 self._cancelled -= 1
                 continue
-            if (head.time > deadline) if inclusive else (head.time >= deadline):
+            if (head[0] > deadline) if inclusive else (head[0] >= deadline):
                 break
             self.step()
-        self._now = max(self._now, deadline)
+        self.now = max(self.now, deadline)
 
     def run_until(self, deadline: float) -> None:
         """Process events up to and including *deadline* and advance the clock."""
@@ -239,7 +263,7 @@ class EventLoop:
         self._run_to(deadline, inclusive=False)
 
     def run_for(self, duration: float) -> None:
-        self.run_until(self._now + duration)
+        self.run_until(self.now + duration)
 
     def run(self, max_events: Optional[int] = None) -> int:
         """Drain the queue entirely (or up to *max_events*); returns count run."""

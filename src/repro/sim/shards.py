@@ -68,7 +68,8 @@ class ShardedEventLoop:
         self.lookahead = lookahead
         self.shards: List[EventLoop] = [EventLoop(start_time) for _ in range(shards)]
         self.control = EventLoop(start_time)
-        self._now = start_time
+        #: the facade's (global) clock, a plain attribute like ``EventLoop.now``
+        self.now = start_time
 
     # -- shard topology ---------------------------------------------------------------
     @property
@@ -92,10 +93,6 @@ class ShardedEventLoop:
 
     # -- EventLoop-compatible surface ---------------------------------------------------
     @property
-    def now(self) -> float:
-        return self._now
-
-    @property
     def processed(self) -> int:
         """Events run across every member loop and the control loop."""
         return self.control.processed + sum(s.processed for s in self.shards)
@@ -114,14 +111,14 @@ class ShardedEventLoop:
         """Schedule a harness (control) event *delay* seconds from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay}s into the past")
-        return self.schedule_at(self._now + delay, callback, priority)
+        return self.schedule_at(self.now + delay, callback, priority)
 
     def schedule_at(
         self, when: float, callback: Callable[[], None], priority: tuple = ()
     ) -> EventHandle:
-        if when < self._now:
+        if when < self.now:
             raise SimulationError(
-                f"cannot schedule at {when} which is before current time {self._now}"
+                f"cannot schedule at {when} which is before current time {self.now}"
             )
         # The control loop's clock trails the facade between barriers; anchor
         # the event at the facade's (global) notion of now.
@@ -157,7 +154,7 @@ class ShardedEventLoop:
 
     def run_until(self, deadline: float) -> None:
         """Process all events up to and including *deadline*, then advance."""
-        if deadline < self._now:
+        if deadline < self.now:
             raise SimulationError("deadline is in the past")
         while True:
             self._drain_inboxes()
@@ -175,7 +172,7 @@ class ShardedEventLoop:
                 # Control barrier: bring every shard exactly to the control
                 # timestamp, then run the control event(s) due at it.
                 self._run_window(next_control, inclusive=False)
-                self._now = max(self._now, next_control)
+                self.now = max(self.now, next_control)
                 self.control.run_until(next_control)
                 continue
             t_end = t0 + self.lookahead
@@ -186,18 +183,18 @@ class ShardedEventLoop:
                 # within lookahead of t0, so an inclusive run is safe — any
                 # cross-shard send lands at >= t0 + lookahead > deadline.
                 self._run_window(deadline, inclusive=True)
-                self._now = max(self._now, deadline)
+                self.now = max(self.now, deadline)
                 continue
             self._run_window(t_end, inclusive=False)
-            self._now = max(self._now, t_end)
+            self.now = max(self.now, t_end)
         # Align every clock with the facade so relative scheduling
         # (loop.schedule(delay, ...)) after this call anchors at *deadline*.
         self._run_window(deadline, inclusive=True)
         self.control.run_until(deadline)
-        self._now = deadline
+        self.now = deadline
 
     def run_for(self, duration: float) -> None:
-        self.run_until(self._now + duration)
+        self.run_until(self.now + duration)
 
     def run(self, max_events: Optional[int] = None) -> int:
         """Drain everything; returns events run.  *max_events* is a coarse
@@ -223,7 +220,7 @@ class ShardedEventLoop:
     def __repr__(self) -> str:
         return (
             f"<ShardedEventLoop shards={len(self.shards)} "
-            f"lookahead={self.lookahead} now={self._now}>"
+            f"lookahead={self.lookahead} now={self.now}>"
         )
 
 

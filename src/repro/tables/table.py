@@ -123,6 +123,8 @@ class Table:
         # ``now`` is below it, expire() is a single comparison.
         self._next_expiry: float = INFINITY
         self._indices: Dict[PyTuple[int, ...], _SecondaryIndex] = {}
+        #: positions -> the prober :meth:`prober` built for them
+        self._probers: Dict[PyTuple[int, ...], Callable[[Key, float], Sequence[Tuple]]] = {}
         self._insert_listeners: List[Listener] = []
         self._delete_listeners: List[Listener] = []
         self._expire_listeners: List[Listener] = []
@@ -150,6 +152,7 @@ class Table:
         for pk, (tup, _) in self._rows.items():
             index.add(pk, tup)
         self._indices[key] = index
+        self._probers.clear()  # a prober asked for from now on may use it
 
     def has_index(self, positions: Sequence[int]) -> bool:
         key = tuple(positions)
@@ -323,9 +326,17 @@ class Table:
         counts one ``stats.lookups`` and returns a materialised result that
         later mutation of the table cannot invalidate, in bucket (join match)
         order.  *key* must be a tuple.  An index installed after this call is
-        not picked up, so install indexes first.
+        not picked up, so install indexes first.  One prober per position set
+        is built and handed to every caller (a node's strands and relation
+        procedures bind the same ones).
         """
         positions = tuple(positions)
+        probe = self._probers.get(positions)
+        if probe is None:
+            probe = self._probers[positions] = self._make_prober(positions)
+        return probe
+
+    def _make_prober(self, positions: PyTuple[int, ...]) -> Callable[[Key, float], Sequence[Tuple]]:
         stats = self.stats
         expire = self.expire
         rows = self._rows

@@ -1,10 +1,11 @@
 """Unit tests for Tuple (repro.core.tuples)."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core import Tuple, fresh_tuple_id
 from repro.core.errors import TupleError
+from repro.core.tuples import identical_fields
 
 
 class TestConstruction:
@@ -98,6 +99,88 @@ class TestEqualityHash:
     def test_roundtrip_through_set(self, fields):
         t = Tuple("rel", fields)
         assert t in {t}
+
+
+def reference_identical_fields(a, b):
+    """``identical_fields`` as first written: tuple ``==``, then the type
+    lists, then a NaN scan, then nested tuples — the definition the one-pass
+    loop must keep."""
+    if a != b:
+        return False
+    types = [*map(type, a)]
+    if types != [*map(type, b)]:
+        return False
+    if float in types:
+        for x in a:
+            if x != x:
+                return False
+    return tuple not in types or all(
+        reference_identical_fields(x, y) for x, y in zip(a, b) if type(x) is tuple
+    )
+
+
+#: one NaN object, shared by both sides: tuple ``==`` calls it equal to itself
+NAN = float("nan")
+atoms = st.one_of(
+    st.integers(-3, 3),
+    st.booleans(),
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 1.0, float("inf"), NAN]),
+    st.text(max_size=2),
+    st.binary(max_size=2),
+    st.none(),
+)
+fields = st.recursive(atoms, lambda inner: st.lists(inner, max_size=3).map(tuple), max_leaves=6)
+
+
+@st.composite
+def _refreshed(draw, value):
+    """What a refresh of *value* might carry: mostly an equal value — the
+    object itself, the same number as another type, ``-0.0``, a fresh NaN —
+    now and then anything at all."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(fields)
+    if type(value) is tuple:
+        return tuple(draw(_refreshed(x)) for x in value)
+    choices = [value]
+    if type(value) in (int, bool, float):
+        if value != value:
+            choices += [float("nan"), NAN]
+        elif abs(value) != float("inf"):
+            choices += [float(value), -value if value == 0 else value]
+            if value in (0, 1):
+                choices += [int(value), bool(value)]
+    return draw(st.sampled_from(choices))
+
+
+@st.composite
+def row_pairs(draw):
+    a = tuple(draw(st.lists(st.one_of(atoms, fields), max_size=5)))
+    b = tuple(draw(_refreshed(x)) for x in a)
+    if draw(st.integers(0, 19)) == 0:
+        b = b[:-1] if b and draw(st.booleans()) else b + (draw(atoms),)
+    return a, b
+
+
+class TestIdenticalFields:
+    @settings(max_examples=400)
+    @given(row_pairs())
+    @example((("n1", NAN),) * 2)
+    @example((("n1", (1, NAN)), ("n1", (1, NAN))))
+    @example(((1, 0.0, "a"), (True, -0.0, "a")))
+    @example(((1.0, -0.0), (1.0, 0.0)))
+    @example(((b"x", None, ()), (b"x", None, ())))
+    def test_the_loop_keeps_the_reference_definition(self, pair):
+        a, b = pair
+        assert identical_fields(a, b) is reference_identical_fields(a, b)
+
+    def test_the_cases_the_definition_names(self):
+        assert identical_fields(("n1", 1, (2.5, "x")), ("n1", 1, (2.5, "x")))
+        assert not identical_fields((1,), (True,)) and not identical_fields((1,), (1.0,))
+        assert not identical_fields((NAN,), (NAN,))  # not even the same object
+        assert not identical_fields(((0, NAN),), ((0, NAN),))
+        assert identical_fields((0.0,), (-0.0,))  # == and the same type
+        assert not identical_fields((1, 2), (1, 2, 3))
 
 
 class TestSizing:

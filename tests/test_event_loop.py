@@ -143,6 +143,103 @@ class TestLiveCountAndCompaction:
         assert seen == [i for i in range(300) if i % 3 == 0]
 
 
+class TestBareAndCancellableEntries:
+    """Deliveries (``deliver_at``, and posted events once drained) are bare
+    heap entries; ``schedule_at`` entries carry a cancellable event.  They
+    share one heap and one ``(time, priority, seq)`` order."""
+
+    def _mixed(self, loop, seen):
+        """At t=1 and t=2: bare and cancellable entries, interleaved."""
+        handles = []
+        for when in (1.0, 2.0):
+            for i, bare in enumerate((True, False, True, False)):
+                tag = (when, i, "bare" if bare else "event")
+                if bare:
+                    loop.deliver_at(when, lambda tag=tag: seen.append(tag))
+                else:
+                    handles.append(loop.schedule_at(when, lambda tag=tag: seen.append(tag)))
+        return handles
+
+    def test_order_is_time_priority_seq_across_both_kinds(self):
+        loop, seen = EventLoop(), []
+        loop.deliver_at(1.0, lambda: seen.append("bare p=(2,)"), (2,))
+        loop.schedule_at(1.0, lambda: seen.append("event p=(1,)"), (1,))
+        loop.deliver_at(1.0, lambda: seen.append("bare p=(1,)"), (1,))
+        loop.schedule_at(0.5, lambda: seen.append("event t=0.5"), (9,))
+        loop.deliver_at(1.0, lambda: seen.append("bare p=()"))
+        loop.run()
+        assert seen == ["event t=0.5", "bare p=()", "event p=(1,)", "bare p=(1,)", "bare p=(2,)"]
+        assert loop.processed == 5 and loop.now == 1.0
+
+    def test_pending_and_peek_time_count_both_kinds(self):
+        loop, seen = EventLoop(), []
+        first, second = self._mixed(loop, seen)[:2]
+        assert loop.pending() == 8 and loop.peek_time() == 1.0
+        first.cancel()
+        second.cancel()  # both cancellable entries at t=1 gone
+        assert loop.pending() == 6 and loop.peek_time() == 1.0
+        loop.run(max_events=2)  # the two bare entries at t=1
+        assert [tag[2] for tag in seen] == ["bare", "bare"]
+        assert loop.pending() == 4 and loop.peek_time() == 2.0
+        loop.run()
+        assert loop.pending() == 0 and loop.peek_time() is None
+        assert [tag[:2] for tag in seen] == [(1.0, 0), (1.0, 2), (2.0, 0), (2.0, 1), (2.0, 2), (2.0, 3)]
+
+    def test_a_cancelled_head_is_skipped_by_peek_time(self):
+        loop = EventLoop()
+        loop.schedule_at(1.0, lambda: None).cancel()
+        loop.deliver_at(3.0, lambda: None)
+        assert loop.peek_time() == 3.0 and loop.pending() == 1
+
+    def test_compaction_keeps_every_bare_entry(self):
+        loop, seen = EventLoop(), []
+        for i in range(20):
+            loop.deliver_at(float(i), lambda i=i: seen.append(i))
+        doomed = [loop.schedule_at(float(i % 7), lambda: seen.append("x")) for i in range(200)]
+        for handle in doomed:
+            handle.cancel()
+        assert len(loop._queue) < 20 + EventLoop._COMPACT_MIN_CANCELLED
+        assert loop.pending() == 20
+        loop.run()
+        assert seen == list(range(20))
+
+    @pytest.mark.parametrize("exclusive", [True, False])
+    def test_a_deadline_holding_both_kinds(self, exclusive):
+        loop, seen = EventLoop(), []
+        self._mixed(loop, seen)
+        if exclusive:
+            loop.run_until_exclusive(2.0)  # everything at t=2 stays
+            assert [tag[0] for tag in seen] == [1.0] * 4 and loop.pending() == 4
+        else:
+            loop.run_until(2.0)
+            assert [tag[0] for tag in seen] == [1.0] * 4 + [2.0] * 4 and loop.pending() == 0
+        assert loop.now == 2.0
+        assert [tag[1] for tag in seen[:4]] == [0, 1, 2, 3]
+
+    def test_drained_posts_enter_bare_and_sorted(self):
+        loop, seen = EventLoop(), []
+        loop.post_at(1.0, lambda: seen.append("late p"), (5,))
+        loop.post_at(1.0, lambda: seen.append("early p"), (0,))
+        handle = loop.schedule_at(1.0, lambda: seen.append("event"), (3,))
+        assert loop.drain_posted() == 2 and loop.pending() == 3
+        assert sum(type(entry[3]).__name__ == "_Event" for entry in loop._queue) == 1
+        loop.run()
+        assert seen == ["early p", "event", "late p"] and handle.done
+
+    def test_deliver_at_in_the_past_is_rejected(self):
+        loop = EventLoop(start_time=4.0)
+        with pytest.raises(SimulationError):
+            loop.deliver_at(3.0, lambda: None)
+
+    def test_now_is_a_plain_attribute(self):
+        assert "now" not in vars(EventLoop)  # no property: a read is one lookup
+        loop = EventLoop(start_time=2.5)
+        assert loop.now == 2.5
+        loop.deliver_at(3.0, lambda: None)
+        loop.step()
+        assert loop.now == 3.0
+
+
 class TestPropertyBasedScheduling:
     @given(st.lists(st.floats(min_value=0, max_value=1000), min_size=1, max_size=50))
     def test_clock_is_monotonic(self, delays):

@@ -21,6 +21,7 @@ from repro.overlays.pingpong import pingpong_program
 from repro.overlog import parse_program
 from repro.planner import strand as strand_module, strand_compiler
 from repro.runtime.node import P2Node
+from repro.sim import event_loop
 from repro.sim.event_loop import EventLoop
 
 from tests.support.genprograms import make_node, make_twins
@@ -308,11 +309,30 @@ TRUSTED_PER_DISPATCH_BEFORE = 2.420
 TRUSTED_PER_DISPATCH = 1.237
 
 
+#: on the run below: timers scheduled, and datagrams delivered — which, as
+#: bare heap entries, build no ``_Event`` and no ``EventHandle`` (the parent
+#: commit built one of each per datagram: 2,529 of each)
+TIMERS_SCHEDULED = 384
+DATAGRAMS = 2145
+
+
 def test_objects_built_per_dispatch_on_a_small_chord_run(monkeypatch):
     """No timing: on a fixed 8-node, 120-simulated-second Chord run, count the
-    head/row tuples built per dispatch and the route objects on the node path."""
-    built = {"trusted": 0, "routes": 0}
+    head/row tuples built per dispatch, the route objects on the node path
+    and the scheduler's event objects."""
+    built = {"trusted": 0, "routes": 0, "events": 0, "handles": 0, "timers": 0}
     real_trusted, real_route = Tuple.trusted, strand_module.HeadRoute
+
+    def counted(key, real):
+        def call(*args):
+            built[key] += 1
+            return real(*args)
+        return call
+
+    monkeypatch.setattr(event_loop._Event, "__init__", counted("events", event_loop._Event.__init__))
+    monkeypatch.setattr(event_loop.EventHandle, "__init__",
+                        counted("handles", event_loop.EventHandle.__init__))
+    monkeypatch.setattr(EventLoop, "schedule_at", counted("timers", EventLoop.schedule_at))
 
     def trusted(name, fields):
         built["trusted"] += 1
@@ -331,6 +351,8 @@ def test_objects_built_per_dispatch_on_a_small_chord_run(monkeypatch):
     network.simulation.run_for(120.0)
     dispatches = sum(node.events_processed for node in network.nodes)
     assert dispatches == 14489  # the run itself is pinned: same work as ever
+    assert network.simulation.network.datagrams_sent == DATAGRAMS
+    assert built["events"] == built["handles"] == built["timers"] == TIMERS_SCHEDULED
     per_dispatch = built["trusted"] / dispatches
     assert per_dispatch <= TRUSTED_PER_DISPATCH * 1.15
     assert per_dispatch < 0.6 * TRUSTED_PER_DISPATCH_BEFORE

@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-fast test-faults test-planner test-reliable lint lint-py bench bench-p2 bench-pairs loc check-pythonpath
+.PHONY: test test-fast test-faults test-planner test-reliable test-runloop lint lint-py bench bench-p2 bench-pairs loc check-pythonpath
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -25,6 +25,15 @@ test-reliable:
 # bit-identity acceptance (chord static + churn, optimized vs naive).
 test-planner:
 	$(PYTHON) -m pytest -x -q tests/test_planner_opt.py tests/test_golden_plans.py tests/test_plan_once.py
+
+# The node run loop: every firing's generated procedure (tuple, periodic tick,
+# dirty continuous aggregate; fused or not) against the moved reference model,
+# the firing tail's ordering and all-or-nothing guarantees, generated strands
+# against the element walk, the runtime node, and the golden generated text.
+test-runloop:
+	$(PYTHON) -m pytest -x -q tests/test_relation_procedure.py tests/test_firing_tail.py \
+	  tests/test_strand_fusion.py tests/test_strand_source.py tests/test_runtime_node.py \
+	  tests/test_golden_plans.py
 
 # Static analysis over the bundled overlays and every example program;
 # --strict makes warnings (dead rules, unread tables, ...) fail the build.

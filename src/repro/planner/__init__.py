@@ -21,7 +21,7 @@ from .planner import (
     plan_program,
     strand_sources,
 )
-from .strand import ContinuousAggregateStrand, HeadRoute, PeriodicSpec, RuleStrand, StrandResult
+from .strand import ContinuousAggregateStrand, HeadRoute, PeriodicSpec, RuleStrand
 from .strand_compiler import StrandSource
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "ContinuousAggregateStrand",
     "PeriodicSpec",
     "HeadRoute",
-    "StrandResult",
     "ProgramPlan",
     "RulePlan",
     "PlannedTerm",

@@ -30,7 +30,7 @@ of that — the :class:`CompiledDataflow` the node runtime executes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple as PyTuple
 
 from ..core.errors import OverlogAnalysisError, PlannerError
@@ -56,12 +56,12 @@ from .analyzer import RuleKind, analyze_rule
 from .optimizer import PlannedTerm, ProgramPlan, RulePlan, index_plan, plan_strand
 from .strand import ContinuousAggregateStrand, PeriodicSpec, RuleStrand
 from .strand_compiler import (
-    RelationProcedure,
+    Procedure,
     StrandSource,
     fuse_dataflow,
     generate_procedure,
     generate_sources,
-    procedure_relations,
+    procedure_triggers,
 )
 
 
@@ -87,9 +87,9 @@ class CompiledDataflow:
     #: True when body terms were placed by the cost-based optimizer
     #: (:mod:`repro.planner.optimizer`); False is the naive body-order walk
     optimized: bool = False
-    #: on a fused node, the plan's :meth:`PlannedProgram.procedure`: the node
-    #: binds a relation's generated procedure on the relation's first tuple
-    procedure: Optional[Callable[[str], Optional[RelationProcedure]]] = None
+    #: on a node, the plan's :meth:`PlannedProgram.procedure` in the node's
+    #: mode: the node binds a trigger's procedure the first time it fires
+    procedure: Optional[Callable[[Any], Procedure]] = None
     #: the node's one evaluation context, shared by its generated functions
     ctx: Optional[EvalContext] = None
 
@@ -99,6 +99,16 @@ class CompiledDataflow:
             out.extend(strands)
         out.extend(spec.strand for spec in self.periodics)
         return out
+
+    def strands_of(self, trigger: Any) -> List[Any]:
+        """The strands *trigger* fires, in order.  A trigger is a relation's
+        name (a tuple of it dispatched), ``("periodic", i)`` (a tick of
+        ``periodics[i]``) or ``("continuous", i)`` (a refresh of
+        ``continuous[i]`` once a table it watches changed)."""
+        if type(trigger) is str:
+            return self.strands_by_event.get(trigger, [])
+        kind, index = trigger
+        return [self.periodics[index].strand if kind == "periodic" else self.continuous[index]]
 
     def describe(self) -> str:
         lines = [f"tables: {', '.join(self.program.materialized_names()) or '(none)'}"]
@@ -122,10 +132,8 @@ class PlannedProgram:
     #: the strands themselves, their operators pointing at no host and at
     #: schema-only tables; never fired — nodes run rebound copies
     dataflow: CompiledDataflow
-    #: relation -> its procedure, once generated
-    _procedures: Dict[str, Optional[RelationProcedure]] = field(
-        default_factory=dict, init=False, repr=False
-    )
+    #: (trigger, fused) -> its procedure, once generated
+    _procedures: Dict[Any, Procedure] = field(default_factory=dict, init=False, repr=False)
 
     @cached_property
     def sources(self) -> List[StrandSource]:
@@ -133,13 +141,22 @@ class PlannedProgram:
         first fused node to bind, or :meth:`Planner.explain_source`)."""
         return generate_sources(self.dataflow)
 
-    def procedure(self, relation: str) -> Optional[RelationProcedure]:
-        """*relation*'s generated procedure, inlining its strands' bodies
-        (``None``: the program neither stores it nor fires on it).  Made the
-        first time any fused node binds it, so set-up compiles none."""
-        if relation not in self._procedures:
-            self._procedures[relation] = generate_procedure(self.dataflow, self.sources, relation)
-        return self._procedures[relation]
+    def procedure(self, trigger: Any, *, fused: bool = True) -> Procedure:
+        """*trigger*'s generated procedure in the ``fused`` mode or not (see
+        :func:`generate_procedure`).  Made the first time any node binds it,
+        so set-up compiles none; a relation the program neither stores nor
+        fires on gets the shared one, so an unknown name costs no compile."""
+        dataflow = self.dataflow
+        if type(trigger) is str and not (
+            trigger in dataflow.strands_by_event or dataflow.program.is_materialized(trigger)
+        ):
+            trigger = None
+        key = (trigger, fused)
+        if key not in self._procedures:
+            self._procedures[key] = generate_procedure(
+                dataflow, self.sources if fused else None, trigger
+            )
+        return self._procedures[key]
 
 
 def plan_program(program: "ast.Program | str", *, optimize: bool = True) -> PlannedProgram:
@@ -257,7 +274,7 @@ class Planner:
                 compiled.graph.add(element)
         if self.fused:
             fuse_dataflow(compiled, planned.sources, host)
-            compiled.procedure = planned.procedure
+        compiled.procedure = partial(planned.procedure, fused=self.fused)
         return compiled
 
     @classmethod
@@ -276,16 +293,17 @@ class Planner:
         """The Python source generated for every strand of *program*.
 
         What a fused node actually runs, one ``bind`` module per strand under
-        a ``# ----`` header naming it, then each relation's procedure under
-        ``# ---- relation <name>`` — the text the golden snapshots under
+        a ``# ----`` header naming it, then every trigger's procedure under
+        ``# ---- relation <name>`` / ``periodic <rule>`` / ``continuous
+        <rule>`` / ``any other relation`` — the text the golden snapshots under
         ``tests/golden/strands/`` pin.  Like :meth:`explain` it needs no host:
         the text depends on the program and the plan only.
         """
         planned = plan_program(program, optimize=optimize)
+        procedures = [planned.procedure(t) for t in procedure_triggers(planned.dataflow)]
         return "\n".join(
             [f"# ---- {source.name}\n{source.text}" for source in planned.sources]
-            + [f"# ---- relation {name}\n{planned.procedure(name).text}"
-               for name in procedure_relations(planned.dataflow)]
+            + [f"# ---- {procedure.name}\n{procedure.text}" for procedure in procedures]
         )
 
     # -- facts ----------------------------------------------------------------------

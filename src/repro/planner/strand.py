@@ -4,9 +4,9 @@ The planner turns every rule into one or more *strands* (Section 3.5): a
 chain of dataflow elements triggered by the arrival of one relation's tuples
 (the *event*), followed by equijoins against stored tables, selections,
 assignments, optional aggregation, and a projection that builds the head
-tuple.  The strand finally yields routing decisions — where each head tuple
-should go (local table, local stream loop-back, or a remote node) — which the
-hosting node runtime acts upon.
+tuple.  Where each head tuple then goes (local table, local stream
+loop-back, or a remote node) is fixed by the strand's ``loc_position`` and
+``is_delete``, which the generated procedure that fired it routes by.
 
 Execution is run-to-completion per event, matching the observable semantics
 of P2's single-threaded event loop.
@@ -18,15 +18,15 @@ semantics.  The default execution path is the function
 :mod:`repro.planner.strand_compiler` generates as Python source and installs
 over :meth:`RuleStrand.fire` at plan time — the interpreted walk is kept as
 the differential-testing oracle, as the ``fused=False`` escape hatch, and as
-the fallback for a strand the source emitter declines.  The node runtime
-applies the bare heads itself (it knows each strand's ``loc_position`` and
-``is_delete``); :meth:`RuleStrand.process` wraps them in :class:`HeadRoute`
-objects for tests, oracles and benchmarks.
+the fallback for a strand the source emitter declines.  A node routes the
+bare heads in its triggers' generated procedures, by each strand's static
+``loc_position`` and ``is_delete``; :meth:`RuleStrand.process` wraps them in
+:class:`HeadRoute` objects for tests, oracles and benchmarks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence
 
 from ..core.errors import PlannerError
@@ -44,13 +44,6 @@ class HeadRoute:
     destination: Any          # network address (may equal the local address)
     tuple: Tuple
     is_delete: bool = False
-
-
-@dataclass(slots=True)
-class StrandResult:
-    """Everything one strand produced for one triggering event."""
-
-    routes: List[HeadRoute] = field(default_factory=list)
 
 
 def head_routes(strand: Any, heads: Sequence[Tuple], local_address: Any) -> List[HeadRoute]:
@@ -123,9 +116,9 @@ class RuleStrand:
         """
         return self.fire_interpreted(event)
 
-    def process(self, event: Tuple, local_address: Any) -> StrandResult:
+    def process(self, event: Tuple, local_address: Any) -> List[HeadRoute]:
         """:meth:`fire`, with every head addressed (see :func:`head_routes`)."""
-        return StrandResult(head_routes(self, self.fire(event), local_address))
+        return head_routes(self, self.fire(event), local_address)
 
     def arity_error(self, event: Tuple) -> PlannerError:
         """What both executors raise for an *event* shorter than the rule's."""

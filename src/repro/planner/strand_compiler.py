@@ -33,23 +33,25 @@ built-in map and identifier space into closure cells and installs the inner
 function over ``strand.fire`` / ``strand.refresh``.  Every node's function
 shares one code object.
 
-Relation procedures
--------------------
+Procedures
+----------
 
-A node still has to route each tuple to its strands.  Following the usual
+Everything a node runs is a firing of a *trigger* — a tuple of a relation,
+a periodic tick, a dirty continuous aggregate — and following the usual
 compilation scheme for rule systems (every occurrence of a constraint in one
 procedure, tried in order), :func:`generate_procedure` emits one
-``handle(event)`` per relation — what ``P2Node._make_handler``'s closure
-does, in its order: count the dispatch, call the live subscribers, insert
-into the relation's table, then each strand of ``strands_by_event`` with its
-body *inlined* (the same :class:`_Emitter` text as its own ``fire``, names
-prefixed ``s<i>_``: its arity check, counters, ``try`` and line → site
-table), and right after each strand's ``try`` that firing's heads routed by
-the strand's static ``loc_position``/``is_delete``.  A strand the emitter
-declined is called through its ``fire``.  Procedures are per program and
-plan kind like the strand modules, generated on the first tuple of their
-relation any node sees and bound per node (``bind(node, ctx, strands,
-subscribers, pending, egress)``).
+``handle(…)`` per trigger: for a relation, count the dispatch, call the
+live subscribers and insert into the relation's table; then each of the
+trigger's strands in order, its body *inlined* on a fused node (the same
+:class:`_Emitter` text as its own ``fire``, names prefixed ``s<i>_``: its
+arity check, counters, ``try`` and line → site table) and called through its
+``fire`` otherwise — a continuous strand always through its ``refresh`` —
+and right after it that firing's heads routed by the strand's static
+``loc_position``/``is_delete`` (:func:`_route`, the one place a head's
+destination is decided).  Procedures are per program, plan kind and mode
+like the strand modules, generated the first time any node fires their
+trigger, and bound per node (``bind(node, ctx, strands, subscribers,
+pending, egress)``).
 
 Contracts
 ---------
@@ -76,8 +78,7 @@ Contracts
 * Generated functions are *not* reentrant (one ``ctx`` per node), which is
   safe because strand execution is run-to-completion: the heads are applied
   only once the firing's body is done — after ``fire`` returns, or after the
-  strand's ``try`` in a relation procedure — so a firing that raises applies
-  none.
+  strand's ``try`` in a procedure — so a firing that raises applies none.
 """
 
 from __future__ import annotations
@@ -115,13 +116,13 @@ class _Declined(Exception):
 
 class _Emitter:
     """Accumulates the text of one strand's ``bind`` module (or of its part
-    of a relation procedure)."""
+    of a procedure)."""
 
     def __init__(self, strand: Any, ns: str = ""):
         self.strand = strand
         #: prefix of every name bound per strand (``strand``, ``drop0``, ``K``,
         #: ``SITES``, …): empty in the strand's own module, ``s<i>_`` where
-        #: several strands share one relation procedure
+        #: several strands share one procedure
         self.ns = ns
         self.continuous = isinstance(strand, ContinuousAggregateStrand)
         self.pel = ExpressionEmitter(ns + "K")
@@ -331,7 +332,7 @@ class _Emitter:
         Both lists are unindented, for a function whose ``f0`` already holds
         the event's fields and whose ``out`` holds the heads afterwards; the
         body between them is :attr:`body`.  The strand's own ``fire`` and the
-        relation procedure both wrap these.
+        procedure of its trigger both wrap these.
         """
         strand, ns = self.strand, self.ns
         entry = [
@@ -474,15 +475,16 @@ def generate_sources(compiled: Any) -> List[StrandSource]:
     return sources
 
 
-# ------------------------------------------------------------ relation procedures
-class RelationProcedure(NamedTuple):
-    """One relation's generated procedure: everything a tuple of it sets off."""
+# ------------------------------------------------------------------- procedures
+class Procedure(NamedTuple):
+    """One trigger's generated procedure: everything a firing of it sets off."""
 
-    relation: str
+    #: ``relation <name>``, ``periodic <rule>``, ``continuous <rule>`` or
+    #: ``any other relation`` (the heading ``Planner.explain_source`` prints)
+    name: str
     text: str
-    #: ``bind(node, ctx, strands, subscribers, pending, egress) -> handle``;
-    #: ``None`` when CPython refused the text
-    bind: Optional[Callable[..., Callable[[Tuple], None]]]
+    #: ``bind(node, ctx, strands, subscribers, pending, egress) -> handle``
+    bind: Callable[..., Callable[[Any], None]]
 
 
 #: what a procedure's ``bind`` derives from its arguments, each bound only
@@ -522,51 +524,71 @@ def _route(strand: Any, ns: str) -> PyTuple[List[str], List[str], List[str]]:
     ], [], ["address", "push"]
 
 
-def procedure_relations(compiled: Any) -> List[str]:
-    """The relations *compiled* has a procedure for, in order: those it fires
-    strands on (``strands_by_event``'s order), then the stored ones it does not."""
-    return list(compiled.strands_by_event) + [
-        name for name in compiled.program.materialized_names()
-        if name not in compiled.strands_by_event
-    ]
+def procedure_triggers(compiled: Any) -> List[Any]:
+    """Every trigger *compiled* has a procedure for, in the order
+    ``explain_source`` prints them: the relations it fires strands on
+    (``strands_by_event``'s order), the stored ones it does not, each
+    periodic and continuous strand, and ``None`` for all other relations."""
+    return (
+        list(compiled.strands_by_event)
+        + [name for name in compiled.program.materialized_names()
+           if name not in compiled.strands_by_event]
+        + [("periodic", i) for i in range(len(compiled.periodics))]
+        + [("continuous", i) for i in range(len(compiled.continuous))]
+        + [None]
+    )
 
 
-def generate_procedure(compiled: Any, sources: Sequence[StrandSource],
-                       relation: str) -> Optional[RelationProcedure]:
-    """*relation*'s procedure: what ``P2Node._make_handler``'s closure does,
-    with the body of every strand whose own module was generated inlined in
-    order (a declined or refused one is called through its ``fire``).
+def generate_procedure(compiled: Any, sources: Optional[Sequence[StrandSource]],
+                       trigger: Any) -> Procedure:
+    """*trigger*'s procedure (a trigger of ``CompiledDataflow.strands_of``,
+    or ``None``: every relation *compiled* neither stores nor fires on).
 
-    ``None`` when *compiled* neither stores *relation* nor fires a strand on
-    it.  *sources* are :func:`generate_sources` of *compiled*.  Like them,
-    made once per program and plan kind and bound per node.
+    A relation's counts the dispatch, calls the live subscribers and inserts
+    into the relation's table (if stored).  Then each strand fires in order —
+    a continuous one through its ``refresh``, the others through ``fire`` or,
+    given *sources* (:func:`generate_sources` of *compiled*: a fused node),
+    with the body of each strand whose module was generated inlined — and
+    its heads are routed (:func:`_route`) before the next one fires.  Raises
+    :class:`PlannerError` if CPython refuses the text.
     """
-    strands = compiled.strands_by_event.get(relation, [])
-    stored = relation in compiled.program.materialized_names()
-    if not strands and not stored:
-        return None
-    generated = {id(s) for s, source in zip(_strands(compiled), sources) if source.bind is not None}
-    handle = [
-        "def handle(event):",
-        "    node.events_processed += 1",
-        "    for callback in subscribers:",
-        "        callback(event)",
-    ]
+    kind = "relation" if trigger is None or type(trigger) is str else trigger[0]
+    strands = [] if trigger is None else compiled.strands_of(trigger)
+    generated = set() if sources is None else {
+        id(s) for s, source in zip(_strands(compiled), sources) if source.bind is not None
+    }
+    handle = ["def handle(at):" if kind == "continuous" else "def handle(event):"]
     uses: set = set()
     binds: List[str] = []
     pel_binds: set = set()
     names: Dict[str, Any] = dict(_NAMES)
     sites: List[PyTuple[str, int, Dict[int, tuple]]] = []
-    if stored:
-        uses.add("loop")
-        binds.append(f"insert = node.tables.get({relation!r}).insert")
-        handle.append("    insert(event, loop.now)")
-    if generated.intersection(map(id, strands)):
+    if kind == "relation":
+        stored = trigger is not None and compiled.program.is_materialized(trigger)
+        name = f"relation {trigger}" if trigger else "any other relation"
+        path = ("relations", f"{trigger or '(other)'}.py")
+        header = f"# {name}: {'stored' if stored else 'not stored'}, {len(strands)} strand(s)"
+        handle += [
+            "    node.events_processed += 1",
+            "    for callback in subscribers:",
+            "        callback(event)",
+        ]
+        if stored:
+            uses.add("loop")
+            binds.append(f"insert = node.tables.get({trigger!r}).insert")
+            handle.append("    insert(event, loop.now)")
+    else:
+        name, path = f"{kind} {strands[0].rule_id}", (kind, f"{strands[0].rule_id}.py")
+        header = f"# {name}: {len(strands)} strand(s)"
+    if kind != "continuous" and generated.intersection(map(id, strands)):
         handle.append("    f0 = event.fields")
     for i, strand in enumerate(strands):
         ns = f"s{i}_"
         handle.append(f"    # {strand.describe()}")
-        if id(strand) in generated:
+        if kind == "continuous":
+            binds.append(f"{ns}refresh = strands[{i}].refresh")
+            handle.append(f"    out = {ns}refresh(at)")
+        elif id(strand) in generated:
             emitter = _Emitter(strand, ns)
             entry, exit = emitter.firing()
             if emitter.probes:
@@ -587,8 +609,7 @@ def generate_procedure(compiled: Any, sources: Sequence[StrandSource],
         binds += route_binds
         uses.update(route_uses)
         handle += [_INDENT + text for text in route]
-    node_binds = [line for name, line in _NODE_NAMES.items() if name in uses]
-    header = f"# relation {relation}: {'stored' if stored else 'not stored'}, {len(strands)} strand(s)"
+    node_binds = [line for use, line in _NODE_NAMES.items() if use in uses]
     prologue = [
         header,
         "def bind(node, ctx, strands, subscribers, pending, egress):",
@@ -598,14 +619,13 @@ def generate_procedure(compiled: Any, sources: Sequence[StrandSource],
         # 1-based lines of the file; the handler sits one indent in
         names[f"{ns}SITES"] = {len(prologue) + start + 1 + n: site for n, site in table.items()}
     text = "\n".join(prologue + [_INDENT + line for line in handle] + ["    return handle"]) + "\n"
+    mode = () if sources is not None else ("unfused",)
     namespace = load_generated(
-        text, ("planner", "generated", _directory(compiled), "relations", relation + ".py"), names
+        text, ("planner", "generated", _directory(compiled), *mode, *path), names
     )
     if namespace is None:
-        return RelationProcedure(
-            relation, f"{header}\n# left to the node's handler: CPython refused the text\n", None
-        )
-    return RelationProcedure(relation, text, namespace["bind"])
+        raise PlannerError(f"{name}: CPython refused the generated procedure")
+    return Procedure(name, text, namespace["bind"])
 
 
 def fuse_dataflow(compiled: Any, sources: Sequence[StrandSource], host: Any) -> None:
@@ -614,7 +634,7 @@ def fuse_dataflow(compiled: Any, sources: Sequence[StrandSource], host: Any) -> 
     *sources* are :func:`generate_sources` of the plan *compiled* was
     instantiated from; strands whose source was declined keep the walk.  The
     one evaluation context they share is left in ``compiled.ctx`` for the
-    relation procedures the node binds later.
+    procedures the node binds later.
     """
     ctx = compiled.ctx = EvalContext.for_host(host)
     now = host.now

@@ -10,6 +10,14 @@ The runtime implements the run-to-completion event model of the paper's
 libasync-based implementation: one incoming tuple is fully processed (all
 strands fired, all locally derived tuples chased to fixpoint) before the next
 one is considered.
+
+A node runs three kinds of firing — a tuple of a relation taken off the run
+queue, a tick of a periodic event, the refresh of a continuous aggregate
+whose tables changed — and each is its trigger's generated procedure
+(:mod:`repro.planner.strand_compiler`), bound to the node the first time the
+trigger fires: it fires the strands and routes their heads onto the run
+queue, into the egress or into a delete.  The node itself only queues, times
+and drains.
 """
 
 from __future__ import annotations
@@ -19,15 +27,13 @@ import zlib
 from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Set
 
-from ..core import values
-from ..core.errors import P2Error, PlannerError
+from ..core.errors import P2Error
 from ..core.idspace import IdSpace
 from ..core.tuples import Tuple, fresh_tuple_id
 from ..net.transport import Network
 from ..overlog import ast
 from ..overlog.builtins import make_builtins
 from ..planner.planner import CompiledDataflow, Planner
-from ..planner.strand import ContinuousAggregateStrand, PeriodicSpec
 from ..sim.event_loop import EventHandle, EventLoop
 from ..tables.table import TableStore
 
@@ -89,13 +95,14 @@ class P2Node:
         self._extra_facts = list(extra_facts)
         self._pending: Deque[Tuple] = deque()
         self._processing = False
-        self._dirty_continuous: Deque[ContinuousAggregateStrand] = deque()
-        self._dirty_set: Set[int] = set()
+        #: the ``("continuous", i)`` triggers of the dirty continuous strands
+        self._dirty_continuous: Deque[Any] = deque()
+        self._dirty_set: Set[Any] = set()
         self._subscriptions: Dict[str, List[Subscriber]] = {}
-        #: relation name -> its handler, bound on first dispatch
-        self._handlers: Dict[str, Callable[[Tuple], None]] = {}
+        #: trigger (see ``CompiledDataflow.strands_of``) -> its procedure
+        #: bound to this node, bound the first time the trigger fires
+        self._handlers: Dict[Any, Callable[[Any], None]] = {}
         self._egress = self._make_egress()
-        self._apply = self._make_sink()
         self._timers: List[EventHandle] = []
         self.dropped_remote_sends = 0
         self.events_processed = 0
@@ -109,8 +116,8 @@ class P2Node:
         self.alive = True
         for fact in list(self.compiled.facts) + self._extra_facts:
             self.route(fact)
-        for spec in self.compiled.periodics:
-            self._schedule_periodic(spec, remaining=spec.count, first=True)
+        for index, spec in enumerate(self.compiled.periodics):
+            self._schedule_periodic(index, remaining=spec.count, first=True)
 
     def fail(self) -> None:
         """Crash-stop the node: it stops processing and receiving."""
@@ -118,9 +125,8 @@ class P2Node:
         for handle in self._timers:
             handle.cancel()
         self._timers.clear()
-        if self.transmit is not None:
-            # crash-stop: anything still buffered never reaches the wire
-            self.transmit.clear()
+        # crash-stop: anything still buffered never reaches the wire
+        self.transmit.clear()
         self.network.set_alive(self.address, False)
         # Wipe this node's reliability-layer state in place (no-op on the
         # best-effort path): a dead node retransmits nothing and acks nothing.
@@ -222,31 +228,33 @@ class P2Node:
     def _run_queue(self) -> None:
         """Drain pending tuples and dirty continuous aggregates to fixpoint.
 
-        On the batched path, remote-bound tuples derived anywhere in the
-        drain accumulate in the transmit buffer and leave as per-destination
-        datagram trains in one flush at the end — one network hand-off per
-        drain instead of one per tuple.
+        Each firing calls its trigger's bound procedure: a tuple its
+        relation's, a dirty continuous strand its refresh.  On the batched
+        path, remote-bound tuples derived anywhere in the drain accumulate in
+        the transmit buffer and leave as per-destination datagram trains in
+        one flush at the end — one network hand-off per drain instead of one
+        per tuple.
         """
         if self._processing:
             return
         self._processing = True
         processed = 0
-        pending, dirty, handlers = self._pending, self._dirty_continuous, self._handlers
+        pending, dirty, dirty_set = self._pending, self._dirty_continuous, self._dirty_set
+        handlers, loop = self._handlers, self.loop
         try:
             while pending or dirty:
                 if pending:
-                    current = pending.popleft()
-                    try:
-                        handler = handlers[current.name]
-                    except KeyError:
-                        handler = handlers[current.name] = self._bind_handler(current.name)
-                    handler(current)
+                    arg = pending.popleft()
+                    trigger = arg.name
                 else:
-                    strand = dirty.popleft()
-                    self._dirty_set.discard(id(strand))
-                    heads = strand.refresh(self.loop.now)
-                    if heads:  # mostly not: the table moved, the aggregate did not
-                        self._apply(heads, strand.loc_position, strand.is_delete)
+                    trigger = dirty.popleft()
+                    dirty_set.discard(trigger)
+                    arg = loop.now
+                try:
+                    handler = handlers[trigger]
+                except KeyError:
+                    handler = handlers[trigger] = self._bind(trigger)
+                handler(arg)
                 processed += 1
                 if processed > MAX_DERIVATIONS_PER_EVENT:
                     raise P2Error(
@@ -257,65 +265,24 @@ class P2Node:
             self._processing = False
         self._flush_transmit()
 
-    def _bind_handler(self, relation: str) -> Callable[[Tuple], None]:
-        """Everything one tuple of *relation* sets off, bound once.
-
-        On a fused node that is the relation's generated procedure (see
-        :func:`repro.planner.strand_compiler.generate_procedure`): the steps
-        of :meth:`_make_handler` in the same order, with each strand's body
-        inlined and its heads routed by the strand's static ``loc_position``
-        and ``is_delete``.  :meth:`_make_handler` stays the oracle, and runs
-        for ``fused=False`` and for relations the program neither stores nor
-        triggers a strand on.
-        """
-        find = self.compiled.procedure
-        procedure = find(relation) if find is not None else None
-        if procedure is None or procedure.bind is None:
-            return self._make_handler(relation)
-        return procedure.bind(
+    def _bind(self, trigger: Any) -> Callable[[Any], None]:
+        """*trigger*'s procedure (``CompiledDataflow.procedure``) bound to this
+        node: its strands, the relation's live subscriber list (so a later
+        :meth:`subscribe` is seen), the run queue and the egress."""
+        compiled = self.compiled
+        return compiled.procedure(trigger).bind(
             self,
-            self.compiled.ctx,
-            self.compiled.strands_by_event.get(relation, []),
-            self._subscriptions.setdefault(relation, []),
+            compiled.ctx,
+            compiled.strands_of(trigger),
+            self._subscriptions.setdefault(trigger, []) if type(trigger) is str else (),
             self._pending,
             self._egress,
         )
 
-    def _make_handler(self, relation: str) -> Callable[[Tuple], None]:
-        """Everything one tuple of *relation* sets off, resolved once.
-
-        The planner knows at plan time what the demultiplexer would otherwise
-        ask per tuple — which table stores the relation, which strands it
-        triggers, where their heads go — so the closure binds the answers:
-        subscribers first (the live list, so a later :meth:`subscribe` is
-        seen), then the table insert, then each strand in ``strands_by_event``
-        order, its heads applied before the next strand fires.
-        """
-        subscribers = self._subscriptions.setdefault(relation, [])
-        insert = self.tables.get(relation).insert if self.tables.has(relation) else None
-        strands = [
-            (strand.fire, strand.loc_position, strand.is_delete)
-            for strand in self.compiled.strands_by_event.get(relation, ())
-        ]
-        loop, apply = self.loop, self._apply
-
-        def handle(tup: Tuple) -> None:
-            self.events_processed += 1
-            for callback in subscribers:
-                callback(tup)
-            if insert is not None:
-                insert(tup, loop.now)
-            for fire, loc, is_delete in strands:
-                heads = fire(tup)
-                if heads:
-                    apply(heads, loc, is_delete)
-
-        return handle
-
     def _make_egress(self) -> Callable[[Any, Tuple], None]:
         """``egress(destination, tup)``: how a remote-bound head leaves — into
         the transmit buffer, or with ``batching=False`` onto the network at once."""
-        if self.batching and self.transmit is not None:
+        if self.batching:
             return self.transmit.enqueue
         address, network = self.address, self.network
 
@@ -325,42 +292,10 @@ class P2Node:
 
         return send
 
-    def _make_sink(self) -> Callable[[List[Tuple], Optional[int], bool], None]:
-        """``apply(heads, loc, is_delete)``: where one firing's head tuples go.
-
-        Only ever called with the complete result of a firing, so a firing
-        that raises has applied none of its heads.  Local derivations join
-        the run queue and remote ones the transmit buffer (which leaves as
-        per-destination datagram trains when the drain flushes), both in
-        derivation order; deletes are applied at once, in order.
-        """
-        address, tables, loop, egress = self.address, self.tables, self.loop, self._egress
-        pending, extend = self._pending.append, self._pending.extend
-
-        def apply(heads: List[Tuple], loc: Optional[int], is_delete: bool) -> None:
-            if is_delete:
-                for tup in heads:
-                    if loc is not None and tup.fields[loc] != address:
-                        raise PlannerError(
-                            f"node {address}: delete rules must target local tables"
-                        )
-                    tables.get(tup.name).delete(tup, loop.now)
-            elif loc is None:
-                extend(heads)
-            else:
-                for tup in heads:
-                    destination = tup.fields[loc]
-                    if destination == address:
-                        pending(tup)
-                    else:
-                        egress(destination, tup)
-
-        return apply
-
     def _flush_transmit(self) -> None:
         """Send everything buffered this drain as per-destination trains."""
         transmit = self.transmit
-        if transmit is None or len(transmit) == 0:
+        if len(transmit) == 0:
             return
         transmit.flush(self._send_train)
 
@@ -370,13 +305,12 @@ class P2Node:
             self.dropped_remote_sends += len(batch) - sent
 
     # ------------------------------------------------------------------ periodic events
-    def _schedule_periodic(
-        self, spec: PeriodicSpec, remaining: Optional[int], first: bool
-    ) -> None:
+    def _schedule_periodic(self, index: int, remaining: Optional[int], first: bool) -> None:
         if not self.alive and not first:
             return
         if remaining is not None and remaining <= 0:
             return
+        spec = self.compiled.periodics[index]
         # Desynchronise nodes by starting each timer at a random phase, then
         # fire strictly periodically — the standard way real deployments avoid
         # lock-step maintenance storms.
@@ -388,11 +322,13 @@ class P2Node:
             if not self.alive:
                 return
             event = spec.make_event(self.address, fresh_tuple_id())
-            strand = spec.strand
-            self._apply(strand.fire(event), strand.loc_position, strand.is_delete)
+            trigger, handlers = ("periodic", index), self._handlers
+            if trigger not in handlers:
+                handlers[trigger] = self._bind(trigger)
+            handlers[trigger](event)
             self._run_queue()
             next_remaining = None if remaining is None else remaining - 1
-            self._schedule_periodic(spec, next_remaining, first=False)
+            self._schedule_periodic(index, next_remaining, first=False)
 
         self._timers.append(self.loop.schedule(delay, fire))
         # Periodic timers reschedule forever; prune handles whose events have
@@ -402,11 +338,12 @@ class P2Node:
 
     # ------------------------------------------------------------------ continuous aggregates
     def _wire_continuous_aggregates(self) -> None:
-        for strand in self.compiled.continuous:
-            def mark_dirty(_tup, strand=strand) -> None:
-                if id(strand) not in self._dirty_set:
-                    self._dirty_set.add(id(strand))
-                    self._dirty_continuous.append(strand)
+        dirty, dirty_set = self._dirty_continuous, self._dirty_set
+        for index, strand in enumerate(self.compiled.continuous):
+            def mark_dirty(_tup, trigger=("continuous", index)) -> None:
+                if trigger not in dirty_set:
+                    dirty_set.add(trigger)
+                    dirty.append(trigger)
 
             for table in strand.watched_tables:
                 table.on_insert(mark_dirty)

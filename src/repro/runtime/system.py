@@ -47,7 +47,9 @@ class OverlaySimulation:
         ``shards=1`` (``tests/test_sharded_sim.py``).
     ``fused=False``
         strands walk their elements (the interpreted differential oracle)
-        instead of running as generated functions.
+        instead of running as generated functions.  Nodes still run every
+        firing through its trigger's generated procedure; it calls each
+        strand's ``fire``/``refresh`` instead of inlining its body.
     ``optimize=False``
         plans keep the naive body-order walk (the plan-level oracle) instead
         of the cost-based optimizer's.

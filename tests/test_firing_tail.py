@@ -102,7 +102,7 @@ def test_generated_folds_match_the_interpreted_aggregate(fold_twins, rows, probe
 
 def _heads(node, event_name, *fields):
     results = [
-        [route.tuple.fields for route in strand.process(Tuple.make(event_name, "n1", *fields), "n1").routes]
+        [route.tuple.fields for route in strand.process(Tuple.make(event_name, "n1", *fields), "n1")]
         for strand in node.compiled.strands_by_event[event_name]
     ]
     return dict(zip([s.rule_id for s in node.compiled.strands_by_event[event_name]], results))
@@ -361,4 +361,4 @@ def test_objects_built_per_dispatch_on_a_small_chord_run(monkeypatch):
     (strand, *_) = network.nodes[0].compiled.strands_by_event["lookup"]
     result = strand.process(Tuple.make("lookup", network.nodes[0].address, 1, "req", "e1"),
                             network.nodes[0].address)
-    assert built["routes"] == len(result.routes)
+    assert built["routes"] == len(result)

@@ -222,10 +222,10 @@ class TestStrandExecution:
         tables.get("neighbor").insert(Tuple.make("neighbor", "n1", "n3"), now=0.0)
         strand = compiled.strands_by_event["refreshSeq"][0]
         result = strand.process(Tuple.make("refreshSeq", "n1", 7), "n1")
-        destinations = {r.destination for r in result.routes}
+        destinations = {r.destination for r in result}
         assert destinations == {"n2", "n3"}
-        assert all(r.tuple.name == "refresh" for r in result.routes)
-        assert all(r.tuple.fields[1:] == ("n1", 7) for r in result.routes)
+        assert all(r.tuple.name == "refresh" for r in result)
+        assert all(r.tuple.fields[1:] == ("n1", 7) for r in result)
 
     def test_selection_filters(self):
         compiled, host, tables = compile_program(
@@ -237,7 +237,7 @@ class TestStrandExecution:
         members.insert(Tuple.make("member", "n1", "b", 95), now=0.0)
         strand = compiled.strands_by_event["probe"][0]
         result = strand.process(Tuple.make("probe", "n1", 100), "n1")
-        assert [r.tuple.fields[1] for r in result.routes] == ["a"]
+        assert [r.tuple.fields[1] for r in result] == ["a"]
 
     def test_aggregate_min_per_event(self):
         compiled, host, tables = compile_program(
@@ -250,8 +250,8 @@ class TestStrandExecution:
         fingers.insert(Tuple.make("finger", "n1", 1, 90, "b"), now=0.0)
         strand = compiled.strands_by_event["lookup"][0]
         result = strand.process(Tuple.make("lookup", "n1", 100), "n1")
-        assert len(result.routes) == 1
-        assert result.routes[0].tuple.fields[2] == 10  # distance from 90 to 100
+        assert len(result) == 1
+        assert result[0].tuple.fields[2] == 10  # distance from 90 to 100
 
     def test_count_zero_emitted_when_join_empty(self):
         compiled, host, tables = compile_program(
@@ -261,8 +261,8 @@ class TestStrandExecution:
         )
         strand = compiled.strands_by_event["refresh"][0]
         result = strand.process(Tuple.make("refresh", "n1", "n2", "n9"), "n1")
-        assert len(result.routes) == 1
-        assert result.routes[0].tuple == Tuple.make("membersFound", "n1", "n9", 0)
+        assert len(result) == 1
+        assert result[0].tuple == Tuple.make("membersFound", "n1", "n9", 0)
 
     def test_count_zero_not_emitted_when_prefilter_fails(self):
         compiled, host, tables = compile_program(
@@ -273,7 +273,7 @@ class TestStrandExecution:
         strand = compiled.strands_by_event["refresh"][0]
         # A == X, so the selection placed before the join empties the prefix
         result = strand.process(Tuple.make("refresh", "n1", "n2", "n1"), "n1")
-        assert result.routes == []
+        assert result == []
 
     def test_negation_antijoin(self):
         compiled, host, tables = compile_program(
@@ -282,8 +282,8 @@ class TestStrandExecution:
         )
         tables.get("neighbor").insert(Tuple.make("neighbor", "n1", "a"), now=0.0)
         strand = compiled.strands_by_event["candidate"][0]
-        assert strand.process(Tuple.make("candidate", "n1", "a"), "n1").routes == []
-        routes = strand.process(Tuple.make("candidate", "n1", "b"), "n1").routes
+        assert strand.process(Tuple.make("candidate", "n1", "a"), "n1") == []
+        routes = strand.process(Tuple.make("candidate", "n1", "b"), "n1")
         assert len(routes) == 1
 
     def test_constant_in_event_predicate_filters(self):
@@ -291,14 +291,14 @@ class TestStrandExecution:
             'R go@X(X) :- msg@X(X, "start").'
         )
         strand = compiled.strands_by_event["msg"][0]
-        assert strand.process(Tuple.make("msg", "n1", "start"), "n1").routes
-        assert not strand.process(Tuple.make("msg", "n1", "stop"), "n1").routes
+        assert strand.process(Tuple.make("msg", "n1", "start"), "n1")
+        assert not strand.process(Tuple.make("msg", "n1", "stop"), "n1")
 
     def test_repeated_variable_in_event_predicate(self):
         compiled, host, tables = compile_program("R same@X(X) :- pair@X(X, A, A).")
         strand = compiled.strands_by_event["pair"][0]
-        assert strand.process(Tuple.make("pair", "n1", 3, 3), "n1").routes
-        assert not strand.process(Tuple.make("pair", "n1", 3, 4), "n1").routes
+        assert strand.process(Tuple.make("pair", "n1", 3, 3), "n1")
+        assert not strand.process(Tuple.make("pair", "n1", 3, 4), "n1")
 
     def test_continuous_aggregate_recompute_and_change_detection(self):
         compiled, host, tables = compile_program(

@@ -91,7 +91,7 @@ def fire_multiset_differentially(nodes, rng, events_per_strand=25):
             outcomes = []
             for strand in strands:
                 try:
-                    routes = strand.process(event, addr).routes
+                    routes = strand.process(event, addr)
                     outcomes.append(("ok", sorted(route_key(r) for r in routes)))
                 except Exception as exc:  # noqa: BLE001 - the error IS the observable
                     outcomes.append(("err", f"{type(exc).__name__}: {exc}"))

@@ -1,25 +1,33 @@
-"""The relation procedure against the node's ``_make_handler`` oracle.
+"""Every firing's generated procedure against the run loop it replaced.
 
-On a fused node every relation's tuples run one generated procedure (its
-table insert, then each strand's body inlined, each firing's heads routed by
-the strand's static ``loc_position``/``is_delete``).  ``_make_handler`` is
-the closure it replaced and stays the oracle: here two fused nodes, one
-binding procedures and one binding ``_make_handler`` closures, take the same
-tuples, and after every dispatch — not just every drain — their run queues,
+A node runs every firing — a tuple of a relation, a periodic tick, a dirty
+continuous aggregate, ``fused`` or not — through its trigger's generated
+procedure, which fires the trigger's strands and routes each firing's heads
+by the strand's static ``loc_position``/``is_delete``.  The code that ran
+them before lives on below as the reference model, moved from ``P2Node``:
+``make_handler`` (a relation's closure), ``make_sink`` (its ``apply``) and
+the old periodic-tick and dirty-drain bodies.  Here two nodes, one binding
+procedures and one binding the reference, take the same inputs in both
+modes, and after every firing — not just every drain — their run queues,
 transmit buffers, tables (rows in scan order and in every index bucket's
 order), counters and element stats must be equal, as must any error.
 """
 
+import os
 import random
 import zlib
+from functools import partial
 
 import pytest
 
 from repro.core import Tuple, tuples
-from repro.overlays.narada import build_narada_mesh
+from repro.core.errors import PlannerError
+from repro.overlays.chord import build_chord_network
+from repro.overlays.narada import NaradaMesh, narada_program
 from repro.overlog import parse_program
-from repro.planner import Planner
+from repro.planner import Planner, plan_program
 from repro.runtime.node import P2Node
+from repro.runtime.system import OverlaySimulation
 
 from tests.support.genprograms import (
     GENERATED_PROGRAMS,
@@ -35,12 +43,105 @@ from tests.test_strand_fusion import OVERLAY_PROGRAMS
 from tests.test_strand_source import _many_joins
 
 
+# ------------------------------------------------------ the reference model
+def make_handler(node, relation):
+    """Everything one tuple of *relation* sets off, resolved once.
+
+    The planner knows at plan time what the demultiplexer would otherwise
+    ask per tuple — which table stores the relation, which strands it
+    triggers, where their heads go — so the closure binds the answers:
+    subscribers first (the live list, so a later :meth:`subscribe` is
+    seen), then the table insert, then each strand in ``strands_by_event``
+    order, its heads applied before the next strand fires.
+    """
+    subscribers = node._subscriptions.setdefault(relation, [])
+    insert = node.tables.get(relation).insert if node.tables.has(relation) else None
+    strands = [
+        (strand.fire, strand.loc_position, strand.is_delete)
+        for strand in node.compiled.strands_by_event.get(relation, ())
+    ]
+    loop, apply = node.loop, make_sink(node)
+
+    def handle(tup):
+        node.events_processed += 1
+        for callback in subscribers:
+            callback(tup)
+        if insert is not None:
+            insert(tup, loop.now)
+        for fire, loc, is_delete in strands:
+            heads = fire(tup)
+            if heads:
+                apply(heads, loc, is_delete)
+
+    return handle
+
+
+def make_sink(node):
+    """``apply(heads, loc, is_delete)``: where one firing's head tuples go.
+
+    Only ever called with the complete result of a firing, so a firing
+    that raises has applied none of its heads.  Local derivations join
+    the run queue and remote ones the transmit buffer (which leaves as
+    per-destination datagram trains when the drain flushes), both in
+    derivation order; deletes are applied at once, in order.
+    """
+    address, tables, loop, egress = node.address, node.tables, node.loop, node._egress
+    pending, extend = node._pending.append, node._pending.extend
+
+    def apply(heads, loc, is_delete):
+        if is_delete:
+            for tup in heads:
+                if loc is not None and tup.fields[loc] != address:
+                    raise PlannerError(
+                        f"node {address}: delete rules must target local tables"
+                    )
+                tables.get(tup.name).delete(tup, loop.now)
+        elif loc is None:
+            extend(heads)
+        else:
+            for tup in heads:
+                destination = tup.fields[loc]
+                if destination == address:
+                    pending(tup)
+                else:
+                    egress(destination, tup)
+
+    return apply
+
+
+def reference_bind(node, trigger):
+    """What the old node ran for *trigger*: ``make_handler`` for a relation,
+    the old tick body for a periodic spec, the old dirty-drain body for a
+    continuous strand (the node's loop still times, queues and drains)."""
+    if type(trigger) is str:
+        return make_handler(node, trigger)
+    kind, index = trigger
+    apply = make_sink(node)
+    if kind == "periodic":
+        spec = node.compiled.periodics[index]
+
+        def tick(event):
+            strand = spec.strand
+            apply(strand.fire(event), strand.loc_position, strand.is_delete)
+
+        return tick
+    strand = node.compiled.continuous[index]
+
+    def drain(now):
+        heads = strand.refresh(now)
+        if heads:  # mostly not: the table moved, the aggregate did not
+            apply(heads, strand.loc_position, strand.is_delete)
+
+    return drain
+
+
+# ------------------------------------------------------------------ harness
 def _typed(tup):
     return tup.name, repr(tup.fields)  # repr: 1, 1.0 and True differ
 
 
 def _state(node):
-    """Everything a dispatch can move, read without moving any of it."""
+    """Everything a firing can move, read without moving any of it."""
     tables = {}
     for table in node.tables:
         buckets = {
@@ -56,6 +157,9 @@ def _state(node):
         tables,
         node.events_processed,
         [(s.rule_id, s.fired, s.produced) for s in node.compiled.all_strands()],
+        [(s.rule_id, s.recomputations, repr(list(s._last_emitted.items())))
+         for s in node.compiled.continuous],
+        list(node._dirty_continuous),
         [(e.name, dict(vars(e.stats))) for e in node.compiled.graph.elements()],
         node.dropped_remote_sends,
         node.network.messages_sent,
@@ -63,35 +167,42 @@ def _state(node):
 
 
 def _recorded(node, bind):
-    """Install *bind* as *node*'s handler factory, each handler snapshotting
-    the node after every tuple it handles (whether or not it raised)."""
+    """Install *bind* as *node*'s binder, each handler it makes logging its
+    trigger and a snapshot of the node after every firing (raising or not)."""
     log = []
 
-    def bind_recorded(relation):
-        handler = bind(relation)
+    def bind_recorded(trigger):
+        handler = bind(trigger)
 
-        def handle(tup):
+        def handle(arg):
             try:
-                handler(tup)
+                handler(arg)
             finally:
-                log.append((tup.name, _state(node)))
+                log.append((trigger, _state(node)))
 
         handle.inner = handler
         return handle
 
-    node._bind_handler = bind_recorded
+    node._bind = bind_recorded
     return log
 
 
-class Pair:
-    """A procedure node and a ``_make_handler`` node fed in lock step."""
+def _same_logs(got, want):
+    assert [trigger for trigger, _ in got] == [trigger for trigger, _ in want]
+    for (trigger, g), (_, w) in zip(got, want):
+        assert g == w, trigger
 
-    def __init__(self, program, seed=0):
-        self.procedure = make_node(program, True, seed=seed)
-        self.oracle = make_node(program, True, seed=seed)
+
+class Pair:
+    """A procedure node and a reference node, both *fused* or both not, fed
+    in lock step."""
+
+    def __init__(self, program, fused, seed=0):
+        self.procedure = make_node(program, fused, seed=seed)
+        self.oracle = make_node(program, fused, seed=seed)
         self.logs = (
-            _recorded(self.procedure, self.procedure._bind_handler),
-            _recorded(self.oracle, self.oracle._make_handler),
+            _recorded(self.procedure, self.procedure._bind),
+            _recorded(self.oracle, partial(reference_bind, self.oracle)),
         )
         for node in self.nodes:
             node.boot()
@@ -103,9 +214,7 @@ class Pair:
 
     def check(self):
         got, want = self.logs
-        assert len(got) == len(want)
-        for (name, g), (_, w) in zip(got, want):
-            assert g == w, name
+        _same_logs(got, want)
         assert _state(self.procedure) == _state(self.oracle)
         got.clear()
         want.clear()
@@ -128,7 +237,12 @@ class Pair:
 
 
 def _generated(handler):
-    return "relations" in handler.__code__.co_filename
+    return os.path.join("planner", "generated", "") in handler.__code__.co_filename
+
+
+def _shared(handler):
+    """Bound from the one procedure of relations neither stored nor fired on."""
+    return handler.__code__.co_filename.endswith(os.path.join("relations", "(other).py"))
 
 
 def _arities(node):
@@ -154,97 +268,164 @@ def _random_feed(pair, rng, count):
         pair.feed(Tuple(name, fields))
 
 
+def _narada_mesh(nodes, seed, fused):
+    """``build_narada_mesh(nodes, seed=seed)``, with the engine in *fused* mode."""
+    mesh = NaradaMesh(OverlaySimulation(narada_program(), seed=seed, fused=fused))
+    for _ in range(nodes):
+        mesh.add_member(bootstrap_neighbors=2)
+    return mesh
+
+
+# -------------------------------------------------------------------- tests
 @pytest.mark.parametrize("name", sorted(OVERLAY_PROGRAMS))
 def test_overlay_relations_match_the_handler_closures(name):
-    rng = random.Random(zlib.crc32(name.encode()))
-    pair = Pair(OVERLAY_PROGRAMS[name], seed=3)
-    _random_feed(pair, rng, 40)  # mostly empty tables
-    populate_tables(pair.nodes, rng)
-    pair.check()
-    _random_feed(pair, rng, 160)
-    handlers = pair.procedure._handlers
-    assert any(_generated(handlers[r].inner) for r in handlers)
-    assert not _generated(handlers["unheard"].inner)
+    for fused in (True, False):
+        rng = random.Random(zlib.crc32(name.encode()))
+        pair = Pair(OVERLAY_PROGRAMS[name], fused, seed=3)
+        _random_feed(pair, rng, 40)  # mostly empty tables
+        populate_tables(pair.nodes, rng)
+        pair.check()
+        _random_feed(pair, rng, 160)
+        handlers = pair.procedure._handlers
+        assert all(_generated(handler.inner) for handler in handlers.values())
+        assert _shared(pair.handler("unheard"))
 
 
 @pytest.mark.parametrize("name", sorted(GENERATED_PROGRAMS))
 def test_fixed_rule_shapes_match_the_handler_closures(name):
-    rng = random.Random(zlib.crc32(name.encode()))
-    pair = Pair(GENERATED_PROGRAMS[name])
-    _random_feed(pair, rng, 20)
-    populate_tables(pair.nodes, rng)
-    pair.check()
-    _random_feed(pair, rng, 60)
+    for fused in (True, False):
+        rng = random.Random(zlib.crc32(name.encode()))
+        pair = Pair(GENERATED_PROGRAMS[name], fused)
+        _random_feed(pair, rng, 20)
+        populate_tables(pair.nodes, rng)
+        pair.check()
+        _random_feed(pair, rng, 60)
 
 
 @pytest.mark.parametrize("shape", SHAPES)
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_generated_rule_shapes_match_the_handler_closures(shape, seed):
-    rng = random.Random(seed * 1000 + 29)
-    pair = Pair(generate_program(shape, seed), seed=seed)
-    populate_tables(pair.nodes, rng)
-    pair.check()
-    _random_feed(pair, rng, 60)
+    for fused in (True, False):
+        rng = random.Random(seed * 1000 + 29)
+        pair = Pair(generate_program(shape, seed), fused, seed=seed)
+        populate_tables(pair.nodes, rng)
+        pair.check()
+        _random_feed(pair, rng, 60)
 
 
 def test_a_raising_firing_and_a_non_local_delete():
     """r2 raises on its third match after r1's heads were routed: the queue
     and buffer hold r1's heads and none of r2's.  A delete aimed elsewhere
     raises the planner's error, one aimed here is applied."""
-    pair = Pair(HANDLER_PROGRAM)
-    for peer, value in (("n2", 1), ("n1", 2), ("n3", 0)):
-        pair.feed(Tuple.make("t", "n1", peer, value))
-    assert pair.feed(Tuple.make("ev", "n1")) == "PELError: division by zero"
-    assert list(pair.procedure._pending) == [Tuple.make("out", "n1", "n1", 2)]
-    assert pair.procedure.transmit.destinations() == ["n2", "n3"]
-    assert pair.feed(Tuple.make("kill", "n1", "n2", 1)) == (
-        "PlannerError: node n1: delete rules must target local tables"
-    )
-    assert pair.feed(Tuple.make("kill", "n1", "n1", 2)) is None
-    assert pair.feed(Tuple.make("ev", "n1")) == "PELError: division by zero"
-    pair.feed(Tuple.make("lookupResults", "n1", 1))  # neither table nor strand
-    assert all(_generated(pair.handler(r)) for r in ("t", "ev", "kill"))
-    # out is a head only: like lookupResults, neither stored nor fired on
-    assert not any(_generated(pair.handler(r)) for r in ("out", "lookupResults"))
+    for fused in (True, False):
+        pair = Pair(HANDLER_PROGRAM, fused)
+        for peer, value in (("n2", 1), ("n1", 2), ("n3", 0)):
+            pair.feed(Tuple.make("t", "n1", peer, value))
+        assert pair.feed(Tuple.make("ev", "n1")) == "PELError: division by zero"
+        assert list(pair.procedure._pending) == [Tuple.make("out", "n1", "n1", 2)]
+        assert pair.procedure.transmit.destinations() == ["n2", "n3"]
+        assert pair.feed(Tuple.make("kill", "n1", "n2", 1)) == (
+            "PlannerError: node n1: delete rules must target local tables"
+        )
+        assert pair.feed(Tuple.make("kill", "n1", "n1", 2)) is None
+        assert pair.feed(Tuple.make("ev", "n1")) == "PELError: division by zero"
+        pair.feed(Tuple.make("lookupResults", "n1", 1))  # neither table nor strand
+        assert not any(_shared(pair.handler(r)) for r in ("t", "ev", "kill"))
+        # out is a head only: like lookupResults, neither stored nor fired on
+        assert all(_shared(pair.handler(r)) for r in ("out", "lookupResults"))
 
 
 def test_a_declined_strand_is_called_through_its_fire():
     source = _many_joins(25)
-    pair = Pair(source)
-    (strand,) = pair.procedure.compiled.strands_by_event["ev"]
-    assert not strand.fused  # the element walk
-    for node in pair.nodes:
-        for i in range(25):
-            node.tables.get(f"t{i}").insert(Tuple.make(f"t{i}", "n1", i, i + 1), 0.0)
-    for v0 in (0, 1, "x"):
-        pair.feed(Tuple.make("ev", "n1", v0))
-    assert strand.produced == 1
-    assert _generated(pair.handler("ev"))
+    for fused in (True, False):
+        pair = Pair(source, fused)
+        (strand,) = pair.procedure.compiled.strands_by_event["ev"]
+        assert not strand.fused  # the element walk
+        for node in pair.nodes:
+            for i in range(25):
+                node.tables.get(f"t{i}").insert(Tuple.make(f"t{i}", "n1", i, i + 1), 0.0)
+        for v0 in (0, 1, "x"):
+            pair.feed(Tuple.make("ev", "n1", v0))
+        assert strand.produced == 1
+        assert _generated(pair.handler("ev"))
     assert "s0_fire = strands[0].fire" in Planner.explain_source(source)
 
 
 def test_procedures_are_generated_once_per_program_and_bound_per_node():
     program = parse_program(OVERLAY_PROGRAMS["narada"])
-    a = make_node(program, True, address="a")
-    b = make_node(program, True, address="b")
-    for node in (a, b):
-        node.boot()
-    for relation in set(a._handlers) & set(b._handlers):
-        ha, hb = a._handlers[relation], b._handlers[relation]
-        if _generated(ha):
+    for fused in (True, False):
+        a = make_node(program, fused, address="a")
+        b = make_node(program, fused, address="b")
+        memo = plan_program(program)._procedures
+        assert not [key for key in memo if key[1] is fused]  # set-up compiles none
+        for node in (a, b):
+            node.boot()
+        for trigger in set(a._handlers) & set(b._handlers):
+            ha, hb = a._handlers[trigger], b._handlers[trigger]
             assert ha is not hb and ha.__code__ is hb.__code__
-    assert a.compiled.procedure("neighbor") is b.compiled.procedure("neighbor")
-    assert a.compiled.procedure("unheard") is None
-    assert make_node(program, False).compiled.procedure is None
+        assert a.compiled.procedure("neighbor") is b.compiled.procedure("neighbor")
+        # any name the program neither stores nor fires on: one procedure
+        assert a.compiled.procedure("unheard") is b.compiled.procedure("lookupResults")
+    inlined, called = (make_node(program, mode).compiled.procedure("refresh").text
+                       for mode in (True, False))
+    assert "_fire" not in inlined
+    assert all(f"s{i}_fire = strands[{i}].fire" in called for i in range(3))
+
+
+def test_ticks_and_refreshes_match_the_old_run_loop(monkeypatch):
+    """Narada's five periodic specs and its continuous strand, fired by the
+    node's own loop over 60 simulated seconds: pings to absent peers, a
+    neighbor found dead and deleted.  After every firing the procedure node
+    and the reference node agree."""
+    program = parse_program(narada_program())
+    for fused in (True, False):
+        nodes, logs = [], []
+        for node_bind in (P2Node._bind, reference_bind):
+            monkeypatch.setattr(tuples, "_tuple_counter", 0)  # event ids restart
+            node = make_node(program, fused, seed=5)
+            nodes.append(node)
+            logs.append(_recorded(node, partial(node_bind, node)))
+            node.boot()
+            for peer in ("n2", "n3"):
+                node.route(Tuple.make("neighbor", "n1", peer))
+                node.route(Tuple.make("member", "n1", peer, 1, 0.0, True))
+            node.loop.run_for(60.0)
+        got, want = logs
+        _same_logs(got, want)
+        procedure_node = nodes[0]
+        assert len(procedure_node.compiled.periodics) == 5
+        assert len(procedure_node.compiled.continuous) == 1
+        triggers = {trigger for trigger, _ in got}
+        assert {("periodic", i) for i in range(5)} | {("continuous", 0)} <= triggers
+        assert procedure_node.table("neighbor").stats.deletes > 0
+
+
+@pytest.mark.parametrize("fused", [True, False])
+def test_every_handler_a_node_binds_is_generated_code(fused):
+    chord = build_chord_network(8, seed=5, join_stagger=1.0, fused=fused)
+    chord.simulation.run_for(60.0)
+    for i, node in enumerate(chord.nodes):
+        chord.issue_lookup(node, (i * 0x2F0F0F0F) % (1 << 32))
+    chord.simulation.run_for(30.0)
+    mesh = _narada_mesh(5, seed=4, fused=fused)
+    mesh.simulation.run_for(40.0)
+    kinds = set()
+    for node in chord.nodes + mesh.nodes:
+        for trigger, handler in node._handlers.items():
+            assert _generated(handler), (node.address, trigger)
+            kinds.add("relation" if type(trigger) is str else trigger[0])
+    assert kinds == {"relation", "periodic", "continuous"}
+    assert any("lookupResults" in node._handlers for node in chord.nodes)
 
 
 def test_a_narada_run_matches_the_handler_closures(monkeypatch):
-    def run():
+    def run(fused):
         monkeypatch.setattr(tuples, "_tuple_counter", 0)  # event ids restart
-        mesh = build_narada_mesh(5, seed=4)
+        mesh = _narada_mesh(5, seed=4, fused=fused)
         mesh.simulation.run_for(40.0)
         return mesh.simulation.loop.processed, [_state(node) for node in mesh.nodes]
 
-    with_procedures = run()
-    monkeypatch.setattr(P2Node, "_bind_handler", P2Node._make_handler)
-    assert run() == with_procedures
+    with_procedures = {fused: run(fused) for fused in (True, False)}
+    monkeypatch.setattr(P2Node, "_bind", reference_bind)
+    for fused in (True, False):
+        assert run(fused) == with_procedures[fused]

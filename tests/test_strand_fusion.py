@@ -76,7 +76,7 @@ def _restore(strand, snap):
 
 def _fire(strand, event, addr):
     try:
-        return strand.process(event, addr).routes, None
+        return strand.process(event, addr), None
     except Exception as exc:  # noqa: BLE001 - the error IS the observable
         return None, f"{type(exc).__name__}: {exc}"
 
@@ -156,8 +156,8 @@ def test_multi_join_produces_joined_rows_in_same_order():
     event = Tuple.make("trig", "n1", 1)
     rf = fused_node.compiled.strands_by_event["trig"][0].process(event, "n1")
     ri = interp_node.compiled.strands_by_event["trig"][0].process(event, "n1")
-    assert rf.routes == ri.routes
-    assert len(rf.routes) == 3  # (1,2,9), (1,3,8), (1,3,7)
+    assert rf == ri
+    assert len(rf) == 3  # (1,2,9), (1,3,8), (1,3,7)
 
 
 def test_constant_join_key_matches_both_modes():
@@ -171,8 +171,8 @@ def test_constant_join_key_matches_both_modes():
     event = Tuple.make("q", "n1")
     rf = fused_node.compiled.strands_by_event["q"][0].process(event, "n1")
     ri = interp_node.compiled.strands_by_event["q"][0].process(event, "n1")
-    assert rf.routes == ri.routes
-    assert sorted(r.tuple.fields[1] for r in rf.routes) == ["a", "b"]
+    assert rf == ri
+    assert sorted(r.tuple.fields[1] for r in rf) == ["a", "b"]
 
 
 def test_aggregate_fallback_emits_count_zero_both_modes():
@@ -180,8 +180,8 @@ def test_aggregate_fallback_emits_count_zero_both_modes():
     event = Tuple.make("probe", "n1", "missing")
     rf = fused_node.compiled.strands_by_event["probe"][0].process(event, "n1")
     ri = interp_node.compiled.strands_by_event["probe"][0].process(event, "n1")
-    assert rf.routes == ri.routes
-    assert len(rf.routes) == 1 and rf.routes[0].tuple.fields[2] == 0
+    assert rf == ri
+    assert len(rf) == 1 and rf[0].tuple.fields[2] == 0
 
 
 def test_continuous_aggregates_fused_vs_interpreted():

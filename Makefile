@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-fast test-faults test-planner test-reliable test-runloop lint lint-py bench bench-p2 bench-pairs loc check-pythonpath
+.PHONY: test test-fast test-faults test-planner test-reliable test-runloop test-tables lint lint-py bench bench-p2 bench-pairs loc check-pythonpath
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -34,6 +34,15 @@ test-runloop:
 	$(PYTHON) -m pytest -x -q tests/test_relation_procedure.py tests/test_firing_tail.py \
 	  tests/test_strand_fusion.py tests/test_strand_source.py tests/test_runtime_node.py \
 	  tests/test_golden_plans.py
+
+# The table layer and its access paths: key formats and table operations, the
+# remove-then-re-add model (covering probes included), the index plan and
+# where it is installed, the golden plans and strands, and the procedures
+# that probe and insert.
+test-tables:
+	$(PYTHON) -m pytest -x -q tests/test_tables.py tests/test_soft_state_deltas.py \
+	  tests/test_planner_opt.py tests/test_plan_once.py tests/test_golden_plans.py \
+	  tests/test_relation_procedure.py
 
 # Static analysis over the bundled overlays and every example program;
 # --strict makes warnings (dead rules, unread tables, ...) fail the build.

@@ -8,9 +8,10 @@ is not an element here: the node's per-relation handlers call
 ``Table.insert`` / ``Table.delete`` themselves.)
 
 Every operator needs a *host* to build evaluation contexts: the hosting node
-runtime (clock, RNG, address, identifier space, built-in registry).  Tests use
-a lightweight stand-in.  The planner builds a program's operators once, with
-no host, and gives every node copies pointed at it (:meth:`Element.rebind`).
+runtime (event loop and its clock, RNG, address, identifier space, built-in
+registry).  Tests use a lightweight stand-in.  The planner builds a program's
+operators once, with no host, and gives every node copies pointed at it
+(:meth:`Element.rebind`).
 
 ``process`` is each operator's reference semantics.  The strand compiler
 (:mod:`repro.planner.strand_compiler`) reads an operator's programs, table
@@ -20,6 +21,7 @@ code advances the operator's ``stats`` exactly as ``process`` does.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
 from typing import Any, Iterable, List, Optional, Sequence, Tuple as PyTuple
 
 from ..core import values
@@ -49,11 +51,13 @@ class Host:
         self.address = address
         self.builtins = builtins or {}
         self.idspace = idspace or IdSpace()
-        self._clock = clock
+        #: what a node's event loop is to generated code: the clock, read as
+        #: ``loop.now`` (here it stands still)
+        self.loop = SimpleNamespace(now=clock)
         self.rng = rng or random.Random(0)
 
     def now(self) -> float:
-        return self._clock
+        return self.loop.now
 
 
 class PelElement(Element):

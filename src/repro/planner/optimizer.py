@@ -48,6 +48,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple as PyTuple
 
 from ..core.errors import PlannerError
 from ..overlog import ast
+from ..tables import covers_key
 
 #: rows assumed for materialized tables with no finite ``max_size`` hint
 DEFAULT_CARDINALITY = 64.0
@@ -173,15 +174,14 @@ def join_choice(pred: ast.Predicate, bound: Sequence[str], infos: Dict[str, Any]
             probe.append(pos)
     arity = len(pred.args)
     size = DEFAULT_CARDINALITY
-    key_positions: Optional[set] = None
+    covers = False
     info = infos.get(pred.name)
     if info is not None:
         max_size = getattr(info, "max_size", None)
         if max_size is not None and max_size != float("inf"):
             size = float(max_size)
         if getattr(info, "keys", None):
-            key_positions = {k - 1 for k in info.keys}
-    covers = key_positions is not None and key_positions <= set(probe)
+            covers = covers_key(probe, [k - 1 for k in info.keys])
     if covers:
         est = 1.0
     elif probe:
@@ -311,27 +311,21 @@ def plan_strand(
 # ---------------------------------------------------------------------------
 
 
-def index_plan(
-    rule_plans: Sequence[RulePlan], infos: Dict[str, Any]
-) -> Dict[str, List[PyTuple[int, ...]]]:
+def index_plan(rule_plans: Sequence[RulePlan]) -> Dict[str, List[PyTuple[int, ...]]]:
     """The secondary indexes *rule_plans*' probes need, per table (sorted).
 
-    A probe on exactly the declared primary key needs none.
+    A probe whose positions contain the declared primary key
+    (:attr:`JoinChoice.covers_key`, by :func:`~repro.tables.covers_key`)
+    needs none: the table answers it from the key.
     """
-    key_positions = {
-        name: tuple(k - 1 for k in info.keys)
-        for name, info in infos.items()
-        if info.materialized and info.keys
-    }
     indexes: Dict[str, List[PyTuple[int, ...]]] = {}
     for rule_plan in rule_plans:
         for planned in rule_plan.terms:
-            if planned.choice is None:
+            choice = planned.choice
+            if choice is None or not choice.probe_positions or choice.covers_key:
                 continue
-            positions = planned.choice.probe_positions
+            positions = choice.probe_positions
             name = planned.term.name
-            if not positions or positions == key_positions.get(name):
-                continue
             if positions not in indexes.setdefault(name, []):
                 indexes[name].append(positions)
     for positions in indexes.values():

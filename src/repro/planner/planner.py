@@ -366,7 +366,7 @@ class _StrandBuilder:
                     dataflow.periodics.append(self._periodic_spec(rule, event_pred, strand))
                 else:
                     dataflow.strands_by_event.setdefault(event_pred.name, []).append(strand)
-        plan = ProgramPlan(rule_plans, index_plan(rule_plans, infos))
+        plan = ProgramPlan(rule_plans, index_plan(rule_plans))
         return PlannedProgram(plan, dataflow)
 
     # -- strand compilation ------------------------------------------------------------

@@ -27,11 +27,13 @@ generated and ``compile()``d **once per** :class:`~repro.overlog.ast.Program`
 and plan kind (:func:`generate_sources`, over the host-free strands of
 :func:`repro.planner.planner.plan_program`, which keeps the result with the
 rest of the plan in the one per-program memo, ``program.analysis``) as a
-module defining ``bind(strand, ctx, now)``; each node then only *binds*
+module defining ``bind(strand, ctx, loop)``; each node then only *binds*
 (:func:`fuse_dataflow`): ``bind`` reads the node's tables, stats objects,
-built-in map and identifier space into closure cells and installs the inner
-function over ``strand.fire`` / ``strand.refresh``.  Every node's function
-shares one code object.
+built-in map, identifier space and event loop into closure cells and
+installs the inner function over ``strand.fire`` / ``strand.refresh``.
+Every node's function shares one code object.  Generated code reads the
+clock as the attribute :data:`CLOCK` of that loop — a probe, an insert, a
+delete — never through a call.
 
 Procedures
 ----------
@@ -95,6 +97,9 @@ from ..pel.vm import EvalContext, Expression, ExpressionEmitter, load_generated
 from .strand import ContinuousAggregateStrand, RuleStrand
 
 _INDENT = "    "
+#: the one clock expression generated code reads, in strand modules and
+#: procedures alike (``loop`` is the node's event loop)
+CLOCK = "loop.now"
 
 
 class StrandSource(NamedTuple):
@@ -102,8 +107,8 @@ class StrandSource(NamedTuple):
 
     name: str
     text: str
-    #: ``bind(strand, ctx, now)``; ``None`` when the emitter declined
-    bind: Optional[Callable[[Any, EvalContext, Callable[[], float]], None]]
+    #: ``bind(strand, ctx, loop)``; ``None`` when the emitter declined
+    bind: Optional[Callable[[Any, EvalContext, Any], None]]
 
 
 def _tuple(items: Sequence[str]) -> str:
@@ -140,7 +145,7 @@ class _Emitter:
         #: another table) and counts nothing per row (no Select, whose
         #: ``dropped`` moves with every row it filters)
         self.skippable = True
-        #: the body probes a table, so it calls ``now()``
+        #: the body probes a table, so it reads the clock (:data:`CLOCK`)
         self.probes = False
 
     # -- lines ---------------------------------------------------------------
@@ -246,10 +251,10 @@ class _Emitter:
                     f"{ns}probe{index} = {ns}ops[{index}].table.prober({tuple(op.table_positions)!r})"
                 )
                 keys, loads = self.operands(depth, op.key_programs, fields, coerce=False)
-                probe = f"{ns}probe{index}({_tuple(keys)}, now())"
+                probe = f"{ns}probe{index}({_tuple(keys)}, {CLOCK})"
             else:
                 self.binds.append(f"{ns}probe{index} = {ns}ops[{index}].table.scan")
-                probe, loads = f"{ns}probe{index}(now())", []
+                probe, loads = f"{ns}probe{index}({CLOCK})", []
             if type(op) is LookupJoin:
                 # materialised before descending: a deeper stage that expires
                 # rows of the same table cannot invalidate the probe
@@ -410,7 +415,7 @@ class _Emitter:
             tail = [*[_INDENT + text for text in exit], "    return out"]
         prologue = [
             f"# {strand.describe()}",
-            "def bind(strand, ctx, now):",
+            "def bind(strand, ctx, loop):",
             *[_INDENT + bind for bind in self.pel.bindings() + self.bindings()],
         ]
         inner = [*head, "    try:", *self.body, "    except Exception as exc:",
@@ -492,7 +497,6 @@ class Procedure(NamedTuple):
 _NODE_NAMES = {
     "loop": "loop = node.loop",
     "address": "address = node.address",
-    "now": "now = node.now",
     "push": "push = pending.append",
     "extend": "extend = pending.extend",
 }
@@ -510,7 +514,7 @@ def _route(strand: Any, ns: str) -> PyTuple[List[str], List[str], List[str]]:
                 f"    if h.fields[{loc}] != address:",
                 '        raise PlannerError(f"node {address}: delete rules must target local tables")',
             ]
-        lines.append(f"    {ns}delete(h, loop.now)")
+        lines.append(f"    {ns}delete(h, {CLOCK})")
         binds = [f"{ns}delete = node.tables.get({strand.head_name!r}).delete"]
         return lines, binds, ["loop"] + ["address"] * (loc is not None)
     if loc is None:
@@ -576,7 +580,7 @@ def generate_procedure(compiled: Any, sources: Optional[Sequence[StrandSource]],
         if stored:
             uses.add("loop")
             binds.append(f"insert = node.tables.get({trigger!r}).insert")
-            handle.append("    insert(event, loop.now)")
+            handle.append(f"    insert(event, {CLOCK})")
     else:
         name, path = f"{kind} {strands[0].rule_id}", (kind, f"{strands[0].rule_id}.py")
         header = f"# {name}: {len(strands)} strand(s)"
@@ -592,7 +596,7 @@ def generate_procedure(compiled: Any, sources: Optional[Sequence[StrandSource]],
             emitter = _Emitter(strand, ns)
             entry, exit = emitter.firing()
             if emitter.probes:
-                uses.add("now")
+                uses.add("loop")
             binds += [f"{ns}strand = strands[{i}]", *emitter.bindings()]
             pel_binds.update(emitter.pel.bindings())
             names[f"{ns}K"] = emitter.pel.constants
@@ -637,8 +641,8 @@ def fuse_dataflow(compiled: Any, sources: Sequence[StrandSource], host: Any) -> 
     procedures the node binds later.
     """
     ctx = compiled.ctx = EvalContext.for_host(host)
-    now = host.now
+    loop = host.loop
     for strand, source in zip(_strands(compiled), sources):
         if source.bind is not None:
-            source.bind(strand, ctx, now)
+            source.bind(strand, ctx, loop)
     compiled.fused = True

@@ -13,7 +13,11 @@ paper describes in Sections 2.1 and 3.2:
 * each tuple has a unique primary key (field positions given by the
   ``keys(...)`` clause of the ``materialize`` directive); inserting a tuple
   whose key already exists replaces the previous tuple;
-* secondary in-memory indices provide fast equality lookups for equijoins;
+* an equality probe is answered by the primary key when its positions
+  contain the key's (:func:`covers_key`: a lookup in the key's own hash table
+  and a check of the remaining fields), and otherwise by a secondary
+  in-memory index on exactly its positions, if one was added, or by a scan —
+  so a table keeps only the indexes a probe the key cannot answer reads;
 * listeners can observe inserts, deletes, and expirations — the dataflow
   layer uses these for table-delta rule strands and continuous aggregates.
 
@@ -24,12 +28,19 @@ Callers must present non-decreasing times, which every driver (event loop,
 node runtime) guarantees; expiry exploits it by keeping ``_rows`` ordered by
 insertion time and popping expired tuples from the head — amortized
 O(expired) instead of the old O(table size) sweep per operation.
+
+Keys are stored the way :func:`operator.itemgetter` extracts them: the bare
+value for a one-field key, primary or secondary, a tuple otherwise — no
+1-tuple is built per write or probe.  The format is private to this module:
+:meth:`Table.primary_key` returns a tuple, and :meth:`Table.get`,
+:meth:`Table.delete_by_key`, :meth:`Table.lookup` and a prober take one.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import (
     Any,
     Callable,
@@ -48,6 +59,22 @@ Key = PyTuple[Any, ...]
 Listener = Callable[[Tuple], None]
 
 INFINITY = float("inf")
+
+#: stands for a key of the wrong width, which matches no row
+_NO_KEY = object()
+
+
+def covers_key(positions: Sequence[int], key_positions: Sequence[int]) -> bool:
+    """Whether a probe on *positions* binds every primary-key field, so the
+    primary key answers it and no secondary index is wanted: the one rule the
+    plan (:func:`repro.planner.optimizer.index_plan`) and the table share."""
+    return set(key_positions) <= set(positions)
+
+
+def _stored_key(positions: Sequence[int]) -> Callable[[Sequence[Any]], Any]:
+    """``fields -> key`` as this module stores it: the bare value of a
+    one-field key, a tuple of several (an empty tuple of none)."""
+    return itemgetter(*positions) if positions else key_getter(positions)
 
 
 @dataclass
@@ -68,14 +95,14 @@ class _SecondaryIndex:
 
     def __init__(self, positions: Sequence[int]):
         self.positions = tuple(positions)
-        self._key_of = key_getter(self.positions)
-        self._buckets: Dict[Key, Dict[Key, Tuple]] = {}
+        self._key_of = _stored_key(self.positions)
+        self._buckets: Dict[Any, Dict[Any, Tuple]] = {}
 
-    def add(self, primary_key: Key, tup: Tuple) -> None:
+    def add(self, primary_key: Any, tup: Tuple) -> None:
         key = self._key_of(tup.fields)
         self._buckets.setdefault(key, {})[primary_key] = tup
 
-    def remove(self, primary_key: Key, tup: Tuple) -> None:
+    def remove(self, primary_key: Any, tup: Tuple) -> None:
         key = self._key_of(tup.fields)
         bucket = self._buckets.get(key)
         if bucket is not None:
@@ -102,7 +129,7 @@ class Table:
             raise TableError(f"table {name!r}: max_size must be >= 1")
         self.name = name
         self.key_positions = tuple(key_positions)
-        self._key_of = key_getter(self.key_positions)
+        self._key_of = _stored_key(self.key_positions)
         self.lifetime = lifetime
         self.max_size = max_size
         self.stats = TableStats()
@@ -117,7 +144,7 @@ class Table:
         # time because refreshes move to the tail.  That ordering is what
         # makes expiry amortized O(expired): expire() pops from the head and
         # stops at the first live row instead of sweeping the whole table.
-        self._rows: "OrderedDict[Key, PyTuple[Tuple, float]]" = OrderedDict()
+        self._rows: "OrderedDict[Any, PyTuple[Tuple, float]]" = OrderedDict()
         # Earliest time any row may expire (a lower bound: head deletions and
         # refreshes can leave it conservatively early, never late).  While
         # ``now`` is below it, expire() is a single comparison.
@@ -144,9 +171,10 @@ class Table:
 
     # -- indices ---------------------------------------------------------------
     def add_index(self, positions: Sequence[int]) -> None:
-        """Create a secondary hash index on *positions* (idempotent)."""
+        """Create a secondary hash index on *positions* (idempotent; nothing
+        for a set that :func:`covers_key` — the primary key answers it)."""
         key = tuple(positions)
-        if key in self._indices or key == self.key_positions:
+        if key in self._indices or covers_key(key, self.key_positions):
             return
         index = _SecondaryIndex(key)
         for pk, (tup, _) in self._rows.items():
@@ -155,8 +183,9 @@ class Table:
         self._probers.clear()  # a prober asked for from now on may use it
 
     def has_index(self, positions: Sequence[int]) -> bool:
+        """Whether a probe on *positions* is answered without a scan."""
         key = tuple(positions)
-        return key == self.key_positions or key in self._indices
+        return covers_key(key, self.key_positions) or key in self._indices
 
     def indexed_positions(self) -> List[tuple]:
         """The secondary-index position sets currently installed (sorted)."""
@@ -168,11 +197,22 @@ class Table:
             f"tuple {tup!r} does not fit table {self.name!r} key {self.key_positions}"
         )
 
-    def primary_key(self, tup: Tuple) -> Key:
+    def _stored_pk(self, tup: Tuple) -> Any:
         try:
             return self._key_of(tup.fields)
         except Exception as exc:
             raise self._misfit(tup) from exc
+
+    def _stored_pk_of_key(self, key: Sequence[Any]) -> Any:
+        key = tuple(key)
+        if len(key) != len(self.key_positions):
+            return _NO_KEY
+        return key[0] if len(key) == 1 else key
+
+    def primary_key(self, tup: Tuple) -> Key:
+        """*tup*'s primary key, as a tuple whatever its width."""
+        pk = self._stored_pk(tup)
+        return (pk,) if len(self.key_positions) == 1 else pk
 
     def insert(self, tup: Tuple, now: float) -> bool:
         """Insert (or refresh) *tup* at time *now*.
@@ -235,19 +275,15 @@ class Table:
         """Delete the tuple with *tup*'s primary key.  Returns True if present."""
         if now >= self._next_expiry:
             self.expire(now)
-        try:
-            pk = self._key_of(tup.fields)
-        except Exception as exc:
-            raise self._misfit(tup) from exc
-        return self._drop(pk) is not None
+        return self._drop(self._stored_pk(tup)) is not None
 
     def delete_by_key(self, key: Key, now: float) -> Optional[Tuple]:
         """Delete by primary key value; returns the removed tuple if any."""
         if now >= self._next_expiry:
             self.expire(now)
-        return self._drop(tuple(key))
+        return self._drop(self._stored_pk_of_key(key))
 
-    def _drop(self, pk: Key) -> Optional[Tuple]:
+    def _drop(self, pk: Any) -> Optional[Tuple]:
         entry = self._rows.pop(pk, None)
         if entry is None:
             return None
@@ -313,22 +349,31 @@ class Table:
     # -- queries -----------------------------------------------------------------
     def lookup(self, positions: Sequence[int], key: Sequence[Any], now: float) -> List[Tuple]:
         """All live tuples whose fields at *positions* equal *key*, by the
-        access path :meth:`prober` picks (the planner indexes every equijoin
-        key, so only ad-hoc queries scan)."""
-        return list(self.prober(positions)(tuple(key), now))
+        access path :meth:`prober` picks — primary key, secondary index, or a
+        scan when neither answers *positions*."""
+        key = tuple(key)
+        if len(key) != len(positions):
+            raise TableError(
+                f"table {self.name!r}: key {key!r} does not fit positions {tuple(positions)}"
+            )
+        return list(self.prober(positions)(key, now))
 
     def prober(self, positions: Sequence[int]) -> Callable[[Key, float], Sequence[Tuple]]:
         """``probe(key, now) -> rows`` for *positions*: the one place the access
-        path — primary key, secondary index or scan — is chosen.
+        path is chosen.  Positions that :func:`covers_key` are answered by the
+        primary key — one ``dict`` lookup, then the remaining fields compared
+        the way the ``dict`` compares keys (identity first, then ``==``);
+        other positions by the secondary index on exactly them, if there is
+        one; anything else by a scan.
 
         The generated strands take a prober per join once and call it per
         probe; :meth:`lookup` takes one per call.  Every probe expires lazily,
         counts one ``stats.lookups`` and returns a materialised result that
         later mutation of the table cannot invalidate, in bucket (join match)
-        order.  *key* must be a tuple.  An index installed after this call is
-        not picked up, so install indexes first.  One prober per position set
-        is built and handed to every caller (a node's strands and relation
-        procedures bind the same ones).
+        order.  *key* must be a tuple of one value per position.  An index
+        installed after this call is not picked up, so install indexes first.
+        One prober per position set is built and handed to every caller (a
+        node's strands and relation procedures bind the same ones).
         """
         positions = tuple(positions)
         probe = self._probers.get(positions)
@@ -340,26 +385,40 @@ class Table:
         stats = self.stats
         expire = self.expire
         rows = self._rows
-        if positions == self.key_positions:
+        key_positions = self.key_positions
+        if covers_key(positions, key_positions):
             get = rows.get
+            pk_of = _stored_key([positions.index(p) for p in key_positions])
+            rest = [(p, at) for at, p in enumerate(positions) if p not in key_positions]
+            if rest:
+                field_of = _stored_key([p for p, _ in rest])
+                wanted_of = _stored_key([at for _, at in rest])
 
             def probe(key: Key, now: float) -> Sequence[Tuple]:
                 if now >= self._next_expiry:
                     expire(now)
                 stats.lookups += 1
-                entry = get(key)
-                return (entry[0],) if entry is not None else ()
+                entry = get(pk_of(key))
+                if entry is None:
+                    return ()
+                row = entry[0]
+                if rest:
+                    value, wanted = field_of(row.fields), wanted_of(key)
+                    if not (value is wanted or value == wanted):
+                        return ()
+                return (row,)
 
             return probe
         index = self._indices.get(positions)
         if index is not None:
             get_bucket = index._buckets.get
+            bare = len(positions) == 1
 
             def probe(key: Key, now: float) -> Sequence[Tuple]:
                 if now >= self._next_expiry:
                     expire(now)
                 stats.lookups += 1
-                bucket = get_bucket(key)
+                bucket = get_bucket(key[0] if bare else key)
                 return list(bucket.values()) if bucket is not None else ()
 
             return probe
@@ -382,7 +441,7 @@ class Table:
         """The tuple with primary key *key*, if present."""
         if now >= self._next_expiry:
             self.expire(now)
-        entry = self._rows.get(tuple(key))
+        entry = self._rows.get(self._stored_pk_of_key(key))
         return entry[0] if entry else None
 
     def __len__(self) -> int:
@@ -392,11 +451,11 @@ class Table:
         return iter(tup for tup, _ in self._rows.values())
 
     def __contains__(self, tup: Tuple) -> bool:
-        entry = self._rows.get(self.primary_key(tup))
+        entry = self._rows.get(self._stored_pk(tup))
         return entry is not None and entry[0] == tup
 
     # -- internals -----------------------------------------------------------------
-    def _remove_from_indices(self, pk: Key, tup: Tuple) -> None:
+    def _remove_from_indices(self, pk: Any, tup: Tuple) -> None:
         for index in self._indices.values():
             index.remove(pk, tup)
 

@@ -2,13 +2,15 @@
 
 Three contracts, each against the code it replaced:
 
-* ``Table.insert`` gives a refresh of an identical row a path of its own.
-  Against a reference model that does what the table used to do — remove the
-  row from every index, delete it, add it again — every observable stays the
-  same over arbitrary op sequences: scan order, the order inside each
-  secondary-index bucket (it is join match order), the listener calls, the
-  counters, and an expiry bound that is never late.  What is new is the
-  content ``version``: it moves exactly when the set of rows does.
+* ``Table.insert`` gives a refresh of an identical row a path of its own,
+  and a probe whose positions contain the primary key reads the key instead
+  of an index of its own.  Against a reference model that does what the
+  table used to do — an index on every probed position set; remove the row
+  from every index, delete it, add it again — every observable stays the
+  same over arbitrary op sequences: scan order, every probe's rows in bucket
+  order (it is join match order), the listener calls, the counters, and an
+  expiry bound that is never late.  What is new is the content ``version``:
+  it moves exactly when the set of rows does.
 * The generated ``refresh`` of a continuous ``count``/``min``/``max`` strand
   rescans only when that version moved.  After every op it must still return
   what ``refresh_interpreted`` — the untouched oracle, which always rescans —
@@ -17,6 +19,8 @@ Three contracts, each against the code it replaced:
   number of recomputations as before, far fewer rows scanned.
 """
 
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -24,7 +28,7 @@ from repro.core import Tuple
 from repro.overlays.chord import build_chord_network
 from repro.overlog import parse_program
 from repro.planner import strand_sources
-from repro.tables import INFINITY, Table
+from repro.tables import INFINITY, Table, covers_key
 
 from tests.support.genprograms import make_twins
 
@@ -123,9 +127,9 @@ class ModelTable:
 
 #: ``1``, ``True`` and ``1.0`` address one row and one bucket, yet are three
 #: different fields; ``(1,)`` / ``(True,)`` hide the same difference one level down
-keys = st.sampled_from([1, True, 1.0, 2, "a"])
-groups = st.sampled_from(["g", "h", 1, True])
-payloads = st.sampled_from([1, True, 1.0, 2, "x", None, (1,), (True,)])
+KEYS, GROUPS = [1, True, 1.0, 2, "a"], ["g", "h", 1, True]
+PAYLOADS = [1, True, 1.0, 2, "x", None, (1,), (True,)]
+keys, groups, payloads = map(st.sampled_from, (KEYS, GROUPS, PAYLOADS))
 steps = st.sampled_from([0.0, 0.0, 0.5, 4.0, 11.0])
 table_ops = st.lists(
     st.one_of(  # inserts listed twice: soft state is mostly writes
@@ -143,7 +147,11 @@ table_ops = st.lists(
 @settings(max_examples=300, deadline=None)
 @given(
     ops=table_ops,
-    indices=st.sampled_from([(), ((1,),), ((1,), (1, 2))]),
+    # (0, 1) and (0, 1, 2) contain the primary key: the table answers them
+    # from it, the model from an index of their own
+    indices=st.sampled_from(
+        [(), ((1,),), ((1,), (1, 2)), ((0, 1),), ((1,), (0, 1), (0, 1, 2))]
+    ),
     lifetime=st.sampled_from([10.0, INFINITY]),
     max_size=st.sampled_from([3, INFINITY]),
 )
@@ -152,8 +160,9 @@ def test_table_ops_match_the_remove_then_re_add_model(ops, indices, lifetime, ma
     model = ModelTable((0,), lifetime, max_size, indices)
     for positions in indices:
         table.add_index(positions)
-    assert table.indexed_positions() == sorted(indices)
+    assert table.indexed_positions() == sorted(p for p in indices if not covers_key(p, (0,)))
     probers = {tuple(p): table.prober(p) for p in indices}
+    probes = 0
     calls = []
     table.on_insert(lambda tup: calls.append(("insert", tup)))
     table.on_delete(lambda tup: calls.append(("delete", tup)))
@@ -190,14 +199,25 @@ def test_table_ops_match_the_remove_then_re_add_model(ops, indices, lifetime, ma
         assert all(a is row[1] for a, row in zip(scanned, model.rows))
         # the same order inside every bucket of every index
         for positions, buckets in model.buckets.items():
-            assert set(table._indices[positions]._buckets) == set(buckets)
-            for key, bucket in buckets.items():
+            if covers_key(positions, (0,)):
+                # no index: every key of the domain, hit or miss, as the model's bucket
+                domain = (KEYS, GROUPS, PAYLOADS)
+                probed = list(itertools.product(*(domain[p] for p in positions)))
+            else:
+                # a one-field index keys its buckets by the bare value
+                stored = {key[0] if len(key) == 1 else key for key in buckets}
+                assert set(table._indices[positions]._buckets) == stored
+                probed = list(buckets)
+            for key in probed:
+                bucket = buckets.get(key, [])
                 found = probers[positions](key, now)
                 assert len(found) == len(bucket) and all(a is b for a, b in zip(found, bucket))
+            probes += len(probed)
+        assert table.stats.lookups == probes
         # the same listener calls in the same order
         assert len(calls) == len(model.calls)
         assert all(a[0] == b[0] and a[1] is b[1] for a, b in zip(calls, model.calls))
-        # the same counters (lookups count the probes above, not the table's work)
+        # the same counters (lookups are the probes above, counted there)
         assert {name: getattr(table.stats, name) for name in model.stats} == model.stats
         # the expiry bound may be early, never late
         if model.rows and lifetime != INFINITY:

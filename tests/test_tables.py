@@ -1,5 +1,7 @@
 """Tests for soft-state tables (repro.tables)."""
 
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -325,6 +327,114 @@ class TestLookupsAndIndices:
         t.insert(tup, now=0.0)
         t.delete(tup, now=0.0)
         assert t.lookup([2], ("b1",), now=0.0) == []
+
+
+class TestKeyFormat:
+    """Keys are stored bare when they have one field and as tuples otherwise;
+    nothing a caller sees depends on which."""
+
+    @pytest.fixture(params=[(1,), (1, 2)], ids=["one-field", "two-field"])
+    def shape(self, request):
+        """(key positions, the key a row with key field *k* has)."""
+        positions = request.param
+        return positions, (lambda k: (k,) if len(positions) == 1 else (k, "x"))
+
+    @staticmethod
+    def row(k, value=0, owner="n"):
+        return Tuple.make("rel", owner, k, "x", value)
+
+    def test_one_true_and_one_point_zero_are_one_key(self, shape):
+        positions, key = shape
+        t = Table("rel", key_positions=positions)
+        t.insert(self.row(1, "int"), now=0.0)
+        t.insert(self.row(True, "bool"), now=0.0)
+        assert len(t) == 1 and t.stats.replacements == 1
+        assert t.get(key(1.0), now=0.0)[3] == "bool"
+        assert self.row(1.0, "bool") in t
+        assert t.delete_by_key(list(key(1.0)), now=0.0)[3] == "bool"
+        assert len(t) == 0
+
+    def test_nan_key_finds_nothing(self, shape):
+        positions, key = shape
+        t = Table("rel", key_positions=positions)
+        nan = float("nan")
+        stored = self.row(nan)
+        t.insert(stored, now=0.0)
+        t.insert(self.row(float("nan")), now=0.0)  # another NaN: another row
+        assert len(t) == 2
+        assert t.get(key(float("nan")), now=0.0) is None
+        assert t.delete_by_key(key(float("nan")), now=0.0) is None
+        assert self.row(float("nan")) not in t
+        # the very same object is found, identity first, as a dict finds it
+        assert t.get(key(nan), now=0.0) is stored
+        covering = [0] + list(positions)
+        assert t.lookup(covering, ("n",) + key(nan), now=0.0) == [stored]
+        # so is a NaN in a field the key does not cover
+        owned = self.row("b", owner=nan)
+        t.insert(owned, now=0.0)
+        assert t.lookup(covering, (nan,) + key("b"), now=0.0) == [owned]
+        assert t.lookup(covering, (float("nan"),) + key("b"), now=0.0) == []
+
+    def test_primary_key_is_a_tuple(self, shape):
+        positions, key = shape
+        t = Table("rel", key_positions=positions)
+        assert t.primary_key(self.row("a")) == key("a")
+        assert type(t.primary_key(self.row("a"))) is tuple
+
+    def test_get_delete_by_key_and_contains(self, shape):
+        positions, key = shape
+        t = Table("rel", key_positions=positions)
+        tup = self.row("a", 7)
+        t.insert(tup, now=0.0)
+        assert t.get(key("a"), now=0.0) is tup and t.get(list(key("a")), now=0.0) is tup
+        assert t.get(key("b"), now=0.0) is None
+        assert tup in t and self.row("a", 8) not in t and self.row("b", 7) not in t
+        # a key of another width matches no row
+        assert t.get(key("a") + ("x",), now=0.0) is None
+        assert t.get((), now=0.0) is None
+        assert t.delete_by_key(key("a") + ("x",), now=0.0) is None
+        assert t.delete_by_key(key("a"), now=0.0) is tup
+        assert t.delete_by_key(key("a"), now=0.0) is None and tup not in t
+
+    def test_a_tuple_valued_key_field_is_not_a_wider_key(self):
+        t = Table("rel", key_positions=[1])
+        tup = Tuple.make("rel", "n", (1, "x"), 0)
+        t.insert(tup, now=0.0)
+        assert t.get(((1, "x"),), now=0.0) is tup
+        assert t.get((1, "x"), now=0.0) is None
+        assert t.lookup([1], ((1, "x"),), now=0.0) == [tup]
+
+    def test_a_set_holding_the_primary_key_gets_no_index(self, shape):
+        positions, key = shape
+        t = Table("rel", key_positions=positions)
+        covering = (0,) + positions
+        t.add_index(covering)
+        t.add_index(positions)
+        assert t.indexed_positions() == [] and t.has_index(covering)
+        rows = [self.row(1, owner="n"), self.row("b", owner="m"), self.row(2.0, owner=True)]
+        for i, tup in enumerate(rows):
+            t.insert(tup, now=float(i))
+        owners, ks = ("n", "m", 1, True, 1.0, "zz"), (1, True, 1.0, "b", 2, 2.0, "zz")
+        lookups = t.stats.lookups
+        for owner, k in itertools.product(owners, ks):
+            probe = (owner,) + key(k)
+            scanned = [r for r in t.scan(now=3.0) if tuple(r[p] for p in covering) == probe]
+            assert t.lookup(covering, probe, now=3.0) == scanned
+            assert t.lookup(list(covering), list(probe), now=3.0) == scanned
+        assert t.stats.lookups == lookups + 2 * len(owners) * len(ks)
+
+    def test_a_set_without_the_primary_key_is_indexed(self):
+        t = Table("rel", key_positions=[1, 2])
+        t.add_index([0, 1])
+        assert t.indexed_positions() == [(0, 1)]
+
+    def test_lookup_key_must_fit_its_positions(self):
+        t = Table("rel", key_positions=[1])
+        t.add_index([0])
+        t.insert(self.row("a"), now=0.0)
+        for positions in ([0], [1], [3], [0, 1]):
+            with pytest.raises(TableError):
+                t.lookup(positions, ("n", "a", "x"), now=0.0)
 
 
 class TestListeners:

@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-fast test-faults test-planner test-reliable test-runloop test-tables lint lint-py bench bench-p2 bench-pairs loc check-pythonpath
+.PHONY: test test-fast test-faults test-planner test-reliable test-runloop test-tables golden lint lint-py bench bench-p2 bench-pairs loc check-pythonpath
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -28,12 +28,20 @@ test-planner:
 
 # The node run loop: every firing's generated procedure (tuple, periodic tick,
 # dirty continuous aggregate; fused or not) against the moved reference model,
-# the firing tail's ordering and all-or-nothing guarantees, generated strands
-# against the element walk, the runtime node, and the golden generated text.
+# the firing tail's ordering and all-or-nothing guarantees, fused procedures
+# against their fused=False twins, the continuous procedures' rescan skip, the
+# runtime node, and the golden generated text.
 test-runloop:
 	$(PYTHON) -m pytest -x -q tests/test_relation_procedure.py tests/test_firing_tail.py \
-	  tests/test_strand_fusion.py tests/test_strand_source.py tests/test_runtime_node.py \
-	  tests/test_golden_plans.py
+	  tests/test_strand_fusion.py tests/test_strand_source.py tests/test_soft_state_deltas.py \
+	  tests/test_runtime_node.py tests/test_golden_plans.py
+
+# Rewrite the golden plans and generated procedures (tests/golden/) from the
+# current code, then show which snapshots moved; review the diff before
+# committing it.
+golden:
+	$(PYTHON) -m pytest -q tests/test_golden_plans.py --update-golden
+	git diff --stat tests/golden
 
 # The table layer and its access paths: key formats and table operations, the
 # remove-then-re-add model (covering probes included), the index plan and

@@ -54,7 +54,7 @@ class Tuple:
     def trusted(cls, name: str, fields: PyTuple[Any, ...]) -> "Tuple":
         """Build a tuple from a ``tuple`` of values that are already P2 values.
 
-        The constructor the generated strand code uses for head tuples:
+        The constructor generated procedures use for head tuples:
         fields copied out of existing tuples were coerced when those were
         built, and computed fields are coerced by the caller, so neither the
         name check nor the per-field :func:`~repro.core.values.coerce` pass

@@ -6,10 +6,10 @@ As in the paper, elements are small and parameterised by PEL programs where
 they need per-tuple computation.  The planner chains the relational operators
 of :mod:`repro.dataflow.operators` into rule strands and registers each in
 the node's :class:`Graph`; a strand runs to completion either by walking its
-chain (the reference semantics) or as one generated function that reads the
-same operators (:mod:`repro.planner.strand_compiler`).  Routing between
-strands is the node's per-relation handlers (:mod:`repro.runtime.node`), and
-the one network-facing element is
+chain (the reference semantics) or inlined in its trigger's generated
+procedure, which reads the same operators
+(:mod:`repro.planner.strand_compiler`) and routes the heads between strands.
+The one network-facing element is
 :class:`~repro.dataflow.flow.TransmitBuffer`.
 """
 
@@ -27,8 +27,8 @@ class ElementStats:
 
     Contract: ``dropped`` (and ``emitted`` for :class:`Aggregate`) is
     maintained by the operators' own ``process`` logic, and the generated
-    strand functions are required to advance it identically to the
-    interpreted walk (the strand-fusion differential suite asserts this).
+    procedures are required to advance it identically to the interpreted
+    walk (the strand-fusion differential suite asserts this).
     ``pushed_in``/``emitted`` on a :class:`TransmitBuffer` count the tuples
     enqueued and flushed; no other element moves ``pushed_in``.
     """
@@ -44,7 +44,7 @@ def shallow_copy(obj: Any) -> Any:
     Attributes are set one by one, in the order ``__init__`` set them, so
     the copy keeps CPython's compact attribute layout; ``copy.copy`` fills
     ``__dict__`` wholesale, and every later attribute access on such a copy
-    — counters the generated strands bump per firing — pays a dict lookup
+    — counters the generated procedures bump per firing — pays a dict lookup
     (measured: 7% of ``chord_static``'s ``node_s_per_s``).
     """
     new = object.__new__(type(obj))

@@ -8,9 +8,9 @@ is not an element here: the node's per-relation handlers call
 ``Table.insert`` / ``Table.delete`` themselves.)
 
 Every operator needs a *host* to build evaluation contexts: the hosting node
-runtime (event loop and its clock, RNG, address, identifier space, built-in
-registry).  Tests use a lightweight stand-in.  The planner builds a program's
-operators once, with no host, and gives every node copies pointed at it
+runtime (clock, RNG, address, identifier space, built-in registry).  Tests
+use a lightweight stand-in.  The planner builds a program's operators once,
+with no host, and gives every node copies pointed at it
 (:meth:`Element.rebind`).
 
 ``process`` is each operator's reference semantics.  The strand compiler
@@ -21,7 +21,6 @@ code advances the operator's ``stats`` exactly as ``process`` does.
 
 from __future__ import annotations
 
-from types import SimpleNamespace
 from typing import Any, Iterable, List, Optional, Sequence, Tuple as PyTuple
 
 from ..core import values
@@ -51,13 +50,11 @@ class Host:
         self.address = address
         self.builtins = builtins or {}
         self.idspace = idspace or IdSpace()
-        #: what a node's event loop is to generated code: the clock, read as
-        #: ``loop.now`` (here it stands still)
-        self.loop = SimpleNamespace(now=clock)
+        self._clock = clock
         self.rng = rng or random.Random(0)
 
     def now(self) -> float:
-        return self.loop.now
+        return self._clock
 
 
 class PelElement(Element):

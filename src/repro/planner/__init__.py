@@ -19,17 +19,13 @@ from .planner import (
     Planner,
     optimize_program,
     plan_program,
-    strand_sources,
 )
 from .strand import ContinuousAggregateStrand, HeadRoute, PeriodicSpec, RuleStrand
-from .strand_compiler import StrandSource
 
 __all__ = [
     "Planner",
     "CompiledDataflow",
     "plan_program",
-    "strand_sources",
-    "StrandSource",
     "RuleStrand",
     "ContinuousAggregateStrand",
     "PeriodicSpec",

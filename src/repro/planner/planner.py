@@ -17,20 +17,21 @@ Planned once, bound per node
 None of that depends on the node, so :func:`plan_program` does it **once per
 program and plan kind** — strands built with no host over schema-only tables
 — and keeps placement orders, index plan, operator chains with their PEL
-programs and the generated strand sources in the one per-program memo,
-``program.analysis`` (:func:`repro.overlog.check.analyze` owns it and its
-key; the diagnostics, rule classifications and signatures planning starts
-from are in the same object).  :meth:`Planner.compile` only *instantiates* a
-plan for one node: its tables and indexes, copies of the strands and
-operators pointed at its host and tables with counters of their own
-(:meth:`RuleStrand.rebind`), its facts, the generated functions bound to all
-of that — the :class:`CompiledDataflow` the node runtime executes.
+programs and, once generated, the triggers' procedures in the one
+per-program memo, ``program.analysis`` (:func:`repro.overlog.check.analyze`
+owns it and its key; the diagnostics, rule classifications and signatures
+planning starts from are in the same object).  :meth:`Planner.compile` only
+*instantiates* a plan for one node: its tables and indexes, copies of the
+strands and operators pointed at its host and tables with counters of their
+own (:meth:`RuleStrand.rebind`), its facts and its evaluation context — the
+:class:`CompiledDataflow` the node runtime executes, binding each trigger's
+procedure (:meth:`PlannedProgram.procedure`) the first time it fires.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property, partial
+from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple as PyTuple
 
 from ..core.errors import OverlogAnalysisError, PlannerError
@@ -55,14 +56,7 @@ from ..tables.table import INFINITY, TableStore
 from .analyzer import RuleKind, analyze_rule
 from .optimizer import PlannedTerm, ProgramPlan, RulePlan, index_plan, plan_strand
 from .strand import ContinuousAggregateStrand, PeriodicSpec, RuleStrand
-from .strand_compiler import (
-    Procedure,
-    StrandSource,
-    fuse_dataflow,
-    generate_procedure,
-    generate_sources,
-    procedure_triggers,
-)
+from .strand_compiler import Procedure, generate_procedure, procedure_triggers
 
 
 @dataclass
@@ -79,10 +73,10 @@ class CompiledDataflow:
     #: every strand's remote-bound head tuples funnel through it so one
     #: run-queue drain becomes one datagram train per destination
     transmit: Optional[TransmitBuffer] = None
-    #: True when the strands run the functions generated as source by
-    #: :mod:`repro.planner.strand_compiler` (the default; a strand its emitter
-    #: declined keeps the walk); False is the element-walking escape hatch /
-    #: differential oracle
+    #: True when the node's procedures inline the strands' bodies, generated
+    #: as source by :mod:`repro.planner.strand_compiler` (the default; a strand
+    #: its emitter declined keeps the walk); False calls every strand's
+    #: element walk — the escape hatch / differential oracle
     fused: bool = False
     #: True when body terms were placed by the cost-based optimizer
     #: (:mod:`repro.planner.optimizer`); False is the naive body-order walk
@@ -90,7 +84,7 @@ class CompiledDataflow:
     #: on a node, the plan's :meth:`PlannedProgram.procedure` in the node's
     #: mode: the node binds a trigger's procedure the first time it fires
     procedure: Optional[Callable[[Any], Procedure]] = None
-    #: the node's one evaluation context, shared by its generated functions
+    #: the node's one evaluation context, shared by its procedures
     ctx: Optional[EvalContext] = None
 
     def all_strands(self) -> List[RuleStrand]:
@@ -135,12 +129,6 @@ class PlannedProgram:
     #: (trigger, fused) -> its procedure, once generated
     _procedures: Dict[Any, Procedure] = field(default_factory=dict, init=False, repr=False)
 
-    @cached_property
-    def sources(self) -> List[StrandSource]:
-        """The strands' generated modules, made when first asked for (the
-        first fused node to bind, or :meth:`Planner.explain_source`)."""
-        return generate_sources(self.dataflow)
-
     def procedure(self, trigger: Any, *, fused: bool = True) -> Procedure:
         """*trigger*'s generated procedure in the ``fused`` mode or not (see
         :func:`generate_procedure`).  Made the first time any node binds it,
@@ -153,9 +141,7 @@ class PlannedProgram:
             trigger = None
         key = (trigger, fused)
         if key not in self._procedures:
-            self._procedures[key] = generate_procedure(
-                dataflow, self.sources if fused else None, trigger
-            )
+            self._procedures[key] = generate_procedure(dataflow, trigger, fused)
         return self._procedures[key]
 
 
@@ -179,12 +165,6 @@ def plan_program(program: "ast.Program | str", *, optimize: bool = True) -> Plan
 def optimize_program(program: ast.Program) -> ProgramPlan:
     """The cost-based plan of every strand of *program*, and its index plan."""
     return plan_program(program).plan
-
-
-def strand_sources(compiled: CompiledDataflow) -> List[StrandSource]:
-    """The generated module of every strand of *compiled*, in strand order:
-    one list per program and plan kind, shared by every node built from it."""
-    return plan_program(compiled.program, optimize=compiled.optimized).sources
 
 
 def create_tables(program: ast.Program, tables: TableStore) -> TableStore:
@@ -229,8 +209,9 @@ class Planner:
         self.program = program
         self.host = host
         self.tables = tables
-        #: run each strand as one generated Python function (the default);
-        #: False keeps the interpreted element walk — the differential oracle
+        #: inline each strand into its trigger's generated procedure (the
+        #: default); False calls the interpreted element walk — the
+        #: differential oracle
         self.fused = fused
         #: place body terms with the cost-based optimizer (the default);
         #: False keeps the naive body-order walk — the plan-level oracle
@@ -266,14 +247,14 @@ class Planner:
             ],
             facts=[self._resolve_fact(fact) for fact in program.facts],
             transmit=TransmitBuffer(name="transmit"),
+            fused=self.fused,
             optimized=self.optimize,
+            ctx=EvalContext.for_host(host),
         )
         compiled.graph.add(compiled.transmit)
         for strand in compiled.all_strands() + compiled.continuous:
             for element in strand.elements():
                 compiled.graph.add(element)
-        if self.fused:
-            fuse_dataflow(compiled, planned.sources, host)
         compiled.procedure = partial(planned.procedure, fused=self.fused)
         return compiled
 
@@ -290,20 +271,18 @@ class Planner:
 
     @classmethod
     def explain_source(cls, program: "ast.Program | str", *, optimize: bool = True) -> str:
-        """The Python source generated for every strand of *program*.
+        """The Python source generated for *program*: what a fused node runs.
 
-        What a fused node actually runs, one ``bind`` module per strand under
-        a ``# ----`` header naming it, then every trigger's procedure under
-        ``# ---- relation <name>`` / ``periodic <rule>`` / ``continuous
-        <rule>`` / ``any other relation`` — the text the golden snapshots under
-        ``tests/golden/strands/`` pin.  Like :meth:`explain` it needs no host:
-        the text depends on the program and the plan only.
+        Every trigger's procedure under ``# ---- relation <name>`` /
+        ``periodic <rule>`` / ``continuous <rule>`` / ``any other relation``
+        — the text the golden snapshots under ``tests/golden/strands/`` pin.
+        Like :meth:`explain` it needs no host: the text depends on the
+        program and the plan only.
         """
         planned = plan_program(program, optimize=optimize)
-        procedures = [planned.procedure(t) for t in procedure_triggers(planned.dataflow)]
         return "\n".join(
-            [f"# ---- {source.name}\n{source.text}" for source in planned.sources]
-            + [f"# ---- {procedure.name}\n{procedure.text}" for procedure in procedures]
+            f"# ---- {procedure.name}\n{procedure.text}"
+            for procedure in map(planned.procedure, procedure_triggers(planned.dataflow))
         )
 
     # -- facts ----------------------------------------------------------------------
@@ -632,6 +611,12 @@ class _StrandBuilder:
             count = int(args[3].value)
             if count == 0:
                 count = None
+        # a zero period ticks at one instant, so only a bounded count ends it
+        if period < 0 or (period == 0 and (count is None or count < 1)):
+            raise PlannerError(
+                f"rule {rule.rule_id}: the periodic period must be positive, or 0 "
+                f"with a count of at least 1 (got period {period:g}, count {count or 0})"
+            )
         return PeriodicSpec(strand=strand, period=period, count=count, arity=len(args))
 
     # -- small helpers ----------------------------------------------------------------------

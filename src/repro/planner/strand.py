@@ -11,17 +11,16 @@ loop-back, or a remote node) is fixed by the strand's ``loc_position`` and
 Execution is run-to-completion per event, matching the observable semantics
 of P2's single-threaded event loop.
 
-Two executors exist per strand, both ``event -> [head tuple, ...]``.  The
-*interpreted* walk below (:meth:`RuleStrand.fire_interpreted`) iterates the
-element chain with one batch list per operator; it is the reference
-semantics.  The default execution path is the function
-:mod:`repro.planner.strand_compiler` generates as Python source and installs
-over :meth:`RuleStrand.fire` at plan time — the interpreted walk is kept as
-the differential-testing oracle, as the ``fused=False`` escape hatch, and as
-the fallback for a strand the source emitter declines.  A node routes the
-bare heads in its triggers' generated procedures, by each strand's static
-``loc_position`` and ``is_delete``; :meth:`RuleStrand.process` wraps them in
-:class:`HeadRoute` objects for tests, oracles and benchmarks.
+A strand's methods here are the *interpreted* executor, ``event -> [head
+tuple, ...]``: :meth:`RuleStrand.fire` (and
+:meth:`ContinuousAggregateStrand.refresh`) iterates the element chain with
+one batch list per operator; it is the reference semantics.  What a node
+runs is its triggers' procedures, generated as Python source by
+:mod:`repro.planner.strand_compiler`, which inline each strand's body on a
+fused node; the walk is the differential-testing oracle, what ``fused=False``
+procedures call, and the fallback for a strand the source emitter declines.
+:meth:`RuleStrand.process` wraps the heads in :class:`HeadRoute` objects for
+tests, oracles and benchmarks.
 """
 
 from __future__ import annotations
@@ -86,8 +85,6 @@ class RuleStrand:
         self.min_event_arity = min_event_arity
         self.fired = 0
         self.produced = 0
-        #: True once the strand compiler has installed a generated ``fire``
-        self.fused = False
 
     def rebind(self, host: Any, tables: TableStore) -> "RuleStrand":
         """This strand for one node: its own operators, over *host* and *tables*.
@@ -107,15 +104,6 @@ class RuleStrand:
         return clone
 
     # -- execution -----------------------------------------------------------------
-    def fire(self, event: Tuple) -> List[Tuple]:
-        """Run the strand for one triggering *event*; the derived head tuples.
-
-        When the strand has been fused this method is shadowed by the
-        generated function (an instance attribute); this class-level
-        fallback is the interpreted path.
-        """
-        return self.fire_interpreted(event)
-
     def process(self, event: Tuple, local_address: Any) -> List[HeadRoute]:
         """:meth:`fire`, with every head addressed (see :func:`head_routes`)."""
         return head_routes(self, self.fire(event), local_address)
@@ -127,8 +115,11 @@ class RuleStrand:
             f"expected at least {self.min_event_arity}"
         )
 
-    def fire_interpreted(self, event: Tuple) -> List[Tuple]:
-        """The element-walking executor — the generated path's differential oracle."""
+    def fire(self, event: Tuple) -> List[Tuple]:
+        """Run the strand for one triggering *event*; the derived head tuples.
+
+        The element walk: the generated procedures' differential oracle.
+        """
         if len(event.fields) < self.min_event_arity:
             raise self.arity_error(event)
         self.fired += 1
@@ -181,10 +172,11 @@ class ContinuousAggregateStrand:
     Used for rules whose body mentions only stored tables and whose head
     carries an aggregate (Chord N3 ``bestSuccDist``, S1 ``succCount``).  The
     hosting node marks the strand dirty whenever any body table changes
-    (insert, delete, or expiry) and calls :meth:`recompute`, which re-derives
-    the aggregate from scratch and emits only the groups whose value changed —
-    exactly the "aggregate elements that maintain an up-to-date aggregate on a
-    table and emit it whenever it changes" of Section 3.4.
+    (insert, delete, or expiry) and then runs its refresh (:meth:`refresh`,
+    or the generated one), which re-derives the aggregate and emits only the
+    groups whose value changed — exactly the "aggregate elements that
+    maintain an up-to-date aggregate on a table and emit it whenever it
+    changes" of Section 3.4.
     """
 
     is_delete = False  # an aggregate head is never a delete
@@ -209,15 +201,13 @@ class ContinuousAggregateStrand:
         self.loc_position = loc_position
         self.watched_tables = list(watched_tables)
         self._last_emitted: dict = {}
-        #: ``base_table.version`` as of the last generated ``refresh`` that
-        #: went through, and how many groups it found — what lets a
+        #: ``base_table.version`` as of the last generated refresh that went
+        #: through, and how many groups it found — what lets a
         #: ``count``/``min``/``max`` strand answer "nothing changed" without
         #: a rescan (see the strand compiler); ``None`` = rescan
         self.seen_version: Optional[int] = None
         self.seen_groups = 0
         self.recomputations = 0
-        #: True once the strand compiler has installed a generated ``refresh``
-        self.fused = False
 
     def rebind(self, host: Any, tables: TableStore) -> "ContinuousAggregateStrand":
         """This strand for one node (see :meth:`RuleStrand.rebind`): its own
@@ -239,19 +229,11 @@ class ContinuousAggregateStrand:
 
         Both executors reach the cache through :meth:`emit_changed`, i.e. by
         reference through the strand, so emptying it here is seen by the
-        generated ``refresh`` too — as is forgetting the table version it
-        last scanned at.
+        generated refresh too — as is forgetting the table version it last
+        scanned at.
         """
         self._last_emitted.clear()
         self.seen_version = None
-
-    def refresh(self, now: float) -> List[Tuple]:
-        """Re-derive the aggregate; the head tuples of the changed groups.
-
-        Shadowed by the generated function (an instance attribute) when the
-        strand compiler has run; this class-level fallback interprets.
-        """
-        return self.refresh_interpreted(now)
 
     def recompute(self, now: float, local_address: Any) -> List[HeadRoute]:
         """:meth:`refresh`, with every head addressed."""
@@ -271,8 +253,11 @@ class ContinuousAggregateStrand:
                 changed.append(tup)
         return changed
 
-    def refresh_interpreted(self, now: float) -> List[Tuple]:
-        """The element-walking recompute — the generated path's oracle."""
+    def refresh(self, now: float) -> List[Tuple]:
+        """Re-derive the aggregate; the head tuples of the changed groups.
+
+        The element walk, which always rescans: the generated refresh's oracle.
+        """
         self.recomputations += 1
         # scan() already returns a fresh list that is safe to consume
         batch: List[Tuple] = self.base_table.scan(now)

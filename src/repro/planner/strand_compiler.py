@@ -1,59 +1,48 @@
-"""The strand compiler: one generated Python function per rule strand.
+"""The strand compiler: one generated Python procedure per trigger.
 
-The interpreted executor (:meth:`RuleStrand.fire_interpreted`) walks the
-strand's element chain the way Section 3.5 of the paper describes it — a
-Python loop over :class:`~repro.dataflow.element.Element` objects, one
-intermediate batch list per operator, one :class:`~repro.pel.vm.EvalContext`
-per PEL evaluation.  Rule-system compilers remove that dispatch by
-specialising each rule's match-and-fire chain into host-language code; this
-module does so literally.  Each strand — select → assign → join(s)/antijoin
-→ project → optional aggregate — becomes the *source text* of one function,
-``fire(event) -> [head tuple, ...]`` (``refresh(now)`` for a continuous
-aggregate): nested ``if``/``for`` over bare field tuples, every PEL program
-inlined as a Python expression (:class:`~repro.pel.vm.ExpressionEmitter`),
-table probes through :meth:`~repro.tables.table.Table.prober`, head tuples
-through :meth:`~repro.core.tuples.Tuple.trusted` (fields copied out of
-existing tuples are not coerced again; computed ones are).  Nothing is built
-that only the next step of the same rule would read: an aggregate folds each
+The interpreted executor (:meth:`RuleStrand.fire`) walks a strand's element
+chain the way Section 3.5 of the paper describes it — a Python loop over
+:class:`~repro.dataflow.element.Element` objects, one intermediate batch list
+per operator, one :class:`~repro.pel.vm.EvalContext` per PEL evaluation.
+Rule-system compilers remove that dispatch by specialising each rule's
+match-and-fire chain into host-language code, and — following the usual
+compilation scheme, every occurrence of a constraint compiled into one
+procedure — this module generates the *source text* of one procedure per
+*trigger*: a tuple of a relation, a periodic tick, a dirty continuous
+aggregate.  Everything a node runs is a firing of one of them.
+
+A procedure, ``handle(…)``: for a relation, count the dispatch, call the live
+subscribers and insert into the relation's table; then each of the
+trigger's strands in order, and right after it that firing's heads routed by
+the strand's static ``loc_position``/``is_delete`` (:func:`_route`, the one
+place a head's destination is decided).  On a fused node each strand's body
+is *inlined* (:class:`_Emitter`, names prefixed ``s<i>_``): select → assign →
+join(s)/antijoin → project → optional aggregate as nested ``if``/``for``
+over bare field tuples (a continuous strand's inside one loop over its base
+table's scan), every PEL program inlined as a Python expression
+(:class:`~repro.pel.vm.ExpressionEmitter`), table probes through
+:meth:`~repro.tables.table.Table.prober`, head tuples through
+:meth:`~repro.core.tuples.Tuple.trusted` (fields copied out of existing
+tuples are not coerced again; computed ones are).  Nothing is built that
+only the next step of the same rule would read: an aggregate folds each
 match into its group's state where it is found (one tuple per *group*), and
-no route object wraps a head (the caller knows the strand's ``loc_position``
-and ``is_delete``).
+no route object wraps a head.  Under ``fused=False``, and for a strand the
+emitter declines, the procedure calls the strand's interpreted ``fire``
+(``refresh``) instead.
 
 Generated once, bound per node
 ------------------------------
 
-The text depends on the program and the plan, never on a node.  It is
-generated and ``compile()``d **once per** :class:`~repro.overlog.ast.Program`
-and plan kind (:func:`generate_sources`, over the host-free strands of
-:func:`repro.planner.planner.plan_program`, which keeps the result with the
-rest of the plan in the one per-program memo, ``program.analysis``) as a
-module defining ``bind(strand, ctx, loop)``; each node then only *binds*
-(:func:`fuse_dataflow`): ``bind`` reads the node's tables, stats objects,
-built-in map, identifier space and event loop into closure cells and
-installs the inner function over ``strand.fire`` / ``strand.refresh``.
-Every node's function shares one code object.  Generated code reads the
-clock as the attribute :data:`CLOCK` of that loop — a probe, an insert, a
-delete — never through a call.
-
-Procedures
-----------
-
-Everything a node runs is a firing of a *trigger* — a tuple of a relation,
-a periodic tick, a dirty continuous aggregate — and following the usual
-compilation scheme for rule systems (every occurrence of a constraint in one
-procedure, tried in order), :func:`generate_procedure` emits one
-``handle(…)`` per trigger: for a relation, count the dispatch, call the
-live subscribers and insert into the relation's table; then each of the
-trigger's strands in order, its body *inlined* on a fused node (the same
-:class:`_Emitter` text as its own ``fire``, names prefixed ``s<i>_``: its
-arity check, counters, ``try`` and line → site table) and called through its
-``fire`` otherwise — a continuous strand always through its ``refresh`` —
-and right after it that firing's heads routed by the strand's static
-``loc_position``/``is_delete`` (:func:`_route`, the one place a head's
-destination is decided).  Procedures are per program, plan kind and mode
-like the strand modules, generated the first time any node fires their
-trigger, and bound per node (``bind(node, ctx, strands, subscribers,
-pending, egress)``).
+The text depends on the program, the plan and the mode, never on a node.
+:func:`generate_procedure` runs once per program, plan kind, mode and
+trigger, the first time any node fires the trigger
+(:meth:`repro.planner.planner.PlannedProgram.procedure` keeps the result with
+the rest of the plan in the one per-program memo), and each node *binds* it:
+``bind(node, ctx, strands, subscribers, pending, egress)`` reads the node's
+tables, stats objects, built-in map, identifier space and event loop into
+closure cells and returns ``handle``.  Every node's handler shares one code
+object.  Generated code reads the clock as the attribute :data:`CLOCK` of
+that loop — a probe, an insert, a delete — never through a call.
 
 Contracts
 ---------
@@ -61,9 +50,9 @@ Contracts
 * Observably the interpreted walk, bit for bit: the same head tuples in the
   same order (a pure pipeline visits tuples in the same order batch-by-batch
   or depth-first), the same ``fired``/``produced`` counters (``produced``
-  advances by the number of heads returned), one ``dropped`` per empty
-  probe, failed selection and antijoin hit, ``Aggregate.stats.emitted`` per
-  group, the same errors — a line → PEL-expression table lets
+  advances by the number of heads), one ``dropped`` per empty probe, failed
+  selection and antijoin hit, ``Aggregate.stats.emitted`` per group, the
+  same errors — a line → PEL-expression table lets
   :func:`~repro.pel.vm.raise_as_interpreted` convert exactly what the
   interpreters convert.  A join materialises its matches before descending;
   the aggregate-fallback prefix is captured where the first positive join is
@@ -72,15 +61,21 @@ Contracts
   order with the first match's group fields, ``min``/``max`` replaced only
   on a strict win — ``min``/``max``/``count`` inline, any other aggregate
   through its one ``Fold``; a continuous strand's groups then pass
-  ``strand.emit_changed``, the change filter both executors share.
-* The walk stays: as the differential oracle (``tests/test_strand_fusion.py``),
-  as ``fused=False``, and as the fallback for a strand the emitter declines
-  — an operator type it does not know, a PEL program the expression emitter
-  declines, or text CPython refuses (more than 20 nested blocks).
-* Generated functions are *not* reentrant (one ``ctx`` per node), which is
-  safe because strand execution is run-to-completion: the heads are applied
-  only once the firing's body is done — after ``fire`` returns, or after the
-  strand's ``try`` in a procedure — so a firing that raises applies none.
+  ``strand.emit_changed``, the change filter both executors share.  A
+  continuous ``count``/``min``/``max`` over a pure chain rescans only when
+  its base table's ``version`` moved, and remembers the version only once a
+  refresh has gone through.
+* The walk stays: as the differential oracle (a fused node's procedures
+  against its ``fused=False`` twin's, ``tests/test_strand_fusion.py``), as
+  ``fused=False``, and as the fallback for a strand the emitter declines —
+  an operator type it does not know, a PEL program the expression emitter
+  declines, or a body nested deeper than CPython compiles
+  (:data:`MAX_BLOCKS`).  A procedure CPython still refuses raises
+  :class:`PlannerError`.
+* Procedures are *not* reentrant (one ``ctx`` per node), which is safe
+  because strand execution is run-to-completion: a firing's heads are routed
+  only once its body is done — after the strand's ``try``, or after ``fire``
+  returns — so a firing that raises routes none.
 """
 
 from __future__ import annotations
@@ -93,22 +88,16 @@ from ..core.errors import PlannerError
 from ..core.tuples import Tuple
 from ..dataflow.operators import AntiJoin, Assign, LookupJoin, Select
 from ..pel.program import Program
-from ..pel.vm import EvalContext, Expression, ExpressionEmitter, load_generated
-from .strand import ContinuousAggregateStrand, RuleStrand
+from ..pel.vm import Expression, ExpressionEmitter, load_generated
+from .strand import ContinuousAggregateStrand
 
 _INDENT = "    "
-#: the one clock expression generated code reads, in strand modules and
-#: procedures alike (``loop`` is the node's event loop)
+#: the one clock expression generated code reads (``loop`` is the node's
+#: event loop)
 CLOCK = "loop.now"
-
-
-class StrandSource(NamedTuple):
-    """One strand's generated module."""
-
-    name: str
-    text: str
-    #: ``bind(strand, ctx, loop)``; ``None`` when the emitter declined
-    bind: Optional[Callable[[Any, EvalContext, Any], None]]
+#: CPython's limit on the statically nested blocks (``for``, ``try``, …) of
+#: one function: the emitter declines a strand whose body would need more
+MAX_BLOCKS = 20
 
 
 def _tuple(items: Sequence[str]) -> str:
@@ -120,14 +109,14 @@ class _Declined(Exception):
 
 
 class _Emitter:
-    """Accumulates the text of one strand's ``bind`` module (or of its part
-    of a procedure)."""
+    """Accumulates the text of one strand's part of its trigger's procedure:
+    its firing (:meth:`firing`), the names it binds, its line → PEL site table.
+    """
 
-    def __init__(self, strand: Any, ns: str = ""):
+    def __init__(self, strand: Any, ns: str):
         self.strand = strand
         #: prefix of every name bound per strand (``strand``, ``drop0``, ``K``,
-        #: ``SITES``, …): empty in the strand's own module, ``s<i>_`` where
-        #: several strands share one procedure
+        #: ``SITES``, …): ``s<i>_``, as several strands share one procedure
         self.ns = ns
         self.continuous = isinstance(strand, ContinuousAggregateStrand)
         self.pel = ExpressionEmitter(ns + "K")
@@ -147,6 +136,14 @@ class _Emitter:
         self.skippable = True
         #: the body probes a table, so it reads the clock (:data:`CLOCK`)
         self.probes = False
+        #: blocks the deepest body line sits in: the ``try``, so far
+        self.blocks = 1
+
+    def nest(self) -> None:
+        """Enter one more block (a ``for``), or decline past :data:`MAX_BLOCKS`."""
+        self.blocks += 1
+        if self.blocks > MAX_BLOCKS:
+            raise _Declined(f"more than {MAX_BLOCKS} nested blocks")
 
     # -- lines ---------------------------------------------------------------
     def line(self, depth: int, text: str) -> None:
@@ -261,6 +258,7 @@ class _Emitter:
                 self.site(depth, f"rows{index} = {probe}", loads, fields)
                 self.line(depth, f"if not rows{index}:")
                 self.line(depth + 1, f"{drop}.dropped += 1")
+                self.nest()
                 self.line(depth, f"for row in rows{index}:")
                 self.line(depth + 1, f"f{width + 1} = {fields} + row.fields")
                 self.chain(index + 1, depth + 1, width + 1)
@@ -320,7 +318,8 @@ class _Emitter:
     def bindings(self) -> List[str]:
         """The statements binding this strand's names (``B``/``R`` aside)."""
         ns = self.ns
-        return [f"{ns}ops = {ns}strand.ops"] * bool(self.binds) + self.binds
+        uses_ops = any(f"{ns}ops[" in bind for bind in self.binds)
+        return [f"{ns}ops = {ns}strand.ops"] * uses_ops + self.binds
 
     def grouped_heads(self) -> List[str]:
         """After the ``try``: one head per group, in first-appearance order."""
@@ -332,13 +331,16 @@ class _Emitter:
         ]
 
     def firing(self) -> PyTuple[List[str], List[str]]:
-        """A rule strand's firing: the statements before its ``try`` and after.
+        """The strand's firing: the statements before its ``try`` and after.
 
-        Both lists are unindented, for a function whose ``f0`` already holds
-        the event's fields and whose ``out`` holds the heads afterwards; the
-        body between them is :attr:`body`.  The strand's own ``fire`` and the
-        procedure of its trigger both wrap these.
+        Both lists are unindented, for a function whose ``out`` holds the
+        heads afterwards; the body between them is :attr:`body`.  A rule
+        strand's function has the event in ``event`` and its fields in
+        ``f0``; a continuous strand's has the time of the refresh in ``at``.
+        Raises :class:`_Declined` for a strand the emitter leaves to the walk.
         """
+        if self.continuous:
+            return self._refresh()
         strand, ns = self.strand, self.ns
         entry = [
             f"if len(f0) < {strand.min_event_arity}:",
@@ -364,92 +366,48 @@ class _Emitter:
         exit.append(f"{ns}strand.produced += len(out)")
         return entry, exit
 
-    # -- the module -------------------------------------------------------------
-    def module(self) -> PyTuple[str, Dict[int, tuple]]:
-        """The module text and its line → PEL site table."""
-        strand = self.strand
-        if self.continuous:
-            name = "refresh"
-            self.binds.append("scan = strand.base_table.scan")
-            head = ["def refresh(at):", "    strand.recomputations += 1"]
-            self.line(2, "for row in scan(at):")
-            self.line(3, "f0 = row.fields")
-            self.chain(0, 3, 0)
-            # Rescan only when the table's content moved.  Sound when the
-            # groups are a function of the *set* of base rows and the scan
-            # leaves no other trace: the chain is skippable, and every fold
-            # is blind to the order rows are scanned in — which a refresh of
-            # an identical row does change, so sum/avg (float addition does
-            # not associate) rescan.  (A NaN would make min/max see the
-            # order too; a row holding one is never "identical".)
-            on_change = self.skippable and all(
-                func in ("count", "min", "max") for _, func in strand.aggregate.agg_specs
-            )
-            if on_change:
-                self.binds += ["table = strand.base_table", "expire = table.expire"]
-                head += [
-                    "    expire(at)",
-                    "    version = table.version",
-                    "    if version == strand.seen_version:",
-                    "        agg_stats.emitted += strand.seen_groups",
-                    "        return []",
-                ]
-            head += ["    out = []", "    groups = {}"]
-            self.binds.append("agg_stats = strand.aggregate.stats")
-            tail = [_INDENT + text for text in self.grouped_heads()]
-            if on_change:
-                # remembered only once the refresh has gone through: one that
-                # raised leaves the old version behind and is rescanned
-                tail += [
-                    "    out = strand.emit_changed(out)",
-                    "    strand.seen_version = version",
-                    "    strand.seen_groups = len(groups)",
-                    "    return out",
-                ]
-            else:
-                tail.append("    return strand.emit_changed(out)")
-        else:
-            name = "fire"
-            entry, exit = self.firing()
-            head = ["def fire(event):", "    f0 = event.fields", *[_INDENT + text for text in entry]]
-            tail = [*[_INDENT + text for text in exit], "    return out"]
-        prologue = [
-            f"# {strand.describe()}",
-            "def bind(strand, ctx, loop):",
-            *[_INDENT + bind for bind in self.pel.bindings() + self.bindings()],
-        ]
-        inner = [*head, "    try:", *self.body, "    except Exception as exc:",
-                 "        reraise(exc, SITES)", *tail]
-        epilogue = [f"    strand.{name} = {name}", "    strand.fused = True"]
-        first_body_line = len(prologue) + len(head) + 2  # 1-based, after "try:"
-        sites = {first_body_line + n: site for n, site in self.sites.items()}
-        lines = prologue + [_INDENT + text for text in inner] + epilogue
-        return "\n".join(lines) + "\n", sites
+    def _refresh(self) -> PyTuple[List[str], List[str]]:
+        """A continuous strand's :meth:`firing`.  The statements before the
+        ``try`` may ``return`` from the function: a continuous trigger fires
+        its one strand, so nothing follows it."""
+        strand, ns = self.strand, self.ns
+        self.nest()  # the scan loop
+        self.binds.append(f"{ns}scan = {ns}strand.base_table.scan")
+        entry = [f"{ns}strand.recomputations += 1"]
+        self.line(2, f"for row in {ns}scan(at):")
+        self.line(3, "f0 = row.fields")
+        self.chain(0, 3, 0)
+        # Rescan only when the table's content moved.  Sound when the groups
+        # are a function of the *set* of base rows and the scan leaves no
+        # other trace: the chain is skippable, and every fold is blind to the
+        # order rows are scanned in — which a refresh of an identical row
+        # does change, so sum/avg (float addition does not associate) rescan.
+        # (A NaN would make min/max see the order too; a row holding one is
+        # never "identical".)
+        on_change = self.skippable and all(
+            func in ("count", "min", "max") for _, func in strand.aggregate.agg_specs
+        )
+        if on_change:
+            self.binds += [f"{ns}table = {ns}strand.base_table", f"{ns}expire = {ns}table.expire"]
+            entry += [
+                f"{ns}expire(at)",
+                f"version = {ns}table.version",
+                f"if version == {ns}strand.seen_version:",
+                f"    {ns}agg_stats.emitted += {ns}strand.seen_groups",
+                "    return",
+            ]
+        entry += ["out = []", "groups = {}"]
+        self.binds.append(f"{ns}agg_stats = {ns}strand.aggregate.stats")
+        exit = self.grouped_heads() + [f"out = {ns}strand.emit_changed(out)"]
+        if on_change:
+            # remembered only once the refresh has gone through: one that
+            # raised leaves the old version behind and is rescanned
+            exit += [f"{ns}strand.seen_version = version",
+                     f"{ns}strand.seen_groups = len(groups)"]
+        return entry, exit
 
 
 _NAMES = {"trusted": Tuple.trusted, "compare": values.compare, "PlannerError": PlannerError}
-
-
-def _generate(strand: Any, directory: str, name: str) -> StrandSource:
-    emitter = _Emitter(strand)
-    try:
-        text, sites = emitter.module()
-    except _Declined as why:
-        return StrandSource(name, f"# {strand.describe()}\n# left to the element walk: {why}\n", None)
-    namespace = load_generated(
-        text,
-        ("planner", "generated", directory, name + ".py"),
-        {**_NAMES, "SITES": sites, "K": emitter.pel.constants},
-    )
-    if namespace is None:
-        return StrandSource(
-            name, f"# {strand.describe()}\n# left to the element walk: CPython refused the text\n", None
-        )
-    return StrandSource(name, text, namespace["bind"])
-
-
-def _strands(compiled: Any) -> List[Any]:
-    return compiled.all_strands() + list(compiled.continuous)
 
 
 def _directory(compiled: Any) -> str:
@@ -457,27 +415,6 @@ def _directory(compiled: Any) -> str:
     ``hash()``), since it names the files tracebacks show."""
     key = f"{compiled.program}\noptimized={compiled.optimized}"
     return f"{zlib.crc32(key.encode()):08x}"
-
-
-def generate_sources(compiled: Any) -> List[StrandSource]:
-    """The generated module of every strand of *compiled*, in strand order.
-
-    Reads the strands' shape only (operators, PEL programs, positions), so
-    the host-free strands of a plan do; :func:`fuse_dataflow` binds the
-    result to each node's copies.
-    """
-    directory = _directory(compiled)
-    sources: List[StrandSource] = []
-    taken: Dict[str, int] = {}
-    for strand in _strands(compiled):
-        name = strand.rule_id
-        if isinstance(strand, RuleStrand):
-            name += "." + strand.event_name
-        taken[name] = taken.get(name, 0) + 1
-        if taken[name] > 1:
-            name += f".{taken[name]}"
-        sources.append(_generate(strand, directory, name))
-    return sources
 
 
 # ------------------------------------------------------------------- procedures
@@ -543,25 +480,33 @@ def procedure_triggers(compiled: Any) -> List[Any]:
     )
 
 
-def generate_procedure(compiled: Any, sources: Optional[Sequence[StrandSource]],
-                       trigger: Any) -> Procedure:
+def _inline(strand: Any, ns: str) -> Optional[PyTuple[_Emitter, List[str], List[str]]]:
+    """*strand*'s emitter and its :meth:`_Emitter.firing`, or ``None`` when
+    the emitter declines it (the procedure then calls the walk)."""
+    emitter = _Emitter(strand, ns)
+    try:
+        return (emitter, *emitter.firing())
+    except _Declined:
+        return None
+
+
+def generate_procedure(compiled: Any, trigger: Any, fused: bool) -> Procedure:
     """*trigger*'s procedure (a trigger of ``CompiledDataflow.strands_of``,
     or ``None``: every relation *compiled* neither stores nor fires on).
 
     A relation's counts the dispatch, calls the live subscribers and inserts
-    into the relation's table (if stored).  Then each strand fires in order —
-    a continuous one through its ``refresh``, the others through ``fire`` or,
-    given *sources* (:func:`generate_sources` of *compiled*: a fused node),
-    with the body of each strand whose module was generated inlined — and
-    its heads are routed (:func:`_route`) before the next one fires.  Raises
-    :class:`PlannerError` if CPython refuses the text.
+    into the relation's table (if stored).  Then each strand fires in order
+    and its heads are routed (:func:`_route`) before the next one fires.  A
+    *fused* procedure inlines the body of every strand the emitter takes; a
+    strand it declines, and every strand of a procedure that is not *fused*,
+    is called through its interpreted ``fire`` (``refresh`` for a continuous
+    strand).  Raises :class:`PlannerError` if CPython refuses the text.
     """
     kind = "relation" if trigger is None or type(trigger) is str else trigger[0]
     strands = [] if trigger is None else compiled.strands_of(trigger)
-    generated = set() if sources is None else {
-        id(s) for s, source in zip(_strands(compiled), sources) if source.bind is not None
-    }
-    handle = ["def handle(at):" if kind == "continuous" else "def handle(event):"]
+    inlined = [_inline(s, f"s{i}_") if fused else None for i, s in enumerate(strands)]
+    call, arg = ("refresh", "at") if kind == "continuous" else ("fire", "event")
+    handle = [f"def handle({arg}):"]
     uses: set = set()
     binds: List[str] = []
     pel_binds: set = set()
@@ -584,17 +529,13 @@ def generate_procedure(compiled: Any, sources: Optional[Sequence[StrandSource]],
     else:
         name, path = f"{kind} {strands[0].rule_id}", (kind, f"{strands[0].rule_id}.py")
         header = f"# {name}: {len(strands)} strand(s)"
-    if kind != "continuous" and generated.intersection(map(id, strands)):
+    if kind != "continuous" and any(inlined):
         handle.append("    f0 = event.fields")
-    for i, strand in enumerate(strands):
+    for i, (strand, firing) in enumerate(zip(strands, inlined)):
         ns = f"s{i}_"
         handle.append(f"    # {strand.describe()}")
-        if kind == "continuous":
-            binds.append(f"{ns}refresh = strands[{i}].refresh")
-            handle.append(f"    out = {ns}refresh(at)")
-        elif id(strand) in generated:
-            emitter = _Emitter(strand, ns)
-            entry, exit = emitter.firing()
+        if firing is not None:
+            emitter, entry, exit = firing
             if emitter.probes:
                 uses.add("loop")
             binds += [f"{ns}strand = strands[{i}]", *emitter.bindings()]
@@ -607,8 +548,8 @@ def generate_procedure(compiled: Any, sources: Optional[Sequence[StrandSource]],
             handle += ["    except Exception as exc:", f"        reraise(exc, {ns}SITES)"]
             handle += [_INDENT + text for text in exit]
         else:
-            binds.append(f"{ns}fire = strands[{i}].fire")
-            handle.append(f"    out = {ns}fire(event)")
+            binds.append(f"{ns}{call} = strands[{i}].{call}")
+            handle.append(f"    out = {ns}{call}({arg})")
         route, route_binds, route_uses = _route(strand, ns)
         binds += route_binds
         uses.update(route_uses)
@@ -623,26 +564,10 @@ def generate_procedure(compiled: Any, sources: Optional[Sequence[StrandSource]],
         # 1-based lines of the file; the handler sits one indent in
         names[f"{ns}SITES"] = {len(prologue) + start + 1 + n: site for n, site in table.items()}
     text = "\n".join(prologue + [_INDENT + line for line in handle] + ["    return handle"]) + "\n"
-    mode = () if sources is not None else ("unfused",)
+    mode = () if fused else ("unfused",)
     namespace = load_generated(
         text, ("planner", "generated", _directory(compiled), *mode, *path), names
     )
     if namespace is None:
         raise PlannerError(f"{name}: CPython refused the generated procedure")
     return Procedure(name, text, namespace["bind"])
-
-
-def fuse_dataflow(compiled: Any, sources: Sequence[StrandSource], host: Any) -> None:
-    """Bind every strand of a node's :class:`CompiledDataflow` to *host*, in place.
-
-    *sources* are :func:`generate_sources` of the plan *compiled* was
-    instantiated from; strands whose source was declined keep the walk.  The
-    one evaluation context they share is left in ``compiled.ctx`` for the
-    procedures the node binds later.
-    """
-    ctx = compiled.ctx = EvalContext.for_host(host)
-    loop = host.loop
-    for strand, source in zip(_strands(compiled), sources):
-        if source.bind is not None:
-            source.bind(strand, ctx, loop)
-    compiled.fused = True

@@ -34,7 +34,7 @@ from ..net.transport import Network
 from ..overlog import ast
 from ..overlog.builtins import make_builtins
 from ..planner.planner import CompiledDataflow, Planner
-from ..sim.event_loop import EventHandle, EventLoop
+from ..sim.event_loop import EventLoop, Ticker
 from ..tables.table import TableStore
 
 Subscriber = Callable[[Tuple], None]
@@ -79,8 +79,9 @@ class P2Node:
         self.node_id = node_id
         self.alive = False
         self.batching = batching
-        #: strands run as generated functions by default; ``fused=False`` is the
-        #: interpreted element-walk escape hatch (the differential oracle)
+        #: procedures inline the strands' generated bodies by default;
+        #: ``fused=False`` calls the interpreted element walk instead (the
+        #: escape hatch and differential oracle)
         self.fused = fused
         #: body terms placed by the cost-based optimizer by default;
         #: ``optimize=False`` keeps the naive body-order plans (the oracle)
@@ -103,7 +104,10 @@ class P2Node:
         #: bound to this node, bound the first time the trigger fires
         self._handlers: Dict[Any, Callable[[Any], None]] = {}
         self._egress = self._make_egress()
-        self._timers: List[EventHandle] = []
+        #: one timer chain per periodic spec, and the ticks each has left
+        #: (``None``: forever)
+        self._tickers = [self._periodic_ticker(i) for i in range(len(self.compiled.periodics))]
+        self._ticks_left: List[Optional[int]] = [None] * len(self._tickers)
         self.dropped_remote_sends = 0
         self.events_processed = 0
         self._wire_continuous_aggregates()
@@ -117,14 +121,19 @@ class P2Node:
         for fact in list(self.compiled.facts) + self._extra_facts:
             self.route(fact)
         for index, spec in enumerate(self.compiled.periodics):
-            self._schedule_periodic(index, remaining=spec.count, first=True)
+            self._ticks_left[index] = spec.count
+            if spec.count is None or spec.count > 0:
+                # Desynchronise nodes by starting each timer at a random
+                # phase, then fire strictly periodically — the standard way
+                # real deployments avoid lock-step maintenance storms.
+                first = self.rng.uniform(0, spec.period) if spec.period > 0 else 0.0
+                self._tickers[index].start(first)
 
     def fail(self) -> None:
         """Crash-stop the node: it stops processing and receiving."""
         self.alive = False
-        for handle in self._timers:
-            handle.cancel()
-        self._timers.clear()
+        for ticker in self._tickers:
+            ticker.stop()
         # crash-stop: anything still buffered never reaches the wire
         self.transmit.clear()
         self.network.set_alive(self.address, False)
@@ -157,8 +166,8 @@ class P2Node:
     def restart(self) -> None:
         """Power the node back up after :meth:`crash`/:meth:`fail`.
 
-        The node object is reused rather than rebuilt: the generated strand
-        functions bind its table objects by reference, and the network keeps
+        The node object is reused rather than rebuilt: its bound procedures
+        hold its table objects by reference, and the network keeps
         its topology index — so the reset happens *in place*,
         then :meth:`boot` reinstalls start-of-day facts and periodic timers.
         External subscriptions (e.g. lookup trackers) survive the restart,
@@ -305,36 +314,29 @@ class P2Node:
             self.dropped_remote_sends += len(batch) - sent
 
     # ------------------------------------------------------------------ periodic events
-    def _schedule_periodic(self, index: int, remaining: Optional[int], first: bool) -> None:
-        if not self.alive and not first:
-            return
-        if remaining is not None and remaining <= 0:
-            return
-        spec = self.compiled.periodics[index]
-        # Desynchronise nodes by starting each timer at a random phase, then
-        # fire strictly periodically — the standard way real deployments avoid
-        # lock-step maintenance storms.
-        delay = self.rng.uniform(0, spec.period) if first and spec.period > 0 else spec.period
-        if spec.period == 0:
-            delay = 0.0
+    def _periodic_ticker(self, index: int) -> Ticker:
+        """The timer chain of ``compiled.periodics[index]``: each tick fires
+        the spec's procedure and drains, until its count runs out or the
+        node fails (:meth:`boot` starts it)."""
+        spec, trigger = self.compiled.periodics[index], ("periodic", index)
 
-        def fire() -> None:
+        def tick() -> None:
             if not self.alive:
+                ticker.stop()
                 return
-            event = spec.make_event(self.address, fresh_tuple_id())
-            trigger, handlers = ("periodic", index), self._handlers
+            left = self._ticks_left[index]
+            if left is not None:
+                self._ticks_left[index] = left - 1
+                if left <= 1:
+                    ticker.stop()  # this is the last tick
+            handlers = self._handlers
             if trigger not in handlers:
                 handlers[trigger] = self._bind(trigger)
-            handlers[trigger](event)
+            handlers[trigger](spec.make_event(self.address, fresh_tuple_id()))
             self._run_queue()
-            next_remaining = None if remaining is None else remaining - 1
-            self._schedule_periodic(index, next_remaining, first=False)
 
-        self._timers.append(self.loop.schedule(delay, fire))
-        # Periodic timers reschedule forever; prune handles whose events have
-        # already run or been cancelled so the list stays bounded.
-        if len(self._timers) > 64:
-            self._timers = [h for h in self._timers if not h.done]
+        ticker = Ticker(self.loop, tick, lambda: spec.period)
+        return ticker
 
     # ------------------------------------------------------------------ continuous aggregates
     def _wire_continuous_aggregates(self) -> None:

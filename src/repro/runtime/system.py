@@ -47,7 +47,7 @@ class OverlaySimulation:
         ``shards=1`` (``tests/test_sharded_sim.py``).
     ``fused=False``
         strands walk their elements (the interpreted differential oracle)
-        instead of running as generated functions.  Nodes still run every
+        instead of being inlined as generated code.  Nodes still run every
         firing through its trigger's generated procedure; it calls each
         strand's ``fire``/``refresh`` instead of inlining its body.
     ``optimize=False``

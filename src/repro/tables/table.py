@@ -366,7 +366,7 @@ class Table:
         other positions by the secondary index on exactly them, if there is
         one; anything else by a scan.
 
-        The generated strands take a prober per join once and call it per
+        Generated procedures take a prober per join once and call it per
         probe; :meth:`lookup` takes one per call.  Every probe expires lazily,
         counts one ``stats.lookups`` and returns a materialised result that
         later mutation of the table cannot invalidate, in bucket (join match)

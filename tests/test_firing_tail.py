@@ -1,12 +1,13 @@
 """The firing tail: inline aggregate folds and the node's per-relation handlers.
 
 Everything between "the last join matched" and "the head is on the run queue
-/ in the transmit buffer / deleted" is compiled: generated strands fold
-aggregates where they match and return bare head tuples, and ``P2Node``
-resolves each relation's table, subscribers, strands and sinks once.  These
-tests pin what that tail must keep: fold ≡ oracle over mixed values, the
-handler's ordering and all-or-nothing guarantees, and — with no timing in
-it — how few objects a dispatch now builds.
+/ in the transmit buffer / deleted" is compiled: a fused procedure folds
+aggregates where they match and routes bare head tuples, and each relation's
+table, subscribers, strands and sinks are resolved once, when its procedure
+is bound.  These tests pin what that tail must keep: fold ≡ oracle (a fused
+procedure against its ``fused=False`` twin) over mixed values, the handler's
+ordering and all-or-nothing guarantees, and — with no timing in it — how few
+objects a dispatch now builds.
 """
 
 import pytest
@@ -24,8 +25,8 @@ from repro.runtime.node import P2Node
 from repro.sim import event_loop
 from repro.sim.event_loop import EventLoop
 
-from tests.support.genprograms import make_node, make_twins
-from tests.test_strand_fusion import _fire
+from tests.support.genprograms import make_node
+from tests.support.procedures import Twins, calls_the_walk, fire
 
 # ------------------------------------------------------------------ fold ≡ oracle
 FOLD_PROGRAM = """
@@ -54,11 +55,11 @@ rows_strategy = st.lists(st.tuples(scalars, scalars), max_size=7)
 
 @pytest.fixture(scope="module")
 def fold_twins():
-    return make_twins(parse_program(FOLD_PROGRAM))
+    return Twins(parse_program(FOLD_PROGRAM))
 
 
 def _load(twins, rows):
-    for node in twins:
+    for node in twins.nodes:
         table = node.tables.get("m")
         table.clear()
         for index, (group, value) in enumerate(rows):
@@ -67,50 +68,37 @@ def _load(twins, rows):
             cont.reset()
 
 
-def _typed(outcome):
-    """An outcome with every field's type made visible (``1 == 1.0 == True``)."""
-    routes, error = outcome
-    if routes is None:
-        return None, error
-    return [
-        (r.destination, r.tuple.name, [(type(f).__name__, f) for f in r.tuple.fields], r.is_delete)
-        for r in routes
-    ], None
-
-
 @settings(max_examples=150, deadline=None)
 @given(rows=rows_strategy, probe=scalars)
 def test_generated_folds_match_the_interpreted_aggregate(fold_twins, rows, probe):
-    fused_node, interp_node = fold_twins
+    """Every strand of ``ev`` and ``probe`` and the continuous one: the same
+    heads type for type, the same counters (``Aggregate.stats.emitted``
+    among them) and the same change-suppression cache, both ways."""
     _load(fold_twins, rows)
-    events = {"ev": Tuple.make("ev", "n1"), "probe": Tuple.make("probe", "n1", probe)}
-    for name, event in events.items():
-        pairs = zip(fused_node.compiled.strands_by_event[name],
-                    interp_node.compiled.strands_by_event[name])
-        for sf, si in pairs:
-            assert sf.fused and not si.fused
-            assert _typed(_fire(sf, event, "n1")) == _typed(_fire(si, event, "n1")), sf.rule_id
-            assert (sf.fired, sf.produced) == (si.fired, si.produced), sf.rule_id
-            assert sf.aggregate.stats.emitted == si.aggregate.stats.emitted, sf.rule_id
-    (cf,), (ci,) = fused_node.compiled.continuous, interp_node.compiled.continuous
-    assert cf.fused and not ci.fused
+    for trigger, event in (("ev", Tuple.make("ev", "n1")),
+                           ("probe", Tuple.make("probe", "n1", probe))):
+        assert not calls_the_walk(fold_twins.fused, trigger)
+        fold_twins.fire(trigger, event)
+    assert not calls_the_walk(fold_twins.fused, ("continuous", 0))
     for _ in range(2):  # the second pass is suppressed as unchanged, both ways
-        assert _typed((cf.recompute(0.0, "n1"), None)) == _typed((ci.recompute(0.0, "n1"), None))
-    assert cf._last_emitted == ci._last_emitted
-    assert cf.aggregate.stats.emitted == ci.aggregate.stats.emitted
+        fold_twins.fire(("continuous", 0), 0.0)
 
 
 def _heads(node, event_name, *fields):
-    results = [
-        [route.tuple.fields for route in strand.process(Tuple.make(event_name, "n1", *fields), "n1")]
-        for strand in node.compiled.strands_by_event[event_name]
-    ]
-    return dict(zip([s.rule_id for s in node.compiled.strands_by_event[event_name]], results))
+    """rule -> the head fields its strand derived from one *event_name*."""
+    strands = node.compiled.strands_by_event[event_name]
+    rules = {strand.head_name: strand.rule_id for strand in strands}
+    heads = {strand.rule_id: [] for strand in strands}
+    routes, error = fire(node, event_name, Tuple.make(event_name, "n1", *fields))
+    assert error is None
+    for _, head in routes:
+        heads[rules[head.name]].append(head.fields)
+    return heads
 
 
 @pytest.mark.parametrize("fused", [True, False])
 def test_groups_keep_first_appearance_order_and_the_first_match(fold_twins, fused):
-    node = fold_twins[0] if fused else fold_twins[1]
+    node = fold_twins.fused if fused else fold_twins.walk
     _load(fold_twins, [(1, 5), ("a", 1), (1.0, 3), (True, 7), ("a", 1.0)])
     (ones, letters) = _heads(node, "ev")["A3"]
     # 1, 1.0 and True are one group, shown as its first match wrote it
@@ -124,7 +112,7 @@ def test_groups_keep_first_appearance_order_and_the_first_match(fold_twins, fuse
 
 @pytest.mark.parametrize("fused", [True, False])
 def test_empty_groups_and_the_count_zero_fallback(fold_twins, fused):
-    node = fold_twins[0] if fused else fold_twins[1]
+    node = fold_twins.fused if fused else fold_twins.walk
     _load(fold_twins, [("k", 1), ("k", 2)])
     assert _heads(node, "ev") == {
         "A1": [("n1", "k", 1)], "A2": [("n1", "k", 2)], "A3": [("n1", "k", 1, 2, 2)],
@@ -141,22 +129,23 @@ def test_empty_groups_and_the_count_zero_fallback(fold_twins, fused):
 
 
 def test_an_error_half_way_through_an_aggregate_yields_no_heads(fold_twins):
-    """Division by zero on the third match: the interpreted error, message
+    """Division by zero on A6's third match: the interpreted error, message
     for message, after two matches were already folded — and nothing out."""
     _load(fold_twins, [("g", 5), ("h", 2), ("g", 0), ("g", 1)])
-    event = Tuple.make("ev", "n1")
-    outcomes = []
-    for node in fold_twins:
+    befores = []
+    for node in fold_twins.nodes:
         (strand,) = [s for s in node.compiled.strands_by_event["ev"] if s.rule_id == "A6"]
-        before = (strand.produced, strand.aggregate.stats.emitted)
-        outcomes.append(_fire(strand, event, "n1"))
-        assert (strand.produced, strand.aggregate.stats.emitted) == before
-    assert outcomes[0] == outcomes[1] == (None, "PELError: division by zero")
+        befores.append((strand, strand.produced, strand.aggregate.stats.emitted))
+    routes, error = fold_twins.fire("ev", Tuple.make("ev", "n1"))  # the same both ways
+    assert error == "PELError: division by zero"
+    assert routes and "inv" not in {head.name for _, head in routes}  # A1-A5's went out
+    for strand, produced, emitted in befores:
+        assert (strand.produced, strand.aggregate.stats.emitted) == (produced, emitted)
 
 
 @pytest.mark.parametrize("fused", [True, False])
 def test_sum_and_avg_stay_exact_above_2_to_the_53(fold_twins, fused):
-    node = fold_twins[0] if fused else fold_twins[1]
+    node = fold_twins.fused if fused else fold_twins.walk
     wide = (1 << 159) + 7
     _load(fold_twins, [("s", 2**60 + 1), ("s", 1), ("w", wide), ("w", wide), ("w", 3)])
     heads = _heads(node, "ev")
@@ -297,8 +286,9 @@ def test_every_mode_drives_the_same_handler_loop(mode):
         assert set(got._handlers) == set(want._handlers) and got._handlers
         assert got.events_processed == want.events_processed
         assert sorted(map(repr, got.scan("latency"))) == sorted(map(repr, want.scan("latency")))
-        for strand in got.compiled.all_strands():
-            assert strand.fused is mode.get("fused", True)
+        for trigger in got._handlers:
+            if got.compiled.strands_of(trigger):
+                assert calls_the_walk(got, trigger) is not mode.get("fused", True)
     assert net.messages_sent == ref_net.messages_sent
 
 
@@ -342,8 +332,8 @@ def test_objects_built_per_dispatch_on_a_small_chord_run(monkeypatch):
         built["routes"] += 1
         return real_route(*args)
 
-    # generated modules copy the name when the program's text is first
-    # generated; build_chord_network parses a fresh program, so they see these
+    # procedures copy the name when the program's text is first generated;
+    # build_chord_network parses a fresh program, so they see these
     monkeypatch.setattr(Tuple, "trusted", staticmethod(trusted))
     monkeypatch.setitem(strand_compiler._NAMES, "trusted", trusted)
     monkeypatch.setattr(strand_module, "HeadRoute", route)

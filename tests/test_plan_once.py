@@ -2,12 +2,13 @@
 
 ``repro.overlog.check.analyze`` keeps one checker run per ``ast.Program`` in
 ``program.analysis`` and ``repro.planner.plan_program`` hangs each plan kind's
-node-free strands on it; ``Planner.compile`` only instantiates.  This file
-pins what that buys and what it must not break: the work done per program
-does not grow with the number of nodes, nodes share what cannot change (PEL
-programs, code objects) and nothing that can (counters, tables, caches), both
-plan kinds of one program live side by side, and a program whose rules were
-edited is analyzed and planned again.
+node-free strands, and the triggers' procedures once generated, on it;
+``Planner.compile`` only instantiates.  This file pins what that buys and
+what it must not break: the work done per program does not grow with the
+number of nodes, the only code generated is procedures, nodes share what
+cannot change (PEL programs, code objects) and nothing that can (counters,
+tables, caches), both plan kinds of one program live side by side, and a
+program whose rules were edited is analyzed and planned again.
 """
 
 import collections
@@ -17,16 +18,19 @@ import pytest
 import repro.overlog.check as check_module
 import repro.planner.analyzer as analyzer_module
 import repro.planner.planner as planner_module
+import repro.planner.strand_compiler as strand_compiler_module
 from repro.core import Tuple
 from repro.core.errors import OverlogAnalysisError
 from repro.dataflow.element import ElementStats
 from repro.dataflow.operators import Host
 from repro.overlays.chord import build_chord_network
 from repro.overlog import check_program, parse_program
-from repro.planner import Planner, plan_program, strand_sources
+from repro.planner import Planner, plan_program
+from repro.planner.strand_compiler import procedure_triggers
 from repro.tables import TableStore
 
 from tests.support.genprograms import make_node
+from tests.support.procedures import bind_capturing
 from tests.test_strand_fusion import OVERLAY_PROGRAMS
 
 
@@ -54,7 +58,8 @@ def calls(monkeypatch):
     count(planner_module, "analyze_rule", "per-rule checks")
     count(planner_module, "plan_strand", "plan_strand")
     count(planner_module, "compile_expression", "compile_expression")
-    count(planner_module, "generate_sources", "generate_sources")
+    count(planner_module, "generate_procedure", "generate_procedure")
+    count(strand_compiler_module, "load_generated", "generated modules")
     return counts
 
 
@@ -65,7 +70,10 @@ def test_an_8_node_chord_build_does_the_per_program_work_once(calls):
     eight = dict(calls)
     assert eight["ProgramChecker.run"] == 1
     assert eight["per-rule checks"] == len(program.rules) == 44
-    assert eight["generate_sources"] == 1
+    # booting routes the facts: the procedures of their relations, and no
+    # other generated code — no strand is generated on its own
+    procedures = plan_program(program)._procedures
+    assert eight["generate_procedure"] == eight["generated modules"] == len(procedures) == 4
     assert eight["compile_expression"] > len(program.rules)
 
     calls.clear()
@@ -80,8 +88,7 @@ def test_an_8_node_chord_build_does_the_per_program_work_once(calls):
     assert calls == {
         "compile_expression": eight["compile_expression"],
         "plan_strand": eight["plan_strand"] // 2,  # no second walk to compare with
-        "generate_sources": 1,
-    }
+    }  # ... and set-up generates no code
 
 
 def test_the_memo_is_one_object_with_every_view_on_it():
@@ -123,8 +130,10 @@ def test_nodes_share_the_plan_and_nothing_they_change():
                 assert eb.table is b.tables.get(ea.table.name)
             if hasattr(ea, "host"):
                 assert (ea.host, eb.host) == (a, b)
+    for trigger in procedure_triggers(a.compiled)[:-1]:
+        ha, hb = bind_capturing(a, trigger)[0], bind_capturing(b, trigger)[0]
+        assert ha is not hb and ha.__code__ is hb.__code__
     for ca, cb in zip(a.compiled.continuous, b.compiled.continuous):
-        assert ca.refresh.__code__ is cb.refresh.__code__
         assert ca.base_table is a.tables.get(ca.base_table.name)
         assert cb.watched_tables == [b.tables.get(t.name) for t in ca.watched_tables]
 
@@ -160,7 +169,7 @@ def test_the_planned_strands_are_never_fired_or_handed_out():
     template = plan_program(program).dataflow
     handed_out = {id(s) for s in _strands(node)}
     for strand in template.all_strands() + template.continuous:
-        assert id(strand) not in handed_out and not strand.fused
+        assert id(strand) not in handed_out
         assert all(e.stats == ElementStats() for e in strand.elements())
     assert all(s.fired == s.produced == 0 for s in template.all_strands())
     assert all(c.recomputations == 0 and not c._last_emitted for c in template.continuous)
@@ -173,13 +182,15 @@ def test_both_plan_kinds_of_one_program_coexist():
     optimized = make_node(program, True, address="a")
     naive = make_node(program, True, address="b", optimize=False)
     assert set(program.analysis.plans) == {True, False}
-    fast, slow = strand_sources(optimized.compiled), strand_sources(naive.compiled)
-    assert fast is not slow and strand_sources(optimized.compiled) is fast
-    assert [s.name for s in fast] == [s.name for s in slow]
-    differing = [f.name for f, s in zip(fast, slow) if f.text != s.text]
-    reordered = [p for p in plan_program(program).plan.rules if p.reordered]
-    assert len(differing) == len(reordered) == 3
-    assert {name.split(".")[0] for name in differing} == {p.rule_id for p in reordered}
+    fast, slow = plan_program(program), plan_program(program, optimize=False)
+    triggers = procedure_triggers(fast.dataflow)
+    assert triggers == procedure_triggers(slow.dataflow)
+    assert optimized.compiled.procedure("succ") is fast.procedure("succ")
+    assert naive.compiled.procedure("succ") is slow.procedure("succ") is not fast.procedure("succ")
+    differing = {t for t in triggers if fast.procedure(t).text != slow.procedure(t).text}
+    reordered = [p for p in fast.plan.rules if p.reordered]
+    assert len(reordered) == 3
+    assert differing == {p.event_name for p in reordered}
     assert not any(p.reordered for p in plan_program(program, optimize=False).plan.rules)
     # one index plan per kind, installed before the first join could miss it
     for node in (optimized, naive):

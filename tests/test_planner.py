@@ -5,9 +5,13 @@ import pytest
 from repro.core import Tuple
 from repro.core.errors import PlannerError
 from repro.dataflow import Host
-from repro.overlog import parse_program
+from repro.net.topology import UniformTopology
+from repro.net.transport import Network
+from repro.overlog import ast, parse_program
 from repro.overlog.builtins import make_builtins
 from repro.planner import Planner, RuleKind, analyze_rule
+from repro.runtime.node import P2Node
+from repro.sim.event_loop import EventLoop
 from repro.tables import TableStore
 
 
@@ -135,6 +139,32 @@ class TestPlannerCompilation:
     def test_periodic_requires_constant_period(self):
         with pytest.raises(PlannerError):
             compile_program("R1 refreshEvent@X(X) :- periodic@X(X, E, P).")
+
+    @pytest.mark.parametrize("period, count", [(0, None), (0, 0), (-1, None), (-1, 1), (-0.5, 3)])
+    def test_periodic_period_must_be_positive_or_bounded(self, period, count):
+        """A zero period ticks at one instant forever unless a count ends it,
+        and a negative one cannot be scheduled at all (the parser reads ``-1``
+        as an expression, so the constant is put into the rule directly)."""
+        extra = "" if count is None else ", 9"
+        program = parse_program(f"R1 tick@X(X) :- periodic@X(X, E, 1{extra}).")
+        args = program.rules[0].body[0].args
+        args[2] = ast.Constant(period)
+        if count is not None:
+            args[3] = ast.Constant(count)
+        with pytest.raises(PlannerError, match="rule R1: the periodic period must be positive"):
+            compile_program(program)
+
+    def test_a_boot_once_periodic_fires_once_and_the_loop_moves_on(self):
+        """Narada's ``periodic@X(X, E, 0, 1)``: one tick at boot, then nothing."""
+        loop = EventLoop()
+        net = Network(loop, UniformTopology(latency=0.01))
+        node = P2Node("n1", "S0 seed@X(X, 0) :- periodic@X(X, E, 0, 1).", net, loop)
+        net.register(node)
+        seen = []
+        node.subscribe("seed", seen.append)
+        node.boot()
+        loop.run_for(5.0)
+        assert len(seen) == 1 and loop.pending() == 0
 
     def test_delete_rule(self):
         compiled, _, _ = compile_program(

@@ -6,8 +6,9 @@ a rule derives, only the order work happens in.  The oracle is the
 interpreted, unoptimized configuration ``(optimize=False, fused=False)``:
 every other point of the (optimize × fused) grid must produce
 
-* the same ``HeadRoute`` **multiset** per strand firing (derivation order
-  may legitimately differ under a different join order), and
+* the same routed-head **multiset** and the same tables per firing of a
+  trigger's procedure (derivation order may legitimately differ under a
+  different join order), and
 * the same fixpoint table states and derived-stream multisets after a
   node-level event drive.
 
@@ -38,6 +39,7 @@ from tests.support.genprograms import (
     populate_tables,
     random_value,
 )
+from tests.support.procedures import fire
 from tests.test_strand_fusion import OVERLAY_PROGRAMS
 
 #: every non-oracle point of the optimize × fused grid
@@ -54,49 +56,44 @@ def make_grid(program, seed=0):
     ]
 
 
-def strand_lists(node):
-    out = []
-    for name in sorted(node.compiled.strands_by_event):
-        out.extend(node.compiled.strands_by_event[name])
-    out.extend(spec.strand for spec in node.compiled.periodics)
+def triggers(node):
+    """Every trigger *node* fires strands on, with the event arity they need."""
+    compiled = node.compiled
+    out = [(name, max(s.min_event_arity for s in compiled.strands_by_event[name]))
+           for name in sorted(compiled.strands_by_event)]
+    out += [(("periodic", i), spec.strand.min_event_arity)
+            for i, spec in enumerate(compiled.periodics)]
     return out
 
 
 def route_key(route):
-    return (
-        repr(route.destination),
-        route.tuple.name,
-        repr(route.tuple.fields),
-        route.is_delete,
-    )
+    destination, head = route
+    return (repr(destination), head.name, repr(head.fields))
 
 
-def fire_multiset_differentially(nodes, rng, events_per_strand=25):
-    """Fire matching strands on every grid node; compare route multisets."""
+def fire_multiset_differentially(nodes, rng, events_per_trigger=25):
+    """Fire every trigger's procedure on every grid node; compare the routed
+    head multisets, the errors and the tables (deletes land there)."""
     addr = nodes[0].address
-    per_node = [strand_lists(node) for node in nodes]
-    assert all(len(lst) == len(per_node[0]) for lst in per_node)
-    for strands in zip(*per_node):
-        reference = strands[0]
-        assert all(s.rule_id == reference.rule_id for s in strands)
-        for trial in range(events_per_strand):
+    per_node = [triggers(node) for node in nodes]
+    assert all(lst == per_node[0] for lst in per_node)
+    for trigger, arity in per_node[0]:
+        name = trigger if type(trigger) is str else "periodic"
+        for trial in range(events_per_trigger):
             # exact event arity only: an over-wide event shifts the join
             # schema, and what *garbage* it derives is plan-dependent — the
             # fusion suite (identical plans) covers that path instead
-            arity = reference.min_event_arity
             fields = [addr if trial % 2 else random_value(rng, addr)] + [
                 random_value(rng, addr) for _ in range(max(arity - 1, 0))
             ]
-            event = Tuple(reference.event_name, fields or [addr])
+            event = Tuple(name, fields or [addr])
             outcomes = []
-            for strand in strands:
-                try:
-                    routes = strand.process(event, addr)
-                    outcomes.append(("ok", sorted(route_key(r) for r in routes)))
-                except Exception as exc:  # noqa: BLE001 - the error IS the observable
-                    outcomes.append(("err", f"{type(exc).__name__}: {exc}"))
+            for node in nodes:
+                routes, error = fire(node, trigger, event)
+                tables = {t.name: sorted(map(repr, t)) for t in node.tables}
+                outcomes.append((sorted(map(route_key, routes)), error, tables))
             for other in outcomes[1:]:
-                assert other == outcomes[0], (reference.rule_id, event)
+                assert other == outcomes[0], (trigger, event)
 
 
 def drive_node_differentially(nodes, rng, events_per_stream=10):
@@ -150,7 +147,7 @@ def drive_node_differentially(nodes, rng, events_per_stream=10):
 def test_fixed_shapes_grid_vs_oracle(name, seed):
     rng = random.Random(seed * 1000 + 31)
     nodes = make_grid(GENERATED_PROGRAMS[name], seed=seed)
-    fire_multiset_differentially(nodes, random.Random(seed), events_per_strand=5)
+    fire_multiset_differentially(nodes, random.Random(seed), events_per_trigger=5)
     populate_tables(nodes, rng, rows_per_table=8)
     fire_multiset_differentially(nodes, rng)
 
@@ -161,9 +158,9 @@ def test_randomized_shapes_grid_vs_oracle(shape, seed):
     source = generate_program(shape, seed)
     rng = random.Random(seed * 677 + 11)
     nodes = make_grid(source, seed=seed)
-    fire_multiset_differentially(nodes, random.Random(seed), events_per_strand=5)
+    fire_multiset_differentially(nodes, random.Random(seed), events_per_trigger=5)
     populate_tables(nodes, rng, rows_per_table=8)
-    fire_multiset_differentially(nodes, rng, events_per_strand=40)
+    fire_multiset_differentially(nodes, rng, events_per_trigger=40)
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -180,9 +177,9 @@ def test_randomized_shapes_node_fixpoint(shape, seed):
 def test_overlay_strands_grid_vs_oracle(name):
     rng = random.Random(len(name) * 97 + 3)
     nodes = make_grid(OVERLAY_PROGRAMS[name], seed=13)
-    fire_multiset_differentially(nodes, random.Random(2), events_per_strand=4)
+    fire_multiset_differentially(nodes, random.Random(2), events_per_trigger=4)
     populate_tables(nodes, rng)
-    fire_multiset_differentially(nodes, rng, events_per_strand=12)
+    fire_multiset_differentially(nodes, rng, events_per_trigger=12)
 
 
 # ---------------------------------------------------------------------------

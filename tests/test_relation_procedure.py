@@ -38,6 +38,7 @@ from tests.support.genprograms import (
     random_value,
     table_arities,
 )
+from tests.support.procedures import calls_the_walk, stats_saver
 from tests.test_firing_tail import HANDLER_PROGRAM
 from tests.test_strand_fusion import OVERLAY_PROGRAMS
 from tests.test_strand_source import _many_joins
@@ -166,17 +167,24 @@ def _state(node):
     )
 
 
-def _recorded(node, bind):
+def _recorded(node, bind, settle=False):
     """Install *bind* as *node*'s binder, each handler it makes logging its
-    trigger and a snapshot of the node after every firing (raising or not)."""
+    trigger and a snapshot of the node after every firing (raising or not).
+    With *settle*, a firing that raises first has its element and table
+    stats put back (see :class:`Pair`)."""
     log = []
 
     def bind_recorded(trigger):
         handler = bind(trigger)
 
         def handle(arg):
+            put_back = stats_saver(node) if settle else None
             try:
                 handler(arg)
+            except Exception:
+                if settle:
+                    put_back()
+                raise
             finally:
                 log.append((trigger, _state(node)))
 
@@ -195,14 +203,21 @@ def _same_logs(got, want):
 
 class Pair:
     """A procedure node and a reference node, both *fused* or both not, fed
-    in lock step."""
+    in lock step.
+
+    The reference fires every strand through its element walk, the one
+    executor a strand has of its own; so does a procedure under
+    ``fused=False``.  A fused procedure inlines the strands instead, and a
+    firing that raises may stop at another point of the walk's batch-by-batch
+    order: on a fused pair such a firing has its element and table stats put
+    back on both nodes (everything else must still agree)."""
 
     def __init__(self, program, fused, seed=0):
         self.procedure = make_node(program, fused, seed=seed)
         self.oracle = make_node(program, fused, seed=seed)
         self.logs = (
-            _recorded(self.procedure, self.procedure._bind),
-            _recorded(self.oracle, partial(reference_bind, self.oracle)),
+            _recorded(self.procedure, self.procedure._bind, settle=fused),
+            _recorded(self.oracle, partial(reference_bind, self.oracle), settle=fused),
         )
         for node in self.nodes:
             node.boot()
@@ -340,7 +355,7 @@ def test_a_declined_strand_is_called_through_its_fire():
     for fused in (True, False):
         pair = Pair(source, fused)
         (strand,) = pair.procedure.compiled.strands_by_event["ev"]
-        assert not strand.fused  # the element walk
+        assert calls_the_walk(pair.procedure, "ev")  # the element walk
         for node in pair.nodes:
             for i in range(25):
                 node.tables.get(f"t{i}").insert(Tuple.make(f"t{i}", "n1", i, i + 1), 0.0)

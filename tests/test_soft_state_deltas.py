@@ -11,10 +11,11 @@ Three contracts, each against the code it replaced:
   order (it is join match order), the listener calls, the counters, and an
   expiry bound that is never late.  What is new is the content ``version``:
   it moves exactly when the set of rows does.
-* The generated ``refresh`` of a continuous ``count``/``min``/``max`` strand
-  rescans only when that version moved.  After every op it must still return
-  what ``refresh_interpreted`` — the untouched oracle, which always rescans —
-  returns, head for head and type for type, with the same counters.
+* The generated procedure of a continuous ``count``/``min``/``max`` strand
+  rescans only when that version moved.  After every op it must still route
+  what its ``fused=False`` twin's procedure routes — which calls the
+  untouched oracle, the element walk, which always rescans — head for head
+  and type for type, with the same counters.
 * On a small Chord ring the saving is real and the counts are not: the same
   number of recomputations as before, far fewer rows scanned.
 """
@@ -27,10 +28,11 @@ from hypothesis import given, settings, strategies as st
 from repro.core import Tuple
 from repro.overlays.chord import build_chord_network
 from repro.overlog import parse_program
-from repro.planner import strand_sources
+from repro.runtime.node import P2Node
 from repro.tables import INFINITY, Table, covers_key
 
 from tests.support.genprograms import make_twins
+from tests.support.procedures import calls_the_walk, fire
 
 
 def typed(value):
@@ -264,11 +266,18 @@ def _power_cycle(twins):
             strand.reset()
 
 
-def _outcome(refresh, now):
-    try:
-        return [(tup.name, typed(tup.fields)) for tup in refresh(now)]
-    except Exception as exc:  # the oracle comparison wants to see it
-        return (type(exc).__name__, str(exc))
+def _outcome(twins, strand, now):
+    """What the continuous procedure of *strand*'s node routes when fired at
+    *now*, head for head and typed — or the error it raises."""
+    for node in twins:
+        continuous = node.compiled.continuous
+        if any(c is strand for c in continuous):
+            index = next(i for i, c in enumerate(continuous) if c is strand)
+            routes, error = fire(node, ("continuous", index), now)
+            break
+    if error is not None:  # the oracle comparison wants to see it
+        return tuple(error.split(": ", 1))
+    return [(head.name, typed(head.fields)) for _, head in routes]
 
 
 def _op_stats(strand):
@@ -277,10 +286,11 @@ def _op_stats(strand):
 
 
 def _assert_refreshes_agree(twins, now):
-    for generated, oracle in _strand_pairs(twins):
-        assert generated.fused and not oracle.fused
-        got = _outcome(generated.refresh, now)
-        assert got == _outcome(oracle.refresh_interpreted, now), generated.rule_id
+    for index, (generated, oracle) in enumerate(_strand_pairs(twins)):
+        assert not calls_the_walk(twins[0], ("continuous", index))
+        assert calls_the_walk(twins[1], ("continuous", index))
+        got = _outcome(twins, generated, now)
+        assert got == _outcome(twins, oracle, now), generated.rule_id
         assert generated.recomputations == oracle.recomputations, generated.rule_id
         assert generated.aggregate.stats.emitted == oracle.aggregate.stats.emitted, generated.rule_id
         assert _op_stats(generated) == _op_stats(oracle), generated.rule_id
@@ -289,13 +299,15 @@ def _assert_refreshes_agree(twins, now):
 
 
 def test_only_order_blind_pure_strands_skip_the_rescan(twins):
-    sources = strand_sources(twins[0].compiled)
-    skipping = {source.name for source in sources if "strand.seen_version" in source.text}
+    compiled = twins[0].compiled
+    texts = {strand.rule_id: compiled.procedure(("continuous", i)).text
+             for i, strand in enumerate(compiled.continuous)}
+    skipping = {rule for rule, text in texts.items() if "s0_strand.seen_version" in text}
     assert skipping == ON_CHANGE
     # a Select (it counts every row it filters), sum<> (float addition does not
     # associate), a built-in call (f_now) and a probe of a second table keep
     # the rescan on every refresh
-    assert {"Q2", "T1", "T2", "T3"} <= {source.name for source in sources} - skipping
+    assert {"Q2", "T1", "T2", "T3"} <= set(texts) - skipping
 
 
 small = st.sampled_from([1, True, 1.0, 2, 0, 3, -1, 2.5])
@@ -355,14 +367,14 @@ def test_mixed_type_ties_survive_a_reordering_refresh(twins):
     _power_cycle(twins)
     (n3, oracle) = next(p for p in _strand_pairs(twins) if p[0].rule_id == "N3")
     _load(twins, "succDist", [("a", 1), ("b", 1.0)], 0.0)
-    assert _outcome(n3.refresh, 0.0) == _outcome(oracle.refresh_interpreted, 0.0) \
+    assert _outcome(twins, n3, 0.0) == _outcome(twins, oracle, 0.0) \
         == [("bestSuccDist", typed(("n1", 1)))]
     _load(twins, "succDist", [("a", 1)], 1.0)  # identical: "b" is now the earliest
     version = n3.seen_version
-    assert _outcome(n3.refresh, 1.0) == _outcome(oracle.refresh_interpreted, 1.0) == []
+    assert _outcome(twins, n3, 1.0) == _outcome(twins, oracle, 1.0) == []
     assert n3.seen_version == version == n3.base_table.version
     _load(twins, "succDist", [("c", 7)], 2.0)  # a new row: both rescan, 1.0 now wins the tie
-    assert _outcome(n3.refresh, 2.0) == _outcome(oracle.refresh_interpreted, 2.0) == []
+    assert _outcome(twins, n3, 2.0) == _outcome(twins, oracle, 2.0) == []
     assert typed(n3._last_emitted[("n1",)]) == typed(oracle._last_emitted[("n1",)])
     replaced = n3.base_table.stats.replacements
     _load(twins, "succDist", [("a", True)], 3.0)  # cross-type: a replacement, so a rescan
@@ -370,12 +382,12 @@ def test_mixed_type_ties_survive_a_reordering_refresh(twins):
     # both rescan and both find True (a bool ranks below every number), which
     # the change filter again takes for the 1 it last emitted
     assert n3.seen_version == n3.base_table.version - 1
-    assert _outcome(n3.refresh, 3.0) == _outcome(oracle.refresh_interpreted, 3.0) == []
+    assert _outcome(twins, n3, 3.0) == _outcome(twins, oracle, 3.0) == []
     assert n3.seen_version == n3.base_table.version
     for node in twins:
         node.tables.get("succDist").delete(Tuple("succDist", ("n1", "b", 1.0)), 4.0)
         node.tables.get("succDist").delete(Tuple("succDist", ("n1", "a", True)), 4.0)
-    assert _outcome(n3.refresh, 4.0) == _outcome(oracle.refresh_interpreted, 4.0) \
+    assert _outcome(twins, n3, 4.0) == _outcome(twins, oracle, 4.0) \
         == [("bestSuccDist", typed(("n1", 7)))]
 
 
@@ -391,8 +403,8 @@ def test_a_nan_row_is_never_refreshed_in_place(twins):
     for node in twins:
         node.tables.get("succDist").insert(row, 0.0)
     _load(twins, "succDist", [("b", 3)], 0.0)
-    first = _outcome(n3.refresh, 0.0)
-    assert first == _outcome(oracle.refresh_interpreted, 0.0)
+    first = _outcome(twins, n3, 0.0)
+    assert first == _outcome(twins, oracle, 0.0)
     assert first[0][1][1][1] == ("float", nan)  # scanned first, and 3 only ties with it
     version, stats = n3.seen_version, n3.base_table.stats
     replacements, refreshes = stats.replacements, stats.refreshes
@@ -400,8 +412,8 @@ def test_a_nan_row_is_never_refreshed_in_place(twins):
         node.tables.get("succDist").insert(row, 1.0)  # the same object, now scanned last
     assert n3.base_table.version == version + 1
     assert (stats.replacements, stats.refreshes) == (replacements + 1, refreshes)
-    got = _outcome(n3.refresh, 1.0)
-    assert got == _outcome(oracle.refresh_interpreted, 1.0) == [("bestSuccDist", typed(("n1", 3)))]
+    got = _outcome(twins, n3, 1.0)
+    assert got == _outcome(twins, oracle, 1.0) == [("bestSuccDist", typed(("n1", 3)))]
     _assert_refreshes_agree(twins, 1.0)
 
 
@@ -409,19 +421,19 @@ def test_a_refresh_that_raises_does_not_remember_the_version(twins):
     _power_cycle(twins)
     (q1, oracle) = next(p for p in _strand_pairs(twins) if p[0].rule_id == "Q1")
     _load(twins, "w", [("a", 5)], 0.0)
-    first = _outcome(q1.refresh, 0.0)
-    assert first == _outcome(oracle.refresh_interpreted, 0.0) and first[0][0] == "inv"
+    first = _outcome(twins, q1, 0.0)
+    assert first == _outcome(twins, oracle, 0.0) and first[0][0] == "inv"
     good = q1.seen_version
     _load(twins, "w", [("b", 1), ("z", 0), ("c", 4)], 1.0)
     for _ in range(3):  # it raises every time: nothing was cached half-way
-        got = _outcome(q1.refresh, 1.0)
-        assert got == _outcome(oracle.refresh_interpreted, 1.0)
+        got = _outcome(twins, q1, 1.0)
+        assert got == _outcome(twins, oracle, 1.0)
         assert got == ("PELError", "division by zero")
         assert q1.seen_version == good != q1.base_table.version
     emitted = q1.aggregate.stats.emitted
     for node in twins:
         node.tables.get("w").delete(Tuple("w", ("n1", "z", 0)), 2.0)
-    assert _outcome(q1.refresh, 2.0) == _outcome(oracle.refresh_interpreted, 2.0) == []  # still 10 / 5
+    assert _outcome(twins, q1, 2.0) == _outcome(twins, oracle, 2.0) == []  # still 10 / 5
     assert q1.seen_version == q1.base_table.version
     assert q1.aggregate.stats.emitted == emitted + 1 == oracle.aggregate.stats.emitted
 
@@ -432,19 +444,19 @@ def test_crash_clear_reset_restart_re_emits_everything(twins):
     rows = [(7, "g", 0.25), (7, "h", 0.75), (8, "g", 0.5)]
     _load(twins, "sample", rows, 0.0)
     p1, oracle = pairs["P1"]
-    first = _outcome(p1.refresh, 0.0)
-    assert first == _outcome(oracle.refresh_interpreted, 0.0)
+    first = _outcome(twins, p1, 0.0)
+    assert first == _outcome(twins, oracle, 0.0)
     assert first == [("choice", typed(("n1", 7, 0.75))), ("choice", typed(("n1", 8, 0.5)))]
-    assert _outcome(p1.refresh, 0.0) == [] == _outcome(oracle.refresh_interpreted, 0.0)
+    assert _outcome(twins, p1, 0.0) == [] == _outcome(twins, oracle, 0.0)
     assert p1.seen_groups == 2
     # reset alone (no table change) must force a rescan that re-emits
     for strand in pairs["P1"]:
         strand.reset()
-    assert _outcome(p1.refresh, 0.0) == first == _outcome(oracle.refresh_interpreted, 0.0)
+    assert _outcome(twins, p1, 0.0) == first == _outcome(twins, oracle, 0.0)
     # clear alone must be seen although the strand was not told
     for node in twins:
         node.tables.get("sample").clear()
-    assert _outcome(p1.refresh, 0.0) == [] == _outcome(oracle.refresh_interpreted, 0.0)
+    assert _outcome(twins, p1, 0.0) == [] == _outcome(twins, oracle, 0.0)
     assert p1.seen_groups == 0
     # the real thing: crash, restart, the same rows arrive again
     _load(twins, "sample", rows, 1.0)
@@ -455,7 +467,7 @@ def test_crash_clear_reset_restart_re_emits_everything(twins):
         node.restart()
         assert len(node.tables.get("sample")) == 0
     _load(twins, "sample", rows, 2.0)
-    assert _outcome(p1.refresh, 2.0) == first == _outcome(oracle.refresh_interpreted, 2.0)
+    assert _outcome(twins, p1, 2.0) == first == _outcome(twins, oracle, 2.0)
     _assert_refreshes_agree(twins, 2.0)
 
 
@@ -481,21 +493,25 @@ def test_chord_recomputes_as_often_and_scans_far_less(monkeypatch):
         return rows
 
     monkeypatch.setattr(Table, "scan", scan)  # before bind() reads table.scan
-    network = build_chord_network(8, seed=5)
-    strands = [s for node in network.nodes for s in node.compiled.continuous]
-    assert strands and all(s.fused for s in strands)
+    real_bind = P2Node._bind
 
-    def counted(inner):
+    def bind(node, trigger):
+        handler = real_bind(node, trigger)
+        if type(trigger) is str or trigger[0] != "continuous":
+            return handler
+
         def refresh(at):
             refreshing[0] = True
             try:
-                return inner(at)
+                return handler(at)
             finally:
                 refreshing[0] = False
         return refresh
 
-    for strand in strands:
-        strand.refresh = counted(strand.refresh)
+    monkeypatch.setattr(P2Node, "_bind", bind)
+    network = build_chord_network(8, seed=5)
+    strands = [s for node in network.nodes for s in node.compiled.continuous]
+    assert strands and all(node.fused for node in network.nodes)
     network.simulation.run_for(120.0)
     assert sum(s.recomputations for s in strands) == RECOMPUTATIONS_BEFORE
     assert sum(s.aggregate.stats.emitted for s in strands) == RECOMPUTATIONS_BEFORE

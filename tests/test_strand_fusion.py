@@ -1,15 +1,17 @@
-"""Differential suite: fused strand closures vs. the interpreted element walk.
+"""Differential suite: fused procedures vs. their ``fused=False`` twins.
 
-The strand compiler (``repro.planner.strand_compiler``) must be observably
-identical to the interpreted executor it replaces: same ``HeadRoute``
-sequences, same ``fired``/``produced`` counters, same per-element stats —
-bit for bit.  These tests build *twin* single-node worlds (one fused, one
-interpreted, same seed) and drive both with identical randomized table
-contents and event streams, across every bundled overlay program plus
-generated rule shapes (multi-join, antijoin, aggregate-with-fallback,
-delete heads) from the shared ``tests.support.genprograms`` module.  A full
-chord static and a churn experiment are re-run in both modes and compared
-field by field.
+Every firing on a node runs its trigger's generated procedure.  On a fused
+node the procedure inlines each strand's body; under ``fused=False`` it calls
+each strand's interpreted element walk.  The two must be observably
+identical: the same heads routed to the same places in the same order, the
+same ``fired``/``produced`` counters, the same per-element and per-table
+stats — bit for bit.  These tests build *twin* single-node worlds (one
+fused, one not, same seed; ``tests.support.procedures.Twins``) and fire every
+trigger of both with identical randomized table contents and events, across
+every bundled overlay program plus generated rule shapes (multi-join,
+antijoin, aggregate-with-fallback, delete heads) from the shared
+``tests.support.genprograms`` module.  A full chord static and a churn
+experiment are re-run in both modes and compared field by field.
 """
 
 import random
@@ -18,13 +20,14 @@ import zlib
 import pytest
 
 from repro.core import Tuple
-from repro.core.errors import PlannerError
 from repro.net.topology import UniformTopology
 from repro.net.transport import Network
 from repro.overlays.chord import chord_program
 from repro.overlays.gossip import gossip_program
 from repro.overlays.narada import narada_program
 from repro.overlays.pingpong import pingpong_program
+from repro.planner import ContinuousAggregateStrand, RuleStrand
+from repro.planner.strand_compiler import procedure_triggers
 from repro.runtime.node import P2Node
 from repro.sim.event_loop import EventLoop
 
@@ -32,12 +35,10 @@ from tests.support.genprograms import (
     GENERATED_PROGRAMS,
     SHAPES,
     generate_program,
-    make_node,
-    make_twins,
-    paired_strands,
     populate_tables,
     random_value,
 )
+from tests.support.procedures import Twins, calls_the_walk
 
 OVERLAY_PROGRAMS = {
     "chord": chord_program(),
@@ -47,90 +48,46 @@ OVERLAY_PROGRAMS = {
 }
 
 
-def assert_strands_agree(sf, si):
-    __tracebackinfo__ = (sf.rule_id, sf.event_name)
-    assert sf.fired == si.fired, sf.rule_id
-    assert sf.produced == si.produced, sf.rule_id
-    for ef, ei in zip(sf.elements(), si.elements()):
-        assert ef.stats == ei.stats, (sf.rule_id, ef.name)
+def fire_differentially(twins, rng, events_per_trigger=25):
+    """Fire every trigger of both twins with identical random events.
 
-
-def _snapshot(strand):
-    return (
-        strand.fired,
-        strand.produced,
-        [
-            (e.stats.pushed_in, e.stats.emitted, e.stats.dropped)
-            for e in strand.elements()
-        ],
-    )
-
-
-def _restore(strand, snap):
-    strand.fired, strand.produced, element_stats = snap
-    for element, (pushed_in, emitted, dropped) in zip(strand.elements(), element_stats):
-        element.stats.pushed_in = pushed_in
-        element.stats.emitted = emitted
-        element.stats.dropped = dropped
-
-
-def _fire(strand, event, addr):
-    try:
-        return strand.process(event, addr), None
-    except Exception as exc:  # noqa: BLE001 - the error IS the observable
-        return None, f"{type(exc).__name__}: {exc}"
-
-
-def fire_differentially(fused_node, interp_node, rng, events_per_strand=25):
-    """Fire every twin strand pair with identical random events.
-
-    Successful firings must match route-for-route and stat-for-stat.  A
-    firing that raises (random junk flowing into arithmetic) must raise the
-    *same* error from both executors; such an error is fatal to a real run,
-    and the two executors legitimately abort mid-pipeline at different
-    points, so both strands' stats are rolled back to the pre-firing
-    snapshot to keep the differential running.
+    Every firing must match route for route and counter for counter; one
+    that raises (random junk flowing into arithmetic) must raise the *same*
+    error from both (see :meth:`Twins.fire`).
     """
-    addr = fused_node.address
-    for sf, si in paired_strands(fused_node, interp_node):
-        assert sf.fused and not si.fused
-        for trial in range(events_per_strand):
-            arity = sf.min_event_arity + (1 if trial % 5 == 4 else 0)
+    addr = twins.fused.address
+    for trigger, min_arity in twins.triggers():
+        assert not calls_the_walk(twins.fused, trigger), trigger
+        assert calls_the_walk(twins.walk, trigger), trigger
+        name = trigger if type(trigger) is str else "periodic"
+        for trial in range(events_per_trigger):
+            arity = min_arity + (1 if trial % 5 == 4 else 0)
             fields = [addr if trial % 2 else random_value(rng, addr)] + [
                 random_value(rng, addr) for _ in range(max(arity - 1, 0))
             ]
-            event = Tuple(sf.event_name, fields or [addr])
-            snap_f, snap_i = _snapshot(sf), _snapshot(si)
-            rf, err_f = _fire(sf, event, addr)
-            ri, err_i = _fire(si, event, addr)
-            assert err_f == err_i, (sf.rule_id, event)
-            if err_f is not None:
-                _restore(sf, snap_f)
-                _restore(si, snap_i)
-                continue
-            assert rf == ri, (sf.rule_id, event)
-        assert_strands_agree(sf, si)
+            twins.fire(trigger, Tuple(name, fields or [addr]))
+    twins.check()
 
 
 @pytest.mark.parametrize("name", sorted(OVERLAY_PROGRAMS))
 def test_overlay_strands_fused_vs_interpreted(name):
     rng = random.Random(zlib.crc32(name.encode()) & 0xFFFF)
-    fused_node, interp_node = make_twins(OVERLAY_PROGRAMS[name], seed=11)
+    twins = Twins(OVERLAY_PROGRAMS[name], seed=11)
     # empty-table firings first (covers empty joins and count<*> fallbacks) ...
-    fire_differentially(fused_node, interp_node, random.Random(1), events_per_strand=5)
+    fire_differentially(twins, random.Random(1), events_per_trigger=5)
     # ... then with populated tables
-    populate_tables([fused_node, interp_node], rng)
-    fire_differentially(fused_node, interp_node, rng)
+    populate_tables(twins.nodes, rng)
+    fire_differentially(twins, rng)
 
 
 @pytest.mark.parametrize("name", sorted(GENERATED_PROGRAMS))
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_generated_rule_shapes_fused_vs_interpreted(name, seed):
     rng = random.Random(seed * 1000 + 17)
-    fused_node, interp_node = make_twins(GENERATED_PROGRAMS[name], seed=seed)
-    fire_differentially(fused_node, interp_node, random.Random(seed), events_per_strand=5)
-    populate_tables([fused_node, interp_node], rng, rows_per_table=8)
-    fire_differentially(fused_node, interp_node, rng, events_per_strand=40)
+    twins = Twins(GENERATED_PROGRAMS[name], seed=seed)
+    fire_differentially(twins, random.Random(seed), events_per_trigger=5)
+    populate_tables(twins.nodes, rng, rows_per_table=8)
+    fire_differentially(twins, rng, events_per_trigger=40)
 
 
 @pytest.mark.parametrize("shape", SHAPES)
@@ -139,49 +96,41 @@ def test_randomized_shapes_fused_vs_interpreted(shape, seed):
     """The seeded generator's programs also hold under fusion."""
     source = generate_program(shape, seed)
     rng = random.Random(seed * 77 + 5)
-    fused_node, interp_node = make_twins(source, seed=seed)
-    fire_differentially(fused_node, interp_node, random.Random(seed), events_per_strand=5)
-    populate_tables([fused_node, interp_node], rng, rows_per_table=8)
-    fire_differentially(fused_node, interp_node, rng, events_per_strand=30)
+    twins = Twins(source, seed=seed)
+    fire_differentially(twins, random.Random(seed), events_per_trigger=5)
+    populate_tables(twins.nodes, rng, rows_per_table=8)
+    fire_differentially(twins, rng, events_per_trigger=30)
 
 
 def test_multi_join_produces_joined_rows_in_same_order():
     """A non-vacuous check: the multi-join actually fans out and matches."""
-    fused_node, interp_node = make_twins(GENERATED_PROGRAMS["multi_join"])
-    for node in (fused_node, interp_node):
+    twins = Twins(GENERATED_PROGRAMS["multi_join"])
+    for node in twins.nodes:
         for a, b in [(1, 2), (1, 3)]:
             node.tables.get("t1").insert(Tuple.make("t1", "n1", a, b), 0.0)
         for b, c in [(2, 9), (3, 8), (3, 7)]:
             node.tables.get("t2").insert(Tuple.make("t2", "n1", b, c), 0.0)
-    event = Tuple.make("trig", "n1", 1)
-    rf = fused_node.compiled.strands_by_event["trig"][0].process(event, "n1")
-    ri = interp_node.compiled.strands_by_event["trig"][0].process(event, "n1")
-    assert rf == ri
-    assert len(rf) == 3  # (1,2,9), (1,3,8), (1,3,7)
+    routes, error = twins.fire("trig", Tuple.make("trig", "n1", 1))
+    assert error is None
+    assert len(routes) == 3  # (1,2,9), (1,3,8), (1,3,7)
 
 
 def test_constant_join_key_matches_both_modes():
     """The prebound-constant key path actually probes the right rows."""
-    fused_node, interp_node = make_twins(GENERATED_PROGRAMS["constant_join_key"])
-    for node in (fused_node, interp_node):
+    twins = Twins(GENERATED_PROGRAMS["constant_join_key"])
+    for node in twins.nodes:
         table = node.tables.get("kv")
         table.insert(Tuple.make("kv", "n1", 7, "a"), 0.0)
         table.insert(Tuple.make("kv", "n1", 7, "b"), 0.0)
         table.insert(Tuple.make("kv", "n1", 8, "c"), 0.0)
-    event = Tuple.make("q", "n1")
-    rf = fused_node.compiled.strands_by_event["q"][0].process(event, "n1")
-    ri = interp_node.compiled.strands_by_event["q"][0].process(event, "n1")
-    assert rf == ri
-    assert sorted(r.tuple.fields[1] for r in rf) == ["a", "b"]
+    routes, _ = twins.fire("q", Tuple.make("q", "n1"))
+    assert sorted(head.fields[1] for _, head in routes) == ["a", "b"]
 
 
 def test_aggregate_fallback_emits_count_zero_both_modes():
-    fused_node, interp_node = make_twins(GENERATED_PROGRAMS["aggregate_with_fallback"])
-    event = Tuple.make("probe", "n1", "missing")
-    rf = fused_node.compiled.strands_by_event["probe"][0].process(event, "n1")
-    ri = interp_node.compiled.strands_by_event["probe"][0].process(event, "n1")
-    assert rf == ri
-    assert len(rf) == 1 and rf[0].tuple.fields[2] == 0
+    twins = Twins(GENERATED_PROGRAMS["aggregate_with_fallback"])
+    routes, _ = twins.fire("probe", Tuple.make("probe", "n1", "missing"))
+    assert len(routes) == 1 and routes[0][1].fields[2] == 0
 
 
 def test_continuous_aggregates_fused_vs_interpreted():
@@ -189,46 +138,44 @@ def test_continuous_aggregates_fused_vs_interpreted():
         materialize(succDist, infinity, infinity, keys(2)).
         N3 best@NI(NI, min<D>) :- succDist@NI(NI, S, D).
     """
-    fused_node, interp_node = make_twins(source)
-    cf = fused_node.compiled.continuous[0]
-    ci = interp_node.compiled.continuous[0]
-    assert cf.fused and not ci.fused
+    twins = Twins(source)
+    trigger = ("continuous", 0)
+    assert not calls_the_walk(twins.fused, trigger) and calls_the_walk(twins.walk, trigger)
     # empty table: nothing derived either way
-    assert cf.recompute(0.0, "n1") == ci.recompute(0.0, "n1") == []
+    assert twins.fire(trigger, 0.0) == ([], None)
     rng = random.Random(99)
     for step in range(5):
         row = Tuple.make("succDist", "n1", step, rng.randrange(1000))
-        for node in (fused_node, interp_node):
+        for node in twins.nodes:
             node.tables.get("succDist").insert(row, 0.0)
-        rf = cf.recompute(0.0, "n1")
-        ri = ci.recompute(0.0, "n1")
-        assert rf == ri
+        twins.fire(trigger, 0.0)
         # unchanged aggregate => both suppress re-emission
-        assert cf.recompute(0.0, "n1") == ci.recompute(0.0, "n1") == []
-    assert cf.recomputations == ci.recomputations
-    assert cf._last_emitted == ci._last_emitted
+        assert twins.fire(trigger, 0.0) == ([], None)
+    assert twins.fused.compiled.continuous[0].recomputations == 11
 
 
 def test_fused_arity_check_matches_interpreted():
-    fused_node, interp_node = make_twins(GENERATED_PROGRAMS["antijoin"])
-    strand_f = fused_node.compiled.strands_by_event["evt"][0]
-    strand_i = interp_node.compiled.strands_by_event["evt"][0]
-    short = Tuple.make("evt", "n1")
-    with pytest.raises(PlannerError) as err_f:
-        strand_f.process(short, "n1")
-    with pytest.raises(PlannerError) as err_i:
-        strand_i.process(short, "n1")
-    assert str(err_f.value) == str(err_i.value)
+    twins = Twins(GENERATED_PROGRAMS["antijoin"])
+    routes, error = twins.fire("evt", Tuple.make("evt", "n1"))
+    assert routes == [] and error.startswith("PlannerError: rule ")
 
 
 def test_escape_hatch_and_default_flags():
-    fused_node, interp_node = make_twins(OVERLAY_PROGRAMS["pingpong"])
+    twins = Twins(OVERLAY_PROGRAMS["pingpong"])
+    fused_node, interp_node = twins.nodes
     assert fused_node.fused and fused_node.compiled.fused
     assert not interp_node.fused and not interp_node.compiled.fused
-    for sf, si in paired_strands(fused_node, interp_node):
-        assert sf.fused and not si.fused
-        # the oracle stays reachable on a fused strand
-        assert sf.fire_interpreted is not None
+    for trigger in procedure_triggers(fused_node.compiled)[:-1]:
+        if fused_node.compiled.strands_of(trigger):
+            assert not calls_the_walk(fused_node, trigger)
+            assert calls_the_walk(interp_node, trigger)
+    # the strands carry no mode: their methods are the walk, on every node
+    for node in twins.nodes:
+        for strand in node.compiled.all_strands():
+            assert not hasattr(strand, "fused") and "fire" not in vars(strand)
+            assert strand.fire.__func__ is RuleStrand.fire
+        for strand in node.compiled.continuous:
+            assert strand.refresh.__func__ is ContinuousAggregateStrand.refresh
 
 
 def test_fused_node_runs_whole_overlay():

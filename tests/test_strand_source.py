@@ -1,10 +1,11 @@
 """The source back end of the strand compiler, beyond the differential grid.
 
 ``tests/test_strand_fusion.py`` and ``tests/test_planner_opt.py`` check that
-generated strands and the element walk agree on routes, counters and stats
+fused procedures and the element walk agree on routes, counters and stats
 over random tables and events.  This file pins what those suites only brush:
-error identity message for message, evaluation order, the fallback rule,
-template reuse across nodes, and where the generated code can be found.
+error identity message for message, evaluation order, the decline rule and
+its boundary, code reuse across nodes, and where the generated code can be
+found.
 """
 
 import linecache
@@ -18,22 +19,26 @@ from repro.core.errors import PELError
 from repro.net.topology import UniformTopology
 from repro.net.transport import Network
 from repro.overlog import parse_program
-from repro.planner import Planner, strand_sources
+from repro.planner import Planner, plan_program
+from repro.planner.strand_compiler import MAX_BLOCKS, procedure_triggers
 from repro.runtime.node import P2Node
 from repro.sim.event_loop import EventLoop
 
-from tests.support.genprograms import make_node, make_twins
-from tests.test_strand_fusion import OVERLAY_PROGRAMS, _fire, assert_strands_agree
+from tests.support.genprograms import make_node
+from tests.support.procedures import Twins, bind_capturing, calls_the_walk, fire
+from tests.test_strand_fusion import OVERLAY_PROGRAMS
 
 
-def _strand(node, event):
-    (strand,) = node.compiled.strands_by_event[event]
-    return strand
+def _triggers(node):
+    """Every trigger *node* has a procedure for, a name it has never heard of
+    standing for all other relations."""
+    return [trigger or "unheard" for trigger in procedure_triggers(node.compiled)]
 
 
-def _outcome(strand, event):
-    """``(routes, None)`` or ``(None, "ErrorType: message")``."""
-    return _fire(strand, event, "n1")
+def _heads(outcome):
+    """The head fields an outcome routed, and its error."""
+    routes, error = outcome
+    return [head.fields for _, head in routes], error
 
 
 # ----------------------------------------------------------------- error identity
@@ -41,32 +46,32 @@ ERROR_CASES = {
     "division by zero in an assignment": (
         "r1 out@X(X, Z) :- ev@X(X, Y), Z := 10 / Y.",
         Tuple.make("ev", "n1", 0),
-        (None, "PELError: division by zero"),
+        ([], "PELError: division by zero"),
     ),
     "division by zero in a selection": (
         "r1 out@X(X, Y) :- ev@X(X, Y), 10 / Y > 1.",
         Tuple.make("ev", "n1", 0),
-        (None, "PELError: division by zero"),
+        ([], "PELError: division by zero"),
     ),
     "division by zero in a head field": (
         "r1 out@X(X, 10 / Y) :- ev@X(X, Y).",
         Tuple.make("ev", "n1", 0),
-        (None, "PELError: division by zero"),
+        ([], "PELError: division by zero"),
     ),
     "a string where arithmetic wants a number": (
         "r1 out@X(X, Z) :- ev@X(X, Y), Z := Y * 2.",
         Tuple.make("ev", "n1", "abc"),
-        (None, "PELError: PEL execution failed ('(Y * 2)'): cannot convert string 'abc' to float"),
+        ([], "PELError: PEL execution failed ('(Y * 2)'): cannot convert string 'abc' to float"),
     ),
     "unknown built-in": (
         "r1 out@X(X, Z) :- ev@X(X, Y), Z := f_nope(Y).",
         Tuple.make("ev", "n1", 1),
-        (None, "PELError: unknown built-in function 'f_nope'"),
+        ([], "PELError: unknown built-in function 'f_nope'"),
     ),
     "arity-short event": (
         "r1 out@X(X, Y) :- ev@X(X, Y).",
         Tuple.make("ev", "n1"),
-        (None, "PlannerError: rule r1: event ev(n1) has arity 1, expected at least 2"),
+        ([], "PlannerError: rule r1: event ev(n1) has arity 1, expected at least 2"),
     ),
 }
 
@@ -74,11 +79,9 @@ ERROR_CASES = {
 @pytest.mark.parametrize("case", sorted(ERROR_CASES))
 def test_errors_match_the_element_walk_message_for_message(case):
     source, event, expected = ERROR_CASES[case]
-    fused_node, interp_node = make_twins(source)
-    sf, si = _strand(fused_node, "ev"), _strand(interp_node, "ev")
-    assert sf.fused and not si.fused
-    assert _outcome(sf, event) == _outcome(si, event) == expected
-    assert (sf.fired, sf.produced) == (si.fired, si.produced)
+    twins = Twins(source)
+    assert not calls_the_walk(twins.fused, "ev")
+    assert twins.fire("ev", event) == expected  # and the strands counted alike
 
 
 SHORT_ROW_RULES = {
@@ -98,13 +101,11 @@ def test_load_out_of_range_on_a_short_stored_row(where):
         "materialize(t, infinity, infinity, keys(1)).\n"
         "materialize(u, infinity, infinity, keys(1, 2)).\n" + SHORT_ROW_RULES[where]
     )
-    fused_node, interp_node = make_twins(source)
-    for node in (fused_node, interp_node):
+    twins = Twins(source)
+    for node in twins.nodes:
         node.tables.get("t").insert(Tuple.make("t", "n1", 5), 0.0)  # no third field
-    event = Tuple.make("ev", "n1")
-    got = _outcome(_strand(fused_node, "ev"), event)
-    assert got == _outcome(_strand(interp_node, "ev"), event)
-    assert got == (None, "PELError: LOAD 3 out of range (tuple arity 3)")
+    got = twins.fire("ev", Tuple.make("ev", "n1"))
+    assert got == ([], "PELError: LOAD 3 out of range (tuple arity 3)")
 
 
 def test_non_pel_exceptions_surface_unchanged():
@@ -116,19 +117,16 @@ def test_non_pel_exceptions_surface_unchanged():
         net = Network(loop, UniformTopology(latency=0.01))
         node = P2Node("n1", source, net, loop, seed=1, fused=fused,
                       extra_builtins={"f_obj": lambda ctx: object()})
-        outcomes.append(_outcome(_strand(node, "ev"), Tuple.make("ev", "n1")))
+        outcomes.append(fire(node, "ev", Tuple.make("ev", "n1")))
     for _, error in outcomes:  # the messages differ only in the object's address
         assert error.startswith("ValueError_: cannot represent <object object")
 
 
 def test_an_error_inside_a_builtin_names_the_expression():
     source = "r1 out@X(X, Z) :- ev@X(X, Y), Z := f_int(Y) + 1."
-    fused_node, interp_node = make_twins(source)
-    event = Tuple.make("ev", "n1", "zz")
-    got = _outcome(_strand(fused_node, "ev"), event)
-    assert got == _outcome(_strand(interp_node, "ev"), event)
+    got = Twins(source).fire("ev", Tuple.make("ev", "n1", "zz"))
     assert got == (
-        None,
+        [],
         "PELError: PEL execution failed ('(f_int(Y) + 1)'): cannot convert string 'zz' to int",
     )
 
@@ -137,13 +135,11 @@ def test_an_error_inside_a_builtin_names_the_expression():
 def test_or_does_not_short_circuit_the_node_rng():
     """``X == 1 || f_coinFlip(0.5)`` draws even when the left side is true."""
     source = "r1 out@X(X, Y) :- ev@X(X, Y), (Y == 1) || f_coinFlip(0.5)."
-    fused_node, interp_node = make_twins(source, seed=3)
+    twins = Twins(source, seed=3)
+    fused_node, interp_node = twins.nodes
     before = fused_node.rng.getstate()
     for y in (1, 1, 0, 1, 0, 0, 1):
-        event = Tuple.make("ev", "n1", y)
-        assert _outcome(_strand(fused_node, "ev"), event) == _outcome(
-            _strand(interp_node, "ev"), event
-        )
+        twins.fire("ev", Tuple.make("ev", "n1", y))  # the same heads and counters
     assert fused_node.rng.getstate() == interp_node.rng.getstate() != before
     # seven draws, one per firing, whatever the left operand was
     import random
@@ -152,7 +148,6 @@ def test_or_does_not_short_circuit_the_node_rng():
     for _ in range(7):
         reference.random()
     assert fused_node.rng.getstate() == reference.getstate()
-    assert_strands_agree(_strand(fused_node, "ev"), _strand(interp_node, "ev"))
 
 
 def test_builtins_see_the_tuple_they_are_evaluated_over():
@@ -168,9 +163,8 @@ def test_builtins_see_the_tuple_they_are_evaluated_over():
         node = P2Node("n1", source, net, loop, seed=1, fused=fused,
                       extra_builtins={"f_width": lambda ctx, a: len(ctx.fields)})
         node.tables.get("t").insert(Tuple.make("t", "n1", 7), 0.0)
-        seen[fused] = _outcome(_strand(node, "ev"), Tuple.make("ev", "n1"))
-    assert seen[True] == seen[False]
-    assert seen[True][0][0].tuple.fields == ("n1", 7, 3)
+        seen[fused] = _heads(fire(node, "ev", Tuple.make("ev", "n1")))
+    assert seen[True] == seen[False] == ([("n1", 7, 3)], None)
 
 
 # --------------------------------------------------------------------- fallback
@@ -181,34 +175,49 @@ def _many_joins(count):
     return "\n".join(mats + [f"J {head} :- ev@X(X, V0), {', '.join(joins)}."])
 
 
-def test_a_25_join_strand_runs_through_the_element_walk():
-    """More nested blocks than CPython compiles: declined, not broken."""
-    source = _many_joins(25)
-    fused_node, interp_node = make_twins(source)
-    for node in (fused_node, interp_node):
-        for i in range(25):
-            node.tables.get(f"t{i}").insert(Tuple.make(f"t{i}", "n1", i, i + 1), 0.0)
-    sf, si = _strand(fused_node, "ev"), _strand(interp_node, "ev")
-    assert fused_node.compiled.fused and not sf.fused  # the walk stayed
-    assert "left to the element walk" in Planner.explain_source(source)
-    for v0 in (0, 1):
-        event = Tuple.make("ev", "n1", v0)
-        assert _outcome(sf, event) == _outcome(si, event)
-    assert sf.produced == si.produced == 1
-    assert_strands_agree(sf, si)
+def _many_joins_continuous(count):
+    """A continuous count over its base table ``b`` and *count* joins."""
+    mats = [f"materialize(t{i}, infinity, infinity, keys(2))." for i in range(count)]
+    joins = [f"t{i}@X(X, V{i}, V{i + 1})" for i in range(count)]
+    body = ", ".join(["b@X(X, V0)"] + joins)
+    return "\n".join(["materialize(b, infinity, infinity, keys(2))."] + mats
+                     + [f"C out@X(X, count<*>) :- {body}."])
 
 
-def test_an_18_join_strand_still_compiles():
-    source = _many_joins(18)
-    fused_node, interp_node = make_twins(source)
-    for node in (fused_node, interp_node):
-        for i in range(18):
+def _fill(twins, count):
+    for node in twins.nodes:
+        for i in range(count):
             node.tables.get(f"t{i}").insert(Tuple.make(f"t{i}", "n1", i, i + 1), 0.0)
-    sf, si = _strand(fused_node, "ev"), _strand(interp_node, "ev")
-    assert sf.fused
-    event = Tuple.make("ev", "n1", 0)
-    assert _outcome(sf, event) == _outcome(si, event)
-    assert sf.produced == 1
+
+
+# a rule strand nests the ``try`` and one ``for`` per join; a continuous strand
+# also its scan loop — so 19 and 18 joins are each kind's last to be inlined
+@pytest.mark.parametrize("joins", [18, MAX_BLOCKS - 1, MAX_BLOCKS, 25])
+def test_a_strand_nested_deeper_than_cpython_compiles_is_called_through_fire(joins):
+    source = _many_joins(joins)
+    twins = Twins(source)
+    _fill(twins, joins)
+    assert calls_the_walk(twins.fused, "ev") == (joins >= MAX_BLOCKS)
+    assert ("s0_fire = strands[0].fire" in Planner.explain_source(source)) == (joins >= MAX_BLOCKS)
+    for v0 in (0, 1, "x"):
+        routes, error = twins.fire("ev", Tuple.make("ev", "n1", v0))  # agrees after each
+        assert error is None and len(routes) == (v0 == 0)
+    assert twins.fused.compiled.strands_by_event["ev"][0].produced == 1
+
+
+@pytest.mark.parametrize("joins", [MAX_BLOCKS - 2, MAX_BLOCKS - 1])
+def test_a_continuous_strand_at_its_limit_is_called_through_refresh(joins):
+    source = _many_joins_continuous(joins)
+    twins = Twins(source)
+    trigger = ("continuous", 0)
+    assert calls_the_walk(twins.fused, trigger) == (joins == MAX_BLOCKS - 1)
+    _fill(twins, joins)
+    for v0 in (0, 1, 5, 0):
+        for node in twins.nodes:
+            node.tables.get("b").insert(Tuple.make("b", "n1", v0), 0.0)
+        twins.fire(trigger, 0.0)  # agrees after each
+    assert twins.fire(trigger, 0.0) == ([], None)  # unchanged: suppressed
+    assert twins.fused.compiled.continuous[0]._last_emitted == {("n1",): ("n1", 1)}
 
 
 # --------------------------------------------------------------- template reuse
@@ -216,35 +225,36 @@ def test_nodes_compiled_from_one_program_share_code_objects():
     program = parse_program(OVERLAY_PROGRAMS["chord"])
     a = make_node(program, True, address="a")
     b = make_node(program, True, address="b")
-    pairs = list(zip(a.compiled.all_strands(), b.compiled.all_strands()))
-    assert pairs
-    for sa, sb in pairs:
-        assert sa.fire is not sb.fire
-        assert sa.fire.__code__ is sb.fire.__code__
-    for ca, cb in zip(a.compiled.continuous, b.compiled.continuous):
-        assert ca.refresh.__code__ is cb.refresh.__code__
-    # one generation per (program, plan kind): the cached list itself is reused
-    assert strand_sources(a.compiled) is strand_sources(b.compiled)
+    triggers = _triggers(a)
+    assert len(triggers) == 39
+    for trigger in triggers:
+        # one generation per (program, plan kind, mode, trigger) ...
+        assert a.compiled.procedure(trigger) is b.compiled.procedure(trigger)
+        ha, hb = bind_capturing(a, trigger)[0], bind_capturing(b, trigger)[0]
+        # ... bound per node: one code object, each node's own closure
+        assert ha is not hb and ha.__code__ is hb.__code__
     naive = make_node(program, True, address="c", optimize=False)
-    assert strand_sources(naive.compiled) is not strand_sources(a.compiled)
-    assert strand_sources(a.compiled) is strand_sources(b.compiled)
+    unfused = make_node(program, False, address="d")
+    for other in (naive, unfused):
+        assert other.compiled.procedure("lookup") is not a.compiled.procedure("lookup")
+    assert plan_program(program).procedure("lookup") is a.compiled.procedure("lookup")
 
 
 def test_a_mutated_program_does_not_reuse_stale_templates():
     program = parse_program("r1 out@X(X, Y) :- ev@X(X, Y), Y > 1.")
     first = make_node(program, True)
-    before = strand_sources(first.compiled)
+    before = first.compiled.procedure("ev")
     extra = parse_program("r1 out@X(X, Y) :- ev@X(X, Y), Y > 5.\nr2 two@X(X) :- ev@X(X, Y).")
     program.rules[0] = extra.rules[0]  # same count, different guard
     program.rules.append(extra.rules[1])
     second = make_node(program, True)
-    assert strand_sources(second.compiled) is not before
+    assert second.compiled.procedure("ev") is not before
     strands = second.compiled.strands_by_event["ev"]
-    assert [s.rule_id for s in strands] == ["r1", "r2"] and all(s.fused for s in strands)
+    assert [s.rule_id for s in strands] == ["r1", "r2"] and not calls_the_walk(second, "ev")
     event = Tuple.make("ev", "n1", 3)
-    assert strands[0].process(event, "n1") == []          # 3 > 5 fails now
-    assert len(strands[1].process(event, "n1")) == 1
-    assert len(_strand(first, "ev").process(event, "n1")) == 1  # the old node is untouched
+    # 3 > 5 fails now: only r2 derives
+    assert _heads(fire(second, "ev", event)) == ([("n1",)], None)
+    assert _heads(fire(first, "ev", event)) == ([("n1", 3)], None)  # the old node is untouched
 
 
 def test_crash_and_restart_reset_the_generated_recompute():
@@ -255,16 +265,17 @@ def test_crash_and_restart_reset_the_generated_recompute():
     node = make_node(source, True)
     node.boot()
     (cont,) = node.compiled.continuous
-    assert cont.fused
+    trigger = ("continuous", 0)
+    assert not calls_the_walk(node, trigger)
     row = Tuple.make("succDist", "n1", 1, 50)
     node.tables.get("succDist").insert(row, 0.0)
-    assert [r.tuple.fields for r in cont.recompute(0.0, "n1")] == [("n1", 50)]
-    assert cont.recompute(0.0, "n1") == []  # unchanged: suppressed
+    assert _heads(fire(node, trigger, 0.0)) == ([("n1", 50)], None)
+    assert fire(node, trigger, 0.0) == ([], None)  # unchanged: suppressed
     for power_cycle in (node.crash, lambda: (node.fail(), node.restart())):
         power_cycle()
-        assert cont._last_emitted == {}
+        assert cont._last_emitted == {} and cont.seen_version is None
         node.tables.get("succDist").insert(row, 0.0)
-        assert [r.tuple.fields for r in cont.recompute(0.0, "n1")] == [("n1", 50)]
+        assert _heads(fire(node, trigger, 0.0)) == ([("n1", 50)], None)
 
 
 # ---------------------------------------------------------------- traceability
@@ -272,38 +283,39 @@ def test_generated_code_lives_under_the_planner_package():
     node = make_node(OVERLAY_PROGRAMS["chord"], True)
     planner_dir = os.path.dirname(repro.planner.__file__)
     seen = set()
-    for strand in node.compiled.all_strands():
-        filename = strand.fire.__code__.co_filename
+    for trigger in _triggers(node):
+        handle = bind_capturing(node, trigger)[0]
+        filename = handle.__code__.co_filename
         assert filename.startswith(os.path.join(planner_dir, "generated") + os.sep)
         assert filename.endswith(".py") and "<" not in filename
         assert not os.path.exists(filename)  # nothing is written to disk
-        assert filename not in seen  # one file per strand
+        assert filename not in seen  # one file per trigger
         seen.add(filename)
         lines = linecache.getlines(filename)
-        assert lines[strand.fire.__code__.co_firstlineno - 1].strip() == "def fire(event):"
-    for cont in node.compiled.continuous:
-        assert cont.refresh.__code__.co_filename.startswith(planner_dir)
+        assert lines[handle.__code__.co_firstlineno - 1].strip().startswith("def handle(")
 
 
 def test_tracebacks_show_the_generated_line():
     import traceback
 
     fused_node = make_node("r1 out@X(X, Z) :- ev@X(X, Y), Z := 10 / Y.", True)
+    handle = bind_capturing(fused_node, "ev")[0]
     try:
-        _strand(fused_node, "ev").process(Tuple.make("ev", "n1", 0), "n1")
+        handle(Tuple.make("ev", "n1", 0))
     except PELError as exc:
         text = "".join(traceback.format_exception(exc))
-    assert "r1.ev.py" in text and "div(10, f0[1], None)" in text
+    assert os.path.join("relations", "ev.py") in text and "div(10, f0[1], None)" in text
 
 
 def test_explain_source_is_the_text_nodes_run_and_needs_no_host():
     text = Planner.explain_source(OVERLAY_PROGRAMS["pingpong"])
     node = make_node(OVERLAY_PROGRAMS["pingpong"], True)
-    for strand in node.compiled.all_strands():
-        generated = "".join(linecache.getlines(strand.fire.__code__.co_filename))
+    for trigger in _triggers(node):
+        filename = bind_capturing(node, trigger)[0].__code__.co_filename
+        generated = "".join(linecache.getlines(filename))
         assert generated and generated in text
     assert text == Planner.explain_source(OVERLAY_PROGRAMS["pingpong"])
-    assert "def fire(event):" in Planner.explain_source(
+    assert "def handle(event):" in Planner.explain_source(
         OVERLAY_PROGRAMS["pingpong"], optimize=False
     )
 
@@ -329,6 +341,6 @@ def test_sha1_sized_ring_takes_the_right_finger():
         node.tables.get("finger").insert(Tuple.make("finger", "n1", 0, b_near, "near"), 0.0)
         node.tables.get("finger").insert(Tuple.make("finger", "n1", 1, b_far, "far"), 0.0)
         event = Tuple.make("bestLookupDist", "n1", k, "req", 1, ring.distance(b_near, k))
-        routes = _strand(node, "bestLookupDist").process(event, "n1")
-        results[fused] = [r.destination for r in routes]
+        routes, _ = fire(node, "bestLookupDist", event)
+        results[fused] = [destination for destination, _ in routes]
     assert results[True] == results[False] == ["near"]

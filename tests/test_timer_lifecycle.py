@@ -258,3 +258,33 @@ class TestLookupWorkloadLifecycle:
         loop.run_until(10.0)
         workload.stop()
         assert 36 <= workload.issued <= 42  # 4/s over ~10s, one chain
+
+
+class TestNodePeriodicLifecycle:
+    """A node's ``periodic`` timers: one chain per spec, whatever a tick does."""
+
+    def test_a_restart_inside_a_tick_keeps_one_chain(self):
+        """A ``pingEvent`` subscriber power-cycles the node in the middle of
+        the tick that derived it: the old chain must end there and the
+        restarted node tick once a second, at its new phase only."""
+        from repro.overlays.pingpong import pingpong_program
+        from repro.runtime.node import P2Node
+
+        loop = EventLoop()
+        net = Network(loop, UniformTopology(0.01))
+        node = P2Node("a", pingpong_program(ping_period=1.0), net, loop, seed=1)
+        net.register(node)
+        ticks = []
+
+        def on_ping(tup):
+            ticks.append(loop.now)
+            if len(ticks) == 1:
+                node.crash()
+                node.restart()
+
+        node.subscribe("pingEvent", on_ping)
+        node.boot()
+        loop.run_until(20.0)
+        assert 19 <= len(ticks) <= 21  # two chains give ~38
+        gaps = [b - a for a, b in zip(ticks[1:], ticks[2:])]
+        assert all(abs(gap - 1.0) < 1e-9 for gap in gaps)  # after the restart

@@ -12,13 +12,17 @@ test-faults:
 	$(PYTHON) -m pytest -x -q tests/test_faults.py
 
 # The wire suites: the reliable layer's ack/retransmit/dedup units, accrual
-# failure detector, cross-shard bit-identity and slow chord loss sweep, plus
-# the best-effort transport, datagram trains and the one-tuple path whose
-# launch and landing steps every reliable wire unit shares (with the pinned
-# reliable-wire golden, tests/golden/wire/).
+# failure detector, work counts, cross-shard bit-identity and slow chord loss
+# sweep, plus the best-effort transport, datagram trains and the one-tuple
+# path whose launch and landing steps every reliable wire unit shares (with
+# the pinned reliable-wire golden, tests/golden/wire/); and what the wire
+# runs on: the event loop and its timers, the fault conditioner and the
+# sharded driver.
 test-reliable:
 	$(PYTHON) -m pytest -x -q tests/test_reliable.py tests/test_network.py \
-	  tests/test_transport_batching.py tests/test_one_tuple_path.py
+	  tests/test_transport_batching.py tests/test_one_tuple_path.py \
+	  tests/test_event_loop.py tests/test_timer_lifecycle.py tests/test_faults.py \
+	  tests/test_sharded_sim.py
 
 # The cost-based planner suite on its own: the optimize×fused differential
 # grid, plan unit tests, golden plan snapshots, and the slow full-run

@@ -31,14 +31,16 @@ class TransmitBuffer(Element):
     def __init__(self, name: str = "transmit"):
         super().__init__(name)
         self._queues: Dict[object, List[Tuple]] = {}
-        self._count = 0
+        #: tuples buffered since the last flush (a plain attribute: the node
+        #: reads it after every drain)
+        self.count = 0
         self.flushes = 0
         self.batches = 0
 
     def enqueue(self, destination, tup: Tuple) -> None:
         """Buffer *tup* for *destination*."""
         self.stats.pushed_in += 1
-        self._count += 1
+        self.count += 1
         queue = self._queues.get(destination)
         if queue is None:
             self._queues[destination] = [tup]
@@ -46,7 +48,7 @@ class TransmitBuffer(Element):
             queue.append(tup)
 
     def __len__(self) -> int:
-        return self._count
+        return self.count
 
     def destinations(self) -> List[object]:
         return list(self._queues)
@@ -54,7 +56,7 @@ class TransmitBuffer(Element):
     def clear(self) -> None:
         """Discard everything buffered (crash-stop: unsent datagrams are lost)."""
         self._queues = {}
-        self._count = 0
+        self.count = 0
 
     def flush(self, sender: Callable[[object, List[Tuple]], object]) -> int:
         """Hand every destination its batch via ``sender(dst, batch)``.
@@ -66,7 +68,7 @@ class TransmitBuffer(Element):
         if not self._queues:
             return 0
         queues, self._queues = self._queues, {}
-        flushed, self._count = self._count, 0
+        flushed, self.count = self.count, 0
         self.flushes += 1
         for destination, batch in queues.items():
             self.batches += 1

@@ -8,12 +8,10 @@ from .topology import (
 )
 from .transport import (
     DEFAULT_CATEGORY,
-    Datagram,
     MTU_BYTES,
     Network,
     NodeTrafficStats,
     PACKET_OVERHEAD_BYTES,
-    pack_datagrams,
 )
 from .reliable import ReliableConfig, ReliableLayer
 
@@ -26,8 +24,6 @@ __all__ = [
     "NodeTrafficStats",
     "ReliableConfig",
     "ReliableLayer",
-    "Datagram",
-    "pack_datagrams",
     "PACKET_OVERHEAD_BYTES",
     "MTU_BYTES",
     "DEFAULT_CATEGORY",

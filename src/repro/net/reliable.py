@@ -60,7 +60,7 @@ Determinism rules (the layer must stay bit-identical across ``shards``):
   clock other than the owning event loop's;
 * every timer deadline carries a sub-microsecond per-link skew
   (:func:`_link_skew`, a CRC of the link's addresses — deterministic, not an
-  RNG stream).  The round constants here (0.5s ``rto_min``, 0.1s delayed
+  RNG stream, taken once per directed link).  The round constants here (0.5s ``rto_min``, 0.1s delayed
   ack) would otherwise make layer timers land *exactly* on control-loop
   event instants — e.g. the retransmission of a datagram triggered by a
   2/s workload tick falls precisely on the next tick — and the relative
@@ -68,6 +68,15 @@ Determinism rules (the layer must stay bit-identical across ``shards``):
   insertion order on a single loop but barrier order under sharding.  The
   skew keeps layer timers off any instant another loop's events can
   occupy, so that undefined tie never arises.
+
+Cost per wire unit: what is fixed for a directed link — the owner's loop,
+the skew, the delayed-ack delay and the timer callbacks — is computed when
+the link's sender or receiver state is built, and the accrual threshold only
+after its ack history changed; a timer arm is one event object calling a
+callback the link already holds.  Every arm still cancels and schedules
+anew at a float-identical time (``now + (delayed_ack + skew)``,
+``deadline + skew``): skipping a re-arm whose deadline did not move would
+change its place among same-instant events, and so the run.
 
 Counter semantics: ``messages_sent``/``messages_dropped`` keep counting
 *tuples* (a retransmitted tuple was still handed to the network once); the
@@ -85,10 +94,11 @@ from __future__ import annotations
 import zlib
 from dataclasses import dataclass
 from functools import partial
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple as PyTuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple as PyTuple
 
+from ..core.tuples import Tuple
 from ..sim.event_loop import EventHandle, EventLoop
-from .transport import Datagram, PACKET_OVERHEAD_BYTES
+from .transport import PACKET_OVERHEAD_BYTES
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle avoidance
     from .transport import Network
@@ -155,22 +165,34 @@ class ReliableConfig:
     probe_interval: float = 2.0
 
 
-@dataclass
 class _InFlight:
     """One unacknowledged data datagram on a sender link."""
 
-    seq: int
-    datagram: Datagram
-    #: first transmission time (the Karn-eligible RTT sample base)
-    sent_at: float
-    #: next retransmission deadline
-    deadline: float
-    retries: int = 0
-    retransmitted: bool = False
+    __slots__ = ("seq", "tuples", "bytes_by_category", "sent_at", "deadline",
+                 "retries", "retransmitted")
+
+    def __init__(self, seq: int, tuples: Sequence[Tuple],
+                 bytes_by_category: Dict[str, int], sent_at: float, deadline: float):
+        self.seq = seq
+        #: the datagram itself, as launched: retransmissions resend it as is
+        self.tuples = tuples
+        self.bytes_by_category = bytes_by_category
+        #: first transmission time (the Karn-eligible RTT sample base)
+        self.sent_at = sent_at
+        #: next retransmission deadline
+        self.deadline = deadline
+        self.retries = 0
+        self.retransmitted = False
 
 
 class _SenderLink:
-    """Sender-side state of one directed link; owned by the source's loop."""
+    """Sender-side state of one directed link; owned by the source's loop.
+
+    What never changes for the link is computed once, when it is created:
+    the source's loop, the timer skew and the two timer callbacks.  The
+    accrual detector's silence threshold is cached and recomputed only after
+    its ack history has changed (``threshold`` is None until then).
+    """
 
     __slots__ = (
         "src",
@@ -186,9 +208,15 @@ class _SenderLink:
         "probe_timer",
         "last_heard",
         "intervals",
+        "threshold",
+        "loop",
+        "skew",
+        "on_retransmit",
+        "on_probe",
     )
 
-    def __init__(self, src: str, dst: str, epoch: int, rto_initial: float):
+    def __init__(self, layer: "ReliableLayer", src: str, dst: str, epoch: int,
+                 loop: EventLoop, skew: float):
         self.src = src
         self.dst = dst
         self.epoch = epoch
@@ -197,7 +225,7 @@ class _SenderLink:
         self.inflight: Dict[int, _InFlight] = {}
         self.srtt: Optional[float] = None
         self.rttvar: float = 0.0
-        self.rto = rto_initial
+        self.rto = layer.config.rto_initial
         self.timer: Optional[EventHandle] = None
         self.suspected = False
         self.probe_timer: Optional[EventHandle] = None
@@ -205,14 +233,31 @@ class _SenderLink:
         self.last_heard: Optional[float] = None
         #: recent ack interarrival gaps (the accrual detector's history)
         self.intervals: List[float] = []
+        #: the silence threshold of that history; None: not computed since
+        #: the history last changed
+        self.threshold: Optional[float] = None
+        #: the source's loop: its clock is "now" for every sender-side step
+        self.loop = loop
+        self.skew = skew
+        self.on_retransmit = partial(layer._on_retransmit_timer, self)
+        self.on_probe = partial(layer._on_probe_timer, self)
 
 
 class _ReceiverLink:
-    """Receiver-side state about one peer; owned by the receiver's loop."""
+    """Receiver-side state about one peer; owned by the receiver's loop.
 
-    __slots__ = ("epoch", "cum", "ooo", "ack_pending", "delack")
+    Like a sender link it is built once per directed link ``owner -> peer``
+    (the direction its acks travel): the owner's loop, the delayed-ack delay
+    (``delayed_ack + skew``) and its timer callback are fixed at creation.
+    """
 
-    def __init__(self, epoch: int):
+    __slots__ = ("owner", "peer", "epoch", "cum", "ooo", "ack_pending", "delack",
+                 "loop", "delack_delay", "on_delack")
+
+    def __init__(self, layer: "ReliableLayer", owner: str, peer: str, epoch: int,
+                 loop: EventLoop, delack_delay: float):
+        self.owner = owner
+        self.peer = peer
         self.epoch = epoch
         #: highest seq with everything at or below delivered; None until the
         #: first datagram of this epoch arrives (its seq becomes the baseline)
@@ -221,6 +266,9 @@ class _ReceiverLink:
         self.ooo: Dict[int, bool] = {}
         self.ack_pending = False
         self.delack: Optional[EventHandle] = None
+        self.loop = loop
+        self.delack_delay = delack_delay
+        self.on_delack = partial(layer._on_delack, self)
 
 
 #: Ack payload: (sender epoch echoed back, cumulative seq or None, SACK list).
@@ -252,6 +300,9 @@ class ReliableLayer:
         self._receivers: Dict[PyTuple[str, str], _ReceiverLink] = {}
         #: per-address send incarnation, bumped by :meth:`peer_up` (restart)
         self._epochs: Dict[str, int] = {}
+        #: (src, dst) -> :func:`_link_skew`: one CRC per directed link, however
+        #: often its sender or receiver state is rebuilt
+        self._skews: Dict[PyTuple[str, str], float] = {}
 
     # ------------------------------------------------------------------ send path
     def open_train(self, src: str, dst: str, now: float) -> Optional[Train]:
@@ -261,25 +312,32 @@ class ReliableLayer:
         train: both move only inside the sender's own events, and a train is
         sent inside one.
         """
-        link = self._sender(src, dst)
+        link = self._senders.get((src, dst)) or self._sender(src, dst)
         if self._suspected_now(link, now):
             return None
         return link, self._ack_payload_for(src, dst)
 
-    def launch(self, train: Train, datagram: Datagram, src_loop: EventLoop, now: float) -> None:
+    def launch(
+        self,
+        train: Train,
+        tuples: Sequence[Tuple],
+        bytes_by_category: Dict[str, int],
+        src_loop: EventLoop,
+        now: float,
+    ) -> None:
         """First transmission of one data datagram of *train*: it takes the
         link's next sequence number and stays in flight until acknowledged."""
         link, ack = train
-        entry = _InFlight(
-            seq=link.next_seq, datagram=datagram, sent_at=now, deadline=now + link.rto
+        seq = link.next_seq
+        link.next_seq = seq + 1
+        entry = link.inflight[seq] = _InFlight(
+            seq, tuples, bytes_by_category, now, now + link.rto
         )
-        link.next_seq += 1
-        link.inflight[entry.seq] = entry
         net = self.network
         net._launch(
             link.src, src_loop, link.dst, now,
-            partial(net._land, link.dst, datagram.tuples, datagram.bytes_by_category,
-                    partial(self._accept, link.src, link.dst, link.epoch, entry, ack)),
+            partial(net._land, link.dst, tuples, bytes_by_category,
+                    partial(self._accept, link, entry, ack)),
         )
 
     def close_train(self, train: Train) -> None:
@@ -287,17 +345,18 @@ class ReliableLayer:
         self._arm_retransmit(train[0])
 
     # ------------------------------------------------------------------ receive path
-    def _accept(
-        self, src: str, dst: str, epoch: int, entry: _InFlight, ack: Optional[AckPayload]
-    ) -> bool:
-        """Receive side of one data datagram from *src* at the live *dst*.
+    def _accept(self, link: _SenderLink, entry: _InFlight, ack: Optional[AckPayload]) -> bool:
+        """Receive side of one data datagram of *link* at the live ``link.dst``.
 
         True hands its tuples to the endpoint.  False keeps them back: a
-        duplicate or a datagram of an older incarnation of *src* (counted in
-        ``dupes_dropped``), or one beyond the reorder window (its tuples
-        counted dropped, so the sender retries once the window has advanced).
+        duplicate or a datagram of an older incarnation of ``link.src``
+        (counted in ``dupes_dropped``), or one beyond the reorder window (its
+        tuples counted dropped, so the sender retries once the window has
+        advanced).  *link* stands for the datagram's ``(src, dst, epoch)``
+        only; its sender-side state is not read here.
         """
         net = self.network
+        src, dst, epoch = link.src, link.dst, link.epoch
         if ack is not None:
             self._apply_ack(dst, src, ack)
         st = self._receiver(dst, src, epoch)
@@ -306,26 +365,28 @@ class ReliableLayer:
             net.dupes_dropped += 1
             return False
         seq = entry.seq
-        if st.cum is not None and (seq <= st.cum or seq in st.ooo):
+        cum = st.cum
+        if cum is not None and (seq <= cum or seq in st.ooo):
             # already delivered: suppress, but re-ack (the dup usually means
             # our ack was lost)
             net.dupes_dropped += 1
-            self._note_ack_needed(dst, src, st)
+            self._note_ack_needed(st)
             return False
-        if st.cum is not None and seq > st.cum + self.config.reorder_window:
-            net.messages_dropped += len(entry.datagram)
+        if cum is not None and seq > cum + self.config.reorder_window:
+            net.messages_dropped += len(entry.tuples)
             return False
-        if st.cum is None or seq == st.cum + 1:
+        if cum is None or seq == cum + 1:
             # in order (or the adopted baseline of an unknown epoch)
+            ooo = st.ooo
+            while seq + 1 in ooo:
+                seq += 1
+                del ooo[seq]
             st.cum = seq
-            while st.cum + 1 in st.ooo:
-                st.cum += 1
-                del st.ooo[st.cum]
         else:
             st.ooo[seq] = True
         # arm the ack before delivering: tuples delivered next may generate
         # reverse traffic in this very event, which then piggybacks the ack
-        self._note_ack_needed(dst, src, st)
+        self._note_ack_needed(st)
         return True
 
     def _receiver(self, owner: str, peer: str, epoch: int) -> _ReceiverLink:
@@ -333,7 +394,10 @@ class ReliableLayer:
         of a newer incarnation of *peer* (a fresh sequence space) arrives."""
         st = self._receivers.get((owner, peer))
         if st is None:
-            st = self._receivers[(owner, peer)] = _ReceiverLink(epoch)
+            st = self._receivers[(owner, peer)] = _ReceiverLink(
+                self, owner, peer, epoch, self.network._clock(owner),
+                self.config.delayed_ack + self._skew(owner, peer),
+            )
         elif epoch > st.epoch:
             st.epoch = epoch
             st.cum = None
@@ -341,21 +405,16 @@ class ReliableLayer:
         return st
 
     # ------------------------------------------------------------------ acks
-    def _note_ack_needed(self, owner: str, peer: str, st: _ReceiverLink) -> None:
+    def _note_ack_needed(self, st: _ReceiverLink) -> None:
         st.ack_pending = True
         if st.delack is None:
-            st.delack = self.network._clock(owner).schedule(
-                self.config.delayed_ack + _link_skew(owner, peer),
-                lambda: self._on_delack(owner, peer),
-            )
+            loop = st.loop
+            st.delack = loop.schedule_at(loop.now + st.delack_delay, st.on_delack)
 
-    def _on_delack(self, owner: str, peer: str) -> None:
-        st = self._receivers.get((owner, peer))
-        if st is None:
-            return
+    def _on_delack(self, st: _ReceiverLink) -> None:
         st.delack = None
         if st.ack_pending:
-            self._send_pure_ack(owner, peer)
+            self._send_pure_ack(st)
 
     def _ack_payload_for(self, owner: str, peer: str) -> Optional[AckPayload]:
         """Current ack state to piggyback on a data send owner -> peer.
@@ -371,15 +430,18 @@ class ReliableLayer:
         if st.delack is not None:
             st.delack.cancel()
             st.delack = None
-        return (st.epoch, st.cum, tuple(sorted(st.ooo)))
+        return (st.epoch, st.cum, tuple(sorted(st.ooo)) if st.ooo else ())
 
-    def _send_pure_ack(self, owner: str, peer: str) -> None:
-        """One pure-ack wire unit owner -> peer (no tuples, 'ack' category)."""
+    def _send_pure_ack(self, st: _ReceiverLink) -> None:
+        """One pure-ack wire unit ``st.owner -> st.peer`` (no tuples, 'ack'
+        category)."""
+        owner, peer = st.owner, st.peer
         snapshot = self._ack_payload_for(owner, peer)
         nbytes = PACKET_OVERHEAD_BYTES + ACK_BASE_BYTES + SACK_ENTRY_BYTES * len(snapshot[2])
-        self.network.acks_sent += 1
-        self.network._send_wire_unit(
-            owner, peer, (), {ACK_CATEGORY: nbytes},
+        net = self.network
+        net.acks_sent += 1
+        net._send_wire_unit(
+            owner, st.loop, peer, (), {ACK_CATEGORY: nbytes},
             partial(self._apply_ack, peer, owner, snapshot),
         )
 
@@ -388,15 +450,17 @@ class ReliableLayer:
         link = self._senders.get((owner, peer))
         if link is None:
             return
-        now = self.network._clock(owner).now
+        now = link.loop.now
         # Liveness first: any ack — even from a stale epoch — proves the peer
         # is processing traffic.  Feed the accrual history and reopen.
         if link.last_heard is not None:
             gap = now - link.last_heard
             if gap > 0.0:
-                link.intervals.append(gap)
-                if len(link.intervals) > self.config.fd_history:
-                    del link.intervals[0]
+                intervals = link.intervals
+                intervals.append(gap)
+                if len(intervals) > self.config.fd_history:
+                    del intervals[0]
+                link.threshold = None
         link.last_heard = now
         if link.suspected:
             link.suspected = False
@@ -406,13 +470,15 @@ class ReliableLayer:
         epoch, cum, sacks = snapshot
         if epoch != link.epoch:
             return
-        acked = [
-            entry
-            for entry in link.inflight.values()
-            if (cum is not None and entry.seq <= cum) or entry.seq in sacks
-        ]
+        inflight = link.inflight
+        acked = []
+        for entry in inflight.values():
+            if (cum is not None and entry.seq <= cum) or entry.seq in sacks:
+                acked.append(entry)
+            elif not sacks:
+                break  # sequence order: with no SACKs, the acked are a prefix
         for entry in acked:
-            del link.inflight[entry.seq]
+            del inflight[entry.seq]
             if not entry.retransmitted:
                 # Karn's rule: only never-retransmitted datagrams yield
                 # unambiguous RTT samples
@@ -435,24 +501,26 @@ class ReliableLayer:
 
     # ------------------------------------------------------------------ retransmission
     def _arm_retransmit(self, link: _SenderLink) -> None:
-        """(Re)schedule the link's retransmit timer at the earliest deadline."""
+        """(Re)schedule the link's retransmit timer at the earliest deadline.
+
+        Every call cancels and schedules anew, even when the deadline has not
+        moved: the new event's place among same-instant events is part of
+        the run."""
         if link.timer is not None:
             link.timer.cancel()
             link.timer = None
         if link.suspected or not link.inflight:
             return
         deadline = min(entry.deadline for entry in link.inflight.values())
-        link.timer = self.network._clock(link.src).schedule_at(
-            deadline + _link_skew(link.src, link.dst),
-            lambda: self._on_retransmit_timer(link),
-        )
+        link.timer = link.loop.schedule_at(deadline + link.skew, link.on_retransmit)
 
     def _on_retransmit_timer(self, link: _SenderLink) -> None:
         link.timer = None
         if link.suspected or not link.inflight:
             return
         net = self.network
-        now = net._clock(link.src).now
+        loop = link.loop
+        now = loop.now
         if self._suspected_now(link, now):
             return  # accrual detector fired: in-flight wiped, probes armed
         cfg = self.config
@@ -467,10 +535,9 @@ class ReliableLayer:
             entry.deadline = now + min(link.rto * (cfg.backoff ** entry.retries), cfg.rto_max)
             net.retransmits += 1
             ack = self._ack_payload_for(link.src, link.dst)
-            datagram = entry.datagram
             net._send_wire_unit(
-                link.src, link.dst, datagram.tuples, datagram.bytes_by_category,
-                partial(self._accept, link.src, link.dst, link.epoch, entry, ack),
+                link.src, loop, link.dst, entry.tuples, entry.bytes_by_category,
+                partial(self._accept, link, entry, ack),
             )
         self._arm_retransmit(link)
 
@@ -481,25 +548,32 @@ class ReliableLayer:
             return True
         if link.last_heard is None:
             return False  # never heard anything: only the retry budget condemns
-        if now - link.last_heard > self._silence_threshold(link):
+        if now - link.last_heard > (link.threshold or self._silence_threshold(link)):
             self._suspect(link, now)
             return True
         return False
 
     def _silence_threshold(self, link: _SenderLink) -> float:
-        cfg = self.config
-        if link.intervals:
-            mean = sum(link.intervals) / len(link.intervals)
-        else:
-            mean = cfg.fd_floor
-        return max(cfg.suspicion_threshold * max(mean, cfg.fd_floor), cfg.fd_min_silence)
+        """The accrual threshold of the link's ack history, cached until the
+        history changes."""
+        threshold = link.threshold
+        if threshold is None:
+            cfg = self.config
+            if link.intervals:
+                mean = sum(link.intervals) / len(link.intervals)
+            else:
+                mean = cfg.fd_floor
+            threshold = link.threshold = max(
+                cfg.suspicion_threshold * max(mean, cfg.fd_floor), cfg.fd_min_silence
+            )
+        return threshold
 
     def _suspect(self, link: _SenderLink, now: float) -> None:
         """Declare the link's peer suspected-dead; drop queue, start probing."""
         if link.suspected:
             return
         link.suspected = True
-        dropped = sum(len(entry.datagram) for entry in link.inflight.values())
+        dropped = sum(len(entry.tuples) for entry in link.inflight.values())
         if dropped:
             self.network.messages_dropped += dropped
         link.inflight.clear()
@@ -509,9 +583,9 @@ class ReliableLayer:
         self._arm_probe(link)
 
     def _arm_probe(self, link: _SenderLink) -> None:
-        link.probe_timer = self.network._clock(link.src).schedule(
-            self.config.probe_interval + _link_skew(link.src, link.dst),
-            lambda: self._on_probe_timer(link),
+        loop = link.loop
+        link.probe_timer = loop.schedule_at(
+            loop.now + (self.config.probe_interval + link.skew), link.on_probe
         )
 
     def _on_probe_timer(self, link: _SenderLink) -> None:
@@ -520,24 +594,40 @@ class ReliableLayer:
         if not link.suspected:
             return
         self.network._send_wire_unit(
-            link.src, link.dst, (), {ACK_CATEGORY: PACKET_OVERHEAD_BYTES + PROBE_BYTES},
+            link.src, link.loop, link.dst, (), {ACK_CATEGORY: PACKET_OVERHEAD_BYTES + PROBE_BYTES},
             partial(self._answer_probe, link.src, link.dst, link.epoch),
         )
         self._arm_probe(link)
 
     def _answer_probe(self, src: str, dst: str, epoch: int) -> None:
         """A probe from *src* arrived at the live *dst*: ack it at once."""
-        self._receiver(dst, src, epoch)
-        self._send_pure_ack(dst, src)
+        self._send_pure_ack(self._receiver(dst, src, epoch))
 
     # ------------------------------------------------------------------ lifecycle
+    def _skew(self, src: str, dst: str) -> float:
+        skew = self._skews.get((src, dst))
+        if skew is None:
+            skew = self._skews[(src, dst)] = _link_skew(src, dst)
+        return skew
+
     def _sender(self, src: str, dst: str) -> _SenderLink:
         link = self._senders.get((src, dst))
         if link is None:
             link = self._senders[(src, dst)] = _SenderLink(
-                src, dst, self._epochs.get(src, 0), self.config.rto_initial
+                self, src, dst, self._epochs.get(src, 0), self.network._clock(src),
+                self._skew(src, dst),
             )
         return link
+
+    def rebind(self, address: str) -> None:
+        """*address* was registered again: its links' cached loop follows it."""
+        loop = self.network._clock(address)
+        for (src, _), link in self._senders.items():
+            if src == address:
+                link.loop = loop
+        for (owner, _), st in self._receivers.items():
+            if owner == address:
+                st.loop = loop
 
     def peer_down(self, address: str) -> None:
         """Wipe *address*'s own reliable state in place (crash-stop).

@@ -17,7 +17,10 @@ Tuples enter through two doors:
   *datagram train*: tuples are packed in arrival order into datagrams of up
   to :data:`MTU_BYTES` payload, each datagram pays
   :data:`PACKET_OVERHEAD_BYTES` once, is lost or delivered as a unit, and is
-  handed to the destination as a single event-loop event.
+  handed to the destination as a single event-loop event.  Packing and
+  sending are one pass over the train: a datagram is a slice of it and a
+  per-category byte map, launched as soon as the next tuple would not fit,
+  and no datagram object is built.
 
 Both count what they send (messages, send hooks, transmitted bytes, drops to
 unknown destinations) and leave the wire itself to one pair of steps that
@@ -26,6 +29,9 @@ opt-in reliable layer (:mod:`repro.net.reliable`: first sends,
 retransmissions, pure acks, probes): :meth:`Network._launch` decides
 partition, loss and latency and schedules the arrival; :meth:`Network._land`
 decides liveness, counts the received bytes and hands the tuples over.
+Latency is memoised per pair of topology indices: a topology's ``latency``
+is pure and :meth:`Network.register` never reuses an index, so a memo entry
+cannot go stale, not even for an address registered again.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ from typing import (
     Optional,
     Protocol,
     Sequence,
+    Tuple as PyTuple,
 )
 
 from ..core.errors import NetworkError
@@ -74,58 +81,6 @@ class Endpoint(Protocol):
     address: str
 
     def receive(self, tup: Tuple) -> None: ...
-
-
-@dataclass
-class Datagram:
-    """One wire unit of a datagram train: tuples sharing a single framing.
-
-    ``bytes_by_category`` attributes each tuple's marshaled payload to that
-    tuple's traffic category and the per-datagram framing overhead to the
-    category of the tuple that *opened* the datagram, so summing the map
-    always equals :attr:`wire_bytes` and per-category totals stay exact under
-    batching.
-    """
-
-    tuples: List[Tuple] = field(default_factory=list)
-    payload_bytes: int = 0
-    bytes_by_category: Dict[str, int] = field(default_factory=dict)
-
-    def add(self, tup: Tuple, size: int, category: str) -> None:
-        if not self.tuples:
-            self.bytes_by_category[category] = PACKET_OVERHEAD_BYTES
-        self.tuples.append(tup)
-        self.payload_bytes += size
-        self.bytes_by_category[category] = self.bytes_by_category.get(category, 0) + size
-
-    @property
-    def wire_bytes(self) -> int:
-        return self.payload_bytes + PACKET_OVERHEAD_BYTES
-
-    def __len__(self) -> int:
-        return len(self.tuples)
-
-
-def pack_datagrams(
-    tuples: Iterable[Tuple], classifier: Classifier, mtu: int = MTU_BYTES
-) -> List[Datagram]:
-    """Greedily pack *tuples*, in order, into datagrams of ≤ *mtu* payload.
-
-    Tuples are never reordered (cross-relation arrival order at the receiver
-    is part of the engine's observable semantics), so a datagram may mix
-    traffic categories; an oversized tuple still travels, alone, in its own
-    datagram.  Exposed as a module function so the accounting-equivalence
-    tests can compute expected per-datagram byte totals independently.
-    """
-    datagrams: List[Datagram] = []
-    current: Optional[Datagram] = None
-    for tup in tuples:
-        size = tup.estimate_size()
-        if current is None or (current.payload_bytes + size > mtu and current.tuples):
-            current = Datagram()
-            datagrams.append(current)
-        current.add(tup, size, classifier(tup))
-    return datagrams
 
 
 @dataclass
@@ -191,6 +146,10 @@ class Network:
         self._alive: Dict[str, bool] = {}
         self._loops: Dict[str, EventLoop] = {}
         self._tx_seq: Dict[str, int] = {}
+        #: (source index, destination index) -> topology latency: the
+        #: topology is pure and register() never reuses an index, so an
+        #: entry can never go stale
+        self._latencies: Dict[PyTuple[int, int], float] = {}
         self._next_index = 0
         self.stats: Dict[str, NodeTrafficStats] = {}
         self._send_hooks: List[SendHook] = []
@@ -250,6 +209,10 @@ class Network:
         self._loops[address] = own
         self.stats_for(address)
         self.topology.register(index)
+        if self.reliable_layer is not None:
+            # an address registered again may have moved loops; the layer
+            # keeps each link's loop
+            self.reliable_layer.rebind(address)
         return index
 
     def next_index(self) -> int:
@@ -359,8 +322,7 @@ class Network:
         An idle overlay's trains are one tuple long (≈ 1.2 tuples per
         datagram on Chord), so this body runs once per datagram: the
         accounting of :meth:`send_batch` for a single datagram, with the
-        source's loop and stats object read directly and no :class:`Datagram`
-        built.
+        source's loop and stats object read directly.
         """
         indices = self._indices
         if src not in indices:
@@ -391,15 +353,22 @@ class Network:
     def send_batch(self, src: str, dst: str, tuples: Iterable[Tuple]) -> int:
         """Marshal a burst from *src* to *dst* as one datagram train.
 
-        Tuples are packed in arrival order into MTU-sized datagrams; each
-        datagram pays the framing overhead once, is lost as a unit (one loss
-        draw per datagram), and arrives as one event-loop event.  Send hooks
+        Tuples are packed greedily, in arrival order, into datagrams of up to
+        ``mtu`` payload — never reordered (cross-relation arrival order at the
+        receiver is part of the engine's observable semantics), so a datagram
+        may mix traffic categories, and an oversized tuple travels alone.
+        Each datagram pays the framing overhead once, charged to the category
+        of the tuple that opened it; is lost as a unit (one loss draw per
+        datagram); and arrives as one event-loop event.  Packing and sending
+        are one pass: a datagram is its tuple slice and its per-category byte
+        map, launched as soon as the next tuple would not fit.  Send hooks
         still fire once per tuple and ``messages_sent`` still counts tuples,
         so observers are batching-agnostic.  Returns the number of tuples put
         on the wire — with the reliable layer, every tuple not suppressed is
         on the wire until acknowledged, whatever its first attempt meets.
         """
-        if src not in self._indices:
+        indices = self._indices
+        if src not in indices:
             raise NetworkError(f"unknown source address {src!r}")
         batch = tuples if type(tuples) is list else list(tuples)
         if not batch:
@@ -407,23 +376,38 @@ class Network:
         layer = self.reliable_layer
         if len(batch) == 1 and layer is None:
             # a one-tuple train is exactly one unbatched send: same datagram,
-            # same bytes, same loss draw — skip the packing machinery (most
-            # idle-maintenance rounds emit a single tuple per destination)
+            # same bytes, same loss draw (most idle-maintenance rounds emit a
+            # single tuple per destination)
             return 1 if self.send(src, dst, batch[0]) else 0
-        stats = self.stats_for(src)
-        src_loop = self._clock(src)
+        stats = self.stats.get(src) or self.stats_for(src)
+        src_loop = self._loops[src]
         now = src_loop.now
-        known = dst in self._indices
+        known = dst in indices
         reliable = layer is not None and known
         # None when the layer suspects the peer: the train is suppressed
         train = layer.open_train(src, dst, now) if reliable else None
-        hooks = self._send_hooks
+        classifier, mtu, hooks = self.classifier, self.mtu, self._send_hooks
         sent = 0
-        for datagram in pack_datagrams(batch, self.classifier, self.mtu):
-            count = len(datagram)
+        end, total = 0, len(batch)
+        size = batch[0].estimate_size()
+        while end < total:
+            # one datagram: batch[start:end], *size* already read for its first
+            start, payload = end, size
+            by_category = {classifier(batch[start]): PACKET_OVERHEAD_BYTES + size}
+            end += 1
+            while end < total:
+                size = batch[end].estimate_size()
+                if payload + size > mtu:
+                    break
+                payload += size
+                category = classifier(batch[end])
+                by_category[category] = by_category.get(category, 0) + size
+                end += 1
+            datagram = batch[start:end]
+            count = end - start
             self.messages_sent += count
             if hooks:
-                for tup in datagram.tuples:
+                for tup in datagram:
                     for hook in hooks:
                         hook(src, dst, tup, now)
             if reliable and train is None:
@@ -433,15 +417,14 @@ class Network:
                 self.messages_dropped += count
                 continue
             self.datagrams_sent += 1
-            stats.record_tx_datagram(datagram.bytes_by_category, count)
+            stats.record_tx_datagram(by_category, count)
             if not known:
                 self.messages_dropped += count
             elif train is not None:
-                layer.launch(train, datagram, src_loop, now)
+                layer.launch(train, datagram, by_category, src_loop, now)
                 sent += count
             elif self._launch(
-                src, src_loop, dst, now,
-                partial(self._land, dst, datagram.tuples, datagram.bytes_by_category),
+                src, src_loop, dst, now, partial(self._land, dst, datagram, by_category)
             ):
                 sent += count
             else:
@@ -453,6 +436,7 @@ class Network:
     def _send_wire_unit(
         self,
         src: str,
+        src_loop: EventLoop,
         dst: str,
         tuples: Sequence[Tuple],
         bytes_by_category: Dict[str, int],
@@ -462,7 +446,6 @@ class Network:
         new message: a retransmission, a pure ack or a probe."""
         self.datagrams_sent += 1
         self.stats_for(src).record_tx_datagram(bytes_by_category, 0)
-        src_loop = self._clock(src)
         self._launch(
             src, src_loop, dst, src_loop.now,
             partial(self._land, dst, tuples, bytes_by_category, accept),
@@ -482,8 +465,8 @@ class Network:
         and consuming no randomness, so partition state never shifts the loss
         streams, counted in ``unreachable_drops``; one loss decision, entered
         only when a loss rate or a conditioner could make it draw; the
-        topology latency times the conditioner's spike factor; and
-        :meth:`_schedule_delivery` of *arrive*.  Returns False when the
+        topology latency (memoised per index pair) times the conditioner's
+        spike factor; and :meth:`_schedule_delivery` of *arrive*.  Returns False when the
         datagram is dropped; what else a drop costs is the caller's to count.
         """
         cond = self.conditioner
@@ -493,14 +476,18 @@ class Network:
         if (self.loss_rate or cond is not None) and self._datagram_lost(src, dst):
             return False
         indices = self._indices
-        delay = self.topology.latency(indices[src], indices[dst])
+        key = (indices[src], indices[dst])
+        delay = self._latencies.get(key)
+        if delay is None:
+            delay = self._latencies[key] = self.topology.latency(*key)
         if cond is not None:
             delay *= cond.latency_factor
         self._schedule_delivery(src, src_loop, dst, now, delay, arrive)
         return True
 
     def _endpoint(self, dst: str) -> Optional[Endpoint]:
-        """The live endpoint for *dst*, or None when delivery is a drop.
+        """The live endpoint for *dst*, or None when delivery is a drop
+        (:meth:`_land` runs this test inline).
 
         A destination unregistered (or failed) after a datagram was scheduled
         but before it arrives must count as a drop — like a UDP datagram
@@ -531,8 +518,8 @@ class Network:
         are handed over as one batch (``receive_batch``, or ``receive`` per
         tuple for an endpoint without it).
         """
-        node = self._endpoint(dst)
-        if node is None:
+        node = self._nodes.get(dst)  # _endpoint(), inlined
+        if node is None or not self._alive.get(dst, False) or not getattr(node, "alive", True):
             # the datagram raced a crash/unregister: a drop with its own
             # counter, distinguishable from loss and partition drops
             self.dead_endpoint_drops += 1

@@ -30,6 +30,7 @@ procedure (:meth:`PlannedProgram.procedure`) the first time it fires.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple as PyTuple
@@ -605,7 +606,17 @@ class _StrandBuilder:
             raise PlannerError(
                 f"rule {rule.rule_id}: the periodic period must be a literal constant"
             )
-        period = float(period_arg.value)
+        try:
+            period = float(period_arg.value)
+        except (TypeError, ValueError):
+            period = math.nan
+        if not math.isfinite(period):
+            # a NaN period would re-arm its ticker at ``now + nan`` for ever;
+            # an infinite one would park a tick at infinity
+            raise PlannerError(
+                f"rule {rule.rule_id}: the periodic period must be a finite number, "
+                f"got {period_arg.value!r}"
+            )
         count: Optional[int] = None
         if len(args) >= 4 and isinstance(args[3], ast.Constant):
             count = int(args[3].value)

@@ -272,7 +272,9 @@ class P2Node:
                     )
         finally:
             self._processing = False
-        self._flush_transmit()
+        # send everything buffered this drain as per-destination trains
+        if self.transmit.count:
+            self.transmit.flush(self._send_train)
 
     def _bind(self, trigger: Any) -> Callable[[Any], None]:
         """*trigger*'s procedure (``CompiledDataflow.procedure``) bound to this
@@ -300,13 +302,6 @@ class P2Node:
                 self.dropped_remote_sends += 1
 
         return send
-
-    def _flush_transmit(self) -> None:
-        """Send everything buffered this drain as per-destination trains."""
-        transmit = self.transmit
-        if len(transmit) == 0:
-            return
-        transmit.flush(self._send_train)
 
     def _send_train(self, destination: Any, batch: List[Tuple]) -> None:
         sent = self.network.send_batch(self.address, destination, batch)

@@ -24,9 +24,9 @@ never mutated while a shard is mid-window.
 
 Nothing ever cancels a datagram delivery, so deliveries (:meth:`deliver_at`)
 and posted events enter the heap *bare* — ``(time, priority, seq,
-callback)`` — while :meth:`schedule_at` wraps its callback in an
-:class:`_Event` and hands out an :class:`EventHandle` that can cancel it.
-Both kinds share one heap and one order.
+callback)`` — while :meth:`schedule_at` puts an :class:`EventHandle` there:
+one object per timer, which is both the heap entry's payload and the handle
+that can cancel it.  Both kinds share one heap and one order.
 """
 
 from __future__ import annotations
@@ -41,54 +41,44 @@ from ..core.errors import SimulationError
 Priority = Tuple[Any, ...]
 
 
-class _Event:
-    """One cancellable scheduled callback.  The heap holds ``(time, prio,
-    seq, event)`` entries — or ``(time, prio, seq, callback)`` for the bare
-    ones nothing can cancel: ``seq`` is unique, so the ordering is decided by
-    the C-level tuple comparison and never reaches the last item."""
+class EventHandle:
+    """One cancellable scheduled callback, and the handle that cancels it.
 
-    __slots__ = ("time", "callback", "cancelled", "done")
+    :meth:`EventLoop.schedule_at` returns it and puts it in the heap as
+    ``(time, prio, seq, handle)`` — or ``(time, prio, seq, callback)`` for the
+    bare entries nothing can cancel: ``seq`` is unique, so the ordering is
+    decided by the C-level tuple comparison and never reaches the last item.
+    ``_loop`` is the owning loop while the event waits in its heap, and None
+    once it has run or been cancelled.
+    """
 
-    def __init__(self, time: float, callback: Callable[[], None]):
+    __slots__ = ("time", "callback", "cancelled", "_loop")
+
+    def __init__(self, time: float, callback: Callable[[], None], loop: "EventLoop"):
         self.time = time
         self.callback = callback
         self.cancelled = False
-        self.done = False
-
-
-#: a heap entry: ``(time, priority, seq, event or bare callback)``
-_Entry = Tuple[float, Priority, int, Any]
-
-
-class EventHandle:
-    """Returned by :meth:`EventLoop.schedule`; allows cancellation."""
-
-    def __init__(self, event: _Event, loop: "EventLoop"):
-        self._event = event
         self._loop = loop
 
     def cancel(self) -> None:
-        event = self._event
-        if event.cancelled:
+        if self.cancelled:
             return
-        event.cancelled = True
-        if not event.done:
+        self.cancelled = True
+        loop = self._loop
+        if loop is not None:
             # still sitting in the heap: update the loop's live/cancelled
             # bookkeeping and let it compact if garbage now dominates
-            self._loop._note_cancelled()
-
-    @property
-    def cancelled(self) -> bool:
-        return self._event.cancelled
+            self._loop = None
+            loop._note_cancelled()
 
     @property
     def done(self) -> bool:
         """True once the event has run or been cancelled."""
-        return self._event.done or self._event.cancelled
+        return self._loop is None
 
-    @property
-    def time(self) -> float:
-        return self._event.time
+
+#: a heap entry: ``(time, priority, seq, handle or bare callback)``
+_Entry = Tuple[float, Priority, int, Any]
 
 
 class EventLoop:
@@ -120,23 +110,25 @@ class EventLoop:
     def schedule_at(
         self, when: float, callback: Callable[[], None], priority: Priority = ()
     ) -> EventHandle:
-        if when < self.now:
+        # one comparison that also rejects a NaN time, which would otherwise
+        # be run at once and re-armed at ``now + nan`` for ever
+        if not when >= self.now:
             raise SimulationError(
-                f"cannot schedule at {when} which is before current time {self.now}"
+                f"cannot schedule at {when}: not at or after the current time {self.now}"
             )
-        event = _Event(when, callback)
+        event = EventHandle(when, callback, self)
         heapq.heappush(self._queue, (when, priority, next(self._seq), event))
         self._live += 1
-        return EventHandle(event, self)
+        return event
 
     def deliver_at(
         self, when: float, callback: Callable[[], None], priority: Priority = ()
     ) -> None:
         """:meth:`schedule_at` for a callback nothing will cancel (a datagram
-        delivery): a bare heap entry, no :class:`_Event`, no handle."""
-        if when < self.now:
+        delivery): a bare heap entry, no :class:`EventHandle`."""
+        if not when >= self.now:
             raise SimulationError(
-                f"cannot schedule at {when} which is before current time {self.now}"
+                f"cannot schedule at {when}: not at or after the current time {self.now}"
             )
         heapq.heappush(self._queue, (when, priority, next(self._seq), callback))
         self._live += 1
@@ -189,7 +181,7 @@ class EventLoop:
         queue = self._queue
         while queue:
             head = queue[0][3]
-            if type(head) is _Event and head.cancelled:
+            if type(head) is EventHandle and head.cancelled:
                 heapq.heappop(queue)
                 self._cancelled -= 1
                 continue
@@ -208,7 +200,7 @@ class EventLoop:
             and self._cancelled * 2 > len(self._queue)
         ):
             self._queue = [
-                e for e in self._queue if type(e[3]) is not _Event or not e[3].cancelled
+                e for e in self._queue if type(e[3]) is not EventHandle or not e[3].cancelled
             ]
             heapq.heapify(self._queue)
             self._cancelled = 0
@@ -217,11 +209,11 @@ class EventLoop:
         """Process the next event; returns False when the queue is empty."""
         while self._queue:
             when, _, _, callback = heapq.heappop(self._queue)
-            if type(callback) is _Event:
+            if type(callback) is EventHandle:
                 if callback.cancelled:
                     self._cancelled -= 1
                     continue
-                callback.done = True
+                callback._loop = None
                 callback = callback.callback
             self._live -= 1
             self.now = when
@@ -231,21 +223,30 @@ class EventLoop:
         return False
 
     def _run_to(self, deadline: float, inclusive: bool) -> None:
-        if deadline < self.now:
-            raise SimulationError("deadline is in the past")
+        if not deadline >= self.now:  # NaN included
+            raise SimulationError(f"deadline {deadline} is in the past")
+        heappop = heapq.heappop
         # events exactly at the deadline run only on the inclusive path
         # (self._queue is re-read every turn: a callback may cancel enough
-        # events to make the heap compact into a new list)
+        # events to make the heap compact into a new list); the body is
+        # step()'s, inlined
         while self._queue:
-            head = self._queue[0]
-            event = head[3]
-            if type(event) is _Event and event.cancelled:
-                heapq.heappop(self._queue)
+            queue = self._queue
+            when, _, _, callback = queue[0]
+            if type(callback) is EventHandle and callback.cancelled:
+                heappop(queue)
                 self._cancelled -= 1
                 continue
-            if (head[0] > deadline) if inclusive else (head[0] >= deadline):
+            if (when > deadline) if inclusive else (when >= deadline):
                 break
-            self.step()
+            heappop(queue)
+            if type(callback) is EventHandle:
+                callback._loop = None
+                callback = callback.callback
+            self._live -= 1
+            self.now = when
+            self.processed += 1
+            callback()
         self.now = max(self.now, deadline)
 
     def run_until(self, deadline: float) -> None:

@@ -134,20 +134,15 @@ class _BurstRegion:
         self._seed = seed
         self._chains: Dict[PyTuple[str, str], _GilbertElliottChain] = {}
 
-    def covers(self, src: str, dst: str) -> bool:
-        if self.src_set is not None and src not in self.src_set:
-            return False
-        if self.dst_set is not None and dst not in self.dst_set:
-            return False
-        return True
-
-    def datagram_lost(self, src: str, dst: str) -> bool:
-        chain = self._chains.get((src, dst))
+    def chain(self, link: PyTuple[str, str]) -> _GilbertElliottChain:
+        """The chain of directed *link* ``(src, dst)``, created on first use."""
+        chain = self._chains.get(link)
         if chain is None:
-            chain = self._chains[(src, dst)] = _GilbertElliottChain(
+            src, dst = link
+            chain = self._chains[link] = _GilbertElliottChain(
                 self.model, f"{self._seed}:ge{self.region_id}:{src}>{dst}"
             )
-        return chain.datagram_lost()
+        return chain
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +165,10 @@ class LinkConditioner:
         self._regions: List[_BurstRegion] = []
         self._next_region_id = 0
         self._spikes: List[float] = []
+        #: the product of the active spikes, in push order — a plain
+        #: attribute the data path reads per datagram, recomputed only when
+        #: a spike is pushed or popped
+        self.latency_factor = 1.0
         # drop accounting, by cause (reports and tests read these)
         self.unreachable_drops = 0
         self.burst_drops = 0
@@ -188,21 +187,22 @@ class LinkConditioner:
         return groups.get(src, -1) == groups.get(dst, -1)
 
     def datagram_lost(self, src: str, dst: str) -> bool:
-        """One burst-loss draw per covering region; all chains advance."""
+        """One burst-loss draw per covering region; all chains advance.
+
+        The cover test and the chain lookup are inlined: this runs once per
+        datagram that passed the reachability check."""
         lost = False
+        link = (src, dst)
         for region in self._regions:
-            if region.covers(src, dst) and region.datagram_lost(src, dst):
+            if region.src_set is not None and src not in region.src_set:
+                continue
+            if region.dst_set is not None and dst not in region.dst_set:
+                continue
+            if (region._chains.get(link) or region.chain(link)).datagram_lost():
                 lost = True
         if lost:
             self.burst_drops += 1
         return lost
-
-    @property
-    def latency_factor(self) -> float:
-        factor = 1.0
-        for spike in self._spikes:
-            factor *= spike
-        return factor
 
     # -- mutations (control loop only) ----------------------------------------------
     def set_partition(self, groups: Sequence[Iterable[str]]) -> None:
@@ -256,12 +256,22 @@ class LinkConditioner:
                 f"and a factor of {factor} could violate it"
             )
         self._spikes.append(factor)
+        self._recompute_factor()
 
     def pop_latency_spike(self, factor: float) -> None:
         try:
             self._spikes.remove(factor)
         except ValueError:
             pass  # already cleared (e.g. overlapping spikes torn down out of order)
+        self._recompute_factor()
+
+    def _recompute_factor(self) -> None:
+        """Recompute :attr:`latency_factor`: the active spikes multiplied in
+        push order, a fixed order because float products depend on it."""
+        factor = 1.0
+        for spike in self._spikes:
+            factor *= spike
+        self.latency_factor = factor
 
 
 # ---------------------------------------------------------------------------

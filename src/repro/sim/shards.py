@@ -116,9 +116,9 @@ class ShardedEventLoop:
     def schedule_at(
         self, when: float, callback: Callable[[], None], priority: tuple = ()
     ) -> EventHandle:
-        if when < self.now:
+        if not when >= self.now:  # NaN included
             raise SimulationError(
-                f"cannot schedule at {when} which is before current time {self.now}"
+                f"cannot schedule at {when}: not at or after the current time {self.now}"
             )
         # The control loop's clock trails the facade between barriers; anchor
         # the event at the facade's (global) notion of now.
@@ -154,8 +154,8 @@ class ShardedEventLoop:
 
     def run_until(self, deadline: float) -> None:
         """Process all events up to and including *deadline*, then advance."""
-        if deadline < self.now:
-            raise SimulationError("deadline is in the past")
+        if not deadline >= self.now:  # NaN included
+            raise SimulationError(f"deadline {deadline} is in the past")
         while True:
             self._drain_inboxes()
             next_control = self.control.peek_time()

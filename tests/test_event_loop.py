@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.errors import SimulationError
-from repro.sim import EventLoop
+from repro.sim import EventHandle, EventLoop
+from repro.sim.shards import ShardedEventLoop
 
 
 class TestScheduling:
@@ -34,6 +35,22 @@ class TestScheduling:
         loop = EventLoop(start_time=10.0)
         with pytest.raises(SimulationError):
             loop.schedule_at(5.0, lambda: None)
+
+    @pytest.mark.parametrize("call", ["schedule", "schedule_at", "deliver_at"])
+    def test_a_nan_time_is_rejected(self, call):
+        """``nan < now`` is False, so a NaN time used to enter the heap and run
+        at once with the clock set to NaN."""
+        loop = EventLoop(start_time=1.0)
+        with pytest.raises(SimulationError):
+            getattr(loop, call)(float("nan"), lambda: None)
+        assert loop.pending() == 0 and loop.now == 1.0
+
+    def test_a_nan_time_is_rejected_by_the_sharded_loop(self):
+        loop = ShardedEventLoop(shards=2, lookahead=0.1, start_time=1.0)
+        for call in (loop.schedule, loop.schedule_at):
+            with pytest.raises(SimulationError):
+                call(float("nan"), lambda: None)
+        assert loop.pending() == 0
 
     def test_cancellation(self):
         loop = EventLoop()
@@ -222,7 +239,8 @@ class TestBareAndCancellableEntries:
         loop.post_at(1.0, lambda: seen.append("early p"), (0,))
         handle = loop.schedule_at(1.0, lambda: seen.append("event"), (3,))
         assert loop.drain_posted() == 2 and loop.pending() == 3
-        assert sum(type(entry[3]).__name__ == "_Event" for entry in loop._queue) == 1
+        # the handle itself is the heap entry's payload: one object per timer
+        assert [entry[3] for entry in loop._queue if type(entry[3]) is EventHandle] == [handle]
         loop.run()
         assert seen == ["early p", "event", "late p"] and handle.done
 

@@ -300,8 +300,10 @@ TRUSTED_PER_DISPATCH = 1.237
 
 
 #: on the run below: timers scheduled, and datagrams delivered — which, as
-#: bare heap entries, build no ``_Event`` and no ``EventHandle`` (the parent
-#: commit built one of each per datagram: 2,529 of each)
+#: bare heap entries, build no ``EventHandle`` (an earlier commit built an
+#: ``_Event`` and an ``EventHandle`` per datagram: 2,529 of each).  A timer is
+#: one object, the ``EventHandle`` that is both its heap entry and its handle
+#: (the parent commit built an ``_Event`` and an ``EventHandle`` per timer)
 TIMERS_SCHEDULED = 384
 DATAGRAMS = 2145
 
@@ -310,7 +312,7 @@ def test_objects_built_per_dispatch_on_a_small_chord_run(monkeypatch):
     """No timing: on a fixed 8-node, 120-simulated-second Chord run, count the
     head/row tuples built per dispatch, the route objects on the node path
     and the scheduler's event objects."""
-    built = {"trusted": 0, "routes": 0, "events": 0, "handles": 0, "timers": 0}
+    built = {"trusted": 0, "routes": 0, "handles": 0, "timers": 0}
     real_trusted, real_route = Tuple.trusted, strand_module.HeadRoute
 
     def counted(key, real):
@@ -319,7 +321,6 @@ def test_objects_built_per_dispatch_on_a_small_chord_run(monkeypatch):
             return real(*args)
         return call
 
-    monkeypatch.setattr(event_loop._Event, "__init__", counted("events", event_loop._Event.__init__))
     monkeypatch.setattr(event_loop.EventHandle, "__init__",
                         counted("handles", event_loop.EventHandle.__init__))
     monkeypatch.setattr(EventLoop, "schedule_at", counted("timers", EventLoop.schedule_at))
@@ -342,7 +343,8 @@ def test_objects_built_per_dispatch_on_a_small_chord_run(monkeypatch):
     dispatches = sum(node.events_processed for node in network.nodes)
     assert dispatches == 14489  # the run itself is pinned: same work as ever
     assert network.simulation.network.datagrams_sent == DATAGRAMS
-    assert built["events"] == built["handles"] == built["timers"] == TIMERS_SCHEDULED
+    assert not hasattr(event_loop, "_Event")  # no second object per timer
+    assert built["handles"] == built["timers"] == TIMERS_SCHEDULED
     per_dispatch = built["trusted"] / dispatches
     assert per_dispatch <= TRUSTED_PER_DISPATCH * 1.15
     assert per_dispatch < 0.6 * TRUSTED_PER_DISPATCH_BEFORE

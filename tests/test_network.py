@@ -11,7 +11,8 @@ from repro.net import (
     UniformTopology,
     PACKET_OVERHEAD_BYTES,
 )
-from repro.sim import EventLoop
+from repro.sim import EventLoop, LinkConditioner
+from repro.sim.shards import ShardedEventLoop, lookahead_for
 
 
 class FakeNode:
@@ -129,3 +130,99 @@ class TestNetwork:
         net.unregister("b")
         assert set(net.addresses()) == {"a"}
         assert set(net.addresses(alive_only=False)) == {"a", "b"}
+
+
+class TimedNode(FakeNode):
+    def __init__(self, address, loop):
+        super().__init__(address)
+        self.loop = loop
+
+    def receive(self, tup):
+        self.received.append((self.loop.now, tup))
+
+
+class TestLatencyMemo:
+    """The network memoises ``topology.latency`` per index pair and the
+    conditioner keeps its spike product as an attribute: neither may make a
+    delivery time differ from the uncached ``now + latency * product``."""
+
+    @pytest.mark.parametrize("reliable", [False, True], ids=["best_effort", "reliable"])
+    def test_a_re_registered_address_is_delayed_by_its_new_index(self, reliable):
+        loop = EventLoop()
+        topo = TransitStubTopology(domains=3, jitter_fraction=0.2, seed=4)
+        net = Network(loop, topo, reliable=reliable)
+        n0, n1 = TimedNode("n0", loop), TimedNode("n1", loop)
+        net.register(n0)
+        assert net.register(n1) == 1
+        net.send("n0", "n1", Tuple.make("x", 1))
+        loop.run_for(2.5)
+        assert n1.received[0][0] == topo.latency(0, 1)
+        net.unregister("n1")
+        again = TimedNode("n1", loop)
+        assert net.register(again) == 2  # a fresh index: same domain as n0 now
+        assert topo.latency(0, 2) != topo.latency(0, 1)
+        net.send("n0", "n1", Tuple.make("x", 2))
+        net.send("n1", "n0", Tuple.make("x", 3))
+        loop.run_for(2.5)
+        assert again.received[0][0] == 2.5 + topo.latency(0, 2)
+        assert n0.received[-1][0] == 2.5 + topo.latency(2, 0)
+        if reliable:  # the re-registered sender's links follow it
+            assert all(link.loop is loop for link in net.reliable_layer._senders.values())
+
+    def test_a_re_registered_address_moves_its_reliable_links_to_its_new_loop(self):
+        """Under sharding an endpoint without a loop of its own runs on the
+        member loop of its index's shard key, so a new index can mean a new
+        loop: the layer's links of that address must follow it."""
+        topo = TransitStubTopology(domains=2, seed=4)
+        loop = ShardedEventLoop(shards=2, lookahead=lookahead_for(topo))
+        net = Network(loop, topo, reliable=True)
+        n0, n1 = FakeNode("n0"), FakeNode("n1")
+        net.register(n0)
+        net.register(n1)
+        assert net._loops["n1"] is not net._loops["n0"]
+        net.send("n1", "n0", Tuple.make("x", 1))
+        net.send("n0", "n1", Tuple.make("x", 2))
+        loop.run_for(2.0)
+        net.unregister("n1")
+        net.register(FakeNode("n1"))  # index 2: n0's domain, so n0's shard
+        moved = net._loops["n1"]
+        assert moved is net._loops["n0"]
+        layer = net.reliable_layer
+        assert layer._senders[("n1", "n0")].loop is moved
+        assert layer._receivers[("n1", "n0")].loop is moved
+        net.send("n1", "n0", Tuple.make("x", 3))
+        loop.run_for(2.0)
+        assert [tup[0] for tup in n0.received] == [1, 3]
+
+    def test_spikes_pushed_and_popped_out_of_order_scale_exactly(self):
+        loop = EventLoop()
+        topo = TransitStubTopology(domains=2, jitter_fraction=0.1, seed=8)
+        net = Network(loop, topo)
+        a, b = TimedNode("a", loop), TimedNode("b", loop)
+        net.register(a)
+        net.register(b)
+        cond = LinkConditioner(seed=1)
+        net.set_conditioner(cond)
+        base = topo.latency(0, 1)
+        pushed = []  # the uncached model: the product of the spikes, in push order
+        steps = [("push", 1.5), ("push", 2.5), ("pop", 1.5), ("push", 3.0), ("push", 2.0),
+                 ("push", 2.0), ("pop", 2.0), ("pop", 2.5), ("pop", 7.0), ("pop", 3.0),
+                 ("pop", 2.0)]
+        for i, (kind, factor) in enumerate(steps):
+            loop.run_for(0.37)
+            if kind == "push":
+                cond.push_latency_spike(factor)
+                pushed.append(factor)
+            else:
+                cond.pop_latency_spike(factor)
+                if factor in pushed:
+                    pushed.remove(factor)
+            product = 1.0
+            for spike in pushed:
+                product *= spike
+            assert cond.latency_factor == product
+            sent_at = loop.now
+            net.send("a", "b", Tuple.make("x", i))
+            loop.run_for(4.0)  # the largest product here is 30
+            assert b.received[-1] == (sent_at + base * product, Tuple.make("x", i))
+        assert cond.latency_factor == 1.0 and not pushed

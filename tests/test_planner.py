@@ -154,6 +154,15 @@ class TestPlannerCompilation:
         with pytest.raises(PlannerError, match="rule R1: the periodic period must be positive"):
             compile_program(program)
 
+    @pytest.mark.parametrize("literal", ['"nan"', '"inf"', '"abc"'])
+    def test_periodic_period_must_be_a_finite_number(self, literal):
+        """A NaN period re-armed its ticker at ``now + nan`` for ever, so the
+        first ``run_for`` never returned; ``"inf"`` parked a tick at infinity
+        and ``"abc"`` leaked a ValueError.  All three are refused at planning."""
+        source = f"r1 ping@X(X, E) :- periodic@X(X, E, {literal})."
+        with pytest.raises(PlannerError, match="rule r1: the periodic period must be a finite"):
+            compile_program(source)
+
     def test_a_boot_once_periodic_fires_once_and_the_loop_moves_on(self):
         """Narada's ``periodic@X(X, E, 0, 1)``: one tick at boot, then nothing."""
         loop = EventLoop()

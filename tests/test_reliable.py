@@ -23,6 +23,7 @@ import pytest
 
 from repro.core import Tuple
 from repro.net import PACKET_OVERHEAD_BYTES, Network, ReliableConfig, TransitStubTopology
+from repro.net import reliable
 from repro.net.reliable import ACK_CATEGORY
 from repro.overlays.chord import build_chord_network, classify_chord_traffic
 from repro.runtime import OverlaySimulation
@@ -33,6 +34,7 @@ from repro.sim import (
     GilbertElliott,
     faults,
 )
+from repro.sim.event_loop import EventHandle
 from repro.sim.metrics import ConsistencyOracle, LookupTracker
 from repro.sim.workload import LookupWorkload
 
@@ -497,6 +499,70 @@ class TestChordLossSweep:
         baseline = run_chord_lossy(True, burst=True, population=6, shards=1)
         assert run_chord_lossy(True, burst=True, population=6, shards=2) == baseline
         assert run_chord_lossy(True, burst=True, population=6, shards=3) == baseline
+
+
+# ---------------------------------------------------------------------------
+# Work counts on the reliable path (no timing)
+# ---------------------------------------------------------------------------
+
+#: on the run below: timers scheduled (each one object, the handle itself),
+#: datagrams sent, dispatches, directed links the layer used, and timer arms
+#: of the layer.  The parent commit built an ``_Event``, an ``EventHandle``
+#: and a closure per timer (5,697 of each) and took a link's CRC skew on
+#: every arm (5,312 evaluations for these 56 links)
+RELIABLE_TIMERS = 5697
+RELIABLE_DATAGRAMS = 3911
+RELIABLE_DISPATCHES = 14201
+RELIABLE_LINKS = 56
+RELIABLE_ARMS = 5312
+
+
+def test_objects_built_per_timer_on_a_small_reliable_chord_run(monkeypatch):
+    """A fixed 8-node ``reliable=True`` Chord under burst loss for 120
+    simulated seconds: the run is pinned, each directed link's skew is taken
+    once, each timer is one object, and every timer the layer arms calls back
+    through one of the callbacks its links were built with — none is built
+    per arm."""
+    built = {"skews": 0, "events": 0, "timers": 0}
+    arms = []
+    real_skew, real_init = reliable._link_skew, EventHandle.__init__
+    real_schedule_at = EventLoop.schedule_at
+
+    def skew(src, dst):
+        built["skews"] += 1
+        return real_skew(src, dst)
+
+    def init(self, *args):
+        built["events"] += 1
+        real_init(self, *args)
+
+    def schedule_at(self, when, callback, priority=()):
+        built["timers"] += 1
+        if isinstance(getattr(getattr(callback, "func", None), "__self__", None),
+                      reliable.ReliableLayer):
+            arms.append(callback)
+        return real_schedule_at(self, when, callback, priority)
+
+    monkeypatch.setattr(reliable, "_link_skew", skew)
+    monkeypatch.setattr(EventHandle, "__init__", init)
+    monkeypatch.setattr(EventLoop, "schedule_at", schedule_at)
+    network = build_chord_network(
+        8, seed=5, join_stagger=1.0, reliable=True,
+        faults=FaultSchedule([faults.burst_loss(0.0, GilbertElliott(loss_bad=0.9))]),
+    )
+    network.simulation.run_for(120.0)
+    net = network.simulation.network
+    layer = net.reliable_layer
+    assert sum(node.events_processed for node in network.nodes) == RELIABLE_DISPATCHES
+    assert net.datagrams_sent == RELIABLE_DATAGRAMS
+    assert built["events"] == built["timers"] == RELIABLE_TIMERS
+    links = set(layer._senders) | set(layer._receivers)
+    assert built["skews"] == len(links) == RELIABLE_LINKS
+    assert len(arms) == RELIABLE_ARMS
+    bound = {id(callback) for link in layer._senders.values()
+             for callback in (link.on_retransmit, link.on_probe)}
+    bound |= {id(st.on_delack) for st in layer._receivers.values()}
+    assert {id(callback) for callback in arms} <= bound
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ sending — same tuples, same per-destination order, same simulation outcome —
 while paying the framing overhead once per MTU-sized datagram instead of once
 per tuple.  These tests pin down:
 
-* the packing model (``pack_datagrams``): order, MTU splitting, per-category
+* the packing model (``tests.support.packing.pack_datagrams``, the
+  reference ``send_batch`` is checked against): order, MTU splitting, per-category
   byte attribution;
 * accounting equivalence: batched byte totals equal unbatched totals minus
   the saved framing overhead, per node and per category;
@@ -30,10 +31,11 @@ from repro.net import (
     MTU_BYTES,
     Network,
     PACKET_OVERHEAD_BYTES,
+    TransitStubTopology,
     UniformTopology,
-    pack_datagrams,
 )
-from repro.sim import EventLoop
+from repro.sim import EventLoop, GilbertElliott, LinkConditioner
+from tests.support.packing import PackingNetwork, pack_datagrams
 
 
 def classify(tup):
@@ -253,6 +255,105 @@ class TestSendBatchAccounting:
         # all 40 tuples fit one datagram: one draw, all-or-nothing
         assert net.datagrams_sent == 1
         assert len(b.received) in (0, 40)
+
+
+# ------------------------------------------------------------ one pass ≡ pack, then send
+TRAIN_ADDRESSES = ["a", "b", "c", "d"]
+
+
+def _random_train(rng):
+    """1–12 tuples of mixed categories, from a few bytes to twice the MTU."""
+    return [
+        Tuple.make(rng.choice(["lookup", "stabilize", "lookupResp", "notify"]), "x", i,
+                   "p" * rng.choice([1, 40, 300, 700, 1400, 2 * MTU_BYTES]))
+        for i in range(rng.randrange(1, 13))
+    ]
+
+
+def _filling_train(rng):
+    """Two tuples whose payloads fill the MTU exactly, then one more."""
+    first = Tuple.make("stabilize", "x", 0, "p" * rng.randrange(1, 1000))
+    pad = MTU_BYTES - first.estimate_size() - Tuple.make("lookup", "x", 1, "").estimate_size()
+    second = Tuple.make("lookup", "x", 1, "p" * pad)
+    assert first.estimate_size() + second.estimate_size() == MTU_BYTES
+    return [first, second, Tuple.make("notify", "x", 2, "p")]
+
+
+def _play_trains(network_class, seed, reliable):
+    """A seeded script of trains between four endpoints (and to an unknown
+    address) under uniform loss, a burst region installed half-way and a
+    latency spike; everything observable, datagram by datagram."""
+    rng = random.Random(seed)
+    loop = EventLoop()
+    net = network_class(
+        loop, TransitStubTopology(domains=2, jitter_fraction=0.1, seed=3),
+        loss_rate=0.15, seed=seed, classifier=classify, reliable=reliable,
+    )
+    nodes = {address: FakeNode(address) for address in TRAIN_ADDRESSES}
+    for node in nodes.values():
+        net.register(node)
+    launched, hooked, returned = [], [], []
+    real_launch = net._launch
+
+    def launch(src, src_loop, dst, now, arrive):
+        _, tuples, bytes_by_category = arrive.args[:3]
+        launched.append((src, dst, now, list(tuples), dict(bytes_by_category)))
+        return real_launch(src, src_loop, dst, now, arrive)
+
+    net._launch = launch
+    net.add_send_hook(lambda src, dst, tup, now: hooked.append((src, dst, tup, now)))
+    cond = LinkConditioner(seed=seed)
+    net.set_conditioner(cond)
+    split = 0
+    for round_no in range(120):
+        src = rng.choice(TRAIN_ADDRESSES)
+        dst = rng.choice(TRAIN_ADDRESSES + ["nowhere"])
+        train = _random_train(rng) if rng.random() < 0.8 else _filling_train(rng)
+        split += len(pack_datagrams(train, classify)) > 1
+        returned.append(net.send_batch(src, dst, train))
+        if round_no % 4 == 0:
+            loop.run_for(rng.choice([0.0, 0.01, 0.3]))
+        if round_no == 40:
+            cond.push_latency_spike(2.0)
+        if round_no == 60:
+            cond.add_burst_loss(GilbertElliott(p_enter_bad=0.3, p_exit_bad=0.3, loss_bad=0.9))
+        if round_no == 80:
+            cond.pop_latency_spike(2.0)
+    loop.run_for(120.0)
+    return {
+        "returned": returned,
+        "launched": launched,
+        "hooked": hooked,
+        "received": {a: node.batches for a, node in nodes.items()},
+        "stats": {a: vars(stats).copy() for a, stats in sorted(net.stats.items())},
+        "loss_streams": {src: r.getstate() for src, r in sorted(net._loss_rngs.items())},
+        "burst_chains": {link: (chain.rng.getstate(), chain.bad)
+                         for region in cond._regions for link, chain in region._chains.items()},
+        "counters": (net.messages_sent, net.datagrams_sent, net.messages_dropped,
+                     net.retransmits, net.acks_sent, net.dupes_dropped, net.suppressed_sends,
+                     cond.burst_drops),
+        "events": loop.processed,
+        "split_trains": split,
+    }
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("reliable", [False, True], ids=["best_effort", "reliable"])
+def test_one_pass_trains_match_the_packing_model(reliable, seed):
+    """``send_batch`` packs and launches in one pass; the model packs the whole
+    train with ``pack_datagrams`` first.  Trains over the MTU, oversized
+    tuples and mixed categories must give the same datagrams (tuples and byte
+    attribution), node stats and loss-stream and burst-chain positions."""
+    new = _play_trains(Network, seed, reliable)
+    assert new == _play_trains(PackingNetwork, seed, reliable)
+    data = [(tuples, by_category) for _, _, _, tuples, by_category in new["launched"] if tuples]
+    assert any(len(tuples) == 1 and tuples[0].estimate_size() > MTU_BYTES
+               for tuples, _ in data)  # an oversized tuple travels alone
+    assert any(len(by_category) > 1 for _, by_category in data)  # mixed categories
+    assert any(sum(t.estimate_size() for t in tuples) == MTU_BYTES for tuples, _ in data)
+    assert new["split_trains"] > 20  # trains of several datagrams
+    assert new["counters"][2] and new["counters"][7]  # uniform and burst losses
+    assert bool(new["counters"][3]) is reliable  # retransmissions only with the layer
 
 
 class TestDeliveryRaces:

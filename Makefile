@@ -24,21 +24,23 @@ test-reliable:
 	  tests/test_event_loop.py tests/test_timer_lifecycle.py tests/test_faults.py \
 	  tests/test_sharded_sim.py
 
-# The cost-based planner suite on its own: the optimize×fused differential
-# grid, plan unit tests, golden plan snapshots, and the slow full-run
-# bit-identity acceptance (chord static + churn, optimized vs naive).
+# The cost-based planner suite on its own: the optimize × {procedure,
+# reference run loop} differential grid, plan unit tests, golden plan
+# snapshots, and the slow full-run bit-identity acceptance (chord static +
+# churn, optimized vs naive).
 test-planner:
 	$(PYTHON) -m pytest -x -q tests/test_planner_opt.py tests/test_golden_plans.py tests/test_plan_once.py
 
 # The node run loop: every firing's generated procedure (tuple, periodic tick,
-# dirty continuous aggregate; fused or not) against the moved reference model,
-# the firing tail's ordering and all-or-nothing guarantees, fused procedures
-# against their fused=False twins, the continuous procedures' rescan skip, the
-# runtime node, and the golden generated text.
+# dirty continuous aggregate) against the reference run loop in
+# tests/support/reference.py, which fires the element walk; the firing tail's
+# ordering and all-or-nothing guarantees, the continuous procedures' rescan
+# skip, rules past CPython's nesting limits (long arithmetic chains, many
+# selections), the runtime node, and the golden generated text.
 test-runloop:
 	$(PYTHON) -m pytest -x -q tests/test_relation_procedure.py tests/test_firing_tail.py \
 	  tests/test_strand_fusion.py tests/test_strand_source.py tests/test_soft_state_deltas.py \
-	  tests/test_runtime_node.py tests/test_golden_plans.py
+	  tests/test_emitter_limits.py tests/test_runtime_node.py tests/test_golden_plans.py
 
 # Rewrite the golden plans and generated procedures (tests/golden/) from the
 # current code, then show which snapshots moved; review the diff before

@@ -80,9 +80,8 @@ def run_static_experiment(
 
     ``engine`` is the engine modes of
     :class:`~repro.runtime.system.OverlaySimulation` (``batching``,
-    ``shards``, ``fused``, ``optimize``, ``reliable``), handed through
-    untouched; ``shards``, ``fused`` and ``optimize`` leave every result
-    identical.
+    ``shards``, ``optimize``, ``reliable``), handed through untouched;
+    ``shards`` and ``optimize`` leave every result identical.
     ``faults`` arms a fault schedule, ``monitors`` installs periodic
     invariant probes (instances or network-taking factories), and
     ``lookup_timeout`` makes abandoned lookups count as failed — all off by

@@ -330,8 +330,8 @@ def build_chord_network(
     a class).  Start them with ``network.simulation.monitor_runner.start()``.
 
     ``engine`` goes untouched to the :class:`OverlaySimulation` built here —
-    its engine modes (``batching``, ``shards``, ``fused``, ``optimize``,
-    ``reliable``) are declared and documented there.  A ``simulation`` passed
+    its engine modes (``batching``, ``shards``, ``optimize``, ``reliable``)
+    are declared and documented there.  A ``simulation`` passed
     in was already built with its own, so naming one here too is an error.
     """
     kwargs = dict(program_kwargs or {})

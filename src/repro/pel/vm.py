@@ -38,10 +38,13 @@ from .program import Program
 
 BuiltinFunction = Callable[..., Any]
 
-#: Programs longer than this run through the interpreter: the generated
-#: expression nests once per operator and CPython's parser caps the nesting
-#: (planner output is tens of instructions; this guards hand-built programs).
-MAX_CHAINED_INSTRUCTIONS = 400
+#: The deepest bracket nesting an emitted expression may have (a ``+ 1``
+#: nests two); deeper programs run through the interpreter.  CPython refuses
+#: a line nested more than 200 deep, which leaves a level for the line an
+#: expression starts (``_1 = …``, ``if …:``, ``return …``).
+MAX_NESTING = 199
+#: what ``compile()`` raises for text CPython refuses (nesting limits)
+REFUSED = (SyntaxError, RecursionError, MemoryError)
 
 
 class EvalContext:
@@ -199,6 +202,8 @@ class Expression(NamedTuple):
     value: Any = None
     #: calls a built-in, which may read ``ctx.fields``
     calls: bool = False
+    #: how deep the text nests brackets
+    depth: int = 0
 
     @property
     def inline(self) -> bool:
@@ -231,10 +236,8 @@ class ExpressionEmitter:
 
         Declined, and left to the interpreter: ``DUP``/``POP`` (an operand
         would be evaluated twice, or not at all), programs that underflow or
-        leave more than one value, over-long programs.
+        leave more than one value, text nested deeper than :data:`MAX_NESTING`.
         """
-        if len(program.instructions) > MAX_CHAINED_INSTRUCTIONS:
-            return None
         stack: List[Expression] = []
         loads: List[int] = []
         calls = False
@@ -248,7 +251,7 @@ class ExpressionEmitter:
                 if type(operand) is not int:
                     return None
                 loads.append(operand)
-                stack.append(Expression(f"{fields}[{operand}]", "load"))
+                stack.append(Expression(f"{fields}[{operand}]", "load", depth=1))
                 continue
             arity = operand[1] if op is Op.CALL else _ARITY.get(op)
             if arity is None or len(stack) < arity:
@@ -261,7 +264,11 @@ class ExpressionEmitter:
                 name, _, inline = UNARY[op]
                 form = inline if inline and args[0].kind == "bool" else name + "({})"
                 kind = "bool" if op in _BOOL_RESULT else "atomic"
-                stack.append(Expression("(" + form.format(args[0].text) + ")", kind))
+                # ``(not …)`` counts as two as well: CPython's parser recurses
+                # through a ``not`` about as deep as through a bracket
+                stack.append(Expression(
+                    "(" + form.format(args[0].text) + ")", kind, depth=_nested(2, args)
+                ))
             elif op is Op.RING_IN:
                 self.uses.add("R")
                 # three ints go straight to the ring; anything else through
@@ -270,7 +277,8 @@ class ExpressionEmitter:
                 test = " & ".join(f"(type({n} := {a.text}) is int)" for n, a in zip(names, args))
                 rest = f"{', '.join(names)}, {operand[0]!r}, {operand[1]!r})"
                 stack.append(Expression(
-                    f"(R.in_interval({rest} if {test} else ring_in(R, {rest})", "bool"
+                    f"(R.in_interval({rest} if {test} else ring_in(R, {rest})", "bool",
+                    depth=_nested(3, args),
                 ))
             else:
                 calls = True
@@ -278,9 +286,10 @@ class ExpressionEmitter:
                 name = repr(operand[0])
                 passed = "".join(", " + a.text for a in args)
                 stack.append(Expression(
-                    f"(B.get({name}) or unknown({name}))(ctx{passed})", "any"
+                    f"(B.get({name}) or unknown({name}))(ctx{passed})", "any",
+                    depth=max(2, _nested(1, args)),
                 ))
-        if len(stack) > 1:
+        if len(stack) > 1 or (stack and stack[0].depth > MAX_NESTING):
             return None
         if not stack:
             return Expression("None", "const")
@@ -300,9 +309,10 @@ class ExpressionEmitter:
             type(value) is float and value == value and abs(value) != float("inf")
         ):
             text = repr(value)
-            return Expression(f"({text})" if text[0] == "-" else text, "const", value=value)
+            neg = text[0] == "-"
+            return Expression(f"({text})" if neg else text, "const", value=value, depth=int(neg))
         self.constants.append(value)
-        return Expression(f"{self.constants_name}[{len(self.constants) - 1}]", "any")
+        return Expression(f"{self.constants_name}[{len(self.constants) - 1}]", "any", depth=1)
 
     def _binary(self, op: Op, a: Expression, b: Expression) -> Expression:
         name, _, inline, exact = BINARY[op]
@@ -339,9 +349,18 @@ class ExpressionEmitter:
                 wanted = f"is {exact[0].__name__}" if len(exact) == 1 else "in ORDERED"
                 test = f"type({uses[0]} := {a.text}) is type({uses[1]} := {b.text}) {wanted}"
             return Expression(
-                f"({inline.format(*uses)} if {test} else {call.format(*uses)})", kind
+                f"({inline.format(*uses)} if {test} else {call.format(*uses)})", kind,
+                depth=_nested(2, (a, b)),  # in ``(… type(…) …)``
             )
-        return Expression("(" + form.format(a.text, b.text) + ")", kind)
+        return Expression(
+            "(" + form.format(a.text, b.text) + ")", kind,
+            depth=_nested(form.count("(") + 1, (a, b)),
+        )
+
+
+def _nested(levels: int, operands: Sequence[Expression]) -> int:
+    """The depth of a text wrapping each of *operands* in *levels* brackets."""
+    return levels + max((x.depth for x in operands), default=0)
 
 
 def raise_as_interpreted(exc: Exception, sites: Mapping[int, tuple]) -> None:
@@ -389,21 +408,17 @@ GENERATED_GLOBALS: Dict[str, Any] = {
 }
 
 
-def load_generated(text: str, path: Sequence[str], names: Mapping[str, Any]) -> Optional[dict]:
-    """Compile and run generated module *text*; its namespace, or ``None``.
+def load_generated(text: str, path: Sequence[str], names: Mapping[str, Any]) -> dict:
+    """Compile and run generated module *text*; its namespace.
 
     The code object's filename is ``<this package's parent>/<path…>`` — a
     path that looks like the layer the code belongs to, so profilers bucket
     it there — and the text is registered in :mod:`linecache` under it, so
     tracebacks and ``pdb`` show the generated line.  Nothing is written to
-    disk.  ``None`` means CPython refused the text (nesting limits): the
-    caller falls back to the interpreter.
+    disk.  Raises one of :data:`REFUSED` if CPython refuses the text.
     """
     filename = os.path.join(os.path.dirname(os.path.dirname(__file__)), *path)
-    try:
-        code = compile(text, filename, "exec")
-    except (SyntaxError, RecursionError, MemoryError):
-        return None
+    code = compile(text, filename, "exec")
     linecache.cache[filename] = (len(text), None, text.splitlines(True), filename)
     namespace = {**GENERATED_GLOBALS, **names}
     exec(code, namespace)
@@ -414,7 +429,6 @@ def compile_program(program: Program) -> Callable[[EvalContext], Any]:
     """Compile *program* into a single callable ``fn(ctx) -> result``."""
     emitter = ExpressionEmitter()
     expr = emitter.emit(program, "f")
-    namespace = None
     if expr is not None:
         lines = [
             "def run(ctx):",
@@ -427,14 +441,15 @@ def compile_program(program: Program) -> Callable[[EvalContext], Any]:
         ]
         text = "\n".join(lines) + "\n"
         sites = {len(lines) - 2: (repr(program.source), expr.loads, "f")}
-        namespace = load_generated(
-            text,
-            ("pel", "generated", f"{zlib.crc32(text.encode()):08x}.py"),
-            {"SITES": sites, "K": emitter.constants},
-        )
-    if namespace is None:
-        return lambda ctx: VM.execute_interpreted(program, ctx)
-    return namespace["run"]
+        try:
+            return load_generated(
+                text,
+                ("pel", "generated", f"{zlib.crc32(text.encode()):08x}.py"),
+                {"SITES": sites, "K": emitter.constants},
+            )["run"]
+        except REFUSED:
+            pass
+    return lambda ctx: VM.execute_interpreted(program, ctx)
 
 
 class PelVM:

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import partial
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple as PyTuple
 
 from ..core.errors import OverlogAnalysisError, PlannerError
@@ -74,16 +73,11 @@ class CompiledDataflow:
     #: every strand's remote-bound head tuples funnel through it so one
     #: run-queue drain becomes one datagram train per destination
     transmit: Optional[TransmitBuffer] = None
-    #: True when the node's procedures inline the strands' bodies, generated
-    #: as source by :mod:`repro.planner.strand_compiler` (the default; a strand
-    #: its emitter declined keeps the walk); False calls every strand's
-    #: element walk — the escape hatch / differential oracle
-    fused: bool = False
     #: True when body terms were placed by the cost-based optimizer
     #: (:mod:`repro.planner.optimizer`); False is the naive body-order walk
     optimized: bool = False
-    #: on a node, the plan's :meth:`PlannedProgram.procedure` in the node's
-    #: mode: the node binds a trigger's procedure the first time it fires
+    #: on a node, the plan's :meth:`PlannedProgram.procedure`: the node binds
+    #: a trigger's procedure the first time it fires
     procedure: Optional[Callable[[Any], Procedure]] = None
     #: the node's one evaluation context, shared by its procedures
     ctx: Optional[EvalContext] = None
@@ -127,23 +121,22 @@ class PlannedProgram:
     #: the strands themselves, their operators pointing at no host and at
     #: schema-only tables; never fired — nodes run rebound copies
     dataflow: CompiledDataflow
-    #: (trigger, fused) -> its procedure, once generated
+    #: trigger -> its procedure, once generated
     _procedures: Dict[Any, Procedure] = field(default_factory=dict, init=False, repr=False)
 
-    def procedure(self, trigger: Any, *, fused: bool = True) -> Procedure:
-        """*trigger*'s generated procedure in the ``fused`` mode or not (see
-        :func:`generate_procedure`).  Made the first time any node binds it,
-        so set-up compiles none; a relation the program neither stores nor
-        fires on gets the shared one, so an unknown name costs no compile."""
+    def procedure(self, trigger: Any) -> Procedure:
+        """*trigger*'s generated procedure (see :func:`generate_procedure`).
+        Made the first time any node binds it, so set-up compiles none; a
+        relation the program neither stores nor fires on gets the shared
+        one, so an unknown name costs no compile."""
         dataflow = self.dataflow
         if type(trigger) is str and not (
             trigger in dataflow.strands_by_event or dataflow.program.is_materialized(trigger)
         ):
             trigger = None
-        key = (trigger, fused)
-        if key not in self._procedures:
-            self._procedures[key] = generate_procedure(dataflow, trigger, fused)
-        return self._procedures[key]
+        if trigger not in self._procedures:
+            self._procedures[trigger] = generate_procedure(dataflow, trigger)
+        return self._procedures[trigger]
 
 
 def plan_program(program: "ast.Program | str", *, optimize: bool = True) -> PlannedProgram:
@@ -201,7 +194,6 @@ class Planner:
         host: Any,
         tables: TableStore,
         *,
-        fused: bool = True,
         optimize: bool = True,
         strict: bool = False,
     ):
@@ -210,10 +202,6 @@ class Planner:
         self.program = program
         self.host = host
         self.tables = tables
-        #: inline each strand into its trigger's generated procedure (the
-        #: default); False calls the interpreted element walk — the
-        #: differential oracle
-        self.fused = fused
         #: place body terms with the cost-based optimizer (the default);
         #: False keeps the naive body-order walk — the plan-level oracle
         self.optimize = optimize
@@ -248,7 +236,6 @@ class Planner:
             ],
             facts=[self._resolve_fact(fact) for fact in program.facts],
             transmit=TransmitBuffer(name="transmit"),
-            fused=self.fused,
             optimized=self.optimize,
             ctx=EvalContext.for_host(host),
         )
@@ -256,7 +243,7 @@ class Planner:
         for strand in compiled.all_strands() + compiled.continuous:
             for element in strand.elements():
                 compiled.graph.add(element)
-        compiled.procedure = partial(planned.procedure, fused=self.fused)
+        compiled.procedure = planned.procedure
         return compiled
 
     @classmethod
@@ -272,7 +259,7 @@ class Planner:
 
     @classmethod
     def explain_source(cls, program: "ast.Program | str", *, optimize: bool = True) -> str:
-        """The Python source generated for *program*: what a fused node runs.
+        """The Python source generated for *program*: what its nodes run.
 
         Every trigger's procedure under ``# ---- relation <name>`` /
         ``periodic <rule>`` / ``continuous <rule>`` / ``any other relation``

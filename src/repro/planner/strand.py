@@ -16,9 +16,9 @@ tuple, ...]``: :meth:`RuleStrand.fire` (and
 :meth:`ContinuousAggregateStrand.refresh`) iterates the element chain with
 one batch list per operator; it is the reference semantics.  What a node
 runs is its triggers' procedures, generated as Python source by
-:mod:`repro.planner.strand_compiler`, which inline each strand's body on a
-fused node; the walk is the differential-testing oracle, what ``fused=False``
-procedures call, and the fallback for a strand the source emitter declines.
+:mod:`repro.planner.strand_compiler`, which inline each strand's body; the
+walk is what a procedure calls for a strand the source emitter declines,
+and what the reference run loop of the differential suites fires.
 :meth:`RuleStrand.process` wraps the heads in :class:`HeadRoute` objects for
 tests, oracles and benchmarks.
 """

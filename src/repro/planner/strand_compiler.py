@@ -15,8 +15,8 @@ A procedure, ``handle(…)``: for a relation, count the dispatch, call the live
 subscribers and insert into the relation's table; then each of the
 trigger's strands in order, and right after it that firing's heads routed by
 the strand's static ``loc_position``/``is_delete`` (:func:`_route`, the one
-place a head's destination is decided).  On a fused node each strand's body
-is *inlined* (:class:`_Emitter`, names prefixed ``s<i>_``): select → assign →
+place a head's destination is decided).  Each strand's body is *inlined*
+(:class:`_Emitter`, names prefixed ``s<i>_``): select → assign →
 join(s)/antijoin → project → optional aggregate as nested ``if``/``for``
 over bare field tuples (a continuous strand's inside one loop over its base
 table's scan), every PEL program inlined as a Python expression
@@ -26,16 +26,15 @@ table's scan), every PEL program inlined as a Python expression
 tuples are not coerced again; computed ones are).  Nothing is built that
 only the next step of the same rule would read: an aggregate folds each
 match into its group's state where it is found (one tuple per *group*), and
-no route object wraps a head.  Under ``fused=False``, and for a strand the
-emitter declines, the procedure calls the strand's interpreted ``fire``
-(``refresh``) instead.
+no route object wraps a head.  For a strand the emitter declines, the
+procedure calls the strand's interpreted ``fire`` (``refresh``) instead.
 
 Generated once, bound per node
 ------------------------------
 
-The text depends on the program, the plan and the mode, never on a node.
-:func:`generate_procedure` runs once per program, plan kind, mode and
-trigger, the first time any node fires the trigger
+The text depends on the program and the plan, never on a node.
+:func:`generate_procedure` runs once per program, plan kind and trigger, the
+first time any node fires the trigger
 (:meth:`repro.planner.planner.PlannedProgram.procedure` keeps the result with
 the rest of the plan in the one per-program memo), and each node *binds* it:
 ``bind(node, ctx, strands, subscribers, pending, egress)`` reads the node's
@@ -65,13 +64,14 @@ Contracts
   continuous ``count``/``min``/``max`` over a pure chain rescans only when
   its base table's ``version`` moved, and remembers the version only once a
   refresh has gone through.
-* The walk stays: as the differential oracle (a fused node's procedures
-  against its ``fused=False`` twin's, ``tests/test_strand_fusion.py``), as
-  ``fused=False``, and as the fallback for a strand the emitter declines —
-  an operator type it does not know, a PEL program the expression emitter
-  declines, or a body nested deeper than CPython compiles
-  (:data:`MAX_BLOCKS`).  A procedure CPython still refuses raises
-  :class:`PlannerError`.
+* The walk stays as the fallback for a strand the emitter declines — an
+  operator type it does not know, a PEL program the expression emitter
+  declines (:data:`~repro.pel.vm.MAX_NESTING`), or a body nested deeper
+  than CPython compiles (:data:`MAX_BLOCKS`, :data:`MAX_INDENT`).  A
+  procedure CPython still refuses raises :class:`PlannerError` with
+  CPython's message.  The differential suites check procedures against a
+  reference run loop kept with the tests, which fires strands through the
+  walk.
 * Procedures are *not* reentrant (one ``ctx`` per node), which is safe
   because strand execution is run-to-completion: a firing's heads are routed
   only once its body is done — after the strand's ``try``, or after ``fire``
@@ -88,7 +88,7 @@ from ..core.errors import PlannerError
 from ..core.tuples import Tuple
 from ..dataflow.operators import AntiJoin, Assign, LookupJoin, Select
 from ..pel.program import Program
-from ..pel.vm import Expression, ExpressionEmitter, load_generated
+from ..pel.vm import REFUSED, Expression, ExpressionEmitter, load_generated
 from .strand import ContinuousAggregateStrand
 
 _INDENT = "    "
@@ -98,6 +98,10 @@ CLOCK = "loop.now"
 #: CPython's limit on the statically nested blocks (``for``, ``try``, …) of
 #: one function: the emitter declines a strand whose body would need more
 MAX_BLOCKS = 20
+#: the deepest indentation level CPython's tokenizer accepts: every ``if`` of
+#: a selection or an antijoin indents too, so the emitter also declines a
+#: strand whose body would sit deeper
+MAX_INDENT = 99
 
 
 def _tuple(items: Sequence[str]) -> str:
@@ -147,6 +151,10 @@ class _Emitter:
 
     # -- lines ---------------------------------------------------------------
     def line(self, depth: int, text: str) -> None:
+        """Append *text* at *depth*; the procedure indents the body once more
+        (it sits in ``handle``), so decline past :data:`MAX_INDENT`."""
+        if depth + 1 > MAX_INDENT:
+            raise _Declined(f"more than {MAX_INDENT} levels of indentation")
         self.body.append(_INDENT * depth + text)
 
     def site(self, depth: int, text: str, loads: Sequence[int], fields: str,
@@ -490,21 +498,21 @@ def _inline(strand: Any, ns: str) -> Optional[PyTuple[_Emitter, List[str], List[
         return None
 
 
-def generate_procedure(compiled: Any, trigger: Any, fused: bool) -> Procedure:
+def generate_procedure(compiled: Any, trigger: Any) -> Procedure:
     """*trigger*'s procedure (a trigger of ``CompiledDataflow.strands_of``,
     or ``None``: every relation *compiled* neither stores nor fires on).
 
     A relation's counts the dispatch, calls the live subscribers and inserts
     into the relation's table (if stored).  Then each strand fires in order
-    and its heads are routed (:func:`_route`) before the next one fires.  A
-    *fused* procedure inlines the body of every strand the emitter takes; a
-    strand it declines, and every strand of a procedure that is not *fused*,
+    and its heads are routed (:func:`_route`) before the next one fires.  The
+    body of every strand the emitter takes is inlined; a strand it declines
     is called through its interpreted ``fire`` (``refresh`` for a continuous
-    strand).  Raises :class:`PlannerError` if CPython refuses the text.
+    strand).  Raises :class:`PlannerError`, with CPython's message, if
+    CPython refuses the text.
     """
     kind = "relation" if trigger is None or type(trigger) is str else trigger[0]
     strands = [] if trigger is None else compiled.strands_of(trigger)
-    inlined = [_inline(s, f"s{i}_") if fused else None for i, s in enumerate(strands)]
+    inlined = [_inline(s, f"s{i}_") for i, s in enumerate(strands)]
     call, arg = ("refresh", "at") if kind == "continuous" else ("fire", "event")
     handle = [f"def handle({arg}):"]
     uses: set = set()
@@ -564,10 +572,10 @@ def generate_procedure(compiled: Any, trigger: Any, fused: bool) -> Procedure:
         # 1-based lines of the file; the handler sits one indent in
         names[f"{ns}SITES"] = {len(prologue) + start + 1 + n: site for n, site in table.items()}
     text = "\n".join(prologue + [_INDENT + line for line in handle] + ["    return handle"]) + "\n"
-    mode = () if fused else ("unfused",)
-    namespace = load_generated(
-        text, ("planner", "generated", _directory(compiled), *mode, *path), names
-    )
-    if namespace is None:
-        raise PlannerError(f"{name}: CPython refused the generated procedure")
+    try:
+        namespace = load_generated(
+            text, ("planner", "generated", _directory(compiled), *path), names
+        )
+    except REFUSED as exc:
+        raise PlannerError(f"{name}: CPython refused the generated procedure: {exc}") from exc
     return Procedure(name, text, namespace["bind"])

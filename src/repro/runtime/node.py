@@ -61,7 +61,6 @@ class P2Node:
         extra_builtins: Optional[dict] = None,
         batching: bool = True,
         shard: Optional[int] = None,
-        fused: bool = True,
         optimize: bool = True,
     ):
         self.address = address
@@ -79,16 +78,12 @@ class P2Node:
         self.node_id = node_id
         self.alive = False
         self.batching = batching
-        #: procedures inline the strands' generated bodies by default;
-        #: ``fused=False`` calls the interpreted element walk instead (the
-        #: escape hatch and differential oracle)
-        self.fused = fused
         #: body terms placed by the cost-based optimizer by default;
         #: ``optimize=False`` keeps the naive body-order plans (the oracle)
         self.optimize = optimize
         self.tables = TableStore()
         self.compiled: CompiledDataflow = Planner(
-            program, self, self.tables, fused=fused, optimize=optimize
+            program, self, self.tables, optimize=optimize
         ).compile()
         #: planner-built egress element; every remote-bound head tuple is
         #: coalesced here and flushed as datagram trains once per drain

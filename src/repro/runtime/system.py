@@ -28,7 +28,7 @@ from .node import P2Node
 class OverlaySimulation:
     """A population of P2 nodes running one OverLog specification.
 
-    The five engine modes are declared, defaulted and documented here;
+    The four engine modes are declared, defaulted and documented here;
     :func:`~repro.overlays.chord.build_chord_network` and the experiment
     drivers hand them through untouched as ``**engine``.  Each non-default
     value is an oracle the differential suites compare against or an opt-in
@@ -45,11 +45,6 @@ class OverlaySimulation:
         floor — while harness timers (:meth:`schedule`) run on its control
         loop.  Observably identical to the one classic :class:`EventLoop` of
         ``shards=1`` (``tests/test_sharded_sim.py``).
-    ``fused=False``
-        strands walk their elements (the interpreted differential oracle)
-        instead of being inlined as generated code.  Nodes still run every
-        firing through its trigger's generated procedure; it calls each
-        strand's ``fire``/``refresh`` instead of inlining its body.
     ``optimize=False``
         plans keep the naive body-order walk (the plan-level oracle) instead
         of the cost-based optimizer's.
@@ -69,7 +64,6 @@ class OverlaySimulation:
         classifier: Optional[Callable[[Tuple], str]] = None,
         batching: bool = True,
         shards: int = 1,
-        fused: bool = True,
         optimize: bool = True,
         reliable: bool = False,
         faults: Optional[FaultSchedule] = None,
@@ -95,7 +89,6 @@ class OverlaySimulation:
         self.idspace = IdSpace(bits=id_bits)
         self.seed = seed
         self.batching = batching
-        self.fused = fused
         self.optimize = optimize
         self.reliable = reliable
         self._rng = random.Random(seed)
@@ -153,7 +146,6 @@ class OverlaySimulation:
             extra_builtins=extra_builtins,
             batching=self.batching,
             shard=shard,
-            fused=self.fused,
             optimize=self.optimize,
         )
         self.network.register(node)

@@ -1,4 +1,4 @@
-"""Reusable OverLog program generation + twin-node helpers for differentials.
+"""Reusable OverLog program generation + node helpers for differentials.
 
 Shared by the strand-fusion suite (``tests/test_strand_fusion.py``) and the
 planner-optimizer harness (``tests/test_planner_opt.py``).  Two kinds of
@@ -133,21 +133,17 @@ def generate_program(shape: str, seed: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Twin-node helpers
+# Node helpers
 # ---------------------------------------------------------------------------
 
 
-def make_node(program, fused, seed=0, address="n1", optimize=True):
+def make_node(program, seed=0, address="n1", optimize=True, **kwargs):
+    """One isolated node on a network of its own (not booted)."""
     loop = EventLoop()
     net = Network(loop, UniformTopology(latency=0.01))
-    node = P2Node(address, program, net, loop, seed=seed, fused=fused, optimize=optimize)
+    node = P2Node(address, program, net, loop, seed=seed, optimize=optimize, **kwargs)
     net.register(node)
     return node
-
-
-def make_twins(program, seed=0):
-    """Two isolated, identically-seeded nodes: fused and interpreted."""
-    return make_node(program, True, seed=seed), make_node(program, False, seed=seed)
 
 
 def table_arities(program_ast):
@@ -174,7 +170,7 @@ def random_value(rng, address):
 
 
 def populate_tables(nodes, rng, rows_per_table=6):
-    """Insert the same random rows into every twin's tables."""
+    """Insert the same random rows into the tables of each of *nodes*."""
     program_ast = nodes[0].compiled.program
     arities = table_arities(program_ast)
     for name in sorted(arities):

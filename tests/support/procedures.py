@@ -3,51 +3,61 @@
 A procedure's ``bind(node, ctx, strands, subscribers, pending, egress)``
 takes the run queue and the egress as arguments, so a test can fire one
 trigger on a node and see every head it routes — where to and in what order
-— without the node's run loop, transmit buffer or network.  :class:`Twins`
-does that on a fused node and on its ``fused=False`` twin, whose procedures
-call every strand's element walk: the two must route the same heads, raise
-the same error and count the same, firing after firing.
+— without the node's run loop, transmit buffer or network.  The reference
+run loop (:mod:`tests.support.reference`) takes the same two arguments.
+:class:`Twins` fires a node's procedures and, on an identical node, the
+reference, which calls every strand's element walk: the two must route the
+same heads, raise the same error and count the same, firing after firing.
 """
 
 from types import SimpleNamespace
 
 from tests.support.genprograms import make_node
+from tests.support.reference import reference_bind
 
 
-def bind_capturing(node, trigger):
-    """*trigger*'s procedure bound to *node*: ``(handle, routes)``.
+def procedure_bind(node, trigger, pending, egress):
+    """*trigger*'s generated procedure bound to *node*, with no subscribers."""
+    compiled = node.compiled
+    return compiled.procedure(trigger).bind(
+        node, compiled.ctx, compiled.strands_of(trigger), (), pending, egress
+    )
 
-    Every head the procedure routes to the run queue or the egress is
-    appended to ``routes`` as ``(destination, head)`` instead, a local one
-    with *node*'s address; deletes are applied to the node's tables as ever.
-    The relation's subscribers are not called.
+
+def bind_capturing(node, trigger, bind=procedure_bind):
+    """*trigger* bound to *node* by *bind* (:func:`procedure_bind` or
+    ``reference_bind``): ``(handle, routes)``.
+
+    Every head routed to the run queue is appended to ``routes`` as
+    ``(None, head)`` instead, and every head handed to the egress as
+    ``(destination, head)``; deletes are applied to the node's tables as
+    ever.
     """
     routes = []
-    address = node.address
     queue = SimpleNamespace(
-        append=lambda head: routes.append((address, head)),
-        extend=lambda heads: routes.extend((address, head) for head in heads),
+        append=lambda head: routes.append((None, head)),
+        extend=lambda heads: routes.extend((None, head) for head in heads),
     )
-    compiled = node.compiled
-    handle = compiled.procedure(trigger).bind(
-        node, compiled.ctx, compiled.strands_of(trigger), (), queue,
-        lambda destination, head: routes.append((destination, head)),
-    )
-    return handle, routes
+
+    def egress(destination, head):
+        routes.append((destination, head))
+
+    return bind(node, trigger, queue, egress), routes
 
 
 def calls_the_walk(node, trigger):
     """Whether *node*'s procedure for *trigger* calls any strand's element
-    walk (``fire``/``refresh``) instead of inlining its body."""
+    walk (``fire``/``refresh``) instead of inlining its body: the emitter
+    declined a strand."""
     text = node.compiled.procedure(trigger).text
     return "_fire = strands[" in text or "_refresh = strands[" in text
 
 
-def fire(node, trigger, arg):
+def fire(node, trigger, arg, bind=procedure_bind):
     """Fire *trigger* on *node* once (*arg*: the event, or the time of a
-    continuous refresh): ``(routes, error)``, the heads routed before any
-    error and ``"ErrorType: message"`` or ``None``."""
-    handle, routes = bind_capturing(node, trigger)
+    continuous refresh), bound by *bind*: ``(routes, error)``, the heads
+    routed before any error and ``"ErrorType: message"`` or ``None``."""
+    handle, routes = bind_capturing(node, trigger, bind)
     try:
         handle(arg)
     except Exception as exc:  # noqa: BLE001 - the error IS the observable
@@ -94,7 +104,8 @@ def stats_saver(node):
 
 
 class Twins:
-    """A fused node and its ``fused=False`` twin, built and fired alike.
+    """A node running its procedures and its twin running the reference,
+    built alike (``procedure`` and ``walk``).
 
     :meth:`fire` fires one trigger on both and asserts the same routed heads
     (type for type), the same error, the same strand counters, and — after a
@@ -106,25 +117,26 @@ class Twins:
     """
 
     def __init__(self, program, seed=0, **kwargs):
-        self.fused = make_node(program, True, seed=seed, **kwargs)
-        self.walk = make_node(program, False, seed=seed, **kwargs)
+        self.procedure = make_node(program, seed=seed, **kwargs)
+        self.walk = make_node(program, seed=seed, **kwargs)
 
     @property
     def nodes(self):
-        return self.fused, self.walk
+        return self.procedure, self.walk
 
     def check(self):
-        assert counters(self.fused) == counters(self.walk)
+        assert counters(self.procedure) == counters(self.walk)
 
     def fire(self, trigger, arg):
-        """Fire *trigger* on both twins; the fused twin's ``(routes, error)``."""
+        """Fire *trigger* on both twins; the procedure's ``(routes, error)``."""
         put_back = [stats_saver(node) for node in self.nodes]
-        got, want = (fire(node, trigger, arg) for node in self.nodes)
+        got = fire(self.procedure, trigger, arg)
+        want = fire(self.walk, trigger, arg, reference_bind)
         assert typed(got) == typed(want), (trigger, arg)
         if got[1] is None:
             self.check()
             return got
-        assert counters(self.fused)[:3] == counters(self.walk)[:3], (trigger, arg)
+        assert counters(self.procedure)[:3] == counters(self.walk)[:3], (trigger, arg)
         for each in put_back:
             each()
         return got
@@ -132,7 +144,7 @@ class Twins:
     def triggers(self):
         """Every trigger the program fires strands on, with the event arity
         its strands need: relations, then periodic specs."""
-        compiled = self.fused.compiled
+        compiled = self.procedure.compiled
         out = [(name, max(s.min_event_arity for s in strands))
                for name, strands in compiled.strands_by_event.items()]
         out += [(("periodic", i), spec.strand.min_event_arity)

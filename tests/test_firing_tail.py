@@ -1,14 +1,17 @@
 """The firing tail: inline aggregate folds and the node's per-relation handlers.
 
 Everything between "the last join matched" and "the head is on the run queue
-/ in the transmit buffer / deleted" is compiled: a fused procedure folds
+/ in the transmit buffer / deleted" is compiled: a procedure folds
 aggregates where they match and routes bare head tuples, and each relation's
 table, subscribers, strands and sinks are resolved once, when its procedure
-is bound.  These tests pin what that tail must keep: fold ≡ oracle (a fused
-procedure against its ``fused=False`` twin) over mixed values, the handler's
+is bound.  These tests pin what that tail must keep: fold ≡ oracle (a
+procedure against the reference run loop of ``tests/support/reference.py``,
+which fires the element walk) over mixed values, the handler's
 ordering and all-or-nothing guarantees, and — with no timing in it — how few
 objects a dispatch now builds.
 """
+
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,7 +29,8 @@ from repro.sim import event_loop
 from repro.sim.event_loop import EventLoop
 
 from tests.support.genprograms import make_node
-from tests.support.procedures import Twins, calls_the_walk, fire
+from tests.support.procedures import Twins, calls_the_walk, fire, procedure_bind
+from tests.support.reference import node_bind, reference_bind
 
 # ------------------------------------------------------------------ fold ≡ oracle
 FOLD_PROGRAM = """
@@ -77,55 +81,57 @@ def test_generated_folds_match_the_interpreted_aggregate(fold_twins, rows, probe
     _load(fold_twins, rows)
     for trigger, event in (("ev", Tuple.make("ev", "n1")),
                            ("probe", Tuple.make("probe", "n1", probe))):
-        assert not calls_the_walk(fold_twins.fused, trigger)
+        assert not calls_the_walk(fold_twins.procedure, trigger)
         fold_twins.fire(trigger, event)
-    assert not calls_the_walk(fold_twins.fused, ("continuous", 0))
+    assert not calls_the_walk(fold_twins.procedure, ("continuous", 0))
     for _ in range(2):  # the second pass is suppressed as unchanged, both ways
         fold_twins.fire(("continuous", 0), 0.0)
 
 
-def _heads(node, event_name, *fields):
-    """rule -> the head fields its strand derived from one *event_name*."""
+def _heads(twins, procedure, event_name, *fields):
+    """rule -> the head fields its strand derived from one *event_name*,
+    fired through *twins*' procedure or (not *procedure*) the reference."""
+    node, bind = (twins.procedure, procedure_bind) if procedure else (twins.walk, reference_bind)
     strands = node.compiled.strands_by_event[event_name]
     rules = {strand.head_name: strand.rule_id for strand in strands}
     heads = {strand.rule_id: [] for strand in strands}
-    routes, error = fire(node, event_name, Tuple.make(event_name, "n1", *fields))
+    routes, error = fire(node, event_name, Tuple.make(event_name, "n1", *fields), bind)
     assert error is None
     for _, head in routes:
         heads[rules[head.name]].append(head.fields)
     return heads
 
 
-@pytest.mark.parametrize("fused", [True, False])
-def test_groups_keep_first_appearance_order_and_the_first_match(fold_twins, fused):
-    node = fold_twins.fused if fused else fold_twins.walk
+@pytest.mark.parametrize("procedure", [True, False])
+def test_groups_keep_first_appearance_order_and_the_first_match(fold_twins, procedure):
+    heads = partial(_heads, fold_twins, procedure)
     _load(fold_twins, [(1, 5), ("a", 1), (1.0, 3), (True, 7), ("a", 1.0)])
-    (ones, letters) = _heads(node, "ev")["A3"]
+    (ones, letters) = heads("ev")["A3"]
     # 1, 1.0 and True are one group, shown as its first match wrote it
     assert ones == ("n1", 1, 3, 7, 3) and type(ones[1]) is int
     # min and max both tie on (1, 1.0): the earliest is kept
     assert letters == ("n1", "a", 1, 1, 2) and type(letters[2]) is type(letters[3]) is int
     _load(fold_twins, [("a", 1.0), ("a", 1), ("a", True)])
-    ((_, _, low, high, count),) = _heads(node, "ev")["A3"]
+    ((_, _, low, high, count),) = heads("ev")["A3"]
     assert (type(low), type(high), count) == (bool, float, 3)  # a bool ranks below any number
 
 
-@pytest.mark.parametrize("fused", [True, False])
-def test_empty_groups_and_the_count_zero_fallback(fold_twins, fused):
-    node = fold_twins.fused if fused else fold_twins.walk
+@pytest.mark.parametrize("procedure", [True, False])
+def test_empty_groups_and_the_count_zero_fallback(fold_twins, procedure):
+    heads = partial(_heads, fold_twins, procedure)
     _load(fold_twins, [("k", 1), ("k", 2)])
-    assert _heads(node, "ev") == {
+    assert heads("ev") == {
         "A1": [("n1", "k", 1)], "A2": [("n1", "k", 2)], "A3": [("n1", "k", 1, 2, 2)],
         "A4": [("n1", "k", 3)], "A5": [("n1", "k", 1.5)], "A6": [("n1", "k", 5.0)],
     }
     # A7's group fields come from the event alone (narada R5): count == 0 is emitted;
     # A8's do too; with no rows at all the prefix still reaches the sink
-    assert _heads(node, "probe", "k") == {"A7": [("n1", "k", 2)], "A8": [("n1", 0)]}
-    assert _heads(node, "probe", "none") == {"A7": [("n1", "none", 0)], "A8": [("n1", 0)]}
-    assert _heads(node, "probe", 1) == {"A7": [("n1", 1, 0)], "A8": [("n1", 1)]}
+    assert heads("probe", "k") == {"A7": [("n1", "k", 2)], "A8": [("n1", 0)]}
+    assert heads("probe", "none") == {"A7": [("n1", "none", 0)], "A8": [("n1", 0)]}
+    assert heads("probe", 1) == {"A7": [("n1", 1, 0)], "A8": [("n1", 1)]}
     _load(fold_twins, [])
-    assert _heads(node, "ev") == dict.fromkeys(["A1", "A2", "A3", "A4", "A5", "A6"], [])
-    assert _heads(node, "probe", 1) == {"A7": [("n1", 1, 0)], "A8": [("n1", 0)]}
+    assert heads("ev") == dict.fromkeys(["A1", "A2", "A3", "A4", "A5", "A6"], [])
+    assert heads("probe", 1) == {"A7": [("n1", 1, 0)], "A8": [("n1", 0)]}
 
 
 def test_an_error_half_way_through_an_aggregate_yields_no_heads(fold_twins):
@@ -143,18 +149,18 @@ def test_an_error_half_way_through_an_aggregate_yields_no_heads(fold_twins):
         assert (strand.produced, strand.aggregate.stats.emitted) == (produced, emitted)
 
 
-@pytest.mark.parametrize("fused", [True, False])
-def test_sum_and_avg_stay_exact_above_2_to_the_53(fold_twins, fused):
-    node = fold_twins.fused if fused else fold_twins.walk
+@pytest.mark.parametrize("procedure", [True, False])
+def test_sum_and_avg_stay_exact_above_2_to_the_53(fold_twins, procedure):
+    heads = partial(_heads, fold_twins, procedure)
     wide = (1 << 159) + 7
     _load(fold_twins, [("s", 2**60 + 1), ("s", 1), ("w", wide), ("w", wide), ("w", 3)])
-    heads = _heads(node, "ev")
-    assert heads["A4"] == [("n1", "s", 2**60 + 2), ("n1", "w", 2 * wide + 3)]
-    assert [type(f[2]) for f in heads["A4"]] == [int, int]
-    assert heads["A5"] == [("n1", "s", (2**60 + 2) / 2), ("n1", "w", (2 * wide + 3) / 3)]
+    sums = heads("ev")
+    assert sums["A4"] == [("n1", "s", 2**60 + 2), ("n1", "w", 2 * wide + 3)]
+    assert [type(f[2]) for f in sums["A4"]] == [int, int]
+    assert sums["A5"] == [("n1", "s", (2**60 + 2) / 2), ("n1", "w", (2 * wide + 3) / 3)]
     _load(fold_twins, [("b", 2**60 + 1), ("b", True), ("f", 1), ("f", 0.5)])
-    assert _heads(node, "ev")["A4"] == [("n1", "b", float(2**60 + 1) + 1.0), ("n1", "f", 1.5)]
-    assert [type(f[2]) for f in _heads(node, "ev")["A4"]] == [float, float]
+    assert heads("ev")["A4"] == [("n1", "b", float(2**60 + 1) + 1.0), ("n1", "f", 1.5)]
+    assert [type(f[2]) for f in heads("ev")["A4"]] == [float, float]
 
 
 # ------------------------------------------------------------- handler semantics
@@ -167,7 +173,7 @@ r3 delete t@Y(Y, X, V) :- kill@X(X, Y, V).
 
 
 def test_a_subscriber_added_after_the_first_dispatch_is_called():
-    node = make_node(HANDLER_PROGRAM, True)
+    node = make_node(HANDLER_PROGRAM)
     node.boot()
     node.route(Tuple.make("t", "n1", "n2", 1))  # builds the relation's handler
     assert "t" in node._handlers
@@ -178,7 +184,7 @@ def test_a_subscriber_added_after_the_first_dispatch_is_called():
 
 
 def test_a_relation_with_neither_table_nor_strands_still_reaches_subscribers():
-    node = make_node(HANDLER_PROGRAM, True)
+    node = make_node(HANDLER_PROGRAM)
     node.boot()
     seen = []
     node.subscribe("lookupResults", seen.append)
@@ -193,7 +199,6 @@ def test_a_relation_with_neither_table_nor_strands_still_reaches_subscribers():
 def test_insert_happens_after_subscribers_and_before_the_first_strand():
     node = make_node(
         "materialize(t, infinity, infinity, keys(2)).\nr pair@X(X, Y, Z) :- t@X(X, Y), t@X(X, Z).",
-        True,
     )
     node.boot()
     rows_when_called, pairs = [], []
@@ -205,13 +210,22 @@ def test_insert_happens_after_subscribers_and_before_the_first_strand():
     assert pairs == [("a", "a"), ("a", "a")]
 
 
-@pytest.mark.parametrize("fused", [True, False])
-def test_a_firing_that_raises_applies_none_of_its_heads(fused):
+def _handler_node(procedure):
+    """A booted node on ``HANDLER_PROGRAM``, running its procedures or (not
+    *procedure*) the reference run loop."""
+    node = make_node(HANDLER_PROGRAM)
+    if not procedure:
+        node._bind = partial(node_bind, node)
+    node.boot()
+    return node
+
+
+@pytest.mark.parametrize("procedure", [True, False])
+def test_a_firing_that_raises_applies_none_of_its_heads(procedure):
     """r1 (first in strand order) is applied in full, then r2 raises on its
     third match: its two earlier heads — one local, one remote — are not
     applied, and the queue and transmit buffer are exactly as r1 left them."""
-    node = make_node(HANDLER_PROGRAM, fused)
-    node.boot()
+    node = _handler_node(procedure)
     for peer, value in (("n2", 1), ("n1", 2), ("n3", 0)):
         node.tables.get("t").insert(Tuple.make("t", "n1", peer, value), 0.0)
     with pytest.raises(Exception, match="division by zero"):
@@ -228,10 +242,9 @@ def test_a_firing_that_raises_applies_none_of_its_heads(fused):
     assert not node._pending and len(node.transmit) == 0
 
 
-@pytest.mark.parametrize("fused", [True, False])
-def test_a_non_local_delete_raises_the_planner_error(fused):
-    node = make_node(HANDLER_PROGRAM, fused)
-    node.boot()
+@pytest.mark.parametrize("procedure", [True, False])
+def test_a_non_local_delete_raises_the_planner_error(procedure):
+    node = _handler_node(procedure)
     node.route(Tuple.make("t", "n1", "n2", 1))
     with pytest.raises(PlannerError) as error:
         node.route(Tuple.make("kill", "n1", "n2", 1))
@@ -243,7 +256,7 @@ def test_a_non_local_delete_raises_the_planner_error(fused):
 
 
 def test_handlers_built_before_a_crash_keep_working_after_restart():
-    node = make_node(HANDLER_PROGRAM, True)
+    node = make_node(HANDLER_PROGRAM)
     node.boot()
     seen = []
     node.subscribe("out", seen.append)
@@ -275,10 +288,9 @@ def _ping_pong_world(**mode):
     return nodes, net
 
 
-@pytest.mark.parametrize("mode", [dict(fused=False), dict(batching=False),
-                                  dict(fused=False, batching=False)], ids=str)
+@pytest.mark.parametrize("mode", [dict(batching=False)], ids=str)
 def test_every_mode_drives_the_same_handler_loop(mode):
-    """One run loop: the escape hatches change what a handler calls, not
+    """One run loop: the escape hatch changes where remote heads go, not
     which code dispatches — same relations handled, same counts, same tables."""
     (reference, ref_net), (nodes, net) = _ping_pong_world(), _ping_pong_world(**mode)
     assert not hasattr(P2Node, "_dispatch") and not hasattr(P2Node, "_handle_routes")
@@ -286,9 +298,6 @@ def test_every_mode_drives_the_same_handler_loop(mode):
         assert set(got._handlers) == set(want._handlers) and got._handlers
         assert got.events_processed == want.events_processed
         assert sorted(map(repr, got.scan("latency"))) == sorted(map(repr, want.scan("latency")))
-        for trigger in got._handlers:
-            if got.compiled.strands_of(trigger):
-                assert calls_the_walk(got, trigger) is not mode.get("fused", True)
     assert net.messages_sent == ref_net.messages_sent
 
 

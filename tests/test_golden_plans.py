@@ -6,7 +6,7 @@ plan — join order, probe/index annotations, hoisted guards, and the
 secondary-index plan.  Any optimizer or cost-model change that alters a
 bundled overlay's plan must show up here as a reviewed golden diff, not as a
 silent behavior change.  The generated strand source (``golden/strands/``) is
-the same contract one level down: it is the Python each fused node runs, so a
+the same contract one level down: it is the Python each node runs, so a
 change to the emitters shows up as a reviewed diff of what they emit.
 
 Regenerate with ``pytest tests/test_golden_plans.py --update-golden``.

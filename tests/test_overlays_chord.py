@@ -150,13 +150,12 @@ class TestSingleNodeAndJoins:
 
 
 class TestEngineModes:
-    """The five engine modes are declared once, on ``OverlaySimulation``;
+    """The four engine modes are declared once, on ``OverlaySimulation``;
     everything above it hands them through as ``**engine``."""
 
     MODES = [
         ("batching", False),
         ("shards", 2),
-        ("fused", False),
         ("optimize", False),
         ("reliable", True),
     ]
@@ -176,7 +175,7 @@ class TestEngineModes:
     @pytest.mark.parametrize("mode,value", MODES)
     @pytest.mark.parametrize("experiment", ["static", "churn", "partition"])
     def test_experiments_forward_every_mode(self, monkeypatch, experiment, mode, value):
-        """A dropped forward would let the shards/fused/reliable bit-identity
+        """A dropped forward would let the shards/optimize/reliable bit-identity
         suites pass vacuously — both sides running the default."""
         from repro import experiments
         from repro.sim.shards import ShardedEventLoop

@@ -334,14 +334,15 @@ class TestClosureCompilationDifferential:
         assert run(program) == 3  # cache invalidated by emit()
 
     def test_long_program_falls_back_to_interpreter(self):
-        from repro.pel.vm import MAX_CHAINED_INSTRUCTIONS
+        from repro.pel.vm import MAX_NESTING, ExpressionEmitter
 
         program = Program()
         program.emit(Op.PUSH, 0)
-        for _ in range(MAX_CHAINED_INSTRUCTIONS + 10):
+        for _ in range(MAX_NESTING + 10):
             program.emit(Op.PUSH, 1)
             program.emit(Op.ADD)
-        assert run(program) == MAX_CHAINED_INSTRUCTIONS + 10
+        assert ExpressionEmitter().emit(program, "f") is None  # nested too deep
+        assert run(program) == MAX_NESTING + 10
 
 
 class TestSourceCompilation:

@@ -84,7 +84,7 @@ def test_an_8_node_chord_build_does_the_per_program_work_once(calls):
     # more (as many: the same terms in another order) and analyzes nothing
     calls.clear()
     for address in ("x", "y"):
-        make_node(program, True, address=address, optimize=False)
+        make_node(program, address=address, optimize=False)
     assert calls == {
         "compile_expression": eight["compile_expression"],
         "plan_strand": eight["plan_strand"] // 2,  # no second walk to compare with
@@ -99,7 +99,7 @@ def test_the_memo_is_one_object_with_every_view_on_it():
     assert check_program(program) == memo.diagnostics
     assert Planner.explain(program) == planned.plan.render()
     assert len(memo.rule_analyses) == len(program.rules) and all(memo.rule_analyses)
-    make_node(program, True)
+    make_node(program)
     assert program.analysis is memo and plan_program(program) is planned
 
 
@@ -117,8 +117,8 @@ def _state(node):
 
 def test_nodes_share_the_plan_and_nothing_they_change():
     program = parse_program(OVERLAY_PROGRAMS["chord"])
-    a = make_node(program, True, address="a")
-    b = make_node(program, True, address="b")
+    a = make_node(program, address="a")
+    b = make_node(program, address="b")
     for sa, sb in zip(_strands(a), _strands(b)):
         assert sa is not sb and len(sa.elements()) == len(sb.elements())
         for ea, eb in zip(sa.elements(), sb.elements()):
@@ -163,7 +163,7 @@ def test_nodes_share_the_plan_and_nothing_they_change():
 
 def test_the_planned_strands_are_never_fired_or_handed_out():
     program = parse_program(OVERLAY_PROGRAMS["chord"])
-    node = make_node(program, True)
+    node = make_node(program)
     node.boot()
     node.route(Tuple.make("succ", "n1", 77, "peer"))
     template = plan_program(program).dataflow
@@ -179,8 +179,8 @@ def test_the_planned_strands_are_never_fired_or_handed_out():
 # ------------------------------------------------------------ both plan kinds
 def test_both_plan_kinds_of_one_program_coexist():
     program = parse_program(OVERLAY_PROGRAMS["chord"])
-    optimized = make_node(program, True, address="a")
-    naive = make_node(program, True, address="b", optimize=False)
+    optimized = make_node(program, address="a")
+    naive = make_node(program, address="b", optimize=False)
     assert set(program.analysis.plans) == {True, False}
     fast, slow = plan_program(program), plan_program(program, optimize=False)
     triggers = procedure_triggers(fast.dataflow)

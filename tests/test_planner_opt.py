@@ -3,8 +3,9 @@
 The optimizer (``repro.planner.optimizer``) may reorder joins, hoist guards
 and anti-joins, and install extra indexes — but it must never change *what*
 a rule derives, only the order work happens in.  The oracle is the
-interpreted, unoptimized configuration ``(optimize=False, fused=False)``:
-every other point of the (optimize × fused) grid must produce
+unoptimized plan run by the reference run loop (``tests/support/reference.py``,
+which fires the interpreted element walk): every other point of the
+optimize × {procedure, reference} grid must produce
 
 * the same routed-head **multiset** and the same tables per firing of a
   trigger's procedure (derivation order may legitimately differ under a
@@ -23,6 +24,7 @@ singleton tables, so those runs are required to be bit-identical.
 
 import random
 from collections import Counter
+from functools import partial
 
 import pytest
 
@@ -39,21 +41,31 @@ from tests.support.genprograms import (
     populate_tables,
     random_value,
 )
-from tests.support.procedures import fire
+from tests.support.procedures import fire, procedure_bind
+from tests.support.reference import node_bind, reference_bind
 from tests.test_strand_fusion import OVERLAY_PROGRAMS
 
-#: every non-oracle point of the optimize × fused grid
-GRID = [(True, True), (True, False), (False, True)]
-ORACLE = (False, False)
+#: every non-oracle point of the optimize × {procedure, reference} grid
+GRID = [(True, "procedure"), (True, "reference"), (False, "procedure")]
+ORACLE = (False, "reference")
 
 
 def make_grid(program, seed=0):
-    """One node per grid point; index 0 is the interpreted-unoptimized oracle."""
-    configs = [ORACLE] + GRID
-    return [
-        make_node(program, fused, seed=seed, optimize=optimize)
-        for optimize, fused in configs
-    ]
+    """One node per grid point; index 0 is the unoptimized reference oracle.
+    A reference point's node runs the reference run loop."""
+    nodes = []
+    for optimize, executor in [ORACLE] + GRID:
+        node = make_node(program, seed=seed, optimize=optimize)
+        if executor == "reference":
+            node._bind = partial(node_bind, node)
+        nodes.append(node)
+    return nodes
+
+
+def bind_of(node):
+    """How *node* binds a trigger: the reference ``make_grid`` installed, or
+    its procedures."""
+    return reference_bind if "_bind" in vars(node) else procedure_bind
 
 
 def triggers(node):
@@ -89,7 +101,7 @@ def fire_multiset_differentially(nodes, rng, events_per_trigger=25):
             event = Tuple(name, fields or [addr])
             outcomes = []
             for node in nodes:
-                routes, error = fire(node, trigger, event)
+                routes, error = fire(node, trigger, event, bind_of(node))
                 tables = {t.name: sorted(map(repr, t)) for t in node.tables}
                 outcomes.append((sorted(map(route_key, routes)), error, tables))
             for other in outcomes[1:]:
@@ -272,7 +284,7 @@ def test_index_plan_covers_chosen_probes():
 
 
 def test_planner_installs_plan_indexes():
-    node = make_node(WIDE_VS_LINK, True, optimize=True)
+    node = make_node(WIDE_VS_LINK, optimize=True)
     assert (0, 1) in node.tables.get("link").indexed_positions()
     assert (0, 1) in node.tables.get("wide").indexed_positions()
 
@@ -284,7 +296,7 @@ def test_join_order_work_counts_on_wide_vs_link():
     (1 on `wide`, then 1 on `link` per wide row)."""
     probes = {}
     for optimize in (True, False):
-        node = make_node(WIDE_VS_LINK, True, optimize=optimize)
+        node = make_node(WIDE_VS_LINK, optimize=optimize)
         for i in range(512):
             node.tables.get("wide").insert(Tuple.make("wide", "n1", i, i * 2), 0.0)
         for i in range(8):
@@ -336,8 +348,8 @@ def test_explain_naive_mode_shows_body_order():
 
 
 def test_escape_hatch_flags():
-    opt = make_node(WIDE_VS_LINK, True, optimize=True)
-    naive = make_node(WIDE_VS_LINK, True, optimize=False)
+    opt = make_node(WIDE_VS_LINK, optimize=True)
+    naive = make_node(WIDE_VS_LINK, optimize=False)
     assert opt.optimize and opt.compiled.optimized
     assert not naive.optimize and not naive.compiled.optimized
 

@@ -1,16 +1,17 @@
 """Every firing's generated procedure against the run loop it replaced.
 
 A node runs every firing — a tuple of a relation, a periodic tick, a dirty
-continuous aggregate, ``fused`` or not — through its trigger's generated
-procedure, which fires the trigger's strands and routes each firing's heads
-by the strand's static ``loc_position``/``is_delete``.  The code that ran
-them before lives on below as the reference model, moved from ``P2Node``:
+continuous aggregate — through its trigger's generated procedure, which
+fires the trigger's strands and routes each firing's heads by the strand's
+static ``loc_position``/``is_delete``.  The code that ran them before is the
+reference model in ``tests/support/reference.py``, moved from ``P2Node``:
 ``make_handler`` (a relation's closure), ``make_sink`` (its ``apply``) and
-the old periodic-tick and dirty-drain bodies.  Here two nodes, one binding
-procedures and one binding the reference, take the same inputs in both
-modes, and after every firing — not just every drain — their run queues,
-transmit buffers, tables (rows in scan order and in every index bucket's
-order), counters and element stats must be equal, as must any error.
+the old periodic-tick and dirty-drain bodies, which fire strands through
+their element walk.  Here two nodes, one binding procedures and one binding
+the reference, take the same inputs, and after every firing — not just
+every drain — their run queues, transmit buffers, tables (rows in scan order
+and in every index bucket's order), counters and element stats must be
+equal, as must any error.
 """
 
 import os
@@ -21,7 +22,6 @@ from functools import partial
 import pytest
 
 from repro.core import Tuple, tuples
-from repro.core.errors import PlannerError
 from repro.overlays.chord import build_chord_network
 from repro.overlays.narada import NaradaMesh, narada_program
 from repro.overlog import parse_program
@@ -39,101 +39,10 @@ from tests.support.genprograms import (
     table_arities,
 )
 from tests.support.procedures import calls_the_walk, stats_saver
+from tests.support.reference import node_bind
 from tests.test_firing_tail import HANDLER_PROGRAM
 from tests.test_strand_fusion import OVERLAY_PROGRAMS
 from tests.test_strand_source import _many_joins
-
-
-# ------------------------------------------------------ the reference model
-def make_handler(node, relation):
-    """Everything one tuple of *relation* sets off, resolved once.
-
-    The planner knows at plan time what the demultiplexer would otherwise
-    ask per tuple — which table stores the relation, which strands it
-    triggers, where their heads go — so the closure binds the answers:
-    subscribers first (the live list, so a later :meth:`subscribe` is
-    seen), then the table insert, then each strand in ``strands_by_event``
-    order, its heads applied before the next strand fires.
-    """
-    subscribers = node._subscriptions.setdefault(relation, [])
-    insert = node.tables.get(relation).insert if node.tables.has(relation) else None
-    strands = [
-        (strand.fire, strand.loc_position, strand.is_delete)
-        for strand in node.compiled.strands_by_event.get(relation, ())
-    ]
-    loop, apply = node.loop, make_sink(node)
-
-    def handle(tup):
-        node.events_processed += 1
-        for callback in subscribers:
-            callback(tup)
-        if insert is not None:
-            insert(tup, loop.now)
-        for fire, loc, is_delete in strands:
-            heads = fire(tup)
-            if heads:
-                apply(heads, loc, is_delete)
-
-    return handle
-
-
-def make_sink(node):
-    """``apply(heads, loc, is_delete)``: where one firing's head tuples go.
-
-    Only ever called with the complete result of a firing, so a firing
-    that raises has applied none of its heads.  Local derivations join
-    the run queue and remote ones the transmit buffer (which leaves as
-    per-destination datagram trains when the drain flushes), both in
-    derivation order; deletes are applied at once, in order.
-    """
-    address, tables, loop, egress = node.address, node.tables, node.loop, node._egress
-    pending, extend = node._pending.append, node._pending.extend
-
-    def apply(heads, loc, is_delete):
-        if is_delete:
-            for tup in heads:
-                if loc is not None and tup.fields[loc] != address:
-                    raise PlannerError(
-                        f"node {address}: delete rules must target local tables"
-                    )
-                tables.get(tup.name).delete(tup, loop.now)
-        elif loc is None:
-            extend(heads)
-        else:
-            for tup in heads:
-                destination = tup.fields[loc]
-                if destination == address:
-                    pending(tup)
-                else:
-                    egress(destination, tup)
-
-    return apply
-
-
-def reference_bind(node, trigger):
-    """What the old node ran for *trigger*: ``make_handler`` for a relation,
-    the old tick body for a periodic spec, the old dirty-drain body for a
-    continuous strand (the node's loop still times, queues and drains)."""
-    if type(trigger) is str:
-        return make_handler(node, trigger)
-    kind, index = trigger
-    apply = make_sink(node)
-    if kind == "periodic":
-        spec = node.compiled.periodics[index]
-
-        def tick(event):
-            strand = spec.strand
-            apply(strand.fire(event), strand.loc_position, strand.is_delete)
-
-        return tick
-    strand = node.compiled.continuous[index]
-
-    def drain(now):
-        heads = strand.refresh(now)
-        if heads:  # mostly not: the table moved, the aggregate did not
-            apply(heads, strand.loc_position, strand.is_delete)
-
-    return drain
 
 
 # ------------------------------------------------------------------ harness
@@ -202,22 +111,20 @@ def _same_logs(got, want):
 
 
 class Pair:
-    """A procedure node and a reference node, both *fused* or both not, fed
-    in lock step.
+    """A procedure node and a reference node, fed in lock step.
 
     The reference fires every strand through its element walk, the one
-    executor a strand has of its own; so does a procedure under
-    ``fused=False``.  A fused procedure inlines the strands instead, and a
-    firing that raises may stop at another point of the walk's batch-by-batch
-    order: on a fused pair such a firing has its element and table stats put
+    executor a strand has of its own.  A procedure inlines the strands
+    instead, and a firing that raises may stop at another point of the walk's
+    batch-by-batch order: such a firing has its element and table stats put
     back on both nodes (everything else must still agree)."""
 
-    def __init__(self, program, fused, seed=0):
-        self.procedure = make_node(program, fused, seed=seed)
-        self.oracle = make_node(program, fused, seed=seed)
+    def __init__(self, program, seed=0):
+        self.procedure = make_node(program, seed=seed)
+        self.oracle = make_node(program, seed=seed)
         self.logs = (
-            _recorded(self.procedure, self.procedure._bind, settle=fused),
-            _recorded(self.oracle, partial(reference_bind, self.oracle), settle=fused),
+            _recorded(self.procedure, self.procedure._bind, settle=True),
+            _recorded(self.oracle, partial(node_bind, self.oracle), settle=True),
         )
         for node in self.nodes:
             node.boot()
@@ -283,9 +190,9 @@ def _random_feed(pair, rng, count):
         pair.feed(Tuple(name, fields))
 
 
-def _narada_mesh(nodes, seed, fused):
-    """``build_narada_mesh(nodes, seed=seed)``, with the engine in *fused* mode."""
-    mesh = NaradaMesh(OverlaySimulation(narada_program(), seed=seed, fused=fused))
+def _narada_mesh(nodes, seed, **engine):
+    """``build_narada_mesh(nodes, seed=seed)``, with the engine modes *engine*."""
+    mesh = NaradaMesh(OverlaySimulation(narada_program(), seed=seed, **engine))
     for _ in range(nodes):
         mesh.add_member(bootstrap_neighbors=2)
     return mesh
@@ -294,97 +201,87 @@ def _narada_mesh(nodes, seed, fused):
 # -------------------------------------------------------------------- tests
 @pytest.mark.parametrize("name", sorted(OVERLAY_PROGRAMS))
 def test_overlay_relations_match_the_handler_closures(name):
-    for fused in (True, False):
-        rng = random.Random(zlib.crc32(name.encode()))
-        pair = Pair(OVERLAY_PROGRAMS[name], fused, seed=3)
-        _random_feed(pair, rng, 40)  # mostly empty tables
-        populate_tables(pair.nodes, rng)
-        pair.check()
-        _random_feed(pair, rng, 160)
-        handlers = pair.procedure._handlers
-        assert all(_generated(handler.inner) for handler in handlers.values())
-        assert _shared(pair.handler("unheard"))
+    rng = random.Random(zlib.crc32(name.encode()))
+    pair = Pair(OVERLAY_PROGRAMS[name], seed=3)
+    _random_feed(pair, rng, 40)  # mostly empty tables
+    populate_tables(pair.nodes, rng)
+    pair.check()
+    _random_feed(pair, rng, 160)
+    handlers = pair.procedure._handlers
+    assert all(_generated(handler.inner) for handler in handlers.values())
+    assert _shared(pair.handler("unheard"))
 
 
 @pytest.mark.parametrize("name", sorted(GENERATED_PROGRAMS))
 def test_fixed_rule_shapes_match_the_handler_closures(name):
-    for fused in (True, False):
-        rng = random.Random(zlib.crc32(name.encode()))
-        pair = Pair(GENERATED_PROGRAMS[name], fused)
-        _random_feed(pair, rng, 20)
-        populate_tables(pair.nodes, rng)
-        pair.check()
-        _random_feed(pair, rng, 60)
+    rng = random.Random(zlib.crc32(name.encode()))
+    pair = Pair(GENERATED_PROGRAMS[name])
+    _random_feed(pair, rng, 20)
+    populate_tables(pair.nodes, rng)
+    pair.check()
+    _random_feed(pair, rng, 60)
 
 
 @pytest.mark.parametrize("shape", SHAPES)
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_generated_rule_shapes_match_the_handler_closures(shape, seed):
-    for fused in (True, False):
-        rng = random.Random(seed * 1000 + 29)
-        pair = Pair(generate_program(shape, seed), fused, seed=seed)
-        populate_tables(pair.nodes, rng)
-        pair.check()
-        _random_feed(pair, rng, 60)
+    rng = random.Random(seed * 1000 + 29)
+    pair = Pair(generate_program(shape, seed), seed=seed)
+    populate_tables(pair.nodes, rng)
+    pair.check()
+    _random_feed(pair, rng, 60)
 
 
 def test_a_raising_firing_and_a_non_local_delete():
     """r2 raises on its third match after r1's heads were routed: the queue
     and buffer hold r1's heads and none of r2's.  A delete aimed elsewhere
     raises the planner's error, one aimed here is applied."""
-    for fused in (True, False):
-        pair = Pair(HANDLER_PROGRAM, fused)
-        for peer, value in (("n2", 1), ("n1", 2), ("n3", 0)):
-            pair.feed(Tuple.make("t", "n1", peer, value))
-        assert pair.feed(Tuple.make("ev", "n1")) == "PELError: division by zero"
-        assert list(pair.procedure._pending) == [Tuple.make("out", "n1", "n1", 2)]
-        assert pair.procedure.transmit.destinations() == ["n2", "n3"]
-        assert pair.feed(Tuple.make("kill", "n1", "n2", 1)) == (
-            "PlannerError: node n1: delete rules must target local tables"
-        )
-        assert pair.feed(Tuple.make("kill", "n1", "n1", 2)) is None
-        assert pair.feed(Tuple.make("ev", "n1")) == "PELError: division by zero"
-        pair.feed(Tuple.make("lookupResults", "n1", 1))  # neither table nor strand
-        assert not any(_shared(pair.handler(r)) for r in ("t", "ev", "kill"))
-        # out is a head only: like lookupResults, neither stored nor fired on
-        assert all(_shared(pair.handler(r)) for r in ("out", "lookupResults"))
+    pair = Pair(HANDLER_PROGRAM)
+    for peer, value in (("n2", 1), ("n1", 2), ("n3", 0)):
+        pair.feed(Tuple.make("t", "n1", peer, value))
+    assert pair.feed(Tuple.make("ev", "n1")) == "PELError: division by zero"
+    assert list(pair.procedure._pending) == [Tuple.make("out", "n1", "n1", 2)]
+    assert pair.procedure.transmit.destinations() == ["n2", "n3"]
+    assert pair.feed(Tuple.make("kill", "n1", "n2", 1)) == (
+        "PlannerError: node n1: delete rules must target local tables"
+    )
+    assert pair.feed(Tuple.make("kill", "n1", "n1", 2)) is None
+    assert pair.feed(Tuple.make("ev", "n1")) == "PELError: division by zero"
+    pair.feed(Tuple.make("lookupResults", "n1", 1))  # neither table nor strand
+    assert not any(_shared(pair.handler(r)) for r in ("t", "ev", "kill"))
+    # out is a head only: like lookupResults, neither stored nor fired on
+    assert all(_shared(pair.handler(r)) for r in ("out", "lookupResults"))
 
 
 def test_a_declined_strand_is_called_through_its_fire():
     source = _many_joins(25)
-    for fused in (True, False):
-        pair = Pair(source, fused)
-        (strand,) = pair.procedure.compiled.strands_by_event["ev"]
-        assert calls_the_walk(pair.procedure, "ev")  # the element walk
-        for node in pair.nodes:
-            for i in range(25):
-                node.tables.get(f"t{i}").insert(Tuple.make(f"t{i}", "n1", i, i + 1), 0.0)
-        for v0 in (0, 1, "x"):
-            pair.feed(Tuple.make("ev", "n1", v0))
-        assert strand.produced == 1
-        assert _generated(pair.handler("ev"))
+    pair = Pair(source)
+    (strand,) = pair.procedure.compiled.strands_by_event["ev"]
+    assert calls_the_walk(pair.procedure, "ev")  # the element walk
+    for node in pair.nodes:
+        for i in range(25):
+            node.tables.get(f"t{i}").insert(Tuple.make(f"t{i}", "n1", i, i + 1), 0.0)
+    for v0 in (0, 1, "x"):
+        pair.feed(Tuple.make("ev", "n1", v0))
+    assert strand.produced == 1
+    assert _generated(pair.handler("ev"))
     assert "s0_fire = strands[0].fire" in Planner.explain_source(source)
 
 
 def test_procedures_are_generated_once_per_program_and_bound_per_node():
     program = parse_program(OVERLAY_PROGRAMS["narada"])
-    for fused in (True, False):
-        a = make_node(program, fused, address="a")
-        b = make_node(program, fused, address="b")
-        memo = plan_program(program)._procedures
-        assert not [key for key in memo if key[1] is fused]  # set-up compiles none
-        for node in (a, b):
-            node.boot()
-        for trigger in set(a._handlers) & set(b._handlers):
-            ha, hb = a._handlers[trigger], b._handlers[trigger]
-            assert ha is not hb and ha.__code__ is hb.__code__
-        assert a.compiled.procedure("neighbor") is b.compiled.procedure("neighbor")
-        # any name the program neither stores nor fires on: one procedure
-        assert a.compiled.procedure("unheard") is b.compiled.procedure("lookupResults")
-    inlined, called = (make_node(program, mode).compiled.procedure("refresh").text
-                       for mode in (True, False))
-    assert "_fire" not in inlined
-    assert all(f"s{i}_fire = strands[{i}].fire" in called for i in range(3))
+    a = make_node(program, address="a")
+    b = make_node(program, address="b")
+    assert not plan_program(program)._procedures  # set-up compiles none
+    for node in (a, b):
+        node.boot()
+    for trigger in set(a._handlers) & set(b._handlers):
+        ha, hb = a._handlers[trigger], b._handlers[trigger]
+        assert ha is not hb and ha.__code__ is hb.__code__
+    assert a.compiled.procedure("neighbor") is b.compiled.procedure("neighbor")
+    # any name the program neither stores nor fires on: one procedure
+    assert a.compiled.procedure("unheard") is b.compiled.procedure("lookupResults")
+    assert "_fire" not in a.compiled.procedure("refresh").text
 
 
 def test_ticks_and_refreshes_match_the_old_run_loop(monkeypatch):
@@ -393,36 +290,35 @@ def test_ticks_and_refreshes_match_the_old_run_loop(monkeypatch):
     neighbor found dead and deleted.  After every firing the procedure node
     and the reference node agree."""
     program = parse_program(narada_program())
-    for fused in (True, False):
-        nodes, logs = [], []
-        for node_bind in (P2Node._bind, reference_bind):
-            monkeypatch.setattr(tuples, "_tuple_counter", 0)  # event ids restart
-            node = make_node(program, fused, seed=5)
-            nodes.append(node)
-            logs.append(_recorded(node, partial(node_bind, node)))
-            node.boot()
-            for peer in ("n2", "n3"):
-                node.route(Tuple.make("neighbor", "n1", peer))
-                node.route(Tuple.make("member", "n1", peer, 1, 0.0, True))
-            node.loop.run_for(60.0)
-        got, want = logs
-        _same_logs(got, want)
-        procedure_node = nodes[0]
-        assert len(procedure_node.compiled.periodics) == 5
-        assert len(procedure_node.compiled.continuous) == 1
-        triggers = {trigger for trigger, _ in got}
-        assert {("periodic", i) for i in range(5)} | {("continuous", 0)} <= triggers
-        assert procedure_node.table("neighbor").stats.deletes > 0
+    nodes, logs = [], []
+    for bind in (P2Node._bind, node_bind):
+        monkeypatch.setattr(tuples, "_tuple_counter", 0)  # event ids restart
+        node = make_node(program, seed=5)
+        nodes.append(node)
+        logs.append(_recorded(node, partial(bind, node)))
+        node.boot()
+        for peer in ("n2", "n3"):
+            node.route(Tuple.make("neighbor", "n1", peer))
+            node.route(Tuple.make("member", "n1", peer, 1, 0.0, True))
+        node.loop.run_for(60.0)
+    got, want = logs
+    _same_logs(got, want)
+    procedure_node = nodes[0]
+    assert len(procedure_node.compiled.periodics) == 5
+    assert len(procedure_node.compiled.continuous) == 1
+    triggers = {trigger for trigger, _ in got}
+    assert {("periodic", i) for i in range(5)} | {("continuous", 0)} <= triggers
+    assert procedure_node.table("neighbor").stats.deletes > 0
 
 
-@pytest.mark.parametrize("fused", [True, False])
-def test_every_handler_a_node_binds_is_generated_code(fused):
-    chord = build_chord_network(8, seed=5, join_stagger=1.0, fused=fused)
+@pytest.mark.parametrize("optimize", [True, False])
+def test_every_handler_a_node_binds_is_generated_code(optimize):
+    chord = build_chord_network(8, seed=5, join_stagger=1.0, optimize=optimize)
     chord.simulation.run_for(60.0)
     for i, node in enumerate(chord.nodes):
         chord.issue_lookup(node, (i * 0x2F0F0F0F) % (1 << 32))
     chord.simulation.run_for(30.0)
-    mesh = _narada_mesh(5, seed=4, fused=fused)
+    mesh = _narada_mesh(5, seed=4, optimize=optimize)
     mesh.simulation.run_for(40.0)
     kinds = set()
     for node in chord.nodes + mesh.nodes:
@@ -434,13 +330,12 @@ def test_every_handler_a_node_binds_is_generated_code(fused):
 
 
 def test_a_narada_run_matches_the_handler_closures(monkeypatch):
-    def run(fused):
+    def run():
         monkeypatch.setattr(tuples, "_tuple_counter", 0)  # event ids restart
-        mesh = _narada_mesh(5, seed=4, fused=fused)
+        mesh = _narada_mesh(5, seed=4)
         mesh.simulation.run_for(40.0)
         return mesh.simulation.loop.processed, [_state(node) for node in mesh.nodes]
 
-    with_procedures = {fused: run(fused) for fused in (True, False)}
-    monkeypatch.setattr(P2Node, "_bind", reference_bind)
-    for fused in (True, False):
-        assert run(fused) == with_procedures[fused]
+    with_procedures = run()
+    monkeypatch.setattr(P2Node, "_bind", node_bind)
+    assert run() == with_procedures

@@ -1,21 +1,24 @@
-"""Differential suite: fused procedures vs. their ``fused=False`` twins.
+"""Differential suite: fused procedures vs. the reference run loop.
 
-Every firing on a node runs its trigger's generated procedure.  On a fused
-node the procedure inlines each strand's body; under ``fused=False`` it calls
-each strand's interpreted element walk.  The two must be observably
-identical: the same heads routed to the same places in the same order, the
-same ``fired``/``produced`` counters, the same per-element and per-table
-stats — bit for bit.  These tests build *twin* single-node worlds (one
-fused, one not, same seed; ``tests.support.procedures.Twins``) and fire every
-trigger of both with identical randomized table contents and events, across
-every bundled overlay program plus generated rule shapes (multi-join,
-antijoin, aggregate-with-fallback, delete heads) from the shared
-``tests.support.genprograms`` module.  A full chord static and a churn
-experiment are re-run in both modes and compared field by field.
+Every firing on a node runs its trigger's generated procedure, which inlines
+each strand's body.  The reference (``tests/support/reference.py``, the run
+loop procedures replaced) calls each strand's interpreted element walk
+instead.  The two must be observably identical: the same heads routed to the
+same places in the same order, the same ``fired``/``produced`` counters, the
+same per-element and per-table stats — bit for bit.  These tests build
+*twin* single-node worlds (same program, same seed;
+``tests.support.procedures.Twins``), fire every trigger of one through its
+procedure and of the other through the reference with identical randomized
+table contents and events, across every bundled overlay program plus
+generated rule shapes (multi-join, antijoin, aggregate-with-fallback, delete
+heads) from the shared ``tests.support.genprograms`` module.  A full chord
+static and a churn experiment are re-run on the reference and compared
+field by field.
 """
 
 import random
 import zlib
+from functools import partial
 
 import pytest
 
@@ -27,8 +30,10 @@ from repro.overlays.gossip import gossip_program
 from repro.overlays.narada import narada_program
 from repro.overlays.pingpong import pingpong_program
 from repro.planner import ContinuousAggregateStrand, RuleStrand
+from repro.planner import strand_compiler
 from repro.planner.strand_compiler import procedure_triggers
 from repro.runtime.node import P2Node
+from repro.runtime.system import OverlaySimulation
 from repro.sim.event_loop import EventLoop
 
 from tests.support.genprograms import (
@@ -39,6 +44,7 @@ from tests.support.genprograms import (
     random_value,
 )
 from tests.support.procedures import Twins, calls_the_walk
+from tests.support.reference import node_bind
 
 OVERLAY_PROGRAMS = {
     "chord": chord_program(),
@@ -55,10 +61,9 @@ def fire_differentially(twins, rng, events_per_trigger=25):
     that raises (random junk flowing into arithmetic) must raise the *same*
     error from both (see :meth:`Twins.fire`).
     """
-    addr = twins.fused.address
+    addr = twins.procedure.address
     for trigger, min_arity in twins.triggers():
-        assert not calls_the_walk(twins.fused, trigger), trigger
-        assert calls_the_walk(twins.walk, trigger), trigger
+        assert not calls_the_walk(twins.procedure, trigger), trigger
         name = trigger if type(trigger) is str else "periodic"
         for trial in range(events_per_trigger):
             arity = min_arity + (1 if trial % 5 == 4 else 0)
@@ -140,7 +145,7 @@ def test_continuous_aggregates_fused_vs_interpreted():
     """
     twins = Twins(source)
     trigger = ("continuous", 0)
-    assert not calls_the_walk(twins.fused, trigger) and calls_the_walk(twins.walk, trigger)
+    assert not calls_the_walk(twins.procedure, trigger)
     # empty table: nothing derived either way
     assert twins.fire(trigger, 0.0) == ([], None)
     rng = random.Random(99)
@@ -151,7 +156,7 @@ def test_continuous_aggregates_fused_vs_interpreted():
         twins.fire(trigger, 0.0)
         # unchanged aggregate => both suppress re-emission
         assert twins.fire(trigger, 0.0) == ([], None)
-    assert twins.fused.compiled.continuous[0].recomputations == 11
+    assert twins.procedure.compiled.continuous[0].recomputations == 11
 
 
 def test_fused_arity_check_matches_interpreted():
@@ -160,49 +165,67 @@ def test_fused_arity_check_matches_interpreted():
     assert routes == [] and error.startswith("PlannerError: rule ")
 
 
+def test_the_reference_does_not_share_the_routing_it_checks(monkeypatch):
+    """Route every local head to the egress in the generated code only: the
+    reference routes on its own, so the twins must disagree."""
+    route = strand_compiler._route
+
+    def misroute(strand, ns):
+        lines, binds, uses = route(strand, ns)
+        return [line.replace("push(h)", "egress(d, h)") for line in lines], binds, uses
+
+    monkeypatch.setattr(strand_compiler, "_route", misroute)
+    twins = Twins("r1 out@X(X, Y) :- ev@X(X, Y).")  # a fresh program: fresh procedures
+    assert "egress(d, h)" in twins.procedure.compiled.procedure("ev").text
+    with pytest.raises(AssertionError):
+        twins.fire("ev", Tuple.make("ev", "n1", 1))
+
+
 def test_escape_hatch_and_default_flags():
-    twins = Twins(OVERLAY_PROGRAMS["pingpong"])
-    fused_node, interp_node = twins.nodes
-    assert fused_node.fused and fused_node.compiled.fused
-    assert not interp_node.fused and not interp_node.compiled.fused
-    for trigger in procedure_triggers(fused_node.compiled)[:-1]:
-        if fused_node.compiled.strands_of(trigger):
-            assert not calls_the_walk(fused_node, trigger)
-            assert calls_the_walk(interp_node, trigger)
-    # the strands carry no mode: their methods are the walk, on every node
-    for node in twins.nodes:
-        for strand in node.compiled.all_strands():
-            assert not hasattr(strand, "fused") and "fire" not in vars(strand)
-            assert strand.fire.__func__ is RuleStrand.fire
-        for strand in node.compiled.continuous:
-            assert strand.refresh.__func__ is ContinuousAggregateStrand.refresh
+    """There is no mode to choose how strands run: every node inlines what
+    the emitter takes, and the walk is a strand's one method of its own."""
+    with pytest.raises(TypeError, match="'fused'"):
+        OverlaySimulation(OVERLAY_PROGRAMS["pingpong"], fused=False)
+    node = Twins(OVERLAY_PROGRAMS["pingpong"]).procedure
+    assert not hasattr(node, "fused") and not hasattr(node.compiled, "fused")
+    for trigger in procedure_triggers(node.compiled)[:-1]:
+        if node.compiled.strands_of(trigger):
+            assert not calls_the_walk(node, trigger)
+    # the strands carry no mode: their methods are the walk
+    for strand in node.compiled.all_strands():
+        assert not hasattr(strand, "fused") and "fire" not in vars(strand)
+        assert strand.fire.__func__ is RuleStrand.fire
+    for strand in node.compiled.continuous:
+        assert strand.refresh.__func__ is ContinuousAggregateStrand.refresh
 
 
 def test_fused_node_runs_whole_overlay():
-    """End-to-end smoke: a booted fused node behaves like an interpreted one."""
+    """End-to-end smoke: booted procedure nodes behave like reference ones."""
     program = OVERLAY_PROGRAMS["pingpong"]
-    nodes = {}
-    for fused in (True, False):
+    worlds = {}
+    for reference in (False, True):
         loop = EventLoop()
         net = Network(loop, UniformTopology(latency=0.01))
-        a = P2Node("a", program, net, loop, seed=1, fused=fused)
-        b = P2Node("b", program, net, loop, seed=2, fused=fused)
+        a = P2Node("a", program, net, loop, seed=1)
+        b = P2Node("b", program, net, loop, seed=2)
         for n in (a, b):
+            if reference:
+                n._bind = partial(node_bind, n)
             net.register(n)
             n.boot()
         a.route(Tuple.make("peer", "a", "b"))
         b.route(Tuple.make("peer", "b", "a"))
         loop.run_for(10.0)
-        nodes[fused] = (a, b, net)
+        worlds[reference] = (a, b, net)
     for i in range(2):
-        fused_scan = sorted(map(repr, nodes[True][i].scan("latency")))
-        interp_scan = sorted(map(repr, nodes[False][i].scan("latency")))
-        assert fused_scan == interp_scan
-    assert nodes[True][2].messages_sent == nodes[False][2].messages_sent
+        procedure_scan = sorted(map(repr, worlds[False][i].scan("latency")))
+        reference_scan = sorted(map(repr, worlds[True][i].scan("latency")))
+        assert procedure_scan == reference_scan
+    assert worlds[False][2].messages_sent == worlds[True][2].messages_sent
 
 
 @pytest.mark.slow
-def test_chord_static_bit_identical_fused_vs_interpreted():
+def test_chord_static_bit_identical_fused_vs_interpreted(monkeypatch):
     from repro.experiments import run_static_experiment
 
     kwargs = dict(
@@ -214,8 +237,9 @@ def test_chord_static_bit_identical_fused_vs_interpreted():
         lookup_rate=3.0,
         drain_time=15.0,
     )
-    a = run_static_experiment(8, fused=True, **kwargs)
-    b = run_static_experiment(8, fused=False, **kwargs)
+    a = run_static_experiment(8, **kwargs)
+    monkeypatch.setattr(P2Node, "_bind", node_bind)
+    b = run_static_experiment(8, **kwargs)
     assert a.hop_counts == b.hop_counts
     assert a.lookup_latencies == b.lookup_latencies
     assert a.messages_sent == b.messages_sent
@@ -226,7 +250,7 @@ def test_chord_static_bit_identical_fused_vs_interpreted():
 
 
 @pytest.mark.slow
-def test_chord_churn_bit_identical_fused_vs_interpreted():
+def test_chord_churn_bit_identical_fused_vs_interpreted(monkeypatch):
     from repro.experiments import run_churn_experiment
 
     kwargs = dict(
@@ -242,8 +266,9 @@ def test_chord_churn_bit_identical_fused_vs_interpreted():
             finger_period=5.0,
         ),
     )
-    a = run_churn_experiment(6, 120.0, fused=True, **kwargs)
-    b = run_churn_experiment(6, 120.0, fused=False, **kwargs)
+    a = run_churn_experiment(6, 120.0, **kwargs)
+    monkeypatch.setattr(P2Node, "_bind", node_bind)
+    b = run_churn_experiment(6, 120.0, **kwargs)
     assert a.lookup_latencies == b.lookup_latencies
     assert a.messages_sent == b.messages_sent
     assert a.datagrams_sent == b.datagrams_sent

@@ -1,11 +1,11 @@
 """The source back end of the strand compiler, beyond the differential grid.
 
 ``tests/test_strand_fusion.py`` and ``tests/test_planner_opt.py`` check that
-fused procedures and the element walk agree on routes, counters and stats
-over random tables and events.  This file pins what those suites only brush:
-error identity message for message, evaluation order, the decline rule and
-its boundary, code reuse across nodes, and where the generated code can be
-found.
+procedures and the reference run loop (which fires the element walk) agree
+on routes, counters and stats over random tables and events.  This file
+pins what those suites only brush: error identity message for message,
+evaluation order, the decline rule and its boundary, code reuse across
+nodes, and where the generated code can be found.
 """
 
 import linecache
@@ -16,16 +16,13 @@ import pytest
 import repro.planner
 from repro.core import IdSpace, Tuple
 from repro.core.errors import PELError
-from repro.net.topology import UniformTopology
-from repro.net.transport import Network
 from repro.overlog import parse_program
 from repro.planner import Planner, plan_program
 from repro.planner.strand_compiler import MAX_BLOCKS, procedure_triggers
-from repro.runtime.node import P2Node
-from repro.sim.event_loop import EventLoop
 
 from tests.support.genprograms import make_node
 from tests.support.procedures import Twins, bind_capturing, calls_the_walk, fire
+from tests.support.reference import reference_bind
 from tests.test_strand_fusion import OVERLAY_PROGRAMS
 
 
@@ -80,7 +77,7 @@ ERROR_CASES = {
 def test_errors_match_the_element_walk_message_for_message(case):
     source, event, expected = ERROR_CASES[case]
     twins = Twins(source)
-    assert not calls_the_walk(twins.fused, "ev")
+    assert not calls_the_walk(twins.procedure, "ev")
     assert twins.fire("ev", event) == expected  # and the strands counted alike
 
 
@@ -111,13 +108,9 @@ def test_load_out_of_range_on_a_short_stored_row(where):
 def test_non_pel_exceptions_surface_unchanged():
     """``coerce`` of a built-in's result is not PEL: no PELError wrapping."""
     source = "r1 out@X(X, Z) :- ev@X(X), Z := f_obj()."
-    outcomes = []
-    for fused in (True, False):
-        loop = EventLoop()
-        net = Network(loop, UniformTopology(latency=0.01))
-        node = P2Node("n1", source, net, loop, seed=1, fused=fused,
-                      extra_builtins={"f_obj": lambda ctx: object()})
-        outcomes.append(fire(node, "ev", Tuple.make("ev", "n1")))
+    node = make_node(source, seed=1, extra_builtins={"f_obj": lambda ctx: object()})
+    outcomes = [fire(node, "ev", Tuple.make("ev", "n1")),
+                fire(node, "ev", Tuple.make("ev", "n1"), reference_bind)]
     for _, error in outcomes:  # the messages differ only in the object's address
         assert error.startswith("ValueError_: cannot represent <object object")
 
@@ -136,18 +129,18 @@ def test_or_does_not_short_circuit_the_node_rng():
     """``X == 1 || f_coinFlip(0.5)`` draws even when the left side is true."""
     source = "r1 out@X(X, Y) :- ev@X(X, Y), (Y == 1) || f_coinFlip(0.5)."
     twins = Twins(source, seed=3)
-    fused_node, interp_node = twins.nodes
-    before = fused_node.rng.getstate()
+    procedure_node, reference_node = twins.nodes
+    before = procedure_node.rng.getstate()
     for y in (1, 1, 0, 1, 0, 0, 1):
         twins.fire("ev", Tuple.make("ev", "n1", y))  # the same heads and counters
-    assert fused_node.rng.getstate() == interp_node.rng.getstate() != before
+    assert procedure_node.rng.getstate() == reference_node.rng.getstate() != before
     # seven draws, one per firing, whatever the left operand was
     import random
 
     reference = random.Random(3)
     for _ in range(7):
         reference.random()
-    assert fused_node.rng.getstate() == reference.getstate()
+    assert procedure_node.rng.getstate() == reference.getstate()
 
 
 def test_builtins_see_the_tuple_they_are_evaluated_over():
@@ -156,15 +149,11 @@ def test_builtins_see_the_tuple_they_are_evaluated_over():
         materialize(t, infinity, infinity, keys(2)).
         r1 out@X(X, A, W) :- ev@X(X), t@X(X, A), W := f_width(A).
     """
-    seen = {}
-    for fused in (True, False):
-        loop = EventLoop()
-        net = Network(loop, UniformTopology(latency=0.01))
-        node = P2Node("n1", source, net, loop, seed=1, fused=fused,
-                      extra_builtins={"f_width": lambda ctx, a: len(ctx.fields)})
+    twins = Twins(source, seed=1, extra_builtins={"f_width": lambda ctx, a: len(ctx.fields)})
+    for node in twins.nodes:
         node.tables.get("t").insert(Tuple.make("t", "n1", 7), 0.0)
-        seen[fused] = _heads(fire(node, "ev", Tuple.make("ev", "n1")))
-    assert seen[True] == seen[False] == ([("n1", 7, 3)], None)
+    # the same heads both ways, and these
+    assert _heads(twins.fire("ev", Tuple.make("ev", "n1"))) == ([("n1", 7, 3)], None)
 
 
 # --------------------------------------------------------------------- fallback
@@ -197,12 +186,12 @@ def test_a_strand_nested_deeper_than_cpython_compiles_is_called_through_fire(joi
     source = _many_joins(joins)
     twins = Twins(source)
     _fill(twins, joins)
-    assert calls_the_walk(twins.fused, "ev") == (joins >= MAX_BLOCKS)
+    assert calls_the_walk(twins.procedure, "ev") == (joins >= MAX_BLOCKS)
     assert ("s0_fire = strands[0].fire" in Planner.explain_source(source)) == (joins >= MAX_BLOCKS)
     for v0 in (0, 1, "x"):
         routes, error = twins.fire("ev", Tuple.make("ev", "n1", v0))  # agrees after each
         assert error is None and len(routes) == (v0 == 0)
-    assert twins.fused.compiled.strands_by_event["ev"][0].produced == 1
+    assert twins.procedure.compiled.strands_by_event["ev"][0].produced == 1
 
 
 @pytest.mark.parametrize("joins", [MAX_BLOCKS - 2, MAX_BLOCKS - 1])
@@ -210,44 +199,42 @@ def test_a_continuous_strand_at_its_limit_is_called_through_refresh(joins):
     source = _many_joins_continuous(joins)
     twins = Twins(source)
     trigger = ("continuous", 0)
-    assert calls_the_walk(twins.fused, trigger) == (joins == MAX_BLOCKS - 1)
+    assert calls_the_walk(twins.procedure, trigger) == (joins == MAX_BLOCKS - 1)
     _fill(twins, joins)
     for v0 in (0, 1, 5, 0):
         for node in twins.nodes:
             node.tables.get("b").insert(Tuple.make("b", "n1", v0), 0.0)
         twins.fire(trigger, 0.0)  # agrees after each
     assert twins.fire(trigger, 0.0) == ([], None)  # unchanged: suppressed
-    assert twins.fused.compiled.continuous[0]._last_emitted == {("n1",): ("n1", 1)}
+    assert twins.procedure.compiled.continuous[0]._last_emitted == {("n1",): ("n1", 1)}
 
 
 # --------------------------------------------------------------- template reuse
 def test_nodes_compiled_from_one_program_share_code_objects():
     program = parse_program(OVERLAY_PROGRAMS["chord"])
-    a = make_node(program, True, address="a")
-    b = make_node(program, True, address="b")
+    a = make_node(program, address="a")
+    b = make_node(program, address="b")
     triggers = _triggers(a)
     assert len(triggers) == 39
     for trigger in triggers:
-        # one generation per (program, plan kind, mode, trigger) ...
+        # one generation per (program, plan kind, trigger) ...
         assert a.compiled.procedure(trigger) is b.compiled.procedure(trigger)
         ha, hb = bind_capturing(a, trigger)[0], bind_capturing(b, trigger)[0]
         # ... bound per node: one code object, each node's own closure
         assert ha is not hb and ha.__code__ is hb.__code__
-    naive = make_node(program, True, address="c", optimize=False)
-    unfused = make_node(program, False, address="d")
-    for other in (naive, unfused):
-        assert other.compiled.procedure("lookup") is not a.compiled.procedure("lookup")
+    naive = make_node(program, address="c", optimize=False)
+    assert naive.compiled.procedure("lookup") is not a.compiled.procedure("lookup")
     assert plan_program(program).procedure("lookup") is a.compiled.procedure("lookup")
 
 
 def test_a_mutated_program_does_not_reuse_stale_templates():
     program = parse_program("r1 out@X(X, Y) :- ev@X(X, Y), Y > 1.")
-    first = make_node(program, True)
+    first = make_node(program)
     before = first.compiled.procedure("ev")
     extra = parse_program("r1 out@X(X, Y) :- ev@X(X, Y), Y > 5.\nr2 two@X(X) :- ev@X(X, Y).")
     program.rules[0] = extra.rules[0]  # same count, different guard
     program.rules.append(extra.rules[1])
-    second = make_node(program, True)
+    second = make_node(program)
     assert second.compiled.procedure("ev") is not before
     strands = second.compiled.strands_by_event["ev"]
     assert [s.rule_id for s in strands] == ["r1", "r2"] and not calls_the_walk(second, "ev")
@@ -262,7 +249,7 @@ def test_crash_and_restart_reset_the_generated_recompute():
         materialize(succDist, infinity, infinity, keys(2)).
         N3 best@NI(NI, min<D>) :- succDist@NI(NI, S, D).
     """
-    node = make_node(source, True)
+    node = make_node(source)
     node.boot()
     (cont,) = node.compiled.continuous
     trigger = ("continuous", 0)
@@ -280,7 +267,7 @@ def test_crash_and_restart_reset_the_generated_recompute():
 
 # ---------------------------------------------------------------- traceability
 def test_generated_code_lives_under_the_planner_package():
-    node = make_node(OVERLAY_PROGRAMS["chord"], True)
+    node = make_node(OVERLAY_PROGRAMS["chord"])
     planner_dir = os.path.dirname(repro.planner.__file__)
     seen = set()
     for trigger in _triggers(node):
@@ -298,8 +285,8 @@ def test_generated_code_lives_under_the_planner_package():
 def test_tracebacks_show_the_generated_line():
     import traceback
 
-    fused_node = make_node("r1 out@X(X, Z) :- ev@X(X, Y), Z := 10 / Y.", True)
-    handle = bind_capturing(fused_node, "ev")[0]
+    node = make_node("r1 out@X(X, Z) :- ev@X(X, Y), Z := 10 / Y.")
+    handle = bind_capturing(node, "ev")[0]
     try:
         handle(Tuple.make("ev", "n1", 0))
     except PELError as exc:
@@ -309,7 +296,7 @@ def test_tracebacks_show_the_generated_line():
 
 def test_explain_source_is_the_text_nodes_run_and_needs_no_host():
     text = Planner.explain_source(OVERLAY_PROGRAMS["pingpong"])
-    node = make_node(OVERLAY_PROGRAMS["pingpong"], True)
+    node = make_node(OVERLAY_PROGRAMS["pingpong"])
     for trigger in _triggers(node):
         filename = bind_capturing(node, trigger)[0].__code__.co_filename
         generated = "".join(linecache.getlines(filename))
@@ -332,15 +319,11 @@ def test_sha1_sized_ring_takes_the_right_finger():
     ring = IdSpace(160)
     n, k = 1 << 10, (1 << 159) + 99
     b_near, b_far = k - 5, k - 6  # distances 5 and 6 from K
-    results = {}
-    for fused in (True, False):
-        loop = EventLoop()
-        net = Network(loop, UniformTopology(latency=0.01))
-        node = P2Node("n1", source, net, loop, seed=1, idspace=ring, fused=fused)
+    twins = Twins(source, seed=1, idspace=ring)
+    for node in twins.nodes:
         node.tables.get("node").insert(Tuple.make("node", "n1", n), 0.0)
         node.tables.get("finger").insert(Tuple.make("finger", "n1", 0, b_near, "near"), 0.0)
         node.tables.get("finger").insert(Tuple.make("finger", "n1", 1, b_far, "far"), 0.0)
-        event = Tuple.make("bestLookupDist", "n1", k, "req", 1, ring.distance(b_near, k))
-        routes, _ = fire(node, "bestLookupDist", event)
-        results[fused] = [destination for destination, _ in routes]
-    assert results[True] == results[False] == ["near"]
+    event = Tuple.make("bestLookupDist", "n1", k, "req", 1, ring.distance(b_near, k))
+    routes, _ = twins.fire("bestLookupDist", event)  # the same routes both ways
+    assert [destination for destination, _ in routes] == ["near"]

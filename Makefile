@@ -33,14 +33,17 @@ test-planner:
 
 # The node run loop: every firing's generated procedure (tuple, periodic tick,
 # dirty continuous aggregate) against the reference run loop in
-# tests/support/reference.py, which fires the element walk; the firing tail's
-# ordering and all-or-nothing guarantees, the continuous procedures' rescan
-# skip, rules past CPython's nesting limits (long arithmetic chains, many
-# selections), the runtime node, and the golden generated text.
+# tests/support/reference.py, which fires the element walk and evaluates PEL
+# through the opcode interpreter; generated PEL against that interpreter; the
+# firing tail's ordering and all-or-nothing guarantees, the continuous
+# procedures' rescan skip, rules past CPython's nesting limits run as
+# generated code (split strands, spilled chains) with the walk and the
+# interpreter made to raise, the runtime node, and the golden generated text.
 test-runloop:
 	$(PYTHON) -m pytest -x -q tests/test_relation_procedure.py tests/test_firing_tail.py \
 	  tests/test_strand_fusion.py tests/test_strand_source.py tests/test_soft_state_deltas.py \
-	  tests/test_emitter_limits.py tests/test_runtime_node.py tests/test_golden_plans.py
+	  tests/test_emitter_limits.py tests/test_pel.py tests/test_runtime_node.py \
+	  tests/test_golden_plans.py
 
 # Rewrite the golden plans and generated procedures (tests/golden/) from the
 # current code, then show which snapshots moved; review the diff before

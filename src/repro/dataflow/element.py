@@ -5,10 +5,10 @@ An :class:`Element` turns one input tuple into zero or more output tuples
 As in the paper, elements are small and parameterised by PEL programs where
 they need per-tuple computation.  The planner chains the relational operators
 of :mod:`repro.dataflow.operators` into rule strands and registers each in
-the node's :class:`Graph`; a strand runs to completion either by walking its
-chain (the reference semantics) or inlined in its trigger's generated
-procedure, which reads the same operators
-(:mod:`repro.planner.strand_compiler`) and routes the heads between strands.
+the node's :class:`Graph`.  A node runs each strand inlined in its
+trigger's generated procedure, which reads the same operators
+(:mod:`repro.planner.strand_compiler`) and routes the heads between strands;
+walking the chain is the reference semantics the procedures are tested on.
 The one network-facing element is
 :class:`~repro.dataflow.flow.TransmitBuffer`.
 """

@@ -13,10 +13,10 @@ use a lightweight stand-in.  The planner builds a program's operators once,
 with no host, and gives every node copies pointed at it
 (:meth:`Element.rebind`).
 
-``process`` is each operator's reference semantics.  The strand compiler
-(:mod:`repro.planner.strand_compiler`) reads an operator's programs, table
-and positions to generate the same behaviour as source, and the generated
-code advances the operator's ``stats`` exactly as ``process`` does.
+``process`` is each operator's reference semantics (the element walk's; no
+node calls it).  The strand compiler (:mod:`repro.planner.strand_compiler`)
+generates the same behaviour as source for every operator, and the
+generated code advances the operator's ``stats`` exactly as ``process`` does.
 """
 
 from __future__ import annotations

@@ -146,6 +146,12 @@ def analyze(program: ast.Program) -> ProgramAnalysis:
     return memo
 
 
+def nested_too_deeply(rule: ast.Rule, sink: DiagnosticCollector) -> None:
+    """Report that walking *rule*'s expressions ran out of stack (``OLG008``)."""
+    message = f"rule {rule.rule_id}: an expression is nested too deeply to analyze"
+    sink.error("OLG008", message, rule.span, subject=rule.head.name)
+
+
 def check_program(program: ast.Program) -> List[Diagnostic]:
     """All static-analysis findings for *program*, in source order.
 
@@ -340,7 +346,11 @@ class ProgramChecker:
 
         for rule in self.program.rules:
             before = len(self.sink.diagnostics)
-            analysis = analyze_rule_into(rule, self.program, self.sink)
+            try:
+                analysis = analyze_rule_into(rule, self.program, self.sink)
+            except RecursionError:
+                analysis = None
+                nested_too_deeply(rule, self.sink)
             clean = not any(d.is_error for d in self.sink.diagnostics[before:])
             self.rule_analyses.append(analysis if clean else None)
         self._collect_occurrences()
@@ -485,50 +495,55 @@ class ProgramChecker:
                         subject=fact.name,
                     )
         for ri, rule in enumerate(self.program.rules):
-            scope = ("rule", ri)
-            for term in rule.body:
-                if isinstance(term, ast.Predicate):
-                    span = term.span or rule.span
-                    self._type_location(term.name, term.location, scope, span)
-                    for i, arg in enumerate(term.args):
-                        cell = self._type_expr(arg, scope, span)
-                        if cell is not None:
-                            self.env.unify(
-                                self._field_cell(term.name, i), cell, span,
-                                subject=term.name,
-                            )
-                elif isinstance(term, ast.Assignment):
-                    span = term.span or rule.span
-                    cell = self._type_expr(term.expression, scope, span)
-                    var = self._var_cell(scope, term.variable, span)
+            try:
+                self._type_rule(("rule", ri), rule)
+            except RecursionError:
+                nested_too_deeply(rule, self.sink)
+
+    def _type_rule(self, scope: object, rule: ast.Rule) -> None:
+        for term in rule.body:
+            if isinstance(term, ast.Predicate):
+                span = term.span or rule.span
+                self._type_location(term.name, term.location, scope, span)
+                for i, arg in enumerate(term.args):
+                    cell = self._type_expr(arg, scope, span)
                     if cell is not None:
-                        self.env.unify(var, cell, span)
-                else:  # Selection
-                    span = term.span or rule.span
-                    cell = self._type_expr(term.expression, scope, span)
-                    if cell is not None:
-                        self.env.constrain(cell, _BOOL, span)
-            head = rule.head
-            span = head.span or rule.span
-            self._type_location(head.name, head.location, scope, span)
-            for i, f in enumerate(head.fields):
-                target = self._field_cell(head.name, i)
-                if isinstance(f, ast.Aggregate):
-                    if f.func == "count":
-                        self.env.constrain(target, _NUM, span, subject=head.name)
-                    elif f.func in ("sum", "avg"):
-                        if f.variable is not None:
-                            var = self._var_cell(scope, f.variable, span)
-                            self.env.constrain(var, _NUM, span)
-                        self.env.constrain(target, _NUM, span, subject=head.name)
-                    else:  # min / max keep the aggregated field's type
-                        if f.variable is not None:
-                            var = self._var_cell(scope, f.variable, span)
-                            self.env.unify(target, var, span, subject=head.name)
-                else:
-                    cell = self._type_expr(f, scope, span)
-                    if cell is not None:
-                        self.env.unify(target, cell, span, subject=head.name)
+                        self.env.unify(
+                            self._field_cell(term.name, i), cell, span,
+                            subject=term.name,
+                        )
+            elif isinstance(term, ast.Assignment):
+                span = term.span or rule.span
+                cell = self._type_expr(term.expression, scope, span)
+                var = self._var_cell(scope, term.variable, span)
+                if cell is not None:
+                    self.env.unify(var, cell, span)
+            else:  # Selection
+                span = term.span or rule.span
+                cell = self._type_expr(term.expression, scope, span)
+                if cell is not None:
+                    self.env.constrain(cell, _BOOL, span)
+        head = rule.head
+        span = head.span or rule.span
+        self._type_location(head.name, head.location, scope, span)
+        for i, f in enumerate(head.fields):
+            target = self._field_cell(head.name, i)
+            if isinstance(f, ast.Aggregate):
+                if f.func == "count":
+                    self.env.constrain(target, _NUM, span, subject=head.name)
+                elif f.func in ("sum", "avg"):
+                    if f.variable is not None:
+                        var = self._var_cell(scope, f.variable, span)
+                        self.env.constrain(var, _NUM, span)
+                    self.env.constrain(target, _NUM, span, subject=head.name)
+                else:  # min / max keep the aggregated field's type
+                    if f.variable is not None:
+                        var = self._var_cell(scope, f.variable, span)
+                        self.env.unify(target, var, span, subject=head.name)
+            else:
+                cell = self._type_expr(f, scope, span)
+                if cell is not None:
+                    self.env.unify(target, cell, span, subject=head.name)
 
     def _type_location(
         self,

@@ -20,6 +20,7 @@ OLG004    error     selection uses an unbound variable
 OLG005    error     negated predicate is not a materialized table
 OLG006    error     negated predicate uses an unbound variable
 OLG007    error     rule joins streams against streams
+OLG008    error     rule nests an expression too deeply to analyze
 OLG010    error     predicate used with inconsistent arity
 OLG011    error     table materialized more than once
 OLG012    error     keys(...) positions invalid or outside the arity

@@ -19,7 +19,7 @@ The parser produces the dataclasses in :mod:`repro.overlog.ast`.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Any, Callable, List, Optional
 
 from ..core.errors import ParseError
 from . import ast
@@ -41,13 +41,13 @@ AGGREGATE_FUNCS = {"min", "max", "count", "sum", "avg"}
 
 def parse_program(source: str) -> ast.Program:
     """Parse OverLog *source* text into an :class:`~repro.overlog.ast.Program`."""
-    return _Parser(source).parse()
+    return _Parser(source).run(_Parser.parse)
 
 
 def parse_expression(source: str) -> ast.Expression:
     """Parse a single OverLog expression (handy in tests)."""
     parser = _Parser(source)
-    expr = parser._parse_expression()
+    expr = parser.run(_Parser._parse_expression)
     if not parser.stream.at_end():
         tok = parser.stream.peek()
         raise ParseError(f"trailing input {tok.value!r}", tok.line, tok.column)
@@ -64,6 +64,14 @@ class _Parser:
         self.stream = TokenStream(tokenize(source, self.pragmas))
 
     # -- program structure ------------------------------------------------------
+    def run(self, parse: Callable[["_Parser"], Any]) -> Any:
+        """``parse(self)``; running out of stack is a :class:`ParseError`."""
+        try:
+            return parse(self)
+        except RecursionError:
+            tok = self.stream.peek()
+            raise ParseError("expression nested too deeply", tok.line, tok.column) from None
+
     def parse(self) -> ast.Program:
         program = ast.Program()
         while not self.stream.at_end():

@@ -20,7 +20,8 @@ class Program:
 
     The instruction list is compiled to one generated Python function on
     first execution and cached in ``_compiled`` (invalidated by :meth:`emit` /
-    :meth:`extend`); see :func:`repro.pel.vm.compile_program`.
+    :meth:`extend`) — the one way any program runs; see
+    :func:`repro.pel.vm.compile_program`.
     """
 
     instructions: List[Instruction] = field(default_factory=list)

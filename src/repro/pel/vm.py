@@ -10,16 +10,16 @@ Execution strategy
 
 PEL programs are compiled by the planner once and then executed per tuple —
 often millions of times per experiment.  A program has no jumps, so a
-*symbolic-stack pass* (:class:`ExpressionEmitter`) turns it into one Python
-expression over the field tuple: operands are popped as expression texts and
-the operator's text pushed back.  Behind :meth:`Program.compiled` that
-expression is the body of one ``compile()``d function; the strand compiler
-(:mod:`repro.planner.strand_compiler`) inlines the same text into the
-function it generates per rule strand.  Every operator has one definition,
-the :data:`BINARY` / :data:`UNARY` tables: the opcode interpreter
-(:meth:`PelVM.execute_interpreted`, the reference semantics and the fallback
-for programs the emitter declines) calls the table's function, and generated
-code calls the same function unless both operands have exactly the type for
+*symbolic-stack pass* (:class:`ExpressionEmitter`) turns any program into
+Python source over the field tuple: operands are popped as expression texts
+and the operator's text pushed back, spilled to temporaries where one
+expression cannot hold them.  Behind :meth:`Program.compiled` that source is
+the body of one ``compile()``d function, the only executor; the strand
+compiler (:mod:`repro.planner.strand_compiler`) inlines the same text into
+the function it generates per trigger.  Every operator has one definition,
+the :data:`BINARY` / :data:`UNARY` tables: the opcode interpreter the tests
+check generated code against calls the table's function, and generated code
+calls the same function unless both operands have exactly the type for
 which a plain Python operator means the same thing.
 """
 
@@ -39,9 +39,8 @@ from .program import Program
 BuiltinFunction = Callable[..., Any]
 
 #: The deepest bracket nesting an emitted expression may have (a ``+ 1``
-#: nests two); deeper programs run through the interpreter.  CPython refuses
-#: a line nested more than 200 deep, which leaves a level for the line an
-#: expression starts (``_1 = …``, ``if …:``, ``return …``).
+#: nests two; deeper, operands are spilled).  CPython refuses a line nested
+#: more than 200 deep, leaving a level for the line an expression starts.
 MAX_NESTING = 199
 #: what ``compile()`` raises for text CPython refuses (nesting limits)
 REFUSED = (SyntaxError, RecursionError, MemoryError)
@@ -97,9 +96,6 @@ class EvalContext:
         ctx.node = host
         ctx.idspace = getattr(host, "idspace", None) or IdSpace()
         return ctx
-
-    def call(self, name: str, args: Sequence[Any]) -> Any:
-        return (self.builtins.get(name) or _unknown_builtin(name))(self, *args)
 
 
 # ------------------------------------------------------------------- operators
@@ -181,7 +177,7 @@ UNARY: Dict[Op, tuple] = {
     Op.NEG: ("neg", lambda a: -to_float(a), None),
     Op.NOT: ("not_", lambda a: not to_bool(a), "not {}"),
 }
-_ARITY = {**dict.fromkeys(BINARY, 2), **dict.fromkeys(UNARY, 1), Op.RING_IN: 3}
+_ARITY = {**dict.fromkeys([*UNARY, Op.DUP, Op.POP], 1), **dict.fromkeys(BINARY, 2), Op.RING_IN: 3}
 #: operators whose result is a ``bool``; every other operator above returns
 #: an exact ``int``/``float``/``str``, whatever its operands — either way a
 #: value :func:`~repro.core.values.coerce` would return unchanged
@@ -204,18 +200,20 @@ class Expression(NamedTuple):
     calls: bool = False
     #: how deep the text nests brackets
     depth: int = 0
+    #: the spilled operands, ``_n = …`` statements to run right before it
+    statements: tuple = ()
 
     @property
     def inline(self) -> bool:
         """A bare field access or literal: cheap enough to sit inside another
         statement instead of getting a line of its own."""
-        return self.kind in ("const", "load")
+        return self.kind in ("const", "load") and not self.statements
 
 
 class ExpressionEmitter:
-    """Turns PEL programs into Python expressions for *one* generated function.
+    """Turns PEL programs into Python source for *one* generated function.
 
-    The expressions use these names, which the function must bind: the field
+    The source uses these names, which the function must bind: the field
     tuple under the name passed to :meth:`emit`, ``B`` (the built-in map),
     ``R`` (the identifier space), ``ctx``, and ``K`` (:attr:`constants`, or
     the name passed as *constants_name* when several emitters' text shares
@@ -231,16 +229,26 @@ class ExpressionEmitter:
         #: which of ``B`` / ``R`` the emitted text mentions
         self.uses: set = set()
 
-    def emit(self, program: Program, fields: str) -> Optional[Expression]:
-        """*program* over the field tuple named *fields*; ``None`` = declined.
+    def emit(self, program: Program, fields: str) -> Expression:
+        """Any *program* over the field tuple named *fields*.
 
-        Declined, and left to the interpreter: ``DUP``/``POP`` (an operand
-        would be evaluated twice, or not at all), programs that underflow or
-        leave more than one value, text nested deeper than :data:`MAX_NESTING`.
+        Before a ``DUP``/``POP``, an underflow, a result left under another,
+        or text nested past :data:`MAX_NESTING`, every operand on the stack
+        but a literal is *spilled* (:attr:`Expression.statements`), bottom to
+        top: each is still evaluated once, in the machine's order.
         """
         stack: List[Expression] = []
+        statements: List[str] = []
         loads: List[int] = []
         calls = False
+
+        def spill() -> None:
+            for i, x in enumerate(stack):
+                if x.depth and x.kind != "const":  # not a literal or a temporary
+                    name = self.temp()
+                    statements.append(f"{name} = {x.text}")
+                    stack[i] = Expression(name, "any" if x.kind == "load" else x.kind)
+
         for op, operand in program.instructions:
             if op is Op.STOP:
                 break
@@ -248,52 +256,62 @@ class ExpressionEmitter:
                 stack.append(self._constant(operand))
                 continue
             if op is Op.LOAD:
-                if type(operand) is not int:
-                    return None
                 loads.append(operand)
-                stack.append(Expression(f"{fields}[{operand}]", "load", depth=1))
+                stack.append(Expression(f"{fields}[{operand!r}]", "load", depth=1))
                 continue
-            arity = operand[1] if op is Op.CALL else _ARITY.get(op)
-            if arity is None or len(stack) < arity:
-                return None
-            args = stack[len(stack) - arity:]
+            arity = operand[1] if op is Op.CALL else _ARITY[op]
+            if len(stack) < arity:
+                # what the stack machine raises, after evaluating the rest
+                spill()
+                stack = [Expression("[][-1]" if op is Op.DUP else "[].pop()", "any")]
+                break
+            if op is Op.DUP or op is Op.POP:
+                spill()
+                stack[-1:] = stack[-1:] * (2 if op is Op.DUP else 0)
+                continue
+            result = self._operator(op, operand, stack[len(stack) - arity:])
+            if result.depth > MAX_NESTING:
+                spill()
+                result = self._operator(op, operand, stack[len(stack) - arity:])
             del stack[len(stack) - arity:]
-            if op in BINARY:
-                stack.append(self._binary(op, *args))
-            elif op in UNARY:
-                name, _, inline = UNARY[op]
-                form = inline if inline and args[0].kind == "bool" else name + "({})"
-                kind = "bool" if op in _BOOL_RESULT else "atomic"
-                # ``(not …)`` counts as two as well: CPython's parser recurses
-                # through a ``not`` about as deep as through a bracket
-                stack.append(Expression(
-                    "(" + form.format(args[0].text) + ")", kind, depth=_nested(2, args)
-                ))
-            elif op is Op.RING_IN:
-                self.uses.add("R")
-                # three ints go straight to the ring; anything else through
-                # the conversion (``&``: every operand is evaluated and bound)
-                names = [self.temp() for _ in args]
-                test = " & ".join(f"(type({n} := {a.text}) is int)" for n, a in zip(names, args))
-                rest = f"{', '.join(names)}, {operand[0]!r}, {operand[1]!r})"
-                stack.append(Expression(
-                    f"(R.in_interval({rest} if {test} else ring_in(R, {rest})", "bool",
-                    depth=_nested(3, args),
-                ))
-            else:
-                calls = True
-                self.uses.add("B")
-                name = repr(operand[0])
-                passed = "".join(", " + a.text for a in args)
-                stack.append(Expression(
-                    f"(B.get({name}) or unknown({name}))(ctx{passed})", "any",
-                    depth=max(2, _nested(1, args)),
-                ))
-        if len(stack) > 1 or (stack and stack[0].depth > MAX_NESTING):
-            return None
-        if not stack:
-            return Expression("None", "const")
-        return stack[0]._replace(loads=tuple(loads), calls=calls)
+            stack.append(result)
+            calls = calls or op is Op.CALL
+        if len(stack) > 1:
+            spill()
+        result = stack[-1] if stack else Expression("None", "const")
+        return result._replace(loads=tuple(loads), calls=calls, statements=tuple(statements))
+
+    def _operator(self, op: Op, operand: Any, args: List[Expression]) -> Expression:
+        """The text of *op* applied to the operand texts *args*."""
+        if op in BINARY:
+            return self._binary(op, *args)
+        if op in UNARY:
+            name, _, inline = UNARY[op]
+            form = inline if inline and args[0].kind == "bool" else name + "({})"
+            kind = "bool" if op in _BOOL_RESULT else "atomic"
+            # ``(not …)`` counts as two as well: CPython's parser recurses
+            # through a ``not`` about as deep as through a bracket
+            return Expression(
+                "(" + form.format(args[0].text) + ")", kind, depth=_nested(2, args)
+            )
+        if op is Op.RING_IN:
+            self.uses.add("R")
+            # three ints go straight to the ring; anything else through
+            # the conversion (``&``: every operand is evaluated and bound)
+            names = [self.temp() for _ in args]
+            test = " & ".join(f"(type({n} := {a.text}) is int)" for n, a in zip(names, args))
+            rest = f"{', '.join(names)}, {operand[0]!r}, {operand[1]!r})"
+            return Expression(
+                f"(R.in_interval({rest} if {test} else ring_in(R, {rest})", "bool",
+                depth=_nested(3, args),
+            )
+        self.uses.add("B")
+        name = repr(operand[0])
+        passed = "".join(", " + a.text for a in args)
+        return Expression(
+            f"(B.get({name}) or unknown({name}))(ctx{passed})", "any",
+            depth=max(2, _nested(1, args)),
+        )
 
     def temp(self) -> str:
         self.temps += 1
@@ -366,15 +384,18 @@ def _nested(levels: int, operands: Sequence[Expression]) -> int:
 def raise_as_interpreted(exc: Exception, sites: Mapping[int, tuple]) -> None:
     """Re-raise *exc*, caught around generated code, as the interpreters would.
 
-    *sites* maps a line of the generated function to the PEL expression
-    inlined there: ``(repr of its source, loads, fields variable)``.  The
-    interpreters convert whatever a PEL evaluation raises into
-    :class:`PELError` and nothing else, so an exception from any other line —
-    a table probe, a ``coerce``, an aggregate — surfaces unchanged.  ``None``
-    in place of the source marks a line of bare field loads, where only the
-    out-of-range conversion applies.
+    *sites* maps a line of the generated file (its deepest frame's: a strand
+    may be split into functions) to the PEL expression inlined there:
+    ``(repr of its source, loads, fields variable)``.  The interpreters convert
+    whatever a PEL evaluation raises into :class:`PELError` and nothing else,
+    so an exception from any other line — a probe, a ``coerce``, an aggregate
+    — surfaces unchanged.  ``None`` in place of the source marks a line of
+    bare field loads, where only the out-of-range conversion applies.
     """
     tb = exc.__traceback__
+    filename = tb.tb_frame.f_code.co_filename
+    while tb.tb_next is not None and tb.tb_next.tb_frame.f_code.co_filename == filename:
+        tb = tb.tb_next
     site = sites.get(tb.tb_lineno)
     if site is None or isinstance(exc, PELError):
         raise exc
@@ -429,27 +450,19 @@ def compile_program(program: Program) -> Callable[[EvalContext], Any]:
     """Compile *program* into a single callable ``fn(ctx) -> result``."""
     emitter = ExpressionEmitter()
     expr = emitter.emit(program, "f")
-    if expr is not None:
-        lines = [
-            "def run(ctx):",
-            "    f = ctx.fields",
-            *["    " + bind for bind in emitter.bindings()],
-            "    try:",
-            f"        return {expr.text}",
-            "    except Exception as exc:",
-            "        reraise(exc, SITES)",
-        ]
-        text = "\n".join(lines) + "\n"
-        sites = {len(lines) - 2: (repr(program.source), expr.loads, "f")}
-        try:
-            return load_generated(
-                text,
-                ("pel", "generated", f"{zlib.crc32(text.encode()):08x}.py"),
-                {"SITES": sites, "K": emitter.constants},
-            )["run"]
-        except REFUSED:
-            pass
-    return lambda ctx: VM.execute_interpreted(program, ctx)
+    head = ["def run(ctx):", "    f = ctx.fields", *["    " + bind for bind in emitter.bindings()]]
+    body = [*expr.statements, f"return {expr.text}"]
+    lines = head + ["    try:", *["        " + line for line in body],
+                    "    except Exception as exc:", "        reraise(exc, SITES)"]
+    text = "\n".join(lines) + "\n"
+    site = (repr(program.source), expr.loads, "f")
+    # 1-based lines of the file: the body starts after the ``try:``
+    sites = {len(head) + 2 + n: site for n in range(len(body))}
+    return load_generated(
+        text,
+        ("pel", "generated", f"{zlib.crc32(text.encode()):08x}.py"),
+        {"SITES": sites, "K": emitter.constants},
+    )["run"]
 
 
 class PelVM:
@@ -461,54 +474,6 @@ class PelVM:
         if fn is None:
             fn = program.compiled()
         return fn(ctx)
-
-    def execute_interpreted(self, program: Program, ctx: EvalContext) -> Any:
-        """The per-instruction opcode interpreter: the reference semantics.
-
-        The differential tests in ``tests/test_pel.py`` assert the generated
-        source agrees with it on every opcode.
-        """
-        stack: List[Any] = []
-        push = stack.append
-        pop = stack.pop
-        try:
-            for op, operand in program.instructions:
-                if op is Op.PUSH:
-                    push(operand)
-                elif op is Op.LOAD:
-                    try:
-                        push(ctx.fields[operand])
-                    except IndexError:
-                        raise PELError(
-                            f"LOAD {operand} out of range (tuple arity {len(ctx.fields)})"
-                        ) from None
-                elif op in BINARY:
-                    b, a = pop(), pop()
-                    push(BINARY[op][1](a, b, ctx.idspace))
-                elif op in UNARY:
-                    push(UNARY[op][1](pop()))
-                elif op is Op.POP:
-                    pop()
-                elif op is Op.DUP:
-                    push(stack[-1])
-                elif op is Op.RING_IN:
-                    hi, lo, v = pop(), pop(), pop()
-                    push(_ring_in(ctx.idspace, v, lo, hi, *operand))
-                elif op is Op.CALL:
-                    name, argc = operand
-                    args = [pop() for _ in range(argc)][::-1]
-                    push(ctx.call(name, args))
-                elif op is Op.STOP:
-                    break
-                else:  # pragma: no cover - defensive
-                    raise PELError(f"unhandled opcode {op!r}")
-        except PELError:
-            raise
-        except Exception as exc:
-            raise PELError(f"PEL execution failed ({program.source!r}): {exc}") from exc
-        if not stack:
-            return None
-        return stack[-1]
 
 
 #: A module-level VM instance; the VM is stateless so sharing it is safe.

@@ -47,7 +47,8 @@ from ..dataflow.operators import (
     Select,
 )
 from ..overlog import ast, parse_program
-from ..overlog.check import ProgramAnalysis, analyze
+from ..overlog.check import ProgramAnalysis, analyze, nested_too_deeply
+from ..overlog.diagnostics import DiagnosticCollector
 from ..pel import compile_expression, constant_program, load_program
 from ..pel.opcodes import Op
 from ..pel.program import Program as PelProgram
@@ -316,23 +317,28 @@ class _StrandBuilder:
         dataflow = CompiledDataflow(program, optimized=self.optimize)
         rule_plans: List[RulePlan] = []
         for rule, analysis in zip(program.rules, self.analysis.rule_analyses):
-            if analysis is None:
-                analysis = analyze_rule(rule, program)  # raises the rule's errors
-            continuous = analysis.kind is RuleKind.CONTINUOUS_AGGREGATE
-            events = rule.positive_predicates()[:1] if continuous else analysis.event_candidates
-            for event_pred in events:
-                rule_plan = plan_strand(rule, event_pred, infos, optimize=self.optimize)
-                if self.optimize:
-                    naive = plan_strand(rule, event_pred, infos, optimize=False)
-                    rule_plan.reordered = rule_plan.order() != naive.order()
-                rule_plans.append(rule_plan)
-                strand = self._compile_strand(rule, event_pred, rule_plan.terms)
-                if continuous:
-                    dataflow.continuous.append(self._continuous(rule, strand))
-                elif event_pred.name == "periodic":
-                    dataflow.periodics.append(self._periodic_spec(rule, event_pred, strand))
-                else:
-                    dataflow.strands_by_event.setdefault(event_pred.name, []).append(strand)
+            try:
+                if analysis is None:
+                    analysis = analyze_rule(rule, program)  # raises the rule's errors
+                continuous = analysis.kind is RuleKind.CONTINUOUS_AGGREGATE
+                events = rule.positive_predicates()[:1] if continuous else analysis.event_candidates
+                for event_pred in events:
+                    rule_plan = plan_strand(rule, event_pred, infos, optimize=self.optimize)
+                    if self.optimize:
+                        naive = plan_strand(rule, event_pred, infos, optimize=False)
+                        rule_plan.reordered = rule_plan.order() != naive.order()
+                    rule_plans.append(rule_plan)
+                    strand = self._compile_strand(rule, event_pred, rule_plan.terms)
+                    if continuous:
+                        dataflow.continuous.append(self._continuous(rule, strand))
+                    elif event_pred.name == "periodic":
+                        dataflow.periodics.append(self._periodic_spec(rule, event_pred, strand))
+                    else:
+                        dataflow.strands_by_event.setdefault(event_pred.name, []).append(strand)
+            except RecursionError:  # the rule's expressions nest too deeply
+                sink = DiagnosticCollector()
+                nested_too_deeply(rule, sink)
+                raise OverlogAnalysisError(sink.sorted()) from None
         plan = ProgramPlan(rule_plans, index_plan(rule_plans))
         return PlannedProgram(plan, dataflow)
 

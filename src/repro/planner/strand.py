@@ -11,16 +11,15 @@ loop-back, or a remote node) is fixed by the strand's ``loc_position`` and
 Execution is run-to-completion per event, matching the observable semantics
 of P2's single-threaded event loop.
 
-A strand's methods here are the *interpreted* executor, ``event -> [head
-tuple, ...]``: :meth:`RuleStrand.fire` (and
+A strand's methods here are the element walk, ``event -> [head tuple,
+...]``: :meth:`RuleStrand.fire` (and
 :meth:`ContinuousAggregateStrand.refresh`) iterates the element chain with
 one batch list per operator; it is the reference semantics.  What a node
 runs is its triggers' procedures, generated as Python source by
-:mod:`repro.planner.strand_compiler`, which inline each strand's body; the
-walk is what a procedure calls for a strand the source emitter declines,
-and what the reference run loop of the differential suites fires.
-:meth:`RuleStrand.process` wraps the heads in :class:`HeadRoute` objects for
-tests, oracles and benchmarks.
+:mod:`repro.planner.strand_compiler`, which inline every strand's body,
+whatever its shape: a node never calls the walk.  The reference run loop of
+the differential suites fires it, and :meth:`RuleStrand.process` wraps its
+heads in :class:`HeadRoute` objects for tests and benchmarks.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """The strand compiler: one generated Python procedure per trigger.
 
-The interpreted executor (:meth:`RuleStrand.fire`) walks a strand's element
-chain the way Section 3.5 of the paper describes it — a Python loop over
+The element walk (:meth:`RuleStrand.fire`) runs a strand's element chain
+the way Section 3.5 of the paper describes it — a Python loop over
 :class:`~repro.dataflow.element.Element` objects, one intermediate batch list
 per operator, one :class:`~repro.pel.vm.EvalContext` per PEL evaluation.
 Rule-system compilers remove that dispatch by specialising each rule's
@@ -26,8 +26,8 @@ table's scan), every PEL program inlined as a Python expression
 tuples are not coerced again; computed ones are).  Nothing is built that
 only the next step of the same rule would read: an aggregate folds each
 match into its group's state where it is found (one tuple per *group*), and
-no route object wraps a head.  For a strand the emitter declines, the
-procedure calls the strand's interpreted ``fire`` (``refresh``) instead.
+no route object wraps a head.  Every strand of every shape is inlined: the
+generated procedures are the only code a node runs.
 
 Generated once, bound per node
 ------------------------------
@@ -64,18 +64,17 @@ Contracts
   continuous ``count``/``min``/``max`` over a pure chain rescans only when
   its base table's ``version`` moved, and remembers the version only once a
   refresh has gone through.
-* The walk stays as the fallback for a strand the emitter declines — an
-  operator type it does not know, a PEL program the expression emitter
-  declines (:data:`~repro.pel.vm.MAX_NESTING`), or a body nested deeper
-  than CPython compiles (:data:`MAX_BLOCKS`, :data:`MAX_INDENT`).  A
-  procedure CPython still refuses raises :class:`PlannerError` with
-  CPython's message.  The differential suites check procedures against a
-  reference run loop kept with the tests, which fires strands through the
-  walk.
+* Nothing is declined: where the next operator would cross CPython's
+  :data:`MAX_BLOCKS` or :data:`MAX_INDENT`, the rest of the chain becomes a
+  local function (:meth:`_Emitter.split`), and the PEL emitter spills an
+  expression nested too deep to temporaries.  A procedure CPython still
+  refuses raises :class:`PlannerError` with CPython's message.  The
+  differential suites check procedures against a reference run loop kept
+  with the tests: the walk, with PEL through the opcode interpreter.
 * Procedures are *not* reentrant (one ``ctx`` per node), which is safe
   because strand execution is run-to-completion: a firing's heads are routed
-  only once its body is done — after the strand's ``try``, or after ``fire``
-  returns — so a firing that raises routes none.
+  only once its body is done — after the strand's ``try`` — so a firing that
+  raises routes none.
 """
 
 from __future__ import annotations
@@ -96,20 +95,16 @@ _INDENT = "    "
 #: event loop)
 CLOCK = "loop.now"
 #: CPython's limit on the statically nested blocks (``for``, ``try``, …) of
-#: one function: the emitter declines a strand whose body would need more
+#: one function: a join that would need more starts a function of its own
 MAX_BLOCKS = 20
 #: the deepest indentation level CPython's tokenizer accepts: every ``if`` of
-#: a selection or an antijoin indents too, so the emitter also declines a
-#: strand whose body would sit deeper
+#: a selection or an antijoin indents too, so the emitter also splits where
+#: the next operator would sit deeper
 MAX_INDENT = 99
 
 
 def _tuple(items: Sequence[str]) -> str:
     return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
-
-
-class _Declined(Exception):
-    """The strand has a shape the emitter leaves to the interpreted walk."""
 
 
 class _Emitter:
@@ -125,9 +120,9 @@ class _Emitter:
         self.continuous = isinstance(strand, ContinuousAggregateStrand)
         self.pel = ExpressionEmitter(ns + "K")
         self.binds: List[str] = []
-        self.body: List[str] = []
-        #: body line (0-based) -> (source, loads, fields variable)
-        self.sites: Dict[int, tuple] = {}
+        #: the lines of the function being emitted, each with the PEL site
+        #: it evaluates, ``(source, loads, fields variable)``, or ``None``
+        self.body: List[PyTuple[str, Optional[tuple]]] = []
         #: field positions every tuple reaching the strand is known to have
         self.safe = 0 if self.continuous else strand.min_event_arity
         self.ctx_fields: Optional[str] = None
@@ -140,36 +135,28 @@ class _Emitter:
         self.skippable = True
         #: the body probes a table, so it reads the clock (:data:`CLOCK`)
         self.probes = False
-        #: blocks the deepest body line sits in: the ``try``, so far
+        #: blocks the deepest line sits in: the ``try``, so far
         self.blocks = 1
-
-    def nest(self) -> None:
-        """Enter one more block (a ``for``), or decline past :data:`MAX_BLOCKS`."""
-        self.blocks += 1
-        if self.blocks > MAX_BLOCKS:
-            raise _Declined(f"more than {MAX_BLOCKS} nested blocks")
+        #: the bodies of the functions the strand is split into (:meth:`split`)
+        self.parts: List[list] = []
 
     # -- lines ---------------------------------------------------------------
-    def line(self, depth: int, text: str) -> None:
-        """Append *text* at *depth*; the procedure indents the body once more
-        (it sits in ``handle``), so decline past :data:`MAX_INDENT`."""
-        if depth + 1 > MAX_INDENT:
-            raise _Declined(f"more than {MAX_INDENT} levels of indentation")
-        self.body.append(_INDENT * depth + text)
+    def line(self, depth: int, text: str, site: Optional[tuple] = None) -> None:
+        """Append *text* at *depth* (the procedure indents the body once more:
+        it sits in ``handle``)."""
+        self.body.append((_INDENT * depth + text, site))
 
     def site(self, depth: int, text: str, loads: Sequence[int], fields: str,
              program: Optional[Program] = None) -> None:
         """A line that evaluates PEL over *fields*: all of *program*, or (when
         ``None``) only the bare field *loads* a caller left inline."""
+        site = None
         if program is not None or any(not 0 <= n < self.safe for n in loads):
-            source = None if program is None else repr(program.source)
-            self.sites[len(self.body)] = (source, tuple(loads), fields)
-        self.line(depth, text)
+            site = (None if program is None else repr(program.source), tuple(loads), fields)
+        self.line(depth, text, site)
 
     def expr(self, depth: int, program: Program, fields: str) -> Expression:
         expr = self.pel.emit(program, fields)
-        if expr is None:
-            raise _Declined(program.source)
         if expr.calls:
             self.skippable = False  # f_now(), f_rand(), ...
             if self.ctx_fields != fields:
@@ -178,9 +165,15 @@ class _Emitter:
                 self.ctx_fields = fields
         return expr
 
+    def spilled(self, depth: int, program: Program, fields: str, expr: Expression) -> None:
+        """The statements *expr* needs run first, each a site of *program*."""
+        for statement in expr.statements:
+            self.site(depth, statement, expr.loads, fields, program)
+
     def value(self, depth: int, program: Program, fields: str, expr: Expression) -> str:
         """Evaluate *expr* on a line of its own; the temporary holding it."""
         name = self.pel.temp()
+        self.spilled(depth, program, fields, expr)
         self.site(depth, f"{name} = {expr.text}", expr.loads, fields, program)
         return name
 
@@ -215,17 +208,39 @@ class _Emitter:
         return texts, inline_loads
 
     # -- the operator chain ---------------------------------------------------
+    def split(self, index: int, depth: int, width: int) -> None:
+        """Emit ``ops[index:]`` and the sink as a local function, called at
+        *depth* and defined at the body's base depth (2), where CPython counts
+        blocks and indentation afresh; it shares the firing's ``out``,
+        ``groups`` and ``prefix`` through closure cells."""
+        name = f"{self.ns}part{len(self.parts) + 1}"
+        outer = self.body, self.blocks
+        self.body, self.blocks = [], 0
+        self.parts.append(self.body)
+        self.line(2, f"def {name}(f{width}):")
+        if not self.continuous and self.strand.fallback_project is not None:
+            self.line(3, "nonlocal prefix")
+        self.chain(index, 3, width)
+        self.body, self.blocks = outer
+        self.line(depth, f"{name}(f{width})")
+
     def chain(self, index: int, depth: int, width: int) -> None:
         """Emit ``ops[index:]`` and the sink, over the field tuple ``f<width>``."""
         strand, ns = self.strand, self.ns
         fields = f"f{width}"
+        op = strand.ops[index] if index < len(strand.ops) else None
+        # split where the next step would cross a limit: a body line one level
+        # deeper (an ``if``/``for`` body), or one more block (a join's ``for``)
+        deeper = strand.aggregate is not None if op is None else type(op) is not Assign
+        if depth + deeper >= MAX_INDENT or type(op) is LookupJoin and self.blocks >= MAX_BLOCKS:
+            self.split(index, depth, width)
+            return
         wants_prefix = not self.continuous and strand.fallback_project is not None
-        if index == len(strand.ops):
+        if op is None:
             if wants_prefix and strand.first_join_index is None:
                 self.line(depth, f"prefix = {fields}")
             self.sink(depth, fields)
             return
-        op = strand.ops[index]
         if type(op) is Assign:
             e = self.expr(depth, op.program, fields)
             if e.inline:
@@ -243,6 +258,7 @@ class _Emitter:
             self.skippable = False
             e = self.expr(depth, op.program, fields)
             if e.kind == "bool":
+                self.spilled(depth, op.program, fields, e)
                 self.site(depth, f"if {e.text}:", e.loads, fields, op.program)
             else:
                 self.line(depth, f"if to_bool({self.value(depth, op.program, fields, e)}):")
@@ -266,14 +282,14 @@ class _Emitter:
                 self.site(depth, f"rows{index} = {probe}", loads, fields)
                 self.line(depth, f"if not rows{index}:")
                 self.line(depth + 1, f"{drop}.dropped += 1")
-                self.nest()
+                self.blocks += 1
                 self.line(depth, f"for row in rows{index}:")
                 self.line(depth + 1, f"f{width + 1} = {fields} + row.fields")
                 self.chain(index + 1, depth + 1, width + 1)
                 return
             self.site(depth, f"if not {probe}:", loads, fields)
         else:
-            raise _Declined(f"operator {type(op).__name__}")
+            raise PlannerError(f"rule {strand.rule_id}: no code for a {type(op).__name__}")
         self.chain(index + 1, depth + 1, width)
         self.line(depth, "else:")
         self.line(depth + 1, f"{drop}.dropped += 1")
@@ -342,10 +358,10 @@ class _Emitter:
         """The strand's firing: the statements before its ``try`` and after.
 
         Both lists are unindented, for a function whose ``out`` holds the
-        heads afterwards; the body between them is :attr:`body`.  A rule
+        heads afterwards; the body between them is :attr:`body`, after the
+        :attr:`parts` it was split into.  A rule
         strand's function has the event in ``event`` and its fields in
         ``f0``; a continuous strand's has the time of the refresh in ``at``.
-        Raises :class:`_Declined` for a strand the emitter leaves to the walk.
         """
         if self.continuous:
             return self._refresh()
@@ -379,7 +395,7 @@ class _Emitter:
         ``try`` may ``return`` from the function: a continuous trigger fires
         its one strand, so nothing follows it."""
         strand, ns = self.strand, self.ns
-        self.nest()  # the scan loop
+        self.blocks += 1  # the scan loop
         self.binds.append(f"{ns}scan = {ns}strand.base_table.scan")
         entry = [f"{ns}strand.recomputations += 1"]
         self.line(2, f"for row in {ns}scan(at):")
@@ -488,33 +504,19 @@ def procedure_triggers(compiled: Any) -> List[Any]:
     )
 
 
-def _inline(strand: Any, ns: str) -> Optional[PyTuple[_Emitter, List[str], List[str]]]:
-    """*strand*'s emitter and its :meth:`_Emitter.firing`, or ``None`` when
-    the emitter declines it (the procedure then calls the walk)."""
-    emitter = _Emitter(strand, ns)
-    try:
-        return (emitter, *emitter.firing())
-    except _Declined:
-        return None
-
-
 def generate_procedure(compiled: Any, trigger: Any) -> Procedure:
     """*trigger*'s procedure (a trigger of ``CompiledDataflow.strands_of``,
     or ``None``: every relation *compiled* neither stores nor fires on).
 
     A relation's counts the dispatch, calls the live subscribers and inserts
-    into the relation's table (if stored).  Then each strand fires in order
-    and its heads are routed (:func:`_route`) before the next one fires.  The
-    body of every strand the emitter takes is inlined; a strand it declines
-    is called through its interpreted ``fire`` (``refresh`` for a continuous
-    strand).  Raises :class:`PlannerError`, with CPython's message, if
+    into the relation's table (if stored).  Then each strand fires in order,
+    its body inlined, and its heads are routed (:func:`_route`) before the
+    next one fires.  Raises :class:`PlannerError`, with CPython's message, if
     CPython refuses the text.
     """
     kind = "relation" if trigger is None or type(trigger) is str else trigger[0]
     strands = [] if trigger is None else compiled.strands_of(trigger)
-    inlined = [_inline(s, f"s{i}_") for i, s in enumerate(strands)]
-    call, arg = ("refresh", "at") if kind == "continuous" else ("fire", "event")
-    handle = [f"def handle({arg}):"]
+    handle = [f"def handle({'at' if kind == 'continuous' else 'event'}):"]
     uses: set = set()
     binds: List[str] = []
     pel_binds: set = set()
@@ -537,27 +539,26 @@ def generate_procedure(compiled: Any, trigger: Any) -> Procedure:
     else:
         name, path = f"{kind} {strands[0].rule_id}", (kind, f"{strands[0].rule_id}.py")
         header = f"# {name}: {len(strands)} strand(s)"
-    if kind != "continuous" and any(inlined):
+    if kind != "continuous" and strands:
         handle.append("    f0 = event.fields")
-    for i, (strand, firing) in enumerate(zip(strands, inlined)):
+    for i, strand in enumerate(strands):
         ns = f"s{i}_"
         handle.append(f"    # {strand.describe()}")
-        if firing is not None:
-            emitter, entry, exit = firing
-            if emitter.probes:
-                uses.add("loop")
-            binds += [f"{ns}strand = strands[{i}]", *emitter.bindings()]
-            pel_binds.update(emitter.pel.bindings())
-            names[f"{ns}K"] = emitter.pel.constants
-            handle += [_INDENT + text for text in entry]
-            handle.append("    try:")
-            sites.append((ns, len(handle), emitter.sites))
-            handle += emitter.body
-            handle += ["    except Exception as exc:", f"        reraise(exc, {ns}SITES)"]
-            handle += [_INDENT + text for text in exit]
-        else:
-            binds.append(f"{ns}{call} = strands[{i}].{call}")
-            handle.append(f"    out = {ns}{call}({arg})")
+        emitter = _Emitter(strand, ns)
+        entry, exit = emitter.firing()
+        # the definitions of the functions the body was split into first
+        body = [line for part in emitter.parts for line in part] + emitter.body
+        if emitter.probes:
+            uses.add("loop")
+        binds += [f"{ns}strand = strands[{i}]", *emitter.bindings()]
+        pel_binds.update(emitter.pel.bindings())
+        names[f"{ns}K"] = emitter.pel.constants
+        handle += [_INDENT + text for text in entry]
+        handle.append("    try:")
+        sites.append((ns, len(handle), {n: site for n, (_, site) in enumerate(body) if site}))
+        handle += [text for text, _ in body]
+        handle += ["    except Exception as exc:", f"        reraise(exc, {ns}SITES)"]
+        handle += [_INDENT + text for text in exit]
         route, route_binds, route_uses = _route(strand, ns)
         binds += route_binds
         uses.update(route_uses)

@@ -125,8 +125,8 @@ class Table:
             raise TableError(f"table {name!r} needs at least one primary-key field")
         if lifetime <= 0:
             raise TableError(f"table {name!r}: lifetime must be positive")
-        if max_size != INFINITY and max_size < 1:
-            raise TableError(f"table {name!r}: max_size must be >= 1")
+        if max_size != INFINITY and (max_size < 1 or max_size % 1):  # a NaN too
+            raise TableError(f"table {name!r}: max_size must be an integer >= 1, or infinity")
         self.name = name
         self.key_positions = tuple(key_positions)
         self._key_of = _stored_key(self.key_positions)

@@ -6,8 +6,9 @@ trigger on a node and see every head it routes — where to and in what order
 — without the node's run loop, transmit buffer or network.  The reference
 run loop (:mod:`tests.support.reference`) takes the same two arguments.
 :class:`Twins` fires a node's procedures and, on an identical node, the
-reference, which calls every strand's element walk: the two must route the
-same heads, raise the same error and count the same, firing after firing.
+reference, which calls every strand's element walk and evaluates its PEL
+through the opcode interpreter: the two must route the same heads, raise the
+same error and count the same, firing after firing.
 """
 
 from types import SimpleNamespace
@@ -47,8 +48,8 @@ def bind_capturing(node, trigger, bind=procedure_bind):
 
 def calls_the_walk(node, trigger):
     """Whether *node*'s procedure for *trigger* calls any strand's element
-    walk (``fire``/``refresh``) instead of inlining its body: the emitter
-    declined a strand."""
+    walk (``fire``/``refresh``) instead of inlining its body.  The emitter
+    takes every strand, so a procedure that does is a regression."""
     text = node.compiled.procedure(trigger).text
     return "_fire = strands[" in text or "_refresh = strands[" in text
 

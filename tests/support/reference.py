@@ -8,8 +8,10 @@ on here as the oracle the differential suites check procedures against:
 ``make_handler`` (a relation's closure), ``make_sink`` (its ``apply``) and
 the old periodic-tick and dirty-drain bodies.  It fires every strand through
 its element walk (``RuleStrand.fire`` / ``ContinuousAggregateStrand.
-refresh``) and routes heads itself, sharing neither the routing nor the
-prologue of the generated code.
+refresh``), evaluates every PEL program of the walk through the opcode
+interpreter (:mod:`tests.support.interpreter`) and routes heads itself,
+sharing neither the routing, the prologue nor the PEL text of the generated
+code.
 
 :func:`reference_bind` takes the run queue and the egress as arguments, as a
 procedure's ``bind`` does; :func:`node_bind` has the shape of
@@ -19,6 +21,20 @@ procedure's ``bind`` does; :func:`node_bind` has the shape of
 """
 
 from repro.core.errors import PlannerError
+from repro.dataflow.operators import PelElement
+
+from tests.support.interpreter import execute_interpreted
+
+
+def interpreted(strand):
+    """*strand*, its elements pointed at the opcode interpreter: the walk
+    then evaluates no generated PEL code."""
+    for element in strand.elements():
+        if isinstance(element, PelElement):
+            element._eval = lambda program, fields, context=element._context: (
+                execute_interpreted(program, context(fields))
+            )
+    return strand
 
 
 def make_handler(node, relation, pending, egress):
@@ -34,7 +50,7 @@ def make_handler(node, relation, pending, egress):
     subscribers = node._subscriptions.setdefault(relation, [])
     insert = node.tables.get(relation).insert if node.tables.has(relation) else None
     strands = [
-        (strand.fire, strand.loc_position, strand.is_delete)
+        (interpreted(strand).fire, strand.loc_position, strand.is_delete)
         for strand in node.compiled.strands_by_event.get(relation, ())
     ]
     loop, apply = node.loop, make_sink(node, pending, egress)
@@ -94,13 +110,13 @@ def reference_bind(node, trigger, pending, egress):
     kind, index = trigger
     apply = make_sink(node, pending, egress)
     if kind == "periodic":
-        strand = node.compiled.periodics[index].strand
+        strand = interpreted(node.compiled.periodics[index].strand)
 
         def tick(event):
             apply(strand.fire(event), strand.loc_position, strand.is_delete)
 
         return tick
-    strand = node.compiled.continuous[index]
+    strand = interpreted(node.compiled.continuous[index])
 
     def drain(now):
         heads = strand.refresh(now)

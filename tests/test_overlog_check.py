@@ -87,6 +87,22 @@ class TestPerRuleCodes:
         assert diag.span.line == 2
         assert "unsafe negation" in diag.message and "'Z'" in diag.message
 
+    def test_olg008_nested_too_deeply(self):
+        """A 1,000-term chain used to escape the checker as a bare
+        ``RecursionError``; now it is this rule's error, and the rest of the
+        program is still checked."""
+        source = (
+            "R0 out@X(X, Z) :- ping@X(X, Y), Z := Y + 1.\n"
+            "R1 out@X(X, Z) :- ping@X(X, Y), Z := Y" + " + 1" * 1000 + ".\n"
+            "R2 out@X(X) :- ping@X(X), pong@X(X)."
+        )
+        diagnostics = check(source)
+        diag = only(diagnostics, "OLG008")
+        assert diag.severity is Severity.ERROR
+        assert (diag.span.line, diag.span.column) == (2, 1)
+        assert diag.message == "rule R1: an expression is nested too deeply to analyze"
+        assert codes(diagnostics).count("OLG008") == 1 and "OLG007" in codes(diagnostics)
+
     def test_olg007_stream_stream_join(self):
         source = "R out@X(X) :- ping@X(X), pong@X(X)."
         diag = only(check(source), "OLG007")
@@ -418,6 +434,22 @@ class TestPlannerIntegration:
         assert "OLG010" in str(err)
         assert ":3:" in str(err)  # file:line:col rendering
         assert [d.code for d in err.diagnostics] == ["OLG010"]
+
+    def test_a_rule_too_deep_to_plan_is_a_spanned_error(self):
+        """400 terms pass the checker but used to escape planning (the
+        expression's text) as a bare ``RecursionError``."""
+        source = (
+            "R0 out@X(X, Z) :- ping@X(X, Y), Z := Y + 1.\n"
+            "R1 out@X(X, Z) :- ping@X(X, Y), Z := Y" + " + 1" * 400 + "."
+        )
+        assert not any(d.is_error for d in check(source))
+        with pytest.raises(OverlogAnalysisError) as exc_info:
+            make_planner(source).compile()
+        assert str(exc_info.value) == (
+            "<program>:2:1: error[OLG008]: rule R1: an expression is nested too deeply to analyze"
+        )
+        with pytest.raises(OverlogAnalysisError, match="OLG008"):
+            Planner.explain(source)
 
     def test_warnings_do_not_block_compilation(self):
         compiled = make_planner("D deadEnd@X(X) :- ping@X(X).").compile()

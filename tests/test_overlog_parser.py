@@ -183,6 +183,19 @@ class TestExpressions:
         with pytest.raises(ParseError):
             parse_expression("1 + 2 extra")
 
+    @pytest.mark.parametrize("nested", [
+        "(" * 110 + "Y" + ")" * 110,
+        "f_int(" * 99 + "Y" + ")" * 99,
+        "!(" * 99 + "Y == 1" + ")" * 99,
+    ], ids=["110 parentheses", "99 calls", "99 negations"])
+    def test_an_expression_nested_too_deeply_is_a_parse_error(self, nested):
+        """These used to escape the parser as a bare ``RecursionError``."""
+        with pytest.raises(ParseError, match=r"nested too deeply \(line 2, column \d+\)"):
+            parse_program(f"r0 a@X(X) :- b@X(X).\nr1 out@X(X, Z) :- ev@X(X, Y), Z := {nested}.")
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse_expression(nested)
+        parse_expression("(" * 20 + "Y" + ")" * 20)  # nesting as such is fine
+
     def test_expression_str_roundtrip_parses(self):
         expr = parse_expression("(A + 1) * f_dist(B, C)")
         again = parse_expression(str(expr))

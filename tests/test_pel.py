@@ -8,6 +8,9 @@ from repro.core.errors import PELError
 from repro.overlog import ast, parse_expression
 from repro.overlog.builtins import make_builtins
 from repro.pel import EvalContext, Op, Program, VM, compile_expression, run
+from repro.pel.vm import MAX_NESTING, ExpressionEmitter
+
+from tests.support.interpreter import execute_interpreted
 
 
 def evaluate(text, fields=(), schema=None, node=None, bits=32):
@@ -228,7 +231,8 @@ class TestBuiltins:
 class TestClosureCompilationDifferential:
     """The compiled execution path (generated Python source; closures before
     that — the class keeps its name so test ids stay stable) must agree with
-    the opcode interpreter on every opcode (results and errors alike)."""
+    the opcode interpreter (``tests/support/interpreter.py``, the reference
+    semantics) on every opcode (results and errors alike)."""
 
     def _contexts(self):
         return EvalContext(
@@ -290,7 +294,7 @@ class TestClosureCompilationDifferential:
     def test_compiled_matches_interpreted(self, instructions):
         program = Program(instructions=list(instructions))
         compiled = VM.execute(program, self._contexts())
-        interpreted = VM.execute_interpreted(program, self._contexts())
+        interpreted = execute_interpreted(program, self._contexts())
         assert compiled == interpreted
         assert type(compiled) is type(interpreted)
 
@@ -308,7 +312,7 @@ class TestClosureCompilationDifferential:
     ):
         program = compile_expression(parse_expression(text), schema)
         ctx = lambda: EvalContext(fields=fields, builtins=make_builtins())
-        assert VM.execute(program, ctx()) == VM.execute_interpreted(program, ctx())
+        assert VM.execute(program, ctx()) == execute_interpreted(program, ctx())
 
     @pytest.mark.parametrize(
         "instructions,fields",
@@ -323,7 +327,7 @@ class TestClosureCompilationDifferential:
         with pytest.raises(PELError):
             VM.execute(program, EvalContext(fields=fields, builtins=make_builtins()))
         with pytest.raises(PELError):
-            VM.execute_interpreted(
+            execute_interpreted(
                 program, EvalContext(fields=fields, builtins=make_builtins())
             )
 
@@ -334,27 +338,29 @@ class TestClosureCompilationDifferential:
         assert run(program) == 3  # cache invalidated by emit()
 
     def test_long_program_falls_back_to_interpreter(self):
-        from repro.pel.vm import MAX_NESTING, ExpressionEmitter
-
+        """A program nested too deep for one expression used to run through
+        the interpreter (hence the name); now it spills to temporaries."""
         program = Program()
-        program.emit(Op.PUSH, 0)
+        program.emit(Op.LOAD, 0)
         for _ in range(MAX_NESTING + 10):
             program.emit(Op.PUSH, 1)
             program.emit(Op.ADD)
-        assert ExpressionEmitter().emit(program, "f") is None  # nested too deep
-        assert run(program) == MAX_NESTING + 10
+        expr = ExpressionEmitter().emit(program, "f")
+        assert len(expr.statements) == 2 and expr.depth <= MAX_NESTING
+        ctx = lambda: EvalContext(fields=(0,))
+        assert VM.execute(program, ctx()) == execute_interpreted(program, ctx()) == MAX_NESTING + 10
 
 
 class TestSourceCompilation:
     """The generated-source path beyond the per-opcode differential: exact
-    integers, error identity, evaluation order, the fallback rule, and where
-    the generated code can be found."""
+    integers, error identity, evaluation order, spilling, and where the
+    generated code can be found."""
 
     BIG = (1 << 159) + 12345  # a 160-bit (SHA-1) Chord identifier
 
     def _both(self, program, **ctx):
         make = lambda: EvalContext(builtins=make_builtins(), **ctx)
-        return VM.execute(program, make()), VM.execute_interpreted(program, make())
+        return VM.execute(program, make()), execute_interpreted(program, make())
 
     def test_arith_keeps_integers_above_2_53_exact(self):
         from repro.pel.vm import _arith
@@ -404,7 +410,7 @@ class TestSourceCompilation:
     def test_errors_are_identical_message_for_message(self, instructions, fields):
         program = Program(instructions=list(instructions), source="the source")
         errors = []
-        for run_it in (VM.execute, VM.execute_interpreted):
+        for run_it in (VM.execute, execute_interpreted):
             with pytest.raises(PELError) as err:
                 run_it(program, EvalContext(fields=fields, builtins=make_builtins()))
             errors.append(str(err.value))
@@ -417,7 +423,7 @@ class TestSourceCompilation:
                      "f_max(f_log(1), f_log(2)) - f_log(3)"):
             program = compile_expression(parse_expression(text), {})
             calls = {}
-            for name, run_it in (("compiled", VM.execute), ("interpreted", VM.execute_interpreted)):
+            for name, run_it in (("compiled", VM.execute), ("interpreted", execute_interpreted)):
                 seen = calls[name] = []
                 builtins = make_builtins({"f_log": lambda ctx, x, seen=seen: seen.append(x) or x})
                 run_it(program, EvalContext(builtins=builtins))
@@ -444,14 +450,57 @@ class TestSourceCompilation:
         ids=["dup", "pop", "two-values", "underflow"],
     )
     def test_declined_programs_run_through_the_interpreter(self, instructions):
-        from repro.pel.vm import ExpressionEmitter
-
+        """Programs the emitter once declined (hence the name) are generated,
+        and run as the interpreter runs them — the same operands evaluated,
+        in the same order, once each, and the same errors."""
         program = Program(instructions=list(instructions))
-        assert ExpressionEmitter().emit(program, "f") is None
-        outcomes = []
-        for run_it in (VM.execute, VM.execute_interpreted):
+        assert ExpressionEmitter().emit(program, "f").text
+        for fields, prefix in (((), []), ((3,), [(Op.LOAD, 0), (Op.CALL, ("f_log", 1))])):
+            spilled = Program(instructions=prefix + list(instructions), source="spilled")
+            outcomes, calls = [], []
+            for run_it in (VM.execute, execute_interpreted):
+                seen = []
+                builtins = make_builtins({"f_log": lambda ctx, x, seen=seen: seen.append(x) or x})
+                try:
+                    outcomes.append(run_it(spilled, EvalContext(fields=fields, builtins=builtins)))
+                except PELError as exc:
+                    outcomes.append(str(exc))
+                calls.append(seen)
+            assert outcomes[0] == outcomes[1] and calls[0] == calls[1] == [3] * len(prefix[:1])
+
+    @given(st.lists(st.sampled_from([
+        (Op.PUSH, 2), (Op.PUSH, "a"), (Op.PUSH, 0), (Op.LOAD, 0), (Op.LOAD, 1), (Op.LOAD, 4),
+        (Op.DUP, None), (Op.POP, None), (Op.ADD, None), (Op.DIV, None), (Op.LT, None),
+        (Op.NEG, None), (Op.NOT, None), (Op.RING_IN, (False, True)), (Op.CALL, ("f_log", 1)),
+        (Op.CALL, ("f_log", 2)), (Op.STOP, None),
+    ]), max_size=12))
+    def test_any_program_is_generated_and_runs_as_interpreted(self, instructions):
+        """The emitter takes every program: whatever it leaves on the stack,
+        however it underflows, the generated code returns (or raises) what
+        the interpreter does, after the same built-in calls."""
+        program = Program(instructions=list(instructions), source="any")
+        outcomes, calls = [], []
+        for run_it in (VM.execute, execute_interpreted):
+            seen = []
+            builtins = make_builtins({"f_log": lambda ctx, *x, seen=seen: seen.append(x) or x[0]})
             try:
-                outcomes.append(run_it(program, EvalContext()))
+                result = run_it(program, EvalContext(fields=(5, 7), builtins=builtins))
+                outcomes.append((type(result), result))
+            except PELError as exc:
+                outcomes.append(str(exc))
+            calls.append(seen)
+        assert outcomes[0] == outcomes[1] and calls[0] == calls[1]
+
+    @pytest.mark.parametrize("op", [Op.NEG, Op.NOT])
+    @pytest.mark.parametrize("value", [5, "x", True])
+    def test_300_unary_operators_spill(self, op, value):
+        program = Program([(Op.LOAD, 0)] + [(op, None)] * 300)
+        expr = ExpressionEmitter().emit(program, "f")
+        assert expr.statements and expr.depth <= MAX_NESTING
+        outcomes = []
+        for run_it in (VM.execute, execute_interpreted):
+            try:
+                outcomes.append(run_it(program, EvalContext(fields=(value,))))
             except PELError as exc:
                 outcomes.append(str(exc))
         assert outcomes[0] == outcomes[1]
@@ -464,7 +513,8 @@ class TestSourceCompilation:
         assert self._both(program, fields=(5,)) == (255, 255)
 
     def test_deeply_nested_program_under_the_length_cap_still_runs(self):
-        """Text CPython refuses (nesting) falls back like an over-long program."""
+        """Text CPython would refuse (nesting) is spilled like an over-long
+        program's."""
         program = Program().emit(Op.LOAD, 0)
         for _ in range(190):
             program.emit(Op.PUSH, 1).emit(Op.ADD)

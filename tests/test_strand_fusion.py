@@ -2,10 +2,11 @@
 
 Every firing on a node runs its trigger's generated procedure, which inlines
 each strand's body.  The reference (``tests/support/reference.py``, the run
-loop procedures replaced) calls each strand's interpreted element walk
-instead.  The two must be observably identical: the same heads routed to the
-same places in the same order, the same ``fired``/``produced`` counters, the
-same per-element and per-table stats — bit for bit.  These tests build
+loop procedures replaced) calls each strand's element walk instead, and
+evaluates its PEL through the opcode interpreter.  The two must be
+observably identical: the same heads routed to the same places in the same
+order, the same ``fired``/``produced`` counters, the same per-element and
+per-table stats — bit for bit.  These tests build
 *twin* single-node worlds (same program, same seed;
 ``tests.support.procedures.Twins``), fire every trigger of one through its
 procedure and of the other through the reference with identical randomized
@@ -29,6 +30,7 @@ from repro.overlays.chord import chord_program
 from repro.overlays.gossip import gossip_program
 from repro.overlays.narada import narada_program
 from repro.overlays.pingpong import pingpong_program
+from repro.pel import Op, vm
 from repro.planner import ContinuousAggregateStrand, RuleStrand
 from repro.planner import strand_compiler
 from repro.planner.strand_compiler import procedure_triggers
@@ -177,6 +179,17 @@ def test_the_reference_does_not_share_the_routing_it_checks(monkeypatch):
     monkeypatch.setattr(strand_compiler, "_route", misroute)
     twins = Twins("r1 out@X(X, Y) :- ev@X(X, Y).")  # a fresh program: fresh procedures
     assert "egress(d, h)" in twins.procedure.compiled.procedure("ev").text
+    with pytest.raises(AssertionError):
+        twins.fire("ev", Tuple.make("ev", "n1", 1))
+
+
+def test_the_reference_does_not_share_the_pel_it_checks(monkeypatch):
+    """Turn ``+`` into ``-`` in the generated code only: the reference
+    evaluates PEL through the opcode interpreter, so the twins must disagree."""
+    name, function, _, exact = vm.BINARY[Op.ADD]
+    monkeypatch.setitem(vm.BINARY, Op.ADD, (name, function, "{} - {}", exact))
+    twins = Twins("r1 out@X(X, Z) :- ev@X(X, Y), Z := Y + 1.")  # a fresh program
+    assert "_1 - 1 if" in twins.procedure.compiled.procedure("ev").text
     with pytest.raises(AssertionError):
         twins.fire("ev", Tuple.make("ev", "n1", 1))
 

@@ -4,7 +4,7 @@
 procedures and the reference run loop (which fires the element walk) agree
 on routes, counters and stats over random tables and events.  This file
 pins what those suites only brush: error identity message for message,
-evaluation order, the decline rule and its boundary, code reuse across
+evaluation order, the split rule and its boundary, code reuse across
 nodes, and where the generated code can be found.
 """
 
@@ -156,7 +156,7 @@ def test_builtins_see_the_tuple_they_are_evaluated_over():
     assert _heads(twins.fire("ev", Tuple.make("ev", "n1"))) == ([("n1", 7, 3)], None)
 
 
-# --------------------------------------------------------------------- fallback
+# ------------------------------------------------------------------ split rule
 def _many_joins(count):
     mats = [f"materialize(t{i}, infinity, infinity, keys(2))." for i in range(count)]
     joins = [f"t{i}@X(X, V{i}, V{i + 1})" for i in range(count)]
@@ -179,27 +179,33 @@ def _fill(twins, count):
             node.tables.get(f"t{i}").insert(Tuple.make(f"t{i}", "n1", i, i + 1), 0.0)
 
 
-# a rule strand nests the ``try`` and one ``for`` per join; a continuous strand
-# also its scan loop — so 19 and 18 joins are each kind's last to be inlined
-@pytest.mark.parametrize("joins", [18, MAX_BLOCKS - 1, MAX_BLOCKS, 25])
+# A rule strand nests the ``try`` and one ``for`` per join; a continuous strand
+# also its scan loop — so 19 and 18 joins are each kind's last in one function.
+# Past them the rest of the chain is a local function, whose blocks CPython
+# counts afresh.  (The names date from when such strands ran the walk.)
+@pytest.mark.parametrize("joins", [18, MAX_BLOCKS - 1, MAX_BLOCKS, 25, 45])
 def test_a_strand_nested_deeper_than_cpython_compiles_is_called_through_fire(joins):
     source = _many_joins(joins)
     twins = Twins(source)
     _fill(twins, joins)
-    assert calls_the_walk(twins.procedure, "ev") == (joins >= MAX_BLOCKS)
-    assert ("s0_fire = strands[0].fire" in Planner.explain_source(source)) == (joins >= MAX_BLOCKS)
+    assert not calls_the_walk(twins.procedure, "ev")
+    text = Planner.explain_source(source)
+    assert ("def s0_part1(f19):" in text) == (joins >= MAX_BLOCKS)
+    assert ("def s0_part2(f39):" in text) == (joins >= 2 * MAX_BLOCKS)
     for v0 in (0, 1, "x"):
         routes, error = twins.fire("ev", Tuple.make("ev", "n1", v0))  # agrees after each
         assert error is None and len(routes) == (v0 == 0)
     assert twins.procedure.compiled.strands_by_event["ev"][0].produced == 1
 
 
-@pytest.mark.parametrize("joins", [MAX_BLOCKS - 2, MAX_BLOCKS - 1])
+@pytest.mark.parametrize("joins", [MAX_BLOCKS - 3, MAX_BLOCKS - 2, MAX_BLOCKS - 1, 25])
 def test_a_continuous_strand_at_its_limit_is_called_through_refresh(joins):
     source = _many_joins_continuous(joins)
     twins = Twins(source)
     trigger = ("continuous", 0)
-    assert calls_the_walk(twins.procedure, trigger) == (joins == MAX_BLOCKS - 1)
+    assert not calls_the_walk(twins.procedure, trigger)
+    text = twins.procedure.compiled.procedure(trigger).text
+    assert ("def s0_part1(f18):" in text) == (joins >= MAX_BLOCKS - 1)
     _fill(twins, joins)
     for v0 in (0, 1, 5, 0):
         for node in twins.nodes:
@@ -207,6 +213,28 @@ def test_a_continuous_strand_at_its_limit_is_called_through_refresh(joins):
         twins.fire(trigger, 0.0)  # agrees after each
     assert twins.fire(trigger, 0.0) == ([], None)  # unchanged: suppressed
     assert twins.procedure.compiled.continuous[0]._last_emitted == {("n1",): ("n1", 1)}
+
+
+@pytest.mark.parametrize("short", [False, True], ids=["division", "short row"])
+def test_an_error_in_a_split_strand_is_the_references(short):
+    """Join 44 of 45 sits in the second function the body is split into: a
+    division by zero after it, or a row too short for the selection there,
+    raises what the reference raises, as every other site does."""
+    mats = [f"materialize(t{i}, infinity, infinity, keys(2))." for i in range(45)]
+    joins = [f"t{i}@X(X, V{i}, V{i + 1})" for i in range(45)]
+    source = "\n".join(mats + [
+        f"J out@X(X, V45) :- ev@X(X, V0), {', '.join(joins)}, 10 / (V45 - 45) > 1."
+    ])
+    twins = Twins(source)
+    _fill(twins, 44)
+    assert "s0_part2(f39)" in twins.procedure.compiled.procedure("ev").text
+    row = Tuple.make("t44", "n1", 44) if short else Tuple.make("t44", "n1", 44, 45)
+    for node in twins.nodes:
+        node.tables.get("t44").insert(row, 0.0)
+    routes, error = twins.fire("ev", Tuple.make("ev", "n1", 0))  # the reference's error
+    assert routes == []
+    assert error == ("PELError: LOAD 136 out of range (tuple arity 136)" if short
+                     else "PELError: division by zero")
 
 
 # --------------------------------------------------------------- template reuse

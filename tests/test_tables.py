@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from repro.core import Tuple
 from repro.core.errors import TableError
+from repro.runtime.system import OverlaySimulation
 from repro.tables import INFINITY, Table, TableStore
 
 
@@ -69,6 +70,15 @@ class TestBasicOperations:
             Table("x", key_positions=[0], lifetime=0)
         with pytest.raises(TableError):
             Table("x", key_positions=[0], max_size=0)
+
+    @pytest.mark.parametrize("max_size", [2.5, 1.5, float("nan")])
+    def test_a_fractional_max_size_is_rejected(self, max_size):
+        """``materialize(t, infinity, 2.5, keys(1))`` used to hold 2 rows."""
+        with pytest.raises(TableError, match="max_size must be an integer >= 1, or infinity"):
+            Table("x", key_positions=[0], max_size=max_size)
+        assert Table("x", key_positions=[0], max_size=2.0).max_size == 2
+        with pytest.raises(TableError, match="max_size must be an integer"):
+            OverlaySimulation("materialize(t, infinity, 2.5, keys(1)).").add_node()
 
 
 class TestSoftState:

@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-fast test-faults test-planner test-reliable test-runloop test-tables golden lint lint-py bench bench-p2 bench-pairs loc check-pythonpath
+.PHONY: test test-fast test-faults test-planner test-reliable test-runloop test-tables golden lint lint-py bench bench-check bench-p2 bench-pairs loc check-pythonpath
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -91,8 +91,22 @@ check-pythonpath:
 	     "benchmarks would not import the in-tree package" >&2; exit 1 ;; \
 	esac
 
-# The one-command CI target: tier-1 suite, both lints, then the p2bench gate.
-bench: test lint lint-py bench-p2
+# The one-command CI target: tier-1 suite, both lints, BENCHMARK.json's own
+# command, then the p2bench gate.
+bench: test lint lint-py bench-check bench-p2
+
+# BENCHMARK.json's command exactly as written there, once per workload it
+# lists, at the default run length (shorter runs fail their output checks):
+# each run's last line is its verdict, and the target fails unless every one
+# reads "correct": true.  About 8 s per workload.
+BENCH_WORKLOADS = $(shell python3 -c 'import json; print(*(w["name"] for w in json.load(open("BENCHMARK.json"))["workloads"]))')
+bench-check:
+	@for w in $(BENCH_WORKLOADS); do \
+	  out=$$(python3 benchmarks/p2bench/run.py --workload $$w) || { echo "bench-check: $$w exited with an error" >&2; exit 1; }; \
+	  last=$$(printf '%s\n' "$$out" | tail -n 1); \
+	  echo "$$w: $$last"; \
+	  case "$$last" in *'"correct": true'*) ;; *) echo "bench-check: $$w is not correct" >&2; exit 1 ;; esac; \
+	done
 
 # p2bench (BENCHMARK.json's harness) as a gate: the full report — interleaved
 # repetitions of the four workloads, the probes, one traced run each — into

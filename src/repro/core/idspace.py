@@ -41,9 +41,6 @@ class IdSpace:
         """Clockwise distance from *frm* to *to* (0 when equal)."""
         return (to - frm) % self.size
 
-    def add(self, ident: int, delta: int) -> int:
-        return (ident + delta) % self.size
-
     def finger_target(self, ident: int, index: int) -> int:
         """The identifier ``ident + 2**index`` (Chord finger target)."""
         if index < 0 or index >= self.bits:

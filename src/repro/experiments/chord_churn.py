@@ -13,7 +13,7 @@ join), keeps a lookup workload running, and reports:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple as PyTuple
+from typing import Dict, List, Optional, Tuple as PyTuple
 
 from ..analysis import cdf, summarize
 from ..sim.churn import ChurnProcess
@@ -31,8 +31,6 @@ class ChurnChordResult(ChordRunResult):
     #: wire units (= delivery events) the run's tuples traveled in — equal to
     #: ``messages_sent`` when unbatched
     datagrams_sent: int = 0
-    #: departures that were crashes rather than graceful failures
-    crash_events: int = 0
 
     def latency_cdf(self, points: int = 20) -> List[PyTuple[float, float]]:
         return cdf(self.lookup_latencies, points=points)
@@ -55,43 +53,31 @@ def run_churn_experiment(
     session_time: float,
     *,
     seed: int = 0,
-    bits: int = 32,
-    join_stagger: float = 1.0,
     stabilization_time: float = 180.0,
     churn_duration: float = 300.0,
     lookup_rate: float = 2.0,
     drain_time: float = 30.0,
     domains: int = 10,
     program_kwargs: Optional[dict] = None,
-    crash: bool = False,
-    faults=None,
-    monitors: Sequence = (),
-    monitor_period: float = 10.0,
-    lookup_timeout: Optional[float] = None,
     **engine,
 ) -> ChurnChordResult:
     """Boot, stabilise, then churn for *churn_duration* while issuing lookups.
 
-    ``crash=True`` turns departures into crashes (soft state wiped, no leave
-    processing) — the harsher regime the paper's robustness claim is about;
-    ``engine``/``faults``/``monitors``/``lookup_timeout`` work as in
+    Each departure fails a member (it crash-stops and never returns) and is
+    paired with the join of a fresh one; lookups have no timeout.
+    ``engine`` works as in
     :func:`~repro.experiments.chord_static.run_static_experiment`.
     """
     run = ChordRun(
         population,
         seed=seed,
-        bits=bits,
-        join_stagger=join_stagger,
         stabilization_time=stabilization_time,
         domains=domains,
         program_kwargs=program_kwargs,
-        faults=faults,
-        monitors=monitors,
         **engine,
     )
     network = run.network
-    run.start_monitors(monitor_period)
-    tracker, workload = run.lookups(lookup_rate, seed + 11, lookup_timeout)
+    tracker, workload = run.lookups(lookup_rate, seed + 11, None)
 
     def add_member():
         node = network.add_member(join_delay=0.0)
@@ -105,8 +91,6 @@ def run_churn_experiment(
         fail_member=network.fail_member,
         add_member=add_member,
         seed=seed + 7,
-        crash=crash,
-        crash_member=network.crash_member if crash else None,
     )
     meter = run.maintenance_meter(window=churn_duration / 10)
 
@@ -126,5 +110,4 @@ def run_churn_experiment(
         maintenance_bytes_per_second=meter.mean_rate(skip_initial=1),
         churn_events=churn.stats.failures,
         datagrams_sent=run.sim.network.datagrams_sent,
-        crash_events=churn.stats.crashes,
     )

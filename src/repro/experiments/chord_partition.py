@@ -28,7 +28,7 @@ Two protocol facts shape the scenario:
   successor surviving at the tail would switch ``bestSucc`` inward and
   strand the sides forever).  Recovery therefore uses the operational step
   every real deployment performs — re-joining through a landmark — which
-  ``rejoin_on_heal`` schedules (staggered, deterministic) after the heal.
+  the experiment schedules (staggered, deterministic) after the heal.
 """
 
 from __future__ import annotations
@@ -50,6 +50,15 @@ FAST_MAINTENANCE = {
     "ping_period": 2.0,
     "finger_period": 5.0,
 }
+
+#: The lookup workload's rate (per second); a lookup unanswered after
+#: LOOKUP_TIMEOUT seconds counts as failed.
+LOOKUP_RATE = 2.0
+LOOKUP_TIMEOUT = 8.0
+#: After the heal, the first re-join waits REJOIN_DELAY seconds and each
+#: further live node follows REJOIN_STAGGER seconds later, in ring order.
+REJOIN_DELAY = 1.0
+REJOIN_STAGGER = 0.5
 
 
 @dataclass(kw_only=True)
@@ -103,20 +112,11 @@ def run_partition_experiment(
     population: int = 10,
     *,
     seed: int = 0,
-    bits: int = 32,
-    join_stagger: float = 1.0,
     stabilization_time: float = 60.0,
     pre_window: float = 40.0,
     partition_duration: float = 40.0,
     recovery_window: float = 120.0,
-    lookup_rate: float = 2.0,
-    lookup_timeout: float = 8.0,
     monitor_period: float = 5.0,
-    domains: int = 4,
-    rejoin_on_heal: bool = True,
-    rejoin_delay: float = 1.0,
-    rejoin_stagger: float = 0.5,
-    program_kwargs: Optional[dict] = None,
     **engine,
 ) -> PartitionChordResult:
     """Boot and stabilise a ring, split it in two, heal, measure reconvergence.
@@ -126,15 +126,15 @@ def run_partition_experiment(
     ``partition_duration`` seconds — which must exceed the successor lifetime
     for the sides to genuinely shed each other — then heals, after which
     every live node is sent back through the landmark join (staggered
-    ``rejoin_stagger`` apart) unless ``rejoin_on_heal`` is False.  A lookup
-    workload with timeouts runs throughout; the ring/stagnation/lookup-health
-    monitors probe every ``monitor_period`` seconds and their series form the
-    recovery curve.  ``engine`` is the engine modes, as in
+    :data:`REJOIN_STAGGER` apart).  The population runs the
+    :data:`FAST_MAINTENANCE` timers on 4 transit-stub domains; a lookup
+    workload (:data:`LOOKUP_RATE`, with :data:`LOOKUP_TIMEOUT`) runs
+    throughout; the ring/stagnation/lookup-health monitors probe every
+    ``monitor_period`` seconds and their series form the recovery curve.
+    ``engine`` is the engine modes, as in
     :func:`~repro.experiments.chord_static.run_static_experiment`.
     """
-    kwargs = dict(FAST_MAINTENANCE)
-    kwargs.update(program_kwargs or {})
-    succ_lifetime = kwargs.get("succ_lifetime", 10.0)
+    succ_lifetime = FAST_MAINTENANCE["succ_lifetime"]
     if partition_duration <= succ_lifetime:
         raise ValueError(
             f"partition_duration ({partition_duration}) must exceed the successor "
@@ -144,11 +144,9 @@ def run_partition_experiment(
     run = ChordRun(
         population,
         seed=seed,
-        bits=bits,
-        join_stagger=join_stagger,
         stabilization_time=stabilization_time,
-        domains=domains,
-        program_kwargs=kwargs,
+        domains=4,
+        program_kwargs=FAST_MAINTENANCE,
         **engine,
     )
     network, sim = run.network, run.sim
@@ -170,31 +168,30 @@ def run_partition_experiment(
     )
 
     # Phase 3: instruments — partition-aware oracle, timeout tracker, monitors.
-    tracker, workload = run.lookups(lookup_rate, seed + 1, lookup_timeout)
+    tracker, workload = run.lookups(LOOKUP_RATE, seed + 1, LOOKUP_TIMEOUT)
     runner = sim.monitor_runner
     ring_monitor = runner.add(
         RingInvariantMonitor(network, reachable=controller.conditioner.reachable)
     )
     runner.add(StagnationMonitor.for_chord(network, tracker))
     runner.add(LookupHealthMonitor(tracker))
-    run.start_monitors(monitor_period)
+    runner.start(monitor_period)
 
-    if rejoin_on_heal:
-        # Deterministic staggered re-joins on the control loop: the protocol
-        # has no rule that re-merges two stabilised rings, so recovery is the
-        # operational re-join any real deployment performs after a heal.
-        for i, node in enumerate(ring):
-            def rejoin(address=node.address):
-                if sim.nodes[address].alive:
-                    network.rejoin_member(address)
+    # Deterministic staggered re-joins on the control loop: the protocol has
+    # no rule that re-merges two stabilised rings, so recovery is the
+    # operational re-join any real deployment performs after a heal.
+    for i, node in enumerate(ring):
+        def rejoin(address=node.address):
+            if sim.nodes[address].alive:
+                network.rejoin_member(address)
 
-            sim.loop.schedule_at(heal_at + rejoin_delay + i * rejoin_stagger, rejoin)
+        sim.loop.schedule_at(heal_at + REJOIN_DELAY + i * REJOIN_STAGGER, rejoin)
 
     # Phase 4: run the scenario under a continuous lookup workload.
     workload.start()
     sim.run_until(end_at)
     workload.stop()
-    run.finish(drain_time=lookup_timeout)
+    run.finish(drain_time=LOOKUP_TIMEOUT)
     report = run.report
 
     # Phase 5: reduce the probe series to recovery metrics.

@@ -15,7 +15,7 @@ driving a uniform lookup workload.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple as PyTuple
+from typing import Dict, List, Tuple as PyTuple
 
 from ..analysis import cdf, histogram, summarize
 from .runner import ChordRun, ChordRunResult
@@ -61,19 +61,12 @@ def run_static_experiment(
     population: int,
     *,
     seed: int = 0,
-    bits: int = 32,
-    join_stagger: float = 1.0,
     stabilization_time: float = 180.0,
     idle_measurement_time: float = 120.0,
     lookup_count: int = 200,
     lookup_rate: float = 4.0,
     drain_time: float = 30.0,
     domains: int = 10,
-    program_kwargs: Optional[dict] = None,
-    faults=None,
-    monitors: Sequence = (),
-    monitor_period: float = 10.0,
-    lookup_timeout: Optional[float] = None,
     **engine,
 ) -> StaticChordResult:
     """Boot, stabilise, measure idle bandwidth, then drive lookups.
@@ -81,25 +74,16 @@ def run_static_experiment(
     ``engine`` is the engine modes of
     :class:`~repro.runtime.system.OverlaySimulation` (``batching``,
     ``shards``, ``optimize``, ``reliable``), handed through untouched;
-    ``shards`` and ``optimize`` leave every result identical.
-    ``faults`` arms a fault schedule, ``monitors`` installs periodic
-    invariant probes (instances or network-taking factories), and
-    ``lookup_timeout`` makes abandoned lookups count as failed — all off by
-    default, leaving the fault-free figures untouched.
+    ``shards`` and ``optimize`` leave every result identical.  The run is
+    fault-free and lookups have no timeout: Figure 3's setting.
     """
     run = ChordRun(
         population,
         seed=seed,
-        bits=bits,
-        join_stagger=join_stagger,
         stabilization_time=stabilization_time,
         domains=domains,
-        program_kwargs=program_kwargs,
-        faults=faults,
-        monitors=monitors,
         **engine,
     )
-    run.start_monitors(monitor_period)
 
     # Idle maintenance-bandwidth measurement (no lookups in flight).
     meter = run.maintenance_meter(window=idle_measurement_time / 6)
@@ -108,7 +92,7 @@ def run_static_experiment(
     meter.stop()
 
     # Uniform lookup workload.
-    tracker, workload = run.lookups(lookup_rate, seed + 1, lookup_timeout)
+    tracker, workload = run.lookups(lookup_rate, seed + 1, None)
     workload.start()
     run.sim.run_for(lookup_count / lookup_rate)
     workload.stop()

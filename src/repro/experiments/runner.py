@@ -1,10 +1,10 @@
 """The one Chord run skeleton the experiments are phase lists over.
 
 Every experiment here boots a Chord population on the transit-stub topology
-and lets it stabilise, starts the run's monitors, judges lookups with a
-partition-aware oracle through a tracker attached to every node, meters
-maintenance bandwidth, drives a uniform lookup workload, drains, and reads
-the same lookup and wire counters.  :class:`ChordRun` has one method per
+and lets it stabilise, judges lookups with a partition-aware oracle through
+a tracker attached to every node, meters maintenance bandwidth, drives a
+uniform lookup workload, drains, and reads the same lookup and wire
+counters.  :class:`ChordRun` has one method per
 phase, called by each experiment in its own order, and
 :class:`ChordRunResult` carries the shared counters — so another scenario (a
 population sweep, a different fault schedule) is a phase list, not a driver.
@@ -48,13 +48,17 @@ class ChordRunResult:
 R = TypeVar("R", bound=ChordRunResult)
 
 
+#: Seconds between the staggered joins of a run's initial population.
+JOIN_STAGGER = 1.0
+
+
 class ChordRun:
     """A stabilised Chord population plus the instruments experiments share.
 
-    Construction is the first phase: ``network`` — ``bits``,
-    ``program_kwargs``, ``faults``, ``monitors`` and the engine modes — goes
-    untouched to :func:`~repro.overlays.chord.build_chord_network`, and the
-    overlay runs through its staggered joins plus ``stabilization_time``.
+    Construction is the first phase: ``network`` — ``program_kwargs`` and the
+    engine modes — goes untouched to
+    :func:`~repro.overlays.chord.build_chord_network`, and the overlay runs
+    through its joins, :data:`JOIN_STAGGER` apart, plus ``stabilization_time``.
     The order an experiment calls the other phases in is the order their
     timers land on the control loop, which is observable.
     """
@@ -64,7 +68,6 @@ class ChordRun:
         population: int,
         *,
         seed: int,
-        join_stagger: float,
         stabilization_time: float,
         domains: int,
         **network,
@@ -74,18 +77,12 @@ class ChordRun:
             population,
             topology=TransitStubTopology(domains=domains, seed=seed),
             seed=seed,
-            join_stagger=join_stagger,
+            join_stagger=JOIN_STAGGER,
             **network,
         )
         self.sim = self.network.simulation
-        self.sim.run_for(population * join_stagger + stabilization_time)
+        self.sim.run_for(population * JOIN_STAGGER + stabilization_time)
         self.report: Optional[RobustnessReport] = None
-
-    def start_monitors(self, period: float) -> None:
-        """Begin probing, if the run has any monitor to probe."""
-        runner = self.sim.monitor_runner
-        if runner.monitors:
-            runner.start(period)
 
     def lookups(
         self, rate: float, seed: int, timeout: Optional[float]
@@ -121,7 +118,8 @@ class ChordRun:
         )
 
     def finish(self, drain_time: float) -> None:
-        """Drain in-flight lookups, fail the stale ones, stop the monitors."""
+        """Drain in-flight lookups, fail the stale ones, stop the monitors
+        (the partition experiment's; the others run none)."""
         self.sim.run_for(drain_time)
         self.tracker.stop_sweep()
         self.tracker.expire_stale(self.sim.now)

@@ -19,7 +19,6 @@ The rules follow Appendix B closely.  Two documented adaptations (DESIGN.md,
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
@@ -197,10 +196,10 @@ class ChordNetwork:
         """address → identifier for every alive node."""
         return {n.address: n.node_id for n in self.nodes if n.alive}
 
-    def add_member(self, address: Optional[str] = None, join_delay: float = 0.0) -> P2Node:
+    def add_member(self, join_delay: float = 0.0) -> P2Node:
         """Add one node to the overlay (used at boot time and by churn)."""
         sim = self.simulation
-        node = sim.add_node(address)
+        node = sim.add_node()
         node.route(Tuple.make("node", node.address, node.node_id))
         landmark = NULL_ADDRESS if not self.nodes else self.landmark
         node.route(Tuple.make("landmark", node.address, landmark))
@@ -218,12 +217,8 @@ class ChordNetwork:
     def fail_member(self, address: str) -> None:
         self.simulation.fail_node(address)
 
-    def crash_member(self, address: str) -> None:
-        """Hard-kill a member: soft state wiped, in-flight work dropped."""
-        self.simulation.crash_node(address)
-
     def restart_member(self, address: str) -> None:
-        """Power-cycle a crashed member and re-join it through the landmark.
+        """Power-cycle a failed member and re-join it through the landmark.
 
         A restarted Chord node has empty tables; the protocol has no rule
         that re-discovers a ring from nothing, so — like a real deployment —
@@ -256,16 +251,12 @@ class ChordNetwork:
         return NULL_ADDRESS
 
     def install_faults(self, schedule) -> "FaultController":
-        """Arm a fault schedule with Chord-aware crash/restart behaviour."""
-        return self.simulation.install_faults(
-            schedule,
-            crash_member=self.crash_member,
-            restart_member=self.restart_member,
-        )
+        """Arm a fault schedule whose restarts re-join through the landmark."""
+        return self.simulation.install_faults(schedule, restart_member=self.restart_member)
 
-    def issue_lookup(self, node: P2Node, key: int, event_id: Optional[int] = None) -> int:
+    def issue_lookup(self, node: P2Node, key: int) -> int:
         """Inject a lookup at *node*; returns the event id used."""
-        event_id = event_id if event_id is not None else fresh_tuple_id()
+        event_id = fresh_tuple_id()
         node.inject(Tuple.make("lookup", node.address, key, node.address, event_id))
         return event_id
 
@@ -309,7 +300,6 @@ def build_chord_network(
     simulation: Optional[OverlaySimulation] = None,
     topology: Optional[Topology] = None,
     seed: int = 0,
-    bits: int = 32,
     join_stagger: float = 2.0,
     program_kwargs: Optional[dict] = None,
     faults=None,
@@ -323,8 +313,10 @@ def build_chord_network(
     paper's feasibility experiments.  Run the simulation for a stabilisation
     period afterwards (``sim.run_for(...)``) before measuring.
 
-    ``faults`` is a :class:`~repro.sim.faults.FaultSchedule` armed with
-    Chord-aware crash/restart hooks; ``monitors`` is a sequence of monitor
+    ``program_kwargs`` go to :func:`chord_program` (``bits`` among them, which
+    also sizes the simulation's identifier space).  ``faults`` is a
+    :class:`~repro.sim.faults.FaultSchedule` armed through
+    :meth:`ChordNetwork.install_faults`; ``monitors`` is a sequence of monitor
     *instances* or single-argument factories called with the finished
     :class:`ChordNetwork` (so e.g. ``RingInvariantMonitor`` can be passed as
     a class).  Start them with ``network.simulation.monitor_runner.start()``.
@@ -335,14 +327,13 @@ def build_chord_network(
     in was already built with its own, so naming one here too is an error.
     """
     kwargs = dict(program_kwargs or {})
-    kwargs.setdefault("bits", bits)
     program = chord_program(**kwargs)
     if simulation is None:
         simulation = OverlaySimulation(
             program,
             topology=topology,
             seed=seed,
-            id_bits=kwargs["bits"],
+            id_bits=kwargs.get("bits", 32),
             classifier=classify_chord_traffic,
             **engine,
         )

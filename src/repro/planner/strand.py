@@ -224,7 +224,7 @@ class ContinuousAggregateStrand:
         return [*self.ops, self.project, self.aggregate]
 
     def reset(self) -> None:
-        """Forget the change-suppression cache (node crash/restart).
+        """Forget the change-suppression cache (node restart).
 
         Both executors reach the cache through :meth:`emit_changed`, i.e. by
         reference through the strand, so emptying it here is seen by the

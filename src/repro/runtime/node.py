@@ -57,7 +57,6 @@ class P2Node:
         node_id: Optional[int] = None,
         idspace: Optional[IdSpace] = None,
         seed: Optional[int] = None,
-        extra_facts: Sequence[Tuple] = (),
         extra_builtins: Optional[dict] = None,
         batching: bool = True,
         shard: Optional[int] = None,
@@ -77,6 +76,8 @@ class P2Node:
         self.builtins = make_builtins(extra_builtins)
         self.node_id = node_id
         self.alive = False
+        #: set by :meth:`fail`, cleared by :meth:`restart` (the only way back)
+        self._failed = False
         self.batching = batching
         #: body terms placed by the cost-based optimizer by default;
         #: ``optimize=False`` keeps the naive body-order plans (the oracle)
@@ -88,7 +89,6 @@ class P2Node:
         #: planner-built egress element; every remote-bound head tuple is
         #: coalesced here and flushed as datagram trains once per drain
         self.transmit = self.compiled.transmit
-        self._extra_facts = list(extra_facts)
         self._pending: Deque[Tuple] = deque()
         self._processing = False
         #: the ``("continuous", i)`` triggers of the dirty continuous strands
@@ -109,11 +109,18 @@ class P2Node:
 
     # ------------------------------------------------------------------ lifecycle
     def boot(self) -> None:
-        """Install start-of-day facts and start periodic event sources."""
+        """Install start-of-day facts and start periodic event sources.
+
+        Booting a live node is a no-op, and a node that has failed comes back
+        only through :meth:`restart`, which also wipes its soft state and
+        brings its network endpoint back up.
+        """
         if self.alive:
             return
+        if self._failed:
+            raise P2Error(f"node {self.address}: boot of a failed node; use restart()")
         self.alive = True
-        for fact in list(self.compiled.facts) + self._extra_facts:
+        for fact in self.compiled.facts:
             self.route(fact)
         for index, spec in enumerate(self.compiled.periodics):
             self._ticks_left[index] = spec.count
@@ -125,8 +132,13 @@ class P2Node:
                 self._tickers[index].start(first)
 
     def fail(self) -> None:
-        """Crash-stop the node: it stops processing and receiving."""
+        """Crash-stop the node: it stops processing and receiving.
+
+        Its tables stay as they were — nothing reads a dead node's tables —
+        until :meth:`restart` wipes them.
+        """
         self.alive = False
+        self._failed = True
         for ticker in self._tickers:
             ticker.stop()
         # crash-stop: anything still buffered never reaches the wire
@@ -136,41 +148,29 @@ class P2Node:
         # best-effort path): a dead node retransmits nothing and acks nothing.
         self.network.endpoint_down(self.address)
 
-    def crash(self) -> None:
-        """Hard-kill the node: :meth:`fail` plus soft-state loss.
+    def restart(self) -> None:
+        """Power the node back up after :meth:`fail`, with empty soft state.
 
-        A crash differs from a graceful failure observed from outside only in
-        what the node would see *if* it came back: tables are wiped in place
+        The node object is reused rather than rebuilt: its bound procedures
+        hold its table objects by reference, and the network keeps its
+        topology index — so the reset happens *in place*: tables are wiped
         (no delete listeners — the process is gone, nothing observes the
         loss), queued-but-unprocessed tuples are dropped, and the continuous
-        aggregates' change-suppression caches are reset so a restart
-        re-derives and re-emits from genuinely empty state.
+        aggregates' change-suppression caches are reset so the node
+        re-derives and re-emits from genuinely empty state.  Then the
+        start-of-day facts and periodic timers are installed again.
+        External subscriptions (e.g. lookup trackers) survive the restart,
+        as they would for a monitored process that was power-cycled.
         """
-        self.fail()
-        self._wipe_soft_state()
-
-    def _wipe_soft_state(self) -> None:
-        """Empty, in place, everything a power cycle loses (see :meth:`restart`)."""
+        if self.alive:
+            raise P2Error(f"node {self.address}: restart of a live node")
         self._pending.clear()
         self.tables.clear_all()
         for strand in self.compiled.continuous:
             strand.reset()
         self._dirty_continuous.clear()
         self._dirty_set.clear()
-
-    def restart(self) -> None:
-        """Power the node back up after :meth:`crash`/:meth:`fail`.
-
-        The node object is reused rather than rebuilt: its bound procedures
-        hold its table objects by reference, and the network keeps
-        its topology index — so the reset happens *in place*,
-        then :meth:`boot` reinstalls start-of-day facts and periodic timers.
-        External subscriptions (e.g. lookup trackers) survive the restart,
-        as they would for a monitored process that was power-cycled.
-        """
-        if self.alive:
-            raise P2Error(f"node {self.address}: restart of a live node")
-        self._wipe_soft_state()
+        self._failed = False
         self.network.set_alive(self.address, True)
         # New incarnation: the reliability layer (if any) gives the reborn
         # node a fresh sequence space so receivers reset rather than confuse

@@ -9,7 +9,7 @@ the standard way the paper's experiments are set up (one spec, N nodes).
 from __future__ import annotations
 
 import random
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional
 
 from ..core.errors import SimulationError
 from ..core.idspace import IdSpace
@@ -20,7 +20,7 @@ from ..net.transport import Network
 from ..overlog import ast, parse_program
 from ..sim.event_loop import EventLoop
 from ..sim.faults import FaultController, FaultSchedule
-from ..sim.monitors import Monitor, MonitorRunner
+from ..sim.monitors import MonitorRunner
 from ..sim.shards import ShardedEventLoop, lookahead_for
 from .node import P2Node
 
@@ -66,8 +66,6 @@ class OverlaySimulation:
         shards: int = 1,
         optimize: bool = True,
         reliable: bool = False,
-        faults: Optional[FaultSchedule] = None,
-        monitors: Sequence[Monitor] = (),
     ):
         self.program = parse_program(program) if isinstance(program, str) else program
         if shards < 1:
@@ -99,32 +97,18 @@ class OverlaySimulation:
         self.fault_controller: Optional[FaultController] = None
         #: periodic invariant probes (sim/monitors.py), also control-loop
         self.monitor_runner = MonitorRunner(self.loop)
-        for monitor in monitors:
-            self.monitor_runner.add(monitor)
-        if faults is not None:
-            self.install_faults(faults)
 
     # -- node management ------------------------------------------------------------
     def fresh_address(self) -> str:
         self._counter += 1
         return f"node-{self._counter}"
 
-    def add_node(
-        self,
-        address: Optional[str] = None,
-        *,
-        node_id: Optional[int] = None,
-        extra_facts: Sequence[Tuple] = (),
-        program: "ast.Program | str | None" = None,
-        boot: bool = True,
-        extra_builtins: Optional[dict] = None,
-    ) -> P2Node:
-        """Create (and by default boot) one node running the overlay program."""
+    def add_node(self, address: Optional[str] = None) -> P2Node:
+        """Create and boot one node running the overlay program."""
         address = address or self.fresh_address()
         if address in self.nodes:
             raise SimulationError(f"node {address!r} already exists")
-        if node_id is None:
-            node_id = self.idspace.wrap(make_unique_id([address]))
+        node_id = self.idspace.wrap(make_unique_id([address]))
         # Shard assignment: the node's event sources live on the member loop
         # for its topology locality group (its stub domain on transit-stub),
         # so only cross-domain traffic crosses shards.
@@ -136,35 +120,27 @@ class OverlaySimulation:
             node_loop = self.loop.member_loop(key)
         node = P2Node(
             address,
-            program if program is not None else self.program,
+            self.program,
             self.network,
             node_loop,
             node_id=node_id,
             idspace=self.idspace,
             seed=self._rng.getrandbits(32),
-            extra_facts=extra_facts,
-            extra_builtins=extra_builtins,
             batching=self.batching,
             shard=shard,
             optimize=self.optimize,
         )
         self.network.register(node)
         self.nodes[address] = node
-        if boot:
-            node.boot()
+        node.boot()
         return node
 
     def fail_node(self, address: str) -> None:
-        """Crash-stop a node (used by churn experiments)."""
-        node = self.node(address)
-        node.fail()
-
-    def crash_node(self, address: str) -> None:
-        """Hard-kill a node: stop it *and* wipe its soft state in place."""
-        self.node(address).crash()
+        """Crash-stop a node (churn departures and the ``crash`` fault)."""
+        self.node(address).fail()
 
     def restart_node(self, address: str) -> None:
-        """Power a crashed node back up with empty tables (fresh boot)."""
+        """Power a failed node back up with empty tables (fresh boot)."""
         self.node(address).restart()
 
     # -- fault injection -------------------------------------------------------------
@@ -172,23 +148,18 @@ class OverlaySimulation:
         self,
         schedule: FaultSchedule,
         *,
-        crash_member: Optional[Callable[[str], None]] = None,
         restart_member: Optional[Callable[[str], None]] = None,
     ) -> FaultController:
         """Arm a fault schedule against this simulation (at most one per run).
 
-        ``crash_member``/``restart_member`` default to the generic node
-        crash/restart; overlay harnesses override them to add protocol-level
-        behaviour (e.g. Chord re-join through the landmark after a restart).
+        A ``crash`` event fails its node (:meth:`fail_node`); a ``restart``
+        event calls ``restart_member``, by default :meth:`restart_node`,
+        which overlay harnesses override to add protocol-level behaviour
+        (e.g. Chord re-join through the landmark after a restart).
         """
         if self.fault_controller is not None:
             raise SimulationError("a fault schedule is already installed")
-        self.fault_controller = FaultController(
-            self,
-            schedule,
-            crash_member=crash_member,
-            restart_member=restart_member,
-        )
+        self.fault_controller = FaultController(self, schedule, restart_member=restart_member)
         return self.fault_controller
 
     def node(self, address: str) -> P2Node:
@@ -214,7 +185,3 @@ class OverlaySimulation:
 
     def schedule(self, delay: float, callback: Callable[[], None]):
         return self.loop.schedule(delay, callback)
-
-    # -- convenience ------------------------------------------------------------------
-    def inject(self, address: str, tup: Tuple) -> None:
-        self.node(address).inject(tup)

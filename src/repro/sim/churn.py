@@ -5,14 +5,15 @@ session times between 8 and 128 minutes.  The Bamboo methodology keeps the
 population roughly constant: node lifetimes are drawn from an exponential
 distribution whose mean is the session time, and every departure is paired
 with a fresh join, so the churn *rate* is ``N / session_time`` events per
-second in each direction.
+second in each direction.  A departed node never comes back: it fails
+(crash-stops, running no leave rules), and its replacement is a new node.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, List
 
 from .event_loop import EventLoop, Ticker
 
@@ -21,7 +22,6 @@ from .event_loop import EventLoop, Ticker
 class ChurnStats:
     joins: int = 0
     failures: int = 0
-    crashes: int = 0
     events: List[float] = field(default_factory=list)
 
 
@@ -37,18 +37,10 @@ class ChurnProcess:
     list_members:
         Callable returning the addresses of currently-alive overlay members.
     fail_member:
-        Callable that removes the named member gracefully (its leave rules,
-        if any, still run — the node merely stops).
+        Callable that fails the named member, e.g.
+        :meth:`~repro.overlays.chord.ChordNetwork.fail_member`.
     add_member:
         Callable that adds (and joins) one fresh member.
-    crash:
-        When True, departures *crash* instead: ``crash_member`` is called,
-        which is expected to wipe the victim's soft state and drop its
-        in-flight work without running any leave rules — the harsher regime
-        the paper's robustness claim is really about.
-    crash_member:
-        Callable that crash-stops the named member (required when ``crash``);
-        e.g. :meth:`~repro.overlays.chord.ChordNetwork.crash_member`.
     """
 
     def __init__(
@@ -60,20 +52,14 @@ class ChurnProcess:
         fail_member: Callable[[str], None],
         add_member: Callable[[], object],
         seed: int = 0,
-        crash: bool = False,
-        crash_member: Optional[Callable[[str], None]] = None,
     ):
         if session_time <= 0:
             raise ValueError("session time must be positive")
-        if crash and crash_member is None:
-            raise ValueError("crash churn needs a crash_member callable")
         self._loop = loop
         self.session_time = session_time
         self._list_members = list_members
         self._fail_member = fail_member
         self._add_member = add_member
-        self.crash = crash
-        self._crash_member = crash_member
         self._rng = random.Random(seed)
         # the next gap is drawn after a churn event, from the population it left
         self._ticker = Ticker(loop, self._churn_once, self._next_gap)
@@ -100,11 +86,7 @@ class ChurnProcess:
         members = self._list_members()
         if len(members) > 1:
             victim = self._rng.choice(members)
-            if self.crash:
-                self._crash_member(victim)
-                self.stats.crashes += 1
-            else:
-                self._fail_member(victim)
+            self._fail_member(victim)
             self.stats.failures += 1
             self._add_member()
             self.stats.joins += 1

@@ -367,7 +367,8 @@ def latency_spike(at: float, factor: float, duration: float) -> FaultEvent:
 
 
 def crash(at: float, node: str) -> FaultEvent:
-    """At *at*, crash-stop *node*: no leave rules run, soft state is lost."""
+    """At *at*, crash-stop *node* (it fails: no leave rules run, and a later
+    :func:`restart` brings it back with empty soft state)."""
     return FaultEvent(at, "crash", {"node": node})
 
 
@@ -444,8 +445,9 @@ class FaultController:
     Every action is scheduled on the simulation's *control* loop: under the
     sharded driver those events are lookahead barriers, so the conditioner
     state they mutate is seen identically by every member loop regardless of
-    the shard count.  ``crash_member``/``restart_member`` default to the
-    simulation's generic node crash/restart but are overridable so overlay
+    the shard count.  A ``crash`` fails its node (the simulation's
+    ``fail_node``, the one way down); a ``restart`` calls ``restart_member``,
+    by default the simulation's ``restart_node``, overridable so overlay
     harnesses (e.g. :class:`~repro.overlays.chord.ChordNetwork`) can add
     protocol-level rejoin behaviour.
     """
@@ -455,14 +457,12 @@ class FaultController:
         simulation,
         schedule: FaultSchedule,
         *,
-        crash_member: Optional[Callable[[str], None]] = None,
         restart_member: Optional[Callable[[str], None]] = None,
     ):
         self.simulation = simulation
         self.schedule = schedule
         self.conditioner = LinkConditioner(seed=simulation.seed)
         simulation.network.set_conditioner(self.conditioner)
-        self.crash_member = crash_member or simulation.crash_node
         self.restart_member = restart_member or simulation.restart_node
         #: (time, action) log of fired events, for reports and tests.
         self.fired: List[PyTuple[float, str]] = []
@@ -502,7 +502,7 @@ class FaultController:
                 lambda: self.conditioner.pop_latency_spike(factor),
             )
         elif event.action == "crash":
-            self.crash_member(params["node"])
+            self.simulation.fail_node(params["node"])
         elif event.action == "restart":
             self.restart_member(params["node"])
         else:  # pragma: no cover - FaultEvent validates actions

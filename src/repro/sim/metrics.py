@@ -12,8 +12,8 @@ These implement the quantities the paper's evaluation reports:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional
 
 from ..core.idspace import IdSpace
 from ..core.tuples import Tuple
@@ -140,9 +140,8 @@ class LookupTracker:
         self.timeout = timeout
         self.records: Dict[Any, LookupRecord] = {}
         self.late_completions = 0
-        self._sweep_period: Optional[float] = None
         self._sweeper = Ticker(
-            loop, lambda: self.expire_stale(self._loop.now), lambda: self._sweep_period
+            loop, lambda: self.expire_stale(self._loop.now), lambda: self.timeout
         )
         network.add_send_hook(self._on_send)
 
@@ -166,18 +165,16 @@ class LookupTracker:
         )
 
     # -- timeout sweep ---------------------------------------------------------------
-    def start_sweep(self, period: Optional[float] = None) -> None:
+    def start_sweep(self) -> None:
         """Begin the periodic timeout sweep; idempotent while running.
 
-        The sweep period defaults to the timeout itself, which bounds how
-        stale a "failed" verdict can be at one timeout; a finer period
-        sharpens ``failed_at`` timestamps at the cost of more control events.
+        The sweep runs once per timeout, which bounds how stale a "failed"
+        verdict can be at one timeout.
         """
         if self.timeout is None:
             raise ValueError("start_sweep() needs a tracker constructed with a timeout")
         if self._sweeper.running:
             return
-        self._sweep_period = period if period is not None else self.timeout
         self._sweeper.start()
 
     def stop_sweep(self) -> None:
@@ -254,9 +251,9 @@ class LookupTracker:
     def latencies(self) -> List[float]:
         return [r.latency for r in self.completed() if r.latency is not None]
 
-    def hop_counts(self, completed_only: bool = True) -> List[int]:
-        source = self.completed() if completed_only else list(self.records.values())
-        return [r.hops for r in source]
+    def hop_counts(self) -> List[int]:
+        """Hops of every completed lookup."""
+        return [r.hops for r in self.completed()]
 
     def mean_hops(self) -> float:
         hops = self.hop_counts()

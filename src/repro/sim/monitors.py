@@ -37,7 +37,6 @@ from typing import (
     Mapping,
     Optional,
     Protocol,
-    Sequence,
     Tuple as PyTuple,
 )
 
@@ -177,14 +176,14 @@ class RingInvariantMonitor:
     knowledge the ring looks intact right through a partition.
     """
 
+    name = "chord_ring"
+
     def __init__(
         self,
         network,
-        name: str = "chord_ring",
         alarm_on_split: bool = True,
         reachable: Optional[Callable[[str, str], bool]] = None,
     ):
-        self.name = name
         self._network = network
         self._alarm_on_split = alarm_on_split
         self._reachable = reachable
@@ -269,15 +268,16 @@ class StagnationMonitor:
     previous one.
     """
 
-    def __init__(self, counters: Mapping[str, Callable[[], float]], name: str = "stagnation"):
+    name = "stagnation"
+
+    def __init__(self, counters: Mapping[str, Callable[[], float]]):
         if not counters:
             raise ValueError("StagnationMonitor needs at least one counter")
-        self.name = name
         self._counters = dict(counters)
         self._previous: Optional[Dict[str, float]] = None
 
     @classmethod
-    def for_chord(cls, network, tracker=None, name: str = "stagnation") -> "StagnationMonitor":
+    def for_chord(cls, network, tracker=None) -> "StagnationMonitor":
         """The standard Chord liveness probe: rule activity, wire activity,
         and (when a tracker is given) lookup completions."""
         counters: Dict[str, Callable[[], float]] = {
@@ -286,7 +286,7 @@ class StagnationMonitor:
         }
         if tracker is not None:
             counters["lookups_completed"] = lambda: len(tracker.completed())
-        return cls(counters, name=name)
+        return cls(counters)
 
     def observe(self, now: float) -> Observation:
         current = {name: fn() for name, fn in self._counters.items()}
@@ -325,14 +325,15 @@ class FailureDetectorMonitor:
     ``build_chord_network(monitors=...)`` as a factory).  Each probe samples
     the number of tracked links, the suspected links, the maximum accrual
     suspicion level, and the layer's wire-unit counters; on a best-effort
-    run (``reliable=False``) the sample just records that.  Purely
+    run (``reliable=False``) the sample just records that.  A probe that
+    finds suspected links also raises a ``suspected-links`` alarm.  Purely
     read-only: suspicion levels are computed without mutating link state.
     """
 
-    def __init__(self, network, name: str = "failure_detector", alarm_on_suspicion: bool = True):
-        self.name = name
+    name = "failure_detector"
+
+    def __init__(self, network):
         self._source = network
-        self._alarm_on_suspicion = alarm_on_suspicion
 
     def _network(self):
         obj = self._source
@@ -355,7 +356,7 @@ class FailureDetectorMonitor:
             "suppressed_sends": network.suppressed_sends,
         }
         alarms: List[MonitorAlarm] = []
-        if self._alarm_on_suspicion and suspected:
+        if suspected:
             shown = ", ".join(f"{s}->{d}" for s, d in suspected[:4])
             more = f" (+{len(suspected) - 4} more)" if len(suspected) > 4 else ""
             alarms.append(
@@ -383,16 +384,16 @@ class LookupHealthMonitor:
     perfect or catastrophic health.
     """
 
+    name = "lookup_health"
+
     def __init__(
         self,
         tracker,
         *,
-        name: str = "lookup_health",
         max_failure_rate: float = 0.5,
         min_consistent_fraction: float = 0.5,
         min_resolved: int = 3,
     ):
-        self.name = name
         self._tracker = tracker
         self.max_failure_rate = max_failure_rate
         self.min_consistent_fraction = min_consistent_fraction

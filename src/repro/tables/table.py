@@ -331,9 +331,9 @@ class Table:
     def clear(self) -> int:
         """Drop every row without firing any listener (power-cycle semantics).
 
-        Used by node crash/restart: a crashed process loses its soft state
-        silently — no delete rules, no continuous-aggregate recomputation —
-        which is exactly what distinguishes a crash from a graceful leave.
+        Used by :meth:`~repro.runtime.node.P2Node.restart`: a crashed process
+        loses its soft state silently — no delete rules, no
+        continuous-aggregate recomputation.
         Indices are emptied in place and the expiry bound reset; returns the
         number of rows dropped.  The content :attr:`version` moves even so —
         a version-keyed reader must not mistake the reborn table for the old.

@@ -9,8 +9,9 @@ Five layers:
 * network integration — unreachable drops before any loss draw (so the
   PR 4 per-source loss streams are not perturbed), burst loss per link,
   latency-spike scaling;
-* crash/restart semantics — silent table wipe, in-place node power-cycle,
-  crash-mode churn, lookup timeout sweep, partition-aware oracle, monitors;
+* crash/restart semantics — a crash fails the node, restart is the one way
+  back (silent table wipe, in-place power-cycle, the Chord re-join), lookup
+  timeout sweep, partition-aware oracle, monitors;
 * the determinism regression: a full fault schedule (partition/heal, burst
   loss, latency spike, crash/restart) replayed under ``shards`` ∈ {1, 2, 3}
   must be bit-identical, and the partition/heal chord experiment must
@@ -28,7 +29,6 @@ from repro.core.idspace import IdSpace
 from repro.net import Network, TransitStubTopology, UniformTopology
 from repro.runtime import OverlaySimulation
 from repro.sim import (
-    ChurnProcess,
     ConsistencyOracle,
     EventLoop,
     FaultSchedule,
@@ -422,8 +422,9 @@ class TestCrashRestart:
         victim = nodes[1]
         assert victim.tables.total_rows() > 0
         expirations_before = sum(t.stats.expirations for t in victim.tables)
-        sim.crash_node(victim.address)
+        sim.fail_node(victim.address)
         assert not victim.alive
+        sim.restart_node(victim.address)
         assert victim.tables.total_rows() == 0
         # a power-cycle fires no listeners: nothing counted as an expiration
         assert sum(t.stats.expirations for t in victim.tables) == expirations_before
@@ -432,7 +433,7 @@ class TestCrashRestart:
         sim, nodes = ping_sim()
         sim.run_for(5.0)
         victim = nodes[1]
-        sim.crash_node(victim.address)
+        sim.fail_node(victim.address)
         processed_at_crash = victim.events_processed
         sim.run_for(5.0)
         assert victim.events_processed == processed_at_crash  # stays dark
@@ -450,33 +451,56 @@ class TestCrashRestart:
         with pytest.raises(P2Error):
             sim.restart_node(nodes[0].address)
 
-    def test_crash_churn_mode(self):
-        loop = EventLoop()
-        crashed = []
-        with pytest.raises(ValueError):
-            ChurnProcess(
-                loop,
-                session_time=10.0,
-                list_members=lambda: ["a"],
-                fail_member=lambda a: None,
-                add_member=lambda: None,
-                crash=True,  # crash churn needs a crash_member
-            )
-        churn = ChurnProcess(
-            loop,
-            session_time=5.0,
-            list_members=lambda: ["a", "b", "c"],
-            fail_member=lambda a: pytest.fail("graceful failure in crash mode"),
-            add_member=lambda: None,
-            seed=2,
-            crash=True,
-            crash_member=crashed.append,
+    def test_boot_after_fail_is_rejected(self):
+        """``boot`` runs once: a failed node that booted again would be alive
+        to itself and dead to the network (it sends, it never receives)."""
+        from repro.core.errors import P2Error
+        from repro.overlays.chord import build_chord_network
+
+        network = build_chord_network(4, seed=3)
+        sim = network.simulation
+        sim.run_for(60.0)
+        victim = network.nodes[1]
+        victim.fail()
+        with pytest.raises(P2Error, match=r"restart\(\)"):
+            victim.boot()
+        assert not victim.alive and not sim.network.is_alive(victim.address)
+        sent = sim.network.stats[victim.address].tx_messages
+        sim.run_for(20.0)
+        assert sim.network.stats[victim.address].tx_messages == sent  # stays dark
+        victim.restart()
+        assert victim.alive and sim.network.is_alive(victim.address)
+
+    def test_chord_restart_rejoins_through_the_landmark(self):
+        """``crash`` and ``restart`` armed through ``ChordNetwork.install_faults``:
+        a member, then the landmark, fails and comes back by re-joining
+        through the landmark (or, for the landmark, a live peer); the ring
+        heals each time, and a node added afterwards joins it."""
+        from repro.overlays.chord import build_chord_network
+
+        network = build_chord_network(
+            8, seed=3, topology=TransitStubTopology(domains=4, seed=3)
         )
-        churn.start()
-        loop.run_until(60.0)
-        churn.stop()
-        assert churn.stats.crashes == len(crashed) > 0
-        assert churn.stats.failures == churn.stats.crashes  # crashes are departures
+        sim = network.simulation
+        sim.run_for(8 * 2.0 + 150.0)
+        assert network.ring_consistency() == 1.0
+        t0, member, landmark = sim.now, network.nodes[3].address, network.landmark
+        controller = network.install_faults(FaultSchedule([
+            faults.crash(t0 + 5.0, member), faults.restart(t0 + 40.0, member),
+            faults.crash(t0 + 100.0, landmark), faults.restart(t0 + 140.0, landmark),
+        ]))
+        for down, back in ((t0 + 6.0, t0 + 90.0), (t0 + 101.0, t0 + 200.0)):
+            sim.run_until(down)  # the failed node's predecessor still points at it
+            assert len(network.alive_ids()) == 7
+            assert network.ring_consistency() == pytest.approx(6 / 7)
+            sim.run_until(back)
+            assert len(network.alive_ids()) == 8
+            assert network.ring_consistency() == 1.0
+        assert [action for _, action in controller.fired] == ["crash", "restart"] * 2
+        network.add_member()
+        sim.run_for(100.0)
+        assert len(network.alive_ids()) == 9
+        assert network.ring_consistency() == 1.0
 
 
 # ---------------------------------------------------------------------------

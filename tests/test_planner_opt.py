@@ -365,7 +365,6 @@ def test_chord_static_bit_identical_optimized_vs_naive():
 
     kwargs = dict(
         seed=3,
-        join_stagger=1.0,
         stabilization_time=120.0,
         idle_measurement_time=30.0,
         lookup_count=30,

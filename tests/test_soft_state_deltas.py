@@ -263,7 +263,7 @@ def _strand_pairs(twins):
 
 
 def _power_cycle(twins):
-    """What ``P2Node.crash`` does to soft state: tables emptied, strands reset."""
+    """What ``P2Node.restart`` does to soft state: tables emptied, strands reset."""
     for node in twins:
         node.tables.clear_all()
         for strand in node.compiled.continuous:
@@ -461,12 +461,12 @@ def test_crash_clear_reset_restart_re_emits_everything(twins):
         node.tables.get("sample").clear()
     assert _outcome(twins, p1, 0.0) == [] == _outcome(twins, oracle, 0.0)
     assert p1.seen_groups == 0
-    # the real thing: crash, restart, the same rows arrive again
+    # the real thing: fail, restart, the same rows arrive again
     _load(twins, "sample", rows, 1.0)
     _assert_refreshes_agree(twins, 1.0)
     for node in twins:
         node.alive = True
-        node.crash()
+        node.fail()
         node.restart()
         assert len(node.tables.get("sample")) == 0
     _load(twins, "sample", rows, 2.0)

@@ -243,7 +243,6 @@ def test_chord_static_bit_identical_fused_vs_interpreted(monkeypatch):
 
     kwargs = dict(
         seed=3,
-        join_stagger=1.0,
         stabilization_time=120.0,
         idle_measurement_time=30.0,
         lookup_count=30,

@@ -286,11 +286,11 @@ def test_crash_and_restart_reset_the_generated_recompute():
     node.tables.get("succDist").insert(row, 0.0)
     assert _heads(fire(node, trigger, 0.0)) == ([("n1", 50)], None)
     assert fire(node, trigger, 0.0) == ([], None)  # unchanged: suppressed
-    for power_cycle in (node.crash, lambda: (node.fail(), node.restart())):
-        power_cycle()
-        assert cont._last_emitted == {} and cont.seen_version is None
-        node.tables.get("succDist").insert(row, 0.0)
-        assert _heads(fire(node, trigger, 0.0)) == ([("n1", 50)], None)
+    node.fail()
+    node.restart()
+    assert cont._last_emitted == {} and cont.seen_version is None
+    node.tables.get("succDist").insert(row, 0.0)
+    assert _heads(fire(node, trigger, 0.0)) == ([("n1", 50)], None)
 
 
 # ---------------------------------------------------------------- traceability

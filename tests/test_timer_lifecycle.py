@@ -279,7 +279,7 @@ class TestNodePeriodicLifecycle:
         def on_ping(tup):
             ticks.append(loop.now)
             if len(ticks) == 1:
-                node.crash()
+                node.fail()
                 node.restart()
 
         node.subscribe("pingEvent", on_ping)

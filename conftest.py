@@ -24,6 +24,6 @@ def pytest_addoption(parser):
         "--update-golden",
         action="store_true",
         default=False,
-        help="rewrite the golden plan snapshots under tests/golden/ "
+        help="rewrite the golden snapshots under tests/golden/ "
         "instead of comparing against them",
     )

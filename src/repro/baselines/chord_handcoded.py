@@ -93,7 +93,7 @@ class HandCodedChordNode:
 
     def fail(self) -> None:
         self.alive = False
-        self.network.set_alive(self.address, False)
+        self.network.endpoint_down(self.address)
 
     # ------------------------------------------------------------------ lookups
     def lookup(self, key: int, requester: str, event_id: int) -> None:

@@ -74,7 +74,7 @@ the skew, the delayed-ack delay and the timer callbacks — is computed when
 the link's sender or receiver state is built, and the accrual threshold only
 after its ack history changed; a timer arm is one event object calling a
 callback the link already holds.  Every arm still cancels and schedules
-anew at a float-identical time (``now + (delayed_ack + skew)``,
+anew at a float-identical time (``now + (DELAYED_ACK + skew)``,
 ``deadline + skew``): skipping a re-arm whose deadline did not move would
 change its place among same-instant events, and so the run.
 
@@ -114,6 +114,16 @@ SACK_ENTRY_BYTES = 4
 #: Marshaled payload of a failure-detector probe.
 PROBE_BYTES = 8
 
+#: Pure-ack delay: acks not piggybacked within this window go out alone.
+DELAYED_ACK = 0.1
+#: Per-datagram exponential backoff factor between retransmissions.
+BACKOFF = 2.0
+#: Out-of-order sequence numbers the receiver holds beyond the cumulative
+#: ack; datagrams past the window are dropped unacknowledged.
+REORDER_WINDOW = 64
+#: Ack interarrival samples the accrual failure detector keeps per link.
+FD_HISTORY = 8
+
 
 def _link_skew(src: str, dst: str) -> float:
     """Deterministic sub-microsecond offset added to this link's timer delays.
@@ -132,35 +142,26 @@ class ReliableConfig:
     """Tuning knobs of the reliability layer (all deterministic constants).
 
     The defaults are sized for the transit-stub topology: the worst-case
-    round trip (~0.21s cross-domain) plus the delayed ack stays well under
-    ``rto_min``, so a loss-free run never retransmits spuriously; the
+    round trip (~0.21s cross-domain) plus :data:`DELAYED_ACK` stays well
+    under ``rto_min``, so a loss-free run never retransmits spuriously; the
     failure-detector floor keeps an 8-second loss burst (the PR 7 schedule)
     from being mistaken for a dead peer.
     """
 
-    #: pure-ack delay: acks not piggybacked within this window go out alone
-    delayed_ack: float = 0.1
     #: RTO before the first RTT sample on a link
     rto_initial: float = 1.0
-    #: RTO clamp (min must exceed worst RTT + delayed_ack or loss-free runs
+    #: RTO clamp (min must exceed worst RTT + DELAYED_ACK or loss-free runs
     #: would retransmit spuriously)
     rto_min: float = 0.5
     rto_max: float = 16.0
-    #: per-datagram exponential backoff factor between retransmissions
-    backoff: float = 2.0
     #: transmissions beyond the first before the link gives up (and is
     #: suspected dead)
     max_retries: int = 6
-    #: out-of-order sequence numbers the receiver will hold beyond the
-    #: cumulative ack; datagrams past the window are dropped unacknowledged
-    reorder_window: int = 64
     #: accrual suspicion: suspect after silence > threshold * mean ack
     #: interarrival (floored), never sooner than fd_min_silence
     suspicion_threshold: float = 8.0
     fd_floor: float = 0.5
     fd_min_silence: float = 10.0
-    #: ack interarrival samples kept per link
-    fd_history: int = 8
     #: period of the probe timer on a suspected link (the reopen path)
     probe_interval: float = 2.0
 
@@ -248,7 +249,7 @@ class _ReceiverLink:
 
     Like a sender link it is built once per directed link ``owner -> peer``
     (the direction its acks travel): the owner's loop, the delayed-ack delay
-    (``delayed_ack + skew``) and its timer callback are fixed at creation.
+    (``DELAYED_ACK + skew``) and its timer callback are fixed at creation.
     """
 
     __slots__ = ("owner", "peer", "epoch", "cum", "ooo", "ack_pending", "delack",
@@ -372,7 +373,7 @@ class ReliableLayer:
             net.dupes_dropped += 1
             self._note_ack_needed(st)
             return False
-        if cum is not None and seq > cum + self.config.reorder_window:
+        if cum is not None and seq > cum + REORDER_WINDOW:
             net.messages_dropped += len(entry.tuples)
             return False
         if cum is None or seq == cum + 1:
@@ -396,7 +397,7 @@ class ReliableLayer:
         if st is None:
             st = self._receivers[(owner, peer)] = _ReceiverLink(
                 self, owner, peer, epoch, self.network._clock(owner),
-                self.config.delayed_ack + self._skew(owner, peer),
+                DELAYED_ACK + self._skew(owner, peer),
             )
         elif epoch > st.epoch:
             st.epoch = epoch
@@ -458,7 +459,7 @@ class ReliableLayer:
             if gap > 0.0:
                 intervals = link.intervals
                 intervals.append(gap)
-                if len(intervals) > self.config.fd_history:
+                if len(intervals) > FD_HISTORY:
                     del intervals[0]
                 link.threshold = None
         link.last_heard = now
@@ -532,7 +533,7 @@ class ReliableLayer:
                 return
             entry.retries += 1
             entry.retransmitted = True
-            entry.deadline = now + min(link.rto * (cfg.backoff ** entry.retries), cfg.rto_max)
+            entry.deadline = now + min(link.rto * (BACKOFF ** entry.retries), cfg.rto_max)
             net.retransmits += 1
             ack = self._ack_payload_for(link.src, link.dst)
             net._send_wire_unit(
@@ -618,16 +619,6 @@ class ReliableLayer:
                 self._skew(src, dst),
             )
         return link
-
-    def rebind(self, address: str) -> None:
-        """*address* was registered again: its links' cached loop follows it."""
-        loop = self.network._clock(address)
-        for (src, _), link in self._senders.items():
-            if src == address:
-                link.loop = loop
-        for (owner, _), st in self._receivers.items():
-            if owner == address:
-                st.loop = loop
 
     def peer_down(self, address: str) -> None:
         """Wipe *address*'s own reliable state in place (crash-stop).

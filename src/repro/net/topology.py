@@ -22,9 +22,6 @@ class Topology:
     def latency(self, a: int, b: int) -> float:  # pragma: no cover - interface
         raise NotImplementedError
 
-    def register(self, index: int) -> None:
-        """Called by the network when node *index* appears (optional hook)."""
-
     # -- sharding support ------------------------------------------------------------
     def shard_key(self, index: int) -> int:
         """Locality group for *index* used by the sharded simulation driver.
@@ -94,8 +91,10 @@ class TransitStubTopology(Topology):
         jitter_fraction: float = 0.0,
         seed: int = 0,
     ):
-        if domains < 1:
-            raise NetworkError("a transit-stub topology needs at least one domain")
+        if not isinstance(domains, int) or domains < 1:  # NaN and 2.5 too
+            raise NetworkError(
+                f"a transit-stub topology needs an integer >= 1 domains, got {domains!r}"
+            )
         self.domains = domains
         self.intra = intra_domain_latency
         self.inter = inter_domain_latency

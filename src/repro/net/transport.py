@@ -28,10 +28,11 @@ every datagram passes — best-effort ones and all four wire units of the
 opt-in reliable layer (:mod:`repro.net.reliable`: first sends,
 retransmissions, pure acks, probes): :meth:`Network._launch` decides
 partition, loss and latency and schedules the arrival; :meth:`Network._land`
-decides liveness, counts the received bytes and hands the tuples over.
-Latency is memoised per pair of topology indices: a topology's ``latency``
-is pure and :meth:`Network.register` never reuses an index, so a memo entry
-cannot go stale, not even for an address registered again.
+reads the endpoint's own ``alive`` flag, counts the received bytes and hands
+the tuples over.  An endpoint registers once and is never detached, so the
+network keeps no liveness of its own.  Latency is memoised per pair of
+topology indices: a topology's ``latency`` is pure and an address keeps its
+index for good, so a memo entry cannot go stale.
 """
 
 from __future__ import annotations
@@ -76,11 +77,15 @@ DEFAULT_CATEGORY = "maintenance"
 
 
 class Endpoint(Protocol):
-    """What the network needs from a node."""
+    """What the network needs from a node: its ``address``; then
+    ``receive_batch(tuples)``, one datagram's tuples in order (all a
+    :class:`~repro.runtime.node.P2Node` has), or else ``receive(tup)`` per
+    tuple; then, optionally, ``alive`` — its own liveness and the only record
+    of it (an endpoint without one is always alive) — and ``loop``, the event
+    loop its deliveries run on (else the one its topology shard key selects).
+    """
 
     address: str
-
-    def receive(self, tup: Tuple) -> None: ...
 
 
 @dataclass
@@ -143,11 +148,10 @@ class Network:
         self.conditioner: Optional["LinkConditioner"] = None
         self._nodes: Dict[str, Endpoint] = {}
         self._indices: Dict[str, int] = {}
-        self._alive: Dict[str, bool] = {}
         self._loops: Dict[str, EventLoop] = {}
         self._tx_seq: Dict[str, int] = {}
         #: (source index, destination index) -> topology latency: the
-        #: topology is pure and register() never reuses an index, so an
+        #: topology is pure and an address keeps its index for good, so an
         #: entry can never go stale
         self._latencies: Dict[PyTuple[int, int], float] = {}
         self._next_index = 0
@@ -174,27 +178,17 @@ class Network:
 
             self.reliable_layer = ReliableLayer(self, reliable_config)
 
-    @property
-    def reliable(self) -> bool:
-        return self.reliable_layer is not None
-
     # -- membership ----------------------------------------------------------------
     def register(self, node: Endpoint) -> int:
-        """Attach *node* to the network; returns its topology index."""
+        """Attach *node* to the network for good (a restarted node keeps its
+        registration); returns its topology index."""
         address = node.address
         if address in self._nodes:
             raise NetworkError(f"address {address!r} already registered")
-        # A monotonic counter, not len(self._indices): re-registering an
-        # address after unregister() must mint a fresh index rather than
-        # collide with the next newcomer's.  On a fixed-size
-        # LatencyMatrixTopology the fresh index can run past the matrix,
-        # which fails loudly in latency() — preferable to silently reusing
-        # the departed node's coordinates.
         index = self._next_index
         self._next_index += 1
         self._nodes[address] = node
         self._indices[address] = index
-        self._alive[address] = True
         # Per-destination loop routing: deliveries are scheduled on the loop
         # the endpoint runs on (its shard, under the sharded driver).  A
         # plain endpoint without a loop of its own is assigned one exactly
@@ -207,36 +201,13 @@ class Network:
             member_loop = getattr(self.loop, "member_loop", None)
             own = member_loop(self.topology.shard_key(index)) if member_loop else self.loop
         self._loops[address] = own
-        self.stats_for(address)
-        self.topology.register(index)
-        if self.reliable_layer is not None:
-            # an address registered again may have moved loops; the layer
-            # keeps each link's loop
-            self.reliable_layer.rebind(address)
+        self.stats[address] = NodeTrafficStats()
         return index
 
     def next_index(self) -> int:
         """The topology index :meth:`register` will assign next (used by the
         sharded simulation to pick a node's shard before constructing it)."""
         return self._next_index
-
-    def unregister(self, address: str) -> None:
-        """Detach a node (it stops receiving; its statistics are retained)."""
-        self._alive[address] = False
-        self._nodes.pop(address, None)
-
-    def set_alive(self, address: str, alive: bool) -> None:
-        if address not in self._indices:
-            raise NetworkError(f"unknown address {address!r}")
-        self._alive[address] = alive
-
-    def is_alive(self, address: str) -> bool:
-        return self._alive.get(address, False)
-
-    def addresses(self, alive_only: bool = True) -> List[str]:
-        if alive_only:
-            return [a for a, alive in self._alive.items() if alive and a in self._nodes]
-        return list(self._indices)
 
     # -- hooks ----------------------------------------------------------------------
     def add_send_hook(self, hook: SendHook) -> None:
@@ -335,7 +306,7 @@ class Network:
         self.datagrams_sent += 1
         size = tup.estimate_size() + PACKET_OVERHEAD_BYTES
         category = self.classifier(tup)
-        stats = self.stats.get(src) or self.stats_for(src)
+        stats = self.stats[src]
         stats.tx_messages += 1
         stats.tx_datagrams += 1
         stats.tx_bytes += size
@@ -379,7 +350,7 @@ class Network:
             # same bytes, same loss draw (most idle-maintenance rounds emit a
             # single tuple per destination)
             return 1 if self.send(src, dst, batch[0]) else 0
-        stats = self.stats.get(src) or self.stats_for(src)
+        stats = self.stats[src]
         src_loop = self._loops[src]
         now = src_loop.now
         known = dst in indices
@@ -445,7 +416,7 @@ class Network:
         """Count and launch one wire unit of the reliable layer that carries no
         new message: a retransmission, a pure ack or a probe."""
         self.datagrams_sent += 1
-        self.stats_for(src).record_tx_datagram(bytes_by_category, 0)
+        self.stats[src].record_tx_datagram(bytes_by_category, 0)
         self._launch(
             src, src_loop, dst, src_loop.now,
             partial(self._land, dst, tuples, bytes_by_category, accept),
@@ -485,23 +456,6 @@ class Network:
         self._schedule_delivery(src, src_loop, dst, now, delay, arrive)
         return True
 
-    def _endpoint(self, dst: str) -> Optional[Endpoint]:
-        """The live endpoint for *dst*, or None when delivery is a drop
-        (:meth:`_land` runs this test inline).
-
-        A destination unregistered (or failed) after a datagram was scheduled
-        but before it arrives must count as a drop — like a UDP datagram
-        racing a process exit — never be silently ignored.  Endpoints may
-        also expose their own ``alive`` flag (P2 nodes do); a dead endpoint
-        is a drop too, even if the network has not been told yet.
-        """
-        node = self._nodes.get(dst)
-        if node is None or not self._alive.get(dst, False):
-            return None
-        if not getattr(node, "alive", True):
-            return None
-        return node
-
     def _land(
         self,
         dst: str,
@@ -511,23 +465,24 @@ class Network:
     ) -> None:
         """One datagram arriving at *dst* (on the destination's loop).
 
-        A datagram that finds no live endpoint is a drop of its own kind.
-        Otherwise *accept* — the reliable layer's receive side, for its wire
-        units — runs first and a falsy answer keeps the tuples back; the
+        A datagram that finds no endpoint, or one whose own ``alive`` flag is
+        false, is a drop of its own kind, like a UDP datagram racing a process
+        exit.  Otherwise *accept* — the reliable layer's receive side, for its
+        wire units — runs first and a falsy answer keeps the tuples back; the
         datagram's bytes are received either way, and the tuples that pass
         are handed over as one batch (``receive_batch``, or ``receive`` per
         tuple for an endpoint without it).
         """
-        node = self._nodes.get(dst)  # _endpoint(), inlined
-        if node is None or not self._alive.get(dst, False) or not getattr(node, "alive", True):
-            # the datagram raced a crash/unregister: a drop with its own
-            # counter, distinguishable from loss and partition drops
+        node = self._nodes.get(dst)
+        if node is None or not getattr(node, "alive", True):
+            # the datagram raced a crash: a drop with its own counter,
+            # distinguishable from loss and partition drops
             self.dead_endpoint_drops += 1
             self.messages_dropped += len(tuples)
             return
         if accept is not None and not accept():
             tuples = ()
-        stats = self.stats.get(dst) or self.stats_for(dst)
+        stats = self.stats[dst]
         stats.rx_messages += len(tuples)
         stats.rx_datagrams += 1
         by_category = stats.rx_bytes_by_category
@@ -569,10 +524,5 @@ class Network:
         return sum(s.tx_bytes_by_category.get(category, 0) for s in self.stats.values())
 
     def stats_for(self, address: str) -> NodeTrafficStats:
-        """The traffic counters of *address* (created on first use)."""
-        stats = self.stats.get(address)
-        if stats is None:
-            # get-then-create: ``setdefault`` would build and discard a
-            # NodeTrafficStats on every send and every delivery
-            stats = self.stats[address] = NodeTrafficStats()
-        return stats
+        """The traffic counters of the registered *address*."""
+        return self.stats[address]

@@ -6,8 +6,7 @@ the eager optimisation, joins via a landmark, stabilization, and connectivity
 monitoring — together with helpers that boot a whole Chord network on the
 simulator, issue lookups, and check the ring against a global oracle.
 
-The rules follow Appendix B closely.  Two documented adaptations (DESIGN.md,
-"Known deviations"):
+The rules follow Appendix B closely, with two adaptations:
 
 * modular identifier arithmetic is written with the explicit ring built-ins
   ``f_dist`` / ``f_wrap`` / ``f_fingerKey`` instead of relying on C++ Value

@@ -10,7 +10,7 @@ Ring-arithmetic helpers (``f_dist``, ``f_wrap``, ``f_pow2``, ``f_fingerKey``)
 are additions this reproduction makes explicit: the paper's appendix writes
 modular identifier arithmetic with ordinary ``+``/``-``/``<<`` and relies on
 the C++ Value semantics; here the spec text names the ring operations, which
-keeps the Chord rules unambiguous (see DESIGN.md, "Known deviations").
+keeps the Chord rules unambiguous whatever the width of the identifier space.
 """
 
 from __future__ import annotations

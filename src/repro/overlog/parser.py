@@ -1,7 +1,7 @@
 """Recursive-descent parser for OverLog.
 
-The accepted grammar matches the programs in the paper's appendices (with the
-clarifications listed in DESIGN.md):
+The accepted grammar is the one the programs in the paper's appendices are
+written in, spelled out where the paper leaves it informal:
 
 * ``materialize(name, lifetime, size, keys(i, j, ...)).``
 * ``RuleId [delete] head :- term, term, ... .``

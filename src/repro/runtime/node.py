@@ -143,7 +143,6 @@ class P2Node:
             ticker.stop()
         # crash-stop: anything still buffered never reaches the wire
         self.transmit.clear()
-        self.network.set_alive(self.address, False)
         # Wipe this node's reliability-layer state in place (no-op on the
         # best-effort path): a dead node retransmits nothing and acks nothing.
         self.network.endpoint_down(self.address)
@@ -171,7 +170,6 @@ class P2Node:
         self._dirty_continuous.clear()
         self._dirty_set.clear()
         self._failed = False
-        self.network.set_alive(self.address, True)
         # New incarnation: the reliability layer (if any) gives the reborn
         # node a fresh sequence space so receivers reset rather than confuse
         # its counters with the previous life's.
@@ -201,14 +199,9 @@ class P2Node:
         return self.tables.get(name).scan(self.now())
 
     # ------------------------------------------------------------------ network entry
-    def receive(self, tup: Tuple) -> None:
-        """Called by the network when a tuple addressed to this node arrives."""
-        if not self.alive:
-            return
-        self.route(tup)
-
     def receive_batch(self, batch: Sequence[Tuple]) -> None:
-        """Called by the network when one datagram's tuples arrive together.
+        """Called by the network when one datagram's tuples arrive together:
+        the node's only door from the network.
 
         Each tuple is still routed to fixpoint individually: batching changes
         how tuples travel and how arrivals are scheduled (one event-loop

@@ -68,8 +68,8 @@ class OverlaySimulation:
         reliable: bool = False,
     ):
         self.program = parse_program(program) if isinstance(program, str) else program
-        if shards < 1:
-            raise SimulationError(f"shards must be >= 1, got {shards}")
+        if not isinstance(shards, int) or shards < 1:  # NaN and 2.5 too
+            raise SimulationError(f"shards must be an integer >= 1, got {shards!r}")
         topology = topology or UniformTopology(latency=0.01)
         self.shards = shards
         if shards > 1:

@@ -99,13 +99,11 @@ class EventLoop:
         self._posted: List[Tuple[float, Priority, Callable[[], None]]] = []
         self.processed = 0
 
-    def schedule(
-        self, delay: float, callback: Callable[[], None], priority: Priority = ()
-    ) -> EventHandle:
+    def schedule(self, delay: float, callback: Callable[[], None]) -> EventHandle:
         """Run *callback* after *delay* simulated seconds."""
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay}s into the past")
-        return self.schedule_at(self.now + delay, callback, priority)
+        return self.schedule_at(self.now + delay, callback)
 
     def schedule_at(
         self, when: float, callback: Callable[[], None], priority: Priority = ()

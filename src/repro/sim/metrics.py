@@ -271,21 +271,25 @@ class BandwidthSample:
 
 
 class BandwidthMeter:
-    """Samples per-node bandwidth of a traffic category over time windows."""
+    """Samples per-node bandwidth of a traffic category over time windows.
+
+    Each window's rate is divided by ``alive_count()``, the number of live
+    nodes at the sample.
+    """
 
     def __init__(
         self,
         loop: EventLoop,
         network: "Network",
+        alive_count: Callable[[], int],
         category: str = "maintenance",
         window: float = 10.0,
-        alive_count: Optional[Callable[[], int]] = None,
     ):
         self._loop = loop
         self._network = network
         self.category = category
         self.window = window
-        self._alive_count = alive_count or (lambda: len(network.addresses()))
+        self._alive_count = alive_count
         self.samples: List[BandwidthSample] = []
         self._last_total = 0
         self._last_time = loop.now

@@ -58,8 +58,8 @@ class ShardedEventLoop:
     """
 
     def __init__(self, shards: int, lookahead: float, start_time: float = 0.0):
-        if shards < 1:
-            raise SimulationError("a sharded loop needs at least one shard")
+        if not isinstance(shards, int) or shards < 1:  # NaN and 2.5 too
+            raise SimulationError(f"a sharded loop needs an integer >= 1 shards, got {shards!r}")
         if not lookahead > 0.0:
             raise SimulationError(
                 f"conservative lookahead must be positive, got {lookahead!r} "
@@ -105,13 +105,11 @@ class ShardedEventLoop:
             + sum(s.pending() + s.posted_count() for s in self.shards)
         )
 
-    def schedule(
-        self, delay: float, callback: Callable[[], None], priority: tuple = ()
-    ) -> EventHandle:
+    def schedule(self, delay: float, callback: Callable[[], None]) -> EventHandle:
         """Schedule a harness (control) event *delay* seconds from now."""
         if delay < 0:
             raise SimulationError(f"cannot schedule {delay}s into the past")
-        return self.schedule_at(self.now + delay, callback, priority)
+        return self.schedule_at(self.now + delay, callback)
 
     def schedule_at(
         self, when: float, callback: Callable[[], None], priority: tuple = ()

@@ -452,8 +452,8 @@ class TestCrashRestart:
             sim.restart_node(nodes[0].address)
 
     def test_boot_after_fail_is_rejected(self):
-        """``boot`` runs once: a failed node that booted again would be alive
-        to itself and dead to the network (it sends, it never receives)."""
+        """``boot`` runs once: a failed node comes back only through
+        ``restart``, and until then nothing reaches it."""
         from repro.core.errors import P2Error
         from repro.overlays.chord import build_chord_network
 
@@ -464,12 +464,16 @@ class TestCrashRestart:
         victim.fail()
         with pytest.raises(P2Error, match=r"restart\(\)"):
             victim.boot()
-        assert not victim.alive and not sim.network.is_alive(victim.address)
-        sent = sim.network.stats[victim.address].tx_messages
+        assert not victim.alive
+        stats = sim.network.stats[victim.address]
+        sent, received = stats.tx_messages, stats.rx_messages
         sim.run_for(20.0)
-        assert sim.network.stats[victim.address].tx_messages == sent  # stays dark
+        assert stats.tx_messages == sent  # stays dark
+        assert stats.rx_messages == received  # and deaf
         victim.restart()
-        assert victim.alive and sim.network.is_alive(victim.address)
+        assert victim.alive
+        sim.run_for(20.0)
+        assert stats.rx_messages > received
 
     def test_chord_restart_rejoins_through_the_landmark(self):
         """``crash`` and ``restart`` armed through ``ChordNetwork.install_faults``:

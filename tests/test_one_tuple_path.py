@@ -194,8 +194,8 @@ class HelperChainNetwork(Network):
         return True
 
     def _deliver(self, dst, tup, size, category):
-        node = self._endpoint(dst)
-        if node is None:
+        node = self._nodes.get(dst)
+        if node is None or not node.alive:
             self.dead_endpoint_drops += 1
             self.messages_dropped += 1
             return
@@ -255,18 +255,12 @@ def _play(network_class, script, loss_rate, jitter, reliable=False):
         elif kind == "spike":
             net.set_conditioner(cond)
             cond.push_latency_spike(step[1])
-        elif kind == "die":  # the endpoint's own flag: the network is not told
+        elif kind in ("die", "down"):  # the endpoint's own flag: the network is not told
             nodes[step[1]].alive = False
-        elif kind == "unregister":
-            net.unregister(step[1])
-        elif kind == "down":
-            net.set_alive(step[1], False)
         elif kind == "peer_down":  # a crash-stop the reliable layer is told of
             nodes[step[1]].alive = False
-            net.set_alive(step[1], False)
             net.endpoint_down(step[1])
         elif kind == "peer_up":
-            net.set_alive(step[1], True)
             nodes[step[1]].alive = True
             net.endpoint_up(step[1])
     if reliable:
@@ -308,8 +302,7 @@ script_steps = st.one_of(
     st.tuples(st.just("heal")),
     st.tuples(st.just("spike"), st.sampled_from([1.0, 2.5])),
     st.tuples(st.just("die"), senders),
-    st.tuples(st.just("unregister"), st.sampled_from(ADDRESSES[2:])),
-    st.tuples(st.just("down"), senders),
+    st.tuples(st.just("down"), st.sampled_from(ADDRESSES[2:])),
 )
 
 
@@ -339,7 +332,7 @@ def test_a_long_lossy_run_with_a_burst_installed_half_way():
         if round_no == 200:
             script.append(("burst", None))
         if round_no == 300:
-            script += [("die", "n3"), ("unregister", "n4")]
+            script += [("die", "n3"), ("down", "n4")]
     new, old = _play(Network, script, 0.2, 0.1), _play(HelperChainNetwork, script, 0.2, 0.1)
     assert new == old
     sent, datagrams, dropped, dead, _, burst = new["counters"]

@@ -5,10 +5,13 @@ from hypothesis import given, strategies as st
 
 from repro.core import IdSpace
 from repro.core.errors import PELError
+from repro.net import Network
 from repro.overlog import ast, parse_expression
 from repro.overlog.builtins import make_builtins
 from repro.pel import EvalContext, Op, Program, VM, compile_expression, run
 from repro.pel.vm import MAX_NESTING, ExpressionEmitter
+from repro.runtime import P2Node
+from repro.sim import EventLoop
 
 from tests.support.interpreter import execute_interpreted
 
@@ -215,6 +218,23 @@ class TestBuiltins:
         assert evaluate("f_coinFlip(0.1)", node=node) is False
         assert evaluate("f_localAddr()", node=node) == "addr-1"
         assert evaluate("f_localId()", node=node) == 42
+
+    def test_f_randInt_draws_from_the_node_seed_with_both_bounds_inclusive(self):
+        def node(seed):
+            loop = EventLoop()
+            program = "materialize(t, infinity, infinity, keys(1))."
+            return P2Node("n1", program, Network(loop), loop, seed=seed)
+
+        def draws(host, low, high, count=60):
+            return [evaluate("f_randInt(A, B)", fields=(low, high), schema={"A": 0, "B": 1},
+                             node=host) for _ in range(count)]
+
+        assert draws(node(7), 1, 3) == draws(node(7), 1, 3)
+        assert draws(node(7), 1, 3) != draws(node(8), 1, 3)
+        assert set(draws(node(7), 1, 3)) == {1, 2, 3}
+        assert draws(node(7), 4, 4, count=3) == [4, 4, 4]
+        with pytest.raises(PELError, match=r"PEL execution failed \('f_randInt\(A, B\)'\)"):
+            draws(node(7), 5, 1, count=1)
 
     def test_node_builtins_without_node_raise(self):
         with pytest.raises(PELError):

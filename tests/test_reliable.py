@@ -24,7 +24,7 @@ import pytest
 from repro.core import Tuple
 from repro.net import PACKET_OVERHEAD_BYTES, Network, ReliableConfig, TransitStubTopology
 from repro.net import reliable
-from repro.net.reliable import ACK_CATEGORY
+from repro.net.reliable import ACK_CATEGORY, REORDER_WINDOW
 from repro.overlays.chord import build_chord_network, classify_chord_traffic
 from repro.runtime import OverlaySimulation
 from repro.sim import (
@@ -131,7 +131,7 @@ class TestAckRetransmit:
         the receiver's rx datagrams and bytes with no message — and its tuples
         are counted dropped until a retransmission brings them."""
         loop, net, a, b = make_net()
-        window = net.reliable_layer.config.reorder_window
+        window = REORDER_WINDOW
         net.send("a", "b", Tuple.make("ping", "b", 0))
         loop.run_for(0.05)  # seq 0 delivered: the cumulative ack is 0
         net.loss_rate = 1.0
@@ -168,7 +168,6 @@ class TestAckRetransmit:
     def test_reliable_false_has_no_layer_and_zero_counters(self):
         loop, net, a, b = make_net(reliable=False)
         assert net.reliable_layer is None
-        assert not net.reliable
         net.send("a", "b", Tuple.make("ping", "b", 1))
         net.send_batch("a", "b", [Tuple.make("ping", "b", i) for i in range(5)])
         loop.run_for(5.0)
@@ -189,12 +188,10 @@ FAST_FD = ReliableConfig(
 
 def kill(net, node):
     node.alive = False
-    net.set_alive(node.address, False)
     net.endpoint_down(node.address)
 
 
 def revive(net, node):
-    net.set_alive(node.address, True)
     node.alive = True
     net.endpoint_up(node.address)
 
@@ -295,9 +292,7 @@ class TestDeadEndpointDrops:
         batch = [Tuple.make("blob", "b", i, "x" * 600) for i in range(12)]
         assert net.send_batch("a", "b", batch) == 12
         # the train is on the wire; b crashes before it arrives
-        b.alive = False
-        net.set_alive("b", False)
-        net.endpoint_down("b")
+        kill(net, b)
         loop.run_for(1.0)
         assert b.received == []
         assert net.dead_endpoint_drops > 0
@@ -307,9 +302,7 @@ class TestDeadEndpointDrops:
     def test_crash_mid_flight_single_send(self, reliable):
         loop, net, a, b = make_net(reliable=reliable)
         assert net.send("a", "b", Tuple.make("ping", "b", 1))
-        b.alive = False
-        net.set_alive("b", False)
-        net.endpoint_down("b")
+        kill(net, b)
         loop.run_for(0.5)
         assert b.received == []
         assert net.dead_endpoint_drops >= 1

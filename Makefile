@@ -38,12 +38,13 @@ test-planner:
 # firing tail's ordering and all-or-nothing guarantees, the continuous
 # procedures' rescan skip, rules past CPython's nesting limits run as
 # generated code (split strands, spilled chains) with the walk and the
-# interpreter made to raise, the runtime node, and the golden generated text.
+# interpreter made to raise, the generated table writes and key probes against
+# Table.insert and its probers, the runtime node, and the golden generated text.
 test-runloop:
 	$(PYTHON) -m pytest -x -q tests/test_relation_procedure.py tests/test_firing_tail.py \
 	  tests/test_strand_fusion.py tests/test_strand_source.py tests/test_soft_state_deltas.py \
-	  tests/test_emitter_limits.py tests/test_pel.py tests/test_runtime_node.py \
-	  tests/test_golden_plans.py
+	  tests/test_emitter_limits.py tests/test_pel.py tests/test_generated_tables.py \
+	  tests/test_runtime_node.py tests/test_golden_plans.py
 
 # Rewrite every golden under tests/golden/ from the current code — the plans,
 # the generated procedures and the seeded reliable-wire script — then show
@@ -54,11 +55,13 @@ golden:
 	git diff --stat tests/golden
 
 # The table layer and its access paths: key formats and table operations, the
-# remove-then-re-add model (covering probes included), the index plan and
-# where it is installed, the golden plans and strands, and the procedures
-# that probe and insert.
+# remove-then-re-add model (covering probes included), the write blocks and
+# key probes generated from a table's declaration against Table.insert and its
+# probers, the index plan and where it is installed, the golden plans and
+# strands, and the procedures that probe and write.
 test-tables:
 	$(PYTHON) -m pytest -x -q tests/test_tables.py tests/test_soft_state_deltas.py \
+	  tests/test_generated_tables.py \
 	  tests/test_planner_opt.py tests/test_plan_once.py tests/test_golden_plans.py \
 	  tests/test_relation_procedure.py
 

@@ -10,10 +10,19 @@ cover unit tests and custom experiments.
 
 from __future__ import annotations
 
+import math
 import random
 from typing import Dict, List, Optional, Sequence
 
 from ..core.errors import NetworkError
+
+
+def _latency(what: str, value: float) -> float:
+    """*value* if it is a latency a delivery can be scheduled with: finite
+    and not negative (a NaN is neither)."""
+    if not (math.isfinite(value) and value >= 0):
+        raise NetworkError(f"{what} must be a finite latency >= 0 seconds, got {value!r}")
+    return value
 
 
 class Topology:
@@ -63,7 +72,7 @@ class UniformTopology(Topology):
     """Every pair of distinct nodes has the same latency (tests, quickstarts)."""
 
     def __init__(self, latency: float = 0.01):
-        self._latency = latency
+        self._latency = _latency("a uniform topology's latency", latency)
 
     def latency(self, a: int, b: int) -> float:
         return 0.0 if a == b else self._latency
@@ -95,9 +104,15 @@ class TransitStubTopology(Topology):
             raise NetworkError(
                 f"a transit-stub topology needs an integer >= 1 domains, got {domains!r}"
             )
+        # latency() scales a pair's latency by 1 + jitter_fraction * (r - 0.5)
+        # for r in [0, 1): positive for every r exactly when this holds
+        if not 0 <= jitter_fraction < 2:  # a NaN too
+            raise NetworkError(
+                f"a transit-stub topology needs 0 <= jitter_fraction < 2, got {jitter_fraction!r}"
+            )
         self.domains = domains
-        self.intra = intra_domain_latency
-        self.inter = inter_domain_latency
+        self.intra = _latency("intra_domain_latency", intra_domain_latency)
+        self.inter = _latency("inter_domain_latency", inter_domain_latency)
         self.jitter_fraction = jitter_fraction
         self._seed = seed
 

@@ -230,7 +230,7 @@ class Network:
         (where every loop is aligned), so the source's loop is the correct —
         and under sharding the only correct — notion of "now".
         """
-        return self._loops.get(src) or self.loop
+        return self._loops[src]
 
     def _lost(self, src: str) -> bool:
         if not self.loss_rate:
@@ -275,7 +275,7 @@ class Network:
         seq = self._tx_seq.get(src, 0)
         self._tx_seq[src] = seq + 1
         priority = (now, self._indices[src], seq)
-        dst_loop = self._loops.get(dst) or self.loop
+        dst_loop = self._loops[dst]
         if dst_loop is src_loop:
             dst_loop.deliver_at(now + delay, callback, priority)
         else:
@@ -463,18 +463,18 @@ class Network:
         bytes_by_category: Dict[str, int],
         accept: Optional[Callable[[], Optional[bool]]] = None,
     ) -> None:
-        """One datagram arriving at *dst* (on the destination's loop).
+        """One datagram arriving at the registered *dst* (on its loop).
 
-        A datagram that finds no endpoint, or one whose own ``alive`` flag is
-        false, is a drop of its own kind, like a UDP datagram racing a process
-        exit.  Otherwise *accept* — the reliable layer's receive side, for its
+        A datagram that finds its endpoint's own ``alive`` flag false is a
+        drop of its own kind, like a UDP datagram racing a process exit.
+        Otherwise *accept* — the reliable layer's receive side, for its
         wire units — runs first and a falsy answer keeps the tuples back; the
         datagram's bytes are received either way, and the tuples that pass
         are handed over as one batch (``receive_batch``, or ``receive`` per
         tuple for an endpoint without it).
         """
-        node = self._nodes.get(dst)
-        if node is None or not getattr(node, "alive", True):
+        node = self._nodes[dst]
+        if not getattr(node, "alive", True):
             # the datagram raced a crash: a drop with its own counter,
             # distinguishable from loss and partition drops
             self.dead_endpoint_drops += 1

@@ -122,6 +122,9 @@ class PlannedProgram:
     #: the strands themselves, their operators pointing at no host and at
     #: schema-only tables; never fired — nodes run rebound copies
     dataflow: CompiledDataflow
+    #: those tables, with the planned indexes installed: what a node's store
+    #: holds before its first write, and what write blocks are generated from
+    tables: TableStore
     #: trigger -> its procedure, once generated
     _procedures: Dict[Any, Procedure] = field(default_factory=dict, init=False, repr=False)
 
@@ -136,7 +139,7 @@ class PlannedProgram:
         ):
             trigger = None
         if trigger not in self._procedures:
-            self._procedures[trigger] = generate_procedure(dataflow, trigger)
+            self._procedures[trigger] = generate_procedure(dataflow, trigger, self.tables)
         return self._procedures[trigger]
 
 
@@ -160,6 +163,16 @@ def plan_program(program: "ast.Program | str", *, optimize: bool = True) -> Plan
 def optimize_program(program: ast.Program) -> ProgramPlan:
     """The cost-based plan of every strand of *program*, and its index plan."""
     return plan_program(program).plan
+
+
+def install_indexes(plan: ProgramPlan, tables: TableStore) -> TableStore:
+    """Add to *tables* each secondary index *plan* probes that they lack."""
+    for name, position_sets in plan.indexes.items():
+        table = tables.get(name)
+        for positions in position_sets:
+            if not table.has_index(positions):
+                table.add_index(positions)
+    return tables
 
 
 def create_tables(program: ast.Program, tables: TableStore) -> TableStore:
@@ -217,12 +230,7 @@ class Planner:
         if fatal:
             raise OverlogAnalysisError(fatal)
         planned = plan_program(program, optimize=self.optimize)
-        create_tables(program, tables)
-        for name, position_sets in planned.plan.indexes.items():
-            table = tables.get(name)
-            for positions in position_sets:
-                if not table.has_index(positions):
-                    table.add_index(positions)
+        install_indexes(planned.plan, create_tables(program, tables))
         template = planned.dataflow
         compiled = CompiledDataflow(
             program,
@@ -340,7 +348,7 @@ class _StrandBuilder:
                 nested_too_deeply(rule, sink)
                 raise OverlogAnalysisError(sink.sorted()) from None
         plan = ProgramPlan(rule_plans, index_plan(rule_plans))
-        return PlannedProgram(plan, dataflow)
+        return PlannedProgram(plan, dataflow, install_indexes(plan, self.tables))
 
     # -- strand compilation ------------------------------------------------------------
     def _compile_strand(

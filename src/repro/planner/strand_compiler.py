@@ -12,15 +12,20 @@ procedure — this module generates the *source text* of one procedure per
 aggregate.  Everything a node runs is a firing of one of them.
 
 A procedure, ``handle(…)``: for a relation, count the dispatch, call the live
-subscribers and insert into the relation's table; then each of the
-trigger's strands in order, and right after it that firing's heads routed by
-the strand's static ``loc_position``/``is_delete`` (:func:`_route`, the one
-place a head's destination is decided).  Each strand's body is *inlined*
+subscribers and write the tuple to the relation's table — the write block
+:func:`~repro.tables.table.write_source` generates from the table's
+declaration, the relation's arity and the planned indexes, spliced in where
+``Table.insert`` would be called; then each of the trigger's strands in
+order, and right after it that firing's heads routed by the strand's static
+``loc_position``/``is_delete`` (:func:`_route`, the one place a head's
+destination is decided).  Each strand's body is *inlined*
 (:class:`_Emitter`, names prefixed ``s<i>_``): select → assign →
 join(s)/antijoin → project → optional aggregate as nested ``if``/``for``
 over bare field tuples (a continuous strand's inside one loop over its base
 table's scan), every PEL program inlined as a Python expression
-(:class:`~repro.pel.vm.ExpressionEmitter`), table probes through
+(:class:`~repro.pel.vm.ExpressionEmitter`), a probe the primary key answers
+inline (:func:`~repro.tables.table.key_probe_source`: the key's dict, then
+the other probed fields) and any other through
 :meth:`~repro.tables.table.Table.prober`, head tuples through
 :meth:`~repro.core.tuples.Tuple.trusted` (fields copied out of existing
 tuples are not coerced again; computed ones are).  Nothing is built that
@@ -86,8 +91,10 @@ from ..core import values
 from ..core.errors import PlannerError
 from ..core.tuples import Tuple
 from ..dataflow.operators import AntiJoin, Assign, LookupJoin, Select
+from ..overlog.check import signatures
 from ..pel.program import Program
 from ..pel.vm import REFUSED, Expression, ExpressionEmitter, load_generated
+from ..tables.table import TableStore, covers_key, key_probe_source, write_source
 from .strand import ContinuousAggregateStrand
 
 _INDENT = "    "
@@ -178,15 +185,17 @@ class _Emitter:
         return name
 
     def operands(self, depth: int, programs: Sequence[Program], fields: str,
-                 coerce: bool) -> PyTuple[List[str], List[int]]:
+                 coerce: bool, hoist: bool = False) -> PyTuple[List[str], List[int]]:
         """Texts for *programs* evaluated in order, and the loads left inline.
 
         Anything computed gets a line of its own (so an error names its
         expression); a bare field load stays inline in the caller's line
         unless it could fail *before* a later computed operand does — the
-        interpreters evaluate strictly in order, and report the first error.
-        With *coerce*, computed values are passed through ``coerce`` once all
-        operands are evaluated, as the ``Tuple`` constructor would.
+        interpreters evaluate strictly in order, and report the first error —
+        or, with *hoist*, at all (the caller's line comes after statements
+        the operands must precede).  With *coerce*, computed values are
+        passed through ``coerce`` once all operands are evaluated, as the
+        ``Tuple`` constructor would.
         """
         exprs = [self.expr(depth, p, fields) for p in programs]
         computed = [i for i, e in enumerate(exprs) if not e.inline]
@@ -195,7 +204,7 @@ class _Emitter:
         coerced: List[str] = []
         for i, (program, e) in enumerate(zip(programs, exprs)):
             fallible = any(not 0 <= n < self.safe for n in e.loads)
-            if e.inline and not (fallible and computed and i < computed[-1]):
+            if e.inline and not (fallible and (hoist or computed and i < computed[-1])):
                 texts.append(e.text)
                 inline_loads.extend(e.loads)
                 continue
@@ -267,6 +276,9 @@ class _Emitter:
             self.probes = True
             if wants_prefix and index == strand.first_join_index:
                 self.line(depth, f"prefix = {fields}")
+            if op.table_positions and covers_key(op.table_positions, op.table.key_positions):
+                self.key_probe(index, depth, width)
+                return
             if op.table_positions:
                 self.binds.append(
                     f"{ns}probe{index} = {ns}ops[{index}].table.prober({tuple(op.table_positions)!r})"
@@ -291,6 +303,33 @@ class _Emitter:
         else:
             raise PlannerError(f"rule {strand.rule_id}: no code for a {type(op).__name__}")
         self.chain(index + 1, depth + 1, width)
+        self.line(depth, "else:")
+        self.line(depth + 1, f"{drop}.dropped += 1")
+
+    def key_probe(self, index: int, depth: int, width: int) -> None:
+        """Emit ``ops[index]``, a join or antijoin whose probe the primary key
+        answers, and the rest of the chain: the probe inline
+        (:func:`~repro.tables.table.key_probe_source`) — after its key
+        operands, as a prober call would be — instead of a prober call."""
+        op, ns, fields = self.strand.ops[index], self.ns, f"f{width}"
+        name, drop = f"{ns}t{index}", f"{ns}drop{index}"
+        keys, loads = self.operands(depth, op.key_programs, fields, coerce=False, hoist=True)
+        binds, statements, test, row = key_probe_source(
+            name, op.table, op.table_positions, keys, CLOCK, f"hit{index}"
+        )
+        self.binds += [f"{name} = {ns}ops[{index}].table", *binds]
+        for statement in statements:
+            self.line(depth, statement)
+        if type(op) is LookupJoin:
+            # counted as the loop over the matches it replaces, so a strand
+            # splits where it always has
+            self.blocks += 1
+            self.site(depth, f"if {test}:", loads, fields)
+            self.line(depth + 1, f"f{width + 1} = {fields} + {row}.fields")
+            self.chain(index + 1, depth + 1, width + 1)
+        else:
+            self.site(depth, f"if not ({test}):", loads, fields)
+            self.chain(index + 1, depth + 1, width)
         self.line(depth, "else:")
         self.line(depth + 1, f"{drop}.dropped += 1")
 
@@ -354,8 +393,11 @@ class _Emitter:
             f"{self.ns}agg_stats.emitted += len(groups)",
         ]
 
-    def firing(self) -> PyTuple[List[str], List[str]]:
+    def firing(self, checked: int) -> PyTuple[List[str], List[str]]:
         """The strand's firing: the statements before its ``try`` and after.
+
+        The event's arity is tested only if the strand needs more fields than
+        the *checked* ones an earlier strand of the procedure tested for.
 
         Both lists are unindented, for a function whose ``out`` holds the
         heads afterwards; the body between them is :attr:`body`, after the
@@ -366,11 +408,11 @@ class _Emitter:
         if self.continuous:
             return self._refresh()
         strand, ns = self.strand, self.ns
-        entry = [
-            f"if len(f0) < {strand.min_event_arity}:",
-            f"    raise {ns}strand.arity_error(event)",
-            f"{ns}strand.fired += 1",
-        ]
+        entry = []
+        if strand.min_event_arity > checked:
+            entry += [f"if len(f0) < {strand.min_event_arity}:",
+                      f"    raise {ns}strand.arity_error(event)"]
+        entry.append(f"{ns}strand.fired += 1")
         self.chain(0, 2, 0)
         if strand.fallback_project is not None:
             # count<> over no match at all: the one fallback row
@@ -504,15 +546,19 @@ def procedure_triggers(compiled: Any) -> List[Any]:
     )
 
 
-def generate_procedure(compiled: Any, trigger: Any) -> Procedure:
+def generate_procedure(compiled: Any, trigger: Any, tables: TableStore) -> Procedure:
     """*trigger*'s procedure (a trigger of ``CompiledDataflow.strands_of``,
     or ``None``: every relation *compiled* neither stores nor fires on).
 
-    A relation's counts the dispatch, calls the live subscribers and inserts
-    into the relation's table (if stored).  Then each strand fires in order,
-    its body inlined, and its heads are routed (:func:`_route`) before the
-    next one fires.  Raises :class:`PlannerError`, with CPython's message, if
-    CPython refuses the text.
+    A relation's counts the dispatch, calls the live subscribers and, if the
+    relation is stored, writes the tuple to its table: the write block
+    :func:`~repro.tables.table.write_source` generates from the table in
+    *tables* (the plan's, with its declaration and planned indexes), which
+    binds to the node's table only if that is the same.  Then each strand
+    fires in order, its body inlined, and its heads are routed
+    (:func:`_route`) before the next one fires.  Raises
+    :class:`PlannerError`, with CPython's message, if CPython refuses the
+    text.
     """
     kind = "relation" if trigger is None or type(trigger) is str else trigger[0]
     strands = [] if trigger is None else compiled.strands_of(trigger)
@@ -532,20 +578,30 @@ def generate_procedure(compiled: Any, trigger: Any) -> Procedure:
             "    for callback in subscribers:",
             "        callback(event)",
         ]
+        if stored or strands:
+            handle.append("    f0 = event.fields")
         if stored:
             uses.add("loop")
-            binds.append(f"insert = node.tables.get({trigger!r}).insert")
-            handle.append(f"    insert(event, {CLOCK})")
+            write_binds, write, write_names = write_source(
+                tables.get(trigger), signatures(compiled.program)[trigger].arity, CLOCK,
+                f"node.tables.get({trigger!r})",
+            )
+            binds += write_binds
+            names.update(write_names)
+            handle += [_INDENT + text for text in write]
     else:
         name, path = f"{kind} {strands[0].rule_id}", (kind, f"{strands[0].rule_id}.py")
         header = f"# {name}: {len(strands)} strand(s)"
-    if kind != "continuous" and strands:
-        handle.append("    f0 = event.fields")
+        if kind == "periodic":
+            handle.append("    f0 = event.fields")
+    checked = 0  # the event fields an arity test has vouched for so far
     for i, strand in enumerate(strands):
         ns = f"s{i}_"
         handle.append(f"    # {strand.describe()}")
         emitter = _Emitter(strand, ns)
-        entry, exit = emitter.firing()
+        entry, exit = emitter.firing(checked)
+        if not emitter.continuous:
+            checked = max(checked, strand.min_event_arity)
         # the definitions of the functions the body was split into first
         body = [line for part in emitter.parts for line in part] + emitter.body
         if emitter.probes:

@@ -21,6 +21,13 @@ paper describes in Sections 2.1 and 3.2:
 * listeners can observe inserts, deletes, and expirations — the dataflow
   layer uses these for table-delta rule strands and continuous aggregates.
 
+A node's generated procedures (:mod:`repro.planner.strand_compiler`) do not
+call :meth:`Table.insert` or a primary-key prober: they inline the text this
+module generates from the same contract — :func:`write_source`, a stored
+relation's write block, specialised to its declaration, arity and planned
+indexes; :func:`key_probe_source`, a probe that :func:`covers_key`.  The
+methods stay the API and the oracle the generated text is tested against.
+
 Time is externalised: the table never reads a wall clock, it is told the
 current time by its caller (the node runtime, which in turn asks the
 simulator).  That keeps the whole system deterministic under simulation.
@@ -123,7 +130,7 @@ class Table:
     ):
         if not key_positions:
             raise TableError(f"table {name!r} needs at least one primary-key field")
-        if lifetime <= 0:
+        if not lifetime > 0:  # a NaN too
             raise TableError(f"table {name!r}: lifetime must be positive")
         if max_size != INFINITY and (max_size < 1 or max_size % 1):  # a NaN too
             raise TableError(f"table {name!r}: max_size must be an integer >= 1, or infinity")
@@ -155,6 +162,8 @@ class Table:
         self._insert_listeners: List[Listener] = []
         self._delete_listeners: List[Listener] = []
         self._expire_listeners: List[Listener] = []
+        #: a generated write block is bound to this table (:meth:`write_buckets`)
+        self._written_by_code = False
 
     # -- listeners -------------------------------------------------------------
     def on_insert(self, fn: Listener) -> None:
@@ -172,10 +181,19 @@ class Table:
     # -- indices ---------------------------------------------------------------
     def add_index(self, positions: Sequence[int]) -> None:
         """Create a secondary hash index on *positions* (idempotent; nothing
-        for a set that :func:`covers_key` — the primary key answers it)."""
+        for a set that :func:`covers_key` — the primary key answers it).
+
+        Raises :class:`TableError` once a generated write block is bound to
+        the table (:meth:`write_buckets`): that block maintains exactly the
+        indexes it was generated with.
+        """
         key = tuple(positions)
         if key in self._indices or covers_key(key, self.key_positions):
             return
+        if self._written_by_code:
+            raise TableError(
+                f"table {self.name!r}: index {key} added after a generated write block was bound"
+            )
         index = _SecondaryIndex(key)
         for pk, (tup, _) in self._rows.items():
             index.add(pk, tup)
@@ -190,6 +208,27 @@ class Table:
     def indexed_positions(self) -> List[tuple]:
         """The secondary-index position sets currently installed (sorted)."""
         return sorted(self._indices)
+
+    def declaration(self) -> PyTuple[Any, ...]:
+        """What a generated write block is specialised to: ``(key positions,
+        lifetime, max_size, secondary-index positions in installation order)``."""
+        return self.key_positions, self.lifetime, self.max_size, tuple(self._indices)
+
+    def write_buckets(self, declared: PyTuple[Any, ...]) -> List[Dict[Any, Dict[Any, Tuple]]]:
+        """The bucket dicts of the secondary indexes a write block generated
+        from *declared* (a :meth:`declaration`) maintains, in its order.
+
+        Raises :class:`TableError` unless this table is what the block was
+        generated from; from now on :meth:`add_index` raises instead of
+        installing an index the block would not maintain.
+        """
+        if declared != self.declaration():
+            raise TableError(
+                f"table {self.name!r} is {self.declaration()}, "
+                f"the write block was generated for {declared}"
+            )
+        self._written_by_code = True
+        return [self._indices[positions]._buckets for positions in declared[3]]
 
     # -- core operations ---------------------------------------------------------
     def _misfit(self, tup: Tuple) -> TableError:
@@ -334,7 +373,8 @@ class Table:
         Used by :meth:`~repro.runtime.node.P2Node.restart`: a crashed process
         loses its soft state silently — no delete rules, no
         continuous-aggregate recomputation.
-        Indices are emptied in place and the expiry bound reset; returns the
+        Rows and indices are emptied in place (generated code holds the
+        dicts) and the expiry bound reset; returns the
         number of rows dropped.  The content :attr:`version` moves even so —
         a version-keyed reader must not mistake the reborn table for the old.
         """
@@ -366,8 +406,9 @@ class Table:
         other positions by the secondary index on exactly them, if there is
         one; anything else by a scan.
 
-        Generated procedures take a prober per join once and call it per
-        probe; :meth:`lookup` takes one per call.  Every probe expires lazily,
+        Generated procedures take a prober once per join the key does not
+        answer and call it per probe (a probe the key answers is inlined,
+        :func:`key_probe_source`); :meth:`lookup` takes one per call.  Every probe expires lazily,
         counts one ``stats.lookups`` and returns a materialised result that
         later mutation of the table cannot invalidate, in bucket (join match)
         order.  *key* must be a tuple of one value per position.  An index
@@ -476,6 +517,146 @@ class Table:
             f"Table({self.name!r}, rows={len(self._rows)}, "
             f"keys={self.key_positions}, lifetime={self.lifetime})"
         )
+
+
+# -- generated code -------------------------------------------------------------
+# The text a node's procedures inline in place of ``Table.insert`` and of a
+# primary-key prober.  It lives here, beside the methods, because it is the same
+# contract specialised: what those methods decide per call from the table's
+# declaration and installed indexes is decided once, when the text is made.
+
+
+def _key_text(items: Sequence[str]) -> str:
+    """The text of a key of *items*, as this module stores it: bare, or a tuple."""
+    return items[0] if len(items) == 1 else "(" + ", ".join(items) + ")"
+
+
+def _fields_key(fields: str, positions: Sequence[int]) -> str:
+    """The text of *fields*' key at *positions*."""
+    return _key_text([f"{fields}[{p}]" for p in positions])
+
+
+def _identical(old: str, row: str, new: str, arity: Optional[int]) -> str:
+    """The text of ``identical_fields(row, new)``, binding *row* to *old*,
+    unrolled for *arity* fields: the same type and no ``!=``, field by field;
+    a nested tuple, or a row of another arity, goes to
+    :func:`~repro.core.tuples.identical_fields` itself."""
+    if arity is None:
+        return f"identical_fields(({old} := {row}), {new})"
+    tests = [
+        f"(t := type(a := {old}[{i}])) is type(b := {new}[{i}])"
+        f" and (not a != b if t is not tuple else identical_fields(a, b))"
+        for i in range(arity)
+    ]
+    return (f"({' and '.join(tests) or 'True'} if len({old} := {row}) == len({new}) == {arity}"
+            f" else identical_fields({old}, {new}))")
+
+
+def write_source(
+    table: Table, arity: Optional[int], clock: str, table_expr: str
+) -> PyTuple[List[str], List[str], Dict[str, Any]]:
+    """A write block for *table*'s relation: what :meth:`Table.insert` does
+    for a tuple ``event`` with fields ``f0`` at time *clock*, specialised to
+    the table's :meth:`Table.declaration` and to *arity* (the relation's, or
+    ``None``).  Returns ``(bind statements, body statements, names)``: the
+    bind statements read the table from *table_expr* once, the body runs per
+    tuple, *names* are the module globals both use.
+
+    Left out, because the declaration decides them: the name check (a
+    procedure only ever sees its own relation), the expiry bound for an
+    infinite ``lifetime``, eviction for an infinite ``max_size``, the loop over
+    the indexes (one straight-line block each).  A tuple too short for the
+    key raises :meth:`Table.insert`'s :class:`TableError`, after the same
+    expiry.
+    """
+    key_positions, lifetime, max_size, indexes = declared = table.declaration()
+    finite = lifetime != INFINITY
+    buckets = ", ".join(f"t_index{j}" for j in range(len(indexes)))
+    binds = [
+        f"t_table = {table_expr}",
+        f"[{buckets}] = t_table.write_buckets(t_DECLARED)" if indexes
+        else "t_table.write_buckets(t_DECLARED)",
+        "t_rows = t_table._rows",
+        "t_get = t_rows.get",
+        "t_move = t_rows.move_to_end",
+        "t_stats = t_table.stats",
+        "t_expire = t_table.expire",
+        "t_listeners = t_table._insert_listeners",
+    ]
+    if max_size != INFINITY:
+        binds.append("t_evict = t_table._enforce_size")
+    later = f"now + {lifetime!r}"
+    body = [
+        f"now = {clock}",
+        "if now >= t_table._next_expiry:",
+        "    t_expire(now)",
+        f"if len(f0) < {max(key_positions) + 1}:",
+        "    raise t_table._misfit(event)",
+        f"pk = {_fields_key('f0', key_positions)}",
+        "old = t_get(pk)",
+        f"if old is not None and {_identical('o', 'old[0].fields', 'f0', arity)}:",
+        "    t_stats.refreshes += 1",
+        "    t_rows[pk] = (event, now)",
+        "    t_move(pk)",
+    ]
+    if finite:
+        body += ["    if len(t_rows) == 1:", f"        t_table._next_expiry = {later}"]
+    for j, positions in enumerate(indexes):
+        # to the tail of its bucket: bucket order is join match order
+        body += [f"    bucket = t_index{j}[{_fields_key('f0', positions)}]",
+                 "    del bucket[pk]", "    bucket[pk] = event"]
+    body += ["else:", "    if old is not None:"]
+    for j, positions in enumerate(indexes):
+        body += [f"        k = {_fields_key('o', positions)}",
+                 f"        if (bucket := t_index{j}.get(k)) is not None:",
+                 "            bucket.pop(pk, None)", "            if not bucket:",
+                 f"                del t_index{j}[k]"]
+    body += [
+        "        del t_rows[pk]",
+        "        t_stats.replacements += 1",
+        "    else:",
+        "        t_stats.inserts += 1",
+        "    t_table.version += 1",
+    ]
+    if finite:
+        body += ["    if not t_rows:", f"        t_table._next_expiry = {later}"]
+    body.append("    t_rows[pk] = (event, now)")
+    for j, positions in enumerate(indexes):
+        body.append(f"    t_index{j}.setdefault({_fields_key('f0', positions)}, {{}})[pk] = event")
+    if max_size != INFINITY:
+        body += [f"    if len(t_rows) > {max_size!r}:", "        t_evict()"]
+    body += ["for fn in t_listeners:", "    fn(event)"]
+    return binds, body, {"t_DECLARED": declared, "identical_fields": identical_fields}
+
+
+def key_probe_source(
+    name: str, table: Table, positions: Sequence[int], keys: Sequence[str], clock: str, hit: str
+) -> PyTuple[List[str], List[str], str, str]:
+    """A probe of *table* on *positions* that :func:`covers_key`, inline:
+    what the prober :meth:`Table.prober` builds for them does, for the key
+    texts *keys* (one per position, each cheap and unable to raise).
+
+    Returns ``(bind statements, statements, hit test, row)``: the bind
+    statements read the table from ``name`` (bound by the caller) into
+    names prefixed *name*; the statements expire lazily and count one
+    ``stats.lookups``; the hit test is true when a row matches, binding
+    its entry to *hit*; *row* is the matching row's text.
+    """
+    positions, key_positions = tuple(positions), table.key_positions
+    binds = [f"{name}_get = {name}._rows.get", f"{name}_expire = {name}.expire",
+             f"{name}_stats = {name}.stats"]
+    statements = [f"if {clock} >= {name}._next_expiry:", f"    {name}_expire({clock})",
+                  f"{name}_stats.lookups += 1"]
+    pk = _key_text([keys[positions.index(p)] for p in key_positions])
+    test = f"({hit} := {name}_get({pk})) is not None"
+    rest = [(p, at) for at, p in enumerate(positions) if p not in key_positions]
+    if rest:
+        # the remaining fields, all read before they are compared, identity
+        # first and then ``==``: what the prober does
+        value = _fields_key(f"{hit}[0].fields", [p for p, _ in rest])
+        wanted = _key_text([keys[at] for _, at in rest])
+        test += f" and ((v := {value}) is (w := {wanted}) or v == w)"
+    return binds, statements, test, f"{hit}[0]"
 
 
 class TableStore:

@@ -1,0 +1,337 @@
+"""Generated table writes and key probes against ``Table.insert`` and ``prober``.
+
+A node's procedures do not call :meth:`Table.insert` for the relation they
+store, nor a prober for a probe the primary key answers: they inline the text
+:func:`repro.tables.table.write_source` and :func:`key_probe_source` generate
+from the table's declaration (key positions, ``lifetime``, ``max_size``), the
+relation's arity and the planned indexes.  Here two tables of one declaration
+take the same random operations — one written and probed by the generated
+text, one by the methods — and after every operation everything either can
+show must be the same: the rows (the very objects, with their times) in scan
+order, every index bucket in its order, the counters, the content
+``version``, the expiry bound, the listener calls and any error.  The
+generated table is also held to the remove-then-re-add model of
+``tests/test_soft_state_deltas.py`` (scan order, bucket order, listener
+calls).  Deletes, expiry sweeps and ``clear`` run the methods on both, as
+nodes do.
+"""
+
+import math
+from types import SimpleNamespace
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.core import Tuple
+from repro.core.errors import TableError
+from repro.overlays.chord import chord_program
+from repro.overlays.narada import narada_program
+from repro.planner import plan_program
+from repro.planner.strand_compiler import procedure_triggers
+from repro.tables import INFINITY, Table, covers_key
+from repro.tables.table import key_probe_source, write_source
+
+from tests.support.genprograms import make_node
+from tests.support.procedures import fire
+from tests.test_soft_state_deltas import ModelTable, typed
+
+_INDENT = "    "
+
+
+def generated_writer(table, arity, clock):
+    """``write(event)``: the write block generated for *table*, bound to it,
+    reading the time from ``clock.now``."""
+    binds, body, names = write_source(table, arity, "clock.now", "table")
+    text = "\n".join(
+        ["def bind(table, clock):"]
+        + [_INDENT + line for line in binds]
+        + [_INDENT + "def write(event):", 2 * _INDENT + "f0 = event.fields"]
+        + [2 * _INDENT + line for line in body]
+        + [_INDENT + "return write"]
+    )
+    namespace = dict(names)
+    exec(compile(text, "<write block>", "exec"), namespace)
+    return namespace["bind"](table, clock)
+
+
+def generated_prober(table, positions, clock):
+    """``probe(key) -> rows``: the inline key probe generated for *table* on
+    *positions*, bound to it."""
+    keys = [f"k{at}" for at in range(len(positions))]
+    binds, statements, test, row = key_probe_source("T", table, positions, keys, "clock.now", "hit")
+    text = "\n".join(
+        ["def bind(T, clock):"]
+        + [_INDENT + line for line in binds]
+        + [_INDENT + f"def probe({', '.join(keys)}):"]
+        + [2 * _INDENT + line for line in statements]
+        + [2 * _INDENT + f"if {test}:", 3 * _INDENT + f"return ({row},)", 2 * _INDENT + "return ()"]
+        + [_INDENT + "return probe"]
+    )
+    namespace = {}
+    exec(compile(text, "<key probe>", "exec"), namespace)
+    probe = namespace["bind"](table, clock)
+    return lambda key: probe(*key)
+
+
+# ------------------------------------------------------------------ the state
+def _fields(value):
+    """Fields compared by type and, for a NaN, by object (it equals nothing)."""
+    return typed(value) if not (type(value) is float and math.isnan(value)) else ("nan", id(value))
+
+
+def _row(tup):
+    return id(tup), tuple(_fields(v) for v in tup.fields)
+
+
+def _state(table):
+    """Everything a write or a probe can move, read without moving any of it."""
+    return (
+        [(_row(tup), at) for tup, at in table._rows.values()],
+        [(positions, [(repr(key), [_row(t) for t in bucket.values()])
+                      for key, bucket in index._buckets.items()])
+         for positions, index in table._indices.items()],
+        dict(vars(table.stats)),
+        table.version,
+        table._next_expiry,
+    )
+
+
+# ------------------------------------------------------------------ the shapes
+NAN = float("nan")
+#: ``1``, ``True`` and ``1.0`` address one row and one bucket yet are three
+#: fields; a NaN (shared, or made afresh) is identical to nothing; nested
+#: tuples hide the same differences one level down
+VALUES = [1, True, 1.0, 2, "a", NAN, (1,), (True,), (NAN,)]
+values = st.one_of(st.sampled_from(VALUES), st.just(None).map(lambda _: float("nan")))
+#: the relation's arity is 3; shorter tuples miss key fields, a longer one
+#: is a row of another arity
+widths = st.sampled_from([3, 3, 3, 3, 1, 2, 4])
+steps = st.sampled_from([0.0, 0.0, 0.5, 4.0, 11.0])
+operations = st.lists(
+    st.one_of(  # half of them writes: soft state is mostly writes
+        st.tuples(st.just("insert"), st.lists(values, min_size=4, max_size=4), widths, steps),
+        st.tuples(st.just("insert"), st.lists(values, min_size=4, max_size=4), widths, steps),
+        st.tuples(st.just("again"), steps),  # the last write's fields once more
+        st.tuples(st.just("retype"), st.integers(0, 2), steps),  # ... one of another type
+        st.tuples(st.just("delete"), st.lists(values, min_size=4, max_size=4), steps),
+        st.tuples(st.just("expire"), steps),
+        st.tuples(st.just("wait"), steps),  # time passes: the probes expire first
+        st.tuples(st.just("clear")),
+    ),
+    max_size=30,
+)
+
+
+def _retyped(value):
+    """*value*, or an equal value of another type where there is one."""
+    if type(value) is tuple and len(value) == 1:
+        return (_retyped(value[0]),)
+    if type(value) in (int, bool, float) and value == 1:
+        return {int: True, bool: 1.0, float: 1}[type(value)]
+    return value
+
+
+SHAPES = [
+    # key positions, secondary indexes (planned, never covering the key)
+    ((0,), ()),
+    ((0,), ((1,),)),
+    ((0,), ((1,), (1, 2))),
+    ((0, 2), ()),
+    ((0, 2), ((1,),)),
+    ((0, 2), ((1,), (2,))),
+]
+
+
+def _covering(key_positions):
+    """Position sets the primary key answers: the key, and the key and more."""
+    extra = [p for p in (0, 1, 2) if p not in key_positions]
+    return [tuple(key_positions), tuple(sorted(key_positions + (extra[0],))), (0, 1, 2)]
+
+
+def _outcome(call):
+    """``call()``'s result, or its error as ``"Type: message"``."""
+    try:
+        return call(), None
+    except Exception as exc:  # noqa: BLE001 - the error IS the observable
+        return None, f"{type(exc).__name__}: {exc}"
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    ops=operations,
+    shape=st.sampled_from(SHAPES),
+    lifetime=st.sampled_from([10.0, INFINITY]),
+    max_size=st.sampled_from([3, INFINITY]),
+)
+def test_generated_writes_and_probes_are_the_methods(ops, shape, lifetime, max_size):
+    key_positions, indexes = shape
+    clock = SimpleNamespace(now=0.0)
+    tables = [Table("t", key_positions, lifetime, max_size) for _ in range(2)]
+    generated, generic = tables
+    calls = ([], [])
+    for table, log in zip(tables, calls):
+        for positions in indexes:
+            table.add_index(positions)
+        table.on_insert(lambda tup, log=log: log.append(("insert", id(tup))))
+        table.on_delete(lambda tup, log=log: log.append(("delete", id(tup))))
+        table.on_expire(lambda tup, log=log: log.append(("expire", id(tup))))
+    write = generated_writer(generated, 3, clock)
+    probes = [(generated_prober(generated, p, clock), generic.prober(p), p)
+              for p in _covering(key_positions)]
+    # followed until an operation fails half-way (a row too short for an index)
+    model = ModelTable(key_positions, lifetime, max_size, indexes)
+    last = ("a", 1, 2)
+    for op in ops:
+        kind = op[0]
+        if kind in ("insert", "again", "retype"):
+            if kind == "insert":
+                _, fields, width, step = op
+                last = tuple(fields[:width])
+            elif kind == "retype" and op[1] < len(last):
+                at = op[1]
+                last = last[:at] + (_retyped(last[at]),) + last[at + 1:]
+            clock.now += op[-1]
+            tup = Tuple("t", last)
+            outcome = _outcome(lambda: write(tup))
+            assert outcome == _outcome(lambda: generic.insert(tup, clock.now) and None), op
+            error = outcome[1]
+            if model is not None and error is None:
+                model.insert(tup, clock.now)
+            elif model is not None and error.startswith("TableError"):
+                model.expire(clock.now)  # the key check comes after the expiry
+            else:
+                model = None
+        elif kind == "delete":
+            _, fields, step = op
+            clock.now += step
+            tup = Tuple("t", tuple(fields[:3]))
+            outcome = _outcome(lambda: generated.delete(tup, clock.now))
+            assert outcome == _outcome(lambda: generic.delete(tup, clock.now)), op
+            if model is not None and outcome[1] is None:
+                pk = tuple(fields[p] for p in key_positions)
+                assert (model.delete_by_key(pk, clock.now) is not None) == outcome[0]
+            else:
+                model = None
+        elif kind == "wait":
+            clock.now += op[1]
+        elif kind == "expire":
+            clock.now += op[1]
+            outcome = _outcome(lambda: [id(t) for t in generated.expire(clock.now)])
+            assert outcome == _outcome(lambda: [id(t) for t in generic.expire(clock.now)]), op
+            if model is not None and outcome[1] is None:
+                model.expire(clock.now)
+            else:
+                model = None
+        else:
+            for table in tables:
+                table.clear()
+            if model is not None:
+                model.clear()
+        # every covering probe, on every stored row's fields and the last write's
+        for fields in [tup.fields for tup in generic] + [last]:
+            for inline, prober, positions in probes:
+                if max(positions) < len(fields):
+                    key = tuple(fields[p] for p in positions)
+                    got = _outcome(lambda: [id(t) for t in inline(key)])
+                    assert got == _outcome(lambda: [id(t) for t in prober(key, clock.now)]), key
+        assert _state(generated) == _state(generic), op
+        assert calls[0] == calls[1], op
+        if model is not None:  # scan order (expiring both alike), then every bucket's
+            scans = [_outcome(lambda: [id(tup) for tup in table.scan(clock.now)]) for table in tables]
+            assert scans[0] == scans[1]
+            model.expire(clock.now)
+            assert scans[0][0] == [id(row[1]) for row in model.rows]
+            for positions, buckets in model.buckets.items():
+                index = generated._indices[positions]._buckets
+                assert len(index) == len(buckets)
+                for key, bucket in buckets.items():  # a one-field index keys by the bare value
+                    stored = index[key[0] if len(key) == 1 else key]
+                    assert [id(t) for t in stored.values()] == [id(t) for t in bucket]
+
+
+def test_a_short_tuple_raises_what_insert_raises_after_the_same_expiry():
+    tables = [Table("t", (0, 2), 10.0) for _ in range(2)]
+    generated, generic = tables
+    old = Tuple("t", (1, 2, 3))
+    for table in tables:
+        table.insert(old, 0.0)
+    write = generated_writer(generated, 3, SimpleNamespace(now=20.0))
+    with pytest.raises(TableError) as generated_error:
+        write(Tuple("t", (1, 2)))
+    with pytest.raises(TableError) as method_error:
+        generic.insert(Tuple("t", (1, 2)), 20.0)
+    assert str(generated_error.value) == str(method_error.value)
+    assert _state(generated) == _state(generic)
+    assert len(generated) == 0 and generated.stats.expirations == 1
+
+
+def test_the_text_follows_the_declaration():
+    """Expiry only for a finite lifetime, eviction only for a finite size, one
+    straight-line block per index, the arity unrolled."""
+    def text(table, arity=3):
+        binds, body, _ = write_source(table, arity, "clock.now", "table")
+        return "\n".join(binds + body)
+
+    plain = text(Table("t", (0,)))
+    assert "_next_expiry = " not in plain and "t_evict" not in plain and "bucket = " not in plain
+    assert "t_table.write_buckets(t_DECLARED)" in plain
+    assert "pk = f0[0]" in plain and "len(f0) == 3 else identical_fields(o, f0)" in plain
+    bounded = Table("t", (0, 2), lifetime=5.0, max_size=4)
+    bounded.add_index((1,))
+    bounded.add_index((1, 2))
+    full = text(bounded)
+    assert "t_table._next_expiry = now + 5.0" in full and "if len(t_rows) > 4:" in full
+    assert "t_index0.setdefault(f0[1], {})[pk] = event" in full
+    assert "t_index1.setdefault((f0[1], f0[2]), {})[pk] = event" in full
+    assert "pk = (f0[0], f0[2])" in full and "for index" not in full
+    assert "identical_fields((o := old[0].fields), f0)" in text(Table("t", (0,)), arity=None)
+
+
+def test_an_index_added_after_bind_raises():
+    table = Table("t", (0,))
+    table.add_index((1,))
+    generated_writer(table, 3, SimpleNamespace(now=0.0))
+    table.add_index((1,))  # installed already: nothing to do
+    table.add_index((0, 1))  # the key answers it: nothing to do
+    with pytest.raises(TableError, match="added after a generated write block was bound"):
+        table.add_index((2,))
+    assert table.indexed_positions() == [(1,)]
+
+
+def test_a_block_binds_only_to_the_table_it_was_generated_for():
+    _, _, names = write_source(Table("t", (0,), lifetime=5.0), 3, "clock.now", "table")
+    indexed = Table("t", (0,), lifetime=5.0)
+    indexed.add_index((1,))
+    for other in (Table("t", (0,)), Table("t", (1,), lifetime=5.0),
+                  Table("t", (0,), 5.0, 8), indexed):
+        with pytest.raises(TableError, match="the write block was generated for"):
+            other.write_buckets(names["t_DECLARED"])
+
+
+@pytest.mark.parametrize("program", [chord_program(), narada_program()], ids=["chord", "narada"])
+def test_a_node_writes_and_probes_the_key_through_generated_text(program):
+    """No stored relation's procedure calls ``insert``, and exactly the probes
+    that :func:`covers_key` are inline: the rest keep their prober."""
+    planned = plan_program(program)
+    for trigger in procedure_triggers(planned.dataflow):
+        text = planned.procedure(trigger).text
+        assert ".insert(" not in text
+        stored = type(trigger) is str and planned.dataflow.program.is_materialized(trigger)
+        assert ("t_table.write_buckets(t_DECLARED)" in text) == stored
+        for i, strand in enumerate(planned.dataflow.strands_of(trigger) if trigger else ()):
+            for j, op in enumerate(strand.ops):
+                if getattr(op, "table_positions", None):
+                    inline = covers_key(op.table_positions, op.table.key_positions)
+                    assert (f"s{i}_t{j} = s{i}_ops[{j}].table" in text) == inline
+                    assert (f"s{i}_probe{j} = s{i}_ops[{j}].table.prober(" in text) != inline
+
+
+def test_binding_a_procedure_seals_its_tables_indexes():
+    node = make_node(chord_program())
+    succ = node.tables.get("succ")
+    assert succ.indexed_positions()
+    node.tables.get("node").insert(Tuple.make("node", "n1", 5), 0.0)
+    routes, error = fire(node, "succ", Tuple.make("succ", "n1", 9, "n2"))
+    assert error is None and len(succ) == 1
+    with pytest.raises(TableError):
+        succ.add_index((2,))

@@ -14,6 +14,9 @@ from repro.runtime.node import P2Node
 from repro.sim.event_loop import EventLoop
 from repro.tables import TableStore
 
+from tests.support.genprograms import make_node
+from tests.support.procedures import fire
+
 
 def make_host(address="n1"):
     return Host(address=address, builtins=make_builtins())
@@ -313,6 +316,22 @@ class TestStrandExecution:
         # A == X, so the selection placed before the join empties the prefix
         result = strand.process(Tuple.make("refresh", "n1", "n2", "n1"), "n1")
         assert result == []
+
+    def test_a_repeated_variable_in_a_body_predicate_equates_its_fields(self):
+        """``t@X(X, Y, Y)`` matches only the rows whose last two fields are
+        equal.  A literal expectation, not two executors of one plan compared:
+        a planner that forgot the equality would have both agree on a wrong
+        answer."""
+        node = make_node(
+            "materialize(t, infinity, infinity, keys(1, 2, 3)).\n"
+            "r1 out@X(X, Y) :- e@X(X), t@X(X, Y, Y).",
+            address="n",
+        )
+        for fields in (("n", 1, 1), ("n", 1, 2)):
+            node.tables.get("t").insert(Tuple.make("t", *fields), 0.0)
+        routes, error = fire(node, "e", Tuple.make("e", "n"))
+        assert error is None
+        assert [(to, head.name, head.fields) for to, head in routes] == [(None, "out", ("n", 1))]
 
     def test_negation_antijoin(self):
         compiled, host, tables = compile_program(

@@ -13,23 +13,27 @@ test-faults:
 
 # The wire suites: the reliable layer's ack/retransmit/dedup units, accrual
 # failure detector, work counts, cross-shard bit-identity and slow chord loss
-# sweep, plus the best-effort transport, datagram trains and the one-tuple
-# path whose launch and landing steps every reliable wire unit shares (with
-# the pinned reliable-wire golden, tests/golden/wire/); and what the wire
-# runs on: the event loop and its timers, the fault conditioner and the
-# sharded driver.
+# sweep, plus the best-effort transport, datagram trains (checked against
+# tuple-at-a-time sends: nodes built under the unbatched() context of
+# tests/support/oracles.py) and the one-tuple path whose launch and landing
+# steps every reliable wire unit shares (with the pinned reliable-wire
+# golden, tests/golden/wire/); and what the wire runs on: the event loop and
+# its timers, the fault conditioner and the sharded driver.
 test-reliable:
 	$(PYTHON) -m pytest -x -q tests/test_reliable.py tests/test_network.py \
 	  tests/test_transport_batching.py tests/test_one_tuple_path.py \
 	  tests/test_event_loop.py tests/test_timer_lifecycle.py tests/test_faults.py \
 	  tests/test_sharded_sim.py
 
-# The cost-based planner suite on its own: the optimize × {procedure,
-# reference run loop} differential grid, plan unit tests, golden plan
-# snapshots, and the slow full-run bit-identity acceptance (chord static +
-# churn, optimized vs naive).
+# The cost-based planner suite on its own: the {optimized, naive} ×
+# {procedure, reference run loop} differential grid, where the naive side is
+# nodes built under the naive_plans() context of tests/support/oracles.py;
+# plan unit tests, golden plan snapshots, the slow full-run bit-identity
+# acceptance (chord static + churn, optimized vs naive), and the
+# every-handler-is-generated grid of test_relation_procedure, run on both.
 test-planner:
-	$(PYTHON) -m pytest -x -q tests/test_planner_opt.py tests/test_golden_plans.py tests/test_plan_once.py
+	$(PYTHON) -m pytest -x -q tests/test_planner_opt.py tests/test_golden_plans.py tests/test_plan_once.py \
+	  tests/test_relation_procedure.py
 
 # The node run loop: every firing's generated procedure (tuple, periodic tick,
 # dirty continuous aggregate) against the reference run loop in

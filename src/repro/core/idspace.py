@@ -29,6 +29,8 @@ class IdSpace:
     bits: int = DEFAULT_BITS
 
     def __post_init__(self) -> None:
+        if not isinstance(self.bits, int) or self.bits < 1:  # NaN and 0 too
+            raise ValueError_(f"IdSpace bits must be an integer >= 1, got {self.bits!r}")
         # computed once: every wrap/distance reads it (not a dataclass field,
         # so equality, hashing and repr stay functions of ``bits`` alone)
         object.__setattr__(self, "size", 1 << self.bits)

@@ -72,10 +72,11 @@ def run_static_experiment(
     """Boot, stabilise, measure idle bandwidth, then drive lookups.
 
     ``engine`` is the engine modes of
-    :class:`~repro.runtime.system.OverlaySimulation` (``batching``,
-    ``shards``, ``optimize``, ``reliable``), handed through untouched;
-    ``shards`` and ``optimize`` leave every result identical.  The run is
-    fault-free and lookups have no timeout: Figure 3's setting.
+    :class:`~repro.runtime.system.OverlaySimulation` (``shards``,
+    ``reliable``), handed through untouched; ``shards`` leaves every result
+    identical, as do the tuple-at-a-time and naive-plan oracles of
+    ``tests/support/oracles.py``.  The run is fault-free and lookups have no
+    timeout: Figure 3's setting.
     """
     run = ChordRun(
         population,

@@ -9,10 +9,11 @@ maintenance-bandwidth figures (Figure 3(ii), Figure 4(i)) are produced.
 
 Tuples enter through two doors:
 
-* :meth:`Network.send` — one tuple, one datagram, one delivery event: the
-  ``batching=False`` path, the oracle for the accounting-equivalence tests,
-  and — because a one-tuple train *is* one unbatched send — what most trains
-  of an idle overlay run through;
+* :meth:`Network.send` — one tuple, one datagram, one delivery event: what
+  most trains of an idle overlay run through, because a one-tuple train *is*
+  one such send, and the tuple-at-a-time oracle of the
+  accounting-equivalence tests (``unbatched()`` in
+  ``tests/support/oracles.py`` points a node's egress at it);
 * :meth:`Network.send_batch` — a per-destination burst marshaled as a
   *datagram train*: tuples are packed in arrival order into datagrams of up
   to :data:`MTU_BYTES` payload, each datagram pays
@@ -93,9 +94,10 @@ class NodeTrafficStats:
     """Per-node transmit/receive counters, split by traffic category.
 
     ``tx_messages``/``rx_messages`` count tuples; ``tx_datagrams`` /
-    ``rx_datagrams`` count wire units (equal to the message counts on the
-    unbatched path, smaller under batching).  Byte counters always reflect
-    what actually crossed the wire: one framing overhead per datagram.
+    ``rx_datagrams`` count wire units (equal to the message counts when
+    every datagram carries one tuple, smaller when trains carry several).
+    Byte counters always reflect what actually crossed the wire: one
+    framing overhead per datagram.
     """
 
     tx_messages: int = 0
@@ -130,6 +132,8 @@ class Network:
         reliable: bool = False,
         reliable_config: Optional["ReliableConfig"] = None,
     ):
+        if not 0.0 <= loss_rate <= 1.0:  # a NaN too
+            raise NetworkError(f"loss_rate must be in [0, 1], got {loss_rate!r}")
         self.loop = loop
         self.topology = topology or UniformTopology()
         self.loss_rate = loss_rate
@@ -523,6 +527,3 @@ class Network:
             return sum(s.tx_bytes for s in self.stats.values())
         return sum(s.tx_bytes_by_category.get(category, 0) for s in self.stats.values())
 
-    def stats_for(self, address: str) -> NodeTrafficStats:
-        """The traffic counters of the registered *address*."""
-        return self.stats[address]

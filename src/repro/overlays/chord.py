@@ -321,9 +321,10 @@ def build_chord_network(
     a class).  Start them with ``network.simulation.monitor_runner.start()``.
 
     ``engine`` goes untouched to the :class:`OverlaySimulation` built here —
-    its engine modes (``batching``, ``shards``, ``optimize``, ``reliable``)
-    are declared and documented there.  A ``simulation`` passed
-    in was already built with its own, so naming one here too is an error.
+    its engine modes (``shards``, ``reliable``) are declared and documented
+    there; the differential suites' oracles are contexts in
+    ``tests/support/oracles.py``, not modes.  A ``simulation`` passed in was
+    already built with its own, so naming one here too is an error.
     """
     kwargs = dict(program_kwargs or {})
     program = chord_program(**kwargs)

@@ -125,8 +125,8 @@ class ProgramAnalysis:
     #: for a rule with an ``OLG001``–``OLG007`` error
     rule_analyses: List[Optional[Any]]
     signatures: Dict[str, PredicateInfo]
-    #: plan kind (``optimize``) -> what every node instantiates; filled by
-    #: :func:`repro.planner.planner.plan_program`
+    #: plan kind (``optimize``) -> its node-free plan (nodes instantiate
+    #: ``True``'s); filled by :func:`repro.planner.planner.plan_program`
     plans: Dict[bool, Any] = field(default_factory=dict)
 
 

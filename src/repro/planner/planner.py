@@ -57,7 +57,7 @@ from ..tables.table import INFINITY, TableStore
 from .analyzer import RuleKind, analyze_rule
 from .optimizer import PlannedTerm, ProgramPlan, RulePlan, index_plan, plan_strand
 from .strand import ContinuousAggregateStrand, PeriodicSpec, RuleStrand
-from .strand_compiler import Procedure, generate_procedure, procedure_triggers
+from .strand_compiler import Procedure, generate_procedure, procedure_directory, procedure_triggers
 
 
 @dataclass
@@ -74,9 +74,6 @@ class CompiledDataflow:
     #: every strand's remote-bound head tuples funnel through it so one
     #: run-queue drain becomes one datagram train per destination
     transmit: Optional[TransmitBuffer] = None
-    #: True when body terms were placed by the cost-based optimizer
-    #: (:mod:`repro.planner.optimizer`); False is the naive body-order walk
-    optimized: bool = False
     #: on a node, the plan's :meth:`PlannedProgram.procedure`: the node binds
     #: a trigger's procedure the first time it fires
     procedure: Optional[Callable[[Any], Procedure]] = None
@@ -127,6 +124,11 @@ class PlannedProgram:
     tables: TableStore
     #: trigger -> its procedure, once generated
     _procedures: Dict[Any, Procedure] = field(default_factory=dict, init=False, repr=False)
+    #: where the procedures' files appear to live (:func:`procedure_directory`)
+    directory: str = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.directory = procedure_directory(self.dataflow.program, self.plan)
 
     def procedure(self, trigger: Any) -> Procedure:
         """*trigger*'s generated procedure (see :func:`generate_procedure`).
@@ -139,14 +141,20 @@ class PlannedProgram:
         ):
             trigger = None
         if trigger not in self._procedures:
-            self._procedures[trigger] = generate_procedure(dataflow, trigger, self.tables)
+            self._procedures[trigger] = generate_procedure(
+                dataflow, trigger, self.tables, self.directory
+            )
         return self._procedures[trigger]
 
 
 def plan_program(program: "ast.Program | str", *, optimize: bool = True) -> PlannedProgram:
     """Everything about running *program* that does not depend on a node.
 
-    Built once per program and plan kind and kept in the program's memo
+    Nodes instantiate the cost-based plan; ``optimize=False`` is the naive
+    body-order walk, the plan the differential suites run nodes on (through
+    ``naive_plans()`` in ``tests/support/oracles.py``) and the optimizer's
+    reordering is measured against.  Each kind is built once per program
+    and kept in the program's memo
     (``program.analysis.plans``), so it is dropped with it when a rule,
     materialization or fact changes.  Raises what planning raises; whether
     the program's *diagnostics* are fatal is the caller's call.
@@ -198,38 +206,27 @@ class Planner:
     The program's analysis and plan are shared (:func:`plan_program`); any
     error diagnostic in the analysis raises
     :class:`~repro.core.errors.OverlogAnalysisError` with the full spanned
-    report.  ``strict=True`` promotes warnings (dead rules, unread tables,
-    ...) to fatal as well.
+    report; warnings are the checker's to fail on (``check --strict``).
+    Body terms are placed by the cost-based optimizer; the naive body-order
+    plans the differential suites compare against are
+    ``plan_program(program, optimize=False)``.
     """
 
-    def __init__(
-        self,
-        program: "ast.Program | str",
-        host: Any,
-        tables: TableStore,
-        *,
-        optimize: bool = True,
-        strict: bool = False,
-    ):
+    def __init__(self, program: "ast.Program | str", host: Any, tables: TableStore):
         if isinstance(program, str):
             program = parse_program(program)
         self.program = program
         self.host = host
         self.tables = tables
-        #: place body terms with the cost-based optimizer (the default);
-        #: False keeps the naive body-order walk — the plan-level oracle
-        self.optimize = optimize
-        #: treat analyzer warnings as fatal
-        self.strict = strict
 
     # -- public API ---------------------------------------------------------------
     def compile(self) -> CompiledDataflow:
         """The plan, instantiated: what this node alone owns."""
         program, host, tables = self.program, self.host, self.tables
-        fatal = [d for d in analyze(program).diagnostics if d.is_error or self.strict]
+        fatal = [d for d in analyze(program).diagnostics if d.is_error]
         if fatal:
             raise OverlogAnalysisError(fatal)
-        planned = plan_program(program, optimize=self.optimize)
+        planned = plan_program(program)
         install_indexes(planned.plan, create_tables(program, tables))
         template = planned.dataflow
         compiled = CompiledDataflow(
@@ -245,7 +242,6 @@ class Planner:
             ],
             facts=[self._resolve_fact(fact) for fact in program.facts],
             transmit=TransmitBuffer(name="transmit"),
-            optimized=self.optimize,
             ctx=EvalContext.for_host(host),
         )
         compiled.graph.add(compiled.transmit)
@@ -256,7 +252,7 @@ class Planner:
         return compiled
 
     @classmethod
-    def explain(cls, program: "ast.Program | str", *, optimize: bool = True) -> str:
+    def explain(cls, program: "ast.Program | str") -> str:
         """Render the chosen plan for *program* as stable text.
 
         Shows every strand's placement order (join order with probe/index
@@ -264,10 +260,10 @@ class Planner:
         the output the golden plan snapshots under ``tests/golden/plans/``
         pin.  Works on the AST alone: no host or table store is needed.
         """
-        return plan_program(program, optimize=optimize).plan.render()
+        return plan_program(program).plan.render()
 
     @classmethod
-    def explain_source(cls, program: "ast.Program | str", *, optimize: bool = True) -> str:
+    def explain_source(cls, program: "ast.Program | str") -> str:
         """The Python source generated for *program*: what its nodes run.
 
         Every trigger's procedure under ``# ---- relation <name>`` /
@@ -276,7 +272,7 @@ class Planner:
         Like :meth:`explain` it needs no host: the text depends on the
         program and the plan only.
         """
-        planned = plan_program(program, optimize=optimize)
+        planned = plan_program(program)
         return "\n".join(
             f"# ---- {procedure.name}\n{procedure.text}"
             for procedure in map(planned.procedure, procedure_triggers(planned.dataflow))
@@ -322,7 +318,7 @@ class _StrandBuilder:
     def build(self) -> PlannedProgram:
         """The one loop that turns rules into plans and strands."""
         program, infos = self.program, self.analysis.signatures
-        dataflow = CompiledDataflow(program, optimized=self.optimize)
+        dataflow = CompiledDataflow(program)
         rule_plans: List[RulePlan] = []
         for rule, analysis in zip(program.rules, self.analysis.rule_analyses):
             try:

@@ -476,10 +476,12 @@ class _Emitter:
 _NAMES = {"trusted": Tuple.trusted, "compare": values.compare, "PlannerError": PlannerError}
 
 
-def _directory(compiled: Any) -> str:
-    """Where *compiled*'s generated files appear to live: process-stable (never
-    ``hash()``), since it names the files tracebacks show."""
-    key = f"{compiled.program}\noptimized={compiled.optimized}"
+def procedure_directory(program: Any, plan: Any) -> str:
+    """Where the procedures generated for *program* under *plan* (a
+    ``ProgramPlan``) appear to live: one directory per program and plan (a
+    naive plan's procedures are not the optimized one's), process-stable
+    (never ``hash()``), since it names the files tracebacks show."""
+    key = f"{program}\n{plan.render()}"
     return f"{zlib.crc32(key.encode()):08x}"
 
 
@@ -546,7 +548,9 @@ def procedure_triggers(compiled: Any) -> List[Any]:
     )
 
 
-def generate_procedure(compiled: Any, trigger: Any, tables: TableStore) -> Procedure:
+def generate_procedure(
+    compiled: Any, trigger: Any, tables: TableStore, directory: str
+) -> Procedure:
     """*trigger*'s procedure (a trigger of ``CompiledDataflow.strands_of``,
     or ``None``: every relation *compiled* neither stores nor fires on).
 
@@ -556,7 +560,8 @@ def generate_procedure(compiled: Any, trigger: Any, tables: TableStore) -> Proce
     *tables* (the plan's, with its declaration and planned indexes), which
     binds to the node's table only if that is the same.  Then each strand
     fires in order, its body inlined, and its heads are routed
-    (:func:`_route`) before the next one fires.  Raises
+    (:func:`_route`) before the next one fires.  The file appears to live
+    in *directory* (:func:`procedure_directory`).  Raises
     :class:`PlannerError`, with CPython's message, if CPython refuses the
     text.
     """
@@ -631,7 +636,7 @@ def generate_procedure(compiled: Any, trigger: Any, tables: TableStore) -> Proce
     text = "\n".join(prologue + [_INDENT + line for line in handle] + ["    return handle"]) + "\n"
     try:
         namespace = load_generated(
-            text, ("planner", "generated", _directory(compiled), *path), names
+            text, ("planner", "generated", directory, *path), names
         )
     except REFUSED as exc:
         raise PlannerError(f"{name}: CPython refused the generated procedure: {exc}") from exc

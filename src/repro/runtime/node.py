@@ -58,9 +58,7 @@ class P2Node:
         idspace: Optional[IdSpace] = None,
         seed: Optional[int] = None,
         extra_builtins: Optional[dict] = None,
-        batching: bool = True,
         shard: Optional[int] = None,
-        optimize: bool = True,
     ):
         self.address = address
         self.network = network
@@ -78,14 +76,8 @@ class P2Node:
         self.alive = False
         #: set by :meth:`fail`, cleared by :meth:`restart` (the only way back)
         self._failed = False
-        self.batching = batching
-        #: body terms placed by the cost-based optimizer by default;
-        #: ``optimize=False`` keeps the naive body-order plans (the oracle)
-        self.optimize = optimize
         self.tables = TableStore()
-        self.compiled: CompiledDataflow = Planner(
-            program, self, self.tables, optimize=optimize
-        ).compile()
+        self.compiled: CompiledDataflow = Planner(program, self, self.tables).compile()
         #: planner-built egress element; every remote-bound head tuple is
         #: coalesced here and flushed as datagram trains once per drain
         self.transmit = self.compiled.transmit
@@ -98,7 +90,9 @@ class P2Node:
         #: trigger (see ``CompiledDataflow.strands_of``) -> its procedure
         #: bound to this node, bound the first time the trigger fires
         self._handlers: Dict[Any, Callable[[Any], None]] = {}
-        self._egress = self._make_egress()
+        #: ``egress(destination, tup)``: how a remote-bound head leaves — into
+        #: the transmit buffer, sent as trains when the drain ends
+        self._egress = self.transmit.enqueue
         #: one timer chain per periodic spec, and the ticks each has left
         #: (``None``: forever)
         self._tickers = [self._periodic_ticker(i) for i in range(len(self.compiled.periodics))]
@@ -203,11 +197,12 @@ class P2Node:
         """Called by the network when one datagram's tuples arrive together:
         the node's only door from the network.
 
-        Each tuple is still routed to fixpoint individually: batching changes
-        how tuples travel and how arrivals are scheduled (one event-loop
-        event per datagram), not the run-to-completion semantics — a tuple's
-        local derivations are fully chased before the next tuple in the
-        datagram is considered, exactly as if each had arrived alone.
+        Each tuple is still routed to fixpoint individually: a datagram
+        train changes how tuples travel and how arrivals are scheduled (one
+        event-loop event per datagram), not the run-to-completion semantics
+        — a tuple's local derivations are fully chased before the next
+        tuple in the datagram is considered, exactly as if each had arrived
+        alone.
         """
         pending, run = self._pending.append, self._run_queue
         for tup in batch:
@@ -226,11 +221,10 @@ class P2Node:
         """Drain pending tuples and dirty continuous aggregates to fixpoint.
 
         Each firing calls its trigger's bound procedure: a tuple its
-        relation's, a dirty continuous strand its refresh.  On the batched
-        path, remote-bound tuples derived anywhere in the drain accumulate in
-        the transmit buffer and leave as per-destination datagram trains in
-        one flush at the end — one network hand-off per drain instead of one
-        per tuple.
+        relation's, a dirty continuous strand its refresh.  Remote-bound
+        tuples derived anywhere in the drain accumulate in the transmit
+        buffer and leave as per-destination datagram trains in one flush at
+        the end — one network hand-off per drain instead of one per tuple.
         """
         if self._processing:
             return
@@ -277,19 +271,6 @@ class P2Node:
             self._pending,
             self._egress,
         )
-
-    def _make_egress(self) -> Callable[[Any, Tuple], None]:
-        """``egress(destination, tup)``: how a remote-bound head leaves — into
-        the transmit buffer, or with ``batching=False`` onto the network at once."""
-        if self.batching:
-            return self.transmit.enqueue
-        address, network = self.address, self.network
-
-        def send(destination: Any, tup: Tuple) -> None:
-            if not network.send(address, destination, tup):
-                self.dropped_remote_sends += 1
-
-        return send
 
     def _send_train(self, destination: Any, batch: List[Tuple]) -> None:
         sent = self.network.send_batch(self.address, destination, batch)

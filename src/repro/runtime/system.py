@@ -28,15 +28,11 @@ from .node import P2Node
 class OverlaySimulation:
     """A population of P2 nodes running one OverLog specification.
 
-    The four engine modes are declared, defaulted and documented here;
+    The two engine modes are declared, defaulted and documented here;
     :func:`~repro.overlays.chord.build_chord_network` and the experiment
     drivers hand them through untouched as ``**engine``.  Each non-default
-    value is an oracle the differential suites compare against or an opt-in
-    layer:
+    value is an opt-in layer:
 
-    ``batching=False``
-        nodes send tuple-at-a-time instead of coalescing each run-queue
-        drain's outbound tuples into one datagram train per destination.
     ``shards>=2``
         the node population is partitioned across that many member loops of
         a :class:`~repro.sim.shards.ShardedEventLoop` — assigned by the
@@ -45,12 +41,14 @@ class OverlaySimulation:
         floor — while harness timers (:meth:`schedule`) run on its control
         loop.  Observably identical to the one classic :class:`EventLoop` of
         ``shards=1`` (``tests/test_sharded_sim.py``).
-    ``optimize=False``
-        plans keep the naive body-order walk (the plan-level oracle) instead
-        of the cost-based optimizer's.
     ``reliable=True``
         the network runs the ack/retransmit layer of ``net/reliable.py``;
         off, it is best-effort datagrams and the layer is never constructed.
+
+    The differential suites' oracles — tuple-at-a-time sends, naive
+    body-order plans — are not modes: they live beside their tests, as the
+    ``unbatched()`` and ``naive_plans()`` contexts of
+    ``tests/support/oracles.py``.
     """
 
     def __init__(
@@ -62,9 +60,7 @@ class OverlaySimulation:
         seed: int = 0,
         id_bits: int = 32,
         classifier: Optional[Callable[[Tuple], str]] = None,
-        batching: bool = True,
         shards: int = 1,
-        optimize: bool = True,
         reliable: bool = False,
     ):
         self.program = parse_program(program) if isinstance(program, str) else program
@@ -86,8 +82,6 @@ class OverlaySimulation:
         )
         self.idspace = IdSpace(bits=id_bits)
         self.seed = seed
-        self.batching = batching
-        self.optimize = optimize
         self.reliable = reliable
         self._rng = random.Random(seed)
         self.nodes: Dict[str, P2Node] = {}
@@ -126,9 +120,7 @@ class OverlaySimulation:
             node_id=node_id,
             idspace=self.idspace,
             seed=self._rng.getrandbits(32),
-            batching=self.batching,
             shard=shard,
-            optimize=self.optimize,
         )
         self.network.register(node)
         self.nodes[address] = node

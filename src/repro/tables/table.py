@@ -52,6 +52,7 @@ from typing import (
     Any,
     Callable,
     Dict,
+    Iterable,
     Iterator,
     List,
     Optional,
@@ -82,6 +83,11 @@ def _stored_key(positions: Sequence[int]) -> Callable[[Sequence[Any]], Any]:
     """``fields -> key`` as this module stores it: the bare value of a
     one-field key, a tuple of several (an empty tuple of none)."""
     return itemgetter(*positions) if positions else key_getter(positions)
+
+
+def _row_width(key_positions: Sequence[int], indexes: Iterable[Sequence[int]]) -> int:
+    """The fields a row needs: one past the highest key or index position."""
+    return 1 + max(p for positions in (key_positions, *indexes) for p in positions)
 
 
 @dataclass
@@ -157,6 +163,8 @@ class Table:
         # ``now`` is below it, expire() is a single comparison.
         self._next_expiry: float = INFINITY
         self._indices: Dict[PyTuple[int, ...], _SecondaryIndex] = {}
+        #: the fields a row needs (:func:`_row_width`), checked before a write
+        self._width = _row_width(self.key_positions, ())
         #: positions -> the prober :meth:`prober` built for them
         self._probers: Dict[PyTuple[int, ...], Callable[[Key, float], Sequence[Tuple]]] = {}
         self._insert_listeners: List[Listener] = []
@@ -198,6 +206,7 @@ class Table:
         for pk, (tup, _) in self._rows.items():
             index.add(pk, tup)
         self._indices[key] = index
+        self._width = _row_width(self.key_positions, self._indices)
         self._probers.clear()  # a prober asked for from now on may use it
 
     def has_index(self, positions: Sequence[int]) -> bool:
@@ -234,6 +243,7 @@ class Table:
     def _misfit(self, tup: Tuple) -> TableError:
         return TableError(
             f"tuple {tup!r} does not fit table {self.name!r} key {self.key_positions}"
+            f" and indexes {tuple(self._indices)}: {self._width} fields needed"
         )
 
     def _stored_pk(self, tup: Tuple) -> Any:
@@ -272,10 +282,10 @@ class Table:
         if now >= self._next_expiry:
             self.expire(now)
         fields = tup.fields
-        try:
-            pk = self._key_of(fields)
-        except Exception as exc:
-            raise self._misfit(tup) from exc
+        # checked before anything moves: a write is all or nothing
+        if len(fields) < self._width:
+            raise self._misfit(tup)
+        pk = self._key_of(fields)
         rows = self._rows
         existing = rows.get(pk)
         if existing is not None and identical_fields(existing[0].fields, fields):
@@ -566,8 +576,8 @@ def write_source(
     procedure only ever sees its own relation), the expiry bound for an
     infinite ``lifetime``, eviction for an infinite ``max_size``, the loop over
     the indexes (one straight-line block each).  A tuple too short for the
-    key raises :meth:`Table.insert`'s :class:`TableError`, after the same
-    expiry.
+    key or an index raises :meth:`Table.insert`'s :class:`TableError`, after
+    the same expiry and before anything moves.
     """
     key_positions, lifetime, max_size, indexes = declared = table.declaration()
     finite = lifetime != INFINITY
@@ -590,7 +600,7 @@ def write_source(
         f"now = {clock}",
         "if now >= t_table._next_expiry:",
         "    t_expire(now)",
-        f"if len(f0) < {max(key_positions) + 1}:",
+        f"if len(f0) < {_row_width(key_positions, indexes)}:",
         "    raise t_table._misfit(event)",
         f"pk = {_fields_key('f0', key_positions)}",
         "old = t_get(pk)",

@@ -137,11 +137,11 @@ def generate_program(shape: str, seed: int) -> str:
 # ---------------------------------------------------------------------------
 
 
-def make_node(program, seed=0, address="n1", optimize=True, **kwargs):
+def make_node(program, seed=0, address="n1", **kwargs):
     """One isolated node on a network of its own (not booted)."""
     loop = EventLoop()
     net = Network(loop, UniformTopology(latency=0.01))
-    node = P2Node(address, program, net, loop, seed=seed, optimize=optimize, **kwargs)
+    node = P2Node(address, program, net, loop, seed=seed, **kwargs)
     net.register(node)
     return node
 

@@ -81,7 +81,7 @@ class PackingNetwork(Network):
         layer = self.reliable_layer
         if len(batch) == 1 and layer is None:
             return 1 if self.send(src, dst, batch[0]) else 0
-        stats = self.stats_for(src)
+        stats = self.stats[src]
         src_loop = self._clock(src)
         now = src_loop.now
         known = dst in self._indices

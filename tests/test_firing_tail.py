@@ -11,6 +11,7 @@ ordering and all-or-nothing guarantees, and — with no timing in it — how few
 objects a dispatch now builds.
 """
 
+from contextlib import nullcontext
 from functools import partial
 
 import pytest
@@ -28,6 +29,7 @@ from repro.runtime.node import P2Node
 from repro.sim import event_loop
 from repro.sim.event_loop import EventLoop
 
+from tests.support import oracles
 from tests.support.genprograms import make_node
 from tests.support.procedures import Twins, calls_the_walk, fire, procedure_bind
 from tests.support.reference import node_bind, reference_bind
@@ -274,11 +276,12 @@ def test_handlers_built_before_a_crash_keep_working_after_restart():
     assert [t.fields for t in seen] == [("n1", "n1", 1), ("n1", "n1", 2)]
 
 
-def _ping_pong_world(**mode):
+def _ping_pong_world(oracle=nullcontext):
     loop = EventLoop()
     net = Network(loop, UniformTopology(latency=0.01))
-    nodes = [P2Node(name, pingpong_program(), net, loop, seed=seed, **mode)
-             for seed, name in enumerate("ab", start=1)]
+    with oracle():
+        nodes = [P2Node(name, pingpong_program(), net, loop, seed=seed)
+                 for seed, name in enumerate("ab", start=1)]
     for node in nodes:
         net.register(node)
         node.boot()
@@ -288,17 +291,21 @@ def _ping_pong_world(**mode):
     return nodes, net
 
 
-@pytest.mark.parametrize("mode", [dict(batching=False)], ids=str)
-def test_every_mode_drives_the_same_handler_loop(mode):
-    """One run loop: the escape hatch changes where remote heads go, not
-    which code dispatches — same relations handled, same counts, same tables."""
-    (reference, ref_net), (nodes, net) = _ping_pong_world(), _ping_pong_world(**mode)
+@pytest.mark.parametrize("oracle", [oracles.unbatched, oracles.naive_plans],
+                         ids=lambda oracle: oracle.__name__)
+def test_every_mode_drives_the_same_handler_loop(oracle):
+    """One run loop: an oracle changes where remote heads go or the plan
+    they are derived by, not which code dispatches — same relations
+    handled, same counts, same tables."""
+    (reference, ref_net), (nodes, net) = _ping_pong_world(), _ping_pong_world(oracle)
     assert not hasattr(P2Node, "_dispatch") and not hasattr(P2Node, "_handle_routes")
     for want, got in zip(reference, nodes):
         assert set(got._handlers) == set(want._handlers) and got._handlers
         assert got.events_processed == want.events_processed
         assert sorted(map(repr, got.scan("latency"))) == sorted(map(repr, want.scan("latency")))
     assert net.messages_sent == ref_net.messages_sent
+    if oracle is oracles.unbatched:  # it ran: one datagram per tuple
+        assert net.datagrams_sent == net.messages_sent
 
 
 # ------------------------------------------------------------------- count guard

@@ -178,7 +178,7 @@ def test_generated_writes_and_probes_are_the_methods(ops, shape, lifetime, max_s
     write = generated_writer(generated, 3, clock)
     probes = [(generated_prober(generated, p, clock), generic.prober(p), p)
               for p in _covering(key_positions)]
-    # followed until an operation fails half-way (a row too short for an index)
+    # followed throughout: a write that raises is all or nothing
     model = ModelTable(key_positions, lifetime, max_size, indexes)
     last = ("a", 1, 2)
     for op in ops:
@@ -193,40 +193,41 @@ def test_generated_writes_and_probes_are_the_methods(ops, shape, lifetime, max_s
             clock.now += op[-1]
             tup = Tuple("t", last)
             outcome = _outcome(lambda: write(tup))
-            assert outcome == _outcome(lambda: generic.insert(tup, clock.now) and None), op
-            error = outcome[1]
-            if model is not None and error is None:
+            if outcome[1] is None:
+                assert outcome == _outcome(lambda: generic.insert(tup, clock.now) and None), op
                 model.insert(tup, clock.now)
-            elif model is not None and error.startswith("TableError"):
-                model.expire(clock.now)  # the key check comes after the expiry
             else:
-                model = None
+                # a row too short for the key or an index: the write expires
+                # what is due, raises, and moves nothing else — rows and
+                # their order, indexes, counters, version, expiry bound
+                assert outcome[1].startswith("TableError"), op
+                generic.expire(clock.now)
+                assert _state(generated) == _state(generic) and calls[0] == calls[1], op
+                expired = _state(generic)
+                assert _outcome(lambda: generic.insert(tup, clock.now)) == outcome, op
+                assert _state(generic) == expired, op
+                model.expire(clock.now)
         elif kind == "delete":
             _, fields, step = op
             clock.now += step
             tup = Tuple("t", tuple(fields[:3]))
             outcome = _outcome(lambda: generated.delete(tup, clock.now))
             assert outcome == _outcome(lambda: generic.delete(tup, clock.now)), op
-            if model is not None and outcome[1] is None:
-                pk = tuple(fields[p] for p in key_positions)
-                assert (model.delete_by_key(pk, clock.now) is not None) == outcome[0]
-            else:
-                model = None
+            assert outcome[1] is None, op
+            pk = tuple(fields[p] for p in key_positions)
+            assert (model.delete_by_key(pk, clock.now) is not None) == outcome[0]
         elif kind == "wait":
             clock.now += op[1]
         elif kind == "expire":
             clock.now += op[1]
             outcome = _outcome(lambda: [id(t) for t in generated.expire(clock.now)])
             assert outcome == _outcome(lambda: [id(t) for t in generic.expire(clock.now)]), op
-            if model is not None and outcome[1] is None:
-                model.expire(clock.now)
-            else:
-                model = None
+            assert outcome[1] is None, op
+            model.expire(clock.now)
         else:
             for table in tables:
                 table.clear()
-            if model is not None:
-                model.clear()
+            model.clear()
         # every covering probe, on every stored row's fields and the last write's
         for fields in [tup.fields for tup in generic] + [last]:
             for inline, prober, positions in probes:
@@ -236,17 +237,17 @@ def test_generated_writes_and_probes_are_the_methods(ops, shape, lifetime, max_s
                     assert got == _outcome(lambda: [id(t) for t in prober(key, clock.now)]), key
         assert _state(generated) == _state(generic), op
         assert calls[0] == calls[1], op
-        if model is not None:  # scan order (expiring both alike), then every bucket's
-            scans = [_outcome(lambda: [id(tup) for tup in table.scan(clock.now)]) for table in tables]
-            assert scans[0] == scans[1]
-            model.expire(clock.now)
-            assert scans[0][0] == [id(row[1]) for row in model.rows]
-            for positions, buckets in model.buckets.items():
-                index = generated._indices[positions]._buckets
-                assert len(index) == len(buckets)
-                for key, bucket in buckets.items():  # a one-field index keys by the bare value
-                    stored = index[key[0] if len(key) == 1 else key]
-                    assert [id(t) for t in stored.values()] == [id(t) for t in bucket]
+        # scan order (expiring both alike), then every bucket's
+        scans = [_outcome(lambda: [id(tup) for tup in table.scan(clock.now)]) for table in tables]
+        assert scans[0] == scans[1]
+        model.expire(clock.now)
+        assert scans[0][0] == [id(row[1]) for row in model.rows]
+        for positions, buckets in model.buckets.items():
+            index = generated._indices[positions]._buckets
+            assert len(index) == len(buckets)
+            for key, bucket in buckets.items():  # a one-field index keys by the bare value
+                stored = index[key[0] if len(key) == 1 else key]
+                assert [id(t) for t in stored.values()] == [id(t) for t in bucket]
 
 
 def test_a_short_tuple_raises_what_insert_raises_after_the_same_expiry():
@@ -263,6 +264,30 @@ def test_a_short_tuple_raises_what_insert_raises_after_the_same_expiry():
     assert str(generated_error.value) == str(method_error.value)
     assert _state(generated) == _state(generic)
     assert len(generated) == 0 and generated.stats.expirations == 1
+
+
+@pytest.mark.parametrize("writer", ["generated", "method"])
+def test_a_row_too_short_for_an_index_moves_nothing(writer):
+    """A row long enough for the key but not for an index is refused before
+    anything moves, so the replacement and the expiry after it find the
+    table whole (they used to raise ``IndexError`` on the half-stored row)."""
+    clock = SimpleNamespace(now=0.0)
+    table = Table("t", (0,), 10.0)
+    table.add_index((1, 2))
+    if writer == "generated":
+        write = generated_writer(table, 3, clock)
+    else:
+        write = lambda tup: table.insert(tup, clock.now)  # noqa: E731
+    write(Tuple("t", (0, 1, 2)))
+    before = _state(table)
+    with pytest.raises(TableError, match="3 fields needed"):
+        write(Tuple("t", (1, 2)))
+    assert _state(table) == before
+    clock.now = 5.0
+    write(Tuple("t", (1, 5, 6)))  # the refused row's key, a row that fits
+    assert table.stats.inserts == 2 and table.stats.replacements == 0
+    assert [t.fields for t in table.expire(20.0)] == [(0, 1, 2), (1, 5, 6)]
+    assert len(table) == 0 and not table._indices[(1, 2)]._buckets
 
 
 def test_the_text_follows_the_declaration():

@@ -22,6 +22,13 @@ class TestBasics:
         assert IdSpace(8) == ring and hash(IdSpace(8)) == hash(ring)
         assert repr(ring) == "IdSpace(bits=8)"
 
+    def test_bits_must_be_an_integer_of_at_least_one(self):
+        # bits=0 gave every id 0, and a NaN raised a bare TypeError
+        for bits in (0, -1, float("nan"), 8.0, "8", None):
+            with pytest.raises(ValueError_, match="integer >= 1"):
+                IdSpace(bits)
+        assert IdSpace(1).size == 2 and IdSpace(1).wrap(3) == 1
+
     def test_distance(self):
         assert ring.distance(10, 20) == 10
         assert ring.distance(250, 5) == 11

@@ -85,6 +85,14 @@ class TestNetwork:
         assert net.send("a", "nowhere", Tuple.make("x", 1)) is False
         assert net.messages_dropped == 1
 
+    def test_loss_rate_outside_zero_to_one_rejected(self):
+        # NaN and -1 used to mean no loss, 2 certain loss
+        for loss_rate in (float("nan"), -1, -0.01, 1.01, 2, float("inf")):
+            with pytest.raises(NetworkError, match=r"loss_rate must be in \[0, 1\]"):
+                Network(EventLoop(), loss_rate=loss_rate)
+        for loss_rate in (0, 0.0, 0.5, 1.0):
+            assert Network(EventLoop(), loss_rate=loss_rate).loss_rate == loss_rate
+
     def test_duplicate_registration_rejected(self):
         loop, net, a, b = make_net()
         with pytest.raises(NetworkError):
@@ -109,13 +117,13 @@ class TestNetwork:
         net.send("a", "b", Tuple.make("lookup", "b", 42))
         net.send("a", "b", Tuple.make("stabilize", "b"))
         loop.run()
-        stats_a = net.stats_for("a")
+        stats_a = net.stats["a"]
         assert stats_a.tx_messages == 2
         assert stats_a.tx_bytes > 2 * PACKET_OVERHEAD_BYTES
         assert set(stats_a.tx_bytes_by_category) == {"lookup", "maintenance"}
         assert net.total_tx_bytes("lookup") > 0
         assert net.total_tx_bytes() == stats_a.tx_bytes
-        assert net.stats_for("b").rx_messages == 2
+        assert net.stats["b"].rx_messages == 2
 
     def test_send_hooks_observe_traffic(self):
         loop, net, a, b = make_net()

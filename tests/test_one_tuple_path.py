@@ -167,7 +167,7 @@ class HelperChainNetwork(Network):
         self.datagrams_sent += 1
         size = tup.estimate_size() + PACKET_OVERHEAD_BYTES
         category = self.classifier(tup)
-        stats = self.stats_for(src)
+        stats = self.stats[src]
         stats.tx_messages += 1
         stats.tx_datagrams += 1
         stats.tx_bytes += size
@@ -199,7 +199,7 @@ class HelperChainNetwork(Network):
             self.dead_endpoint_drops += 1
             self.messages_dropped += 1
             return
-        stats = self.stats_for(dst)
+        stats = self.stats[dst]
         stats.rx_messages += 1
         stats.rx_datagrams += 1
         stats.rx_bytes += size

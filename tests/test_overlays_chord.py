@@ -150,14 +150,19 @@ class TestSingleNodeAndJoins:
 
 
 class TestEngineModes:
-    """The four engine modes are declared once, on ``OverlaySimulation``;
-    everything above it hands them through as ``**engine``."""
+    """The two engine modes are declared once, on ``OverlaySimulation``;
+    everything above it hands them through as ``**engine``.  The oracles the
+    differential suites compare against are not modes but the contexts of
+    ``tests/support/oracles.py``: their old keywords are unknown everywhere."""
 
     MODES = [
-        ("batching", False),
         ("shards", 2),
-        ("optimize", False),
         ("reliable", True),
+    ]
+    #: the keywords that used to select an oracle
+    ORACLES = [
+        ("batching", False),
+        ("optimize", False),
     ]
 
     def test_simulation_plus_engine_keyword_is_an_error(self):
@@ -172,28 +177,30 @@ class TestEngineModes:
         with pytest.raises(TypeError, match=r"__init__\(\).*'shard'"):
             chord.build_chord_network(2, shard=2)
 
-    @pytest.mark.parametrize("mode,value", MODES)
+    @pytest.mark.parametrize("mode,value", MODES + ORACLES)
     @pytest.mark.parametrize("experiment", ["static", "churn", "partition"])
     def test_experiments_forward_every_mode(self, monkeypatch, experiment, mode, value):
-        """A dropped forward would let the shards/optimize/reliable bit-identity
-        suites pass vacuously — both sides running the default."""
-        from repro import experiments
+        """A dropped forward would let the shards/reliable bit-identity suites
+        pass vacuously — both sides running the default.  An oracle's old
+        keyword is forwarded too, and refused by the simulation itself."""
         from repro.sim.shards import ShardedEventLoop
 
         class Built(Exception):
             """Carries the simulation out and ends the run before it starts."""
 
-        real = chord.OverlaySimulation
+        real, handed = chord.OverlaySimulation, []
 
         def spy(*args, **kwargs):
+            handed.append(kwargs)
             raise Built(real(*args, **kwargs), kwargs)
 
         monkeypatch.setattr(chord, "OverlaySimulation", spy)
-        run = {
-            "static": lambda **kw: experiments.run_static_experiment(4, **kw),
-            "churn": lambda **kw: experiments.run_churn_experiment(4, 60.0, **kw),
-            "partition": lambda **kw: experiments.run_partition_experiment(4, **kw),
-        }[experiment]
+        run = self._experiment(experiment)
+        if (mode, value) in self.ORACLES:
+            with pytest.raises(TypeError, match=rf"__init__\(\).*'{mode}'"):
+                run(**{mode: value})
+            assert [kwargs[mode] for kwargs in handed] == [value]
+            return
         with pytest.raises(Built) as built:
             run(**{mode: value})
         sim, kwargs = built.value.args
@@ -201,3 +208,42 @@ class TestEngineModes:
         assert getattr(sim, mode) == value
         assert isinstance(sim.loop, ShardedEventLoop) == (mode == "shards")
         assert (sim.network.reliable_layer is not None) == (mode == "reliable")
+
+    @staticmethod
+    def _experiment(name):
+        from repro import experiments
+
+        return {
+            "static": lambda **kw: experiments.run_static_experiment(4, **kw),
+            "churn": lambda **kw: experiments.run_churn_experiment(4, 60.0, **kw),
+            "partition": lambda **kw: experiments.run_partition_experiment(4, **kw),
+        }[name]
+
+    @pytest.mark.parametrize("mode,value", ORACLES)
+    def test_engine_constructors_reject_an_oracle_keyword(self, mode, value):
+        from repro.net.transport import Network
+        from repro.runtime.node import P2Node
+        from repro.sim.event_loop import EventLoop
+
+        program = chord.chord_program()
+        loop = EventLoop()
+        network = Network(loop)
+        for build in (
+            lambda **kw: chord.OverlaySimulation(program, **kw),
+            lambda **kw: P2Node("a", program, network, loop, **kw),
+            lambda **kw: chord.build_chord_network(2, **kw),
+        ):
+            with pytest.raises(TypeError, match=rf"__init__\(\).*'{mode}'"):
+                build(**{mode: value})
+
+    def test_the_planner_takes_no_strict(self):
+        """Warnings are the checker's to fail on (``check --strict``)."""
+        import inspect
+
+        from repro.dataflow.operators import Host
+        from repro.planner import Planner
+        from repro.tables import TableStore
+
+        assert list(inspect.signature(Planner).parameters) == ["program", "host", "tables"]
+        with pytest.raises(TypeError, match="'strict'"):
+            Planner(chord.chord_program(), Host(), TableStore(), strict=True)

@@ -415,9 +415,9 @@ class TestBundledOverlays:
 # ---------------------------------------------------------------------------
 
 
-def make_planner(source, *, strict=False):
+def make_planner(source):
     host = Host(address="n1", builtins=make_builtins())
-    return Planner(source, host, TableStore(), strict=strict)
+    return Planner(source, host, TableStore())
 
 
 class TestPlannerIntegration:
@@ -454,11 +454,6 @@ class TestPlannerIntegration:
     def test_warnings_do_not_block_compilation(self):
         compiled = make_planner("D deadEnd@X(X) :- ping@X(X).").compile()
         assert compiled.strands_by_event["ping"]
-
-    def test_strict_promotes_warnings(self):
-        with pytest.raises(OverlogAnalysisError) as exc_info:
-            make_planner("D deadEnd@X(X) :- ping@X(X).", strict=True).compile()
-        assert any(d.code == "OLG030" for d in exc_info.value.diagnostics)
 
     def test_shared_program_analyzed_once(self):
         program = parse_program(

@@ -12,6 +12,7 @@ program whose rules were edited is analyzed and planned again.
 """
 
 import collections
+from contextlib import nullcontext
 
 import pytest
 
@@ -30,6 +31,7 @@ from repro.planner.strand_compiler import procedure_triggers
 from repro.tables import TableStore
 
 from tests.support.genprograms import make_node
+from tests.support.oracles import naive_plans
 from tests.support.procedures import bind_capturing
 from tests.test_strand_fusion import OVERLAY_PROGRAMS
 
@@ -83,8 +85,10 @@ def test_an_8_node_chord_build_does_the_per_program_work_once(calls):
     # the other plan kind of the same program compiles its expressions once
     # more (as many: the same terms in another order) and analyzes nothing
     calls.clear()
-    for address in ("x", "y"):
-        make_node(program, address=address, optimize=False)
+    with naive_plans() as installed:
+        for address in ("x", "y"):
+            make_node(program, address=address)
+    assert installed == [plan_program(program, optimize=False)]
     assert calls == {
         "compile_expression": eight["compile_expression"],
         "plan_strand": eight["plan_strand"] // 2,  # no second walk to compare with
@@ -180,7 +184,8 @@ def test_the_planned_strands_are_never_fired_or_handed_out():
 def test_both_plan_kinds_of_one_program_coexist():
     program = parse_program(OVERLAY_PROGRAMS["chord"])
     optimized = make_node(program, address="a")
-    naive = make_node(program, address="b", optimize=False)
+    with naive_plans():
+        naive = make_node(program, address="b")
     assert set(program.analysis.plans) == {True, False}
     fast, slow = plan_program(program), plan_program(program, optimize=False)
     triggers = procedure_triggers(fast.dataflow)
@@ -193,8 +198,8 @@ def test_both_plan_kinds_of_one_program_coexist():
     assert differing == {p.event_name for p in reordered}
     assert not any(p.reordered for p in plan_program(program, optimize=False).plan.rules)
     # one index plan per kind, installed before the first join could miss it
-    for node in (optimized, naive):
-        indexes = plan_program(program, optimize=node.optimize).plan.indexes
+    for node, planned in ((optimized, fast), (naive, slow)):
+        indexes = planned.plan.indexes
         assert indexes and all(
             node.tables.get(name).has_index(positions)
             for name, position_sets in indexes.items()
@@ -217,18 +222,24 @@ def _joins(compiled):
 @pytest.mark.parametrize("optimize", [True, False])
 def test_a_replaced_rule_is_the_rule_that_gets_compiled(optimize):
     """Same counts, another rule: the memo's key is the lists' content, so
-    neither the diagnostics nor the plan of the old rule survive."""
+    neither the diagnostics nor the plan of the old rule survive — for the
+    optimized plans and under ``naive_plans()`` alike."""
+    with nullcontext() if optimize else naive_plans():
+        _replace_a_rule()
+
+
+def _replace_a_rule():
     program = parse_program(TWO_TABLES.format(body="t@X(X, Y)"))
-    first = Planner(program, Host(), TableStore(), optimize=optimize).compile()
+    first = Planner(program, Host(), TableStore()).compile()
     assert _joins(first) == ["r1:join:t"]
     memo = program.analysis
 
     program.rules[0] = parse_program(TWO_TABLES.format(body="u@X(X, Y)")).rules[0]
-    second = Planner(program, Host(), TableStore(), optimize=optimize).compile()
+    second = Planner(program, Host(), TableStore()).compile()
     assert _joins(second) == ["r1:join:u"]
     assert program.analysis is not memo and _joins(first) == ["r1:join:t"]
 
     program.rules[0] = parse_program(TWO_TABLES.format(body="u@X(X, Z)")).rules[0]
     assert "OLG003" in {d.code for d in check_program(program)}
     with pytest.raises(OverlogAnalysisError, match="OLG003"):
-        Planner(program, Host(), TableStore(), optimize=optimize).compile()
+        Planner(program, Host(), TableStore()).compile()

@@ -3,9 +3,10 @@
 The optimizer (``repro.planner.optimizer``) may reorder joins, hoist guards
 and anti-joins, and install extra indexes — but it must never change *what*
 a rule derives, only the order work happens in.  The oracle is the
-unoptimized plan run by the reference run loop (``tests/support/reference.py``,
-which fires the interpreted element walk): every other point of the
-optimize × {procedure, reference} grid must produce
+naive plan (nodes built under ``naive_plans()``, ``tests/support/oracles.py``)
+run by the reference run loop (``tests/support/reference.py``, which fires
+the interpreted element walk): every other point of the
+{optimized, naive} × {procedure, reference} grid must produce
 
 * the same routed-head **multiset** and the same tables per firing of a
   trigger's procedure (derivation order may legitimately differ under a
@@ -17,20 +18,23 @@ Programs come from the shared seeded generator
 (``tests.support.genprograms``) — whose randomized shapes are built so no
 firing can raise from one plan order but not another — plus the fixed rule
 shapes and all four bundled overlays.  The slow acceptance sweep re-runs
-the full chord static and churn experiments optimized vs. unoptimized;
-chord's cost ties all resolve to body order and its reordered strands probe
-singleton tables, so those runs are required to be bit-identical.
+the full chord static and churn experiments optimized vs. under
+``naive_plans()``; chord's cost ties all resolve to body order and its
+reordered strands probe singleton tables, so those runs are required to be
+bit-identical — and the naive side must have run the naive plans of a
+program the optimizer does reorder.
 """
 
 import random
 from collections import Counter
+from contextlib import nullcontext
 from functools import partial
 
 import pytest
 
 from repro.core import Tuple
 from repro.overlog import parse_program
-from repro.planner import Planner, optimize_program, plan_strand
+from repro.planner import Planner, optimize_program, plan_program, plan_strand
 from repro.planner.optimizer import DEFAULT_CARDINALITY
 
 from tests.support.genprograms import (
@@ -41,21 +45,24 @@ from tests.support.genprograms import (
     populate_tables,
     random_value,
 )
+from tests.support.oracles import naive_plans
 from tests.support.procedures import fire, procedure_bind
 from tests.support.reference import node_bind, reference_bind
 from tests.test_strand_fusion import OVERLAY_PROGRAMS
 
-#: every non-oracle point of the optimize × {procedure, reference} grid
+#: every non-oracle point of the optimized × {procedure, reference} grid
+#: (``False``: built under ``naive_plans()``)
 GRID = [(True, "procedure"), (True, "reference"), (False, "procedure")]
 ORACLE = (False, "reference")
 
 
 def make_grid(program, seed=0):
-    """One node per grid point; index 0 is the unoptimized reference oracle.
+    """One node per grid point; index 0 is the naive reference oracle.
     A reference point's node runs the reference run loop."""
     nodes = []
-    for optimize, executor in [ORACLE] + GRID:
-        node = make_node(program, seed=seed, optimize=optimize)
+    for optimized, executor in [ORACLE] + GRID:
+        with nullcontext() if optimized else naive_plans():
+            node = make_node(program, seed=seed)
         if executor == "reference":
             node._bind = partial(node_bind, node)
         nodes.append(node)
@@ -284,7 +291,7 @@ def test_index_plan_covers_chosen_probes():
 
 
 def test_planner_installs_plan_indexes():
-    node = make_node(WIDE_VS_LINK, optimize=True)
+    node = make_node(WIDE_VS_LINK)
     assert (0, 1) in node.tables.get("link").indexed_positions()
     assert (0, 1) in node.tables.get("wide").indexed_positions()
 
@@ -296,7 +303,8 @@ def test_join_order_work_counts_on_wide_vs_link():
     (1 on `wide`, then 1 on `link` per wide row)."""
     probes = {}
     for optimize in (True, False):
-        node = make_node(WIDE_VS_LINK, optimize=optimize)
+        with nullcontext() if optimize else naive_plans():
+            node = make_node(WIDE_VS_LINK)
         for i in range(512):
             node.tables.get("wide").insert(Tuple.make("wide", "n1", i, i * 2), 0.0)
         for i in range(8):
@@ -342,20 +350,44 @@ def test_explain_renders_stable_text():
 
 
 def test_explain_naive_mode_shows_body_order():
-    text = Planner.explain(WIDE_VS_LINK, optimize=False)
+    with naive_plans():
+        text = Planner.explain(WIDE_VS_LINK)
     assert "(reordered)" not in text
     assert text.index("join wide") < text.index("join link")
 
 
 def test_escape_hatch_flags():
-    opt = make_node(WIDE_VS_LINK, optimize=True)
-    naive = make_node(WIDE_VS_LINK, optimize=False)
-    assert opt.optimize and opt.compiled.optimized
-    assert not naive.optimize and not naive.compiled.optimized
+    """The naive plans are the test seam's, not a node's mode: a node built
+    under ``naive_plans()`` instantiates ``plan_program(program,
+    optimize=False)``, the one recorded, and one built after it the
+    optimizer's plan again."""
+    with naive_plans() as installed:
+        naive = make_node(WIDE_VS_LINK)
+    opt = make_node(WIDE_VS_LINK)
+    program = parse_program(WIDE_VS_LINK)
+    assert [planned.plan.render() for planned in installed] == [
+        plan_program(program, optimize=False).plan.render()
+    ]
+    assert "(reordered)" not in installed[0].plan.render()
+    assert naive.compiled.procedure == installed[0].procedure
+    assert opt.compiled.procedure == plan_program(opt.compiled.program).procedure
+    assert opt.compiled.procedure != naive.compiled.procedure
+    assert not hasattr(opt, "optimize") and not hasattr(opt.compiled, "optimized")
+
+
+def assert_naive_plans_ran(installed):
+    """The naive side of a full run ran the naive plans of a program whose
+    optimized plan reorders at least one rule, so the comparison is not
+    vacuous."""
+    assert installed
+    for planned in installed:
+        program = planned.dataflow.program
+        assert planned is plan_program(program, optimize=False)
+        assert any(rule.reordered for rule in plan_program(program).plan.rules)
 
 
 # ---------------------------------------------------------------------------
-# Acceptance: full chord runs, optimized vs. unoptimized
+# Acceptance: full chord runs, optimized vs. naive
 # ---------------------------------------------------------------------------
 
 
@@ -371,9 +403,11 @@ def test_chord_static_bit_identical_optimized_vs_naive():
         lookup_rate=3.0,
         drain_time=15.0,
     )
-    a = run_static_experiment(8, optimize=True, **kwargs)
-    b = run_static_experiment(8, optimize=False, **kwargs)
+    a = run_static_experiment(8, **kwargs)
+    with naive_plans() as installed:
+        b = run_static_experiment(8, **kwargs)
     assert a.__dict__ == b.__dict__
+    assert_naive_plans_ran(installed)
 
 
 @pytest.mark.slow
@@ -393,6 +427,8 @@ def test_chord_churn_bit_identical_optimized_vs_naive():
             finger_period=5.0,
         ),
     )
-    a = run_churn_experiment(6, 120.0, optimize=True, **kwargs)
-    b = run_churn_experiment(6, 120.0, optimize=False, **kwargs)
+    a = run_churn_experiment(6, 120.0, **kwargs)
+    with naive_plans() as installed:
+        b = run_churn_experiment(6, 120.0, **kwargs)
     assert a.__dict__ == b.__dict__
+    assert_naive_plans_ran(installed)

@@ -17,6 +17,7 @@ equal, as must any error.
 import os
 import random
 import zlib
+from contextlib import nullcontext
 from functools import partial
 
 import pytest
@@ -38,6 +39,7 @@ from tests.support.genprograms import (
     random_value,
     table_arities,
 )
+from tests.support.oracles import naive_plans
 from tests.support.procedures import calls_the_walk, stats_saver
 from tests.support.reference import node_bind
 from tests.test_firing_tail import HANDLER_PROGRAM
@@ -190,9 +192,9 @@ def _random_feed(pair, rng, count):
         pair.feed(Tuple(name, fields))
 
 
-def _narada_mesh(nodes, seed, **engine):
-    """``build_narada_mesh(nodes, seed=seed)``, with the engine modes *engine*."""
-    mesh = NaradaMesh(OverlaySimulation(narada_program(), seed=seed, **engine))
+def _narada_mesh(nodes, seed):
+    """A Narada mesh of *nodes* members, each bootstrapped with two neighbors."""
+    mesh = NaradaMesh(OverlaySimulation(narada_program(), seed=seed))
     for _ in range(nodes):
         mesh.add_member(bootstrap_neighbors=2)
     return mesh
@@ -315,12 +317,15 @@ def test_ticks_and_refreshes_match_the_old_run_loop(monkeypatch):
 
 @pytest.mark.parametrize("optimize", [True, False])
 def test_every_handler_a_node_binds_is_generated_code(optimize):
-    chord = build_chord_network(8, seed=5, join_stagger=1.0, optimize=optimize)
+    """The optimized plans, and (``False``) the naive ones of ``naive_plans()``."""
+    with nullcontext() if optimize else naive_plans() as installed:
+        chord = build_chord_network(8, seed=5, join_stagger=1.0)
+        mesh = _narada_mesh(5, seed=4)
+    assert optimize or len(installed) == 2
     chord.simulation.run_for(60.0)
     for i, node in enumerate(chord.nodes):
         chord.issue_lookup(node, (i * 0x2F0F0F0F) % (1 << 32))
     chord.simulation.run_for(30.0)
-    mesh = _narada_mesh(5, seed=4, optimize=optimize)
     mesh.simulation.run_for(40.0)
     kinds = set()
     for node in chord.nodes + mesh.nodes:

@@ -83,7 +83,7 @@ class TestAckRetransmit:
         # the pure ack is a wire unit, not a message
         assert net.messages_sent == 1
         assert net.datagrams_sent == 2  # data + ack
-        assert net.stats_for("b").tx_bytes_by_category.get(ACK_CATEGORY, 0) > 0
+        assert net.stats["b"].tx_bytes_by_category.get(ACK_CATEGORY, 0) > 0
 
     def test_lost_datagram_retransmitted_and_delivered_once(self):
         loop, net, a, b = make_net()
@@ -141,11 +141,11 @@ class TestAckRetransmit:
         for i in range(extra):  # seqs 2 .. window + 2; the last two overrun
             net.send("a", "b", Tuple.make("ping", "b", 2 + i))
         loop.run_for(0.05)  # everything has landed, no retransmission yet
-        rx = net.stats_for("b")
+        rx = net.stats["b"]
         assert len(b.received) == 1 + window - 1
         assert rx.rx_messages == len(b.received)
         assert rx.rx_datagrams == 1 + extra
-        assert rx.rx_bytes == net.stats_for("a").tx_bytes - (
+        assert rx.rx_bytes == net.stats["a"].tx_bytes - (
             Tuple.make("ping", "b", 1).estimate_size() + PACKET_OVERHEAD_BYTES
         )
         assert net.messages_dropped == 2

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import Tuple
+from repro.core.errors import NetworkError, ValueError_
 from repro.runtime import OverlaySimulation
 from repro.net import UniformTopology
 
@@ -106,6 +107,19 @@ class TestGossipOverlay:
 
 
 class TestRuntimeBasics:
+    def test_out_of_range_simulation_parameters_rejected(self):
+        # a NaN or -1 loss rate used to mean no loss, and id_bits=0 a ring
+        # where every node id is 0
+        program = "materialize(t, infinity, infinity, keys(1))."
+        for loss_rate in (float("nan"), -1, 2):
+            with pytest.raises(NetworkError, match=r"loss_rate must be in \[0, 1\]"):
+                OverlaySimulation(program, loss_rate=loss_rate)
+        for bits in (0, -3, float("nan"), 8.0):
+            with pytest.raises(ValueError_, match="integer >= 1"):
+                OverlaySimulation(program, id_bits=bits)
+        sim = OverlaySimulation(program, loss_rate=1.0, id_bits=1)
+        assert sim.network.loss_rate == 1.0 and sim.idspace.size == 2
+
     def test_boot_installs_facts(self):
         program = (
             "materialize(landmark, infinity, 1, keys(1)).\n"

@@ -186,8 +186,8 @@ class TestCrossShardTransport:
         assert b.received == tuples
         assert net.datagrams_sent == len(b.batches)
         assert net.datagrams_sent < 40
-        assert net.stats_for("b").rx_messages == 40
-        assert net.stats_for("b").rx_datagrams == net.datagrams_sent
+        assert net.stats["b"].rx_messages == 40
+        assert net.stats["b"].rx_datagrams == net.datagrams_sent
 
     def test_fail_while_cross_shard_delivery_in_flight_counts_drop(self):
         """A node dying between send and delivery drops the datagrams,
@@ -200,7 +200,7 @@ class TestCrossShardTransport:
         loop.run_until(1.0)
         assert b.received == []
         assert net.messages_dropped == 11
-        assert net.stats_for("b").rx_messages == 0
+        assert net.stats["b"].rx_messages == 0
 
     def test_cross_shard_loss_is_per_datagram(self):
         loop, net, a, b = make_sharded_net(loss_rate=0.5, mtu=200)
@@ -233,7 +233,7 @@ class TestCrossShardTransport:
         assert loop.pending() >= 2
         loop.run_until(1.0)
         assert len(observer.received) == 6
-        assert net.stats_for("obs").rx_messages == 6
+        assert net.stats["obs"].rx_messages == 6
 
     def test_loopless_endpoint_respects_lookahead_on_transit_stub(self):
         """Same-domain latency (2·intra) is far below the cross-shard
@@ -262,7 +262,7 @@ class TestCrossShardTransport:
         )
         loop.run_until(5.0)
         assert sorted(t[1] for t in observer.received) == [1, 2]
-        assert net.stats_for("obs").rx_messages == 2
+        assert net.stats["obs"].rx_messages == 2
 
 
 PING_PROGRAM = """

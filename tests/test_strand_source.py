@@ -21,6 +21,7 @@ from repro.planner import Planner, plan_program
 from repro.planner.strand_compiler import MAX_BLOCKS, procedure_triggers
 
 from tests.support.genprograms import make_node
+from tests.support.oracles import naive_plans
 from tests.support.procedures import Twins, bind_capturing, calls_the_walk, fire
 from tests.support.reference import reference_bind
 from tests.test_strand_fusion import OVERLAY_PROGRAMS
@@ -250,8 +251,12 @@ def test_nodes_compiled_from_one_program_share_code_objects():
         ha, hb = bind_capturing(a, trigger)[0], bind_capturing(b, trigger)[0]
         # ... bound per node: one code object, each node's own closure
         assert ha is not hb and ha.__code__ is hb.__code__
-    naive = make_node(program, address="c", optimize=False)
+    with naive_plans():
+        naive = make_node(program, address="c")
     assert naive.compiled.procedure("lookup") is not a.compiled.procedure("lookup")
+    # the naive plan's files are kept apart from the optimized plan's
+    files = [bind_capturing(node, "lookup")[0].__code__.co_filename for node in (a, naive)]
+    assert os.path.dirname(files[0]) != os.path.dirname(files[1])
     assert plan_program(program).procedure("lookup") is a.compiled.procedure("lookup")
 
 
@@ -330,9 +335,8 @@ def test_explain_source_is_the_text_nodes_run_and_needs_no_host():
         generated = "".join(linecache.getlines(filename))
         assert generated and generated in text
     assert text == Planner.explain_source(OVERLAY_PROGRAMS["pingpong"])
-    assert "def handle(event):" in Planner.explain_source(
-        OVERLAY_PROGRAMS["pingpong"], optimize=False
-    )
+    with naive_plans():
+        assert "def handle(event):" in Planner.explain_source(OVERLAY_PROGRAMS["pingpong"])
 
 
 def test_sha1_sized_ring_takes_the_right_finger():

@@ -17,7 +17,8 @@ per tuple.  These tests pin down:
   order), and that a node fed tuple-at-a-time and datagram-at-a-time
   (``receive_batch``) reaches the same table fixpoint;
 * the determinism regression: ``chord_static`` produces identical lookup
-  metrics and ``messages_sent`` batched and unbatched.
+  metrics and ``messages_sent`` batched and under ``unbatched()``
+  (``tests/support/oracles.py``, where every node sends tuple-at-a-time).
 """
 
 import random
@@ -35,6 +36,7 @@ from repro.net import (
     UniformTopology,
 )
 from repro.sim import EventLoop, GilbertElliott, LinkConditioner
+from tests.support import oracles
 from tests.support.packing import PackingNetwork, pack_datagrams
 
 
@@ -150,9 +152,9 @@ class TestSendBatchAccounting:
         assert net_b.total_tx_bytes() == net_u.total_tx_bytes() - saved
         # receivers see the same saving, the same tuples, in the same order
         assert bb.received == bu.received == tuples
-        assert net_b.stats_for("b").rx_bytes == net_u.stats_for("b").rx_bytes - saved
-        assert net_b.stats_for("b").rx_messages == n
-        assert net_b.stats_for("b").rx_datagrams == net_b.datagrams_sent
+        assert net_b.stats["b"].rx_bytes == net_u.stats["b"].rx_bytes - saved
+        assert net_b.stats["b"].rx_messages == n
+        assert net_b.stats["b"].rx_datagrams == net_b.datagrams_sent
 
     def test_per_category_totals_are_exact(self):
         tuples = mixed_burst()
@@ -161,15 +163,15 @@ class TestSendBatchAccounting:
         for d in pack_datagrams(tuples, classify, MTU_BYTES):
             for cat, nbytes in d.bytes_by_category.items():
                 expected[cat] = expected.get(cat, 0) + nbytes
-        stats = net_b.stats_for("a")
+        stats = net_b.stats["a"]
         assert stats.tx_bytes_by_category == expected
-        assert net_b.stats_for("b").rx_bytes_by_category == expected
+        assert net_b.stats["b"].rx_bytes_by_category == expected
         # category payloads (bytes net of framing) agree across both paths
         for cat in ("lookup", "maintenance"):
             payload = sum(
                 t.estimate_size() for t in tuples if classify(t) == cat
             )
-            assert net_u.stats_for("a").tx_bytes_by_category[cat] == payload + (
+            assert net_u.stats["a"].tx_bytes_by_category[cat] == payload + (
                 PACKET_OVERHEAD_BYTES
                 * sum(1 for t in tuples if classify(t) == cat)
             )
@@ -180,8 +182,8 @@ class TestSendBatchAccounting:
         (net_u, _), (net_b, _) = self.run_both(tuples)
         saved = (30 - net_b.datagrams_sent) * PACKET_OVERHEAD_BYTES
         assert (
-            net_b.stats_for("a").tx_bytes_by_category["maintenance"]
-            == net_u.stats_for("a").tx_bytes_by_category["maintenance"] - saved
+            net_b.stats["a"].tx_bytes_by_category["maintenance"]
+            == net_u.stats["a"].tx_bytes_by_category["maintenance"] - saved
         )
 
     def test_hooks_fire_per_tuple_with_send_time(self):
@@ -211,7 +213,7 @@ class TestSendBatchAccounting:
         assert net.messages_sent == 10
         assert net.messages_dropped == 10
         # bytes were still marshaled and accounted at the sender, like UDP
-        assert net.stats_for("a").tx_messages == 10
+        assert net.stats["a"].tx_messages == 10
 
     def test_dead_destination_drops_on_delivery(self):
         loop, net, _, b = make_net()
@@ -221,7 +223,7 @@ class TestSendBatchAccounting:
         loop.run()
         assert b.received == []
         assert net.messages_dropped == 10
-        assert net.stats_for("b").rx_messages == 0
+        assert net.stats["b"].rx_messages == 0
 
     def test_full_loss_drops_every_datagram(self):
         loop, net, _, b = make_net(loss_rate=1.0)
@@ -370,7 +372,7 @@ class TestDeliveryRaces:
         loop.run()
         assert b.received == []
         assert net.messages_dropped == 2
-        assert net.stats_for("b").rx_messages == 0
+        assert net.stats["b"].rx_messages == 0
 
     def test_churn_race_in_a_live_overlay(self):
         """Kill a node while pings to it are in flight: the messages must be
@@ -510,9 +512,11 @@ class TestChordDeterminism:
     def results(self):
         from repro.experiments import run_static_experiment
 
-        batched = run_static_experiment(8, batching=True, **self.KWARGS)
-        unbatched = run_static_experiment(8, batching=False, **self.KWARGS)
-        return batched, unbatched
+        batched = run_static_experiment(8, **self.KWARGS)
+        with oracles.unbatched() as built:
+            tuple_at_a_time = run_static_experiment(8, **self.KWARGS)
+        assert len(built) == 8
+        return batched, tuple_at_a_time
 
     @pytest.mark.slow
     def test_lookup_metrics_identical(self, results):
@@ -532,8 +536,10 @@ class TestChordDeterminism:
     @pytest.mark.slow
     def test_batching_actually_batches(self, results):
         batched, unbatched = results
+        # the oracle ran: one datagram per tuple, and trains send fewer
         assert unbatched.datagrams_sent == unbatched.messages_sent
         assert batched.datagrams_sent < batched.messages_sent
+        assert batched.datagrams_sent < unbatched.datagrams_sent
         # fewer framings on the wire -> strictly less maintenance bandwidth
         assert (
             batched.maintenance_bytes_per_second

@@ -43,7 +43,7 @@ test-planner:
 # procedures' rescan skip, rules past CPython's nesting limits run as
 # generated code (split strands, spilled chains) with the walk and the
 # interpreter made to raise, the generated table writes and key probes against
-# Table.insert and its probers, the runtime node, and the golden generated text.
+# the model table, the runtime node, and the golden generated text.
 test-runloop:
 	$(PYTHON) -m pytest -x -q tests/test_relation_procedure.py tests/test_firing_tail.py \
 	  tests/test_strand_fusion.py tests/test_strand_source.py tests/test_soft_state_deltas.py \
@@ -59,15 +59,16 @@ golden:
 	git diff --stat tests/golden
 
 # The table layer and its access paths: key formats and table operations, the
-# remove-then-re-add model (covering probes included), the write blocks and
-# key probes generated from a table's declaration against Table.insert and its
-# probers, the index plan and where it is installed, the golden plans and
-# strands, and the procedures that probe and write.
+# remove-then-re-add model table (the one oracle; covering probes included),
+# the write blocks and key probes generated from a table's declaration — a
+# node's and Table.insert's own — against that model, the index plan and where
+# it is installed, the golden plans and strands, the procedures that probe and
+# write, and the runtime node (the change signal's one subscriber).
 test-tables:
 	$(PYTHON) -m pytest -x -q tests/test_tables.py tests/test_soft_state_deltas.py \
 	  tests/test_generated_tables.py \
 	  tests/test_planner_opt.py tests/test_plan_once.py tests/test_golden_plans.py \
-	  tests/test_relation_procedure.py
+	  tests/test_relation_procedure.py tests/test_runtime_node.py
 
 # Static analysis over the bundled overlays and every example program;
 # --strict makes warnings (dead rules, unread tables, ...) fail the build.
@@ -84,8 +85,8 @@ lint-py: check-pythonpath
 	$(PYTHON) -m repro.detlint --strict src/repro benchmarks
 
 # The quick loop: everything except the multi-second Figure 3/4 experiment
-# sweeps (marked `slow`); about a minute on two cores (1,032 tests in 53 s),
-# against about 80 s for the whole suite.
+# sweeps (marked `slow`); about a minute on two cores (1,072 tests in 67 s),
+# against about 90 s for the whole suite.
 test-fast:
 	$(PYTHON) -m pytest -x -q -m "not slow"
 

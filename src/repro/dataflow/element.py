@@ -66,7 +66,7 @@ class Element:
         self.name = name or self.kind
         self.stats = ElementStats()
 
-    def process(self, tup: Tuple, port: int = 0) -> Iterable[Tuple]:
+    def process(self, tup: Tuple) -> Iterable[Tuple]:
         """Transform one input tuple into zero or more output tuples.
 
         Subclasses implement this; the default is the identity.

@@ -91,7 +91,7 @@ class Select(PelElement):
         super().__init__(host, name)
         self.program = program
 
-    def process(self, tup: Tuple, port: int = 0) -> Iterable[Tuple]:
+    def process(self, tup: Tuple) -> Iterable[Tuple]:
         if values.to_bool(self._eval(self.program, tup.fields)):
             return (tup,)
         self.stats.dropped += 1
@@ -107,7 +107,7 @@ class Assign(PelElement):
         super().__init__(host, name)
         self.program = program
 
-    def process(self, tup: Tuple, port: int = 0) -> Iterable[Tuple]:
+    def process(self, tup: Tuple) -> Iterable[Tuple]:
         return (tup.append(self._eval(self.program, tup.fields)),)
 
 
@@ -127,7 +127,7 @@ class Project(PelElement):
         self.programs = list(programs)
         self.output_name = output_name
 
-    def process(self, tup: Tuple, port: int = 0) -> Iterable[Tuple]:
+    def process(self, tup: Tuple) -> Iterable[Tuple]:
         fields = [self._eval(p, tup.fields) for p in self.programs]
         return (Tuple(self.output_name, fields),)
 
@@ -172,7 +172,7 @@ class LookupJoin(PelElement):
         key = [self._eval(p, tup.fields) for p in self.key_programs]
         return self.table.lookup(self.table_positions, key, now)
 
-    def process(self, tup: Tuple, port: int = 0) -> Iterable[Tuple]:
+    def process(self, tup: Tuple) -> Iterable[Tuple]:
         name = tup.name
         fields = tup.fields
         out = [Tuple(name, fields + row.fields) for row in self._matches(tup)]
@@ -187,7 +187,7 @@ class AntiJoin(LookupJoin):
 
     kind = "antijoin"
 
-    def process(self, tup: Tuple, port: int = 0) -> Iterable[Tuple]:
+    def process(self, tup: Tuple) -> Iterable[Tuple]:
         if self._matches(tup):
             self.stats.dropped += 1
             return ()

@@ -14,11 +14,11 @@ aggregate.  Everything a node runs is a firing of one of them.
 A procedure, ``handle(…)``: for a relation, count the dispatch, call the live
 subscribers and write the tuple to the relation's table — the write block
 :func:`~repro.tables.table.write_source` generates from the table's
-declaration, the relation's arity and the planned indexes, spliced in where
-``Table.insert`` would be called; then each of the trigger's strands in
-order, and right after it that firing's heads routed by the strand's static
-``loc_position``/``is_delete`` (:func:`_route`, the one place a head's
-destination is decided).  Each strand's body is *inlined*
+declaration, the relation's arity and the planned indexes (the block
+``Table.insert`` runs, unrolled for the arity); then each of the trigger's
+strands in order, and right after it that firing's heads routed by the
+strand's static ``loc_position``/``is_delete`` (:func:`_route`, the one
+place a head's destination is decided).  Each strand's body is *inlined*
 (:class:`_Emitter`, names prefixed ``s<i>_``): select → assign →
 join(s)/antijoin → project → optional aggregate as nested ``if``/``for``
 over bare field tuples (a continuous strand's inside one loop over its base
@@ -94,7 +94,7 @@ from ..dataflow.operators import AntiJoin, Assign, LookupJoin, Select
 from ..overlog.check import signatures
 from ..pel.program import Program
 from ..pel.vm import REFUSED, Expression, ExpressionEmitter, load_generated
-from ..tables.table import TableStore, covers_key, key_probe_source, write_source
+from ..tables.table import TableStore, covers_key, key_probe_source, row_width, write_source
 from .strand import ContinuousAggregateStrand
 
 _INDENT = "    "
@@ -573,6 +573,7 @@ def generate_procedure(
     pel_binds: set = set()
     names: Dict[str, Any] = dict(_NAMES)
     sites: List[PyTuple[str, int, Dict[int, tuple]]] = []
+    checked = 0  # the event fields an arity test has vouched for so far
     if kind == "relation":
         stored = trigger is not None and compiled.program.is_materialized(trigger)
         name = f"relation {trigger}" if trigger else "any other relation"
@@ -587,10 +588,13 @@ def generate_procedure(
             handle.append("    f0 = event.fields")
         if stored:
             uses.add("loop")
+            table = tables.get(trigger)
             write_binds, write, write_names = write_source(
-                tables.get(trigger), signatures(compiled.program)[trigger].arity, CLOCK,
+                table, signatures(compiled.program)[trigger].arity, CLOCK,
                 f"node.tables.get({trigger!r})",
             )
+            # the write block raised for any tuple shorter than its bound
+            checked = row_width(table.key_positions, table.indexed_positions())
             binds += write_binds
             names.update(write_names)
             handle += [_INDENT + text for text in write]
@@ -599,7 +603,6 @@ def generate_procedure(
         header = f"# {name}: {len(strands)} strand(s)"
         if kind == "periodic":
             handle.append("    f0 = event.fields")
-    checked = 0  # the event fields an arity test has vouched for so far
     for i, strand in enumerate(strands):
         ns = f"s{i}_"
         handle.append(f"    # {strand.describe()}")

@@ -147,7 +147,7 @@ class P2Node:
         The node object is reused rather than rebuilt: its bound procedures
         hold its table objects by reference, and the network keeps its
         topology index — so the reset happens *in place*: tables are wiped
-        (no delete listeners — the process is gone, nothing observes the
+        (no change signal — the process is gone, nothing observes the
         loss), queued-but-unprocessed tuples are dropped, and the continuous
         aggregates' change-suppression caches are reset so the node
         re-derives and re-emits from genuinely empty state.  Then the
@@ -306,15 +306,13 @@ class P2Node:
     def _wire_continuous_aggregates(self) -> None:
         dirty, dirty_set = self._dirty_continuous, self._dirty_set
         for index, strand in enumerate(self.compiled.continuous):
-            def mark_dirty(_tup, trigger=("continuous", index)) -> None:
+            def mark_dirty(trigger=("continuous", index)) -> None:
                 if trigger not in dirty_set:
                     dirty_set.add(trigger)
                     dirty.append(trigger)
 
             for table in strand.watched_tables:
-                table.on_insert(mark_dirty)
-                table.on_delete(mark_dirty)
-                table.on_expire(mark_dirty)
+                table.on_change(mark_dirty)
 
     # ------------------------------------------------------------------ introspection
     def describe_dataflow(self) -> str:

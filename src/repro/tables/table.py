@@ -18,15 +18,18 @@ paper describes in Sections 2.1 and 3.2:
   and a check of the remaining fields), and otherwise by a secondary
   in-memory index on exactly its positions, if one was added, or by a scan —
   so a table keeps only the indexes a probe the key cannot answer reads;
-* listeners can observe inserts, deletes, and expirations — the dataflow
-  layer uses these for table-delta rule strands and continuous aggregates.
+* one change signal (:meth:`Table.on_change`) tells a listener that the
+  table was written, deleted from or swept by expiry — the continuous
+  aggregates use it to know when to recompute.
 
-A node's generated procedures (:mod:`repro.planner.strand_compiler`) do not
-call :meth:`Table.insert` or a primary-key prober: they inline the text this
-module generates from the same contract — :func:`write_source`, a stored
-relation's write block, specialised to its declaration, arity and planned
-indexes; :func:`key_probe_source`, a probe that :func:`covers_key`.  The
-methods stay the API and the oracle the generated text is tested against.
+A write and a probe the primary key answers have one implementation each:
+the text this module generates from the table's declaration —
+:func:`write_source`, a stored relation's write block, specialised to its
+key, ``lifetime``, ``max_size``, indexes and (for a node) its arity;
+:func:`key_probe_source`, a probe that :func:`covers_key`.  A node's
+generated procedures (:mod:`repro.planner.strand_compiler`) inline that
+text; :meth:`Table.insert` and :meth:`Table.prober` compile it for the table
+they are called on.
 
 Time is externalised: the table never reads a wall clock, it is told the
 current time by its caller (the node runtime, which in turn asks the
@@ -40,11 +43,12 @@ Keys are stored the way :func:`operator.itemgetter` extracts them: the bare
 value for a one-field key, primary or secondary, a tuple otherwise — no
 1-tuple is built per write or probe.  The format is private to this module:
 :meth:`Table.primary_key` returns a tuple, and :meth:`Table.get`,
-:meth:`Table.delete_by_key`, :meth:`Table.lookup` and a prober take one.
+:meth:`Table.lookup` and a prober take one.
 """
 
 from __future__ import annotations
 
+import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
 from operator import itemgetter
@@ -62,11 +66,13 @@ from typing import (
 
 from ..core.errors import TableError
 from ..core.tuples import Tuple, identical_fields, key_getter
+from ..pel.vm import load_generated
 
 Key = PyTuple[Any, ...]
-Listener = Callable[[Tuple], None]
 
 INFINITY = float("inf")
+
+_INDENT = "    "
 
 #: stands for a key of the wrong width, which matches no row
 _NO_KEY = object()
@@ -85,8 +91,9 @@ def _stored_key(positions: Sequence[int]) -> Callable[[Sequence[Any]], Any]:
     return itemgetter(*positions) if positions else key_getter(positions)
 
 
-def _row_width(key_positions: Sequence[int], indexes: Iterable[Sequence[int]]) -> int:
-    """The fields a row needs: one past the highest key or index position."""
+def row_width(key_positions: Sequence[int], indexes: Iterable[Sequence[int]]) -> int:
+    """The fields a row needs, the bound a write block checks: one past the
+    highest key or index position."""
     return 1 + max(p for positions in (key_positions, *indexes) for p in positions)
 
 
@@ -163,28 +170,21 @@ class Table:
         # ``now`` is below it, expire() is a single comparison.
         self._next_expiry: float = INFINITY
         self._indices: Dict[PyTuple[int, ...], _SecondaryIndex] = {}
-        #: the fields a row needs (:func:`_row_width`), checked before a write
-        self._width = _row_width(self.key_positions, ())
+        #: the fields a row needs (:func:`row_width`), checked before a write
+        self._width = row_width(self.key_positions, ())
         #: positions -> the prober :meth:`prober` built for them
         self._probers: Dict[PyTuple[int, ...], Callable[[Key, float], Sequence[Tuple]]] = {}
-        self._insert_listeners: List[Listener] = []
-        self._delete_listeners: List[Listener] = []
-        self._expire_listeners: List[Listener] = []
-        #: a generated write block is bound to this table (:meth:`write_buckets`)
+        self._change_listeners: List[Callable[[], None]] = []
+        #: :meth:`insert`'s write block, built on the first insert
+        self._write: Optional[Callable[[Tuple, float], None]] = None
+        #: a node's write block is bound to this table (:meth:`write_buckets`)
         self._written_by_code = False
 
-    # -- listeners -------------------------------------------------------------
-    def on_insert(self, fn: Listener) -> None:
-        """Call *fn* with each tuple inserted (or refreshed) into the table."""
-        self._insert_listeners.append(fn)
-
-    def on_delete(self, fn: Listener) -> None:
-        """Call *fn* with each tuple explicitly deleted or evicted."""
-        self._delete_listeners.append(fn)
-
-    def on_expire(self, fn: Listener) -> None:
-        """Call *fn* with each tuple that times out."""
-        self._expire_listeners.append(fn)
+    def on_change(self, fn: Callable[[], None]) -> None:
+        """Call ``fn()`` once after each write (a refresh, and the evictions
+        it caused, included), once per delete and once per expiry sweep that
+        dropped a row."""
+        self._change_listeners.append(fn)
 
     # -- indices ---------------------------------------------------------------
     def add_index(self, positions: Sequence[int]) -> None:
@@ -206,8 +206,9 @@ class Table:
         for pk, (tup, _) in self._rows.items():
             index.add(pk, tup)
         self._indices[key] = index
-        self._width = _row_width(self.key_positions, self._indices)
+        self._width = row_width(self.key_positions, self._indices)
         self._probers.clear()  # a prober asked for from now on may use it
+        self._write = None  # a write must maintain it
 
     def has_index(self, positions: Sequence[int]) -> bool:
         """Whether a probe on *positions* is answered without a scan."""
@@ -264,86 +265,46 @@ class Table:
         return (pk,) if len(self.key_positions) == 1 else pk
 
     def insert(self, tup: Tuple, now: float) -> bool:
-        """Insert (or refresh) *tup* at time *now*.
-
-        Returns True if the table contents changed or the tuple was refreshed;
-        in either case insert listeners fire (P2 propagates deltas on refresh,
-        which is what keeps soft state alive across the overlay).
+        """Insert (or refresh) *tup* at time *now*; returns True.
 
         Soft state is kept alive by re-inserting it, so most writes find the
         row they carry already stored.  Such a refresh — the stored fields are
         :func:`~repro.core.tuples.identical_fields` to the new ones — pays for
         what it changes: the row's age, its place at the tail of the scan
         order and of each secondary-index bucket.  Anything else is a change
-        of content and bumps :attr:`version`.
+        of content and bumps :attr:`version`.  Either way the change signal
+        fires (P2 propagates deltas on refresh, which is what keeps soft
+        state alive across the overlay).  The write is the block a node
+        inlines (:func:`write_source`, here for any arity), built on the
+        first insert and again after :meth:`add_index`.
         """
         if tup.name != self.name:
             raise TableError(f"tuple {tup.name!r} inserted into table {self.name!r}")
-        if now >= self._next_expiry:
-            self.expire(now)
-        fields = tup.fields
-        # checked before anything moves: a write is all or nothing
-        if len(fields) < self._width:
-            raise self._misfit(tup)
-        pk = self._key_of(fields)
-        rows = self._rows
-        existing = rows.get(pk)
-        if existing is not None and identical_fields(existing[0].fields, fields):
-            self.stats.refreshes += 1
-            rows[pk] = (tup, now)
-            rows.move_to_end(pk)
-            if len(rows) == 1 and self.lifetime != INFINITY:
-                self._next_expiry = now + self.lifetime
-            for index in self._indices.values():
-                # to the tail of its bucket: bucket order is the order a join
-                # sees its matches, and a re-added row would be last
-                bucket = index._buckets[index._key_of(fields)]
-                del bucket[pk]
-                bucket[pk] = tup
-        else:
-            if existing is not None:
-                if self._indices:
-                    self._remove_from_indices(pk, existing[0])
-                del rows[pk]
-                self.stats.replacements += 1
-            else:
-                self.stats.inserts += 1
-            self.version += 1
-            if not rows and self.lifetime != INFINITY:
-                self._next_expiry = now + self.lifetime
-            rows[pk] = (tup, now)
-            for index in self._indices.values():
-                index.add(pk, tup)
-            if len(rows) > self.max_size:
-                self._enforce_size()
-        for fn in self._insert_listeners:
-            fn(tup)
+        write = self._write
+        if write is None:
+            binds, body, names = write_source(self, None, "now", "table")
+            sealed = self._written_by_code  # binding it seals no index
+            body = ["f0 = event.fields", *body]
+            write = self._write = _bound(self, binds, "write(event, now)", body, names)
+            self._written_by_code = sealed
+        write(tup, now)
         return True
 
     def delete(self, tup: Tuple, now: float) -> bool:
         """Delete the tuple with *tup*'s primary key.  Returns True if present."""
         if now >= self._next_expiry:
             self.expire(now)
-        return self._drop(self._stored_pk(tup)) is not None
-
-    def delete_by_key(self, key: Key, now: float) -> Optional[Tuple]:
-        """Delete by primary key value; returns the removed tuple if any."""
-        if now >= self._next_expiry:
-            self.expire(now)
-        return self._drop(self._stored_pk_of_key(key))
-
-    def _drop(self, pk: Any) -> Optional[Tuple]:
+        pk = self._stored_pk(tup)
         entry = self._rows.pop(pk, None)
         if entry is None:
-            return None
-        stored = entry[0]
+            return False
         if self._indices:
-            self._remove_from_indices(pk, stored)
+            self._remove_from_indices(pk, entry[0])
         self.stats.deletes += 1
         self.version += 1
-        for fn in self._delete_listeners:
-            fn(stored)
-        return stored
+        for fn in self._change_listeners:
+            fn()
+        return True
 
     def expire(self, now: float) -> List[Tuple]:
         """Drop tuples older than the table lifetime; returns what was dropped.
@@ -372,13 +333,12 @@ class Table:
         if expired:
             self.stats.expirations += len(expired)
             self.version += 1
-            for tup in expired:
-                for fn in self._expire_listeners:
-                    fn(tup)
+            for fn in self._change_listeners:
+                fn()
         return expired
 
     def clear(self) -> int:
-        """Drop every row without firing any listener (power-cycle semantics).
+        """Drop every row without a change signal (power-cycle semantics).
 
         Used by :meth:`~repro.runtime.node.P2Node.restart`: a crashed process
         loses its soft state silently — no delete rules, no
@@ -411,10 +371,11 @@ class Table:
     def prober(self, positions: Sequence[int]) -> Callable[[Key, float], Sequence[Tuple]]:
         """``probe(key, now) -> rows`` for *positions*: the one place the access
         path is chosen.  Positions that :func:`covers_key` are answered by the
-        primary key — one ``dict`` lookup, then the remaining fields compared
-        the way the ``dict`` compares keys (identity first, then ``==``);
-        other positions by the secondary index on exactly them, if there is
-        one; anything else by a scan.
+        primary key, through the text :func:`key_probe_source` generates — one
+        ``dict`` lookup, then the remaining fields compared the way the
+        ``dict`` compares keys (identity first, then ``==``); other positions
+        by the secondary index on exactly them, if there is one; anything else
+        by a scan.
 
         Generated procedures take a prober once per join the key does not
         answer and call it per probe (a probe the key answers is inlined,
@@ -433,33 +394,16 @@ class Table:
         return probe
 
     def _make_prober(self, positions: PyTuple[int, ...]) -> Callable[[Key, float], Sequence[Tuple]]:
+        if covers_key(positions, self.key_positions):
+            keys = [f"key[{at}]" for at in range(len(positions))]
+            binds, statements, test, row = key_probe_source(
+                "table", self, positions, keys, "now", "hit"
+            )
+            return _bound(self, binds, "probe(key, now)",
+                          [*statements, f"return ({row},) if {test} else ()"], {})
         stats = self.stats
         expire = self.expire
         rows = self._rows
-        key_positions = self.key_positions
-        if covers_key(positions, key_positions):
-            get = rows.get
-            pk_of = _stored_key([positions.index(p) for p in key_positions])
-            rest = [(p, at) for at, p in enumerate(positions) if p not in key_positions]
-            if rest:
-                field_of = _stored_key([p for p, _ in rest])
-                wanted_of = _stored_key([at for _, at in rest])
-
-            def probe(key: Key, now: float) -> Sequence[Tuple]:
-                if now >= self._next_expiry:
-                    expire(now)
-                stats.lookups += 1
-                entry = get(pk_of(key))
-                if entry is None:
-                    return ()
-                row = entry[0]
-                if rest:
-                    value, wanted = field_of(row.fields), wanted_of(key)
-                    if not (value is wanted or value == wanted):
-                        return ()
-                return (row,)
-
-            return probe
         index = self._indices.get(positions)
         if index is not None:
             get_bucket = index._buckets.get
@@ -501,10 +445,6 @@ class Table:
     def __iter__(self) -> Iterator[Tuple]:
         return iter(tup for tup, _ in self._rows.values())
 
-    def __contains__(self, tup: Tuple) -> bool:
-        entry = self._rows.get(self._stored_pk(tup))
-        return entry is not None and entry[0] == tup
-
     # -- internals -----------------------------------------------------------------
     def _remove_from_indices(self, pk: Any, tup: Tuple) -> None:
         for index in self._indices.values():
@@ -519,8 +459,6 @@ class Table:
             self._remove_from_indices(pk, tup)
             self.stats.evictions += 1
             self.version += 1
-            for fn in self._delete_listeners:
-                fn(tup)
 
     def __repr__(self) -> str:
         return (
@@ -530,10 +468,30 @@ class Table:
 
 
 # -- generated code -------------------------------------------------------------
-# The text a node's procedures inline in place of ``Table.insert`` and of a
-# primary-key prober.  It lives here, beside the methods, because it is the same
-# contract specialised: what those methods decide per call from the table's
-# declaration and installed indexes is decided once, when the text is made.
+# A write and a probe the primary key answers, as text specialised to a table's
+# declaration and installed indexes: what would be decided per call is decided
+# once, when the text is made.  A node's procedures inline it; ``Table.insert``
+# and ``Table.prober`` compile it for their table.
+
+
+#: generated text -> its ``bind``: tables of one declaration share the code
+_BINDERS: Dict[str, Callable[..., Any]] = {}
+
+
+def _bound(
+    table: Table, binds: List[str], signature: str, body: List[str], names: Dict[str, Any]
+) -> Callable[..., Any]:
+    """The function *signature* with *body*, generated, once *binds* have run
+    with ``table`` bound to *table*."""
+    text = "\n".join([
+        "def bind(table):", *[_INDENT + line for line in binds], f"{_INDENT}def {signature}:",
+        *[2 * _INDENT + line for line in body], f"{_INDENT}return {signature.split('(')[0]}",
+    ]) + "\n"
+    bind = _BINDERS.get(text)
+    if bind is None:
+        path = ("tables", "generated", f"{zlib.crc32(text.encode()):08x}.py")
+        bind = _BINDERS[text] = load_generated(text, path, names)["bind"]
+    return bind(table)
 
 
 def _key_text(items: Sequence[str]) -> str:
@@ -565,19 +523,21 @@ def _identical(old: str, row: str, new: str, arity: Optional[int]) -> str:
 def write_source(
     table: Table, arity: Optional[int], clock: str, table_expr: str
 ) -> PyTuple[List[str], List[str], Dict[str, Any]]:
-    """A write block for *table*'s relation: what :meth:`Table.insert` does
-    for a tuple ``event`` with fields ``f0`` at time *clock*, specialised to
-    the table's :meth:`Table.declaration` and to *arity* (the relation's, or
-    ``None``).  Returns ``(bind statements, body statements, names)``: the
-    bind statements read the table from *table_expr* once, the body runs per
-    tuple, *names* are the module globals both use.
+    """A write block for *table*'s relation: the write of a tuple ``event``
+    with fields ``f0`` at time *clock*, specialised to the table's
+    :meth:`Table.declaration` and to *arity* (the relation's, or ``None``:
+    :meth:`Table.insert`'s block, for rows of any arity).  Returns ``(bind
+    statements, body statements, names)``: the bind statements read the
+    table from *table_expr* once, the body runs per tuple, *names* are the
+    module globals both use.
 
     Left out, because the declaration decides them: the name check (a
     procedure only ever sees its own relation), the expiry bound for an
     infinite ``lifetime``, eviction for an infinite ``max_size``, the loop over
     the indexes (one straight-line block each).  A tuple too short for the
-    key or an index raises :meth:`Table.insert`'s :class:`TableError`, after
-    the same expiry and before anything moves.
+    key or an index (:func:`row_width`) raises :class:`TableError` after
+    expiry and before anything else moves.  The block ends with the table's
+    change signal.
     """
     key_positions, lifetime, max_size, indexes = declared = table.declaration()
     finite = lifetime != INFINITY
@@ -591,7 +551,7 @@ def write_source(
         "t_move = t_rows.move_to_end",
         "t_stats = t_table.stats",
         "t_expire = t_table.expire",
-        "t_listeners = t_table._insert_listeners",
+        "t_listeners = t_table._change_listeners",
     ]
     if max_size != INFINITY:
         binds.append("t_evict = t_table._enforce_size")
@@ -600,7 +560,7 @@ def write_source(
         f"now = {clock}",
         "if now >= t_table._next_expiry:",
         "    t_expire(now)",
-        f"if len(f0) < {_row_width(key_positions, indexes)}:",
+        f"if len(f0) < {row_width(key_positions, indexes)}:",
         "    raise t_table._misfit(event)",
         f"pk = {_fields_key('f0', key_positions)}",
         "old = t_get(pk)",
@@ -635,16 +595,16 @@ def write_source(
         body.append(f"    t_index{j}.setdefault({_fields_key('f0', positions)}, {{}})[pk] = event")
     if max_size != INFINITY:
         body += [f"    if len(t_rows) > {max_size!r}:", "        t_evict()"]
-    body += ["for fn in t_listeners:", "    fn(event)"]
+    body += ["for fn in t_listeners:", "    fn()"]
     return binds, body, {"t_DECLARED": declared, "identical_fields": identical_fields}
 
 
 def key_probe_source(
     name: str, table: Table, positions: Sequence[int], keys: Sequence[str], clock: str, hit: str
 ) -> PyTuple[List[str], List[str], str, str]:
-    """A probe of *table* on *positions* that :func:`covers_key`, inline:
-    what the prober :meth:`Table.prober` builds for them does, for the key
-    texts *keys* (one per position, each cheap and unable to raise).
+    """A probe of *table* on *positions* that :func:`covers_key`, inline, for
+    the key texts *keys* (one per position, each cheap and unable to raise):
+    what a node's procedures inline and :meth:`Table.prober` compiles.
 
     Returns ``(bind statements, statements, hit test, row)``: the bind
     statements read the table from ``name`` (bound by the caller) into
@@ -662,7 +622,7 @@ def key_probe_source(
     rest = [(p, at) for at, p in enumerate(positions) if p not in key_positions]
     if rest:
         # the remaining fields, all read before they are compared, identity
-        # first and then ``==``: what the prober does
+        # first and then ``==``: how the key's dict compares keys
         value = _fields_key(f"{hit}[0].fields", [p for p, _ in rest])
         wanted = _key_text([keys[at] for _, at in rest])
         test += f" and ((v := {value}) is (w := {wanted}) or v == w)"
@@ -674,7 +634,6 @@ class TableStore:
 
     def __init__(self) -> None:
         self._tables: Dict[str, Table] = {}
-        self._sorted_names: Optional[List[str]] = None
 
     def create(
         self,
@@ -687,7 +646,6 @@ class TableStore:
             raise TableError(f"table {name!r} already exists")
         table = Table(name, key_positions, lifetime, max_size)
         self._tables[name] = table
-        self._sorted_names = None
         return table
 
     def get(self, name: str) -> Table:
@@ -699,18 +657,9 @@ class TableStore:
     def has(self, name: str) -> bool:
         return name in self._tables
 
-    def names(self) -> List[str]:
-        """Sorted table names; the sort is cached (tables are rarely created)."""
-        if self._sorted_names is None:
-            self._sorted_names = sorted(self._tables)
-        return list(self._sorted_names)
-
     def __iter__(self) -> Iterator[Table]:
         return iter(self._tables.values())
 
     def clear_all(self) -> int:
         """Silently empty every table (see :meth:`Table.clear`); returns rows dropped."""
         return sum(table.clear() for table in self._tables.values())
-
-    def total_rows(self) -> int:
-        return sum(len(t) for t in self._tables.values())

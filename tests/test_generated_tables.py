@@ -1,22 +1,22 @@
-"""Generated table writes and key probes against ``Table.insert`` and ``prober``.
+"""Generated table writes and key probes, held to the model table.
 
-A node's procedures do not call :meth:`Table.insert` for the relation they
-store, nor a prober for a probe the primary key answers: they inline the text
-:func:`repro.tables.table.write_source` and :func:`key_probe_source` generate
-from the table's declaration (key positions, ``lifetime``, ``max_size``), the
-relation's arity and the planned indexes.  Here two tables of one declaration
-take the same random operations — one written and probed by the generated
-text, one by the methods — and after every operation everything either can
-show must be the same: the rows (the very objects, with their times) in scan
-order, every index bucket in its order, the counters, the content
-``version``, the expiry bound, the listener calls and any error.  The
-generated table is also held to the remove-then-re-add model of
-``tests/test_soft_state_deltas.py`` (scan order, bucket order, listener
-calls).  Deletes, expiry sweeps and ``clear`` run the methods on both, as
-nodes do.
+A stored relation's write and a probe the primary key answers have one
+implementation: the text :func:`repro.tables.table.write_source` and
+:func:`key_probe_source` generate from the table's declaration (key
+positions, ``lifetime``, ``max_size``, indexes).  A node's procedures inline
+it, the write unrolled for the relation's arity; :meth:`Table.insert` and
+:meth:`Table.prober` compile it for their table, the write for any arity.
+Here a table of each kind takes the same random operations as ``ModelTable``
+of ``tests/test_soft_state_deltas.py``, the one oracle, and after every
+operation everything a table can show must be what the model holds: the rows
+(the very objects, with their times) in scan order, every index bucket in
+its order, the counters, the content ``version``, the expiry bound, the
+change signals, every key probe's rows and any error.  Deletes, expiry
+sweeps and ``clear`` run the methods, as nodes do.
 """
 
 import math
+import re
 from types import SimpleNamespace
 
 import pytest
@@ -29,11 +29,12 @@ from repro.overlays.narada import narada_program
 from repro.planner import plan_program
 from repro.planner.strand_compiler import procedure_triggers
 from repro.tables import INFINITY, Table, covers_key
-from repro.tables.table import key_probe_source, write_source
+from repro.tables.table import write_source
 
 from tests.support.genprograms import make_node
 from tests.support.procedures import fire
 from tests.test_soft_state_deltas import ModelTable, typed
+from tests.test_strand_fusion import OVERLAY_PROGRAMS
 
 _INDENT = "    "
 
@@ -52,25 +53,6 @@ def generated_writer(table, arity, clock):
     namespace = dict(names)
     exec(compile(text, "<write block>", "exec"), namespace)
     return namespace["bind"](table, clock)
-
-
-def generated_prober(table, positions, clock):
-    """``probe(key) -> rows``: the inline key probe generated for *table* on
-    *positions*, bound to it."""
-    keys = [f"k{at}" for at in range(len(positions))]
-    binds, statements, test, row = key_probe_source("T", table, positions, keys, "clock.now", "hit")
-    text = "\n".join(
-        ["def bind(T, clock):"]
-        + [_INDENT + line for line in binds]
-        + [_INDENT + f"def probe({', '.join(keys)}):"]
-        + [2 * _INDENT + line for line in statements]
-        + [2 * _INDENT + f"if {test}:", 3 * _INDENT + f"return ({row},)", 2 * _INDENT + "return ()"]
-        + [_INDENT + "return probe"]
-    )
-    namespace = {}
-    exec(compile(text, "<key probe>", "exec"), namespace)
-    probe = namespace["bind"](table, clock)
-    return lambda key: probe(*key)
 
 
 # ------------------------------------------------------------------ the state
@@ -156,6 +138,33 @@ def _outcome(call):
         return None, f"{type(exc).__name__}: {exc}"
 
 
+def _error(outcome):
+    """The type of *outcome*'s error (see :func:`_outcome`), or ``None``."""
+    return outcome[1] and outcome[1].partition(":")[0]
+
+
+def _assert_follows(table, model, signals, probes):
+    """Everything *table* can show is what *model* holds: the rows (the very
+    objects, with their times) in scan order, every index bucket in its order,
+    the counters, the content version, the change signals and an expiry bound
+    that is never late."""
+    assert [(id(tup), at) for tup, at in table._rows.values()] == [
+        (id(tup), at) for _, tup, at in model.rows
+    ]
+    for positions, buckets in model.buckets.items():
+        index = table._indices[positions]._buckets
+        assert len(index) == len(buckets)
+        for key, bucket in buckets.items():  # a one-field index keys by the bare value
+            stored = index[key[0] if len(key) == 1 else key]
+            assert [id(t) for t in stored.values()] == [id(t) for t in bucket]
+    assert {name: getattr(table.stats, name) for name in model.stats} == model.stats
+    assert table.stats.lookups == probes
+    assert table.version == model.changes
+    assert len(signals) == model.signals
+    if model.rows and model.lifetime != INFINITY:
+        assert table._next_expiry <= model.rows[0][2] + model.lifetime
+
+
 @settings(max_examples=400, deadline=None)
 @given(
     ops=operations,
@@ -163,23 +172,24 @@ def _outcome(call):
     lifetime=st.sampled_from([10.0, INFINITY]),
     max_size=st.sampled_from([3, INFINITY]),
 )
-def test_generated_writes_and_probes_are_the_methods(ops, shape, lifetime, max_size):
+def test_generated_writes_and_probes_follow_the_model(ops, shape, lifetime, max_size):
+    """A table a node's write block writes (unrolled for arity 3) and one
+    ``Table.insert`` writes (any arity) take the same operations as the
+    model, and every probe the key answers, through ``Table.prober``, finds
+    what the model finds — the row, nothing, or the same error."""
     key_positions, indexes = shape
     clock = SimpleNamespace(now=0.0)
     tables = [Table("t", key_positions, lifetime, max_size) for _ in range(2)]
-    generated, generic = tables
-    calls = ([], [])
-    for table, log in zip(tables, calls):
+    signals = ([], [])
+    for table, log in zip(tables, signals):
         for positions in indexes:
             table.add_index(positions)
-        table.on_insert(lambda tup, log=log: log.append(("insert", id(tup))))
-        table.on_delete(lambda tup, log=log: log.append(("delete", id(tup))))
-        table.on_expire(lambda tup, log=log: log.append(("expire", id(tup))))
-    write = generated_writer(generated, 3, clock)
-    probes = [(generated_prober(generated, p, clock), generic.prober(p), p)
-              for p in _covering(key_positions)]
-    # followed throughout: a write that raises is all or nothing
+        table.on_change(lambda log=log: log.append(None))
+    writes = [generated_writer(tables[0], 3, clock), lambda tup: tables[1].insert(tup, clock.now)]
+    covering = _covering(key_positions)
+    probers = [[table.prober(p) for p in covering] for table in tables]
     model = ModelTable(key_positions, lifetime, max_size, indexes)
+    probes = 0
     last = ("a", 1, 2)
     for op in ops:
         kind = op[0]
@@ -192,62 +202,45 @@ def test_generated_writes_and_probes_are_the_methods(ops, shape, lifetime, max_s
                 last = last[:at] + (_retyped(last[at]),) + last[at + 1:]
             clock.now += op[-1]
             tup = Tuple("t", last)
-            outcome = _outcome(lambda: write(tup))
-            if outcome[1] is None:
-                assert outcome == _outcome(lambda: generic.insert(tup, clock.now) and None), op
-                model.insert(tup, clock.now)
-            else:
-                # a row too short for the key or an index: the write expires
-                # what is due, raises, and moves nothing else — rows and
-                # their order, indexes, counters, version, expiry bound
-                assert outcome[1].startswith("TableError"), op
-                generic.expire(clock.now)
-                assert _state(generated) == _state(generic) and calls[0] == calls[1], op
-                expired = _state(generic)
-                assert _outcome(lambda: generic.insert(tup, clock.now)) == outcome, op
-                assert _state(generic) == expired, op
-                model.expire(clock.now)
+            # a row too short for the key or an index: the write expires
+            # what is due, raises, and moves nothing else
+            expected = _error(_outcome(lambda: model.insert(tup, clock.now)))
+            assert expected in (None, "TableError"), op
+            for write in writes:
+                assert _error(_outcome(lambda: write(tup))) == expected, op
         elif kind == "delete":
             _, fields, step = op
             clock.now += step
             tup = Tuple("t", tuple(fields[:3]))
-            outcome = _outcome(lambda: generated.delete(tup, clock.now))
-            assert outcome == _outcome(lambda: generic.delete(tup, clock.now)), op
-            assert outcome[1] is None, op
             pk = tuple(fields[p] for p in key_positions)
-            assert (model.delete_by_key(pk, clock.now) is not None) == outcome[0]
+            removed = model.delete_by_key(pk, clock.now) is not None
+            for table in tables:
+                assert table.delete(tup, clock.now) is removed, op
         elif kind == "wait":
             clock.now += op[1]
         elif kind == "expire":
             clock.now += op[1]
-            outcome = _outcome(lambda: [id(t) for t in generated.expire(clock.now)])
-            assert outcome == _outcome(lambda: [id(t) for t in generic.expire(clock.now)]), op
-            assert outcome[1] is None, op
-            model.expire(clock.now)
+            expired = [id(t) for t in model.expire(clock.now)]
+            for table in tables:
+                assert [id(t) for t in table.expire(clock.now)] == expired, op
         else:
             for table in tables:
                 table.clear()
             model.clear()
         # every covering probe, on every stored row's fields and the last write's
-        for fields in [tup.fields for tup in generic] + [last]:
-            for inline, prober, positions in probes:
+        for fields in [row[1].fields for row in model.rows] + [last]:
+            for at, positions in enumerate(covering):
                 if max(positions) < len(fields):
                     key = tuple(fields[p] for p in positions)
-                    got = _outcome(lambda: [id(t) for t in inline(key)])
-                    assert got == _outcome(lambda: [id(t) for t in prober(key, clock.now)]), key
-        assert _state(generated) == _state(generic), op
-        assert calls[0] == calls[1], op
-        # scan order (expiring both alike), then every bucket's
-        scans = [_outcome(lambda: [id(tup) for tup in table.scan(clock.now)]) for table in tables]
-        assert scans[0] == scans[1]
-        model.expire(clock.now)
-        assert scans[0][0] == [id(row[1]) for row in model.rows]
-        for positions, buckets in model.buckets.items():
-            index = generated._indices[positions]._buckets
-            assert len(index) == len(buckets)
-            for key, bucket in buckets.items():  # a one-field index keys by the bare value
-                stored = index[key[0] if len(key) == 1 else key]
-                assert [id(t) for t in stored.values()] == [id(t) for t in bucket]
+                    expected = _outcome(
+                        lambda: [id(t) for t in model.probe_key(positions, key, clock.now)]
+                    )
+                    for table_probers in probers:
+                        probe = table_probers[at]
+                        assert _outcome(lambda: [id(t) for t in probe(key, clock.now)]) == expected
+                    probes += 1
+        for table, log in zip(tables, signals):
+            _assert_follows(table, model, log, probes)
 
 
 def test_a_short_tuple_raises_what_insert_raises_after_the_same_expiry():
@@ -360,3 +353,24 @@ def test_binding_a_procedure_seals_its_tables_indexes():
     assert error is None and len(succ) == 1
     with pytest.raises(TableError):
         succ.add_index((2,))
+
+
+@pytest.mark.parametrize("name", sorted(OVERLAY_PROGRAMS))
+def test_no_strand_rechecks_the_arity_its_write_block_checked(name):
+    """A stored relation's write block raises for a tuple shorter than its
+    bound before any strand fires, so a strand tests only a larger arity."""
+    planned = plan_program(OVERLAY_PROGRAMS[name])
+    program = planned.dataflow.program
+    for trigger in procedure_triggers(planned.dataflow):
+        if type(trigger) is str and program.is_materialized(trigger):
+            text = planned.procedure(trigger).text
+            (bound,) = re.findall(r"if len\(f0\) < (\d+):\n *raise t_table\._misfit", text)
+            strand_bounds = re.findall(r"if len\(f0\) < (\d+):\n *raise s\d+_strand", text)
+            assert all(int(n) > int(bound) for n in strand_bounds), (trigger, bound)
+
+
+def test_a_short_succ_still_raises_the_tables_error():
+    node = make_node(chord_program())
+    routes, error = fire(node, "succ", Tuple.make("succ", "n1", 9))
+    assert not routes and error.startswith("TableError: ")
+    assert "does not fit table 'succ'" in error and "3 fields needed" in error

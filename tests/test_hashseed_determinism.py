@@ -69,7 +69,7 @@ for node in network.ring_order():
     # RNG stream position: identical seeds and identical draw counts are
     # both required for the next draw to agree.
     digest.update(repr(node.rng.getstate()).encode())
-    for table_name in node.tables.names():
+    for table_name in sorted(table.name for table in node.tables):
         digest.update(table_name.encode())
         for row in sorted(node.scan(table_name), key=repr):
             digest.update(repr(row).encode())

@@ -201,6 +201,24 @@ class TestRuntimeBasics:
         node.route(Tuple.make("succDist", node.address, 20, 19))
         assert node.scan("best")[0][1] == 19
 
+    def test_a_continuous_aggregate_hears_writes_and_deletes(self):
+        """The node marks a continuous strand dirty from its watched table's
+        one change signal, registered once per table and strand."""
+        program = (
+            "materialize(succDist, infinity, infinity, keys(2)).\n"
+            "materialize(best, infinity, 1, keys(1)).\n"
+            "N3 best@NI(NI, min<D>) :- succDist@NI(NI, S, D).\n"
+            "D delete succDist@NI(NI, S, D) :- gone@NI(NI, S, D).\n"
+        )
+        sim = OverlaySimulation(program)
+        node = sim.add_node()
+        assert len(node.tables.get("succDist")._change_listeners) == 1
+        node.route(Tuple.make("succDist", node.address, 50, 49))
+        node.route(Tuple.make("succDist", node.address, 20, 19))
+        assert node.scan("best")[0][1] == 19
+        node.route(Tuple.make("gone", node.address, 20, 19))
+        assert node.scan("best")[0][1] == 49
+
     def test_broadcast_fact(self):
         program = "materialize(landmark, infinity, 1, keys(1))."
         sim = OverlaySimulation(program)

@@ -50,18 +50,12 @@ class TestBasicOperations:
         assert len(t) == 0
 
     def test_delete_by_key(self):
+        """A delete removes the row with the tuple's key, whatever its other fields."""
         t = Table("member", key_positions=[1])
         t.insert(member("a", 3), now=0.0)
-        removed = t.delete_by_key(("a",), now=0.0)
-        assert removed[2] == 3
-        assert t.delete_by_key(("a",), now=0.0) is None
-
-    def test_contains(self):
-        t = Table("member", key_positions=[1])
-        tup = member("a")
-        t.insert(tup, now=0.0)
-        assert tup in t
-        assert member("b") not in t
+        assert t.delete(member("a", 4), now=0.0) is True
+        assert t.get(("a",), now=0.0) is None and t.stats.deletes == 1
+        assert t.delete(member("a", 3), now=0.0) is False
 
     def test_bad_construction(self):
         with pytest.raises(TableError):
@@ -98,12 +92,14 @@ class TestSoftState:
         assert len(t.scan(now=19.0)) == 0
 
     def test_expire_listeners_fire(self):
-        expired = []
+        """The change signal fires after the write and after the sweep that
+        drops the row, the sweep a scan runs."""
         t = Table("member", key_positions=[1], lifetime=1.0)
-        t.on_expire(expired.append)
+        sizes = []
+        t.on_change(lambda: sizes.append(len(t)))
         t.insert(member("a"), now=0.0)
         t.scan(now=5.0)
-        assert [x[1] for x in expired] == ["a"]
+        assert sizes == [1, 0]
 
     def test_size_bound_evicts_oldest(self):
         t = Table("member", key_positions=[1], max_size=2)
@@ -193,25 +189,22 @@ class TestExpiryOrderInvariant:
         assert sorted(x[1] for x in t.scan(4.0)) == ["a", "c"]
 
     def test_lazy_expiry_fires_listeners_in_insertion_order(self):
-        expired = []
         t = Table("member", key_positions=[1], lifetime=5.0)
-        t.on_expire(expired.append)
         for i, addr in enumerate(["a", "b", "c", "d"]):
             t.insert(member(addr), now=float(i))
         t.insert(member("b"), now=4.0)  # refresh b behind d
-        t.scan(now=100.0)
-        assert [x[1] for x in expired] == ["a", "c", "d", "b"]
+        signals = []
+        t.on_change(lambda: signals.append(len(t)))
+        assert [x[1] for x in t.expire(now=100.0)] == ["a", "c", "d", "b"]
         assert t.stats.expirations == 4
+        assert signals == [0]  # one signal for the whole sweep
 
     def test_partial_expiry_stops_at_first_live_row(self):
-        expired = []
         t = Table("member", key_positions=[1], lifetime=10.0)
-        t.on_expire(expired.append)
         t.insert(member("a"), now=0.0)
         t.insert(member("b"), now=6.0)
         t.insert(member("c"), now=7.0)
         assert [x[1] for x in t.expire(now=12.0)] == ["a"]
-        assert [x[1] for x in expired] == ["a"]
         assert len(t) == 2
         # the survivors expire later, in order
         assert [x[1] for x in t.expire(now=100.0)] == ["b", "c"]
@@ -233,22 +226,25 @@ class TestExpiryOrderInvariant:
         )
     )
     def test_lazy_expiry_matches_eager_reference(self, ops):
-        """Differential: lazy expiry sees the same survivors and the same
-        listener sequence as a brute-force reference model."""
+        """Differential: lazy expiry sees the same survivors, in the same
+        order, and the same change signals as a brute-force reference model."""
         lifetime = 5.0
         t = Table("rel", key_positions=[0], lifetime=lifetime)
-        observed = []
-        t.on_expire(lambda tup: observed.append(tup[0]))
+        signals = []
+        t.on_change(lambda: signals.append([tup[0] for tup in t]))
 
         reference = {}  # key -> insertion time, in insertion order
         expected_expired = []
+        expected_signals = []
 
         def reference_sweep(now):
             cutoff = now - lifetime
-            for key in list(reference):
-                if reference[key] <= cutoff:
-                    expected_expired.append(key)
-                    del reference[key]
+            due = [key for key in reference if reference[key] <= cutoff]
+            for key in due:
+                expected_expired.append(key)
+                del reference[key]
+            if due:
+                expected_signals.append(list(reference))
 
         now = 0.0
         for key, dt in ops:
@@ -257,10 +253,12 @@ class TestExpiryOrderInvariant:
             t.insert(Tuple.make("rel", key, 0), now=now)
             reference.pop(key, None)
             reference[key] = now
+            expected_signals.append(list(reference))
+            assert [tup[0] for tup in t] == list(reference)
         now += 100.0
         reference_sweep(now)
         t.expire(now)
-        assert observed == expected_expired
+        assert signals == expected_signals
         assert t.stats.expirations == len(expected_expired)
         assert [tup[0] for tup in t.scan(now)] == list(reference)
 
@@ -291,6 +289,9 @@ class TestLookupsAndIndices:
         t.insert(Tuple.make("finger", "n1", 0, "b1"), now=0.0)
         t.add_index([2])
         assert len(t.lookup([2], ("b1",), now=0.0)) == 1
+        # the next write, from a write block built anew, keeps the index
+        t.insert(Tuple.make("finger", "n1", 1, "b1"), now=0.0)
+        assert [x[1] for x in t.lookup([2], ("b1",), now=0.0)] == [0, 1]
 
     def test_prober_is_lookup_for_every_access_path(self):
         """Primary key, secondary index and scan probes: same rows, same
@@ -360,8 +361,7 @@ class TestKeyFormat:
         t.insert(self.row(True, "bool"), now=0.0)
         assert len(t) == 1 and t.stats.replacements == 1
         assert t.get(key(1.0), now=0.0)[3] == "bool"
-        assert self.row(1.0, "bool") in t
-        assert t.delete_by_key(list(key(1.0)), now=0.0)[3] == "bool"
+        assert t.delete(self.row(1.0), now=0.0) is True
         assert len(t) == 0
 
     def test_nan_key_finds_nothing(self, shape):
@@ -373,8 +373,7 @@ class TestKeyFormat:
         t.insert(self.row(float("nan")), now=0.0)  # another NaN: another row
         assert len(t) == 2
         assert t.get(key(float("nan")), now=0.0) is None
-        assert t.delete_by_key(key(float("nan")), now=0.0) is None
-        assert self.row(float("nan")) not in t
+        assert t.delete(self.row(float("nan")), now=0.0) is False
         # the very same object is found, identity first, as a dict finds it
         assert t.get(key(nan), now=0.0) is stored
         covering = [0] + list(positions)
@@ -398,13 +397,12 @@ class TestKeyFormat:
         t.insert(tup, now=0.0)
         assert t.get(key("a"), now=0.0) is tup and t.get(list(key("a")), now=0.0) is tup
         assert t.get(key("b"), now=0.0) is None
-        assert tup in t and self.row("a", 8) not in t and self.row("b", 7) not in t
         # a key of another width matches no row
         assert t.get(key("a") + ("x",), now=0.0) is None
         assert t.get((), now=0.0) is None
-        assert t.delete_by_key(key("a") + ("x",), now=0.0) is None
-        assert t.delete_by_key(key("a"), now=0.0) is tup
-        assert t.delete_by_key(key("a"), now=0.0) is None and tup not in t
+        assert t.delete(self.row("b", 7), now=0.0) is False
+        assert t.delete(self.row("a", 8), now=0.0) is True  # the key's row, whatever else
+        assert t.delete(tup, now=0.0) is False and t.get(key("a"), now=0.0) is None
 
     def test_a_tuple_valued_key_field_is_not_a_wider_key(self):
         t = Table("rel", key_positions=[1])
@@ -448,24 +446,28 @@ class TestKeyFormat:
 
 
 class TestListeners:
+    """``on_change``: one call per write, per delete that found its row and
+    per expiry sweep that dropped one, each after the table has moved."""
+
     def test_insert_and_delete_listeners(self):
-        inserted, deleted = [], []
         t = Table("member", key_positions=[1])
-        t.on_insert(inserted.append)
-        t.on_delete(deleted.append)
+        seen = []
+        t.on_change(lambda: seen.append(sorted(x[1] for x in t)))
         tup = member("a")
         t.insert(tup, now=0.0)
-        t.delete(tup, now=0.0)
-        assert inserted == [tup]
-        assert deleted == [tup]
+        t.insert(tup, now=1.0)  # a refresh signals too
+        t.delete(tup, now=1.0)
+        t.delete(tup, now=1.0)  # nothing to delete: no signal
+        assert seen == [["a"], ["a"], []]
 
     def test_eviction_notifies_delete_listener(self):
-        deleted = []
+        """An eviction is part of the write that caused it: one signal, after both."""
         t = Table("member", key_positions=[1], max_size=1)
-        t.on_delete(deleted.append)
+        seen = []
+        t.on_change(lambda: seen.append([x[1] for x in t]))
         t.insert(member("a"), now=0.0)
         t.insert(member("b"), now=1.0)
-        assert [x[1] for x in deleted] == ["a"]
+        assert seen == [["a"], ["b"]] and t.stats.evictions == 1
 
 
 class TestTableStore:
@@ -474,7 +476,7 @@ class TestTableStore:
         store.create("member", [1], lifetime=INFINITY)
         assert store.has("member")
         assert store.get("member").name == "member"
-        assert store.names() == ["member"]
+        assert [table.name for table in store] == ["member"]
 
     def test_duplicate_create_rejected(self):
         store = TableStore()
@@ -485,15 +487,6 @@ class TestTableStore:
     def test_unknown_get_rejected(self):
         with pytest.raises(TableError):
             TableStore().get("nope")
-
-    def test_total_rows(self):
-        store = TableStore()
-        store.create("a", [0])
-        store.create("b", [0])
-        store.get("a").insert(Tuple.make("a", 1), now=0.0)
-        store.get("b").insert(Tuple.make("b", 1), now=0.0)
-        store.get("b").insert(Tuple.make("b", 2), now=0.0)
-        assert store.total_rows() == 3
 
 
 class TestPropertyBased:

@@ -35,7 +35,10 @@ test-planner:
 	$(PYTHON) -m pytest -x -q tests/test_planner_opt.py tests/test_golden_plans.py tests/test_plan_once.py \
 	  tests/test_relation_procedure.py
 
-# The node run loop: every firing's generated procedure (tuple, periodic tick,
+# The node run loop: the one drain's per-tuple contract (each tuple of a
+# datagram to fixpoint with its trains sent before the next, a route from
+# inside a firing only queues, a raising tuple ends its datagram); every
+# firing's generated procedure (tuple, periodic tick, single-head or not,
 # dirty continuous aggregate) against the reference run loop in
 # tests/support/reference.py, which fires the element walk and evaluates PEL
 # through the opcode interpreter; generated PEL against that interpreter; the
@@ -45,7 +48,7 @@ test-planner:
 # interpreter made to raise, the generated table writes and key probes against
 # the model table, the runtime node, and the golden generated text.
 test-runloop:
-	$(PYTHON) -m pytest -x -q tests/test_relation_procedure.py tests/test_firing_tail.py \
+	$(PYTHON) -m pytest -x -q tests/test_drain.py tests/test_relation_procedure.py tests/test_firing_tail.py \
 	  tests/test_strand_fusion.py tests/test_strand_source.py tests/test_soft_state_deltas.py \
 	  tests/test_emitter_limits.py tests/test_pel.py tests/test_generated_tables.py \
 	  tests/test_runtime_node.py tests/test_golden_plans.py
@@ -85,8 +88,8 @@ lint-py: check-pythonpath
 	$(PYTHON) -m repro.detlint --strict src/repro benchmarks
 
 # The quick loop: everything except the multi-second Figure 3/4 experiment
-# sweeps (marked `slow`); about a minute on two cores (1,072 tests in 67 s),
-# against about 90 s for the whole suite.
+# sweeps (marked `slow`); under a minute on two cores (1,078 tests in 43 s),
+# against about a minute for the whole suite (1,102 tests in 63 s).
 test-fast:
 	$(PYTHON) -m pytest -x -q -m "not slow"
 

@@ -30,7 +30,7 @@ class ElementStats:
     procedures are required to advance it identically to the interpreted
     walk (the strand-fusion differential suite asserts this).
     ``pushed_in``/``emitted`` on a :class:`TransmitBuffer` count the tuples
-    enqueued and flushed; no other element moves ``pushed_in``.
+    enqueued and taken to be sent; no other element moves ``pushed_in``.
     """
 
     pushed_in: int = 0

@@ -6,23 +6,25 @@ relational work itself.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Dict, List
 
 from ..core.tuples import Tuple
 from .element import Element
 
 
 class TransmitBuffer(Element):
-    """Coalesces one round's outbound tuples into per-destination batches.
+    """Coalesces one tuple's outbound heads into per-destination trains.
 
-    Absorbs the remote-bound tuples a node derives while draining its run
-    queue and, on :meth:`flush`, hands each destination its whole burst in
-    one call — the hook ``Network.send_batch`` turns into a single datagram
-    train.  Batches are keyed per destination in first-appearance order, and
+    Absorbs the remote-bound tuples a node derives while it runs a tuple to
+    fixpoint; then the node takes the per-destination queues (:meth:`take`)
+    and hands each one to ``Network.send_batch`` itself, as one datagram
+    train.  Queues are keyed per destination in first-appearance order, and
     each destination's tuples keep their exact arrival order, so the
     per-destination byte stream is identical to what tuple-at-a-time sending
-    would have produced.  The node's sink hands tuples over with
-    :meth:`enqueue`, since routing decisions carry the destination separately.
+    would have produced.  The node's procedures hand tuples over with
+    :meth:`enqueue`, since routing decisions carry the destination
+    separately.  ``flushes`` counts the takes, ``batches`` the trains, and
+    ``pushed_in``/``emitted`` the tuples in and out.
     """
 
     kind = "transmit-buffer"
@@ -31,8 +33,8 @@ class TransmitBuffer(Element):
     def __init__(self, name: str = "transmit"):
         super().__init__(name)
         self._queues: Dict[object, List[Tuple]] = {}
-        #: tuples buffered since the last flush (a plain attribute: the node
-        #: reads it after every drain)
+        #: tuples buffered since the last take (a plain attribute: the node
+        #: reads it after every tuple it runs to fixpoint)
         self.count = 0
         self.flushes = 0
         self.batches = 0
@@ -58,20 +60,14 @@ class TransmitBuffer(Element):
         self._queues = {}
         self.count = 0
 
-    def flush(self, sender: Callable[[object, List[Tuple]], object]) -> int:
-        """Hand every destination its batch via ``sender(dst, batch)``.
-
-        Returns the number of tuples flushed.  The buffer is emptied before
-        the first send so a re-entrant enqueue (none exists today, but hooks
-        may route) lands in the next round rather than this one.
-        """
-        if not self._queues:
-            return 0
+    def take(self) -> Dict[object, List[Tuple]]:
+        """Everything buffered, ``{destination: train}`` in first-appearance
+        order, counted as one flush; the buffer starts empty again, so an
+        enqueue while the caller sends lands in the next take."""
         queues, self._queues = self._queues, {}
-        flushed, self.count = self.count, 0
-        self.flushes += 1
-        for destination, batch in queues.items():
-            self.batches += 1
-            self.stats.emitted += len(batch)
-            sender(destination, batch)
-        return flushed
+        if queues:
+            self.flushes += 1
+            self.batches += len(queues)
+            self.stats.emitted += self.count
+        self.count = 0
+        return queues

@@ -33,7 +33,8 @@ from typing import FrozenSet
 #:   event_loop.EventLoop` (and the sharded driver's member loops)
 #: * ``route`` / ``inject`` / ``receive`` / ``receive_batch`` —
 #:   :class:`repro.runtime.node.P2Node` entry points
-#: * ``enqueue`` / ``flush`` — the transmit buffer's egress path
+#: * ``enqueue`` — the transmit buffer's door; the node sends what it
+#:   buffered through ``send_batch`` itself
 SINK_NAMES: FrozenSet[str] = frozenset(
     {
         "send",
@@ -46,7 +47,6 @@ SINK_NAMES: FrozenSet[str] = frozenset(
         "receive",
         "receive_batch",
         "enqueue",
-        "flush",
     }
 )
 

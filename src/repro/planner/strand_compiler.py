@@ -30,7 +30,9 @@ the other probed fields) and any other through
 :meth:`~repro.core.tuples.Tuple.trusted` (fields copied out of existing
 tuples are not coerced again; computed ones are).  Nothing is built that
 only the next step of the same rule would read: an aggregate folds each
-match into its group's state where it is found (one tuple per *group*), and
+match into its group's state where it is found (one tuple per *group*), a
+firing that can make at most one head — no aggregate, every join a probe
+the primary key answers — holds it in ``h`` instead of a list ``out``, and
 no route object wraps a head.  Every strand of every shape is inlined: the
 generated procedures are the only code a node runs.
 
@@ -54,7 +56,7 @@ Contracts
 * Observably the interpreted walk, bit for bit: the same head tuples in the
   same order (a pure pipeline visits tuples in the same order batch-by-batch
   or depth-first), the same ``fired``/``produced`` counters (``produced``
-  advances by the number of heads), one ``dropped`` per empty probe, failed
+  advances by the number of heads routed), one ``dropped`` per empty probe, failed
   selection and antijoin hit, ``Aggregate.stats.emitted`` per group, the
   same errors — a line → PEL-expression table lets
   :func:`~repro.pel.vm.raise_as_interpreted` convert exactly what the
@@ -114,6 +116,16 @@ def _tuple(items: Sequence[str]) -> str:
     return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
 
 
+def _single_head(strand: Any) -> bool:
+    """Whether a firing of *strand* makes at most one head: a rule strand
+    with no aggregate whose every join the primary key answers."""
+    return not isinstance(strand, ContinuousAggregateStrand) and strand.aggregate is None and all(
+        type(op) is not LookupJoin
+        or bool(op.table_positions) and covers_key(op.table_positions, op.table.key_positions)
+        for op in strand.ops
+    )
+
+
 class _Emitter:
     """Accumulates the text of one strand's part of its trigger's procedure:
     its firing (:meth:`firing`), the names it binds, its line → PEL site table.
@@ -146,6 +158,9 @@ class _Emitter:
         self.blocks = 1
         #: the bodies of the functions the strand is split into (:meth:`split`)
         self.parts: List[list] = []
+        #: a firing has at most one head (:func:`_single_head`): it is ``h``,
+        #: not a list
+        self.single = _single_head(strand)
 
     # -- lines ---------------------------------------------------------------
     def line(self, depth: int, text: str, site: Optional[tuple] = None) -> None:
@@ -220,13 +235,15 @@ class _Emitter:
     def split(self, index: int, depth: int, width: int) -> None:
         """Emit ``ops[index:]`` and the sink as a local function, called at
         *depth* and defined at the body's base depth (2), where CPython counts
-        blocks and indentation afresh; it shares the firing's ``out``,
-        ``groups`` and ``prefix`` through closure cells."""
+        blocks and indentation afresh; it shares the firing's ``out`` (or
+        ``h``), ``groups`` and ``prefix`` through closure cells."""
         name = f"{self.ns}part{len(self.parts) + 1}"
         outer = self.body, self.blocks
         self.body, self.blocks = [], 0
         self.parts.append(self.body)
         self.line(2, f"def {name}(f{width}):")
+        if self.single:
+            self.line(3, "nonlocal h")
         if not self.continuous and self.strand.fallback_project is not None:
             self.line(3, "nonlocal prefix")
         self.chain(index, 3, width)
@@ -341,6 +358,9 @@ class _Emitter:
     def sink(self, depth: int, fields: str) -> None:
         strand = self.strand
         built, loads = self.head(depth, strand.project, fields)
+        if self.single:
+            self.site(depth, f"h = trusted({strand.head_name!r}, {built})", loads, fields)
+            return
         if strand.aggregate is None:
             self.site(depth, f"out.append(trusted({strand.head_name!r}, {built}))", loads, fields)
             return
@@ -400,7 +420,9 @@ class _Emitter:
         the *checked* ones an earlier strand of the procedure tested for.
 
         Both lists are unindented, for a function whose ``out`` holds the
-        heads afterwards; the body between them is :attr:`body`, after the
+        heads afterwards — or, for a :attr:`single` firing, whose ``h`` holds
+        the head and whose *exit* ends in ``if h is not None:``, the block
+        that routes it; the body between them is :attr:`body`, after the
         :attr:`parts` it was split into.  A rule
         strand's function has the event in ``event`` and its fields in
         ``f0``; a continuous strand's has the time of the refresh in ``at``.
@@ -423,6 +445,9 @@ class _Emitter:
             self.site(3, f"out = {ns}aggregate((), trusted({strand.head_name!r}, {built}))",
                       loads, "prefix")
             entry.append("prefix = None")
+        if self.single:
+            entry.append("h = None")
+            return entry, ["if h is not None:", f"    {ns}strand.produced += 1"]
         entry.append("out = []")
         exit: List[str] = []
         if strand.aggregate is not None:
@@ -508,29 +533,36 @@ _NODE_NAMES = {
 
 
 def _route(strand: Any, ns: str) -> PyTuple[List[str], List[str], List[str]]:
-    """The statements sending one firing's heads (``out``) where *strand*'s
-    static ``loc_position`` / ``is_delete`` say, the bindings they need, and
-    the :data:`_NODE_NAMES` they use."""
-    loc = strand.loc_position
+    """The statements sending one firing's heads where *strand*'s static
+    ``loc_position`` / ``is_delete`` say — the list ``out``, or the one head
+    ``h`` of a :func:`_single_head` strand — the bindings they need, and the
+    :data:`_NODE_NAMES` they use."""
+    loc, single = strand.loc_position, _single_head(strand)
     if strand.is_delete:
-        lines = ["for h in out:"]
+        lines = []
         if loc is not None:
             lines += [
-                f"    if h.fields[{loc}] != address:",
-                '        raise PlannerError(f"node {address}: delete rules must target local tables")',
+                f"if h.fields[{loc}] != address:",
+                '    raise PlannerError(f"node {address}: delete rules must target local tables")',
             ]
-        lines.append(f"    {ns}delete(h, {CLOCK})")
+        lines.append(f"{ns}delete(h, {CLOCK})")
         binds = [f"{ns}delete = node.tables.get({strand.head_name!r}).delete"]
-        return lines, binds, ["loop"] + ["address"] * (loc is not None)
-    if loc is None:
-        return ["extend(out)"], [], ["extend"]
-    return [
-        "for h in out:",
-        f"    if (d := h.fields[{loc}]) == address:",
-        "        push(h)",
-        "    else:",
-        "        egress(d, h)",
-    ], [], ["address", "push"]
+        uses = ["loop"] + ["address"] * (loc is not None)
+    elif loc is None:
+        if not single:
+            return ["extend(out)"], [], ["extend"]
+        lines, binds, uses = ["push(h)"], [], ["push"]
+    else:
+        lines = [
+            f"if (d := h.fields[{loc}]) == address:",
+            "    push(h)",
+            "else:",
+            "    egress(d, h)",
+        ]
+        binds, uses = [], ["address", "push"]
+    if not single:
+        lines = ["for h in out:", *[_INDENT + line for line in lines]]
+    return lines, binds, uses
 
 
 def procedure_triggers(compiled: Any) -> List[Any]:
@@ -626,7 +658,9 @@ def generate_procedure(
         route, route_binds, route_uses = _route(strand, ns)
         binds += route_binds
         uses.update(route_uses)
-        handle += [_INDENT + text for text in route]
+        # a single head is routed inside the exit's ``if h is not None:``
+        indent = _INDENT * (1 + emitter.single)
+        handle += [indent + text for text in route]
     node_binds = [line for use, line in _NODE_NAMES.items() if use in uses]
     prologue = [
         header,

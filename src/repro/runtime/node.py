@@ -18,6 +18,14 @@ whose tables changed — and each is its trigger's generated procedure
 trigger fires: it fires the strands and routes their heads onto the run
 queue, into the egress or into a delete.  The node itself only queues, times
 and drains.
+
+There is one drain, :meth:`P2Node._drain`, and every way in enters it: a
+datagram (:meth:`P2Node.receive_batch`), a routed, injected or start-of-day
+tuple (:meth:`P2Node.route`) and a periodic tick.  It runs each tuple's
+first firing directly, drains what that sets off to fixpoint, and then
+takes the transmit buffer's per-destination queues and hands each to
+``Network.send_batch`` as one datagram train — before the next tuple of a
+datagram is looked at.
 """
 
 from __future__ import annotations
@@ -79,7 +87,8 @@ class P2Node:
         self.tables = TableStore()
         self.compiled: CompiledDataflow = Planner(program, self, self.tables).compile()
         #: planner-built egress element; every remote-bound head tuple is
-        #: coalesced here and flushed as datagram trains once per drain
+        #: coalesced here and sent as datagram trains once its tuple is at
+        #: fixpoint
         self.transmit = self.compiled.transmit
         self._pending: Deque[Tuple] = deque()
         self._processing = False
@@ -91,7 +100,7 @@ class P2Node:
         #: bound to this node, bound the first time the trigger fires
         self._handlers: Dict[Any, Callable[[Any], None]] = {}
         #: ``egress(destination, tup)``: how a remote-bound head leaves — into
-        #: the transmit buffer, sent as trains when the drain ends
+        #: the transmit buffer, sent as trains once its tuple is at fixpoint
         self._egress = self.transmit.enqueue
         #: one timer chain per periodic spec, and the ticks each has left
         #: (``None``: forever)
@@ -100,6 +109,13 @@ class P2Node:
         self.dropped_remote_sends = 0
         self.events_processed = 0
         self._wire_continuous_aggregates()
+        #: everything a drain reads that never changes after construction
+        #: (``restart`` clears the queues in place), read in one load per
+        #: drain: most drains are a datagram of one to three tuples
+        self._drain_refs = (
+            self._pending, self._pending.popleft, self._dirty_continuous, self._dirty_set,
+            self._handlers, loop, self.transmit, network.send_batch, address,
+        )
 
     # ------------------------------------------------------------------ lifecycle
     def boot(self) -> None:
@@ -197,66 +213,104 @@ class P2Node:
         """Called by the network when one datagram's tuples arrive together:
         the node's only door from the network.
 
-        Each tuple is still routed to fixpoint individually: a datagram
-        train changes how tuples travel and how arrivals are scheduled (one
-        event-loop event per datagram), not the run-to-completion semantics
-        — a tuple's local derivations are fully chased before the next
-        tuple in the datagram is considered, exactly as if each had arrived
-        alone.
+        The datagram is one :meth:`_drain`: each tuple is still run to
+        fixpoint, and the trains it derived are sent, before the next tuple
+        of the datagram is looked at — a datagram train changes how tuples
+        travel and how arrivals are scheduled (one event-loop event per
+        datagram), not the run-to-completion semantics.  A node that has
+        failed, before or during the datagram, processes no further tuple.
         """
-        pending, run = self._pending.append, self._run_queue
-        for tup in batch:
-            if not self.alive:
-                return
-            pending(tup)
-            run()
+        if self.alive:
+            self._drain(batch)
 
     # ------------------------------------------------------------------ dataflow core
     def route(self, tup: Tuple) -> None:
         """Feed *tup* into the node's demultiplexer and run to completion."""
-        self._pending.append(tup)
-        self._run_queue()
+        self._drain((tup,))
 
-    def _run_queue(self) -> None:
-        """Drain pending tuples and dirty continuous aggregates to fixpoint.
+    def _drain(self, batch: Sequence[Tuple], periodic: Optional[Callable[[Any], None]] = None) -> None:
+        """The node's one run loop: every tuple of *batch*, in order, to fixpoint.
 
-        Each firing calls its trigger's bound procedure: a tuple its
-        relation's, a dirty continuous strand its refresh.  Remote-bound
-        tuples derived anywhere in the drain accumulate in the transmit
-        buffer and leave as per-destination datagram trains in one flush at
-        the end — one network hand-off per drain instead of one per tuple.
+        A tuple's first firing — its relation's procedure, or *periodic*, the
+        bound procedure of a tick, whose event tuple *batch* holds — runs
+        directly; the firings it sets off (the run queue's tuples, then the
+        refreshes of dirty continuous aggregates) are drained until none is
+        left.  Remote-bound heads derived anywhere in that accumulate in the
+        transmit buffer; once the tuple is at fixpoint, each destination's
+        queue leaves in one ``Network.send_batch`` — one datagram train —
+        and only then is the node's ``alive`` flag read again and the next
+        tuple looked at.  :data:`MAX_DERIVATIONS_PER_EVENT` bounds the
+        firings one tuple sets off.
+
+        A call made while a drain runs (a subscriber that routes) only
+        queues its tuples.  A firing that raises ends the drain: nothing more
+        is sent, the rest of *batch* is not looked at, and the run queue and
+        the transmit buffer keep what it left, for the next drain — whose
+        first tuple queues behind that rest.
         """
         if self._processing:
+            self._pending.extend(batch)
             return
+        pending, popleft, dirty, dirty_set, handlers, loop, transmit, send_batch, address = (
+            self._drain_refs
+        )
+        limit = MAX_DERIVATIONS_PER_EVENT
         self._processing = True
-        processed = 0
-        pending, dirty, dirty_set = self._pending, self._dirty_continuous, self._dirty_set
-        handlers, loop = self._handlers, self.loop
         try:
-            while pending or dirty:
-                if pending:
-                    arg = pending.popleft()
-                    trigger = arg.name
+            for tup in batch:
+                if periodic is not None:
+                    periodic(tup)
+                    processed = 0
+                elif pending:
+                    # left by a firing that raised: the tuple queues behind it
+                    pending.append(tup)
+                    processed = 0
                 else:
+                    try:
+                        fire = handlers[tup.name]
+                    except KeyError:
+                        fire = handlers[tup.name] = self._bind(tup.name)
+                    fire(tup)
+                    processed = 1
+                # the run queue first; a dirty aggregate only once it is empty
+                while True:
+                    while pending:
+                        queued = popleft()
+                        try:
+                            fire = handlers[queued.name]
+                        except KeyError:
+                            fire = handlers[queued.name] = self._bind(queued.name)
+                        fire(queued)
+                        processed += 1
+                        if processed > limit:
+                            raise self._diverged(limit)
+                    if not dirty:
+                        break
                     trigger = dirty.popleft()
                     dirty_set.discard(trigger)
-                    arg = loop.now
-                try:
-                    handler = handlers[trigger]
-                except KeyError:
-                    handler = handlers[trigger] = self._bind(trigger)
-                handler(arg)
-                processed += 1
-                if processed > MAX_DERIVATIONS_PER_EVENT:
-                    raise P2Error(
-                        f"node {self.address}: more than {MAX_DERIVATIONS_PER_EVENT} "
-                        "derivations for one event; the rule set appears to diverge"
-                    )
+                    try:
+                        fire = handlers[trigger]
+                    except KeyError:
+                        fire = handlers[trigger] = self._bind(trigger)
+                    fire(loop.now)
+                    processed += 1
+                    if processed > limit:
+                        raise self._diverged(limit)
+                if transmit.count:
+                    for destination, train in transmit.take().items():
+                        sent = send_batch(address, destination, train)
+                        if sent < len(train):
+                            self.dropped_remote_sends += len(train) - sent
+                if not self.alive:
+                    return
         finally:
             self._processing = False
-        # send everything buffered this drain as per-destination trains
-        if self.transmit.count:
-            self.transmit.flush(self._send_train)
+
+    def _diverged(self, limit: int) -> P2Error:
+        return P2Error(
+            f"node {self.address}: more than {limit} "
+            "derivations for one event; the rule set appears to diverge"
+        )
 
     def _bind(self, trigger: Any) -> Callable[[Any], None]:
         """*trigger*'s procedure (``CompiledDataflow.procedure``) bound to this
@@ -272,16 +326,12 @@ class P2Node:
             self._egress,
         )
 
-    def _send_train(self, destination: Any, batch: List[Tuple]) -> None:
-        sent = self.network.send_batch(self.address, destination, batch)
-        if sent < len(batch):
-            self.dropped_remote_sends += len(batch) - sent
-
     # ------------------------------------------------------------------ periodic events
     def _periodic_ticker(self, index: int) -> Ticker:
-        """The timer chain of ``compiled.periodics[index]``: each tick fires
-        the spec's procedure and drains, until its count runs out or the
-        node fails (:meth:`boot` starts it)."""
+        """The timer chain of ``compiled.periodics[index]``: each tick is a
+        :meth:`_drain` whose first firing is the spec's procedure, until its
+        count runs out or the node fails (:meth:`boot` starts it).  A tick is
+        an event of the loop, so it never arrives inside a drain."""
         spec, trigger = self.compiled.periodics[index], ("periodic", index)
 
         def tick() -> None:
@@ -296,8 +346,7 @@ class P2Node:
             handlers = self._handlers
             if trigger not in handlers:
                 handlers[trigger] = self._bind(trigger)
-            handlers[trigger](spec.make_event(self.address, fresh_tuple_id()))
-            self._run_queue()
+            self._drain((spec.make_event(self.address, fresh_tuple_id()),), handlers[trigger])
 
         ticker = Ticker(self.loop, tick, lambda: spec.period)
         return ticker

@@ -42,8 +42,8 @@ O(expired) instead of the old O(table size) sweep per operation.
 Keys are stored the way :func:`operator.itemgetter` extracts them: the bare
 value for a one-field key, primary or secondary, a tuple otherwise — no
 1-tuple is built per write or probe.  The format is private to this module:
-:meth:`Table.primary_key` returns a tuple, and :meth:`Table.get`,
-:meth:`Table.lookup` and a prober take one.
+:meth:`Table.get`, :meth:`Table.lookup` and a prober take a key as a tuple,
+whatever its width.
 """
 
 from __future__ import annotations
@@ -259,11 +259,6 @@ class Table:
             return _NO_KEY
         return key[0] if len(key) == 1 else key
 
-    def primary_key(self, tup: Tuple) -> Key:
-        """*tup*'s primary key, as a tuple whatever its width."""
-        pk = self._stored_pk(tup)
-        return (pk,) if len(self.key_positions) == 1 else pk
-
     def insert(self, tup: Tuple, now: float) -> bool:
         """Insert (or refresh) *tup* at time *now*; returns True.
 
@@ -363,10 +358,13 @@ class Table:
         scan when neither answers *positions*."""
         key = tuple(key)
         if len(key) != len(positions):
-            raise TableError(
-                f"table {self.name!r}: key {key!r} does not fit positions {tuple(positions)}"
-            )
+            raise self._key_misfit(positions, key)
         return list(self.prober(positions)(key, now))
+
+    def _key_misfit(self, positions: Sequence[int], key: Key) -> TableError:
+        return TableError(
+            f"table {self.name!r}: key {key!r} does not fit positions {tuple(positions)}"
+        )
 
     def prober(self, positions: Sequence[int]) -> Callable[[Key, float], Sequence[Tuple]]:
         """``probe(key, now) -> rows`` for *positions*: the one place the access
@@ -382,8 +380,10 @@ class Table:
         :func:`key_probe_source`); :meth:`lookup` takes one per call.  Every probe expires lazily,
         counts one ``stats.lookups`` and returns a materialised result that
         later mutation of the table cannot invalidate, in bucket (join match)
-        order.  *key* must be a tuple of one value per position.  An index
-        installed after this call is not picked up, so install indexes first.
+        order.  *key* must be a tuple of one value per position; a probe the
+        key answers raises :class:`TableError` for any other length, as
+        :meth:`lookup` does, before it counts a lookup.  An index installed
+        after this call is not picked up, so install indexes first.
         One prober per position set is built and handed to every caller (a
         node's strands and relation procedures bind the same ones).
         """
@@ -399,8 +399,11 @@ class Table:
             binds, statements, test, row = key_probe_source(
                 "table", self, positions, keys, "now", "hit"
             )
+            # a key that does not fit raises as lookup() does, before counting
+            fits = [f"if len(key) != {len(positions)}:",
+                    f"    raise table._key_misfit({positions!r}, key)"]
             return _bound(self, binds, "probe(key, now)",
-                          [*statements, f"return ({row},) if {test} else ()"], {})
+                          [*fits, *statements, f"return ({row},) if {test} else ()"], {})
         stats = self.stats
         expire = self.expire
         rows = self._rows

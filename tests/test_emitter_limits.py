@@ -64,6 +64,8 @@ def test_many_selections_agree_with_the_reference(count):
     assert not calls_the_walk(twins.procedure, "ev")
     text = twins.procedure.compiled.procedure("ev").text
     assert text.count("def s0_part") == {96: 0, 97: 1, 120: 1, 250: 2}[count]
+    # a firing with at most one head: every part assigns the handler's ``h``
+    assert text.count("nonlocal h") == text.count("def s0_part") and "out = []" not in text
     for y in (1000, "a", 2.5, 1):
         routes, error = twins.fire("ev", Tuple.make("ev", "n1", y))  # agrees after each
     assert error is None and [head.fields for _, head in routes] == [("n1", 1)]

@@ -385,10 +385,29 @@ class TestKeyFormat:
         assert t.lookup(covering, (float("nan"),) + key("b"), now=0.0) == []
 
     def test_primary_key_is_a_tuple(self, shape):
+        """A caller names a row by its primary key as a tuple, whatever its
+        width: ``get``, ``lookup`` and a prober alike."""
         positions, key = shape
         t = Table("rel", key_positions=positions)
-        assert t.primary_key(self.row("a")) == key("a")
-        assert type(t.primary_key(self.row("a"))) is tuple
+        row = self.row("a")
+        t.insert(row, now=0.0)
+        assert t.get(key("a"), now=0.0) is row
+        assert t.lookup(positions, key("a"), now=0.0) == [row]
+        assert t.prober(positions)(key("a"), 0.0) == (row,)
+
+    def test_a_short_key_raises_the_lookup_error_and_counts_nothing(self, shape):
+        """A covering prober handed a key shorter than its positions raises
+        the ``TableError`` ``lookup`` raises, before it counts a lookup."""
+        positions, key = shape
+        t = Table("rel", key_positions=positions)
+        t.insert(self.row("a"), now=0.0)
+        covering = (0, *positions)
+        with pytest.raises(TableError, match="does not fit positions") as expected:
+            t.lookup(covering, key("a"), now=0.0)
+        with pytest.raises(TableError) as probed:
+            t.prober(covering)(key("a"), 0.0)
+        assert str(probed.value) == str(expected.value)
+        assert t.stats.lookups == 0
 
     def test_get_delete_by_key_and_contains(self, shape):
         positions, key = shape

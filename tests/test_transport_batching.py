@@ -415,18 +415,17 @@ class TestTransmitBuffer:
         buffer.enqueue("b", t3)
         assert len(buffer) == 3
         assert buffer.destinations() == ["b", "c"]
-        flushed = []
-        assert buffer.flush(lambda dst, batch: flushed.append((dst, batch))) == 3
-        assert flushed == [("b", [t1, t3]), ("c", [t2])]
-        assert len(buffer) == 0
+        assert list(buffer.take().items()) == [("b", [t1, t3]), ("c", [t2])]
+        assert len(buffer) == 0 and buffer.take() == {}
         assert buffer.flushes == 1 and buffer.batches == 2
+        assert buffer.stats.pushed_in == buffer.stats.emitted == 3
 
     def test_clear_discards_everything(self):
         buffer = TransmitBuffer()
         buffer.enqueue("b", Tuple.make("m", "b", 1))
         buffer.clear()
         assert len(buffer) == 0
-        assert buffer.flush(lambda dst, batch: 1 / 0) == 0
+        assert buffer.take() == {} and buffer.flushes == 0
 
 
 DIFFERENTIAL_PROGRAM = """

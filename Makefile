@@ -13,12 +13,14 @@ test-faults:
 
 # The wire suites: the reliable layer's ack/retransmit/dedup units, accrual
 # failure detector, work counts, cross-shard bit-identity and slow chord loss
-# sweep, plus the best-effort transport, datagram trains (checked against
-# tuple-at-a-time sends: nodes built under the unbatched() context of
-# tests/support/oracles.py) and the one-tuple path whose launch and landing
-# steps every reliable wire unit shares (with the pinned reliable-wire
-# golden, tests/golden/wire/); and what the wire runs on: the event loop and
-# its timers, the fault conditioner and the sharded driver.
+# sweep, plus the best-effort transport, datagram trains of every length
+# (send_batch is the one send body; checked against the pack-then-send model
+# of tests/support/packing.py and against one-tuple trains, nodes built under
+# the unbatched() context of tests/support/oracles.py) and the one-tuple train
+# against its old helper chain, on the launch and landing steps every
+# reliable wire unit shares (with the pinned reliable-wire golden,
+# tests/golden/wire/); and what the wire runs on: the event loop and its
+# timers, the fault conditioner and the sharded driver.
 test-reliable:
 	$(PYTHON) -m pytest -x -q tests/test_reliable.py tests/test_network.py \
 	  tests/test_transport_batching.py tests/test_one_tuple_path.py \
@@ -88,8 +90,8 @@ lint-py: check-pythonpath
 	$(PYTHON) -m repro.detlint --strict src/repro benchmarks
 
 # The quick loop: everything except the multi-second Figure 3/4 experiment
-# sweeps (marked `slow`); under a minute on two cores (1,078 tests in 43 s),
-# against about a minute for the whole suite (1,102 tests in 63 s).
+# sweeps (marked `slow`); under a minute on two cores (1,090 tests in 41 s),
+# against about a minute for the whole suite (1,114 tests in 59 s).
 test-fast:
 	$(PYTHON) -m pytest -x -q -m "not slow"
 

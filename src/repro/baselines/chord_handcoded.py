@@ -284,7 +284,7 @@ class HandCodedChordNode:
 
     # ------------------------------------------------------------------ plumbing
     def _send(self, dst: str, tup: Tuple) -> None:
-        self.network.send(self.address, dst, tup)
+        self.network.send_batch(self.address, dst, [tup])
 
     def _schedule(self, period: float, fn: Callable[[], None]) -> None:
         self.loop.schedule(self.rng.uniform(0.5, 1.0) * period, fn)

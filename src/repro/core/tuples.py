@@ -14,7 +14,7 @@ a tuple means building a new one.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, Tuple as PyTuple
+from typing import Any, Callable, Iterable, Iterator, Sequence, Tuple as PyTuple
 
 from . import values
 from .errors import TupleError
@@ -74,16 +74,6 @@ class Tuple:
     def append(self, *extra: Any) -> "Tuple":
         """Return a new tuple with *extra* values appended."""
         return Tuple(self.name, self.fields + tuple(values.coerce(x) for x in extra))
-
-    def project(self, positions: Sequence[int], name: Optional[str] = None) -> "Tuple":
-        """Return a new tuple holding the fields at *positions* (0-based)."""
-        try:
-            fields = tuple(self.fields[p] for p in positions)
-        except IndexError:
-            raise TupleError(
-                f"projection positions {positions} out of range for arity {len(self.fields)}"
-            ) from None
-        return Tuple(name or self.name, fields)
 
     # -- immutability ----------------------------------------------------------
     def __setattr__(self, key: str, value: Any) -> None:

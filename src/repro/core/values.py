@@ -9,19 +9,17 @@ table layer, and the network marshaler all agree on how values behave.
 The important operations are:
 
 * :func:`coerce` — normalise an arbitrary Python object into a P2 value.
-* :func:`value_type` — the :class:`ValueType` tag used by marshaling.
 * :func:`to_int`, :func:`to_float`, :func:`to_bool`, :func:`to_str` —
   conversions with P2 semantics (e.g. the null value converts to 0 / "" /
   False rather than raising).
 * :func:`compare` — a total order across values of mixed types, needed by
   aggregates (``min``/``max``) and by table indices.
-* :func:`estimate_size` — serialized size in bytes, used by the transport for
-  maintenance-bandwidth accounting.
+* :func:`estimate_sizes` — serialized size in bytes, used by the transport
+  for maintenance-bandwidth accounting.
 """
 
 from __future__ import annotations
 
-import enum
 import hashlib
 from typing import Any, Iterable, Tuple as PyTuple, Union
 
@@ -36,24 +34,6 @@ NULL = None
 ValueLike = Union[None, bool, int, float, str, bytes, PyTuple[Any, ...]]
 
 
-class ValueType(enum.IntEnum):
-    """Wire-level tags for marshaled values."""
-
-    NULL = 0
-    BOOL = 1
-    INT = 2
-    FLOAT = 3
-    STR = 4
-    BYTES = 5
-    ID = 6        # large unique identifier (unbounded int, e.g. 160-bit)
-    LIST = 7      # tuple of values (used rarely, e.g. for debugging payloads)
-
-
-#: Integers at or above this magnitude are tagged as IDs when marshaled; the
-#: distinction only affects size accounting, not semantics.
-_ID_THRESHOLD = 1 << 63
-
-
 def coerce(obj: Any) -> ValueLike:
     """Normalise *obj* into a value the rest of the system understands.
 
@@ -66,25 +46,6 @@ def coerce(obj: Any) -> ValueLike:
     if isinstance(obj, (list, tuple)):
         return tuple(coerce(x) for x in obj)
     raise ValueError_(f"cannot represent {obj!r} ({type(obj).__name__}) as a P2 value")
-
-
-def value_type(value: ValueLike) -> ValueType:
-    """Return the wire tag for *value*."""
-    if value is None:
-        return ValueType.NULL
-    if isinstance(value, bool):
-        return ValueType.BOOL
-    if isinstance(value, int):
-        return ValueType.ID if abs(value) >= _ID_THRESHOLD else ValueType.INT
-    if isinstance(value, float):
-        return ValueType.FLOAT
-    if isinstance(value, str):
-        return ValueType.STR
-    if isinstance(value, bytes):
-        return ValueType.BYTES
-    if isinstance(value, tuple):
-        return ValueType.LIST
-    raise ValueError_(f"unknown value {value!r}")
 
 
 def to_int(value: ValueLike) -> int:
@@ -184,22 +145,16 @@ def equal(a: ValueLike, b: ValueLike) -> bool:
     return compare(a, b) == 0
 
 
-def estimate_size(value: ValueLike) -> int:
-    """Approximate marshaled size in bytes (1 tag byte + payload).
+def estimate_sizes(items: Iterable[ValueLike]) -> int:
+    """Approximate marshaled size of *items* in bytes — the one place the
+    format is written.
 
     The paper reports maintenance traffic in bytes per second; this estimator
-    backs that accounting.  Sizes follow XDR-like conventions: 4-byte ints,
-    8-byte floats, length-prefixed strings, and big integers encoded in as many
-    bytes as they need.
-    """
-    return estimate_sizes((value,))
-
-
-def estimate_sizes(items: Iterable[ValueLike]) -> int:
-    """Total :func:`estimate_size` of *items* — the one place the format is written.
-
-    Runs over the fields of every tuple sent, so it is a single pass that
-    tests the exact type of each value first.
+    backs that accounting.  Each value is one tag byte plus an XDR-like
+    payload: 4-byte ints, 8-byte floats, length-prefixed strings, and big
+    integers in as many bytes as they need.  Runs over the fields of every
+    tuple sent, so it is a single pass that tests the exact type of each
+    value first.
     """
     size = 0
     for v in items:

@@ -28,7 +28,7 @@ from typing import FrozenSet
 #: A function calling any of these — or any function that does, transitively
 #: — is "emit-reaching" and must not iterate raw sets (DET004).
 #:
-#: * ``send`` / ``send_batch`` — :class:`repro.net.transport.Network`
+#: * ``send_batch`` — :class:`repro.net.transport.Network`'s one send door
 #: * ``schedule`` / ``schedule_at`` / ``post_at`` — :class:`repro.sim.
 #:   event_loop.EventLoop` (and the sharded driver's member loops)
 #: * ``route`` / ``inject`` / ``receive`` / ``receive_batch`` —
@@ -37,7 +37,6 @@ from typing import FrozenSet
 #:   buffered through ``send_batch`` itself
 SINK_NAMES: FrozenSet[str] = frozenset(
     {
-        "send",
         "send_batch",
         "schedule",
         "schedule_at",

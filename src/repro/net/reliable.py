@@ -38,13 +38,14 @@ Mechanisms, per directed link:
   the peer — the half-open reopen path.  Any ack un-suspects the link.
 
 The layer is link state, not a transport.  The network counts what a train
-sends (messages, hooks, bytes, suppressed and unknown-destination drops) and
-asks the layer once per train (:meth:`ReliableLayer.open_train`), once per
+sends (messages, hooks, suppressed and unknown-destination drops) and asks
+the layer once per train (:meth:`ReliableLayer.open_train`), once per
 datagram (:meth:`~ReliableLayer.launch`) and once after it
 (:meth:`~ReliableLayer.close_train`); every datagram the layer puts on the
 wire — first send, retransmission, pure ack, probe — leaves through the
-network's one launch step and arrives through its one landing step, which
-run the layer's receive side on a live endpoint only.
+network's one launch step, which also counts its transmitted datagram and
+bytes, and arrives through its one landing step, which runs the layer's
+receive side on a live endpoint only.
 
 Determinism rules (the layer must stay bit-identical across ``shards``):
 
@@ -334,11 +335,9 @@ class ReliableLayer:
         entry = link.inflight[seq] = _InFlight(
             seq, tuples, bytes_by_category, now, now + link.rto
         )
-        net = self.network
-        net._launch(
-            link.src, src_loop, link.dst, now,
-            partial(net._land, link.dst, tuples, bytes_by_category,
-                    partial(self._accept, link, entry, ack)),
+        self.network._launch(
+            link.src, src_loop, link.dst, now, tuples, bytes_by_category, len(tuples),
+            partial(self._accept, link, entry, ack),
         )
 
     def close_train(self, train: Train) -> None:
@@ -396,7 +395,7 @@ class ReliableLayer:
         st = self._receivers.get((owner, peer))
         if st is None:
             st = self._receivers[(owner, peer)] = _ReceiverLink(
-                self, owner, peer, epoch, self.network._clock(owner),
+                self, owner, peer, epoch, self.network._loops[owner],
                 DELAYED_ACK + self._skew(owner, peer),
             )
         elif epoch > st.epoch:
@@ -441,8 +440,9 @@ class ReliableLayer:
         nbytes = PACKET_OVERHEAD_BYTES + ACK_BASE_BYTES + SACK_ENTRY_BYTES * len(snapshot[2])
         net = self.network
         net.acks_sent += 1
-        net._send_wire_unit(
-            owner, st.loop, peer, (), {ACK_CATEGORY: nbytes},
+        loop = st.loop
+        net._launch(
+            owner, loop, peer, loop.now, (), {ACK_CATEGORY: nbytes}, 0,
             partial(self._apply_ack, peer, owner, snapshot),
         )
 
@@ -536,8 +536,8 @@ class ReliableLayer:
             entry.deadline = now + min(link.rto * (BACKOFF ** entry.retries), cfg.rto_max)
             net.retransmits += 1
             ack = self._ack_payload_for(link.src, link.dst)
-            net._send_wire_unit(
-                link.src, loop, link.dst, entry.tuples, entry.bytes_by_category,
+            net._launch(
+                link.src, loop, link.dst, now, entry.tuples, entry.bytes_by_category, 0,
                 partial(self._accept, link, entry, ack),
             )
         self._arm_retransmit(link)
@@ -594,8 +594,10 @@ class ReliableLayer:
         link.probe_timer = None
         if not link.suspected:
             return
-        self.network._send_wire_unit(
-            link.src, link.loop, link.dst, (), {ACK_CATEGORY: PACKET_OVERHEAD_BYTES + PROBE_BYTES},
+        loop = link.loop
+        self.network._launch(
+            link.src, loop, link.dst, loop.now, (),
+            {ACK_CATEGORY: PACKET_OVERHEAD_BYTES + PROBE_BYTES}, 0,
             partial(self._answer_probe, link.src, link.dst, link.epoch),
         )
         self._arm_probe(link)
@@ -615,7 +617,7 @@ class ReliableLayer:
         link = self._senders.get((src, dst))
         if link is None:
             link = self._senders[(src, dst)] = _SenderLink(
-                self, src, dst, self._epochs.get(src, 0), self.network._clock(src),
+                self, src, dst, self._epochs.get(src, 0), self.network._loops[src],
                 self._skew(src, dst),
             )
         return link

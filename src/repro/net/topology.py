@@ -155,9 +155,11 @@ class LatencyMatrixTopology(Topology):
     def __init__(self, matrix: Sequence[Sequence[float]]):
         self._matrix = [list(row) for row in matrix]
         n = len(self._matrix)
-        for row in self._matrix:
+        for a, row in enumerate(self._matrix):
             if len(row) != n:
                 raise NetworkError("latency matrix must be square")
+            for b, value in enumerate(row):
+                _latency(f"latency matrix entry ({a}, {b})", value)
 
     def min_latency(self) -> Optional[float]:
         entries = [

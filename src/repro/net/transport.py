@@ -7,33 +7,26 @@ receive statistics.  Bandwidth accounting distinguishes traffic *categories*
 (maintenance vs. lookup) through a pluggable classifier, which is how the
 maintenance-bandwidth figures (Figure 3(ii), Figure 4(i)) are produced.
 
-Tuples enter through two doors:
-
-* :meth:`Network.send` — one tuple, one datagram, one delivery event: what
-  most trains of an idle overlay run through, because a one-tuple train *is*
-  one such send, and the tuple-at-a-time oracle of the
-  accounting-equivalence tests (``unbatched()`` in
-  ``tests/support/oracles.py`` points a node's egress at it);
-* :meth:`Network.send_batch` — a per-destination burst marshaled as a
-  *datagram train*: tuples are packed in arrival order into datagrams of up
-  to :data:`MTU_BYTES` payload, each datagram pays
-  :data:`PACKET_OVERHEAD_BYTES` once, is lost or delivered as a unit, and is
-  handed to the destination as a single event-loop event.  Packing and
-  sending are one pass over the train: a datagram is a slice of it and a
-  per-category byte map, launched as soon as the next tuple would not fit,
-  and no datagram object is built.
-
-Both count what they send (messages, send hooks, transmitted bytes, drops to
-unknown destinations) and leave the wire itself to one pair of steps that
-every datagram passes — best-effort ones and all four wire units of the
-opt-in reliable layer (:mod:`repro.net.reliable`: first sends,
-retransmissions, pure acks, probes): :meth:`Network._launch` decides
-partition, loss and latency and schedules the arrival; :meth:`Network._land`
-reads the endpoint's own ``alive`` flag, counts the received bytes and hands
-the tuples over.  An endpoint registers once and is never detached, so the
-network keeps no liveness of its own.  Latency is memoised per pair of
-topology indices: a topology's ``latency`` is pure and an address keeps its
-index for good, so a memo entry cannot go stale.
+Tuples enter through one door, :meth:`Network.send_batch`: a
+per-destination burst marshaled as a *datagram train*, whatever its length
+(an idle overlay's trains are mostly one tuple long, and a lone tuple is a
+train of one).  Tuples are packed in arrival order into datagrams of up to
+:data:`MTU_BYTES` payload; each datagram pays :data:`PACKET_OVERHEAD_BYTES`
+once, is lost or delivered as a unit, and is handed to the destination as a
+single event-loop event.  Packing and sending are one pass over the train: a
+datagram is a slice of it and a per-category byte map, launched as soon as
+the next tuple would not fit, and no datagram object is built.
+``send_batch`` counts what the train carries (messages, send hooks, drops);
+everything else is one pair of steps that every datagram passes —
+best-effort ones and all four wire units of the opt-in reliable layer
+(:mod:`repro.net.reliable`: first sends, retransmissions, pure acks,
+probes): :meth:`Network._launch` counts the transmitted datagram and its
+bytes, decides partition, loss and latency, and schedules the arrival;
+:meth:`Network._land` reads the endpoint's own ``alive`` flag, counts the
+received bytes and hands the tuples over.  An endpoint registers once and
+is never detached, so the network keeps no liveness of its own.  Latency is
+memoised per pair of topology indices: a topology's ``latency`` is pure and
+an address keeps its index for good, so a memo entry cannot go stale.
 """
 
 from __future__ import annotations
@@ -79,11 +72,13 @@ DEFAULT_CATEGORY = "maintenance"
 
 class Endpoint(Protocol):
     """What the network needs from a node: its ``address``; then
-    ``receive_batch(tuples)``, one datagram's tuples in order (all a
-    :class:`~repro.runtime.node.P2Node` has), or else ``receive(tup)`` per
-    tuple; then, optionally, ``alive`` — its own liveness and the only record
-    of it (an endpoint without one is always alive) — and ``loop``, the event
-    loop its deliveries run on (else the one its topology shard key selects).
+    ``receive_batch(tuples)``, the tuples of one arriving datagram in order
+    (all a :class:`~repro.runtime.node.P2Node` has), or else ``receive(tup)``
+    per tuple; then, optionally, ``alive`` — its own liveness and the only
+    record of it (an endpoint without one is always alive) — and ``loop``, the
+    event loop its arrivals run on (else the one its topology shard key
+    selects).  An endpoint sends through ``Network.send_batch`` under its
+    address, one train per destination.
     """
 
     address: str
@@ -108,14 +103,6 @@ class NodeTrafficStats:
     rx_bytes_by_category: Dict[str, int] = field(default_factory=dict)
     tx_datagrams: int = 0
     rx_datagrams: int = 0
-
-    def record_tx_datagram(self, bytes_by_category: Dict[str, int], messages: int) -> None:
-        self.tx_messages += messages
-        self.tx_datagrams += 1
-        by_cat = self.tx_bytes_by_category
-        for category, nbytes in bytes_by_category.items():
-            self.tx_bytes += nbytes
-            by_cat[category] = by_cat.get(category, 0) + nbytes
 
 
 class Network:
@@ -163,7 +150,6 @@ class Network:
         self._send_hooks: List[SendHook] = []
         self.messages_sent = 0
         self.messages_dropped = 0
-        self.datagrams_sent = 0
         # Wire-unit counters of the reliability layer (always present, so
         # observers need no hasattr checks; all stay 0 when reliable=False)
         # plus dead_endpoint_drops, which both paths maintain: datagrams that
@@ -174,8 +160,8 @@ class Network:
         self.suppressed_sends = 0
         self.dead_endpoint_drops = 0
         # The reliability layer is only constructed when opted into: on the
-        # default path the object does not exist and send()/send_batch()
-        # behave byte-identically to the pre-reliability transport.
+        # default path the object does not exist and send_batch() behaves
+        # byte-identically to the pre-reliability transport.
         self.reliable_layer: Optional["ReliableLayer"] = None
         if reliable:
             from .reliable import ReliableLayer
@@ -226,16 +212,6 @@ class Network:
         self.conditioner = conditioner
 
     # -- data path --------------------------------------------------------------------
-    def _clock(self, src: str) -> EventLoop:
-        """The loop whose clock reads the current simulated time for *src*.
-
-        Sends always execute either inside one of the source's own events (so
-        its loop's clock is the event time) or at a sharded-driver barrier
-        (where every loop is aligned), so the source's loop is the correct —
-        and under sharding the only correct — notion of "now".
-        """
-        return self._loops[src]
-
     def _lost(self, src: str) -> bool:
         if not self.loss_rate:
             return False
@@ -257,150 +233,79 @@ class Network:
             lost = self.conditioner.datagram_lost(src, dst) or lost
         return lost
 
-    def _schedule_delivery(
-        self,
-        src: str,
-        src_loop: EventLoop,
-        dst: str,
-        now: float,
-        delay: float,
-        callback: Callable[[], None],
-    ) -> None:
-        """Schedule *callback* at ``now + delay`` on the destination's loop.
-
-        The delivery is stamped with priority ``(send_time, source_index,
-        source_seq)``: same-instant deliveries then execute in an order
-        determined by the traffic itself, identically on a single loop and
-        under any sharding — the deterministic cross-shard merge key.  A
-        destination on another loop is posted to its inbox (drained at the
-        next lookahead barrier) instead of touching its heap directly.  Nothing
-        cancels a delivery, so either way it is a bare heap entry.
-        """
-        seq = self._tx_seq.get(src, 0)
-        self._tx_seq[src] = seq + 1
-        priority = (now, self._indices[src], seq)
-        dst_loop = self._loops[dst]
-        if dst_loop is src_loop:
-            dst_loop.deliver_at(now + delay, callback, priority)
-        else:
-            dst_loop.post_at(now + delay, callback, priority)
-
-    def send(self, src: str, dst: str, tup: Tuple) -> bool:
-        """Marshal and send *tup* from *src* to *dst* as its own datagram.
-
-        Returns True when the message was put on the wire; a loss draw or an
-        unknown destination returns False (and counts the drop), while a
-        message that reaches a node that died in flight is dropped at
-        delivery time, exactly like UDP.  With the reliable layer on, the
-        tuple is a one-datagram train of :meth:`send_batch`.
-
-        An idle overlay's trains are one tuple long (≈ 1.2 tuples per
-        datagram on Chord), so this body runs once per datagram: the
-        accounting of :meth:`send_batch` for a single datagram, with the
-        source's loop and stats object read directly.
-        """
-        indices = self._indices
-        if src not in indices:
-            raise NetworkError(f"unknown source address {src!r}")
-        if self.reliable_layer is not None:
-            return self.send_batch(src, dst, [tup]) == 1
-        src_loop = self._loops[src]
-        now = src_loop.now
-        self.messages_sent += 1
-        self.datagrams_sent += 1
-        size = tup.estimate_size() + PACKET_OVERHEAD_BYTES
-        category = self.classifier(tup)
-        stats = self.stats[src]
-        stats.tx_messages += 1
-        stats.tx_datagrams += 1
-        stats.tx_bytes += size
-        by_category = stats.tx_bytes_by_category
-        by_category[category] = by_category.get(category, 0) + size
-        for hook in self._send_hooks:
-            hook(src, dst, tup, now)
-        if dst in indices and self._launch(
-            src, src_loop, dst, now, partial(self._land, dst, (tup,), {category: size})
-        ):
-            return True
-        self.messages_dropped += 1
-        return False
-
     def send_batch(self, src: str, dst: str, tuples: Iterable[Tuple]) -> int:
-        """Marshal a burst from *src* to *dst* as one datagram train.
+        """Marshal a train of tuples from *src* to *dst* as datagrams and send them.
 
-        Tuples are packed greedily, in arrival order, into datagrams of up to
-        ``mtu`` payload — never reordered (cross-relation arrival order at the
-        receiver is part of the engine's observable semantics), so a datagram
-        may mix traffic categories, and an oversized tuple travels alone.
-        Each datagram pays the framing overhead once, charged to the category
-        of the tuple that opened it; is lost as a unit (one loss draw per
-        datagram); and arrives as one event-loop event.  Packing and sending
-        are one pass: a datagram is its tuple slice and its per-category byte
-        map, launched as soon as the next tuple would not fit.  Send hooks
-        still fire once per tuple and ``messages_sent`` still counts tuples,
-        so observers are batching-agnostic.  Returns the number of tuples put
-        on the wire — with the reliable layer, every tuple not suppressed is
-        on the wire until acknowledged, whatever its first attempt meets.
+        The only way tuples enter the wire, whatever the train's length: a
+        one-tuple train is one datagram like any other.  Tuples are packed
+        greedily, in arrival order, into datagrams of up to ``mtu`` payload —
+        never reordered (cross-relation arrival order at the receiver is part
+        of the engine's observable semantics), so a datagram may mix traffic
+        categories, and an oversized tuple travels alone.  Each datagram pays
+        the framing overhead once, charged to the category of the tuple that
+        opened it; is lost as a unit (one loss draw per datagram); and arrives
+        as one event-loop event.  Packing and sending are one pass: a datagram
+        is its tuple slice and its per-category byte map, launched as soon as
+        the next tuple would not fit.  Send hooks fire once per tuple and
+        ``messages_sent`` counts tuples, so observers are batching-agnostic.
+
+        Returns the number of tuples put on the wire.  A loss draw, a
+        partition or an unknown destination counts the datagram's tuples
+        dropped, while one that reaches a node that died in flight is dropped
+        at delivery time, exactly like UDP.  With the reliable layer, every
+        tuple not suppressed is on the wire until acknowledged, whatever its
+        first attempt meets.
         """
         indices = self._indices
         if src not in indices:
             raise NetworkError(f"unknown source address {src!r}")
-        batch = tuples if type(tuples) is list else list(tuples)
-        if not batch:
+        if type(tuples) is not list:
+            tuples = list(tuples)
+        if not tuples:
             return 0
-        layer = self.reliable_layer
-        if len(batch) == 1 and layer is None:
-            # a one-tuple train is exactly one unbatched send: same datagram,
-            # same bytes, same loss draw (most idle-maintenance rounds emit a
-            # single tuple per destination)
-            return 1 if self.send(src, dst, batch[0]) else 0
-        stats = self.stats[src]
+        # the source's loop reads "now": a send runs inside one of the
+        # source's events or at a sharded-driver barrier, where every loop
+        # is aligned
         src_loop = self._loops[src]
         now = src_loop.now
-        known = dst in indices
-        reliable = layer is not None and known
-        # None when the layer suspects the peer: the train is suppressed
-        train = layer.open_train(src, dst, now) if reliable else None
-        classifier, mtu, hooks = self.classifier, self.mtu, self._send_hooks
+        layer = self.reliable_layer
+        train = None
+        if layer is not None and dst in indices:
+            # None when the layer suspects the peer: the train is suppressed
+            train = layer.open_train(src, dst, now)
+        classifier = self.classifier
         sent = 0
-        end, total = 0, len(batch)
-        size = batch[0].estimate_size()
+        end, total = 0, len(tuples)
+        size = tuples[0].estimate_size()
         while end < total:
-            # one datagram: batch[start:end], *size* already read for its first
+            # one datagram: tuples[start:end], *size* already read for its first
             start, payload = end, size
-            by_category = {classifier(batch[start]): PACKET_OVERHEAD_BYTES + size}
+            by_category = {classifier(tuples[start]): PACKET_OVERHEAD_BYTES + size}
             end += 1
             while end < total:
-                size = batch[end].estimate_size()
-                if payload + size > mtu:
+                size = tuples[end].estimate_size()
+                if payload + size > self.mtu:
                     break
                 payload += size
-                category = classifier(batch[end])
+                category = classifier(tuples[end])
                 by_category[category] = by_category.get(category, 0) + size
                 end += 1
-            datagram = batch[start:end]
+            datagram = tuples[start:end]
             count = end - start
             self.messages_sent += count
-            if hooks:
+            if self._send_hooks:
                 for tup in datagram:
-                    for hook in hooks:
+                    for hook in self._send_hooks:
                         hook(src, dst, tup, now)
-            if reliable and train is None:
+            if train is not None:
+                layer.launch(train, datagram, by_category, src_loop, now)
+                sent += count
+            elif layer is not None and dst in indices:
                 # graceful degradation: nothing is marshaled for a suspected
                 # peer — the tuples are counted dropped, not queued
                 self.suppressed_sends += 1
                 self.messages_dropped += count
-                continue
-            self.datagrams_sent += 1
-            stats.record_tx_datagram(by_category, count)
-            if not known:
-                self.messages_dropped += count
-            elif train is not None:
-                layer.launch(train, datagram, by_category, src_loop, now)
-                sent += count
-            elif self._launch(
-                src, src_loop, dst, now, partial(self._land, dst, datagram, by_category)
-            ):
+            elif self._launch(src, src_loop, dst, now, datagram, by_category, count):
                 sent += count
             else:
                 self.messages_dropped += count
@@ -408,56 +313,72 @@ class Network:
             layer.close_train(train)
         return sent
 
-    def _send_wire_unit(
-        self,
-        src: str,
-        src_loop: EventLoop,
-        dst: str,
-        tuples: Sequence[Tuple],
-        bytes_by_category: Dict[str, int],
-        accept: Callable[[], Optional[bool]],
-    ) -> None:
-        """Count and launch one wire unit of the reliable layer that carries no
-        new message: a retransmission, a pure ack or a probe."""
-        self.datagrams_sent += 1
-        self.stats[src].record_tx_datagram(bytes_by_category, 0)
-        self._launch(
-            src, src_loop, dst, src_loop.now,
-            partial(self._land, dst, tuples, bytes_by_category, accept),
-        )
-
     def _launch(
         self,
         src: str,
         src_loop: EventLoop,
         dst: str,
         now: float,
-        arrive: Callable[[], None],
+        tuples: Sequence[Tuple],
+        bytes_by_category: Dict[str, int],
+        messages: int,
+        accept: Optional[Callable[[], Optional[bool]]] = None,
     ) -> bool:
-        """Put one datagram from *src* to the registered *dst* on the wire.
+        """Count one datagram *src* transmits, then put it on the wire to *dst*.
 
-        The decisions, in order: the partition check — before any loss draw
+        Every datagram passes here: a train's, and each wire unit of the
+        reliable layer (*messages* 0 for a retransmission, a pure ack or a
+        probe).  The transmit side is charged first, whatever happens next:
+        the source's message, datagram and per-category byte counters.  Then,
+        for a registered *dst*: the partition check — before any loss draw
         and consuming no randomness, so partition state never shifts the loss
         streams, counted in ``unreachable_drops``; one loss decision, entered
         only when a loss rate or a conditioner could make it draw; the
         topology latency (memoised per index pair) times the conditioner's
-        spike factor; and :meth:`_schedule_delivery` of *arrive*.  Returns False when the
-        datagram is dropped; what else a drop costs is the caller's to count.
+        spike factor; and the arrival, :meth:`_land` of the datagram at
+        ``now + latency`` on the destination's loop.
+
+        The arrival is stamped with priority ``(send_time, source_index,
+        source_seq)``: same-instant arrivals then run in an order determined
+        by the traffic itself, identically on a single loop and under any
+        sharding — the deterministic cross-shard merge key.  A destination on
+        another loop is posted to its inbox (drained at the next lookahead
+        barrier) instead of touching its heap directly.  Nothing cancels an
+        arrival, so either way it is a bare heap entry.  Returns False when
+        the datagram is dropped; what else a drop costs is the caller's to
+        count.
         """
+        stats = self.stats[src]
+        stats.tx_messages += messages
+        stats.tx_datagrams += 1
+        by_category = stats.tx_bytes_by_category
+        for category, nbytes in bytes_by_category.items():
+            stats.tx_bytes += nbytes
+            by_category[category] = by_category.get(category, 0) + nbytes
+        indices = self._indices
+        if dst not in indices:
+            return False
         cond = self.conditioner
         if cond is not None and not cond.reachable(src, dst):
             cond.unreachable_drops += 1
             return False
         if (self.loss_rate or cond is not None) and self._datagram_lost(src, dst):
             return False
-        indices = self._indices
         key = (indices[src], indices[dst])
         delay = self._latencies.get(key)
         if delay is None:
             delay = self._latencies[key] = self.topology.latency(*key)
         if cond is not None:
             delay *= cond.latency_factor
-        self._schedule_delivery(src, src_loop, dst, now, delay, arrive)
+        tx_seq = self._tx_seq
+        seq = tx_seq.get(src, 0)
+        tx_seq[src] = seq + 1
+        arrive = partial(self._land, dst, tuples, bytes_by_category, accept)
+        dst_loop = self._loops[dst]
+        if dst_loop is src_loop:
+            dst_loop.deliver_at(now + delay, arrive, (now, key[0], seq))
+        else:
+            dst_loop.post_at(now + delay, arrive, (now, key[0], seq))
         return True
 
     def _land(
@@ -522,6 +443,12 @@ class Network:
             self.reliable_layer.peer_up(address)
 
     # -- aggregate statistics ------------------------------------------------------------
+    @property
+    def datagrams_sent(self) -> int:
+        """Datagrams put on the wire or dropped on the way, every wire unit
+        of the reliable layer included: the sum of the nodes' ``tx_datagrams``."""
+        return sum(s.tx_datagrams for s in self.stats.values())
+
     def total_tx_bytes(self, category: Optional[str] = None) -> int:
         if category is None:
             return sum(s.tx_bytes for s in self.stats.values())

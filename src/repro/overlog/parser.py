@@ -188,6 +188,12 @@ class _Parser:
                 location = self.stream.next().value
             elif loc_tok.type == STRING:
                 location = self._string_value(self.stream.next().value)
+                if not location:
+                    raise ParseError(
+                        "empty location string after '@': an address must name a node",
+                        loc_tok.line,
+                        loc_tok.column,
+                    )
             else:
                 raise ParseError(
                     f"expected location specifier after '@', found {loc_tok.value!r}",

@@ -4,8 +4,9 @@ The engine has one way to send and one way to plan; what the suites compare
 it against is kept here, beside them, rather than as engine modes:
 
 * :func:`unbatched` — every node built inside sends each remote-bound head
-  on its own, one :meth:`~repro.net.transport.Network.send` per tuple,
-  instead of coalescing a drain's heads into datagram trains;
+  on its own, a one-tuple train of
+  :meth:`~repro.net.transport.Network.send_batch` per tuple, instead of
+  coalescing a drain's heads into datagram trains;
 * :func:`naive_plans` — every node built inside runs the naive body-order
   plans, ``plan_program(program, optimize=False)``, instead of the
   cost-based optimizer's.
@@ -26,9 +27,9 @@ def unbatched():
     """Build nodes that send tuple-at-a-time; yields the list of them.
 
     A node's handlers read its egress when they are bound, at the trigger's
-    first firing, so pointing ``_egress`` at ``Network.send`` as the node is
-    built reroutes every remote-bound head; a send the network refuses is
-    counted in ``dropped_remote_sends``, as a refused train is.
+    first firing, so pointing ``_egress`` at a one-tuple ``send_batch`` as
+    the node is built reroutes every remote-bound head; a send the network
+    refuses is counted in ``dropped_remote_sends``, as a refused train is.
     """
     real_init, built = P2Node.__init__, []
 
@@ -37,7 +38,7 @@ def unbatched():
         address, network = node.address, node.network
 
         def send(destination, tup):
-            if not network.send(address, destination, tup):
+            if network.send_batch(address, destination, [tup]) == 0:
                 node.dropped_remote_sends += 1
 
         node._egress = send

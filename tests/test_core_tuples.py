@@ -51,16 +51,6 @@ class TestAccess:
         assert t.key([1]) == ("n2",)
         assert t.key([0, 2]) == ("n1", 7)
 
-    def test_project(self):
-        t = Tuple.make("a", 1, 2, 3)
-        p = t.project([2, 0], name="b")
-        assert p.name == "b"
-        assert p.fields == (3, 1)
-
-    def test_project_out_of_range(self):
-        with pytest.raises(TupleError):
-            Tuple.make("a", 1).project([4])
-
 
 class TestTrustedAndKeyGetter:
     def test_trusted_equals_checked_construction(self):

@@ -20,18 +20,6 @@ class TestCoerce:
             values.coerce(object())
 
 
-class TestValueType:
-    def test_tags(self):
-        assert values.value_type(None) == values.ValueType.NULL
-        assert values.value_type(True) == values.ValueType.BOOL
-        assert values.value_type(7) == values.ValueType.INT
-        assert values.value_type(1 << 100) == values.ValueType.ID
-        assert values.value_type(1.5) == values.ValueType.FLOAT
-        assert values.value_type("s") == values.ValueType.STR
-        assert values.value_type(b"b") == values.ValueType.BYTES
-        assert values.value_type((1, 2)) == values.ValueType.LIST
-
-
 class TestConversions:
     def test_to_int(self):
         assert values.to_int(None) == 0
@@ -117,12 +105,12 @@ class TestCompare:
 
 class TestSizeEstimate:
     def test_sizes_monotonic_in_content(self):
-        assert values.estimate_size("ab") < values.estimate_size("abcdef")
-        assert values.estimate_size(1 << 200) > values.estimate_size(5)
+        assert values.estimate_sizes(("ab",)) < values.estimate_sizes(("abcdef",))
+        assert values.estimate_sizes((1 << 200,)) > values.estimate_sizes((5,))
 
     def test_all_types_have_sizes(self):
         for v in (None, True, 2, 2.5, "s", b"b", (1, "x")):
-            assert values.estimate_size(v) > 0
+            assert values.estimate_sizes((v,)) > 0
 
 
 class TestUniqueIds:

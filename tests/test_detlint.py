@@ -274,7 +274,7 @@ class Node:
     def broadcast(self, peers):
         targets = set(peers)
         for addr in targets:
-            self.network.send(addr, None)
+            self.network.send_batch(addr, None)
 """
 
 
@@ -290,7 +290,7 @@ class TestDet004:
         assert diags == []
 
     def test_not_emit_reaching_clean(self):
-        diags = lint(EMITTING_SET_LOOP.replace("self.network.send(addr, None)", "print(addr)"))
+        diags = lint(EMITTING_SET_LOOP.replace("self.network.send_batch(addr, None)", "print(addr)"))
         assert diags == []
 
     def test_transitive_reachability(self):
@@ -302,7 +302,7 @@ class TestDet004:
                         self._forward(addr)
 
                 def _forward(self, addr):
-                    self.network.send(addr, None)
+                    self.network.send_batch(addr, None)
 
                 def __init__(self):
                     self.pending = set()
@@ -355,7 +355,7 @@ class TestDet004:
                 def fanout(self, addr):
                     seen = set()
                     if addr not in seen and len(seen) < 5:
-                        self.network.send(addr, None)
+                        self.network.send_batch(addr, None)
             """
         )
         assert diags == []
@@ -664,7 +664,7 @@ class TestReliableLayerPatterns:
                 st.delack = None
                 if st.ack_pending:
                     sacks = tuple(sorted(st.ooo))
-                    self.network.send(peer, sacks)
+                    self.network.send_batch(peer, sacks)
         """
 
     def test_delayed_ack_timer_pattern_is_clean(self):
@@ -705,4 +705,4 @@ class TestSelfLint:
             str(transport), python_ast.parse(transport.read_text(encoding="utf-8"))
         )
         reach = graph.reaching(DEFAULT_CONFIG.sink_names)
-        assert any(q.endswith("Network.send") for q in reach)
+        assert any(q.endswith("Network.send_batch") for q in reach)

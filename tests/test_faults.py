@@ -326,8 +326,8 @@ class TestNetworkConditioning:
         cond = LinkConditioner()
         net.set_conditioner(cond)
         cond.set_partition([("a", "b"), ("c", "d")])
-        assert net.send("a", "b", Tuple.make("ping", "b", 1))
-        assert not net.send("a", "c", Tuple.make("ping", "c", 2))
+        assert net.send_batch("a", "b", [Tuple.make("ping", "b", 1)]) == 1
+        assert net.send_batch("a", "c", [Tuple.make("ping", "c", 2)]) == 0
         assert net.send_batch("a", "c", [Tuple.make("ping", "c", i) for i in range(5)]) == 0
         loop.run()
         assert [t[1] for t in b.received] == [1]
@@ -349,7 +349,7 @@ class TestNetworkConditioning:
                 net.set_conditioner(cond)
                 cond.set_partition([("c",), ("d",)])
             for i in range(60):
-                net.send("a", "b", Tuple.make("ping", "b", i))
+                net.send_batch("a", "b", [Tuple.make("ping", "b", i)])
             loop.run()
             return [t[1] for t in b.received]
 
@@ -365,8 +365,8 @@ class TestNetworkConditioning:
             dst_set=["b"],
         )
         for i in range(10):
-            net.send("a", "b", Tuple.make("ping", "b", i))
-            net.send("a", "c", Tuple.make("ping", "c", i))
+            net.send_batch("a", "b", [Tuple.make("ping", "b", i)])
+            net.send_batch("a", "c", [Tuple.make("ping", "c", i)])
         loop.run()
         # a→b: first datagram passes (good state), the rest are lost
         assert [t[1] for t in b.received] == [0]
@@ -379,7 +379,7 @@ class TestNetworkConditioning:
         cond = LinkConditioner()
         net.set_conditioner(cond)
         cond.push_latency_spike(3.0)
-        net.send("a", "b", Tuple.make("ping", "b", 1))
+        net.send_batch("a", "b", [Tuple.make("ping", "b", 1)])
         net.send_batch("a", "c", [Tuple.make("ping", "c", 2)])
         loop.run_until(0.05 * 3 - 0.001)
         assert b.received == [] and c.received == []

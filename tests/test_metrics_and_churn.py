@@ -63,8 +63,8 @@ class TestLookupTracker:
         loop, net, node, tracker = self.make()
         tracker.register("e1", key=150, origin="n1")
         # two forwarding hops observed on the wire
-        net.send("n1", "n2", Tuple.make("lookup", "n2", 150, "n1", "e1"))
-        net.send("n2", "n1", Tuple.make("lookup", "n1", 150, "n1", "e1"))
+        net.send_batch("n1", "n2", [Tuple.make("lookup", "n2", 150, "n1", "e1")])
+        net.send_batch("n2", "n1", [Tuple.make("lookup", "n1", 150, "n1", "e1")])
         loop.run()
         # correct result (id 200 owns key 150) arrives at the requester
         node.deliver(Tuple.make("lookupResults", "n1", 150, 200, "n2", "e1"))
@@ -91,7 +91,7 @@ class TestLookupTracker:
     def test_unknown_event_ids_ignored(self):
         loop, net, node, tracker = self.make()
         node.deliver(Tuple.make("lookupResults", "n1", 3, 10, "n1", "unknown"))
-        net.send("n1", "n2", Tuple.make("lookup", "n2", 3, "n1", "unknown"))
+        net.send_batch("n1", "n2", [Tuple.make("lookup", "n2", 3, "n1", "unknown")])
         assert tracker.records == {}
 
 
@@ -107,7 +107,7 @@ class TestBandwidthMeter:
         meter.start()
 
         def chatter():
-            net.send("a", "b", Tuple.make("stabilize", "b", 123))
+            net.send_batch("a", "b", [Tuple.make("stabilize", "b", 123)])
             loop.schedule(0.1, chatter)
 
         loop.schedule(0.0, chatter)

@@ -69,7 +69,7 @@ class TestTopologies:
 class TestNetwork:
     def test_delivery_with_latency(self):
         loop, net, a, b = make_net()
-        net.send("a", "b", Tuple.make("ping", "b", "a"))
+        net.send_batch("a", "b", [Tuple.make("ping", "b", "a")])
         assert b.received == []
         loop.run()
         assert loop.now == pytest.approx(0.05)
@@ -78,11 +78,11 @@ class TestNetwork:
     def test_unknown_source_rejected(self):
         loop, net, a, b = make_net()
         with pytest.raises(NetworkError):
-            net.send("zzz", "b", Tuple.make("x", 1))
+            net.send_batch("zzz", "b", [Tuple.make("x", 1)])
 
     def test_unknown_destination_drops(self):
         loop, net, a, b = make_net()
-        assert net.send("a", "nowhere", Tuple.make("x", 1)) is False
+        assert net.send_batch("a", "nowhere", [Tuple.make("x", 1)]) == 0
         assert net.messages_dropped == 1
 
     def test_loss_rate_outside_zero_to_one_rejected(self):
@@ -101,21 +101,21 @@ class TestNetwork:
     def test_dead_node_does_not_receive(self):
         loop, net, a, b = make_net()
         b.alive = False
-        net.send("a", "b", Tuple.make("x", 1))
+        net.send_batch("a", "b", [Tuple.make("x", 1)])
         loop.run()
         assert b.received == []
         assert net.messages_dropped == 1
 
     def test_loss_rate_drops_messages(self):
         loop, net, a, b = make_net(loss_rate=1.0)
-        assert net.send("a", "b", Tuple.make("x", 1)) is False
+        assert net.send_batch("a", "b", [Tuple.make("x", 1)]) == 0
 
     def test_byte_accounting_and_categories(self):
         loop, net, a, b = make_net(
             classifier=lambda t: "lookup" if t.name == "lookup" else "maintenance"
         )
-        net.send("a", "b", Tuple.make("lookup", "b", 42))
-        net.send("a", "b", Tuple.make("stabilize", "b"))
+        net.send_batch("a", "b", [Tuple.make("lookup", "b", 42)])
+        net.send_batch("a", "b", [Tuple.make("stabilize", "b")])
         loop.run()
         stats_a = net.stats["a"]
         assert stats_a.tx_messages == 2
@@ -129,7 +129,7 @@ class TestNetwork:
         loop, net, a, b = make_net()
         seen = []
         net.add_send_hook(lambda src, dst, tup, t: seen.append((src, dst, tup.name)))
-        net.send("a", "b", Tuple.make("ping", "b"))
+        net.send_batch("a", "b", [Tuple.make("ping", "b")])
         assert seen == [("a", "b", "ping")]
 
 
@@ -175,7 +175,7 @@ class TestLatencyMemo:
                 product *= spike
             assert cond.latency_factor == product
             sent_at = loop.now
-            net.send("a", "b", Tuple.make("x", i))
+            net.send_batch("a", "b", [Tuple.make("x", i)])
             loop.run_for(4.0)  # the largest product here is 30
             assert b.received[-1] == (sent_at + base * product, Tuple.make("x", i))
         assert cond.latency_factor == 1.0 and not pushed

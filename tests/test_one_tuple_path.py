@@ -1,10 +1,11 @@
-"""The one-tuple datagram path is cheaper — and nothing else changed.
+"""The one-tuple datagram path is the train path — and nothing else changed.
 
-``Network.send`` reads the source's loop and stats object directly and builds
-no ``Datagram``; its datagram, like every other, is launched and landed by
-``Network._launch`` / ``Network._land``, which enter ``_datagram_lost`` only
-when it could draw; ``values.estimate_sizes`` sizes a tuple's fields in one
-exact-type pass.  Each is checked against what it replaced:
+A one-tuple train goes through ``Network.send_batch`` like any other and
+builds no ``Datagram``; its datagram, like every other, is counted, launched
+and landed by ``Network._launch`` / ``Network._land``, which enter
+``_datagram_lost`` only when it could draw; ``values.estimate_sizes`` sizes a
+tuple's fields in one exact-type pass.  Each is checked against what it
+replaced:
 
 * the sizes against the ``isinstance`` chain ``values.estimate_size`` used to
   be, value by value;
@@ -57,7 +58,8 @@ fields_strategy = st.lists(
 
 
 def reference_size(value):
-    """``values.estimate_size`` as it was: 1 tag byte + an XDR-like payload."""
+    """A value's size as ``values.estimate_size`` once gave it, one
+    ``isinstance`` test at a time: 1 tag byte + an XDR-like payload."""
     if value is None or isinstance(value, bool):
         return 1 + 1
     if isinstance(value, int):
@@ -76,7 +78,7 @@ def reference_size(value):
 @given(name=st.sampled_from(["s", "succ", "bestLookupDist"]), fields=fields_strategy)
 def test_estimate_size_is_the_sum_of_the_value_sizes(name, fields):
     tup = Tuple(name, fields)
-    assert [values.estimate_size(f) for f in tup.fields] == [reference_size(f) for f in tup.fields]
+    assert [values.estimate_sizes((f,)) for f in tup.fields] == [reference_size(f) for f in tup.fields]
     assert tup.estimate_size() == 4 + len(name) + sum(reference_size(f) for f in tup.fields)
     assert values.estimate_sizes(tup.fields) == sum(reference_size(f) for f in tup.fields)
 
@@ -89,8 +91,8 @@ def test_a_subclass_is_sized_as_the_atom_it_extends():
         RED = 1 << 40
 
     pair = namedtuple("pair", "a b")(1, "é")
-    assert values.estimate_size(Colour.RED) == reference_size(1 << 40) == 7
-    assert values.estimate_size(pair) == reference_size((1, "é")) == 5 + 5 + 7
+    assert values.estimate_sizes((Colour.RED,)) == reference_size(1 << 40) == 7
+    assert values.estimate_sizes((pair,)) == reference_size((1, "é")) == 5 + 5 + 7
 
 
 def test_estimate_size_of_the_atoms_a_tuple_is_made_of():
@@ -125,8 +127,8 @@ def test_a_send_is_delayed_by_the_topology_latency():
         for i in range(6):
             net.register(Endpoint(f"n{i}", log, loop))
         for _ in range(2):  # the same pair twice: the same delay twice
-            net.send("n0", "n4", Tuple.make("x", 1))
-            net.send("n4", "n0", Tuple.make("x", 2))
+            net.send_batch("n0", "n4", [Tuple.make("x", 1)])
+            net.send_batch("n4", "n0", [Tuple.make("x", 2)])
         loop.run()
         assert sorted(round(t, 12) for t, _, _ in log) == sorted(
             round(topology.latency(a, b), 12) for a, b in ((0, 4), (4, 0)) * 2
@@ -143,12 +145,12 @@ def test_latency_factor_applies_to_every_send():
     base = topology.latency(0, 1)
     cond = LinkConditioner(seed=3)
     net.set_conditioner(cond)
-    net.send("n0", "n1", Tuple.make("x", 0))
+    net.send_batch("n0", "n1", [Tuple.make("x", 0)])
     cond.push_latency_spike(4.0)
-    net.send("n0", "n1", Tuple.make("x", 1))
+    net.send_batch("n0", "n1", [Tuple.make("x", 1)])
     net.send_batch("n0", "n1", [Tuple.make("x", 2), Tuple.make("x", 3)])
     cond.pop_latency_spike(4.0)
-    net.send("n0", "n1", Tuple.make("x", 4))
+    net.send_batch("n0", "n1", [Tuple.make("x", 4)])
     loop.run()
     arrivals = {tup[0]: when for when, _, tup in log}
     assert arrivals == {0: base, 1: 4.0 * base, 2: 4.0 * base, 3: 4.0 * base, 4: base}
@@ -156,15 +158,19 @@ def test_latency_factor_applies_to_every_send():
 
 # ------------------------------------------------- the path against its helper chain
 class HelperChainNetwork(Network):
-    """``send`` and ``_deliver`` as they were: one helper call per step."""
+    """A one-tuple train sent and delivered the way the transport once did:
+    its own accounting, one helper call per step, its own scheduling; longer
+    trains are ``Network.send_batch``'s."""
 
-    def send(self, src, dst, tup):
+    def send_batch(self, src, dst, tuples):
+        if len(tuples) != 1:
+            return super().send_batch(src, dst, tuples)
+        (tup,) = tuples
         if src not in self._indices:
             raise AssertionError("the scenario only sends from registered sources")
-        src_loop = self._clock(src)
+        src_loop = self._loops[src]
         now = src_loop.now
         self.messages_sent += 1
-        self.datagrams_sent += 1
         size = tup.estimate_size() + PACKET_OVERHEAD_BYTES
         category = self.classifier(tup)
         stats = self.stats[src]
@@ -176,22 +182,32 @@ class HelperChainNetwork(Network):
             hook(src, dst, tup, now)
         if dst not in self._indices:
             self.messages_dropped += 1
-            return False
+            return 0
         cond = self.conditioner
         if cond is not None and not cond.reachable(src, dst):
             cond.unreachable_drops += 1
             self.messages_dropped += 1
-            return False
+            return 0
         if self._datagram_lost(src, dst):
             self.messages_dropped += 1
-            return False
+            return 0
         delay = self.topology.latency(self._indices[src], self._indices[dst])
         if cond is not None:
             delay *= cond.latency_factor
         self._schedule_delivery(
             src, src_loop, dst, now, delay, lambda: self._deliver(dst, tup, size, category)
         )
-        return True
+        return 1
+
+    def _schedule_delivery(self, src, src_loop, dst, now, delay, callback):
+        seq = self._tx_seq.get(src, 0)
+        self._tx_seq[src] = seq + 1
+        priority = (now, self._indices[src], seq)
+        dst_loop = self._loops[dst]
+        if dst_loop is src_loop:
+            dst_loop.deliver_at(now + delay, callback, priority)
+        else:
+            dst_loop.post_at(now + delay, callback, priority)
 
     def _deliver(self, dst, tup, size, category):
         node = self._nodes.get(dst)
@@ -233,7 +249,7 @@ def _play(network_class, script, loss_rate, jitter, reliable=False):
         kind = step[0]
         if kind == "send":
             _, src, dst, name, payload = step
-            returned.append(net.send(src, dst, Tuple(name, (dst, payload))))
+            returned.append(net.send_batch(src, dst, [Tuple(name, (dst, payload))]) == 1)
         elif kind == "train":
             _, src, dst, count = step
             returned.append(net.send_batch(src, dst, [Tuple("succ", (dst, i)) for i in range(count)]))

@@ -80,6 +80,24 @@ class TestRules:
         assert rule.head.location == "Y"
         assert [p.location for p in rule.body_predicates()] == ["X", "X"]
 
+    def test_an_empty_location_string_is_a_spanned_parse_error(self):
+        # an empty address names no node: it used to parse, build, and then
+        # escape node set-up as a bare IndexError
+        with pytest.raises(ParseError, match="empty location") as raised:
+            parse_program('R4 member@Y(Y, A) :-\n  refreshSeq@X(X, S), neighbor@""(X, Y).')
+        assert (raised.value.line, raised.value.column) == (2, 32)
+        assert parse_program('f neighbor@"n1"(X, Y) :- a@X(X, Y).').rules[0].head.location == "n1"
+
+    def test_an_empty_location_never_reaches_node_setup(self):
+        from repro.runtime import OverlaySimulation
+
+        program = """
+        materialize(neighbor, infinity, infinity, keys(1, 2)).
+        r1 out@Y(Y, X) :- ev@X(X, Y), neighbor@""(X, Y).
+        """
+        with pytest.raises(ParseError):
+            OverlaySimulation(program, seed=1).add_node("a")
+
     def test_assignment_and_selection(self):
         prog = parse_program(
             "R2 refreshSeq(X, New) :- refreshEvent(X), sequence(X, Seq), "

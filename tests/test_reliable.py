@@ -73,7 +73,7 @@ def make_net(reliable=True, config=None, loss_rate=0.0, seed=1):
 class TestAckRetransmit:
     def test_lossless_send_acks_without_retransmit(self):
         loop, net, a, b = make_net()
-        assert net.send("a", "b", Tuple.make("ping", "b", 1))
+        assert net.send_batch("a", "b", [Tuple.make("ping", "b", 1)]) == 1
         loop.run_for(5.0)
         assert [t[1] for t in b.received] == [1]
         assert net.retransmits == 0
@@ -88,7 +88,7 @@ class TestAckRetransmit:
     def test_lost_datagram_retransmitted_and_delivered_once(self):
         loop, net, a, b = make_net()
         net.loss_rate = 1.0
-        net.send("a", "b", Tuple.make("ping", "b", 2))
+        net.send_batch("a", "b", [Tuple.make("ping", "b", 2)])
         loop.run_for(0.2)
         net.loss_rate = 0.0
         loop.run_for(10.0)
@@ -99,7 +99,7 @@ class TestAckRetransmit:
 
     def test_lost_ack_causes_duplicate_which_is_suppressed_and_reacked(self):
         loop, net, a, b = make_net()
-        net.send("a", "b", Tuple.make("ping", "b", 3))
+        net.send_batch("a", "b", [Tuple.make("ping", "b", 3)])
         loop.run_for(0.05)  # datagram delivered; delayed ack still pending
         assert len(b.received) == 1
         net.loss_rate = 1.0
@@ -132,14 +132,14 @@ class TestAckRetransmit:
         are counted dropped until a retransmission brings them."""
         loop, net, a, b = make_net()
         window = REORDER_WINDOW
-        net.send("a", "b", Tuple.make("ping", "b", 0))
+        net.send_batch("a", "b", [Tuple.make("ping", "b", 0)])
         loop.run_for(0.05)  # seq 0 delivered: the cumulative ack is 0
         net.loss_rate = 1.0
-        net.send("a", "b", Tuple.make("ping", "b", 1))  # seq 1 lost: a gap
+        net.send_batch("a", "b", [Tuple.make("ping", "b", 1)])  # seq 1 lost: a gap
         net.loss_rate = 0.0
         extra = window + 1
         for i in range(extra):  # seqs 2 .. window + 2; the last two overrun
-            net.send("a", "b", Tuple.make("ping", "b", 2 + i))
+            net.send_batch("a", "b", [Tuple.make("ping", "b", 2 + i)])
         loop.run_for(0.05)  # everything has landed, no retransmission yet
         rx = net.stats["b"]
         assert len(b.received) == 1 + window - 1
@@ -155,7 +155,7 @@ class TestAckRetransmit:
     def test_rto_adapts_from_samples_within_clamp(self):
         loop, net, a, b = make_net()
         for i in range(12):
-            net.send("a", "b", Tuple.make("ping", "b", i))
+            net.send_batch("a", "b", [Tuple.make("ping", "b", i)])
             loop.run_for(2.0)
         link = net.reliable_layer._senders[("a", "b")]
         cfg = net.reliable_layer.config
@@ -168,7 +168,7 @@ class TestAckRetransmit:
     def test_reliable_false_has_no_layer_and_zero_counters(self):
         loop, net, a, b = make_net(reliable=False)
         assert net.reliable_layer is None
-        net.send("a", "b", Tuple.make("ping", "b", 1))
+        net.send_batch("a", "b", [Tuple.make("ping", "b", 1)])
         net.send_batch("a", "b", [Tuple.make("ping", "b", i) for i in range(5)])
         loop.run_for(5.0)
         assert len(b.received) == 6
@@ -199,59 +199,59 @@ def revive(net, node):
 class TestFailureDetector:
     def test_retry_exhaustion_suspects_and_suppresses(self):
         loop, net, a, b = make_net(config=FAST_FD)
-        net.send("a", "b", Tuple.make("ping", "b", 1))
+        net.send_batch("a", "b", [Tuple.make("ping", "b", 1)])
         loop.run_for(2.0)
         kill(net, b)
-        net.send("a", "b", Tuple.make("ping", "b", 2))
+        net.send_batch("a", "b", [Tuple.make("ping", "b", 2)])
         loop.run_for(10.0)
         layer = net.reliable_layer
         assert layer.suspected_links() == [("a", "b")]
         assert net.dead_endpoint_drops > 0  # retransmits found no endpoint
         dropped_before = net.messages_dropped
-        assert net.send("a", "b", Tuple.make("ping", "b", 3)) is False
+        assert net.send_batch("a", "b", [Tuple.make("ping", "b", 3)]) == 0
         assert net.suppressed_sends == 1  # suppressed: never marshaled
         assert net.messages_dropped == dropped_before + 1
 
     def test_silence_accrual_suspects_without_inflight(self):
         cfg = ReliableConfig(fd_min_silence=3.0, suspicion_threshold=2.0, fd_floor=0.5)
         loop, net, a, b = make_net(config=cfg)
-        net.send("a", "b", Tuple.make("ping", "b", 1))
+        net.send_batch("a", "b", [Tuple.make("ping", "b", 1)])
         loop.run_for(2.0)  # link established, ack heard
         kill(net, b)
         loop.run_for(10.0)  # silence accrues with nothing in flight
         layer = net.reliable_layer
         # suspicion is evaluated at the next send attempt
-        net.send("a", "b", Tuple.make("ping", "b", 2))
+        net.send_batch("a", "b", [Tuple.make("ping", "b", 2)])
         assert layer.suspected_links() == [("a", "b")]
         assert net.suppressed_sends == 1
         assert layer.suspicion_of("a", "b", loop.now) >= 1.0
 
     def test_probe_reopens_half_open_link_after_restart(self):
         loop, net, a, b = make_net(config=FAST_FD)
-        net.send("a", "b", Tuple.make("ping", "b", 1))
+        net.send_batch("a", "b", [Tuple.make("ping", "b", 1)])
         loop.run_for(2.0)
         kill(net, b)
-        net.send("a", "b", Tuple.make("ping", "b", 2))
+        net.send_batch("a", "b", [Tuple.make("ping", "b", 2)])
         loop.run_for(10.0)
         assert net.reliable_layer.suspected_links() == [("a", "b")]
         revive(net, b)
         loop.run_for(5.0)  # a probe solicits an ack; the link reopens
         assert net.reliable_layer.suspected_links() == []
-        net.send("a", "b", Tuple.make("ping", "b", 4))
+        net.send_batch("a", "b", [Tuple.make("ping", "b", 4)])
         loop.run_for(5.0)
         assert [t[1] for t in b.received if t.name == "ping"][-1] == 4
 
     def test_sender_restart_gets_fresh_sequence_space(self):
         loop, net, a, b = make_net()
         for i in range(3):
-            net.send("a", "b", Tuple.make("ping", "b", i))
+            net.send_batch("a", "b", [Tuple.make("ping", "b", i)])
         loop.run_for(5.0)
         assert len(b.received) == 3
         # a crash-stops and comes back: its new seq 0 must not read as a dup
         kill(net, a)
         revive(net, a)
         assert net.reliable_layer._epochs["a"] == 1
-        net.send("a", "b", Tuple.make("ping", "b", 99))
+        net.send_batch("a", "b", [Tuple.make("ping", "b", 99)])
         loop.run_for(5.0)
         assert [t[1] for t in b.received][-1] == 99
         assert net.dupes_dropped == 0
@@ -259,7 +259,7 @@ class TestFailureDetector:
     def test_monitor_samples_and_alarms(self):
         loop, net, a, b = make_net(config=FAST_FD)
         monitor = FailureDetectorMonitor(net)
-        net.send("a", "b", Tuple.make("ping", "b", 1))
+        net.send_batch("a", "b", [Tuple.make("ping", "b", 1)])
         loop.run_for(2.0)
         obs = monitor.observe(loop.now)
         assert obs.sample["reliable"] is True
@@ -267,7 +267,7 @@ class TestFailureDetector:
         assert obs.sample["suspected"] == 0
         assert obs.alarms == []
         kill(net, b)
-        net.send("a", "b", Tuple.make("ping", "b", 2))
+        net.send_batch("a", "b", [Tuple.make("ping", "b", 2)])
         loop.run_for(10.0)
         obs = monitor.observe(loop.now)
         assert obs.sample["suspected"] == 1
@@ -301,7 +301,7 @@ class TestDeadEndpointDrops:
     @pytest.mark.parametrize("reliable", [False, True])
     def test_crash_mid_flight_single_send(self, reliable):
         loop, net, a, b = make_net(reliable=reliable)
-        assert net.send("a", "b", Tuple.make("ping", "b", 1))
+        assert net.send_batch("a", "b", [Tuple.make("ping", "b", 1)]) == 1
         kill(net, b)
         loop.run_for(0.5)
         assert b.received == []

@@ -194,7 +194,7 @@ class TestCrossShardTransport:
         across shard boundaries."""
         loop, net, a, b = make_sharded_net()
         assert net.send_batch("a", "b", burst(10)) == 10
-        net.send("a", "b", Tuple.make("ping", "b", 1))
+        net.send_batch("a", "b", [Tuple.make("ping", "b", 1)])
         # crash b (its own flag) before delivery time
         loop.schedule(0.01, lambda: setattr(b, "alive", False))
         loop.run_until(1.0)
@@ -215,8 +215,8 @@ class TestCrossShardTransport:
 
     def test_bidirectional_cross_shard_traffic(self):
         loop, net, a, b = make_sharded_net()
-        net.send("a", "b", Tuple.make("ping", "b", 1))
-        net.send("b", "a", Tuple.make("ping", "a", 2))
+        net.send_batch("a", "b", [Tuple.make("ping", "b", 1)])
+        net.send_batch("b", "a", [Tuple.make("ping", "a", 2)])
         loop.run_until(1.0)
         assert [t[1] for t in a.received] == [2]
         assert [t[1] for t in b.received] == [1]
@@ -228,7 +228,7 @@ class TestCrossShardTransport:
         loop, net, a, b = make_sharded_net()
         observer = FakeNode("obs")  # loop=None
         net.register(observer)
-        net.send("a", "obs", Tuple.make("ping", "obs", 1))
+        net.send_batch("a", "obs", [Tuple.make("ping", "obs", 1)])
         net.send_batch("b", "obs", burst(5))
         assert loop.pending() >= 2
         loop.run_until(1.0)
@@ -255,10 +255,10 @@ class TestCrossShardTransport:
         # the same-domain send fires from inside a member-loop event,
         # mid-window, so its 0.004s delivery must stay on-shard
         n0.loop.schedule(
-            1.0, lambda: net.send("n0", "obs", Tuple.make("ping", "obs", 1))
+            1.0, lambda: net.send_batch("n0", "obs", [Tuple.make("ping", "obs", 1)])
         )
         n1.loop.schedule(
-            1.0, lambda: net.send("n1", "obs", Tuple.make("ping", "obs", 2))
+            1.0, lambda: net.send_batch("n1", "obs", [Tuple.make("ping", "obs", 2)])
         )
         loop.run_until(5.0)
         assert sorted(t[1] for t in observer.received) == [1, 2]

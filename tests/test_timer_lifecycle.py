@@ -132,7 +132,7 @@ class TestBandwidthMeterLifecycle:
         meter = BandwidthMeter(loop, net, window=window, alive_count=lambda: 2)
 
         def chatter():
-            net.send("a", "b", Tuple.make("stabilize", "b", 123))
+            net.send_batch("a", "b", [Tuple.make("stabilize", "b", 123)])
             loop.schedule(0.1, chatter)
 
         loop.schedule(0.05, chatter)

@@ -11,7 +11,7 @@ import math
 import pytest
 
 from repro.core.errors import NetworkError
-from repro.net.topology import TransitStubTopology, UniformTopology
+from repro.net.topology import LatencyMatrixTopology, TransitStubTopology, UniformTopology
 from repro.net.transport import Network
 from repro.sim.event_loop import EventLoop
 
@@ -50,6 +50,25 @@ def test_the_reproduced_case_is_refused_before_anything_runs():
     Network(EventLoop(), topology)  # and a network takes it
 
 
+@pytest.mark.parametrize("at", [(0, 1), (2, 1), (1, 1)])
+@pytest.mark.parametrize("latency", BAD)
+def test_every_entry_of_a_latency_matrix_is_a_finite_latency_at_least_zero(at, latency):
+    matrix = [[0.0 if a == b else 0.01 for b in range(3)] for a in range(3)]
+    matrix[at[0]][at[1]] = latency
+    expected = rf"entry \({at[0]}, {at[1]}\) must be a finite latency >= 0"
+    with pytest.raises(NetworkError, match=expected):
+        LatencyMatrixTopology(matrix)
+
+
+def test_a_negative_matrix_entry_is_refused_before_anything_runs():
+    """A matrix with a negative off-diagonal entry used to be accepted; the
+    first send on that pair after t=0 scheduled its arrival into the past and
+    aborted the run with ``SimulationError``."""
+    with pytest.raises(NetworkError):
+        LatencyMatrixTopology([[0.0, -1.0], [0.01, 0.0]])
+
+
 def test_zero_is_a_latency():
     assert UniformTopology(0).latency(0, 1) == 0
     assert TransitStubTopology(intra_domain_latency=0.0, inter_domain_latency=0.0).latency(0, 1) == 0
+    assert LatencyMatrixTopology([[0, 0.0], [0.0, 0]]).latency(0, 1) == 0

@@ -134,7 +134,7 @@ class TestSendBatchAccounting:
     def run_both(self, tuples, **net_kwargs):
         loop_u, net_u, _, bu = make_net(**net_kwargs)
         for tup in tuples:
-            net_u.send("a", "b", tup)
+            net_u.send_batch("a", "b", [tup])
         loop_u.run()
         loop_b, net_b, _, bb = make_net(**net_kwargs)
         net_b.send_batch("a", "b", tuples)
@@ -297,21 +297,21 @@ def _play_trains(network_class, seed, reliable):
     launched, hooked, returned = [], [], []
     real_launch = net._launch
 
-    def launch(src, src_loop, dst, now, arrive):
-        _, tuples, bytes_by_category = arrive.args[:3]
+    def launch(src, src_loop, dst, now, tuples, bytes_by_category, *rest):
         launched.append((src, dst, now, list(tuples), dict(bytes_by_category)))
-        return real_launch(src, src_loop, dst, now, arrive)
+        return real_launch(src, src_loop, dst, now, tuples, bytes_by_category, *rest)
 
     net._launch = launch
     net.add_send_hook(lambda src, dst, tup, now: hooked.append((src, dst, tup, now)))
     cond = LinkConditioner(seed=seed)
     net.set_conditioner(cond)
-    split = 0
+    split = single = 0
     for round_no in range(120):
         src = rng.choice(TRAIN_ADDRESSES)
         dst = rng.choice(TRAIN_ADDRESSES + ["nowhere"])
         train = _random_train(rng) if rng.random() < 0.8 else _filling_train(rng)
         split += len(pack_datagrams(train, classify)) > 1
+        single += len(train) == 1
         returned.append(net.send_batch(src, dst, train))
         if round_no % 4 == 0:
             loop.run_for(rng.choice([0.0, 0.01, 0.3]))
@@ -336,6 +336,7 @@ def _play_trains(network_class, seed, reliable):
                      cond.burst_drops),
         "events": loop.processed,
         "split_trains": split,
+        "one_tuple_trains": single,
     }
 
 
@@ -343,9 +344,10 @@ def _play_trains(network_class, seed, reliable):
 @pytest.mark.parametrize("reliable", [False, True], ids=["best_effort", "reliable"])
 def test_one_pass_trains_match_the_packing_model(reliable, seed):
     """``send_batch`` packs and launches in one pass; the model packs the whole
-    train with ``pack_datagrams`` first.  Trains over the MTU, oversized
-    tuples and mixed categories must give the same datagrams (tuples and byte
-    attribution), node stats and loss-stream and burst-chain positions."""
+    train with ``pack_datagrams`` first, one-tuple trains included.  Trains
+    over the MTU, oversized tuples, mixed categories and single tuples must
+    give the same datagrams (tuples and byte attribution), node stats and
+    loss-stream and burst-chain positions."""
     new = _play_trains(Network, seed, reliable)
     assert new == _play_trains(PackingNetwork, seed, reliable)
     data = [(tuples, by_category) for _, _, _, tuples, by_category in new["launched"] if tuples]
@@ -354,6 +356,7 @@ def test_one_pass_trains_match_the_packing_model(reliable, seed):
     assert any(len(by_category) > 1 for _, by_category in data)  # mixed categories
     assert any(sum(t.estimate_size() for t in tuples) == MTU_BYTES for tuples, _ in data)
     assert new["split_trains"] > 20  # trains of several datagrams
+    assert new["one_tuple_trains"] >= 5  # the commonest train, packed by the model too
     assert new["counters"][2] and new["counters"][7]  # uniform and burst losses
     assert bool(new["counters"][3]) is reliable  # retransmissions only with the layer
 
@@ -366,7 +369,7 @@ class TestDeliveryRaces:
         silently swallowed delivery."""
         loop, net, _, b = make_net()
         b.alive = True
-        net.send("a", "b", Tuple.make("stabilize", "b", 1))
+        net.send_batch("a", "b", [Tuple.make("stabilize", "b", 1)])
         net.send_batch("a", "b", [Tuple.make("stabilize", "b", 2)])
         b.alive = False
         loop.run()

@@ -39,9 +39,11 @@ test-planner:
 
 # The node run loop: the one drain's per-tuple contract (each tuple of a
 # datagram to fixpoint with its trains sent before the next, a route from
-# inside a firing only queues, a raising tuple ends its datagram); every
-# firing's generated procedure (tuple, periodic tick, single-head or not,
-# dirty continuous aggregate) against the reference run loop in
+# inside a firing only queues, a raising tuple ends its datagram); where a
+# head derived on a node becomes a Tuple (the egress, a changed row, a
+# subscriber, a delete, an error: every construction of a Narada window
+# counted); every firing's generated procedure (tuple, periodic tick,
+# single-head or not, dirty continuous aggregate) against the reference run loop in
 # tests/support/reference.py, which fires the element walk and evaluates PEL
 # through the opcode interpreter; generated PEL against that interpreter; the
 # firing tail's ordering and all-or-nothing guarantees, the continuous
@@ -50,8 +52,8 @@ test-planner:
 # interpreter made to raise, the generated table writes and key probes against
 # the model table, the runtime node, and the golden generated text.
 test-runloop:
-	$(PYTHON) -m pytest -x -q tests/test_drain.py tests/test_relation_procedure.py tests/test_firing_tail.py \
-	  tests/test_strand_fusion.py tests/test_strand_source.py tests/test_soft_state_deltas.py \
+	$(PYTHON) -m pytest -x -q tests/test_drain.py tests/test_late_heads.py tests/test_relation_procedure.py \
+	  tests/test_firing_tail.py tests/test_strand_fusion.py tests/test_strand_source.py tests/test_soft_state_deltas.py \
 	  tests/test_emitter_limits.py tests/test_pel.py tests/test_generated_tables.py \
 	  tests/test_runtime_node.py tests/test_golden_plans.py
 
@@ -90,8 +92,8 @@ lint-py: check-pythonpath
 	$(PYTHON) -m repro.detlint --strict src/repro benchmarks
 
 # The quick loop: everything except the multi-second Figure 3/4 experiment
-# sweeps (marked `slow`); under a minute on two cores (1,090 tests in 41 s),
-# against about a minute for the whole suite (1,114 tests in 59 s).
+# sweeps (marked `slow`); under a minute on two cores (1,116 tests in 45 s),
+# against about a minute for the whole suite (1,140 tests in 68 s).
 test-fast:
 	$(PYTHON) -m pytest -x -q -m "not slow"
 

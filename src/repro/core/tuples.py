@@ -9,6 +9,15 @@ first field is almost always the address of the node where the tuple lives
 Tuples are immutable once created (the paper makes the same design decision,
 so that a tuple can be both stored and forwarded without copying); "modifying"
 a tuple means building a new one.
+
+Like P2, which passes a tuple by reference and builds one only when something
+will hold it, a node builds a :class:`Tuple` for a head it derives only where
+one is shown: a head handed to the network, a row that changes a table's
+content, a delivery to a subscriber, a delete and an error message.  A head
+that stays on the node rides its run queue as ``(relation, fields)``, and a
+refresh of an identical row keeps the stored object.  The wire, the tables
+and the public API (:meth:`Tuple.make`, ``P2Node.route``,
+``Network.send_batch``) carry tuples.
 """
 
 from __future__ import annotations
@@ -54,8 +63,9 @@ class Tuple:
     def trusted(cls, name: str, fields: PyTuple[Any, ...]) -> "Tuple":
         """Build a tuple from a ``tuple`` of values that are already P2 values.
 
-        The constructor generated procedures use for head tuples:
-        fields copied out of existing tuples were coerced when those were
+        The constructor generated procedures use where a head becomes a
+        tuple (see the module docstring): fields copied out of existing
+        tuples were coerced when those were
         built, and computed fields are coerced by the caller, so neither the
         name check nor the per-field :func:`~repro.core.values.coerce` pass
         of ``__init__`` runs again.  Handing it anything else breaks the

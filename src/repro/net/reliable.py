@@ -166,6 +166,27 @@ class ReliableConfig:
     #: period of the probe timer on a suspected link (the reopen path)
     probe_interval: float = 2.0
 
+    def __post_init__(self) -> None:
+        """Refuse, naming the field, a value the layer would only trip over
+        later, at the first timer it arms from it."""
+        for name in ("rto_initial", "rto_min", "rto_max", "fd_floor", "fd_min_silence",
+                     "probe_interval"):
+            value = getattr(self, name)
+            if not 0 < value < float("inf"):  # a NaN too
+                raise ValueError(f"ReliableConfig.{name} must be finite and > 0, got {value!r}")
+        if self.rto_min > self.rto_max:
+            raise ValueError(
+                f"ReliableConfig.rto_min ({self.rto_min!r}) must not exceed"
+                f" rto_max ({self.rto_max!r})"
+            )
+        retries = self.max_retries
+        if type(retries) is not int or retries < 0:
+            raise ValueError(f"ReliableConfig.max_retries must be an int >= 0, got {retries!r}")
+        if not self.suspicion_threshold > 0:  # a NaN too
+            raise ValueError(
+                f"ReliableConfig.suspicion_threshold must be > 0, got {self.suspicion_threshold!r}"
+            )
+
 
 class _InFlight:
     """One unacknowledged data datagram on a sender link."""

@@ -121,6 +121,8 @@ class Network:
     ):
         if not 0.0 <= loss_rate <= 1.0:  # a NaN too
             raise NetworkError(f"loss_rate must be in [0, 1], got {loss_rate!r}")
+        if not 1 <= mtu < float("inf"):  # a NaN too
+            raise NetworkError(f"mtu must be a finite number >= 1, got {mtu!r}")
         self.loop = loop
         self.topology = topology or UniformTopology()
         self.loss_rate = loss_rate

@@ -25,7 +25,7 @@ heads in :class:`HeadRoute` objects for tests and benchmarks.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence
+from typing import Any, List, Optional, Sequence, Tuple as PyTuple
 
 from ..core.errors import PlannerError
 from ..core.tuples import Tuple
@@ -238,18 +238,17 @@ class ContinuousAggregateStrand:
         """:meth:`refresh`, with every head addressed."""
         return head_routes(self, self.refresh(now), local_address)
 
-    def emit_changed(self, heads: List[Tuple]) -> List[Tuple]:
-        """The groups of *heads* whose value changed since they were last
-        emitted (the tail both executors share)."""
+    def emit_changed(self, heads: List[PyTuple[Any, ...]]) -> List[PyTuple[Any, ...]]:
+        """The groups of *heads* (field tuples) whose value changed since they
+        were last emitted (the tail both executors share)."""
         last_emitted = self._last_emitted
         group_key = self.aggregate.group_key
-        changed: List[Tuple] = []
-        for tup in heads:
-            fields = tup.fields
+        changed: List[PyTuple[Any, ...]] = []
+        for fields in heads:
             key = group_key(fields)
             if last_emitted.get(key) != fields:
                 last_emitted[key] = fields
-                changed.append(tup)
+                changed.append(fields)
         return changed
 
     def refresh(self, now: float) -> List[Tuple]:
@@ -268,7 +267,8 @@ class ContinuousAggregateStrand:
         projected: List[Tuple] = []
         for tup in batch:
             projected.extend(self.project.process(tup))
-        return self.emit_changed(self.aggregate.aggregate(projected))
+        heads = [tup.fields for tup in self.aggregate.aggregate(projected)]
+        return [Tuple.trusted(self.head_name, fields) for fields in self.emit_changed(heads)]
 
     def describe(self) -> str:
         chain = " -> ".join(e.kind for e in self.elements())

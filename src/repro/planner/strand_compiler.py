@@ -11,8 +11,10 @@ procedure — this module generates the *source text* of one procedure per
 *trigger*: a tuple of a relation, a periodic tick, a dirty continuous
 aggregate.  Everything a node runs is a firing of one of them.
 
-A procedure, ``handle(…)``: for a relation, count the dispatch, call the live
-subscribers and write the tuple to the relation's table — the write block
+A procedure, ``handle(…)``: for a relation, ``handle(event, f0)`` — the
+event's fields, and its tuple if one exists (a datagram's, a routed or
+injected one), ``None`` for a head derived on the node — count the dispatch,
+call the live subscribers and write the tuple to the relation's table — the write block
 :func:`~repro.tables.table.write_source` generates from the table's
 declaration, the relation's arity and the planned indexes (the block
 ``Table.insert`` runs, unrolled for the arity); then each of the trigger's
@@ -26,9 +28,14 @@ table's scan), every PEL program inlined as a Python expression
 (:class:`~repro.pel.vm.ExpressionEmitter`), a probe the primary key answers
 inline (:func:`~repro.tables.table.key_probe_source`: the key's dict, then
 the other probed fields) and any other through
-:meth:`~repro.tables.table.Table.prober`, head tuples through
-:meth:`~repro.core.tuples.Tuple.trusted` (fields copied out of existing
-tuples are not coerced again; computed ones are).  Nothing is built that
+:meth:`~repro.tables.table.Table.prober`, each head a tuple of its fields
+(fields copied out of existing tuples are not coerced again; computed ones
+are).  A head that stays on the node joins the run queue as ``(relation,
+fields)``; a :class:`~repro.core.tuples.Tuple` is built, through
+:meth:`~repro.core.tuples.Tuple.trusted`, only where one is shown — a head
+handed to the egress or to a delete, a derived event delivered to
+subscribers or stored as a new or replacing row (the write block), and the
+event of an error message.  Nothing is built that
 only the next step of the same rule would read: an aggregate folds each
 match into its group's state where it is found (one tuple per *group*), a
 firing that can make at most one head — no aggregate, every join a probe
@@ -44,9 +51,11 @@ The text depends on the program and the plan, never on a node.
 first time any node fires the trigger
 (:meth:`repro.planner.planner.PlannedProgram.procedure` keeps the result with
 the rest of the plan in the one per-program memo), and each node *binds* it:
-``bind(node, ctx, strands, subscribers, pending, egress)`` reads the node's
-tables, stats objects, built-in map, identifier space and event loop into
-closure cells and returns ``handle``.  Every node's handler shares one code
+``bind(node, ctx, strands, subscribers, pending, egress, trigger)`` reads the
+node's tables, stats objects, built-in map, identifier space and event loop
+into closure cells and returns ``handle`` (``trigger`` names the relation of
+the one procedure shared by every relation the program neither stores nor
+fires on).  Every node's handler shares one code
 object.  Generated code reads the clock as the attribute :data:`CLOCK` of
 that loop — a probe, an insert, a delete — never through a call.
 
@@ -92,6 +101,7 @@ from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tu
 from ..core import values
 from ..core.errors import PlannerError
 from ..core.tuples import Tuple
+from ..dataflow.aggregates import EMPTY_GROUP_VALUE
 from ..dataflow.operators import AntiJoin, Assign, LookupJoin, Select
 from ..overlog.check import signatures
 from ..pel.program import Program
@@ -359,10 +369,10 @@ class _Emitter:
         strand = self.strand
         built, loads = self.head(depth, strand.project, fields)
         if self.single:
-            self.site(depth, f"h = trusted({strand.head_name!r}, {built})", loads, fields)
+            self.site(depth, f"h = {built}", loads, fields)
             return
         if strand.aggregate is None:
-            self.site(depth, f"out.append(trusted({strand.head_name!r}, {built}))", loads, fields)
+            self.site(depth, f"out.append({built})", loads, fields)
             return
         # Fold the match into its group: ``groups`` maps the group fields to
         # the first match's head fields as a list, each aggregate position
@@ -409,23 +419,25 @@ class _Emitter:
         return [
             "for g in groups.values():",
             *[_INDENT + result for result in self.results],
-            f"    out.append(trusted({self.strand.head_name!r}, tuple(g)))",
+            "    out.append(tuple(g))",
             f"{self.ns}agg_stats.emitted += len(groups)",
         ]
 
-    def firing(self, checked: int) -> PyTuple[List[str], List[str]]:
+    def firing(self, checked: int, event: str) -> PyTuple[List[str], List[str]]:
         """The strand's firing: the statements before its ``try`` and after.
 
         The event's arity is tested only if the strand needs more fields than
-        the *checked* ones an earlier strand of the procedure tested for.
+        the *checked* ones an earlier strand of the procedure tested for; the
+        error shows the event tuple as the text *event* builds it.
 
         Both lists are unindented, for a function whose ``out`` holds the
         heads afterwards — or, for a :attr:`single` firing, whose ``h`` holds
         the head and whose *exit* ends in ``if h is not None:``, the block
         that routes it; the body between them is :attr:`body`, after the
         :attr:`parts` it was split into.  A rule
-        strand's function has the event in ``event`` and its fields in
-        ``f0``; a continuous strand's has the time of the refresh in ``at``.
+        strand's function has the event's fields in ``f0`` and its tuple, if
+        one exists, in ``event``; a continuous strand's has the time of the
+        refresh in ``at``.
         """
         if self.continuous:
             return self._refresh()
@@ -433,17 +445,20 @@ class _Emitter:
         entry = []
         if strand.min_event_arity > checked:
             entry += [f"if len(f0) < {strand.min_event_arity}:",
-                      f"    raise {ns}strand.arity_error(event)"]
+                      f"    raise {ns}strand.arity_error({event})"]
         entry.append(f"{ns}strand.fired += 1")
         self.chain(0, 2, 0)
         if strand.fallback_project is not None:
-            # count<> over no match at all: the one fallback row
-            self.binds.append(f"{ns}aggregate = {ns}strand.aggregate.aggregate")
+            # count<> over no match at all: the one fallback row, each
+            # aggregate position holding its empty value (``Aggregate.
+            # aggregate``'s, which the planner only asks for when every
+            # aggregate has one)
             self.line(2, "if not groups and prefix is not None:")
             self.ctx_fields = None
-            built, loads = self.head(3, strand.fallback_project, "prefix")
-            self.site(3, f"out = {ns}aggregate((), trusted({strand.head_name!r}, {built}))",
-                      loads, "prefix")
+            texts, loads = self.operands(3, strand.fallback_project.programs, "prefix", coerce=True)
+            for pos, func in strand.aggregate.agg_specs:
+                texts[pos] = repr(EMPTY_GROUP_VALUE[func])
+            self.site(3, f"out = [{_tuple(texts)}]", loads, "prefix")
             entry.append("prefix = None")
         if self.single:
             entry.append("h = None")
@@ -518,9 +533,14 @@ class Procedure(NamedTuple):
     #: ``any other relation`` (the heading ``Planner.explain_source`` prints)
     name: str
     text: str
-    #: ``bind(node, ctx, strands, subscribers, pending, egress) -> handle``
+    #: ``bind(node, ctx, strands, subscribers, pending, egress, trigger) -> handle``
     bind: Callable[..., Callable[[Any], None]]
 
+
+#: a procedure's arguments, by kind of trigger: a relation's event tuple
+#: (``None`` for a head derived on the node) and its fields, a tick's event
+#: tuple, a refresh's time
+_HANDLE_ARGS = {"relation": "event, f0", "periodic": "event", "continuous": "at"}
 
 #: what a procedure's ``bind`` derives from its arguments, each bound only
 #: when the handler uses it
@@ -528,36 +548,39 @@ _NODE_NAMES = {
     "loop": "loop = node.loop",
     "address": "address = node.address",
     "push": "push = pending.append",
-    "extend": "extend = pending.extend",
 }
 
 
 def _route(strand: Any, ns: str) -> PyTuple[List[str], List[str], List[str]]:
     """The statements sending one firing's heads where *strand*'s static
-    ``loc_position`` / ``is_delete`` say — the list ``out``, or the one head
-    ``h`` of a :func:`_single_head` strand — the bindings they need, and the
-    :data:`_NODE_NAMES` they use."""
-    loc, single = strand.loc_position, _single_head(strand)
+    ``loc_position`` / ``is_delete`` say — each head a field tuple, from the
+    list ``out`` or the one ``h`` of a :func:`_single_head` strand — the
+    bindings they need, and the :data:`_NODE_NAMES` they use.
+
+    A local head joins the run queue as ``(relation, fields)``: no
+    :class:`~repro.core.tuples.Tuple` is built for it here.  One is built
+    where a head leaves the firing as an object — into the egress, or into
+    a delete.
+    """
+    loc, single, name = strand.loc_position, _single_head(strand), repr(strand.head_name)
     if strand.is_delete:
         lines = []
         if loc is not None:
             lines += [
-                f"if h.fields[{loc}] != address:",
+                f"if h[{loc}] != address:",
                 '    raise PlannerError(f"node {address}: delete rules must target local tables")',
             ]
-        lines.append(f"{ns}delete(h, {CLOCK})")
+        lines.append(f"{ns}delete(trusted({name}, h), {CLOCK})")
         binds = [f"{ns}delete = node.tables.get({strand.head_name!r}).delete"]
         uses = ["loop"] + ["address"] * (loc is not None)
     elif loc is None:
-        if not single:
-            return ["extend(out)"], [], ["extend"]
-        lines, binds, uses = ["push(h)"], [], ["push"]
+        lines, binds, uses = [f"push(({name}, h))"], [], ["push"]
     else:
         lines = [
-            f"if (d := h.fields[{loc}]) == address:",
-            "    push(h)",
+            f"if (d := h[{loc}]) == address:",
+            f"    push(({name}, h))",
             "else:",
-            "    egress(d, h)",
+            f"    egress(d, trusted({name}, h))",
         ]
         binds, uses = [], ["address", "push"]
     if not single:
@@ -586,8 +609,9 @@ def generate_procedure(
     """*trigger*'s procedure (a trigger of ``CompiledDataflow.strands_of``,
     or ``None``: every relation *compiled* neither stores nor fires on).
 
-    A relation's counts the dispatch, calls the live subscribers and, if the
-    relation is stored, writes the tuple to its table: the write block
+    A relation's counts the dispatch, calls the live subscribers (building
+    the event's tuple for them if the firing has none) and, if the
+    relation is stored, writes the event to its table: the write block
     :func:`~repro.tables.table.write_source` generates from the table in
     *tables* (the plan's, with its declaration and planned indexes), which
     binds to the node's table only if that is the same.  Then each strand
@@ -599,25 +623,32 @@ def generate_procedure(
     """
     kind = "relation" if trigger is None or type(trigger) is str else trigger[0]
     strands = [] if trigger is None else compiled.strands_of(trigger)
-    handle = [f"def handle({'at' if kind == 'continuous' else 'event'}):"]
+    handle = [f"def handle({_HANDLE_ARGS[kind]}):"]
     uses: set = set()
     binds: List[str] = []
     pel_binds: set = set()
     names: Dict[str, Any] = dict(_NAMES)
     sites: List[PyTuple[str, int, Dict[int, tuple]]] = []
     checked = 0  # the event fields an arity test has vouched for so far
+    # the event tuple, as an error or a subscriber shows it: a relation's is
+    # built from its fields when the firing has none (a head derived here)
+    event = "event"
     if kind == "relation":
         stored = trigger is not None and compiled.program.is_materialized(trigger)
         name = f"relation {trigger}" if trigger else "any other relation"
         path = ("relations", f"{trigger or '(other)'}.py")
         header = f"# {name}: {'stored' if stored else 'not stored'}, {len(strands)} strand(s)"
+        # the shared procedure knows its relation only as bound
+        built = f"trusted({repr(trigger) if trigger else 'trigger'}, f0)"
+        event = f"event if event is not None else {built}"
         handle += [
             "    node.events_processed += 1",
-            "    for callback in subscribers:",
-            "        callback(event)",
+            "    if subscribers:",
+            "        if event is None:",
+            f"            event = {built}",
+            "        for callback in subscribers:",
+            "            callback(event)",
         ]
-        if stored or strands:
-            handle.append("    f0 = event.fields")
         if stored:
             uses.add("loop")
             table = tables.get(trigger)
@@ -639,7 +670,7 @@ def generate_procedure(
         ns = f"s{i}_"
         handle.append(f"    # {strand.describe()}")
         emitter = _Emitter(strand, ns)
-        entry, exit = emitter.firing(checked)
+        entry, exit = emitter.firing(checked, event)
         if not emitter.continuous:
             checked = max(checked, strand.min_event_arity)
         # the definitions of the functions the body was split into first
@@ -664,7 +695,7 @@ def generate_procedure(
     node_binds = [line for use, line in _NODE_NAMES.items() if use in uses]
     prologue = [
         header,
-        "def bind(node, ctx, strands, subscribers, pending, egress):",
+        "def bind(node, ctx, strands, subscribers, pending, egress, trigger):",
         *[_INDENT + bind for bind in node_binds + sorted(pel_binds) + binds],
     ]
     for ns, start, table in sites:

@@ -33,7 +33,7 @@ from __future__ import annotations
 import random
 import zlib
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Set
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple as PyTuple
 
 from ..core.errors import P2Error
 from ..core.idspace import IdSpace
@@ -90,7 +90,9 @@ class P2Node:
         #: coalesced here and sent as datagram trains once its tuple is at
         #: fixpoint
         self.transmit = self.compiled.transmit
-        self._pending: Deque[Tuple] = deque()
+        #: the run queue: each entry a head derived on the node, or a tuple
+        #: queued while a drain ran, as ``(relation, fields)``
+        self._pending: Deque[PyTuple[str, PyTuple[Any, ...]]] = deque()
         self._processing = False
         #: the ``("continuous", i)`` triggers of the dirty continuous strands
         self._dirty_continuous: Deque[Any] = deque()
@@ -98,7 +100,7 @@ class P2Node:
         self._subscriptions: Dict[str, List[Subscriber]] = {}
         #: trigger (see ``CompiledDataflow.strands_of``) -> its procedure
         #: bound to this node, bound the first time the trigger fires
-        self._handlers: Dict[Any, Callable[[Any], None]] = {}
+        self._handlers: Dict[Any, Callable[..., None]] = {}
         #: ``egress(destination, tup)``: how a remote-bound head leaves — into
         #: the transmit buffer, sent as trains once its tuple is at fixpoint
         self._egress = self.transmit.enqueue
@@ -225,15 +227,27 @@ class P2Node:
 
     # ------------------------------------------------------------------ dataflow core
     def route(self, tup: Tuple) -> None:
-        """Feed *tup* into the node's demultiplexer and run to completion."""
+        """Feed *tup* into the node's demultiplexer and run to completion.
+
+        Called while a drain runs (from a subscriber), or behind what a
+        raising firing left queued, *tup* only queues, as its ``(name,
+        fields)``, and runs as a head derived on the node: a refresh of an
+        identical row keeps the stored object, or stores the equal tuple
+        built for the relation's subscribers if it has any.  Called
+        otherwise, *tup* itself is what subscribers see and what a refresh
+        stores.
+        """
         self._drain((tup,))
 
     def _drain(self, batch: Sequence[Tuple], periodic: Optional[Callable[[Any], None]] = None) -> None:
         """The node's one run loop: every tuple of *batch*, in order, to fixpoint.
 
-        A tuple's first firing — its relation's procedure, or *periodic*, the
-        bound procedure of a tick, whose event tuple *batch* holds — runs
-        directly; the firings it sets off (the run queue's tuples, then the
+        A tuple's first firing — its relation's procedure, called as
+        ``handle(tup, tup.fields)``, or *periodic*, the bound procedure of a
+        tick, whose event tuple *batch* holds — runs directly; the firings it
+        sets off (the run queue's heads, each ``(relation, fields)`` and
+        called as ``handle(None, fields)``: no ``Tuple`` exists for them,
+        and the procedure builds one only where one is shown; then the
         refreshes of dirty continuous aggregates) are drained until none is
         left.  Remote-bound heads derived anywhere in that accumulate in the
         transmit buffer; once the tuple is at fixpoint, each destination's
@@ -243,13 +257,14 @@ class P2Node:
         firings one tuple sets off.
 
         A call made while a drain runs (a subscriber that routes) only
-        queues its tuples.  A firing that raises ends the drain: nothing more
+        queues its tuples, as ``(tup.name, tup.fields)``: the run queue has
+        one entry shape.  A firing that raises ends the drain: nothing more
         is sent, the rest of *batch* is not looked at, and the run queue and
         the transmit buffer keep what it left, for the next drain — whose
         first tuple queues behind that rest.
         """
         if self._processing:
-            self._pending.extend(batch)
+            self._pending.extend([(tup.name, tup.fields) for tup in batch])
             return
         pending, popleft, dirty, dirty_set, handlers, loop, transmit, send_batch, address = (
             self._drain_refs
@@ -263,24 +278,25 @@ class P2Node:
                     processed = 0
                 elif pending:
                     # left by a firing that raised: the tuple queues behind it
-                    pending.append(tup)
+                    pending.append((tup.name, tup.fields))
                     processed = 0
                 else:
+                    name = tup.name
                     try:
-                        fire = handlers[tup.name]
+                        fire = handlers[name]
                     except KeyError:
-                        fire = handlers[tup.name] = self._bind(tup.name)
-                    fire(tup)
+                        fire = handlers[name] = self._bind(name)
+                    fire(tup, tup.fields)
                     processed = 1
                 # the run queue first; a dirty aggregate only once it is empty
                 while True:
                     while pending:
-                        queued = popleft()
+                        name, fields = popleft()
                         try:
-                            fire = handlers[queued.name]
+                            fire = handlers[name]
                         except KeyError:
-                            fire = handlers[queued.name] = self._bind(queued.name)
-                        fire(queued)
+                            fire = handlers[name] = self._bind(name)
+                        fire(None, fields)
                         processed += 1
                         if processed > limit:
                             raise self._diverged(limit)
@@ -312,10 +328,12 @@ class P2Node:
             "derivations for one event; the rule set appears to diverge"
         )
 
-    def _bind(self, trigger: Any) -> Callable[[Any], None]:
+    def _bind(self, trigger: Any) -> Callable[..., None]:
         """*trigger*'s procedure (``CompiledDataflow.procedure``) bound to this
         node: its strands, the relation's live subscriber list (so a later
-        :meth:`subscribe` is seen), the run queue and the egress."""
+        :meth:`subscribe` is seen), the run queue, the egress and the trigger
+        itself (the procedure of relations the program neither stores nor
+        fires on names its relation by it)."""
         compiled = self.compiled
         return compiled.procedure(trigger).bind(
             self,
@@ -324,6 +342,7 @@ class P2Node:
             self._subscriptions.setdefault(trigger, []) if type(trigger) is str else (),
             self._pending,
             self._egress,
+            trigger,
         )
 
     # ------------------------------------------------------------------ periodic events

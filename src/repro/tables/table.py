@@ -526,8 +526,9 @@ def _identical(old: str, row: str, new: str, arity: Optional[int]) -> str:
 def write_source(
     table: Table, arity: Optional[int], clock: str, table_expr: str
 ) -> PyTuple[List[str], List[str], Dict[str, Any]]:
-    """A write block for *table*'s relation: the write of a tuple ``event``
-    with fields ``f0`` at time *clock*, specialised to the table's
+    """A write block for *table*'s relation: the write of the fields ``f0``,
+    whose tuple is ``event`` (``None`` for a head derived on a node), at time
+    *clock*, specialised to the table's
     :meth:`Table.declaration` and to *arity* (the relation's, or ``None``:
     :meth:`Table.insert`'s block, for rows of any arity).  Returns ``(bind
     statements, body statements, names)``: the bind statements read the
@@ -541,6 +542,13 @@ def write_source(
     key or an index (:func:`row_width`) raises :class:`TableError` after
     expiry and before anything else moves.  The block ends with the table's
     change signal.
+
+    A :class:`~repro.core.tuples.Tuple` is built only for a row that changes
+    the content, and only when ``event`` is ``None``: a refresh of an
+    identical row stores ``event`` if there is one (so a tuple that arrived,
+    or :meth:`Table.insert`'s, is the row from now on) and otherwise keeps
+    the stored object, whose fields are identical to ``f0``.  Either way
+    ``event`` holds the stored tuple afterwards.
     """
     key_positions, lifetime, max_size, indexes = declared = table.declaration()
     finite = lifetime != INFINITY
@@ -559,15 +567,18 @@ def write_source(
     if max_size != INFINITY:
         binds.append("t_evict = t_table._enforce_size")
     later = f"now + {lifetime!r}"
+    built = f"trusted({table.name!r}, f0)"
     body = [
         f"now = {clock}",
         "if now >= t_table._next_expiry:",
         "    t_expire(now)",
         f"if len(f0) < {row_width(key_positions, indexes)}:",
-        "    raise t_table._misfit(event)",
+        f"    raise t_table._misfit(event if event is not None else {built})",
         f"pk = {_fields_key('f0', key_positions)}",
         "old = t_get(pk)",
         f"if old is not None and {_identical('o', 'old[0].fields', 'f0', arity)}:",
+        "    if event is None:",
+        "        event = old[0]",
         "    t_stats.refreshes += 1",
         "    t_rows[pk] = (event, now)",
         "    t_move(pk)",
@@ -578,7 +589,7 @@ def write_source(
         # to the tail of its bucket: bucket order is join match order
         body += [f"    bucket = t_index{j}[{_fields_key('f0', positions)}]",
                  "    del bucket[pk]", "    bucket[pk] = event"]
-    body += ["else:", "    if old is not None:"]
+    body += ["else:", "    if event is None:", f"        event = {built}", "    if old is not None:"]
     for j, positions in enumerate(indexes):
         body += [f"        k = {_fields_key('o', positions)}",
                  f"        if (bucket := t_index{j}.get(k)) is not None:",
@@ -599,7 +610,9 @@ def write_source(
     if max_size != INFINITY:
         body += [f"    if len(t_rows) > {max_size!r}:", "        t_evict()"]
     body += ["for fn in t_listeners:", "    fn()"]
-    return binds, body, {"t_DECLARED": declared, "identical_fields": identical_fields}
+    return binds, body, {
+        "t_DECLARED": declared, "identical_fields": identical_fields, "trusted": Tuple.trusted,
+    }
 
 
 def key_probe_source(

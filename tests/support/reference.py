@@ -21,6 +21,7 @@ procedure's ``bind`` does; :func:`node_bind` has the shape of
 """
 
 from repro.core.errors import PlannerError
+from repro.core.tuples import Tuple
 from repro.dataflow.operators import PelElement
 
 from tests.support.interpreter import execute_interpreted
@@ -45,7 +46,9 @@ def make_handler(node, relation, pending, egress):
     triggers, where their heads go — so the closure binds the answers:
     subscribers first (the live list, so a later ``subscribe`` is seen),
     then the table insert, then each strand in ``strands_by_event`` order,
-    its heads applied before the next strand fires.
+    its heads applied before the next strand fires.  It is called as a
+    procedure is, ``handle(event, fields)`` (*event* ``None`` for a head
+    off the run queue), and builds the tuple first, as the old node did.
     """
     subscribers = node._subscriptions.setdefault(relation, [])
     insert = node.tables.get(relation).insert if node.tables.has(relation) else None
@@ -55,7 +58,8 @@ def make_handler(node, relation, pending, egress):
     ]
     loop, apply = node.loop, make_sink(node, pending, egress)
 
-    def handle(tup):
+    def handle(event, fields):
+        tup = event if event is not None else Tuple(relation, fields)
         node.events_processed += 1
         for callback in subscribers:
             callback(tup)
@@ -74,11 +78,12 @@ def make_sink(node, pending, egress):
 
     Only ever called with the complete result of a firing, so a firing
     that raises has applied none of its heads.  Local derivations join
-    the run queue *pending* and remote ones go to *egress*, both in
-    derivation order; deletes are applied at once, in order.
+    the run queue *pending* as ``(relation, fields)``, as a node's run
+    queue holds them, and remote ones go to *egress*, both in derivation
+    order; deletes are applied at once, in order.
     """
     address, tables, loop = node.address, node.tables, node.loop
-    push, extend = pending.append, pending.extend
+    push = pending.append
 
     def apply(heads, loc, is_delete):
         if is_delete:
@@ -89,12 +94,13 @@ def make_sink(node, pending, egress):
                     )
                 tables.get(tup.name).delete(tup, loop.now)
         elif loc is None:
-            extend(heads)
+            for tup in heads:
+                push((tup.name, tup.fields))
         else:
             for tup in heads:
                 destination = tup.fields[loc]
                 if destination == address:
-                    push(tup)
+                    push((tup.name, tup.fields))
                 else:
                     egress(destination, tup)
 

@@ -93,6 +93,15 @@ class TestNetwork:
         for loss_rate in (0, 0.0, 0.5, 1.0):
             assert Network(EventLoop(), loss_rate=loss_rate).loss_rate == loss_rate
 
+    def test_mtu_that_is_not_a_finite_number_at_least_one_rejected(self):
+        # a NaN mtu packed a whole train into one "datagram"; 0 and -1 were
+        # accepted too
+        for mtu in (float("nan"), 0, -1, 0.5, float("inf"), -float("inf")):
+            with pytest.raises(NetworkError, match="mtu must be a finite number >= 1"):
+                Network(EventLoop(), mtu=mtu)
+        for mtu in (1, 200, 1472, 1500.5):
+            assert Network(EventLoop(), mtu=mtu).mtu == mtu
+
     def test_duplicate_registration_rejected(self):
         loop, net, a, b = make_net()
         with pytest.raises(NetworkError):

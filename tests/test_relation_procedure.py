@@ -64,7 +64,7 @@ def _state(node):
         rows = [(_typed(t), at) for t, at in table._rows.values()]
         tables[table.name] = (rows, buckets, dict(vars(table.stats)), table.version)
     return (
-        [_typed(t) for t in node._pending],
+        [(name, repr(fields)) for name, fields in node._pending],
         {d: [_typed(t) for t in queue] for d, queue in node.transmit._queues.items()},
         tables,
         node.events_processed,
@@ -88,10 +88,10 @@ def _recorded(node, bind, settle=False):
     def bind_recorded(trigger):
         handler = bind(trigger)
 
-        def handle(arg):
+        def handle(*args):
             put_back = stats_saver(node) if settle else None
             try:
-                handler(arg)
+                handler(*args)
             except Exception:
                 if settle:
                     put_back()
@@ -242,7 +242,7 @@ def test_a_raising_firing_and_a_non_local_delete():
     for peer, value in (("n2", 1), ("n1", 2), ("n3", 0)):
         pair.feed(Tuple.make("t", "n1", peer, value))
     assert pair.feed(Tuple.make("ev", "n1")) == "PELError: division by zero"
-    assert list(pair.procedure._pending) == [Tuple.make("out", "n1", "n1", 2)]
+    assert list(pair.procedure._pending) == [("out", ("n1", "n1", 2))]
     assert pair.procedure.transmit.destinations() == ["n2", "n3"]
     assert pair.feed(Tuple.make("kill", "n1", "n2", 1)) == (
         "PlannerError: node n1: delete rules must target local tables"

@@ -181,6 +181,29 @@ class TestAckRetransmit:
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("field, value", [
+    ("rto_initial", -1.0), ("rto_initial", 0.0), ("rto_initial", float("nan")),
+    ("rto_initial", float("inf")), ("rto_min", 0.0), ("rto_min", float("nan")),
+    ("rto_max", -2.0), ("rto_max", float("inf")), ("fd_floor", 0.0),
+    ("fd_min_silence", float("nan")), ("probe_interval", -1.0),
+    ("probe_interval", float("inf")), ("max_retries", -1), ("max_retries", 2.5),
+    ("max_retries", float("nan")), ("suspicion_threshold", 0.0),
+    ("suspicion_threshold", -1.0), ("suspicion_threshold", float("nan")),
+])
+def test_a_config_value_the_layer_cannot_use_is_refused_by_name(field, value):
+    # rto_initial=-1.0 used to be accepted, and the first reliable send then
+    # failed inside the event loop, naming no field
+    with pytest.raises(ValueError, match=rf"ReliableConfig\.{field} must"):
+        ReliableConfig(**{field: value})
+
+
+def test_rto_min_above_rto_max_is_refused_and_the_defaults_are_accepted():
+    with pytest.raises(ValueError, match=r"ReliableConfig\.rto_min .* must not exceed rto_max"):
+        ReliableConfig(rto_min=2.0, rto_max=1.0)
+    assert ReliableConfig(rto_min=1.0, rto_max=1.0, max_retries=0).max_retries == 0
+    ReliableConfig()
+
+
 FAST_FD = ReliableConfig(
     rto_initial=0.5, rto_min=0.25, rto_max=1.0, max_retries=2, probe_interval=1.0
 )

@@ -174,11 +174,12 @@ def test_the_reference_does_not_share_the_routing_it_checks(monkeypatch):
 
     def misroute(strand, ns):
         lines, binds, uses = route(strand, ns)
-        return [line.replace("push(h)", "egress(d, h)") for line in lines], binds, uses
+        local = "push(('out', h))"
+        return [line.replace(local, "egress(d, trusted('out', h))") for line in lines], binds, uses
 
     monkeypatch.setattr(strand_compiler, "_route", misroute)
     twins = Twins("r1 out@X(X, Y) :- ev@X(X, Y).")  # a fresh program: fresh procedures
-    assert "egress(d, h)" in twins.procedure.compiled.procedure("ev").text
+    assert "egress(d, trusted('out', h))" in twins.procedure.compiled.procedure("ev").text
     with pytest.raises(AssertionError):
         twins.fire("ev", Tuple.make("ev", "n1", 1))
 

@@ -130,11 +130,12 @@ def test_or_does_not_short_circuit_the_node_rng():
     """``X == 1 || f_coinFlip(0.5)`` draws even when the left side is true."""
     source = "r1 out@X(X, Y) :- ev@X(X, Y), (Y == 1) || f_coinFlip(0.5)."
     twins = Twins(source, seed=3)
-    procedure_node, reference_node = twins.nodes
+    procedure_node, reference_node, derived_node = twins.nodes
     before = procedure_node.rng.getstate()
     for y in (1, 1, 0, 1, 0, 0, 1):
         twins.fire("ev", Tuple.make("ev", "n1", y))  # the same heads and counters
     assert procedure_node.rng.getstate() == reference_node.rng.getstate() != before
+    assert derived_node.rng.getstate() == reference_node.rng.getstate()
     # seven draws, one per firing, whatever the left operand was
     import random
 
@@ -321,7 +322,8 @@ def test_tracebacks_show_the_generated_line():
     node = make_node("r1 out@X(X, Z) :- ev@X(X, Y), Z := 10 / Y.")
     handle = bind_capturing(node, "ev")[0]
     try:
-        handle(Tuple.make("ev", "n1", 0))
+        event = Tuple.make("ev", "n1", 0)
+        handle(event, event.fields)
     except PELError as exc:
         text = "".join(traceback.format_exception(exc))
     assert os.path.join("relations", "ev.py") in text and "div(10, f0[1], None)" in text

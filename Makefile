@@ -39,10 +39,12 @@ test-planner:
 
 # The node run loop: the one drain's per-tuple contract (each tuple of a
 # datagram to fixpoint with its trains sent before the next, a route from
-# inside a firing only queues, a raising tuple ends its datagram); where a
-# head derived on a node becomes a Tuple (the egress, a changed row, a
-# subscriber, a delete, an error: every construction of a Narada window
-# counted); every firing's generated procedure (tuple, periodic tick,
+# inside a firing only queues, a raising tuple ends its datagram, a failed
+# node routes nothing); where a firing's fields become a Tuple (the egress,
+# a changed row, a subscriber, a delete, an error: every construction of a
+# Narada window counted) and the one row-identity rule for every writer (a
+# refresh keeps the stored row, a change stores the new one; inside a drain
+# as outside); every firing's generated procedure (tuple, periodic tick,
 # single-head or not, dirty continuous aggregate) against the reference run loop in
 # tests/support/reference.py, which fires the element walk and evaluates PEL
 # through the opcode interpreter; generated PEL against that interpreter; the
@@ -92,8 +94,8 @@ lint-py: check-pythonpath
 	$(PYTHON) -m repro.detlint --strict src/repro benchmarks
 
 # The quick loop: everything except the multi-second Figure 3/4 experiment
-# sweeps (marked `slow`); under a minute on two cores (1,116 tests in 45 s),
-# against about a minute for the whole suite (1,140 tests in 68 s).
+# sweeps (marked `slow`); under a minute on two cores (1,130 tests in 52 s),
+# against a little over a minute for the whole suite (1,154 tests in 75 s).
 test-fast:
 	$(PYTHON) -m pytest -x -q -m "not slow"
 

@@ -11,13 +11,14 @@ so that a tuple can be both stored and forwarded without copying); "modifying"
 a tuple means building a new one.
 
 Like P2, which passes a tuple by reference and builds one only when something
-will hold it, a node builds a :class:`Tuple` for a head it derives only where
-one is shown: a head handed to the network, a row that changes a table's
-content, a delivery to a subscriber, a delete and an error message.  A head
-that stays on the node rides its run queue as ``(relation, fields)``, and a
-refresh of an identical row keeps the stored object.  The wire, the tables
-and the public API (:meth:`Tuple.make`, ``P2Node.route``,
-``Network.send_batch``) carry tuples.
+will hold it, a node's firings take fields — a head that stays on the node
+rides its run queue as ``(relation, fields)``, a periodic tick's event is a
+field tuple — and a :class:`Tuple` is built only where one is shown: a head
+handed to the network, a row that changes a table's content, a delivery to a
+subscriber, a delete and an error message.  A refresh of an identical row
+keeps the stored object, whoever writes it.  The wire, the tables and the
+public API (:meth:`Tuple.make`, ``P2Node.route``, ``Network.send_batch``)
+carry tuples.
 """
 
 from __future__ import annotations

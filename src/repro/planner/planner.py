@@ -616,9 +616,13 @@ class _StrandBuilder:
             )
         count: Optional[int] = None
         if len(args) >= 4 and isinstance(args[3], ast.Constant):
-            count = int(args[3].value)
-            if count == 0:
-                count = None
+            value = args[3].value
+            # the event's field 3 is the count, which the rule's own select
+            # reads: a string, a bool or a fraction would never match it
+            if not (type(value) is int or type(value) is float and value.is_integer()) or value < 0:
+                raise PlannerError(f"rule {rule.rule_id}: the periodic count must be a "
+                                   f"whole number >= 0, got {value!r}")
+            count = int(value) or None  # 0: forever
         # a zero period ticks at one instant, so only a bounded count ends it
         if period < 0 or (period == 0 and (count is None or count < 1)):
             raise PlannerError(

@@ -287,8 +287,10 @@ class PeriodicSpec:
     count: Optional[int] = None    # None = forever
     arity: int = 3                 # periodic(NI, E, Period [, Count])
 
-    def make_event(self, address: Any, event_id: Any) -> Tuple:
-        fields: List[Any] = [address, event_id, self.period]
+    def make_event(self, address: Any, event_id: Any) -> PyTuple[Any, ...]:
+        """A tick's event fields, ``(address, event_id, period[, count])``:
+        its ``periodic`` tuple is built only if an error shows it."""
+        fields = (address, event_id, self.period)
         if self.arity >= 4:
-            fields.append(self.count if self.count is not None else 0)
-        return Tuple("periodic", fields[: self.arity])
+            fields += (self.count if self.count is not None else 0,)
+        return fields[: self.arity]

@@ -11,10 +11,12 @@ procedure — this module generates the *source text* of one procedure per
 *trigger*: a tuple of a relation, a periodic tick, a dirty continuous
 aggregate.  Everything a node runs is a firing of one of them.
 
-A procedure, ``handle(…)``: for a relation, ``handle(event, f0)`` — the
-event's fields, and its tuple if one exists (a datagram's, a routed or
-injected one), ``None`` for a head derived on the node — count the dispatch,
-call the live subscribers and write the tuple to the relation's table — the write block
+A procedure, ``handle(…)``, has one calling convention: every firing of a
+relation or a tick takes only its event's fields, ``handle(f0)`` — whether
+a tuple of them exists (a datagram's, a routed or injected one) or not (a
+head derived on the node, a tick's event) — and a continuous refresh its
+time, ``handle(at)``.  A relation's counts the dispatch, calls the live
+subscribers and writes the fields to the relation's table — the write block
 :func:`~repro.tables.table.write_source` generates from the table's
 declaration, the relation's arity and the planned indexes (the block
 ``Table.insert`` runs, unrolled for the arity); then each of the trigger's
@@ -33,9 +35,10 @@ the other probed fields) and any other through
 are).  A head that stays on the node joins the run queue as ``(relation,
 fields)``; a :class:`~repro.core.tuples.Tuple` is built, through
 :meth:`~repro.core.tuples.Tuple.trusted`, only where one is shown — a head
-handed to the egress or to a delete, a derived event delivered to
-subscribers or stored as a new or replacing row (the write block), and the
-event of an error message.  Nothing is built that
+handed to the egress or to a delete, an event delivered to subscribers or
+stored as a new or replacing row (the write block; a refresh of an
+identical row keeps the stored object), and the event of an error
+message.  Nothing is built that
 only the next step of the same rule would read: an aggregate folds each
 match into its group's state where it is found (one tuple per *group*), a
 firing that can make at most one head — no aggregate, every join a probe
@@ -435,9 +438,8 @@ class _Emitter:
         the head and whose *exit* ends in ``if h is not None:``, the block
         that routes it; the body between them is :attr:`body`, after the
         :attr:`parts` it was split into.  A rule
-        strand's function has the event's fields in ``f0`` and its tuple, if
-        one exists, in ``event``; a continuous strand's has the time of the
-        refresh in ``at``.
+        strand's function has the event's fields in ``f0``; a continuous
+        strand's has the time of the refresh in ``at``.
         """
         if self.continuous:
             return self._refresh()
@@ -537,11 +539,6 @@ class Procedure(NamedTuple):
     bind: Callable[..., Callable[[Any], None]]
 
 
-#: a procedure's arguments, by kind of trigger: a relation's event tuple
-#: (``None`` for a head derived on the node) and its fields, a tick's event
-#: tuple, a refresh's time
-_HANDLE_ARGS = {"relation": "event, f0", "periodic": "event", "continuous": "at"}
-
 #: what a procedure's ``bind`` derives from its arguments, each bound only
 #: when the handler uses it
 _NODE_NAMES = {
@@ -610,11 +607,12 @@ def generate_procedure(
     or ``None``: every relation *compiled* neither stores nor fires on).
 
     A relation's counts the dispatch, calls the live subscribers (building
-    the event's tuple for them if the firing has none) and, if the
-    relation is stored, writes the event to its table: the write block
+    the event's tuple for them) and, if the relation is stored, writes the
+    fields to its table: the write block
     :func:`~repro.tables.table.write_source` generates from the table in
-    *tables* (the plan's, with its declaration and planned indexes), which
-    binds to the node's table only if that is the same.  Then each strand
+    *tables* (the plan's, with its declaration and planned indexes), its
+    new row ``trusted(relation, f0)``, which binds to the node's table
+    only if that is the same.  Then each strand
     fires in order, its body inlined, and its heads are routed
     (:func:`_route`) before the next one fires.  The file appears to live
     in *directory* (:func:`procedure_directory`).  Raises
@@ -623,29 +621,27 @@ def generate_procedure(
     """
     kind = "relation" if trigger is None or type(trigger) is str else trigger[0]
     strands = [] if trigger is None else compiled.strands_of(trigger)
-    handle = [f"def handle({_HANDLE_ARGS[kind]}):"]
+    # one calling convention: a relation's or a tick's event fields, whether
+    # a tuple of them exists or not; a refresh's time
+    handle = [f"def handle({'at' if kind == 'continuous' else 'f0'}):"]
     uses: set = set()
     binds: List[str] = []
     pel_binds: set = set()
     names: Dict[str, Any] = dict(_NAMES)
     sites: List[PyTuple[str, int, Dict[int, tuple]]] = []
     checked = 0  # the event fields an arity test has vouched for so far
-    # the event tuple, as an error or a subscriber shows it: a relation's is
-    # built from its fields when the firing has none (a head derived here)
-    event = "event"
     if kind == "relation":
         stored = trigger is not None and compiled.program.is_materialized(trigger)
         name = f"relation {trigger}" if trigger else "any other relation"
         path = ("relations", f"{trigger or '(other)'}.py")
         header = f"# {name}: {'stored' if stored else 'not stored'}, {len(strands)} strand(s)"
-        # the shared procedure knows its relation only as bound
-        built = f"trusted({repr(trigger) if trigger else 'trigger'}, f0)"
-        event = f"event if event is not None else {built}"
+        # the event as a tuple, where a subscriber, a new row or an error
+        # shows it (the shared procedure knows its relation only as bound)
+        event = f"trusted({repr(trigger) if trigger else 'trigger'}, f0)"
         handle += [
             "    node.events_processed += 1",
             "    if subscribers:",
-            "        if event is None:",
-            f"            event = {built}",
+            f"        event = {event}",
             "        for callback in subscribers:",
             "            callback(event)",
         ]
@@ -654,7 +650,7 @@ def generate_procedure(
             table = tables.get(trigger)
             write_binds, write, write_names = write_source(
                 table, signatures(compiled.program)[trigger].arity, CLOCK,
-                f"node.tables.get({trigger!r})",
+                f"node.tables.get({trigger!r})", event,
             )
             # the write block raised for any tuple shorter than its bound
             checked = row_width(table.key_positions, table.indexed_positions())
@@ -664,8 +660,7 @@ def generate_procedure(
     else:
         name, path = f"{kind} {strands[0].rule_id}", (kind, f"{strands[0].rule_id}.py")
         header = f"# {name}: {len(strands)} strand(s)"
-        if kind == "periodic":
-            handle.append("    f0 = event.fields")
+        event = "trusted('periodic', f0)"  # as an error shows a tick's event
     for i, strand in enumerate(strands):
         ns = f"s{i}_"
         handle.append(f"    # {strand.describe()}")

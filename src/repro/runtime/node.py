@@ -193,9 +193,7 @@ class P2Node:
 
     # ------------------------------------------------------------------ application API
     def inject(self, tup: Tuple) -> None:
-        """Hand a tuple to the node as if a local application produced it."""
-        if not self.alive:
-            return
+        """Hand a tuple to the node as a local application would: :meth:`route`."""
         self.route(tup)
 
     def subscribe(self, relation: str, callback: Subscriber) -> None:
@@ -229,32 +227,31 @@ class P2Node:
     def route(self, tup: Tuple) -> None:
         """Feed *tup* into the node's demultiplexer and run to completion.
 
-        Called while a drain runs (from a subscriber), or behind what a
-        raising firing left queued, *tup* only queues, as its ``(name,
-        fields)``, and runs as a head derived on the node: a refresh of an
-        identical row keeps the stored object, or stores the equal tuple
-        built for the relation's subscribers if it has any.  Called
-        otherwise, *tup* itself is what subscribers see and what a refresh
-        stores.
+        A node that has failed does nothing (crash-stop).  *tup* runs as its
+        fields, as every firing does: subscribers see a tuple equal to it,
+        and a write stores it as any other row — a refresh of an identical
+        row keeps the stored object, a change of content stores a new one —
+        whether or not a drain is running (a subscriber that routes) when
+        it is called.
         """
-        self._drain((tup,))
+        if self.alive:
+            self._drain((tup,))
 
-    def _drain(self, batch: Sequence[Tuple], periodic: Optional[Callable[[Any], None]] = None) -> None:
+    def _drain(self, batch: Sequence[Any], periodic: Optional[Callable[[Any], None]] = None) -> None:
         """The node's one run loop: every tuple of *batch*, in order, to fixpoint.
 
-        A tuple's first firing — its relation's procedure, called as
-        ``handle(tup, tup.fields)``, or *periodic*, the bound procedure of a
-        tick, whose event tuple *batch* holds — runs directly; the firings it
-        sets off (the run queue's heads, each ``(relation, fields)`` and
-        called as ``handle(None, fields)``: no ``Tuple`` exists for them,
-        and the procedure builds one only where one is shown; then the
-        refreshes of dirty continuous aggregates) are drained until none is
-        left.  Remote-bound heads derived anywhere in that accumulate in the
-        transmit buffer; once the tuple is at fixpoint, each destination's
-        queue leaves in one ``Network.send_batch`` — one datagram train —
-        and only then is the node's ``alive`` flag read again and the next
-        tuple looked at.  :data:`MAX_DERIVATIONS_PER_EVENT` bounds the
-        firings one tuple sets off.
+        Every firing takes its fields.  A tuple's first firing — its
+        relation's procedure, ``handle(tup.fields)``, or *periodic*, the
+        bound procedure of a tick, whose event fields *batch* holds — runs
+        directly; the firings it sets off (the run queue's heads, each
+        ``(relation, fields)``, as ``handle(fields)``; then the refreshes of
+        dirty continuous aggregates, ``handle(now)``) are drained until none
+        is left.  Remote-bound heads derived anywhere in that accumulate in
+        the transmit buffer; once the tuple is at fixpoint, each
+        destination's queue leaves in one ``Network.send_batch`` — one
+        datagram train — and only then is the node's ``alive`` flag read
+        again and the next tuple looked at.
+        :data:`MAX_DERIVATIONS_PER_EVENT` bounds the firings one tuple sets off.
 
         A call made while a drain runs (a subscriber that routes) only
         queues its tuples, as ``(tup.name, tup.fields)``: the run queue has
@@ -286,7 +283,7 @@ class P2Node:
                         fire = handlers[name]
                     except KeyError:
                         fire = handlers[name] = self._bind(name)
-                    fire(tup, tup.fields)
+                    fire(tup.fields)
                     processed = 1
                 # the run queue first; a dirty aggregate only once it is empty
                 while True:
@@ -296,7 +293,7 @@ class P2Node:
                             fire = handlers[name]
                         except KeyError:
                             fire = handlers[name] = self._bind(name)
-                        fire(None, fields)
+                        fire(fields)
                         processed += 1
                         if processed > limit:
                             raise self._diverged(limit)

@@ -266,8 +266,9 @@ class Table:
         row they carry already stored.  Such a refresh — the stored fields are
         :func:`~repro.core.tuples.identical_fields` to the new ones — pays for
         what it changes: the row's age, its place at the tail of the scan
-        order and of each secondary-index bucket.  Anything else is a change
-        of content and bumps :attr:`version`.  Either way the change signal
+        order and of each secondary-index bucket; the stored object stays.
+        Anything else is a change of content, stores *tup* itself and bumps
+        :attr:`version`.  Either way the change signal
         fires (P2 propagates deltas on refresh, which is what keeps soft
         state alive across the overlay).  The write is the block a node
         inlines (:func:`write_source`, here for any arity), built on the
@@ -277,10 +278,10 @@ class Table:
             raise TableError(f"tuple {tup.name!r} inserted into table {self.name!r}")
         write = self._write
         if write is None:
-            binds, body, names = write_source(self, None, "now", "table")
+            binds, body, names = write_source(self, None, "now", "table", "tup")
             sealed = self._written_by_code  # binding it seals no index
-            body = ["f0 = event.fields", *body]
-            write = self._write = _bound(self, binds, "write(event, now)", body, names)
+            body = ["f0 = tup.fields", *body]
+            write = self._write = _bound(self, binds, "write(tup, now)", body, names)
             self._written_by_code = sealed
         write(tup, now)
         return True
@@ -524,31 +525,28 @@ def _identical(old: str, row: str, new: str, arity: Optional[int]) -> str:
 
 
 def write_source(
-    table: Table, arity: Optional[int], clock: str, table_expr: str
+    table: Table, arity: Optional[int], clock: str, table_expr: str, row: str
 ) -> PyTuple[List[str], List[str], Dict[str, Any]]:
-    """A write block for *table*'s relation: the write of the fields ``f0``,
-    whose tuple is ``event`` (``None`` for a head derived on a node), at time
-    *clock*, specialised to the table's
-    :meth:`Table.declaration` and to *arity* (the relation's, or ``None``:
-    :meth:`Table.insert`'s block, for rows of any arity).  Returns ``(bind
-    statements, body statements, names)``: the bind statements read the
-    table from *table_expr* once, the body runs per tuple, *names* are the
-    module globals both use.
+    """A write block for *table*'s relation: the write of the fields ``f0``
+    at time *clock*, specialised to the table's :meth:`Table.declaration`
+    and to *arity* (the relation's, or ``None``: :meth:`Table.insert`'s
+    block, for rows of any arity).  *row* is the text of the new row, the
+    tuple of ``f0``: ``trusted(name, f0)`` on a node, the caller's tuple
+    in :meth:`Table.insert`.  Returns ``(bind statements, body statements,
+    names)``: the bind statements read the table from *table_expr* once,
+    the body runs per tuple, *names* are the module globals both use.
 
     Left out, because the declaration decides them: the name check (a
     procedure only ever sees its own relation), the expiry bound for an
     infinite ``lifetime``, eviction for an infinite ``max_size``, the loop over
     the indexes (one straight-line block each).  A tuple too short for the
-    key or an index (:func:`row_width`) raises :class:`TableError` after
-    expiry and before anything else moves.  The block ends with the table's
-    change signal.
+    key or an index (:func:`row_width`) raises :class:`TableError`, showing
+    *row*, after expiry and before anything else moves.  The block ends with
+    the table's change signal.
 
-    A :class:`~repro.core.tuples.Tuple` is built only for a row that changes
-    the content, and only when ``event`` is ``None``: a refresh of an
-    identical row stores ``event`` if there is one (so a tuple that arrived,
-    or :meth:`Table.insert`'s, is the row from now on) and otherwise keeps
-    the stored object, whose fields are identical to ``f0``.  Either way
-    ``event`` holds the stored tuple afterwards.
+    One rule for a row's identity, whoever writes it: a refresh of an
+    identical row keeps the stored object, and *row* is evaluated, and
+    stored, only for a write that changes the content.
     """
     key_positions, lifetime, max_size, indexes = declared = table.declaration()
     finite = lifetime != INFINITY
@@ -567,20 +565,17 @@ def write_source(
     if max_size != INFINITY:
         binds.append("t_evict = t_table._enforce_size")
     later = f"now + {lifetime!r}"
-    built = f"trusted({table.name!r}, f0)"
     body = [
         f"now = {clock}",
         "if now >= t_table._next_expiry:",
         "    t_expire(now)",
         f"if len(f0) < {row_width(key_positions, indexes)}:",
-        f"    raise t_table._misfit(event if event is not None else {built})",
+        f"    raise t_table._misfit({row})",
         f"pk = {_fields_key('f0', key_positions)}",
         "old = t_get(pk)",
         f"if old is not None and {_identical('o', 'old[0].fields', 'f0', arity)}:",
-        "    if event is None:",
-        "        event = old[0]",
         "    t_stats.refreshes += 1",
-        "    t_rows[pk] = (event, now)",
+        "    t_rows[pk] = (old[0], now)",
         "    t_move(pk)",
     ]
     if finite:
@@ -588,8 +583,8 @@ def write_source(
     for j, positions in enumerate(indexes):
         # to the tail of its bucket: bucket order is join match order
         body += [f"    bucket = t_index{j}[{_fields_key('f0', positions)}]",
-                 "    del bucket[pk]", "    bucket[pk] = event"]
-    body += ["else:", "    if event is None:", f"        event = {built}", "    if old is not None:"]
+                 "    del bucket[pk]", "    bucket[pk] = old[0]"]
+    body += ["else:", f"    row = {row}", "    if old is not None:"]
     for j, positions in enumerate(indexes):
         body += [f"        k = {_fields_key('o', positions)}",
                  f"        if (bucket := t_index{j}.get(k)) is not None:",
@@ -604,9 +599,9 @@ def write_source(
     ]
     if finite:
         body += ["    if not t_rows:", f"        t_table._next_expiry = {later}"]
-    body.append("    t_rows[pk] = (event, now)")
+    body.append("    t_rows[pk] = (row, now)")
     for j, positions in enumerate(indexes):
-        body.append(f"    t_index{j}.setdefault({_fields_key('f0', positions)}, {{}})[pk] = event")
+        body.append(f"    t_index{j}.setdefault({_fields_key('f0', positions)}, {{}})[pk] = row")
     if max_size != INFINITY:
         body += [f"    if len(t_rows) > {max_size!r}:", "        t_evict()"]
     body += ["for fn in t_listeners:", "    fn()"]

@@ -14,11 +14,11 @@ A head routed to the run queue arrives there as ``(relation, fields)``,
 from either; the capture wraps it, fields untouched, in the
 :class:`~repro.core.tuples.Tuple` it stands for (``Tuple.trusted``: no
 coercion), so a captured route reads as the head the reference derived and
-:func:`typed` still sees a field value of the wrong type.  A relation's
-procedure runs two ways on a node: ``handle(event, event.fields)`` for a
-tuple that exists (a datagram's, a routed one) and ``handle(None, fields)``
-for a head derived on the node, the path on which it builds a tuple only
-where one is shown.  :func:`fire` takes either; :class:`Twins` checks both.
+:func:`typed` still sees a field value of the wrong type.  Every firing of a
+relation or a tick takes only its fields, ``handle(fields)``, whether a
+tuple of them exists (a datagram's, a routed one) or not (a head derived on
+the node): :func:`fire` hands an event over that way, and a continuous
+refresh its time.
 """
 
 from types import SimpleNamespace
@@ -64,19 +64,14 @@ def calls_the_walk(node, trigger):
     return "_fire = strands[" in text or "_refresh = strands[" in text
 
 
-def fire(node, trigger, arg, bind=procedure_bind, derived=False):
-    """Fire *trigger* on *node* once (*arg*: the event, or the time of a
-    continuous refresh), bound by *bind*: ``(routes, error)``, the heads
-    routed before any error and ``"ErrorType: message"`` or ``None``.  A
-    relation's event is handed over as a datagram's is, ``handle(arg,
-    arg.fields)``, or (*derived*) only as its fields, as a head derived on
-    the node is."""
+def fire(node, trigger, arg, bind=procedure_bind):
+    """Fire *trigger* on *node* once (*arg*: the event, a tuple handed over
+    as ``handle(arg.fields)``, or the time of a continuous refresh), bound by
+    *bind*: ``(routes, error)``, the heads routed before any error and
+    ``"ErrorType: message"`` or ``None``."""
     handle, routes = bind_capturing(node, trigger, bind)
     try:
-        if type(trigger) is str:
-            handle(None if derived else arg, arg.fields)
-        else:
-            handle(arg)
+        handle(arg.fields if isinstance(arg, Tuple) else arg)
     except Exception as exc:  # noqa: BLE001 - the error IS the observable
         return routes, f"{type(exc).__name__}: {exc}"
     return routes, None
@@ -121,49 +116,39 @@ def stats_saver(node):
 
 
 class Twins:
-    """A node running its procedures, its twin running the reference and a
-    third node running the procedures on derived heads, built alike
-    (``procedure``, ``walk`` and ``derived``).
+    """A node running its procedures and its twin running the reference,
+    built alike (``procedure`` and ``walk``).
 
-    :meth:`fire` fires one trigger on all three — a relation's event as a
-    tuple that exists on ``procedure`` and ``walk`` and as bare fields on
-    ``derived`` — and asserts the same routed heads (type for type), the
-    same error, the same strand counters, and — after a firing that went
-    through — the same counters, caches and tables.  A firing that raises
-    is fatal to a real run, and the two executors legitimately stop at
-    different points of it (depth-first against batch by batch), so after
-    comparing the error every node's element and table stats are put back
-    to where they were before it.
+    :meth:`fire` fires one trigger on both and asserts the same routed heads
+    (type for type), the same error, the same strand counters, and — after
+    a firing that went through — the same counters, caches and tables.  A
+    firing that raises is fatal to a real run, and the two executors
+    legitimately stop at different points of it (depth-first against batch
+    by batch), so after comparing the error both nodes' element and table
+    stats are put back to where they were before it.
     """
 
     def __init__(self, program, seed=0, **kwargs):
         self.procedure = make_node(program, seed=seed, **kwargs)
         self.walk = make_node(program, seed=seed, **kwargs)
-        self.derived = make_node(program, seed=seed, **kwargs)
 
     @property
     def nodes(self):
-        return self.procedure, self.walk, self.derived
+        return self.procedure, self.walk
 
     def check(self):
-        want = counters(self.walk)
-        assert counters(self.procedure) == want
-        assert counters(self.derived) == want
+        assert counters(self.procedure) == counters(self.walk)
 
     def fire(self, trigger, arg):
-        """Fire *trigger* on the three; the procedure's ``(routes, error)``."""
+        """Fire *trigger* on both; the procedure's ``(routes, error)``."""
         put_back = [stats_saver(node) for node in self.nodes]
         got = fire(self.procedure, trigger, arg)
         want = fire(self.walk, trigger, arg, reference_bind)
-        late = fire(self.derived, trigger, arg, derived=True)
         assert typed(got) == typed(want), (trigger, arg)
-        assert typed(late) == typed(want), (trigger, arg, "derived")
         if got[1] is None:
             self.check()
             return got
-        want = counters(self.walk)[:3]
-        assert counters(self.procedure)[:3] == want, (trigger, arg)
-        assert counters(self.derived)[:3] == want, (trigger, arg, "derived")
+        assert counters(self.procedure)[:3] == counters(self.walk)[:3], (trigger, arg)
         for each in put_back:
             each()
         return got

@@ -47,8 +47,8 @@ def make_handler(node, relation, pending, egress):
     subscribers first (the live list, so a later ``subscribe`` is seen),
     then the table insert, then each strand in ``strands_by_event`` order,
     its heads applied before the next strand fires.  It is called as a
-    procedure is, ``handle(event, fields)`` (*event* ``None`` for a head
-    off the run queue), and builds the tuple first, as the old node did.
+    procedure is, ``handle(fields)``, and builds the event's tuple first,
+    for the walk, as the old node did.
     """
     subscribers = node._subscriptions.setdefault(relation, [])
     insert = node.tables.get(relation).insert if node.tables.has(relation) else None
@@ -58,8 +58,8 @@ def make_handler(node, relation, pending, egress):
     ]
     loop, apply = node.loop, make_sink(node, pending, egress)
 
-    def handle(event, fields):
-        tup = event if event is not None else Tuple(relation, fields)
+    def handle(fields):
+        tup = Tuple(relation, fields)
         node.events_processed += 1
         for callback in subscribers:
             callback(tup)
@@ -109,8 +109,9 @@ def make_sink(node, pending, egress):
 
 def reference_bind(node, trigger, pending, egress):
     """What the old node ran for *trigger*: ``make_handler`` for a relation,
-    the old tick body for a periodic spec, the old dirty-drain body for a
-    continuous strand (the node's loop still times, queues and drains)."""
+    the old tick body for a periodic spec (its event's fields made a tuple
+    for the walk), the old dirty-drain body for a continuous strand (the
+    node's loop still times, queues and drains)."""
     if type(trigger) is str:
         return make_handler(node, trigger, pending, egress)
     kind, index = trigger
@@ -118,8 +119,8 @@ def reference_bind(node, trigger, pending, egress):
     if kind == "periodic":
         strand = interpreted(node.compiled.periodics[index].strand)
 
-        def tick(event):
-            apply(strand.fire(event), strand.loc_position, strand.is_delete)
+        def tick(fields):
+            apply(strand.fire(Tuple("periodic", fields)), strand.loc_position, strand.is_delete)
 
         return tick
     strand = interpreted(node.compiled.continuous[index])

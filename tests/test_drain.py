@@ -83,3 +83,18 @@ def test_a_raising_tuple_leaves_the_rest_of_its_datagram_unprocessed():
     # the node is not wedged: the next datagram runs in full
     a.receive_batch([ev("a", "b")])
     assert len(seen) == 2 and sim.network.datagrams_sent - before == 2
+
+
+def test_a_failed_node_routes_nothing():
+    """Crash-stop: after ``fail()`` a routed or injected tuple fires nothing
+    and nothing leaves the node (``route`` used to run the firing and send
+    ``out(b, a)``)."""
+    sim, a, b = two_nodes()
+    seen = []
+    b.subscribe("out", seen.append)
+    a.fail()
+    before = (a.events_processed, sim.network.datagrams_sent)
+    a.route(ev("a", "b"))
+    a.inject(ev("a", "b"))
+    sim.run_for(1.0)
+    assert (a.events_processed, sim.network.datagrams_sent) == before and seen == []

@@ -31,7 +31,7 @@ from repro.sim.event_loop import EventLoop
 
 from tests.support import oracles
 from tests.support.genprograms import make_node
-from tests.support.procedures import Twins, calls_the_walk, fire, procedure_bind, typed
+from tests.support.procedures import Twins, calls_the_walk, fire, procedure_bind
 from tests.support.reference import node_bind, reference_bind
 
 # ------------------------------------------------------------------ fold ≡ oracle
@@ -92,18 +92,13 @@ def test_generated_folds_match_the_interpreted_aggregate(fold_twins, rows, probe
 
 def _heads(twins, procedure, event_name, *fields):
     """rule -> the head fields its strand derived from one *event_name*,
-    fired through *twins*' procedure or (not *procedure*) the reference.
-    The procedure fires both ways, the event a tuple and bare fields (on
-    *twins*' ``derived`` node), and must route the same heads."""
+    fired through *twins*' procedure or (not *procedure*) the reference."""
     node, bind = (twins.procedure, procedure_bind) if procedure else (twins.walk, reference_bind)
     strands = node.compiled.strands_by_event[event_name]
     rules = {strand.head_name: strand.rule_id for strand in strands}
     heads = {strand.rule_id: [] for strand in strands}
-    event = Tuple.make(event_name, "n1", *fields)
-    routes, error = fire(node, event_name, event, bind)
+    routes, error = fire(node, event_name, Tuple.make(event_name, "n1", *fields), bind)
     assert error is None
-    if procedure:
-        assert typed(fire(twins.derived, event_name, event, derived=True)) == typed((routes, error))
     for _, head in routes:
         heads[rules[head.name]].append(head.fields)
     return heads

@@ -37,16 +37,19 @@ from tests.test_soft_state_deltas import ModelTable, typed
 from tests.test_strand_fusion import OVERLAY_PROGRAMS
 
 _INDENT = "    "
+#: a node's new row: a tuple built from the fields written
+NODE_ROW = "trusted('t', f0)"
 
 
 def generated_writer(table, arity, clock):
-    """``write(event)``: the write block generated for *table*, bound to it,
-    reading the time from ``clock.now``."""
-    binds, body, names = write_source(table, arity, "clock.now", "table")
+    """``write(tup)``: the write block a node's procedure inlines for
+    *table*, its new row built from the fields (``trusted(name, f0)``),
+    bound to the table, reading the time from ``clock.now``."""
+    binds, body, names = write_source(table, arity, "clock.now", "table", NODE_ROW)
     text = "\n".join(
         ["def bind(table, clock):"]
         + [_INDENT + line for line in binds]
-        + [_INDENT + "def write(event):", 2 * _INDENT + "f0 = event.fields"]
+        + [_INDENT + "def write(tup):", 2 * _INDENT + "f0 = tup.fields"]
         + [2 * _INDENT + line for line in body]
         + [_INDENT + "return write"]
     )
@@ -143,20 +146,21 @@ def _error(outcome):
     return outcome[1] and outcome[1].partition(":")[0]
 
 
-def _assert_follows(table, model, signals, probes):
+def _assert_follows(table, model, signals, probes, ident=id):
     """Everything *table* can show is what *model* holds: the rows (the very
-    objects, with their times) in scan order, every index bucket in its order,
-    the counters, the content version, the change signals and an expiry bound
-    that is never late."""
-    assert [(id(tup), at) for tup, at in table._rows.values()] == [
-        (id(tup), at) for _, tup, at in model.rows
+    objects, with their times, as *ident* tells them apart) in scan order,
+    every index bucket in its order, the counters, the content version, the
+    change signals and an expiry bound that is never late."""
+    assert all(type(tup) is Tuple and tup.name == "t" for tup, _ in table._rows.values())
+    assert [(ident(tup), at) for tup, at in table._rows.values()] == [
+        (ident(tup), at) for _, tup, at in model.rows
     ]
     for positions, buckets in model.buckets.items():
         index = table._indices[positions]._buckets
         assert len(index) == len(buckets)
         for key, bucket in buckets.items():  # a one-field index keys by the bare value
             stored = index[key[0] if len(key) == 1 else key]
-            assert [id(t) for t in stored.values()] == [id(t) for t in bucket]
+            assert [ident(t) for t in stored.values()] == [ident(t) for t in bucket]
     assert {name: getattr(table.stats, name) for name in model.stats} == model.stats
     assert table.stats.lookups == probes
     assert table.version == model.changes
@@ -176,7 +180,10 @@ def test_generated_writes_and_probes_follow_the_model(ops, shape, lifetime, max_
     """A table a node's write block writes (unrolled for arity 3) and one
     ``Table.insert`` writes (any arity) take the same operations as the
     model, and every probe the key answers, through ``Table.prober``, finds
-    what the model finds — the row, nothing, or the same error."""
+    what the model finds — the row, nothing, or the same error.  A row the
+    model holds is ``Table.insert``'s very tuple, and for the node's block a
+    tuple of its very fields: either way a refresh keeps the stored row and
+    a change of content stores the new one."""
     key_positions, indexes = shape
     clock = SimpleNamespace(now=0.0)
     tables = [Table("t", key_positions, lifetime, max_size) for _ in range(2)]
@@ -186,6 +193,7 @@ def test_generated_writes_and_probes_follow_the_model(ops, shape, lifetime, max_
             table.add_index(positions)
         table.on_change(lambda log=log: log.append(None))
     writes = [generated_writer(tables[0], 3, clock), lambda tup: tables[1].insert(tup, clock.now)]
+    idents = [lambda tup: id(tup.fields), id]
     covering = _covering(key_positions)
     probers = [[table.prober(p) for p in covering] for table in tables]
     model = ModelTable(key_positions, lifetime, max_size, indexes)
@@ -220,9 +228,9 @@ def test_generated_writes_and_probes_follow_the_model(ops, shape, lifetime, max_
             clock.now += op[1]
         elif kind == "expire":
             clock.now += op[1]
-            expired = [id(t) for t in model.expire(clock.now)]
-            for table in tables:
-                assert [id(t) for t in table.expire(clock.now)] == expired, op
+            expired = model.expire(clock.now)
+            for table, ident in zip(tables, idents):
+                assert [ident(t) for t in table.expire(clock.now)] == list(map(ident, expired)), op
         else:
             for table in tables:
                 table.clear()
@@ -232,15 +240,14 @@ def test_generated_writes_and_probes_follow_the_model(ops, shape, lifetime, max_
             for at, positions in enumerate(covering):
                 if max(positions) < len(fields):
                     key = tuple(fields[p] for p in positions)
-                    expected = _outcome(
-                        lambda: [id(t) for t in model.probe_key(positions, key, clock.now)]
-                    )
-                    for table_probers in probers:
+                    rows, error = _outcome(lambda: model.probe_key(positions, key, clock.now))
+                    for table_probers, ident in zip(probers, idents):
+                        expected = (rows if error else list(map(ident, rows)), error)
                         probe = table_probers[at]
-                        assert _outcome(lambda: [id(t) for t in probe(key, clock.now)]) == expected
+                        assert _outcome(lambda: [ident(t) for t in probe(key, clock.now)]) == expected
                     probes += 1
-        for table, log in zip(tables, signals):
-            _assert_follows(table, model, log, probes)
+        for table, log, ident in zip(tables, signals, idents):
+            _assert_follows(table, model, log, probes, ident)
 
 
 def test_a_short_tuple_raises_what_insert_raises_after_the_same_expiry():
@@ -287,7 +294,7 @@ def test_the_text_follows_the_declaration():
     """Expiry only for a finite lifetime, eviction only for a finite size, one
     straight-line block per index, the arity unrolled."""
     def text(table, arity=3):
-        binds, body, _ = write_source(table, arity, "clock.now", "table")
+        binds, body, _ = write_source(table, arity, "clock.now", "table", NODE_ROW)
         return "\n".join(binds + body)
 
     plain = text(Table("t", (0,)))
@@ -299,8 +306,8 @@ def test_the_text_follows_the_declaration():
     bounded.add_index((1, 2))
     full = text(bounded)
     assert "t_table._next_expiry = now + 5.0" in full and "if len(t_rows) > 4:" in full
-    assert "t_index0.setdefault(f0[1], {})[pk] = event" in full
-    assert "t_index1.setdefault((f0[1], f0[2]), {})[pk] = event" in full
+    assert "t_index0.setdefault(f0[1], {})[pk] = row" in full
+    assert "t_index1.setdefault((f0[1], f0[2]), {})[pk] = row" in full
     assert "pk = (f0[0], f0[2])" in full and "for index" not in full
     assert "identical_fields((o := old[0].fields), f0)" in text(Table("t", (0,)), arity=None)
 
@@ -317,7 +324,7 @@ def test_an_index_added_after_bind_raises():
 
 
 def test_a_block_binds_only_to_the_table_it_was_generated_for():
-    _, _, names = write_source(Table("t", (0,), lifetime=5.0), 3, "clock.now", "table")
+    _, _, names = write_source(Table("t", (0,), lifetime=5.0), 3, "clock.now", "table", NODE_ROW)
     indexed = Table("t", (0,), lifetime=5.0)
     indexed.add_index((1,))
     for other in (Table("t", (0,)), Table("t", (1,), lifetime=5.0),

@@ -1,13 +1,17 @@
-"""Late heads: a head derived on a node is a ``Tuple`` only where one is shown.
+"""Late heads: a node's firing takes fields, and a ``Tuple`` is built only where one is shown.
 
-A locally routed head rides the run queue as ``(relation, fields)`` and its
-relation's procedure runs as ``handle(None, fields)``; a tuple that already
-exists (a datagram's, a routed or injected one) runs as ``handle(tup,
-tup.fields)``.  A :class:`~repro.core.tuples.Tuple` is built only where one
-leaves the fields: a head handed to the egress, a row that changes a table's
-content, a delivery to a subscriber, a delete, an error message.  Pinned
-here by counting every construction over a fixed window of a Narada mesh,
-and by what each of those boundaries shows.
+Every firing of a relation or a tick takes only its fields, ``handle(f0)``:
+a locally routed head rides the run queue as ``(relation, fields)``, a tuple
+that exists (a datagram's, a routed or injected one) runs as its fields, and
+a periodic tick's event is a field tuple.  A :class:`~repro.core.tuples.Tuple`
+is built only where one leaves the fields: a head handed to the egress, a
+row that changes a table's content, a delivery to a subscriber, a delete, an
+error message.  One rule decides a row's identity, whoever writes it: a
+refresh of an identical row keeps the stored object, and a change of content
+stores the new row (a tuple built from the fields on a node,
+``Table.insert``'s own tuple).  Pinned here by counting every construction
+over a fixed window of a Narada mesh, and by what each boundary and each
+writer shows.
 """
 
 import pytest
@@ -18,7 +22,7 @@ from repro.core.tuples import Tuple
 from repro.overlays.narada import build_narada_mesh
 from repro.runtime import OverlaySimulation
 
-from tests.support.procedures import bind_capturing
+from tests.support.procedures import bind_capturing, typed
 
 
 class _Constructions:
@@ -43,23 +47,22 @@ class _Constructions:
 
 def _work(mesh, deliveries):
     """What a window may build a tuple for, summed over the mesh's nodes."""
-    remote = changes = ticks = deletes = 0
+    remote = changes = deletes = 0
     for node in mesh.nodes:
         remote += node.transmit.stats.pushed_in
         changes += sum(t.stats.inserts + t.stats.replacements for t in node.tables)
-        ticks += sum(spec.strand.fired for spec in node.compiled.periodics)
         deletes += sum(s.produced for s in node.compiled.all_strands() if s.is_delete)
-    return {"remote": remote, "changes": changes, "ticks": ticks, "deletes": deletes,
+    return {"remote": remote, "changes": changes, "deletes": deletes,
             "deliveries": len(deliveries)}
 
 
 def test_a_narada_window_builds_a_tuple_only_where_one_is_shown(monkeypatch):
     """8 members, seed 3, the 30 simulated seconds after a 10 s warm-up:
-    every construction is a remote head, a content-changing write of a
-    derived head, a derived head delivered to a subscriber, a periodic
-    tick's event tuple or a delete rule's head — at zero tolerance.  No
-    tuple arrives from the wire into a table (narada stores nothing it
-    receives) and no harness tuple is routed in the window."""
+    every construction is a remote head, a content-changing write, a
+    delivery to a subscriber or a delete rule's head — at zero tolerance.
+    A periodic tick builds none (its event is a field tuple), no tuple
+    arrives from the wire into a table (narada stores nothing it receives)
+    and no harness tuple is routed in the window."""
     mesh = build_narada_mesh(8, seed=3)
     deliveries = []
     for node in mesh.nodes:
@@ -71,7 +74,8 @@ def test_a_narada_window_builds_a_tuple_only_where_one_is_shown(monkeypatch):
     mesh.simulation.run_for(30.0)
     window = {k: v - before[k] for k, v in _work(mesh, deliveries).items()}
     assert built.count == sum(window.values()), window
-    assert window["remote"] and window["changes"] and window["ticks"] and window["deliveries"]
+    ticks = sum(spec.strand.fired for node in mesh.nodes for spec in node.compiled.periodics)
+    assert window["remote"] and window["changes"] and window["deliveries"] and ticks
 
 
 def test_a_subscriber_receives_a_tuple_equal_to_the_head():
@@ -90,50 +94,6 @@ def test_a_subscriber_receives_a_tuple_equal_to_the_head():
     assert [type(v) for v in seen[1].fields] == [str, int, int]
 
 
-def test_a_derived_refresh_keeps_the_stored_row_and_a_tuple_replaces_it():
-    sim = OverlaySimulation(
-        "materialize(t, infinity, infinity, keys(1, 2)).\nr1 t@X(X, Y) :- ev@X(X, Y)."
-    )
-    node = sim.add_node("n1")
-    table = node.table("t")
-    node.route(Tuple.make("ev", "n1", 1))  # derives t(n1, 1): a new row, built
-    stored = table.get(("n1", 1), 0.0)
-    assert stored == Tuple.make("t", "n1", 1)
-    node.route(Tuple.make("ev", "n1", 1))  # the same head again: a refresh
-    assert table.get(("n1", 1), 0.0) is stored
-    assert (table.stats.inserts, table.stats.refreshes) == (1, 1)
-    arrived = Tuple.make("t", "n1", 1)  # a tuple that exists: stored as is
-    node.route(arrived)
-    assert table.get(("n1", 1), 0.0) is arrived
-    assert (table.stats.inserts, table.stats.refreshes, table.version) == (1, 2, 1)
-    table.insert(inserted := Tuple.make("t", "n1", 1), 0.0)
-    assert table.get(("n1", 1), 0.0) is inserted
-
-
-def test_a_tuple_routed_while_a_drain_runs_refreshes_as_a_derived_head():
-    """A subscriber's ``route`` only queues the tuple's fields: the refresh
-    keeps the stored row, or stores the equal tuple built for ``t``'s own
-    subscriber once it has one; never the routed object."""
-    sim = OverlaySimulation(
-        "materialize(t, infinity, infinity, keys(1, 2)).\nr1 t@X(X, Y) :- ev@X(X, Y)."
-    )
-    node = sim.add_node("n1")
-    table = node.table("t")
-    node.route(Tuple.make("ev", "n1", 1))
-    stored = table.get(("n1", 1), 0.0)
-    routed, seen = Tuple.make("t", "n1", 1), []
-    node.subscribe("ev", lambda tup: node.route(routed))
-    node.route(Tuple.make("ev", "n1", 2))  # the routed t(n1, 1) queues first, then t(n1, 2)
-    assert table.get(("n1", 1), 0.0) is stored
-    assert (table.stats.inserts, table.stats.refreshes) == (2, 1)
-    node.subscribe("t", seen.append)
-    node.route(Tuple.make("ev", "n1", 2))
-    assert seen == [routed, Tuple.make("t", "n1", 2)] and seen[0] is not routed
-    assert table.get(("n1", 1), 0.0) is seen[0]
-    node.route(routed)  # outside a drain: the tuple itself
-    assert table.get(("n1", 1), 0.0) is routed and seen[-1] is routed
-
-
 @pytest.mark.parametrize("trigger, fields, error", [
     ("ev", ("n1",), "PlannerError: rule r1: event ev(n1) has arity 1, expected at least 2"),
     ("t", ("n1",),
@@ -141,15 +101,108 @@ def test_a_tuple_routed_while_a_drain_runs_refreshes_as_a_derived_head():
 ])
 def test_a_derived_heads_errors_show_it_as_a_tuple(trigger, fields, error):
     """The arity check of a strand and the write block's fit check show the
-    event as a tuple, whether the firing had one or not."""
+    event as a tuple, built from the fields the firing took."""
     sim = OverlaySimulation(
         "materialize(t, infinity, infinity, keys(2)).\nr1 t@X(X, Y) :- ev@X(X, Y)."
     )
     node = sim.add_node("n1")
     handle, routes = bind_capturing(node, trigger)
-    seen = []
-    for event in (None, Tuple(trigger, fields)):
-        with pytest.raises((PlannerError, TableError)) as caught:
-            handle(event, fields)
-        seen.append(f"{caught.type.__name__}: {caught.value}")
-    assert seen == [error, error] and routes == []
+    with pytest.raises((PlannerError, TableError)) as caught:
+        handle(fields)
+    assert f"{caught.type.__name__}: {caught.value}" == error and routes == []
+
+
+# ------------------------------------------------------------------ row identity
+WRITER_PROGRAM = (
+    "materialize(t, infinity, infinity, keys(1, 2)).\n"
+    "r1 t@X(X, Y, Z) :- ev@X(X, Y, Z)."
+)
+
+
+class _Writer:
+    """A node of :data:`WRITER_PROGRAM` and one way of writing a row of
+    ``t`` on it; ``seen`` holds what ``t``'s subscriber, if *subscribed*,
+    was handed."""
+
+    def __init__(self, how, subscribed=True):
+        self.how = how
+        self.node = OverlaySimulation(WRITER_PROGRAM).add_node("n1")
+        self.seen, self.inside = [], []
+        if subscribed:
+            self.node.subscribe("t", self.seen.append)
+        # ``go`` is neither stored nor fired on: its subscriber routes what
+        # is queued in ``inside`` while the drain of ``go`` runs
+        self.node.subscribe("go", lambda _: [self.node.route(t) for t in self.inside])
+
+    def write(self, tup):
+        node = self.node
+        if self.how == "datagram":
+            node.receive_batch([tup])
+        elif self.how == "route":
+            node.route(tup)
+        elif self.how == "route-in-a-drain":
+            self.inside[:] = [tup]
+            node.route(Tuple.make("go", "n1"))
+        elif self.how == "insert":
+            node.table("t").insert(tup, node.now())
+        else:  # a head r1 derives from an event of the same fields
+            node.route(Tuple("ev", tup.fields))
+
+    def row(self, *key):
+        return self.node.table("t").get(key, self.node.now())
+
+
+WRITERS = ["datagram", "route", "route-in-a-drain", "insert", "derived"]
+
+
+@pytest.mark.parametrize("how", WRITERS)
+def test_a_refresh_keeps_the_stored_row_and_a_change_stores_the_new_one(how):
+    """Whoever writes it: a new row is stored, an identical one refreshes
+    and keeps the stored object, an equal row of another type is a change
+    of content and is stored.  ``Table.insert`` stores the caller's tuple; a
+    node stores a tuple built from the fields.  A subscriber is handed a
+    ``Tuple`` equal to every head written through the node."""
+    writer = _Writer(how)
+    table = writer.node.table("t")
+    first, again, retyped = (Tuple.make("t", "n1", 1, z) for z in (1, 1, 1.0))
+    writer.write(first)
+    stored = writer.row("n1", 1)
+    assert type(stored) is Tuple and stored == first
+    assert (stored is first) == (how == "insert")
+    writer.write(again)
+    assert writer.row("n1", 1) is stored
+    writer.write(retyped)
+    changed = writer.row("n1", 1)
+    assert changed is not stored and type(changed.fields[2]) is float
+    assert (changed is retyped) == (how == "insert")
+    assert (table.stats.inserts, table.stats.refreshes, table.stats.replacements,
+            table.version) == (1, 1, 1, 2)
+    assert typed(writer.seen) == typed([] if how == "insert" else [first, again, retyped])
+    assert all(type(tup) is Tuple for tup in writer.seen)
+
+
+def _history(writer, script):
+    """After each write of *script*: the table's rows, typed and with their
+    times, each row's object named by the first step that stored it, the
+    table's counters, and what the subscriber was handed so far."""
+    table, names, out = writer.node.table("t"), {}, []
+    for step, tup in enumerate(script):
+        writer.write(tup)
+        # each named row is kept alive in ``names``, so no id is reused
+        rows = [(typed(row), at, names.setdefault(id(row), (step, row))[0])
+                for row, at in table._rows.values()]
+        out.append((rows, dict(vars(table.stats)), table.version, typed(writer.seen)))
+    return out
+
+
+@pytest.mark.parametrize("subscribed", [True, False], ids=["subscribed", "unsubscribed"])
+def test_routing_inside_and_outside_a_drain_leaves_the_same_tables_and_deliveries(subscribed):
+    """A tuple routed by a subscriber while a drain runs queues as its
+    fields; outside a drain it runs at once.  Either way the table holds the
+    same rows, kept or replaced at the same steps, and ``t``'s subscriber,
+    if it has one, sees the same tuples."""
+    script = [Tuple.make("t", "n1", y, z) for y, z in
+              [(1, 1), (1, 1), (2, "a"), (1, 1.0), (2, "a"), (1, 1.0), (1, True)]]
+    outside = _history(_Writer("route", subscribed), script)
+    assert outside == _history(_Writer("route-in-a-drain", subscribed), script)
+    assert [version for _, _, version, _ in outside] == [1, 1, 2, 3, 3, 3, 4]

@@ -10,6 +10,7 @@ from repro.net.transport import Network
 from repro.overlog import ast, parse_program
 from repro.overlog.builtins import make_builtins
 from repro.planner import Planner, RuleKind, analyze_rule
+from repro.runtime import OverlaySimulation
 from repro.runtime.node import P2Node
 from repro.sim.event_loop import EventLoop
 from repro.tables import TableStore
@@ -165,6 +166,27 @@ class TestPlannerCompilation:
         source = f"r1 ping@X(X, E) :- periodic@X(X, E, {literal})."
         with pytest.raises(PlannerError, match="rule r1: the periodic period must be a finite"):
             compile_program(source)
+
+    @pytest.mark.parametrize("count", ["a", 2.5, True, False, "3", -2])
+    def test_a_periodic_count_must_be_a_whole_number(self, count):
+        """``int("a")`` leaked a bare ValueError; ``2.5`` became 2 ticks whose
+        event (count 2) failed the rule's own ``== 2.5`` select, and ``true``
+        one tick that derived nothing.  All are refused at planning (the
+        constant is put into the rule directly: ``-2`` parses as an
+        expression)."""
+        program = parse_program("r1 ping@X(X, E) :- periodic@X(X, E, 1, 9).")
+        program.rules[0].body[0].args[3] = ast.Constant(count)
+        with pytest.raises(PlannerError, match="rule r1: the periodic count must be a whole"):
+            compile_program(program)
+
+    @pytest.mark.parametrize("literal", ["3", "3.0"])
+    def test_a_whole_periodic_count_ticks_that_often(self, literal):
+        sim = OverlaySimulation(f"r1 ping@X(X, E) :- periodic@X(X, E, 1, {literal}).")
+        node = sim.add_node("n1")
+        seen = []
+        node.subscribe("ping", seen.append)
+        sim.run_for(10)
+        assert node.compiled.periodics[0].count == 3 and len(seen) == 3
 
     def test_a_boot_once_periodic_fires_once_and_the_loop_moves_on(self):
         """Narada's ``periodic@X(X, E, 0, 1)``: one tick at boot, then nothing."""

@@ -92,9 +92,7 @@ def route_key(route):
 
 def fire_multiset_differentially(nodes, rng, events_per_trigger=25):
     """Fire every trigger's procedure on every grid node; compare the routed
-    head multisets, the errors and the tables (deletes land there).  Every
-    other pair of trials hands a relation's event over as a head derived on
-    the node is, bare fields, and the rest as a tuple that exists."""
+    head multisets, the errors and the tables (deletes land there)."""
     addr = nodes[0].address
     per_node = [triggers(node) for node in nodes]
     assert all(lst == per_node[0] for lst in per_node)
@@ -110,7 +108,7 @@ def fire_multiset_differentially(nodes, rng, events_per_trigger=25):
             event = Tuple(name, fields or [addr])
             outcomes = []
             for node in nodes:
-                routes, error = fire(node, trigger, event, bind_of(node), derived=trial % 4 > 1)
+                routes, error = fire(node, trigger, event, bind_of(node))
                 tables = {t.name: sorted(map(repr, t)) for t in node.tables}
                 outcomes.append((sorted(map(route_key, routes)), error, tables))
             for other in outcomes[1:]:

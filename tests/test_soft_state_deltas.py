@@ -62,7 +62,8 @@ class ModelTable:
     write of an existing key a remove-from-everywhere followed by a re-add.
 
     A write is a refresh when the rows have equal fields of equal types and
-    no NaN (a NaN is identical to nothing); a row shorter than the key or an
+    no NaN (a NaN is identical to nothing), and re-adds the stored object;
+    any other write adds the new one.  A row shorter than the key or an
     index that does not hold the key (the table installs no such index)
     raises once what is due has expired, and moves nothing else.  The change
     signal is counted: once per write, per delete that finds its row and per
@@ -117,6 +118,8 @@ class ModelTable:
             same = typed(old[1].fields) == typed(tup.fields) and not has_nan(tup.fields)
             self.stats["refreshes" if same else "replacements"] += 1
             self.changes += not same
+            if same:
+                tup = old[1]  # a refresh keeps the stored object
         else:
             self.stats["inserts"] += 1
             self.changes += 1

@@ -52,11 +52,13 @@ test-planner:
 # procedures' rescan skip, rules past CPython's nesting limits run as
 # generated code (split strands, spilled chains) with the walk and the
 # interpreter made to raise, the generated table writes and key probes against
-# the model table, the runtime node, and the golden generated text.
+# the model table, the runtime node, the guarded native fast paths (float
+# operators, the ring test, the default built-ins, folds, single-group
+# aggregates) against the calls they replace, and the golden generated text.
 test-runloop:
 	$(PYTHON) -m pytest -x -q tests/test_drain.py tests/test_late_heads.py tests/test_relation_procedure.py \
 	  tests/test_firing_tail.py tests/test_strand_fusion.py tests/test_strand_source.py tests/test_soft_state_deltas.py \
-	  tests/test_emitter_limits.py tests/test_pel.py tests/test_generated_tables.py \
+	  tests/test_emitter_limits.py tests/test_pel.py tests/test_fast_paths.py tests/test_generated_tables.py \
 	  tests/test_runtime_node.py tests/test_golden_plans.py
 
 # Rewrite every golden under tests/golden/ from the current code — the plans,
@@ -152,7 +154,9 @@ bench-pairs:
 # The count aim-2 (less code) PRs cite: lines of *.py files git tracks or would
 # (-o: a file a PR adds counts before it is committed; ignored ones never do),
 # src/ by package, then benchmarks/ outside p2bench, benchmarks/p2bench/ and tests/.
+# Outside a git checkout (a `git archive` copy) there is nothing to list: fail.
 loc:
+	@git rev-parse --is-inside-work-tree >/dev/null 2>&1 || { echo "loc: not a git checkout (git ls-files lists the files)" >&2; exit 1; }
 	@git ls-files -co --exclude-standard '*.py' | xargs wc -l | awk '$$2 != "total" { \
 	    n = split($$2, p, "/"); \
 	    if (p[1] == "src") key = "src/repro/" (n > 3 ? p[3] : "(top level)"); \

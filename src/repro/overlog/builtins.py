@@ -15,11 +15,13 @@ keeps the Chord rules unambiguous whatever the width of the identifier space.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
 
 from ..core import values
 from ..core.errors import PELError
-from ..pel.vm import EvalContext
+
+if TYPE_CHECKING:  # the PEL machine imports this module's defaults
+    from ..pel.vm import EvalContext
 
 BuiltinFunction = Callable[..., Any]
 
@@ -75,14 +77,14 @@ def f_localId(ctx: EvalContext) -> int:
 
 
 # -- ring arithmetic -----------------------------------------------------------
-# Ring identifiers are exact ``int``s all but always, so f_wrap, f_dist and
-# f_fingerKey test for that first and do the arithmetic in place; any other
-# atom goes through ``values.to_int`` and the IdSpace method as before.
+# Ring identifiers are exact ``int``s all but always, and generated code
+# computes f_wrap, f_dist and f_fingerKey over ints (and f_now) in place, as
+# :data:`repro.pel.vm.BUILTIN_FORMS` writes them, while a node's registry
+# still holds the very function defined here: the two must stay equal.  The
+# call, and so any other atom, goes through ``values.to_int`` and IdSpace.
 
 def f_wrap(ctx: EvalContext, value: Any) -> int:
     """Reduce an integer into the identifier space."""
-    if type(value) is int:
-        return value % ctx.idspace.size
     return ctx.idspace.wrap(values.to_int(value))
 
 
@@ -93,17 +95,12 @@ def f_pow2(ctx: EvalContext, exponent: Any) -> int:
 
 def f_dist(ctx: EvalContext, frm: Any, to: Any) -> int:
     """Clockwise ring distance from *frm* to *to*."""
-    if type(frm) is int and type(to) is int:
-        return (to - frm) % ctx.idspace.size
     return ctx.idspace.distance(values.to_int(frm), values.to_int(to))
 
 
 def f_fingerKey(ctx: EvalContext, ident: Any, index: Any) -> int:
     """The Chord finger target ``ident + 2**index`` on the ring."""
-    idspace = ctx.idspace
-    if type(ident) is int and type(index) is int and 0 <= index < idspace.bits:
-        return (ident + (1 << index)) % idspace.size
-    return idspace.finger_target(values.to_int(ident), values.to_int(index))
+    return ctx.idspace.finger_target(values.to_int(ident), values.to_int(index))
 
 
 # -- conversions / misc --------------------------------------------------------

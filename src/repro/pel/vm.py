@@ -33,6 +33,7 @@ from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Seq
 from ..core import values
 from ..core.errors import PELError
 from ..core.idspace import IdSpace
+from ..overlog.builtins import DEFAULT_BUILTINS
 from .opcodes import Op
 from .program import Program
 
@@ -144,28 +145,40 @@ def _unknown_builtin(name: str) -> BuiltinFunction:
     return missing
 
 
-_INT, _BOOL, _ORDERED = (int,), (bool,), (int, str)
+_INT, _BOOL, _NUMBERS = (int,), (bool,), (int, float)
+_ORDERED, _STRICT = (int, str), (int, float, str)
+#: the name generated code tests a pair of operand types against, per set
+_TYPE_SETS = {_NUMBERS: "NUMBERS", _ORDERED: "ORDERED", _STRICT: "STRICT"}
 
 #: ``opcode -> (name, function(a, b, ring), inline form, exact operand types)``.
 #: The function *is* the operator.  Generated code may replace the call by
 #: the inline form only when both operands have (the same) one of the exact
-#: types, where the two agree: ``type(x) is int`` excludes ``bool``, and
-#: :func:`repro.core.values.compare` orders two ints, or two strs, natively.
+#: types, where the two agree:
+#:
+#: * ``type(x) is int`` excludes ``bool``;
+#: * ``+ - *`` on two ints stay in integers, and on two floats are
+#:   :func:`_arith`'s float branch itself; an int beside a float stays a
+#:   call (its conversion may overflow, with the call's message);
+#: * :func:`repro.core.values.compare` orders two ints, two floats or two
+#:   strs natively, so ``<`` and ``>`` take all three.  ``<= >= == !=`` do
+#:   not take floats: ``compare`` ties a NaN with every number, so there
+#:   ``nan <= 1.0`` holds and ``nan == nan`` too, natively neither.
+#:
 #: Both operands are evaluated before either form runs, so ``&&``/``||``
 #: never short-circuit.
 BINARY: Dict[Op, tuple] = {
-    Op.ADD: ("add", lambda a, b, ring: _arith(a, b, "+"), "{} + {}", _INT),
-    Op.SUB: ("sub", lambda a, b, ring: _arith(a, b, "-"), "{} - {}", _INT),
-    Op.MUL: ("mul", lambda a, b, ring: _arith(a, b, "*"), "{} * {}", _INT),
+    Op.ADD: ("add", lambda a, b, ring: _arith(a, b, "+"), "{} + {}", _NUMBERS),
+    Op.SUB: ("sub", lambda a, b, ring: _arith(a, b, "-"), "{} - {}", _NUMBERS),
+    Op.MUL: ("mul", lambda a, b, ring: _arith(a, b, "*"), "{} * {}", _NUMBERS),
     Op.DIV: ("div", lambda a, b, ring: _divide(a, b), None, ()),
     Op.MOD: ("mod", lambda a, b, ring: to_int(a) % to_int(b), "{} % {}", _INT),
     Op.SHL: ("shl", lambda a, b, ring: to_int(a) << to_int(b), "{} << {}", _INT),
     Op.SHR: ("shr", lambda a, b, ring: to_int(a) >> to_int(b), "{} >> {}", _INT),
     Op.EQ: ("eq", lambda a, b, ring: equal(a, b), "{} == {}", _ORDERED),
     Op.NE: ("ne", lambda a, b, ring: not equal(a, b), "{} != {}", _ORDERED),
-    Op.LT: ("lt", lambda a, b, ring: compare(a, b) < 0, "{} < {}", _ORDERED),
+    Op.LT: ("lt", lambda a, b, ring: compare(a, b) < 0, "{} < {}", _STRICT),
     Op.LE: ("le", lambda a, b, ring: compare(a, b) <= 0, "{} <= {}", _ORDERED),
-    Op.GT: ("gt", lambda a, b, ring: compare(a, b) > 0, "{} > {}", _ORDERED),
+    Op.GT: ("gt", lambda a, b, ring: compare(a, b) > 0, "{} > {}", _STRICT),
     Op.GE: ("ge", lambda a, b, ring: compare(a, b) >= 0, "{} >= {}", _ORDERED),
     Op.AND: ("and_", lambda a, b, ring: to_bool(a) and to_bool(b), "{} & {}", _BOOL),
     Op.OR: ("or_", lambda a, b, ring: to_bool(a) or to_bool(b), "{} | {}", _BOOL),
@@ -182,6 +195,29 @@ _ARITY = {**dict.fromkeys([*UNARY, Op.DUP, Op.POP], 1), **dict.fromkeys(BINARY, 
 #: an exact ``int``/``float``/``str``, whatever its operands — either way a
 #: value :func:`~repro.core.values.coerce` would return unchanged
 _BOOL_RESULT = frozenset({Op.EQ, Op.NE, Op.LT, Op.LE, Op.GT, Op.GE, Op.AND, Op.OR, Op.NOT})
+
+#: ``IdSpace.in_interval(v, lo, hi, include_low, include_high)`` over three
+#: ints, per endpoint pair, as clockwise distances on the ring of ``R.size``
+#: points: ``((hi - lo) % R.size or R.size)`` is the interval's length, the
+#: whole ring when ``lo == hi``, and ``(lo, hi]`` is measured back from *hi*.
+RING_IN_FORMS = {
+    (False, False): "0 < ({0} - {1}) % R.size < (({2} - {1}) % R.size or R.size)",
+    (False, True): "({2} - {0}) % R.size < (({2} - {1}) % R.size or R.size)",
+    (True, False): "({0} - {1}) % R.size < (({2} - {1}) % R.size or R.size)",
+    (True, True): "({0} - {1}) % R.size <= (({2} - {1}) % R.size or R.size)",
+}
+#: ``name -> (arity, form over the operands, an extra guard or None)``: the
+#: default built-ins (:mod:`repro.overlog.builtins`) generated code computes
+#: in place, each exactly what the function returns for operands that are
+#: all exact ints (``f_now``: none, and only where the emitter knows the
+#: clock's text).  The call stays the fallback: where the map no longer
+#: holds the default function, an operand is not an int, or the guard fails.
+BUILTIN_FORMS = {
+    "f_now": (0, "float({clock})", None),
+    "f_wrap": (1, "{0} % R.size", None),
+    "f_dist": (2, "({1} - {0}) % R.size", None),
+    "f_fingerKey": (2, "({0} + (1 << {1})) % R.size", "0 <= {1} < R.bits"),
+}
 
 
 # --------------------------------------------------------------- source emitter
@@ -219,14 +255,17 @@ class ExpressionEmitter:
     the name passed as *constants_name* when several emitters' text shares
     one function); everything else is in :data:`GENERATED_GLOBALS`.
     Temporaries are ``_1, _2, …`` — unique per emitter, since expressions nest.
+    Given *clock*, the text of the hosting node's clock, ``f_now()`` reads
+    it in place (:data:`BUILTIN_FORMS`).
     """
 
-    def __init__(self, constants_name: str = "K") -> None:
+    def __init__(self, constants_name: str = "K", clock: Optional[str] = None) -> None:
         self.temps = 0
         #: constants with no literal form, referenced as ``K[i]``
         self.constants: List[Any] = []
         self.constants_name = constants_name
-        #: which of ``B`` / ``R`` the emitted text mentions
+        self.clock = clock
+        #: which of ``B`` / ``R`` / the ``clock`` the emitted text mentions
         self.uses: set = set()
 
     def emit(self, program: Program, fields: str) -> Expression:
@@ -296,21 +335,47 @@ class ExpressionEmitter:
             )
         if op is Op.RING_IN:
             self.uses.add("R")
-            # three ints go straight to the ring; anything else through
-            # the conversion (``&``: every operand is evaluated and bound)
+            # three ints are measured on the ring in place; anything else
+            # goes through the conversion (``&``: every operand is evaluated
+            # and bound)
             names = [self.temp() for _ in args]
             test = " & ".join(f"(type({n} := {a.text}) is int)" for n, a in zip(names, args))
+            inline = RING_IN_FORMS[operand[0], operand[1]].format(*names)
             rest = f"{', '.join(names)}, {operand[0]!r}, {operand[1]!r})"
             return Expression(
-                f"(R.in_interval({rest} if {test} else ring_in(R, {rest})", "bool",
-                depth=_nested(3, args),
+                f"({inline} if {test} else ring_in(R, {rest})", "bool", depth=_nested(3, args)
             )
         self.uses.add("B")
-        name = repr(operand[0])
-        passed = "".join(", " + a.text for a in args)
+        return self._call(operand[0], args)
+
+    def _call(self, name: str, args: List[Expression]) -> Expression:
+        """A built-in call: in place (:data:`BUILTIN_FORMS`) while the map
+        holds the default function and every operand is an int, else the
+        call.  The map is read first and each operand once, in order,
+        whichever runs."""
+        quoted = repr(name)
+        arity, form, guard = BUILTIN_FORMS.get(name, (None, "", None))
+        clocked = "{clock}" in form
+        if len(args) != arity or clocked and self.clock is None:
+            passed = "".join(", " + a.text for a in args)
+            return Expression(
+                f"(B.get({quoted}) or unknown({quoted}))(ctx{passed})", "any",
+                depth=max(2, _nested(1, args)),
+            )
+        self.uses.add("clock" if clocked else "R")
+        found, names = self.temp(), [self.temp() for _ in args]
+        test = f"({found} := B.get({quoted})) is {name}"
+        if names:
+            # ``&``, not ``and``: every operand is evaluated and bound
+            bound = " is ".join(f"type({n} := {a.text})" for n, a in zip(names, args))
+            test = f"({test}) & ({bound} is int)"
+        if guard is not None:
+            test += " and " + guard.format(*names)
+        inline = form.format(*names, clock=self.clock)
+        passed = "".join(", " + n for n in names)
         return Expression(
-            f"(B.get({name}) or unknown({name}))(ctx{passed})", "any",
-            depth=max(2, _nested(1, args)),
+            f"({inline} if {test} else ({found} or unknown({quoted}))(ctx{passed}))", "any",
+            depth=max(4, _nested(3, args)),
         )
 
     def temp(self) -> str:
@@ -364,7 +429,7 @@ class ExpressionEmitter:
                 test = f"type({uses[0]} := {a.text}) is {static[1].__name__}"
             else:
                 uses = [self.temp(), self.temp()]
-                wanted = f"is {exact[0].__name__}" if len(exact) == 1 else "in ORDERED"
+                wanted = f"is {exact[0].__name__}" if len(exact) == 1 else f"in {_TYPE_SETS[exact]}"
                 test = f"type({uses[0]} := {a.text}) is type({uses[1]} := {b.text}) {wanted}"
             return Expression(
                 f"({inline.format(*uses)} if {test} else {call.format(*uses)})", kind,
@@ -422,7 +487,9 @@ GENERATED_GLOBALS: Dict[str, Any] = {
     "ring_in": _ring_in,
     "unknown": _unknown_builtin,
     "reraise": raise_as_interpreted,
-    "ORDERED": frozenset(_ORDERED),
+    **{name: frozenset(types) for types, name in _TYPE_SETS.items()},
+    #: the defaults a :data:`BUILTIN_FORMS` site compares the map's entry with
+    **{name: DEFAULT_BUILTINS[name] for name in BUILTIN_FORMS},
     #: exact types :func:`~repro.core.values.coerce` returns unchanged
     "ATOMS": frozenset({int, float, str, bool, bytes, type(None)}),
     **{name: fn for name, fn, *_ in list(BINARY.values()) + list(UNARY.values())},

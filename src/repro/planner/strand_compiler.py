@@ -41,9 +41,14 @@ identical row keeps the stored object), and the event of an error
 message.  Nothing is built that
 only the next step of the same rule would read: an aggregate folds each
 match into its group's state where it is found (one tuple per *group*), a
-firing that can make at most one head — no aggregate, every join a probe
-the primary key answers — holds it in ``h`` instead of a list ``out``, and
-no route object wraps a head.  Every strand of every shape is inlined: the
+firing that can make at most one head — every join a probe the primary key
+answers, and no aggregate — holds it in ``h`` instead of a list ``out``, and
+no route object wraps a head.  So does a *single-group* strand, whose
+aggregates are ``min``/``max``/``count<*>`` over such joins: its at most one
+match opens its one group, so ``h`` is that match's head with each count 1,
+``agg_stats.emitted`` moves by one on a match, the ``count<*>`` fallback
+row fills ``h`` when there was none, and no ``groups`` dict, list or
+``tuple(g)`` is built.  Every strand of every shape is inlined: the
 generated procedures are the only code a node runs.
 
 Generated once, bound per node
@@ -77,7 +82,8 @@ Contracts
   entered (at the sink when there is none).
 * Folds follow :mod:`repro.dataflow.aggregates` — groups in first-appearance
   order with the first match's group fields, ``min``/``max`` replaced only
-  on a strict win — ``min``/``max``/``count`` inline, any other aggregate
+  on a strict win (two exact ints, floats or strs compared natively) —
+  ``min``/``max``/``count`` inline, any other aggregate
   through its one ``Fold``; a continuous strand's groups then pass
   ``strand.emit_changed``, the change filter both executors share.  A
   continuous ``count``/``min``/``max`` over a pure chain rescans only when
@@ -107,6 +113,7 @@ from ..core.tuples import Tuple
 from ..dataflow.aggregates import EMPTY_GROUP_VALUE
 from ..dataflow.operators import AntiJoin, Assign, LookupJoin, Select
 from ..overlog.check import signatures
+from ..pel.opcodes import Op
 from ..pel.program import Program
 from ..pel.vm import REFUSED, Expression, ExpressionEmitter, load_generated
 from ..tables.table import TableStore, covers_key, key_probe_source, row_width, write_source
@@ -131,8 +138,19 @@ def _tuple(items: Sequence[str]) -> str:
 
 def _single_head(strand: Any) -> bool:
     """Whether a firing of *strand* makes at most one head: a rule strand
-    with no aggregate whose every join the primary key answers."""
-    return not isinstance(strand, ContinuousAggregateStrand) and strand.aggregate is None and all(
+    whose every join the primary key answers, so at most one match reaches
+    its sink, with no aggregate or a *single-group* one — ``min``/``max``
+    and ``count<*>`` only, whose one group's head is that match's head with
+    each count 1 (the group's value when it opens)."""
+    if isinstance(strand, ContinuousAggregateStrand):
+        return False
+    if strand.aggregate is not None and not all(
+        func in ("min", "max")
+        or func == "count" and [op for op, _ in strand.project.programs[pos]] == [Op.PUSH]
+        for pos, func in strand.aggregate.agg_specs
+    ):
+        return False
+    return all(
         type(op) is not LookupJoin
         or bool(op.table_positions) and covers_key(op.table_positions, op.table.key_positions)
         for op in strand.ops
@@ -150,7 +168,7 @@ class _Emitter:
         #: ``SITES``, …): ``s<i>_``, as several strands share one procedure
         self.ns = ns
         self.continuous = isinstance(strand, ContinuousAggregateStrand)
-        self.pel = ExpressionEmitter(ns + "K")
+        self.pel = ExpressionEmitter(ns + "K", CLOCK)
         self.binds: List[str] = []
         #: the lines of the function being emitted, each with the PEL site
         #: it evaluates, ``(source, loads, fields variable)``, or ``None``
@@ -172,7 +190,7 @@ class _Emitter:
         #: the bodies of the functions the strand is split into (:meth:`split`)
         self.parts: List[list] = []
         #: a firing has at most one head (:func:`_single_head`): it is ``h``,
-        #: not a list
+        #: not a list, and an aggregate's one group is that head
         self.single = _single_head(strand)
 
     # -- lines ---------------------------------------------------------------
@@ -363,17 +381,22 @@ class _Emitter:
         self.line(depth, "else:")
         self.line(depth + 1, f"{drop}.dropped += 1")
 
-    def head(self, depth: int, project: Any, fields: str) -> PyTuple[str, List[int]]:
-        """The head's field tuple as text, and the loads left inline in it."""
-        texts, loads = self.operands(depth, project.programs, fields, coerce=True)
-        return _tuple(texts), loads
-
     def sink(self, depth: int, fields: str) -> None:
         strand = self.strand
-        built, loads = self.head(depth, strand.project, fields)
+        # the head's field texts, and the loads left inline in them
+        texts, loads = self.operands(depth, strand.project.programs, fields, coerce=True)
         if self.single:
-            self.site(depth, f"h = {built}", loads, fields)
+            if strand.aggregate is not None:
+                # the one group opens on this match: a count is 1, a min or
+                # max the match's value (a count's operand is a literal)
+                for pos, func in strand.aggregate.agg_specs:
+                    if func == "count":
+                        texts[pos] = "1"
+            self.site(depth, f"h = {_tuple(texts)}", loads, fields)
+            if strand.aggregate is not None:
+                self.line(depth, f"{self.ns}agg_stats.emitted += 1")
             return
+        built = _tuple(texts)
         if strand.aggregate is None:
             self.site(depth, f"out.append({built})", loads, fields)
             return
@@ -392,10 +415,12 @@ class _Emitter:
                 steps.append(f"g[{pos}] += 1")
             elif func in ("min", "max"):
                 # a strict win only (the earliest of equals is kept); two
-                # exact ints compare natively, anything else as the fold does
+                # exact ints, floats or strs compare natively (``<`` and
+                # ``>`` as :data:`~repro.pel.vm.BINARY`'s), anything else as
+                # the fold does
                 op = "<" if func == "min" else ">"
                 steps.append(
-                    f"if (v {op} b if type(v := h[{pos}]) is type(b := g[{pos}]) is int"
+                    f"if (v {op} b if type(v := h[{pos}]) is type(b := g[{pos}]) in STRICT"
                     f" else compare(v, b) {op} 0): g[{pos}] = v"
                 )
             else:
@@ -450,17 +475,21 @@ class _Emitter:
                       f"    raise {ns}strand.arity_error({event})"]
         entry.append(f"{ns}strand.fired += 1")
         self.chain(0, 2, 0)
+        if strand.aggregate is not None:
+            self.binds.append(f"{ns}agg_stats = {ns}strand.aggregate.stats")
         if strand.fallback_project is not None:
             # count<> over no match at all: the one fallback row, each
             # aggregate position holding its empty value (``Aggregate.
             # aggregate``'s, which the planner only asks for when every
             # aggregate has one)
-            self.line(2, "if not groups and prefix is not None:")
+            empty = "h is None" if self.single else "not groups"
+            self.line(2, f"if {empty} and prefix is not None:")
             self.ctx_fields = None
             texts, loads = self.operands(3, strand.fallback_project.programs, "prefix", coerce=True)
             for pos, func in strand.aggregate.agg_specs:
                 texts[pos] = repr(EMPTY_GROUP_VALUE[func])
-            self.site(3, f"out = [{_tuple(texts)}]", loads, "prefix")
+            fallback = _tuple(texts) if self.single else f"[{_tuple(texts)}]"
+            self.site(3, f"{'h' if self.single else 'out'} = {fallback}", loads, "prefix")
             entry.append("prefix = None")
         if self.single:
             entry.append("h = None")
@@ -468,7 +497,6 @@ class _Emitter:
         entry.append("out = []")
         exit: List[str] = []
         if strand.aggregate is not None:
-            self.binds.append(f"{ns}agg_stats = {ns}strand.aggregate.stats")
             entry.append("groups = {}")
             exit = self.grouped_heads()
         exit.append(f"{ns}strand.produced += len(out)")
@@ -611,8 +639,8 @@ def generate_procedure(
     fields to its table: the write block
     :func:`~repro.tables.table.write_source` generates from the table in
     *tables* (the plan's, with its declaration and planned indexes), its
-    new row ``trusted(relation, f0)``, which binds to the node's table
-    only if that is the same.  Then each strand
+    new row the event the subscribers were shown, else ``trusted(relation,
+    f0)``; the block binds to the node's table only if that is the same.  Then each strand
     fires in order, its body inlined, and its heads are routed
     (:func:`_route`) before the next one fires.  The file appears to live
     in *directory* (:func:`procedure_directory`).  Raises
@@ -648,9 +676,12 @@ def generate_procedure(
         if stored:
             uses.add("loop")
             table = tables.get(trigger)
+            # the row a subscriber was shown is the row stored: nothing
+            # between the two blocks subscribes (expiry's change signal only
+            # marks aggregates dirty), so ``subscribers`` reads the same
             write_binds, write, write_names = write_source(
                 table, signatures(compiled.program)[trigger].arity, CLOCK,
-                f"node.tables.get({trigger!r})", event,
+                f"node.tables.get({trigger!r})", f"event if subscribers else {event}",
             )
             # the write block raised for any tuple shorter than its bound
             checked = row_width(table.key_positions, table.indexed_positions())
@@ -670,7 +701,7 @@ def generate_procedure(
             checked = max(checked, strand.min_event_arity)
         # the definitions of the functions the body was split into first
         body = [line for part in emitter.parts for line in part] + emitter.body
-        if emitter.probes:
+        if emitter.probes or "clock" in emitter.pel.uses:
             uses.add("loop")
         binds += [f"{ns}strand = strands[{i}]", *emitter.bindings()]
         pel_binds.update(emitter.pel.bindings())

@@ -206,3 +206,26 @@ def test_routing_inside_and_outside_a_drain_leaves_the_same_tables_and_deliverie
     outside = _history(_Writer("route", subscribed), script)
     assert outside == _history(_Writer("route-in-a-drain", subscribed), script)
     assert [version for _, _, version, _ in outside] == [1, 1, 2, 3, 3, 3, 4]
+
+
+@pytest.mark.parametrize("how", ["datagram", "route", "derived"])
+def test_a_subscribed_change_builds_one_tuple_the_subscriber_and_the_table_share(how, monkeypatch):
+    """A write that changes a subscribed relation's content builds one
+    ``Tuple``: the subscriber is handed the very row the table stores.  A
+    refresh of an identical row still builds only the subscriber's."""
+    writer = _Writer(how)
+    written = [Tuple.make("t", "n1", 1, z) for z in (1, 2, 2)]
+    events = [Tuple("ev", tup.fields) for tup in written]  # built before counting
+    built = _Constructions(monkeypatch)
+    counts = []
+    for tup, event in zip(written, events):
+        before = built.count
+        if how == "derived":
+            writer.node.route(event)
+        else:
+            writer.write(tup)
+        counts.append(built.count - before)
+    assert counts == [1, 1, 1]
+    assert writer.seen[0] is not writer.seen[1]
+    assert writer.seen[1] is writer.row("n1", 1) and writer.seen[2] is not writer.seen[1]
+    assert typed(writer.seen) == typed(written)

@@ -160,9 +160,8 @@ class TestBuiltins:
         bits=st.sampled_from([8, 32, 160]),
     )
     def test_ring_builtins_exact_int_path_agrees_with_the_conversions(self, a, b, bits):
-        """f_wrap / f_dist / f_fingerKey do exact-``int`` operands in place;
-        the result — or the error — is what ``to_int`` + ``IdSpace`` give for
-        every atom type."""
+        """f_wrap / f_dist / f_fingerKey: the result — or the error — is what
+        ``to_int`` + ``IdSpace`` give for every atom type."""
         from repro.core import values
         from repro.overlog import builtins
 

@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-fast test-faults test-planner test-reliable test-runloop test-tables golden lint lint-py bench bench-check bench-p2 bench-pairs loc check-pythonpath
+.PHONY: test test-fast test-faults test-planner test-reliable test-runloop test-tables golden lint lint-py bench bench-check bench-p2 bench-pairs loc census check-pythonpath
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -150,6 +150,14 @@ N ?= 10
 bench-pairs:
 	@test -n "$(BASE)" || { echo "usage: make bench-pairs BASE=<rev> [WORKLOAD=chord_static|a,b|all] [N=10]" >&2; exit 2; }
 	$(PYTHON) benchmarks/pairs.py $(BASE) --workload $(WORKLOAD) --pairs $(N)
+
+# The function-level census aim-2 PRs re-run after every move: the src/
+# functions tier-1 reaches but no p2bench workload, probe or example does,
+# and those nothing reaches, with line counts per module (one process under
+# sys.setprofile; several minutes).  Pytest arguments go after --:
+#   make census [CENSUS_ARGS='-- -m "not slow"']
+census:
+	$(PYTHON) -m tests.support.census $(CENSUS_ARGS)
 
 # The count aim-2 (less code) PRs cite: lines of *.py files git tracks or would
 # (-o: a file a PR adds counts before it is committed; ignored ones never do),

@@ -1,6 +1,5 @@
 """Dataflow framework: P2-style elements, relational operators, the transmit buffer."""
 
-from .aggregates import AGGREGATES, get_aggregate
 from .element import Element, ElementStats, Graph
 from .flow import TransmitBuffer
 from .operators import (
@@ -27,6 +26,4 @@ __all__ = [
     "Aggregate",
     "Host",
     "PelElement",
-    "AGGREGATES",
-    "get_aggregate",
 ]

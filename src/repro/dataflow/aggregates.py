@@ -3,18 +3,15 @@
 Each aggregate is defined once, as a left :class:`Fold` over a group's
 matches in derivation order.  :class:`~repro.dataflow.operators.Aggregate`
 (the interpreted oracle) and the code the strand compiler generates both run
-that fold a match at a time, so neither holds a group's rows; the
-``agg_*`` functions apply it to a whole sequence.
+that fold a match at a time, so neither holds a group's rows.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, NamedTuple, Sequence
+from typing import Any, Callable, Dict, NamedTuple
 
 from ..core import values
 from ..core.errors import DataflowError
-
-AggregateFunction = Callable[[Sequence[Any]], Any]
 
 
 class Fold(NamedTuple):
@@ -50,7 +47,6 @@ FOLDS: Dict[str, Fold] = {
 
 #: Aggregates that have a meaningful value on an empty group (only count).
 EMPTY_GROUP_VALUE = {"count": 0}
-_EMPTY_SEQUENCE_VALUE = {**EMPTY_GROUP_VALUE, "sum": 0}
 
 
 def get_fold(name: str) -> Fold:
@@ -58,25 +54,3 @@ def get_fold(name: str) -> Fold:
         return FOLDS[name]
     except KeyError:
         raise DataflowError(f"unknown aggregate function {name!r}") from None
-
-
-def get_aggregate(name: str) -> AggregateFunction:
-    """The aggregate *name* as a function of a whole sequence of items."""
-    first, step, result = get_fold(name)
-
-    def aggregate(items: Sequence[Any]) -> Any:
-        if not items:
-            if name not in _EMPTY_SEQUENCE_VALUE:
-                raise DataflowError(f"{name} over empty input")
-            return _EMPTY_SEQUENCE_VALUE[name]
-        state = first(items[0])
-        for item in items[1:]:
-            state = step(state, item)
-        return result(state)
-
-    return aggregate
-
-
-AGGREGATES: Dict[str, AggregateFunction] = {name: get_aggregate(name) for name in FOLDS}
-agg_min, agg_max, agg_count = AGGREGATES["min"], AGGREGATES["max"], AGGREGATES["count"]
-agg_sum, agg_avg = AGGREGATES["sum"], AGGREGATES["avg"]

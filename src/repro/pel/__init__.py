@@ -3,7 +3,7 @@
 from .compiler import compile_expression, constant_program, load_program
 from .opcodes import Op
 from .program import Program
-from .vm import EvalContext, PelVM, VM, compile_program, run
+from .vm import EvalContext, PelVM, VM, compile_program
 
 __all__ = [
     "Op",
@@ -11,7 +11,6 @@ __all__ = [
     "EvalContext",
     "PelVM",
     "VM",
-    "run",
     "compile_program",
     "compile_expression",
     "constant_program",

@@ -4,7 +4,8 @@ PEL is P2's small stack-based postfix expression language.  The planner never
 exposes it to humans; it compiles OverLog expressions into PEL programs that
 parameterise dataflow elements (Select, Project, Assign, Aggregate).  We keep
 the same architecture: a byte-code compiler (:mod:`repro.pel.compiler`) and a
-small virtual machine (:mod:`repro.pel.vm`).
+small virtual machine (:mod:`repro.pel.vm`).  The opcodes are exactly those
+the compiler emits; a program leaves one value and never moves or drops one.
 """
 
 from __future__ import annotations
@@ -15,11 +16,9 @@ import enum
 class Op(enum.IntEnum):
     """PEL instruction opcodes."""
 
-    # stack / data movement
+    # operands
     PUSH = 1        # push constant operand
     LOAD = 2        # push input tuple field at position <operand>
-    POP = 3         # discard top of stack
-    DUP = 4         # duplicate top of stack
 
     # arithmetic
     ADD = 10
@@ -44,22 +43,12 @@ class Op(enum.IntEnum):
     AND = 31
     OR = 32
 
-    # ring arithmetic (identifier space of the hosting node)
-    RING_ADD = 40       # (a b -- (a+b) mod 2^bits)
-    RING_SUB = 41       # (a b -- (a-b) mod 2^bits)
+    # ring interval test (identifier space of the hosting node)
     RING_IN = 42        # (v lo hi -- bool); operand = (include_low, include_high)
 
     # built-in function call; operand = (function name, arg count)
     CALL = 50
 
-    # control (no jumps in PEL; STOP ends the program explicitly)
-    STOP = 60
-
 
 #: Opcodes whose operand field is meaningful.
 OPS_WITH_OPERAND = {Op.PUSH, Op.LOAD, Op.RING_IN, Op.CALL}
-
-
-def mnemonic(op: Op) -> str:
-    """Human-readable name for disassembly."""
-    return Op(op).name.lower()

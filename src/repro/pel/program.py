@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, List, Optional, Tuple as PyTuple
 
-from .opcodes import Op, OPS_WITH_OPERAND, mnemonic
+from .opcodes import Op, OPS_WITH_OPERAND
 
 Instruction = PyTuple[Op, Any]
 
@@ -63,9 +63,9 @@ class Program:
         lines = []
         for i, (op, operand) in enumerate(self.instructions):
             if op in OPS_WITH_OPERAND:
-                lines.append(f"{i:3d}  {mnemonic(op):10s} {operand!r}")
+                lines.append(f"{i:3d}  {op.name.lower():10s} {operand!r}")
             else:
-                lines.append(f"{i:3d}  {mnemonic(op)}")
+                lines.append(f"{i:3d}  {op.name.lower()}")
         header = f"; {self.source}\n" if self.source else ""
         return header + "\n".join(lines)
 

@@ -10,13 +10,14 @@ Execution strategy
 
 PEL programs are compiled by the planner once and then executed per tuple —
 often millions of times per experiment.  A program has no jumps, so a
-*symbolic-stack pass* (:class:`ExpressionEmitter`) turns any program into
-Python source over the field tuple: operands are popped as expression texts
-and the operator's text pushed back, spilled to temporaries where one
-expression cannot hold them.  Behind :meth:`Program.compiled` that source is
-the body of one ``compile()``d function, the only executor; the strand
-compiler (:mod:`repro.planner.strand_compiler`) inlines the same text into
-the function it generates per trigger.  Every operator has one definition,
+*symbolic-stack pass* (:class:`ExpressionEmitter`) turns a program the
+compiler built into Python source over the field tuple: operands are popped
+as expression texts and the operator's text pushed back, spilled to
+temporaries where one expression would nest too deep.  Behind
+:meth:`Program.compiled` that source is the body of one ``compile()``d
+function, the only executor; the strand compiler
+(:mod:`repro.planner.strand_compiler`) inlines the same text into the
+function it generates per trigger.  Every operator has one definition,
 the :data:`BINARY` / :data:`UNARY` tables: the opcode interpreter the tests
 check generated code against calls the table's function, and generated code
 calls the same function unless both operands have exactly the type for
@@ -61,7 +62,7 @@ class EvalContext:
         The hosting node runtime (provides the clock, the random source and
         the node's address); ``None`` for node-free evaluation in tests.
     idspace:
-        Ring arithmetic configuration for ``RING_*`` opcodes.
+        The identifier ring ``RING_IN`` and the ring built-ins measure on.
     """
 
     __slots__ = ("fields", "builtins", "node", "idspace")
@@ -85,8 +86,8 @@ class EvalContext:
         The per-eval construction above defensively copies the builtin map;
         a reusable context instead *shares* the host's live mapping (so later
         registrations are visible, matching the copy-per-eval behaviour).
-        Generated strands bind one per node and assign :attr:`fields` in
-        place before an expression that calls a built-in.
+        Generated strands bind one per node and store :attr:`fields` in
+        place before a built-in is called over them.
         """
         ctx = cls.__new__(cls)
         ctx.fields = ()
@@ -134,6 +135,12 @@ def _ring_in(ring: IdSpace, v: Any, lo: Any, hi: Any, include_low: bool, include
     return ring.in_interval(iv, ilo, ihi, include_low, include_high)
 
 
+def _over(ctx: EvalContext, fields: Sequence[Any]) -> EvalContext:
+    """*ctx*, holding *fields*: what every generated call hands its built-in."""
+    ctx.fields = fields
+    return ctx
+
+
 def _unknown_builtin(name: str) -> BuiltinFunction:
     """Stands in for a missing built-in: the error is raised when it is
     *called*, i.e. after the arguments were evaluated, as the stack machine
@@ -150,7 +157,7 @@ _ORDERED, _STRICT = (int, str), (int, float, str)
 #: the name generated code tests a pair of operand types against, per set
 _TYPE_SETS = {_NUMBERS: "NUMBERS", _ORDERED: "ORDERED", _STRICT: "STRICT"}
 
-#: ``opcode -> (name, function(a, b, ring), inline form, exact operand types)``.
+#: ``opcode -> (name, function(a, b), inline form, exact operand types)``.
 #: The function *is* the operator.  Generated code may replace the call by
 #: the inline form only when both operands have (the same) one of the exact
 #: types, where the two agree:
@@ -167,30 +174,28 @@ _TYPE_SETS = {_NUMBERS: "NUMBERS", _ORDERED: "ORDERED", _STRICT: "STRICT"}
 #: Both operands are evaluated before either form runs, so ``&&``/``||``
 #: never short-circuit.
 BINARY: Dict[Op, tuple] = {
-    Op.ADD: ("add", lambda a, b, ring: _arith(a, b, "+"), "{} + {}", _NUMBERS),
-    Op.SUB: ("sub", lambda a, b, ring: _arith(a, b, "-"), "{} - {}", _NUMBERS),
-    Op.MUL: ("mul", lambda a, b, ring: _arith(a, b, "*"), "{} * {}", _NUMBERS),
-    Op.DIV: ("div", lambda a, b, ring: _divide(a, b), None, ()),
-    Op.MOD: ("mod", lambda a, b, ring: to_int(a) % to_int(b), "{} % {}", _INT),
-    Op.SHL: ("shl", lambda a, b, ring: to_int(a) << to_int(b), "{} << {}", _INT),
-    Op.SHR: ("shr", lambda a, b, ring: to_int(a) >> to_int(b), "{} >> {}", _INT),
-    Op.EQ: ("eq", lambda a, b, ring: equal(a, b), "{} == {}", _ORDERED),
-    Op.NE: ("ne", lambda a, b, ring: not equal(a, b), "{} != {}", _ORDERED),
-    Op.LT: ("lt", lambda a, b, ring: compare(a, b) < 0, "{} < {}", _STRICT),
-    Op.LE: ("le", lambda a, b, ring: compare(a, b) <= 0, "{} <= {}", _ORDERED),
-    Op.GT: ("gt", lambda a, b, ring: compare(a, b) > 0, "{} > {}", _STRICT),
-    Op.GE: ("ge", lambda a, b, ring: compare(a, b) >= 0, "{} >= {}", _ORDERED),
-    Op.AND: ("and_", lambda a, b, ring: to_bool(a) and to_bool(b), "{} & {}", _BOOL),
-    Op.OR: ("or_", lambda a, b, ring: to_bool(a) or to_bool(b), "{} | {}", _BOOL),
-    Op.RING_ADD: ("ring_add", lambda a, b, ring: ring.wrap(to_int(a) + to_int(b)), None, ()),
-    Op.RING_SUB: ("ring_sub", lambda a, b, ring: ring.wrap(to_int(a) - to_int(b)), None, ()),
+    Op.ADD: ("add", lambda a, b: _arith(a, b, "+"), "{} + {}", _NUMBERS),
+    Op.SUB: ("sub", lambda a, b: _arith(a, b, "-"), "{} - {}", _NUMBERS),
+    Op.MUL: ("mul", lambda a, b: _arith(a, b, "*"), "{} * {}", _NUMBERS),
+    Op.DIV: ("div", _divide, None, ()),
+    Op.MOD: ("mod", lambda a, b: to_int(a) % to_int(b), "{} % {}", _INT),
+    Op.SHL: ("shl", lambda a, b: to_int(a) << to_int(b), "{} << {}", _INT),
+    Op.SHR: ("shr", lambda a, b: to_int(a) >> to_int(b), "{} >> {}", _INT),
+    Op.EQ: ("eq", lambda a, b: equal(a, b), "{} == {}", _ORDERED),
+    Op.NE: ("ne", lambda a, b: not equal(a, b), "{} != {}", _ORDERED),
+    Op.LT: ("lt", lambda a, b: compare(a, b) < 0, "{} < {}", _STRICT),
+    Op.LE: ("le", lambda a, b: compare(a, b) <= 0, "{} <= {}", _ORDERED),
+    Op.GT: ("gt", lambda a, b: compare(a, b) > 0, "{} > {}", _STRICT),
+    Op.GE: ("ge", lambda a, b: compare(a, b) >= 0, "{} >= {}", _ORDERED),
+    Op.AND: ("and_", lambda a, b: to_bool(a) and to_bool(b), "{} & {}", _BOOL),
+    Op.OR: ("or_", lambda a, b: to_bool(a) or to_bool(b), "{} | {}", _BOOL),
 }
 #: ``opcode -> (name, function(a), inline form when the operand is a bool)``
 UNARY: Dict[Op, tuple] = {
     Op.NEG: ("neg", lambda a: -to_float(a), None),
     Op.NOT: ("not_", lambda a: not to_bool(a), "not {}"),
 }
-_ARITY = {**dict.fromkeys([*UNARY, Op.DUP, Op.POP], 1), **dict.fromkeys(BINARY, 2), Op.RING_IN: 3}
+_ARITY = {**dict.fromkeys(UNARY, 1), **dict.fromkeys(BINARY, 2), Op.RING_IN: 3}
 #: operators whose result is a ``bool``; every other operator above returns
 #: an exact ``int``/``float``/``str``, whatever its operands — either way a
 #: value :func:`~repro.core.values.coerce` would return unchanged
@@ -232,7 +237,7 @@ class Expression(NamedTuple):
     loads: tuple = ()
     #: the constant, for ``kind == "const"``
     value: Any = None
-    #: calls a built-in, which may read ``ctx.fields``
+    #: calls a built-in
     calls: bool = False
     #: how deep the text nests brackets
     depth: int = 0
@@ -269,28 +274,20 @@ class ExpressionEmitter:
         self.uses: set = set()
 
     def emit(self, program: Program, fields: str) -> Expression:
-        """Any *program* over the field tuple named *fields*.
+        """*program* over the field tuple named *fields*.
 
-        Before a ``DUP``/``POP``, an underflow, a result left under another,
-        or text nested past :data:`MAX_NESTING`, every operand on the stack
-        but a literal is *spilled* (:attr:`Expression.statements`), bottom to
-        top: each is still evaluated once, in the machine's order.
+        Where an operator's text would nest past :data:`MAX_NESTING`, every
+        operand on the stack but a literal is *spilled*
+        (:attr:`Expression.statements`), bottom to top: each is still
+        evaluated once, in the machine's order.  PEL is what the compiler
+        emits, so a program that underflows, or that does not leave exactly
+        one value, raises :class:`PELError`.
         """
         stack: List[Expression] = []
         statements: List[str] = []
         loads: List[int] = []
         calls = False
-
-        def spill() -> None:
-            for i, x in enumerate(stack):
-                if x.depth and x.kind != "const":  # not a literal or a temporary
-                    name = self.temp()
-                    statements.append(f"{name} = {x.text}")
-                    stack[i] = Expression(name, "any" if x.kind == "load" else x.kind)
-
         for op, operand in program.instructions:
-            if op is Op.STOP:
-                break
             if op is Op.PUSH:
                 stack.append(self._constant(operand))
                 continue
@@ -300,27 +297,23 @@ class ExpressionEmitter:
                 continue
             arity = operand[1] if op is Op.CALL else _ARITY[op]
             if len(stack) < arity:
-                # what the stack machine raises, after evaluating the rest
-                spill()
-                stack = [Expression("[][-1]" if op is Op.DUP else "[].pop()", "any")]
-                break
-            if op is Op.DUP or op is Op.POP:
-                spill()
-                stack[-1:] = stack[-1:] * (2 if op is Op.DUP else 0)
-                continue
-            result = self._operator(op, operand, stack[len(stack) - arity:])
+                raise PELError(f"PEL program {program.source!r} underflows at {op.name}")
+            result = self._operator(op, operand, stack[len(stack) - arity:], fields)
             if result.depth > MAX_NESTING:
-                spill()
-                result = self._operator(op, operand, stack[len(stack) - arity:])
+                for i, x in enumerate(stack):
+                    if x.depth and x.kind != "const":  # not a literal or a temporary
+                        name = self.temp()
+                        statements.append(f"{name} = {x.text}")
+                        stack[i] = Expression(name, "any" if x.kind == "load" else x.kind)
+                result = self._operator(op, operand, stack[len(stack) - arity:], fields)
             del stack[len(stack) - arity:]
             stack.append(result)
             calls = calls or op is Op.CALL
-        if len(stack) > 1:
-            spill()
-        result = stack[-1] if stack else Expression("None", "const")
-        return result._replace(loads=tuple(loads), calls=calls, statements=tuple(statements))
+        if len(stack) != 1:
+            raise PELError(f"PEL program {program.source!r} leaves {len(stack)} values, not one")
+        return stack[0]._replace(loads=tuple(loads), calls=calls, statements=tuple(statements))
 
-    def _operator(self, op: Op, operand: Any, args: List[Expression]) -> Expression:
+    def _operator(self, op: Op, operand: Any, args: List[Expression], fields: str) -> Expression:
         """The text of *op* applied to the operand texts *args*."""
         if op in BINARY:
             return self._binary(op, *args)
@@ -346,20 +339,20 @@ class ExpressionEmitter:
                 f"({inline} if {test} else ring_in(R, {rest})", "bool", depth=_nested(3, args)
             )
         self.uses.add("B")
-        return self._call(operand[0], args)
+        return self._call(operand[0], args, fields)
 
-    def _call(self, name: str, args: List[Expression]) -> Expression:
+    def _call(self, name: str, args: List[Expression], fields: str) -> Expression:
         """A built-in call: in place (:data:`BUILTIN_FORMS`) while the map
         holds the default function and every operand is an int, else the
-        call.  The map is read first and each operand once, in order,
-        whichever runs."""
+        call over ``ctx`` holding *fields*.  The map is read first and each
+        operand once, in order, whichever runs."""
         quoted = repr(name)
         arity, form, guard = BUILTIN_FORMS.get(name, (None, "", None))
         clocked = "{clock}" in form
         if len(args) != arity or clocked and self.clock is None:
             passed = "".join(", " + a.text for a in args)
             return Expression(
-                f"(B.get({quoted}) or unknown({quoted}))(ctx{passed})", "any",
+                f"(B.get({quoted}) or unknown({quoted}))(over(ctx, {fields}){passed})", "any",
                 depth=max(2, _nested(1, args)),
             )
         self.uses.add("clock" if clocked else "R")
@@ -374,7 +367,8 @@ class ExpressionEmitter:
         inline = form.format(*names, clock=self.clock)
         passed = "".join(", " + n for n in names)
         return Expression(
-            f"({inline} if {test} else ({found} or unknown({quoted}))(ctx{passed}))", "any",
+            f"({inline} if {test} else ({found} or unknown({quoted}))(over(ctx, {fields}){passed}))",
+            "any",
             depth=max(4, _nested(3, args)),
         )
 
@@ -399,11 +393,7 @@ class ExpressionEmitter:
 
     def _binary(self, op: Op, a: Expression, b: Expression) -> Expression:
         name, _, inline, exact = BINARY[op]
-        ring = "None"
-        if op in (Op.RING_ADD, Op.RING_SUB):
-            self.uses.add("R")
-            ring = "R"
-        call = f"{name}({{}}, {{}}, {ring})"
+        call = name + "({}, {})"
         kind = "bool" if op in _BOOL_RESULT else "atomic"
         # known before running: a literal's type, a comparison's bool
         static = [
@@ -485,6 +475,7 @@ GENERATED_GLOBALS: Dict[str, Any] = {
     "to_bool": to_bool,
     "coerce": values.coerce,
     "ring_in": _ring_in,
+    "over": _over,
     "unknown": _unknown_builtin,
     "reraise": raise_as_interpreted,
     **{name: frozenset(types) for types, name in _TYPE_SETS.items()},
@@ -545,8 +536,3 @@ class PelVM:
 
 #: A module-level VM instance; the VM is stateless so sharing it is safe.
 VM = PelVM()
-
-
-def run(program: Program, ctx: Optional[EvalContext] = None, **kwargs: Any) -> Any:
-    """Convenience wrapper: execute *program* with a fresh or given context."""
-    return VM.execute(program, ctx or EvalContext(**kwargs))

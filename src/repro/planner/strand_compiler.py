@@ -175,7 +175,6 @@ class _Emitter:
         self.body: List[PyTuple[str, Optional[tuple]]] = []
         #: field positions every tuple reaching the strand is known to have
         self.safe = 0 if self.continuous else strand.min_event_arity
-        self.ctx_fields: Optional[str] = None
         #: statements that turn a group's fold states into values, if any do
         self.results: List[str] = []
         #: so far, running the chain again over unchanged rows could be left
@@ -208,14 +207,10 @@ class _Emitter:
             site = (None if program is None else repr(program.source), tuple(loads), fields)
         self.line(depth, text, site)
 
-    def expr(self, depth: int, program: Program, fields: str) -> Expression:
+    def expr(self, program: Program, fields: str) -> Expression:
         expr = self.pel.emit(program, fields)
         if expr.calls:
             self.skippable = False  # f_now(), f_rand(), ...
-            if self.ctx_fields != fields:
-                # a built-in may read the tuple it is evaluated over
-                self.line(depth, f"ctx.fields = {fields}")
-                self.ctx_fields = fields
         return expr
 
     def spilled(self, depth: int, program: Program, fields: str, expr: Expression) -> None:
@@ -243,7 +238,7 @@ class _Emitter:
         passed through ``coerce`` once all operands are evaluated, as the
         ``Tuple`` constructor would.
         """
-        exprs = [self.expr(depth, p, fields) for p in programs]
+        exprs = [self.expr(p, fields) for p in programs]
         computed = [i for i, e in enumerate(exprs) if not e.inline]
         texts: List[str] = []
         inline_loads: List[int] = []
@@ -299,7 +294,7 @@ class _Emitter:
             self.sink(depth, fields)
             return
         if type(op) is Assign:
-            e = self.expr(depth, op.program, fields)
+            e = self.expr(op.program, fields)
             if e.inline:
                 self.site(depth, f"f{width + 1} = {fields} + ({e.text},)", e.loads, fields)
             else:
@@ -313,7 +308,7 @@ class _Emitter:
         self.binds.append(f"{drop} = {ns}ops[{index}].stats")
         if type(op) is Select:
             self.skippable = False
-            e = self.expr(depth, op.program, fields)
+            e = self.expr(op.program, fields)
             if e.kind == "bool":
                 self.spilled(depth, op.program, fields, e)
                 self.site(depth, f"if {e.text}:", e.loads, fields, op.program)
@@ -484,7 +479,6 @@ class _Emitter:
             # aggregate has one)
             empty = "h is None" if self.single else "not groups"
             self.line(2, f"if {empty} and prefix is not None:")
-            self.ctx_fields = None
             texts, loads = self.operands(3, strand.fallback_project.programs, "prefix", coerce=True)
             for pos, func in strand.aggregate.agg_specs:
                 texts[pos] = repr(EMPTY_GROUP_VALUE[func])

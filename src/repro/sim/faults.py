@@ -34,6 +34,7 @@ by stable identifiers, never by execution order.
 from __future__ import annotations
 
 import dataclasses
+import math
 import random
 from dataclasses import dataclass, field
 from typing import (
@@ -249,11 +250,11 @@ class LinkConditioner:
             self._regions = [r for r in self._regions if r.region_id != region_id]
 
     def push_latency_spike(self, factor: float) -> None:
-        if factor < 1.0:
+        if not 1.0 <= factor < math.inf:
             raise SimulationError(
                 "latency spike factor must be >= 1.0: the sharded driver's "
                 "lookahead window is derived from the topology latency floor, "
-                f"and a factor of {factor} could violate it"
+                f"and a factor of {factor} could violate it (and it must be finite)"
             )
         self._spikes.append(factor)
         self._recompute_factor()
@@ -298,8 +299,8 @@ class FaultEvent:
             raise SimulationError(
                 f"unknown fault action {self.action!r}; expected one of {sorted(FAULT_ACTIONS)}"
             )
-        if self.at < 0:
-            raise SimulationError(f"fault event time must be >= 0, got {self.at}")
+        if not 0 <= self.at < math.inf:
+            raise SimulationError(f"fault event time 'at' must be finite and >= 0, got {self.at}")
 
     def as_dict(self) -> Dict[str, Any]:
         """A JSON-safe plain-dict form, the inverse of
@@ -338,8 +339,8 @@ def burst_loss(
 ) -> FaultEvent:
     """At *at*, start Gilbert–Elliott burst loss on the covered links;
     automatically removed after *duration* seconds when given."""
-    if duration is not None and duration <= 0:
-        raise SimulationError("burst_loss duration must be positive")
+    if duration is not None and not 0 < duration < math.inf:
+        raise SimulationError(f"burst_loss duration must be finite and > 0, got {duration}")
     return FaultEvent(
         at,
         "burst_loss",
@@ -359,10 +360,12 @@ def clear_burst_loss(at: float) -> FaultEvent:
 
 def latency_spike(at: float, factor: float, duration: float) -> FaultEvent:
     """At *at*, multiply every link latency by *factor* (≥ 1) for *duration*."""
-    if duration <= 0:
-        raise SimulationError("latency_spike duration must be positive")
-    if factor < 1.0:
-        raise SimulationError("latency_spike factor must be >= 1.0 (lookahead safety)")
+    if not 0 < duration < math.inf:
+        raise SimulationError(f"latency_spike duration must be finite and > 0, got {duration}")
+    if not 1.0 <= factor < math.inf:
+        raise SimulationError(
+            f"latency_spike factor must be finite and >= 1.0 (lookahead safety), got {factor}"
+        )
     return FaultEvent(at, "latency_spike", {"factor": factor, "duration": duration})
 
 

@@ -33,13 +33,9 @@ def execute_interpreted(program, ctx):
                     ) from None
             elif op in BINARY:
                 b, a = pop(), pop()
-                push(BINARY[op][1](a, b, ctx.idspace))
+                push(BINARY[op][1](a, b))
             elif op in UNARY:
                 push(UNARY[op][1](pop()))
-            elif op is Op.POP:
-                pop()
-            elif op is Op.DUP:
-                push(stack[-1])
             elif op is Op.RING_IN:
                 hi, lo, v = pop(), pop(), pop()
                 push(_ring_in(ctx.idspace, v, lo, hi, *operand))
@@ -47,14 +43,10 @@ def execute_interpreted(program, ctx):
                 name, argc = operand
                 args = [pop() for _ in range(argc)][::-1]
                 push((ctx.builtins.get(name) or _unknown_builtin(name))(ctx, *args))
-            elif op is Op.STOP:
-                break
             else:
                 raise PELError(f"unhandled opcode {op!r}")
     except PELError:
         raise
     except Exception as exc:
         raise PELError(f"PEL execution failed ({program.source!r}): {exc}") from exc
-    if not stack:
-        return None
     return stack[-1]

@@ -85,11 +85,13 @@ class TestCompare:
         assert values.compare(2**53 + 1, float(2**53)) == 1  # int/float is exact too
 
     def test_min_max_aggregates_tell_large_identifiers_apart(self):
-        from repro.dataflow.aggregates import agg_max, agg_min
+        from repro.core import Tuple
+        from repro.dataflow import Aggregate
 
         ids = [(1 << 159) + 2, (1 << 159) + 1, (1 << 159) + 3]
-        assert agg_min(ids) == (1 << 159) + 1
-        assert agg_max(ids) == (1 << 159) + 3
+        agg = Aggregate(group_positions=[0], agg_specs=[(1, "min"), (2, "max")])
+        (out,) = agg.aggregate([Tuple.make("d", "g", i, i) for i in ids])
+        assert out.fields[1:] == ((1 << 159) + 1, (1 << 159) + 3)
 
     @given(st.integers(), st.integers())
     def test_antisymmetry_ints(self, a, b):

@@ -13,9 +13,7 @@ from repro.dataflow import (
     LookupJoin,
     Project,
     Select,
-    get_aggregate,
 )
-from repro.dataflow.aggregates import agg_avg, agg_count, agg_max, agg_min, agg_sum
 from repro.overlog import parse_expression
 from repro.overlog.builtins import make_builtins
 from repro.pel import compile_expression, constant_program, load_program
@@ -97,38 +95,39 @@ class TestRelationalOperators:
         assert list(anti.process(Tuple.make("evt", "b"))) == [Tuple.make("evt", "b")]
 
 
+def aggregate_of(func, items):
+    """*func* over *items* as one group, through the ``Aggregate`` element."""
+    agg = Aggregate(group_positions=[0], agg_specs=[(1, func)])
+    (out,) = agg.aggregate([Tuple.make("d", "g", item) for item in items])
+    return out[1]
+
+
 class TestAggregates:
     def test_aggregate_functions(self):
-        assert agg_min([3, 1, 2]) == 1
-        assert agg_max([3, 1, 2]) == 3
-        assert agg_count([3, 1, 2]) == 3
-        assert agg_sum([1, 2, 3]) == 6
-        assert agg_sum([1.5, 2.5]) == 4.0
-        assert agg_avg([2, 4]) == 3
+        assert aggregate_of("min", [3, 1, 2]) == 1
+        assert aggregate_of("max", [3, 1, 2]) == 3
+        assert aggregate_of("count", [3, 1, 2]) == 3
+        assert aggregate_of("sum", [1, 2, 3]) == 6
+        assert aggregate_of("sum", [1.5, 2.5]) == 4.0
+        assert aggregate_of("avg", [2, 4]) == 3
 
     def test_sum_and_avg_are_exact_above_2_to_the_53(self):
         """Exact ints accumulate in integers: a float total rounds 2**60 + 1
         (the sum came out as 2**60, off by two) and any 160-bit identifier."""
         wide = (1 << 159) + 7
-        assert agg_sum([2**60 + 1, 1]) == 2**60 + 2
-        assert agg_sum([wide, wide, 3]) == 2 * wide + 3
-        assert type(agg_sum([wide, 1])) is int
-        assert agg_avg([2**60 + 1, 2**60 + 3]) == float(2**60 + 2)
-        assert agg_avg([wide, wide + 2]) == (2 * wide + 2) / 2
+        assert aggregate_of("sum", [2**60 + 1, 1]) == 2**60 + 2
+        assert aggregate_of("sum", [wide, wide, 3]) == 2 * wide + 3
+        assert type(aggregate_of("sum", [wide, 1])) is int
+        assert aggregate_of("avg", [2**60 + 1, 2**60 + 3]) == float(2**60 + 2)
+        assert aggregate_of("avg", [wide, wide + 2]) == (2 * wide + 2) / 2
         # anything but exact ints still makes the sum a float (a bool too)
-        assert agg_sum([2, True]) == 3.0 and type(agg_sum([2, True])) is float
-        assert agg_sum([1, 0.5, None]) == 1.5
-        assert agg_sum([]) == 0 and agg_count([]) == 0
-
-    def test_empty_aggregates_raise(self):
-        with pytest.raises(DataflowError):
-            agg_min([])
-        with pytest.raises(DataflowError):
-            agg_avg([])
+        total = aggregate_of("sum", [2, True])
+        assert total == 3.0 and type(total) is float
+        assert aggregate_of("sum", [1, 0.5, None]) == 1.5
 
     def test_unknown_aggregate(self):
         with pytest.raises(DataflowError):
-            get_aggregate("median")
+            Aggregate(group_positions=[0], agg_specs=[(1, "median")])
 
     def test_groupwise_min(self):
         agg = Aggregate(group_positions=[0], agg_specs=[(1, "min")])

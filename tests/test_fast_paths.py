@@ -201,6 +201,32 @@ def test_extra_builtins_win_over_the_inline_forms():
     assert typed(head) == typed(("n1", 42.5, -1, 2, 13))
 
 
+def test_an_override_reads_the_fields_of_its_own_site():
+    """Every built-in call stores the fields it is evaluated over: each
+    ``f_dist`` site below runs over a frame one field wider than the last,
+    and an override sees that frame (the event's three fields, then four,
+    and five after the ``f_sha1`` call, which has no in-place form)."""
+    program = """
+    r1 out@X(X, D, E, H, F) :- ev@X(X, A, B), D := f_dist(A, B), E := f_dist(B, A),
+       H := f_sha1(A), F := f_dist(A, H).
+    """
+    width = lambda ctx, *args: len(ctx.fields)
+    node = make_node(parse_program(program), extra_builtins={"f_dist": width, "f_sha1": width})
+    text = node.compiled.procedure("ev").text
+    assert "ctx.fields = " not in text and text.count("over(ctx, f") == 4
+    assert [typed(head) for head in _heads(node, ("n1", 5, 3), ("n1", "a", 7))] == [
+        typed(("n1", 3, 4, 5, 6)),
+    ] * 2
+
+
+def test_narada_r8_stores_no_fields_for_its_fast_path():
+    """R8's only built-in is ``f_now``, computed in place: only its fallback
+    call reads ``ctx``, so no line of its own stores ``ctx.fields``."""
+    text = Twins(narada_program()).procedure.compiled.procedure("refresh").text
+    r8 = text[text.index("# [R8]"):text.index("# [N1]")]
+    assert "f_now" in r8 and "over(ctx, f" in r8 and "ctx.fields =" not in r8
+
+
 def test_a_builtin_registered_after_the_handler_was_bound_wins():
     node = make_node(parse_program(BUILTIN_PROGRAM))
     handle, routes = bind_capturing(node, "ev")
@@ -222,7 +248,8 @@ def test_f_now_in_compile_program_is_a_call_and_reads_no_clock():
     """``compile_program`` has no node procedure's clock: ``f_now`` stays a
     call, 0.0 with no node and the node's time with one."""
     program = Program([(Op.CALL, ("f_now", 0))])
-    assert ExpressionEmitter().emit(program, "f").text == "(B.get('f_now') or unknown('f_now'))(ctx)"
+    assert ExpressionEmitter().emit(program, "f").text == (
+        "(B.get('f_now') or unknown('f_now'))(over(ctx, f))")
     run = compile_program(program)
     assert run(EvalContext(builtins=make_builtins())) == 0.0
     node = type("Node", (), {"now": lambda self: 7})()

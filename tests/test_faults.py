@@ -43,6 +43,8 @@ from repro.sim import (
 )
 from repro.sim.faults import _GilbertElliottChain
 
+NAN, INF = float("nan"), float("inf")
+
 
 class FakeNode:
     def __init__(self, address, loop=None):
@@ -194,8 +196,9 @@ class TestLinkConditioner:
         assert cond.latency_factor == 3.0
         cond.pop_latency_spike(99.0)  # tolerated: overlapping teardown
         assert cond.latency_factor == 3.0
-        with pytest.raises(SimulationError):
-            cond.push_latency_spike(0.5)
+        for factor in (0.5, NAN, INF):
+            with pytest.raises(SimulationError):
+                cond.push_latency_spike(factor)
 
 
 # ---------------------------------------------------------------------------
@@ -217,6 +220,33 @@ class TestFaultSchedule:
             faults.latency_spike(1.0, factor=0.5, duration=5.0)
         with pytest.raises(SimulationError):
             faults.latency_spike(1.0, factor=2.0, duration=0.0)
+
+    @pytest.mark.parametrize(
+        "row, argument",
+        [
+            ({"action": "heal", "at": NAN}, "'at'"),
+            ({"action": "heal", "at": INF}, "'at'"),
+            ({"action": "crash", "at": NAN, "node": "n1"}, "'at'"),
+            ({"action": "latency_spike", "at": NAN, "factor": 2.0, "duration": 3.0}, "'at'"),
+            ({"action": "latency_spike", "at": 5.0, "factor": NAN, "duration": 3.0}, "factor"),
+            ({"action": "latency_spike", "at": 5.0, "factor": INF, "duration": 3.0}, "factor"),
+            ({"action": "latency_spike", "at": 5.0, "factor": 2.0, "duration": NAN}, "duration"),
+            ({"action": "latency_spike", "at": 5.0, "factor": 2.0, "duration": INF}, "duration"),
+            ({"action": "burst_loss", "at": 5.0, "duration": NAN}, "duration"),
+            ({"action": "burst_loss", "at": 5.0, "duration": INF}, "duration"),
+        ],
+        ids=lambda case: "-".join(map(str, case.values())) if isinstance(case, dict) else None,
+    )
+    def test_non_finite_arguments_are_refused_at_construction(self, row, argument):
+        """A NaN or infinite time, spike factor or duration used to be
+        accepted and fail later, inside the run: ``cannot schedule at nan``
+        from the event loop, a NaN latency aborting every node at the next
+        datagram, or every datagram of an infinite spike parked at t=∞."""
+        args = {key: value for key, value in row.items() if key != "action"}
+        with pytest.raises(SimulationError, match=argument):
+            getattr(faults, row["action"])(**args)
+        with pytest.raises(SimulationError, match=argument):
+            FaultSchedule.from_dicts([row])
 
     def test_schedule_sorts_stably(self):
         schedule = FaultSchedule(

@@ -1,14 +1,16 @@
 """Tests for the PEL compiler and virtual machine."""
 
+import functools
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.core import IdSpace
 from repro.core.errors import PELError
 from repro.net import Network
 from repro.overlog import ast, parse_expression
 from repro.overlog.builtins import make_builtins
-from repro.pel import EvalContext, Op, Program, VM, compile_expression, run
+from repro.pel import EvalContext, Op, Program, VM, compile_expression
 from repro.pel.vm import MAX_NESTING, ExpressionEmitter
 from repro.runtime import P2Node
 from repro.sim import EventLoop
@@ -29,6 +31,58 @@ def evaluate(text, fields=(), schema=None, node=None, bits=32):
     return VM.execute(program, ctx)
 
 
+def run(program, **ctx):
+    """Execute *program* in a fresh context built from *ctx*."""
+    return VM.execute(program, EvalContext(**ctx))
+
+
+# OverLog expression trees over the variables X and Y (fields 0 and 1) and Z
+# (field 4, out of range of the two-field tuple the tests evaluate over)
+LITERALS = st.one_of(
+    st.integers(-300, 300),
+    st.sampled_from([(1 << 159) + 7, -(1 << 159), 2**53 + 1]),
+    st.floats(),  # NaN and the infinities included
+    st.text(max_size=3),
+    st.booleans(),
+    st.binary(max_size=2),
+    st.none(),
+).map(ast.Constant)
+LEAVES = st.one_of(
+    st.sampled_from("XYXYZ").map(ast.Variable), st.integers(-300, 300).map(ast.Constant), LITERALS
+)
+# a shift's count stays small: ``1 << 10**10`` would allocate gigabytes
+SHIFT_COUNTS = st.one_of(st.integers(0, 64).map(ast.Constant), st.just(ast.Variable("X")))
+
+
+def _operators(children):
+    binary = st.builds(ast.BinaryOp, st.sampled_from(
+        ["+", "-", "*", "/", "%", "==", "!=", "<", "<=", ">", ">=", "&&", "||"]),
+        children, children)
+    return st.one_of(
+        binary,
+        binary,
+        st.builds(ast.BinaryOp, st.sampled_from(["<<", ">>"]), children, SHIFT_COUNTS),
+        st.builds(ast.UnaryOp, st.sampled_from(["-", "!"]), children),
+        st.builds(ast.RangeTest, children, children, children, st.booleans(), st.booleans()),
+        st.builds(lambda args: ast.FunctionCall("f_log", args), st.lists(children, max_size=2)),
+    )
+
+
+def _deep(expr, terms, op):
+    """*expr* under *terms* more operators: nested past ``MAX_NESTING``."""
+    wrap = {"+": lambda e: ast.BinaryOp("+", e, ast.Constant(1)),
+            "!": lambda e: ast.UnaryOp("!", e),
+            "f_log": lambda e: ast.FunctionCall("f_log", [e])}[op]
+    return functools.reduce(lambda e, _: wrap(e), range(terms), expr)
+
+
+SHALLOW = _operators(st.recursive(LEAVES, _operators, max_leaves=8))
+EXPRESSIONS = st.one_of(
+    SHALLOW,
+    st.builds(_deep, SHALLOW, st.integers(90, 130), st.sampled_from(["+", "!", "f_log"])),
+)
+
+
 class TestProgramBasics:
     def test_emit_and_len(self):
         p = Program().emit(Op.PUSH, 1).emit(Op.PUSH, 2).emit(Op.ADD)
@@ -38,9 +92,6 @@ class TestProgramBasics:
         p = Program(source="1 + 2").emit(Op.PUSH, 1).emit(Op.PUSH, 2).emit(Op.ADD)
         text = p.disassemble()
         assert "push" in text and "add" in text and "1 + 2" in text
-
-    def test_run_empty_program_returns_none(self):
-        assert run(Program()) is None
 
 
 class TestArithmetic:
@@ -265,8 +316,6 @@ class TestClosureCompilationDifferential:
     OPCODE_PROGRAMS = {
         Op.PUSH: [[(Op.PUSH, 7)]],
         Op.LOAD: [[(Op.LOAD, 0)], [(Op.LOAD, 2)]],
-        Op.POP: [[(Op.PUSH, 1), (Op.PUSH, 2), (Op.POP, None)]],
-        Op.DUP: [[(Op.PUSH, 4), (Op.DUP, None), (Op.ADD, None)]],
         Op.ADD: [
             [(Op.PUSH, 2), (Op.PUSH, 3), (Op.ADD, None)],
             [(Op.PUSH, "a"), (Op.PUSH, "b"), (Op.ADD, None)],
@@ -288,8 +337,6 @@ class TestClosureCompilationDifferential:
         Op.NOT: [[(Op.PUSH, True), (Op.NOT, None)]],
         Op.AND: [[(Op.PUSH, True), (Op.PUSH, False), (Op.AND, None)]],
         Op.OR: [[(Op.PUSH, False), (Op.PUSH, True), (Op.OR, None)]],
-        Op.RING_ADD: [[(Op.PUSH, 250), (Op.PUSH, 10), (Op.RING_ADD, None)]],
-        Op.RING_SUB: [[(Op.PUSH, 5), (Op.PUSH, 10), (Op.RING_SUB, None)]],
         Op.RING_IN: [
             [(Op.PUSH, 2), (Op.PUSH, 250), (Op.PUSH, 10), (Op.RING_IN, (False, True))],
             [(Op.PUSH, 100), (Op.PUSH, 250), (Op.PUSH, 10), (Op.RING_IN, (False, True))],
@@ -299,7 +346,6 @@ class TestClosureCompilationDifferential:
             [(Op.PUSH, 3), (Op.PUSH, 9), (Op.CALL, ("f_max", 2))],
             [(Op.CALL, ("f_now", 0))],
         ],
-        Op.STOP: [[(Op.PUSH, 1), (Op.STOP, None), (Op.PUSH, 2)]],
     }
 
     def test_every_opcode_has_a_differential_case(self):
@@ -461,53 +507,48 @@ class TestSourceCompilation:
     @pytest.mark.parametrize(
         "instructions",
         [
-            [(Op.PUSH, 4), (Op.DUP, None), (Op.ADD, None)],
-            [(Op.PUSH, 1), (Op.PUSH, 2), (Op.POP, None)],
-            [(Op.PUSH, 1), (Op.PUSH, 2)],            # leaves two values
-            [(Op.ADD, None)],                        # underflows
+            [(Op.ADD, None)],
+            [(Op.LOAD, 0), (Op.CALL, ("f_log", 2))],
+            [(Op.PUSH, 1), (Op.PUSH, 2)],
+            [],
         ],
-        ids=["dup", "pop", "two-values", "underflow"],
+        ids=["underflow", "call-underflow", "two-values", "empty"],
     )
-    def test_declined_programs_run_through_the_interpreter(self, instructions):
-        """Programs the emitter once declined (hence the name) are generated,
-        and run as the interpreter runs them — the same operands evaluated,
-        in the same order, once each, and the same errors."""
-        program = Program(instructions=list(instructions))
-        assert ExpressionEmitter().emit(program, "f").text
-        for fields, prefix in (((), []), ((3,), [(Op.LOAD, 0), (Op.CALL, ("f_log", 1))])):
-            spilled = Program(instructions=prefix + list(instructions), source="spilled")
-            outcomes, calls = [], []
-            for run_it in (VM.execute, execute_interpreted):
-                seen = []
-                builtins = make_builtins({"f_log": lambda ctx, x, seen=seen: seen.append(x) or x})
-                try:
-                    outcomes.append(run_it(spilled, EvalContext(fields=fields, builtins=builtins)))
-                except PELError as exc:
-                    outcomes.append(str(exc))
-                calls.append(seen)
-            assert outcomes[0] == outcomes[1] and calls[0] == calls[1] == [3] * len(prefix[:1])
+    def test_malformed_programs_raise_naming_their_source(self, instructions):
+        """PEL is what the compiler emits: a hand-built program that
+        underflows, or that does not leave exactly one value, is refused
+        when its code is generated, before anything is evaluated."""
+        program = Program(instructions=list(instructions), source="hand-built")
+        with pytest.raises(PELError, match=r"PEL program 'hand-built' (underflows|leaves)"):
+            ExpressionEmitter().emit(program, "f")
+        with pytest.raises(PELError, match="'hand-built'"):
+            VM.execute(program, EvalContext(fields=(3,), builtins=make_builtins()))
 
-    @given(st.lists(st.sampled_from([
-        (Op.PUSH, 2), (Op.PUSH, "a"), (Op.PUSH, 0), (Op.LOAD, 0), (Op.LOAD, 1), (Op.LOAD, 4),
-        (Op.DUP, None), (Op.POP, None), (Op.ADD, None), (Op.DIV, None), (Op.LT, None),
-        (Op.NEG, None), (Op.NOT, None), (Op.RING_IN, (False, True)), (Op.CALL, ("f_log", 1)),
-        (Op.CALL, ("f_log", 2)), (Op.STOP, None),
-    ]), max_size=12))
-    def test_any_program_is_generated_and_runs_as_interpreted(self, instructions):
-        """The emitter takes every program: whatever it leaves on the stack,
-        however it underflows, the generated code returns (or raises) what
-        the interpreter does, after the same built-in calls."""
-        program = Program(instructions=list(instructions), source="any")
+    @settings(max_examples=300, deadline=None)
+    @given(EXPRESSIONS)
+    def test_any_program_is_generated_and_runs_as_interpreted(self, expr):
+        """Any program the compiler emits, from whatever OverLog expression
+        ``compile_expression`` takes — every operator, ring tests with each
+        endpoint pair, ``f_log`` calls of 0–2 arguments, loads in and out of
+        range, literals of every atom type, nesting past ``MAX_NESTING`` —
+        the generated code returns what the interpreter does, of the same
+        type, or raises the same error, after the same built-in calls."""
+        program = compile_expression(expr, {"X": 0, "Y": 1, "Z": 4})
         outcomes, calls = [], []
         for run_it in (VM.execute, execute_interpreted):
             seen = []
-            builtins = make_builtins({"f_log": lambda ctx, *x, seen=seen: seen.append(x) or x[0]})
+
+            def f_log(ctx, *args, seen=seen):
+                seen.append(args)
+                return args[0] if args else len(ctx.fields)
+
+            builtins = make_builtins({"f_log": f_log})
             try:
                 result = run_it(program, EvalContext(fields=(5, 7), builtins=builtins))
-                outcomes.append((type(result), result))
+                outcomes.append((type(result), repr(result)))
             except PELError as exc:
                 outcomes.append(str(exc))
-            calls.append(seen)
+            calls.append(repr(seen))
         assert outcomes[0] == outcomes[1] and calls[0] == calls[1]
 
     @pytest.mark.parametrize("op", [Op.NEG, Op.NOT])

@@ -324,7 +324,7 @@ def test_tracebacks_show_the_generated_line():
         handle(Tuple.make("ev", "n1", 0).fields)
     except PELError as exc:
         text = "".join(traceback.format_exception(exc))
-    assert os.path.join("relations", "ev.py") in text and "div(10, f0[1], None)" in text
+    assert os.path.join("relations", "ev.py") in text and "div(10, f0[1])" in text
 
 
 def test_explain_source_is_the_text_nodes_run_and_needs_no_host():

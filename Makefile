@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-fast test-faults test-planner test-reliable test-runloop test-tables golden lint lint-py bench bench-check bench-p2 bench-pairs loc census check-pythonpath
+.PHONY: test test-fast test-faults test-planner test-reliable test-runloop test-tables golden lint lint-py bench bench-check bench-p2 bench-pairs loc census ops check-pythonpath
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -54,12 +54,13 @@ test-planner:
 # interpreter made to raise, the generated table writes and key probes against
 # the model table, the runtime node, the guarded native fast paths (float
 # operators, the ring test, the default built-ins, folds, single-group
-# aggregates) against the calls they replace, and the golden generated text.
+# aggregates) against the calls they replace, the golden generated text, and
+# the exact work counter's reproducibility (make ops).
 test-runloop:
 	$(PYTHON) -m pytest -x -q tests/test_drain.py tests/test_late_heads.py tests/test_relation_procedure.py \
 	  tests/test_firing_tail.py tests/test_strand_fusion.py tests/test_strand_source.py tests/test_soft_state_deltas.py \
 	  tests/test_emitter_limits.py tests/test_pel.py tests/test_fast_paths.py tests/test_generated_tables.py \
-	  tests/test_runtime_node.py tests/test_golden_plans.py
+	  tests/test_runtime_node.py tests/test_golden_plans.py tests/test_ops.py
 
 # Rewrite every golden under tests/golden/ from the current code — the plans,
 # the generated procedures and the seeded reliable-wire script — then show
@@ -158,6 +159,15 @@ bench-pairs:
 #   make census [CENSUS_ARGS='-- -m "not slow"']
 census:
 	$(PYTHON) -m tests.support.census $(CENSUS_ARGS)
+
+# Exact work counts (tests/support/ops.py): the bytecodes CPython executes on
+# two fixed simulated windows (32-node Chord, 16-member Narada), in total, per
+# dispatch, per layer, per generated procedure and per function; with BASE,
+# the same windows on a git archive of BASE too, and the exact deltas.  About
+# 20 s per tree, ≈40 s for both (CPython 3.11.7).
+#   make ops [BASE=<rev>]
+ops:
+	$(PYTHON) -m tests.support.ops $(if $(BASE),--base $(BASE))
 
 # The count aim-2 (less code) PRs cite: lines of *.py files git tracks or would
 # (-o: a file a PR adds counts before it is committed; ignored ones never do),

@@ -52,22 +52,5 @@ class Program:
             fn = self._compiled = compile_program(self)
         return fn
 
-    def __len__(self) -> int:
-        return len(self.instructions)
-
     def __iter__(self) -> Iterator[Instruction]:
         return iter(self.instructions)
-
-    def disassemble(self) -> str:
-        """Return a printable listing of the program."""
-        lines = []
-        for i, (op, operand) in enumerate(self.instructions):
-            if op in OPS_WITH_OPERAND:
-                lines.append(f"{i:3d}  {op.name.lower():10s} {operand!r}")
-            else:
-                lines.append(f"{i:3d}  {op.name.lower()}")
-        header = f"; {self.source}\n" if self.source else ""
-        return header + "\n".join(lines)
-
-    def __repr__(self) -> str:
-        return f"Program({len(self.instructions)} instr, source={self.source!r})"

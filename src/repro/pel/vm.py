@@ -273,8 +273,11 @@ class ExpressionEmitter:
         #: which of ``B`` / ``R`` / the ``clock`` the emitted text mentions
         self.uses: set = set()
 
-    def emit(self, program: Program, fields: str) -> Expression:
-        """*program* over the field tuple named *fields*.
+    def emit(self, program: Program, fields: str, slots: Optional[Sequence[str]] = None) -> Expression:
+        """*program* over the field tuple *fields* (a name, or the text that
+        builds the tuple).  Given *slots*, the text of each position where
+        its value already lives, a ``LOAD`` reads its slot instead, and only
+        a built-in's fallback call builds *fields*, for ``over``.
 
         Where an operator's text would nest past :data:`MAX_NESTING`, every
         operand on the stack but a literal is *spilled*
@@ -293,7 +296,13 @@ class ExpressionEmitter:
                 continue
             if op is Op.LOAD:
                 loads.append(operand)
-                stack.append(Expression(f"{fields}[{operand!r}]", "load", depth=1))
+                if slots is None:
+                    text = f"{fields}[{operand!r}]"
+                elif 0 <= operand < len(slots):
+                    text = slots[operand]
+                else:  # past the frame: the load raises as the walk's would
+                    text = f"({fields})[{operand!r}]"
+                stack.append(Expression(text, "load", depth=1))
                 continue
             arity = operand[1] if op is Op.CALL else _ARITY[op]
             if len(stack) < arity:
@@ -344,8 +353,9 @@ class ExpressionEmitter:
     def _call(self, name: str, args: List[Expression], fields: str) -> Expression:
         """A built-in call: in place (:data:`BUILTIN_FORMS`) while the map
         holds the default function and every operand is an int, else the
-        call over ``ctx`` holding *fields*.  The map is read first and each
-        operand once, in order, whichever runs."""
+        call over ``ctx`` holding *fields* (built there, nested two deep at
+        most: ``(f0[1],)``).  The map is read first and each operand once, in
+        order, whichever runs."""
         quoted = repr(name)
         arity, form, guard = BUILTIN_FORMS.get(name, (None, "", None))
         clocked = "{clock}" in form
@@ -353,7 +363,7 @@ class ExpressionEmitter:
             passed = "".join(", " + a.text for a in args)
             return Expression(
                 f"(B.get({quoted}) or unknown({quoted}))(over(ctx, {fields}){passed})", "any",
-                depth=max(2, _nested(1, args)),
+                depth=max(4, _nested(1, args)),
             )
         self.uses.add("clock" if clocked else "R")
         found, names = self.temp(), [self.temp() for _ in args]
@@ -369,7 +379,7 @@ class ExpressionEmitter:
         return Expression(
             f"({inline} if {test} else ({found} or unknown({quoted}))(over(ctx, {fields}){passed}))",
             "any",
-            depth=max(4, _nested(3, args)),
+            depth=max(6, _nested(3, args)),
         )
 
     def temp(self) -> str:
@@ -382,9 +392,7 @@ class ExpressionEmitter:
         return [binds[name] for name in sorted(self.uses & set(binds))]
 
     def _constant(self, value: Any) -> Expression:
-        if type(value) in (int, str, bool, bytes, type(None)) or (
-            type(value) is float and value == value and abs(value) != float("inf")
-        ):
+        if has_literal(value):
             text = repr(value)
             neg = text[0] == "-"
             return Expression(f"({text})" if neg else text, "const", value=value, depth=int(neg))
@@ -431,6 +439,14 @@ class ExpressionEmitter:
         )
 
 
+def has_literal(value: Any) -> bool:
+    """Whether *value* is written in generated code as its ``repr``, not
+    referenced as a constant: an exact atom, a float only if finite."""
+    return type(value) in (int, str, bool, bytes, type(None)) or (
+        type(value) is float and value == value and abs(value) != float("inf")
+    )
+
+
 def _nested(levels: int, operands: Sequence[Expression]) -> int:
     """The depth of a text wrapping each of *operands* in *levels* brackets."""
     return levels + max((x.depth for x in operands), default=0)
@@ -441,7 +457,10 @@ def raise_as_interpreted(exc: Exception, sites: Mapping[int, tuple]) -> None:
 
     *sites* maps a line of the generated file (its deepest frame's: a strand
     may be split into functions) to the PEL expression inlined there:
-    ``(repr of its source, loads, fields variable)``.  The interpreters convert
+    ``(repr of its source, loads, fields)``, *fields* the text that builds,
+    from that frame's variables, the field tuple the loads index (a name, or
+    a strand's join frame, which only this error path concatenates).  The
+    interpreters convert
     whatever a PEL evaluation raises into :class:`PELError` and nothing else,
     so an exception from any other line — a probe, a ``coerce``, an aggregate
     — surfaces unchanged.  ``None`` in place of the source marks a line of
@@ -454,10 +473,11 @@ def raise_as_interpreted(exc: Exception, sites: Mapping[int, tuple]) -> None:
     site = sites.get(tb.tb_lineno)
     if site is None or isinstance(exc, PELError):
         raise exc
-    source, loads, fields_name = site
+    source, loads, fields_text = site
     if tb.tb_next is None and isinstance(exc, IndexError):
         # raised by the generated frame itself, not by a callee: a field load
-        fields = tb.tb_frame.f_locals[fields_name]
+        frame = tb.tb_frame
+        fields = eval(fields_text, frame.f_globals, frame.f_locals)
         for position in loads:
             try:
                 fields[position]

@@ -539,7 +539,7 @@ class _StrandBuilder:
             fallback_project=fallback_project,
             loc_position=loc_position,
             is_delete=rule.delete,
-            min_event_arity=len(event_pred.args),
+            event_arity=len(event_pred.args),
         )
 
     def _fallback_project(

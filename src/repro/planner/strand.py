@@ -69,7 +69,7 @@ class RuleStrand:
         fallback_project: Optional[Project] = None,
         loc_position: Optional[int] = None,
         is_delete: bool = False,
-        min_event_arity: int = 0,
+        event_arity: int = 0,
     ):
         self.rule_id = rule_id
         self.event_name = event_name
@@ -81,7 +81,7 @@ class RuleStrand:
         self.fallback_project = fallback_project
         self.loc_position = loc_position
         self.is_delete = is_delete
-        self.min_event_arity = min_event_arity
+        self.event_arity = event_arity
         self.fired = 0
         self.produced = 0
 
@@ -108,10 +108,12 @@ class RuleStrand:
         return head_routes(self, self.fire(event), local_address)
 
     def arity_error(self, event: Tuple) -> PlannerError:
-        """What both executors raise for an *event* shorter than the rule's."""
+        """What both executors raise for an *event* whose arity is not its
+        relation's (the checker's: every rule on a relation uses one arity),
+        shorter or longer: the rule reads the fields at fixed positions."""
         return PlannerError(
             f"rule {self.rule_id}: event {event!r} has arity {len(event.fields)}, "
-            f"expected at least {self.min_event_arity}"
+            f"expected {self.event_arity}"
         )
 
     def fire(self, event: Tuple) -> List[Tuple]:
@@ -119,7 +121,7 @@ class RuleStrand:
 
         The element walk: the generated procedures' differential oracle.
         """
-        if len(event.fields) < self.min_event_arity:
+        if len(event.fields) != self.event_arity:
             raise self.arity_error(event)
         self.fired += 1
         batch: List[Tuple] = [event]

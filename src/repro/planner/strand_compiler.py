@@ -22,12 +22,22 @@ declaration, the relation's arity and the planned indexes (the block
 ``Table.insert`` runs, unrolled for the arity); then each of the trigger's
 strands in order, and right after it that firing's heads routed by the
 strand's static ``loc_position``/``is_delete`` (:func:`_route`, the one
-place a head's destination is decided).  Each strand's body is *inlined*
-(:class:`_Emitter`, names prefixed ``s<i>_``): select → assign →
-join(s)/antijoin → project → optional aggregate as nested ``if``/``for``
+place a head's destination is decided).  Rules read the event's fields at
+fixed positions, so an event of another arity than its relation's (the
+checker's) is refused before the write, or before the first strand: the
+table's misfit error, or the strand's ``arity_error``.  Each strand's body
+is *inlined* (:class:`_Emitter`, names prefixed ``s<i>_``): select → assign
+→ join(s)/antijoin → project → optional aggregate as nested ``if``/``for``
 over bare field tuples (a continuous strand's inside one loop over its base
 table's scan), every PEL program inlined as a Python expression
-(:class:`~repro.pel.vm.ExpressionEmitter`), a probe the primary key answers
+(:class:`~repro.pel.vm.ExpressionEmitter`).  The join frame the walk
+concatenates — event, each matched row, each assigned value — is never
+built (:class:`_Frame`): a position is read where its value already lives,
+``f0[i]`` for an event field, ``r<k>[j]`` for a field of the row join *k*
+matched (``r<k>`` bound once per match), a temporary or a literal for an
+assigned value; only a built-in's
+fallback call (for ``over(ctx, …)``) and an error path concatenate it.  A
+probe the primary key answers
 inline (:func:`~repro.tables.table.key_probe_source`: the key's dict, then
 the other probed fields) and any other through
 :meth:`~repro.tables.table.Table.prober`, each head a tuple of its fields
@@ -43,13 +53,16 @@ only the next step of the same rule would read: an aggregate folds each
 match into its group's state where it is found (one tuple per *group*), a
 firing that can make at most one head — every join a probe the primary key
 answers, and no aggregate — holds it in ``h`` instead of a list ``out``, and
-no route object wraps a head.  So does a *single-group* strand, whose
-aggregates are ``min``/``max``/``count<*>`` over such joins: its at most one
-match opens its one group, so ``h`` is that match's head with each count 1,
-``agg_stats.emitted`` moves by one on a match, the ``count<*>`` fallback
-row fills ``h`` when there was none, and no ``groups`` dict, list or
-``tuple(g)`` is built.  Every strand of every shape is inlined: the
-generated procedures are the only code a node runs.
+no route object wraps a head.  A *one-group* strand — an aggregate whose
+every group field is an event field or a literal, over any number of
+matches (narada's R5, whose one join is a key probe, as much as chord's
+L2) — folds in locals: ``found`` and one state ``a<pos>`` per aggregate,
+each match evaluating only the aggregates' operands; its one head is built
+after the loop from the event's fields and the states (or is the
+``count<*>`` fallback row when no match came), and routed as ``h``; no
+``groups`` dict, list or ``tuple(g)`` is built.
+Every strand of every shape is inlined: the generated procedures are the
+only code a node runs.
 
 Generated once, bound per node
 ------------------------------
@@ -77,9 +90,11 @@ Contracts
   selection and antijoin hit, ``Aggregate.stats.emitted`` per group, the
   same errors — a line → PEL-expression table lets
   :func:`~repro.pel.vm.raise_as_interpreted` convert exactly what the
-  interpreters convert.  A join materialises its matches before descending;
-  the aggregate-fallback prefix is captured where the first positive join is
-  entered (at the sink when there is none).
+  interpreters convert (an error site names the frame's concatenation,
+  which only that path builds).  A join materialises its matches before
+  descending; the aggregate fallback fires once the first positive join is
+  entered (the sink, when there is none), over the event's fields, the only
+  ones its projection reads.
 * Folds follow :mod:`repro.dataflow.aggregates` — groups in first-appearance
   order with the first match's group fields, ``min``/``max`` replaced only
   on a strict win (two exact ints, floats or strs compared natively) —
@@ -115,8 +130,8 @@ from ..dataflow.operators import AntiJoin, Assign, LookupJoin, Select
 from ..overlog.check import signatures
 from ..pel.opcodes import Op
 from ..pel.program import Program
-from ..pel.vm import REFUSED, Expression, ExpressionEmitter, load_generated
-from ..tables.table import TableStore, covers_key, key_probe_source, row_width, write_source
+from ..pel.vm import REFUSED, Expression, ExpressionEmitter, has_literal, load_generated
+from ..tables.table import TableStore, covers_key, key_probe_source, write_source
 from .strand import ContinuousAggregateStrand
 
 _INDENT = "    "
@@ -138,17 +153,9 @@ def _tuple(items: Sequence[str]) -> str:
 
 def _single_head(strand: Any) -> bool:
     """Whether a firing of *strand* makes at most one head: a rule strand
-    whose every join the primary key answers, so at most one match reaches
-    its sink, with no aggregate or a *single-group* one — ``min``/``max``
-    and ``count<*>`` only, whose one group's head is that match's head with
-    each count 1 (the group's value when it opens)."""
-    if isinstance(strand, ContinuousAggregateStrand):
-        return False
-    if strand.aggregate is not None and not all(
-        func in ("min", "max")
-        or func == "count" and [op for op, _ in strand.project.programs[pos]] == [Op.PUSH]
-        for pos, func in strand.aggregate.agg_specs
-    ):
+    with no aggregate whose every join the primary key answers, so at most
+    one match reaches its sink."""
+    if isinstance(strand, ContinuousAggregateStrand) or strand.aggregate is not None:
         return False
     return all(
         type(op) is not LookupJoin
@@ -157,24 +164,94 @@ def _single_head(strand: Any) -> bool:
     )
 
 
+def _event_fixed(program: Program, arity: int) -> bool:
+    """Whether *program* is a bare load of one of the event's *arity* fields
+    or a literal: one value for every match of a firing."""
+    if len(program.instructions) != 1:
+        return False
+    op, operand = program.instructions[0]
+    return op is Op.LOAD and 0 <= operand < arity or op is Op.PUSH and has_literal(operand)
+
+
+def _one_group(strand: Any) -> bool:
+    """Whether *strand* is an aggregate rule strand whose every group field
+    is :func:`_event_fixed`: a firing folds at most one group, however many
+    matches it has."""
+    return (
+        not isinstance(strand, ContinuousAggregateStrand)
+        and strand.aggregate is not None
+        and all(_event_fixed(strand.project.programs[pos], strand.event_arity)
+                for pos in strand.aggregate.group_positions)
+    )
+
+
+class _Frame(NamedTuple):
+    """A strand's join frame — the event's fields, then each matched row's
+    and each assigned value, as the walk concatenates them — held *late*:
+    no frame is built.  Each position's text is where its value already
+    lives: ``f0[i]`` for an event field, ``r<k>[j]`` for a field of the row
+    join *k* matched (bound once per match), a temporary or a literal for an
+    assigned value.  Only a built-in's fallback call and an error path build
+    the walk's frame (:attr:`text`)."""
+
+    slots: PyTuple[str, ...]
+    #: positions whose load may raise: a stored row may be shorter than its
+    #: relation, while an event's arity is checked on entry
+    fallible: frozenset
+    #: what :attr:`text` concatenates: ``f0``, ``r<k>``, ``(<value>,)``
+    parts: PyTuple[str, ...]
+    #: the variables the slots read: what a split part is passed
+    names: PyTuple[str, ...]
+
+    @classmethod
+    def event(cls, width: int, checked: bool) -> "_Frame":
+        """The fields ``f0`` of *width* positions (each fallible unless the
+        length of ``f0`` was *checked*)."""
+        fallible = frozenset() if checked else frozenset(range(width))
+        return cls(tuple(f"f0[{i}]" for i in range(width)), fallible, ("f0",), ("f0",))
+
+    @property
+    def text(self) -> str:
+        """The walk's frame, built from the variables."""
+        return " + ".join(self.parts)
+
+    def may_fail(self, position: int) -> bool:
+        return position in self.fallible or not 0 <= position < len(self.slots)
+
+    def joined(self, row: str, width: int) -> "_Frame":
+        """This frame and the *width* fields of the matched row *row*."""
+        n = len(self.slots)
+        return _Frame(
+            self.slots + tuple(f"{row}[{j}]" for j in range(width)),
+            self.fallible | frozenset(range(n, n + width)),
+            self.parts + (row,), self.names + (row,),
+        )
+
+    def assigned(self, text: str, temporary: bool) -> "_Frame":
+        """This frame and one more value: a new *temporary*, or (else) a
+        literal or a position's text again."""
+        return _Frame(self.slots + (text,), self.fallible, self.parts + (f"({text},)",),
+                      self.names + (text,) * temporary)
+
+
 class _Emitter:
     """Accumulates the text of one strand's part of its trigger's procedure:
     its firing (:meth:`firing`), the names it binds, its line → PEL site table.
+    *widths* maps each stored relation to its arity (the checker's).
     """
 
-    def __init__(self, strand: Any, ns: str):
+    def __init__(self, strand: Any, ns: str, widths: Dict[str, Optional[int]]):
         self.strand = strand
         #: prefix of every name bound per strand (``strand``, ``drop0``, ``K``,
         #: ``SITES``, …): ``s<i>_``, as several strands share one procedure
         self.ns = ns
+        self.widths = widths
         self.continuous = isinstance(strand, ContinuousAggregateStrand)
         self.pel = ExpressionEmitter(ns + "K", CLOCK)
         self.binds: List[str] = []
         #: the lines of the function being emitted, each with the PEL site
-        #: it evaluates, ``(source, loads, fields variable)``, or ``None``
+        #: it evaluates, ``(source, loads, fields text)``, or ``None``
         self.body: List[PyTuple[str, Optional[tuple]]] = []
-        #: field positions every tuple reaching the strand is known to have
-        self.safe = 0 if self.continuous else strand.min_event_arity
         #: statements that turn a group's fold states into values, if any do
         self.results: List[str] = []
         #: so far, running the chain again over unchanged rows could be left
@@ -189,8 +266,14 @@ class _Emitter:
         #: the bodies of the functions the strand is split into (:meth:`split`)
         self.parts: List[list] = []
         #: a firing has at most one head (:func:`_single_head`): it is ``h``,
-        #: not a list, and an aggregate's one group is that head
+        #: not a list
         self.single = _single_head(strand)
+        #: a firing folds at most one group (:func:`_one_group`): its state is
+        #: ``found`` and one local ``a<pos>`` per aggregate, its head ``h``
+        self.one_group = _one_group(strand)
+        #: the firing routes at most one head, ``h``
+        self.one_head = self.single or self.one_group
+        self.wants_prefix = not self.continuous and strand.fallback_project is not None
 
     # -- lines ---------------------------------------------------------------
     def line(self, depth: int, text: str, site: Optional[tuple] = None) -> None:
@@ -198,34 +281,34 @@ class _Emitter:
         it sits in ``handle``)."""
         self.body.append((_INDENT * depth + text, site))
 
-    def site(self, depth: int, text: str, loads: Sequence[int], fields: str,
+    def site(self, depth: int, text: str, loads: Sequence[int], frame: _Frame,
              program: Optional[Program] = None) -> None:
-        """A line that evaluates PEL over *fields*: all of *program*, or (when
+        """A line that evaluates PEL over *frame*: all of *program*, or (when
         ``None``) only the bare field *loads* a caller left inline."""
         site = None
-        if program is not None or any(not 0 <= n < self.safe for n in loads):
-            site = (None if program is None else repr(program.source), tuple(loads), fields)
+        if program is not None or any(frame.may_fail(n) for n in loads):
+            site = (None if program is None else repr(program.source), tuple(loads), frame.text)
         self.line(depth, text, site)
 
-    def expr(self, program: Program, fields: str) -> Expression:
-        expr = self.pel.emit(program, fields)
+    def expr(self, program: Program, frame: _Frame) -> Expression:
+        expr = self.pel.emit(program, frame.text, frame.slots)
         if expr.calls:
             self.skippable = False  # f_now(), f_rand(), ...
         return expr
 
-    def spilled(self, depth: int, program: Program, fields: str, expr: Expression) -> None:
+    def spilled(self, depth: int, program: Program, frame: _Frame, expr: Expression) -> None:
         """The statements *expr* needs run first, each a site of *program*."""
         for statement in expr.statements:
-            self.site(depth, statement, expr.loads, fields, program)
+            self.site(depth, statement, expr.loads, frame, program)
 
-    def value(self, depth: int, program: Program, fields: str, expr: Expression) -> str:
+    def value(self, depth: int, program: Program, frame: _Frame, expr: Expression) -> str:
         """Evaluate *expr* on a line of its own; the temporary holding it."""
         name = self.pel.temp()
-        self.spilled(depth, program, fields, expr)
-        self.site(depth, f"{name} = {expr.text}", expr.loads, fields, program)
+        self.spilled(depth, program, frame, expr)
+        self.site(depth, f"{name} = {expr.text}", expr.loads, frame, program)
         return name
 
-    def operands(self, depth: int, programs: Sequence[Program], fields: str,
+    def operands(self, depth: int, programs: Sequence[Program], frame: _Frame,
                  coerce: bool, hoist: bool = False) -> PyTuple[List[str], List[int]]:
         """Texts for *programs* evaluated in order, and the loads left inline.
 
@@ -238,18 +321,18 @@ class _Emitter:
         passed through ``coerce`` once all operands are evaluated, as the
         ``Tuple`` constructor would.
         """
-        exprs = [self.expr(p, fields) for p in programs]
+        exprs = [self.expr(p, frame) for p in programs]
         computed = [i for i, e in enumerate(exprs) if not e.inline]
         texts: List[str] = []
         inline_loads: List[int] = []
         coerced: List[str] = []
         for i, (program, e) in enumerate(zip(programs, exprs)):
-            fallible = any(not 0 <= n < self.safe for n in e.loads)
+            fallible = any(frame.may_fail(n) for n in e.loads)
             if e.inline and not (fallible and (hoist or computed and i < computed[-1])):
                 texts.append(e.text)
                 inline_loads.extend(e.loads)
                 continue
-            name = self.value(depth, program, fields, e)
+            name = self.value(depth, program, frame, e)
             texts.append(name)
             if coerce and e.kind == "any":
                 coerced.append(name)
@@ -258,75 +341,80 @@ class _Emitter:
         return texts, inline_loads
 
     # -- the operator chain ---------------------------------------------------
-    def split(self, index: int, depth: int, width: int) -> None:
+    def split(self, index: int, depth: int, frame: _Frame) -> None:
         """Emit ``ops[index:]`` and the sink as a local function, called at
-        *depth* and defined at the body's base depth (2), where CPython counts
-        blocks and indentation afresh; it shares the firing's ``out`` (or
-        ``h``), ``groups`` and ``prefix`` through closure cells."""
+        *depth* with the variables *frame* reads and defined at the body's
+        base depth (2), where CPython counts blocks and indentation afresh; it
+        shares the firing's ``out`` (or ``h``), ``groups`` (or fold state)
+        and ``entered`` through closure cells."""
         name = f"{self.ns}part{len(self.parts) + 1}"
         outer = self.body, self.blocks
         self.body, self.blocks = [], 0
         self.parts.append(self.body)
-        self.line(2, f"def {name}(f{width}):")
-        if self.single:
-            self.line(3, "nonlocal h")
-        if not self.continuous and self.strand.fallback_project is not None:
-            self.line(3, "nonlocal prefix")
-        self.chain(index, 3, width)
+        params = ", ".join(frame.names)
+        self.line(2, f"def {name}({params}):")
+        shared = ["h"] * self.single + ["entered"] * self.wants_prefix
+        if self.one_group:
+            shared += ["found", *self.states()]
+        if shared:
+            self.line(3, f"nonlocal {', '.join(shared)}")
+        self.chain(index, 3, frame)
         self.body, self.blocks = outer
-        self.line(depth, f"{name}(f{width})")
+        self.line(depth, f"{name}({params})")
 
-    def chain(self, index: int, depth: int, width: int) -> None:
-        """Emit ``ops[index:]`` and the sink, over the field tuple ``f<width>``."""
+    def chain(self, index: int, depth: int, frame: _Frame) -> None:
+        """Emit ``ops[index:]`` and the sink, over *frame*."""
         strand, ns = self.strand, self.ns
-        fields = f"f{width}"
         op = strand.ops[index] if index < len(strand.ops) else None
         # split where the next step would cross a limit: a body line one level
         # deeper (an ``if``/``for`` body), or one more block (a join's ``for``)
         deeper = strand.aggregate is not None if op is None else type(op) is not Assign
         if depth + deeper >= MAX_INDENT or type(op) is LookupJoin and self.blocks >= MAX_BLOCKS:
-            self.split(index, depth, width)
+            self.split(index, depth, frame)
             return
-        wants_prefix = not self.continuous and strand.fallback_project is not None
         if op is None:
-            if wants_prefix and strand.first_join_index is None:
-                self.line(depth, f"prefix = {fields}")
-            self.sink(depth, fields)
+            if self.wants_prefix and strand.first_join_index is None:
+                self.line(depth, "entered = True")
+            self.sink(depth, frame)
             return
         if type(op) is Assign:
-            e = self.expr(op.program, fields)
-            if e.inline:
-                self.site(depth, f"f{width + 1} = {fields} + ({e.text},)", e.loads, fields)
+            e = self.expr(op.program, frame)
+            if e.inline and not any(frame.may_fail(n) for n in e.loads):
+                frame = frame.assigned(e.text, False)  # a literal, or a slot again
             else:
-                value = self.value(depth, op.program, fields, e)
-                if e.kind == "any":
-                    value = f"{value} if type({value}) in ATOMS else coerce({value})"
-                self.line(depth, f"f{width + 1} = {fields} + ({value},)")
-            self.chain(index + 1, depth, width + 1)
+                if e.inline:  # a field of a row, which may be short
+                    value = self.pel.temp()
+                    self.site(depth, f"{value} = {e.text}", e.loads, frame)
+                else:
+                    value = self.value(depth, op.program, frame, e)
+                    if e.kind == "any":
+                        self.line(depth, f"if type({value}) not in ATOMS: {value} = coerce({value})")
+                frame = frame.assigned(value, True)
+            self.chain(index + 1, depth, frame)
             return
         drop = f"{ns}drop{index}"
         self.binds.append(f"{drop} = {ns}ops[{index}].stats")
         if type(op) is Select:
             self.skippable = False
-            e = self.expr(op.program, fields)
+            e = self.expr(op.program, frame)
             if e.kind == "bool":
-                self.spilled(depth, op.program, fields, e)
-                self.site(depth, f"if {e.text}:", e.loads, fields, op.program)
+                self.spilled(depth, op.program, frame, e)
+                self.site(depth, f"if {e.text}:", e.loads, frame, op.program)
             else:
-                self.line(depth, f"if to_bool({self.value(depth, op.program, fields, e)}):")
+                self.line(depth, f"if to_bool({self.value(depth, op.program, frame, e)}):")
         elif type(op) in (LookupJoin, AntiJoin):
             self.skippable = False
             self.probes = True
-            if wants_prefix and index == strand.first_join_index:
-                self.line(depth, f"prefix = {fields}")
+            if self.wants_prefix and index == strand.first_join_index:
+                self.line(depth, "entered = True")
             if op.table_positions and covers_key(op.table_positions, op.table.key_positions):
-                self.key_probe(index, depth, width)
+                self.key_probe(index, depth, frame)
                 return
             if op.table_positions:
                 self.binds.append(
                     f"{ns}probe{index} = {ns}ops[{index}].table.prober({tuple(op.table_positions)!r})"
                 )
-                keys, loads = self.operands(depth, op.key_programs, fields, coerce=False)
+                keys, loads = self.operands(depth, op.key_programs, frame, coerce=False)
                 probe = f"{ns}probe{index}({_tuple(keys)}, {CLOCK})"
             else:
                 self.binds.append(f"{ns}probe{index} = {ns}ops[{index}].table.scan")
@@ -334,29 +422,33 @@ class _Emitter:
             if type(op) is LookupJoin:
                 # materialised before descending: a deeper stage that expires
                 # rows of the same table cannot invalidate the probe
-                self.site(depth, f"rows{index} = {probe}", loads, fields)
+                self.site(depth, f"rows{index} = {probe}", loads, frame)
                 self.line(depth, f"if not rows{index}:")
                 self.line(depth + 1, f"{drop}.dropped += 1")
                 self.blocks += 1
                 self.line(depth, f"for row in rows{index}:")
-                self.line(depth + 1, f"f{width + 1} = {fields} + row.fields")
-                self.chain(index + 1, depth + 1, width + 1)
+                self.line(depth + 1, f"r{index} = row.fields")
+                self.chain(index + 1, depth + 1, self.matched(index, frame))
                 return
-            self.site(depth, f"if not {probe}:", loads, fields)
+            self.site(depth, f"if not {probe}:", loads, frame)
         else:
             raise PlannerError(f"rule {strand.rule_id}: no code for a {type(op).__name__}")
-        self.chain(index + 1, depth + 1, width)
+        self.chain(index + 1, depth + 1, frame)
         self.line(depth, "else:")
         self.line(depth + 1, f"{drop}.dropped += 1")
 
-    def key_probe(self, index: int, depth: int, width: int) -> None:
+    def matched(self, index: int, frame: _Frame) -> _Frame:
+        """*frame* and the row ``r<index>`` join *index* matched."""
+        return frame.joined(f"r{index}", self.widths[self.strand.ops[index].table.name])
+
+    def key_probe(self, index: int, depth: int, frame: _Frame) -> None:
         """Emit ``ops[index]``, a join or antijoin whose probe the primary key
         answers, and the rest of the chain: the probe inline
         (:func:`~repro.tables.table.key_probe_source`) — after its key
         operands, as a prober call would be — instead of a prober call."""
-        op, ns, fields = self.strand.ops[index], self.ns, f"f{width}"
+        op, ns = self.strand.ops[index], self.ns
         name, drop = f"{ns}t{index}", f"{ns}drop{index}"
-        keys, loads = self.operands(depth, op.key_programs, fields, coerce=False, hoist=True)
+        keys, loads = self.operands(depth, op.key_programs, frame, coerce=False, hoist=True)
         binds, statements, test, row = key_probe_source(
             name, op.table, op.table_positions, keys, CLOCK, f"hit{index}"
         )
@@ -367,39 +459,34 @@ class _Emitter:
             # counted as the loop over the matches it replaces, so a strand
             # splits where it always has
             self.blocks += 1
-            self.site(depth, f"if {test}:", loads, fields)
-            self.line(depth + 1, f"f{width + 1} = {fields} + {row}.fields")
-            self.chain(index + 1, depth + 1, width + 1)
+            self.site(depth, f"if {test}:", loads, frame)
+            self.line(depth + 1, f"r{index} = {row}.fields")
+            self.chain(index + 1, depth + 1, self.matched(index, frame))
         else:
-            self.site(depth, f"if not ({test}):", loads, fields)
-            self.chain(index + 1, depth + 1, width)
+            self.site(depth, f"if not ({test}):", loads, frame)
+            self.chain(index + 1, depth + 1, frame)
         self.line(depth, "else:")
         self.line(depth + 1, f"{drop}.dropped += 1")
 
-    def sink(self, depth: int, fields: str) -> None:
+    def sink(self, depth: int, frame: _Frame) -> None:
         strand = self.strand
+        if self.one_group:
+            self.fold_one(depth, frame)
+            return
         # the head's field texts, and the loads left inline in them
-        texts, loads = self.operands(depth, strand.project.programs, fields, coerce=True)
+        texts, loads = self.operands(depth, strand.project.programs, frame, coerce=True)
         if self.single:
-            if strand.aggregate is not None:
-                # the one group opens on this match: a count is 1, a min or
-                # max the match's value (a count's operand is a literal)
-                for pos, func in strand.aggregate.agg_specs:
-                    if func == "count":
-                        texts[pos] = "1"
-            self.site(depth, f"h = {_tuple(texts)}", loads, fields)
-            if strand.aggregate is not None:
-                self.line(depth, f"{self.ns}agg_stats.emitted += 1")
+            self.site(depth, f"h = {_tuple(texts)}", loads, frame)
             return
         built = _tuple(texts)
         if strand.aggregate is None:
-            self.site(depth, f"out.append({built})", loads, fields)
+            self.site(depth, f"out.append({built})", loads, frame)
             return
         # Fold the match into its group: ``groups`` maps the group fields to
         # the first match's head fields as a list, each aggregate position
         # holding its fold state.  All head operands load on the one site line.
         aggregate = strand.aggregate
-        self.site(depth, f"h = {built}", loads, fields)
+        self.site(depth, f"h = {built}", loads, frame)
         key = _tuple([f"h[{pos}]" for pos in aggregate.group_positions])
         self.line(depth, f"g = groups.get(k := {key})")
         opened = [f"h[{pos}]" for pos in range(len(strand.project.programs))]
@@ -409,18 +496,9 @@ class _Emitter:
                 opened[pos] = "1"
                 steps.append(f"g[{pos}] += 1")
             elif func in ("min", "max"):
-                # a strict win only (the earliest of equals is kept); two
-                # exact ints, floats or strs compare natively (``<`` and
-                # ``>`` as :data:`~repro.pel.vm.BINARY`'s), anything else as
-                # the fold does
-                op = "<" if func == "min" else ">"
-                steps.append(
-                    f"if (v {op} b if type(v := h[{pos}]) is type(b := g[{pos}]) in STRICT"
-                    f" else compare(v, b) {op} 0): g[{pos}] = v"
-                )
+                steps.append(_strict_win(func, f"h[{pos}]", f"g[{pos}]"))
             else:
-                fold = f"{self.ns}fold{pos}"
-                self.binds.append(f"{fold} = {self.ns}strand.aggregate.folds[{index}][1]")
+                fold = self.fold(index, pos)
                 opened[pos] = f"{fold}.first(h[{pos}])"
                 steps.append(f"g[{pos}] = {fold}.step(g[{pos}], h[{pos}])")
                 self.results.append(f"g[{pos}] = {fold}.result(g[{pos}])")
@@ -429,6 +507,64 @@ class _Emitter:
         self.line(depth, "else:")
         for step in steps:
             self.line(depth + 1, step)
+
+    def fold(self, index: int, pos: int) -> str:
+        """The name of aggregate *index*'s ``Fold``, bound."""
+        fold = f"{self.ns}fold{pos}"
+        self.binds.append(f"{fold} = {self.ns}strand.aggregate.folds[{index}][1]")
+        return fold
+
+    def states(self) -> List[str]:
+        """A :attr:`one_group` firing's fold states, one per aggregate."""
+        return [f"a{pos}" for pos, _ in self.strand.aggregate.agg_specs]
+
+    def fold_one(self, depth: int, frame: _Frame) -> None:
+        """The sink of a :attr:`one_group` strand: the match folded into the
+        one group's states, the first match opening them (``found``).  Its
+        group fields are the event's, the same for every match, so only the
+        aggregates' operands are evaluated, in order, each load that may fail
+        on a line of its own; the head is built after the loop."""
+        aggregate = self.strand.aggregate
+        programs = [self.strand.project.programs[pos] for pos, _ in aggregate.agg_specs]
+        texts, _ = self.operands(depth, programs, frame, coerce=True, hoist=True)
+        opens: List[str] = []
+        steps: List[str] = []
+        for index, ((pos, func), value) in enumerate(zip(aggregate.agg_specs, texts)):
+            state = f"a{pos}"
+            if func == "count":
+                opens.append(f"{state} = 1")
+                steps.append(f"{state} += 1")
+            elif func in ("min", "max"):
+                opens.append(f"{state} = {value}")
+                steps.append(_strict_win(func, value, state))
+            else:
+                fold = self.fold(index, pos)
+                opens.append(f"{state} = {fold}.first({value})")
+                steps.append(f"{state} = {fold}.step({state}, {value})")
+        self.line(depth, "if found:")
+        for step in steps:
+            self.line(depth + 1, step)
+        self.line(depth, "else:")
+        self.line(depth + 1, "found = True")
+        for opened in opens:
+            self.line(depth + 1, opened)
+
+    def one_group_head(self) -> str:
+        """A :attr:`one_group` firing's head, after the loop: the event's
+        group fields and each aggregate's value."""
+        strand = self.strand
+        funcs = dict(strand.aggregate.agg_specs)
+        event = _Frame.event(strand.event_arity, True)
+        texts = []
+        for pos, program in enumerate(strand.project.programs):
+            func = funcs.get(pos)
+            if func is None:
+                texts.append(self.pel.emit(program, event.text, event.slots).text)
+            elif func in ("count", "min", "max"):
+                texts.append(f"a{pos}")
+            else:
+                texts.append(f"{self.ns}fold{pos}.result(a{pos})")
+        return _tuple(texts)
 
     # -- the function around the body -----------------------------------------
     def bindings(self) -> List[str]:
@@ -446,48 +582,63 @@ class _Emitter:
             f"{self.ns}agg_stats.emitted += len(groups)",
         ]
 
-    def firing(self, checked: int, event: str) -> PyTuple[List[str], List[str]]:
+    def firing(self, checked: bool, event: str) -> PyTuple[List[str], List[str]]:
         """The strand's firing: the statements before its ``try`` and after.
 
-        The event's arity is tested only if the strand needs more fields than
-        the *checked* ones an earlier strand of the procedure tested for; the
-        error shows the event tuple as the text *event* builds it.
+        The event's arity is tested unless an earlier strand of the
+        procedure *checked* it: a rule strand reads the event's fields at
+        fixed positions, so an event of another arity is refused with its
+        ``arity_error``, which shows the event tuple as the text *event*
+        builds it.
 
         Both lists are unindented, for a function whose ``out`` holds the
-        heads afterwards — or, for a :attr:`single` firing, whose ``h`` holds
-        the head and whose *exit* ends in ``if h is not None:``, the block
-        that routes it; the body between them is :attr:`body`, after the
-        :attr:`parts` it was split into.  A rule
-        strand's function has the event's fields in ``f0``; a continuous
-        strand's has the time of the refresh in ``at``.
+        heads afterwards — or, for a :attr:`one_head` firing, whose ``h``
+        holds the head and whose *exit* ends in the ``if`` block that routes
+        it; the body between them is :attr:`body`, after the :attr:`parts`
+        it was split into.  A rule strand's function has the event's fields
+        in ``f0``; a continuous strand's has the time of the refresh in
+        ``at``.
         """
         if self.continuous:
             return self._refresh()
         strand, ns = self.strand, self.ns
         entry = []
-        if strand.min_event_arity > checked:
-            entry += [f"if len(f0) < {strand.min_event_arity}:",
+        if not checked:
+            entry += [f"if len(f0) != {strand.event_arity}:",
                       f"    raise {ns}strand.arity_error({event})"]
         entry.append(f"{ns}strand.fired += 1")
-        self.chain(0, 2, 0)
+        event_frame = _Frame.event(strand.event_arity, True)
+        self.chain(0, 2, event_frame)
         if strand.aggregate is not None:
             self.binds.append(f"{ns}agg_stats = {ns}strand.aggregate.stats")
-        if strand.fallback_project is not None:
+        if self.wants_prefix:
             # count<> over no match at all: the one fallback row, each
             # aggregate position holding its empty value (``Aggregate.
             # aggregate``'s, which the planner only asks for when every
-            # aggregate has one)
-            empty = "h is None" if self.single else "not groups"
-            self.line(2, f"if {empty} and prefix is not None:")
-            texts, loads = self.operands(3, strand.fallback_project.programs, "prefix", coerce=True)
+            # aggregate has one), its other fields the event's (the
+            # planner's fallback reads nothing else)
+            empty = "not found" if self.one_group else "not groups"
+            self.line(2, f"if {empty} and entered:")
+            texts, loads = self.operands(3, strand.fallback_project.programs, event_frame,
+                                         coerce=True)
             for pos, func in strand.aggregate.agg_specs:
                 texts[pos] = repr(EMPTY_GROUP_VALUE[func])
-            fallback = _tuple(texts) if self.single else f"[{_tuple(texts)}]"
-            self.site(3, f"{'h' if self.single else 'out'} = {fallback}", loads, "prefix")
-            entry.append("prefix = None")
+            fallback = _tuple(texts) if self.one_head else f"[{_tuple(texts)}]"
+            self.site(3, f"{'h' if self.one_head else 'out'} = {fallback}", loads, event_frame)
+            entry.append("entered = False")
         if self.single:
             entry.append("h = None")
             return entry, ["if h is not None:", f"    {ns}strand.produced += 1"]
+        if self.one_group:
+            entry.append("found = False")
+            if self.parts:  # a part's ``nonlocal`` needs them bound here
+                entry += [f"{state} = None" for state in self.states()]
+            opened = ["if found:", f"    h = {self.one_group_head()}",
+                      f"    {ns}agg_stats.emitted += 1"]
+            if not self.wants_prefix:
+                return entry, opened + [f"    {ns}strand.produced += 1"]
+            entry.append("h = None")
+            return entry, opened + ["if h is not None:", f"    {ns}strand.produced += 1"]
         entry.append("out = []")
         exit: List[str] = []
         if strand.aggregate is not None:
@@ -506,7 +657,8 @@ class _Emitter:
         entry = [f"{ns}strand.recomputations += 1"]
         self.line(2, f"for row in {ns}scan(at):")
         self.line(3, "f0 = row.fields")
-        self.chain(0, 3, 0)
+        # a stored row may be shorter than its relation
+        self.chain(0, 3, _Frame.event(self.widths[strand.base_table.name], False))
         # Rescan only when the table's content moved.  Sound when the groups
         # are a function of the *set* of base rows and the scan leaves no
         # other trace: the chain is skippable, and every fold is blind to the
@@ -535,6 +687,21 @@ class _Emitter:
             exit += [f"{ns}strand.seen_version = version",
                      f"{ns}strand.seen_groups = len(groups)"]
         return entry, exit
+
+
+def _strict_win(func: str, value: str, best: str) -> str:
+    """The ``min``/``max`` fold step of *value* into the state *best*: a
+    strict win only (the earliest of equals is kept).  Two exact ints,
+    floats or strs compare natively (``<`` and ``>`` as
+    :data:`~repro.pel.vm.BINARY`'s), anything else as the fold does.  Each
+    text that is not a name is read once, into ``v`` or ``b``."""
+    op = "<" if func == "min" else ">"
+    (v, v_read), (b, b_read) = [
+        (text, text) if text.isidentifier() else (name, f"{name} := {text}")
+        for text, name in ((value, "v"), (best, "b"))
+    ]
+    return (f"if ({v} {op} {b} if type({v_read}) is type({b_read}) in STRICT"
+            f" else compare({v}, {b}) {op} 0): {best} = {v}")
 
 
 _NAMES = {"trusted": Tuple.trusted, "compare": values.compare, "PlannerError": PlannerError}
@@ -573,15 +740,17 @@ _NODE_NAMES = {
 def _route(strand: Any, ns: str) -> PyTuple[List[str], List[str], List[str]]:
     """The statements sending one firing's heads where *strand*'s static
     ``loc_position`` / ``is_delete`` say — each head a field tuple, from the
-    list ``out`` or the one ``h`` of a :func:`_single_head` strand — the
-    bindings they need, and the :data:`_NODE_NAMES` they use.
+    list ``out`` or the one ``h`` of a :func:`_single_head` or
+    :func:`_one_group` strand — the bindings they need, and the
+    :data:`_NODE_NAMES` they use.
 
     A local head joins the run queue as ``(relation, fields)``: no
     :class:`~repro.core.tuples.Tuple` is built for it here.  One is built
     where a head leaves the firing as an object — into the egress, or into
     a delete.
     """
-    loc, single, name = strand.loc_position, _single_head(strand), repr(strand.head_name)
+    loc, name = strand.loc_position, repr(strand.head_name)
+    single = _single_head(strand) or _one_group(strand)
     if strand.is_delete:
         lines = []
         if loc is not None:
@@ -651,7 +820,8 @@ def generate_procedure(
     pel_binds: set = set()
     names: Dict[str, Any] = dict(_NAMES)
     sites: List[PyTuple[str, int, Dict[int, tuple]]] = []
-    checked = 0  # the event fields an arity test has vouched for so far
+    checked = False  # whether an arity test has vouched for the event
+    widths = {name: info.arity for name, info in signatures(compiled.program).items()}
     if kind == "relation":
         stored = trigger is not None and compiled.program.is_materialized(trigger)
         name = f"relation {trigger}" if trigger else "any other relation"
@@ -670,15 +840,17 @@ def generate_procedure(
         if stored:
             uses.add("loop")
             table = tables.get(trigger)
+            # rules read the fields at fixed positions: a tuple of another
+            # arity than the relation's (if a rule or a fact fixes one) is
+            # refused before it is stored
+            checked = widths[trigger] is not None
             # the row a subscriber was shown is the row stored: nothing
             # between the two blocks subscribes (expiry's change signal only
             # marks aggregates dirty), so ``subscribers`` reads the same
             write_binds, write, write_names = write_source(
-                table, signatures(compiled.program)[trigger].arity, CLOCK,
-                f"node.tables.get({trigger!r})", f"event if subscribers else {event}",
+                table, widths[trigger], CLOCK,
+                f"node.tables.get({trigger!r})", f"event if subscribers else {event}"
             )
-            # the write block raised for any tuple shorter than its bound
-            checked = row_width(table.key_positions, table.indexed_positions())
             binds += write_binds
             names.update(write_names)
             handle += [_INDENT + text for text in write]
@@ -689,10 +861,9 @@ def generate_procedure(
     for i, strand in enumerate(strands):
         ns = f"s{i}_"
         handle.append(f"    # {strand.describe()}")
-        emitter = _Emitter(strand, ns)
+        emitter = _Emitter(strand, ns, widths)
         entry, exit = emitter.firing(checked, event)
-        if not emitter.continuous:
-            checked = max(checked, strand.min_event_arity)
+        checked = checked or not emitter.continuous
         # the definitions of the functions the body was split into first
         body = [line for part in emitter.parts for line in part] + emitter.body
         if emitter.probes or "clock" in emitter.pel.uses:
@@ -709,8 +880,8 @@ def generate_procedure(
         route, route_binds, route_uses = _route(strand, ns)
         binds += route_binds
         uses.update(route_uses)
-        # a single head is routed inside the exit's ``if h is not None:``
-        indent = _INDENT * (1 + emitter.single)
+        # a single head is routed inside the exit's closing ``if`` block
+        indent = _INDENT * (1 + emitter.one_head)
         handle += [indent + text for text in route]
     node_binds = [line for use, line in _NODE_NAMES.items() if use in uses]
     prologue = [

@@ -241,10 +241,12 @@ class Table:
         return [self._indices[positions]._buckets for positions in declared[3]]
 
     # -- core operations ---------------------------------------------------------
-    def _misfit(self, tup: Tuple) -> TableError:
+    def _misfit(self, tup: Tuple, arity: Optional[int] = None) -> TableError:
+        """*tup* is too short for the key or an index, or (given its
+        relation's *arity*) of another length."""
         return TableError(
             f"tuple {tup!r} does not fit table {self.name!r} key {self.key_positions}"
-            f" and indexes {tuple(self._indices)}: {self._width} fields needed"
+            f" and indexes {tuple(self._indices)}: {self._width if arity is None else arity} fields needed"
         )
 
     def _stored_pk(self, tup: Tuple) -> Any:
@@ -510,9 +512,10 @@ def _fields_key(fields: str, positions: Sequence[int]) -> str:
 
 def _identical(old: str, row: str, new: str, arity: Optional[int]) -> str:
     """The text of ``identical_fields(row, new)``, binding *row* to *old*,
-    unrolled for *arity* fields: the same type and no ``!=``, field by field;
-    a nested tuple, or a row of another arity, goes to
-    :func:`~repro.core.tuples.identical_fields` itself."""
+    unrolled for *arity* fields (the length of *new*, already tested): the
+    same type and no ``!=``, field by field; a nested tuple, or a stored row
+    of another arity, goes to :func:`~repro.core.tuples.identical_fields`
+    itself."""
     if arity is None:
         return f"identical_fields(({old} := {row}), {new})"
     tests = [
@@ -520,7 +523,7 @@ def _identical(old: str, row: str, new: str, arity: Optional[int]) -> str:
         f" and (not a != b if t is not tuple else identical_fields(a, b))"
         for i in range(arity)
     ]
-    return (f"({' and '.join(tests) or 'True'} if len({old} := {row}) == len({new}) == {arity}"
+    return (f"({' and '.join(tests) or 'True'} if len({old} := {row}) == {arity}"
             f" else identical_fields({old}, {new}))")
 
 
@@ -539,10 +542,12 @@ def write_source(
     Left out, because the declaration decides them: the name check (a
     procedure only ever sees its own relation), the expiry bound for an
     infinite ``lifetime``, eviction for an infinite ``max_size``, the loop over
-    the indexes (one straight-line block each).  A tuple too short for the
-    key or an index (:func:`row_width`) raises :class:`TableError`, showing
-    *row*, after expiry and before anything else moves.  The block ends with
-    the table's change signal.
+    the indexes (one straight-line block each).  A tuple of another length
+    than *arity* (rules read fields at fixed positions) — or, for ``None``,
+    one too short for the key or an index (:func:`row_width`) —
+    raises :class:`TableError`, showing *row*, after expiry and before
+    anything else moves.  The block ends with the table's change
+    signal.
 
     One rule for a row's identity, whoever writes it: a refresh of an
     identical row keeps the stored object, and *row* is evaluated, and
@@ -569,8 +574,9 @@ def write_source(
         f"now = {clock}",
         "if now >= t_table._next_expiry:",
         "    t_expire(now)",
-        f"if len(f0) < {row_width(key_positions, indexes)}:",
-        f"    raise t_table._misfit({row})",
+        f"if len(f0) < {row_width(key_positions, indexes)}:" if arity is None
+        else f"if len(f0) != {arity}:",
+        f"    raise t_table._misfit({row}{'' if arity is None else f', {arity}'})",
         f"pk = {_fields_key('f0', key_positions)}",
         "old = t_get(pk)",
         f"if old is not None and {_identical('o', 'old[0].fields', 'f0', arity)}:",

@@ -6,7 +6,11 @@ programs live here:
 
 * :data:`GENERATED_PROGRAMS` — the fixed hand-written rule shapes the fusion
   suite has always used (multi-join, antijoin, aggregate-with-fallback,
-  aggregate-max, delete head, select/assign chain, constant join key).
+  aggregate-max, delete head, select/assign chain, constant join key), and
+  those of the one-group folds and late frames: aggregates grouped by event
+  fields or a literal over many rows (their folded column drawn from
+  :data:`FOLD_VALUES`: ties, mixed types, a NaN), ``count<*>`` with no
+  match, a value assigned between joins, a chain deep enough to be split.
 * :func:`generate_program` — a *seeded, shape-parameterized* generator that
   randomizes table counts, arities, key declarations, cardinality hints, and
   body order per seed, so the optimizer faces a different join-ordering
@@ -29,6 +33,17 @@ from repro.net.transport import Network
 from repro.overlog import ast
 from repro.runtime.node import P2Node
 from repro.sim.event_loop import EventLoop
+
+
+def deep_program(joins=21):
+    """``joins`` key probes of one-row tables, then a scan of ``vals`` folded
+    by ``min``: deep enough that the chain is split into a local function."""
+    mats = [f"materialize(d{i}, infinity, infinity, keys(1))." for i in range(joins)]
+    mats.append("materialize(vals, infinity, infinity, keys(2)).")
+    body = ["deep@NI(NI)"] + [f"d{i}@NI(NI, W{i})" for i in range(joins)]
+    body += [f"X := W{joins - 1} * 2", "vals@NI(NI, K, V)"]
+    return "\n".join(mats + [f"Z1 deepest@NI(NI, min<V>, count<*>) :- {', '.join(body)}."])
+
 
 GENERATED_PROGRAMS = {
     "multi_join": """
@@ -61,7 +76,45 @@ GENERATED_PROGRAMS = {
         materialize(kv, infinity, infinity, keys(2, 3)).
         K1 hit@NI(NI, V) :- q@NI(NI), kv@NI(NI, 7, V).
     """,
+    # aggregates grouped by the event's fields only, over a scan of many
+    # rows: one group per firing, folded in locals (``vals`` holds ties of
+    # several types and a NaN in the folded column, see FOLDED_COLUMNS)
+    "event_grouped_folds": """
+        materialize(vals, infinity, infinity, keys(2)).
+        E1 lo@NI(NI, A, min<V>) :- probe3@NI(NI, A), vals@NI(NI, K, V).
+        E2 hi@NI(NI, A, max<V>, count<K>) :- probe3@NI(NI, A), vals@NI(NI, K, V).
+        E3 tot@NI(NI, sum<K>) :- probe3@NI(NI, A), vals@NI(NI, K, V), K != 7.
+    """,
+    # ... with a literal group field, and count<*>'s fallback row when no
+    # row matches
+    "literal_group_count": """
+        materialize(vals, infinity, infinity, keys(2)).
+        L1 tagged@NI(NI, "x", count<*>) :- probe4@NI(NI), vals@NI(NI, K, V), V != 2.
+        L2 least@NI(NI, 0, min<V>) :- probe4@NI(NI), vals@NI(NI, K, V).
+    """,
+    # a value assigned between two joins, read by the second join's key
+    # and by a selection after it
+    "assign_between_joins": """
+        materialize(t1, infinity, infinity, keys(2, 3)).
+        materialize(t2, infinity, infinity, keys(2, 3)).
+        B1 via@NI(NI, A, D, C) :- hop@NI(NI, A), t1@NI(NI, A, B), D := B * 2,
+           t2@NI(NI, D, C), C != D.
+    """,
+    # past CPython's block limit: the rest of the chain, a one-group fold
+    # included, runs in a function of its own
+    "deep_split": deep_program(),
 }
+
+NAN = float("nan")
+#: the values :func:`populate_tables` draws for a folded column: ties of
+#: two types (``1``, ``1.0``), of one type told apart only by their sign
+#: (``0.0``, ``-0.0``: the least here, so a ``min`` meets both often), and
+#: one NaN object, which every fold passes through unchanged (no bool: it
+#: orders below every number)
+FOLD_VALUES = (1, 1.0, 0.0, -0.0, NAN, 2.5, 2**53 + 1, "a", "n2")
+#: ``table -> position`` of the columns the fixed shapes' aggregates fold
+FOLDED_COLUMNS = {"vals": 2}
+
 
 #: the shapes :func:`generate_program` knows how to randomize
 SHAPES = ("multi_join", "antijoin", "aggregate", "delete")
@@ -178,6 +231,8 @@ def populate_tables(nodes, rng, rows_per_table=6):
             fields = [nodes[0].address] + [
                 random_value(rng, nodes[0].address) for _ in range(arities[name] - 1)
             ]
+            if name in FOLDED_COLUMNS:
+                fields[FOLDED_COLUMNS[name]] = rng.choice(FOLD_VALUES)
             tup = Tuple(name, fields)
             for node in nodes:
                 node.tables.get(name).insert(tup, 0.0)

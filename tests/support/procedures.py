@@ -78,12 +78,13 @@ def fire(node, trigger, arg, bind=procedure_bind):
 
 
 def typed(value):
-    """*value* with its type spelled out, recursively (``1 == True == 1.0``)."""
+    """*value* with its type spelled out, recursively (``1 == True == 1.0``),
+    a float as its ``repr`` (``0.0 == -0.0``, and a NaN equals a NaN)."""
     if type(value) in (tuple, list):
         return (type(value).__name__, tuple(typed(v) for v in value))
     if hasattr(value, "fields") and hasattr(value, "name"):
         return ("Tuple", value.name, typed(value.fields))
-    return (type(value).__name__, value)
+    return (type(value).__name__, repr(value) if type(value) is float else value)
 
 
 def counters(node):
@@ -157,8 +158,8 @@ class Twins:
         """Every trigger the program fires strands on, with the event arity
         its strands need: relations, then periodic specs."""
         compiled = self.procedure.compiled
-        out = [(name, max(s.min_event_arity for s in strands))
+        out = [(name, max(s.event_arity for s in strands))
                for name, strands in compiled.strands_by_event.items()]
-        out += [(("periodic", i), spec.strand.min_event_arity)
+        out += [(("periodic", i), spec.strand.event_arity)
                 for i, spec in enumerate(compiled.periodics)]
         return out

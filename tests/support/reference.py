@@ -23,6 +23,7 @@ procedure's ``bind`` does; :func:`node_bind` has the shape of
 from repro.core.errors import PlannerError
 from repro.core.tuples import Tuple
 from repro.dataflow.operators import PelElement
+from repro.overlog.check import signatures
 
 from tests.support.interpreter import execute_interpreted
 
@@ -51,7 +52,8 @@ def make_handler(node, relation, pending, egress):
     for the walk, as the old node did.
     """
     subscribers = node._subscriptions.setdefault(relation, [])
-    insert = node.tables.get(relation).insert if node.tables.has(relation) else None
+    table = node.tables.get(relation) if node.tables.has(relation) else None
+    arity = signatures(node.compiled.program)[relation].arity if table is not None else None
     strands = [
         (interpreted(strand).fire, strand.loc_position, strand.is_delete)
         for strand in node.compiled.strands_by_event.get(relation, ())
@@ -63,8 +65,13 @@ def make_handler(node, relation, pending, egress):
         node.events_processed += 1
         for callback in subscribers:
             callback(tup)
-        if insert is not None:
-            insert(tup, loop.now)
+        if table is not None:
+            if arity is not None and len(fields) != arity:
+                # the relation's arity is the checker's: a node's write
+                # refuses a tuple of any other, once it has expired rows
+                table.expire(loop.now)
+                raise table._misfit(tup, arity)
+            table.insert(tup, loop.now)
         for fire, loc, is_delete in strands:
             heads = fire(tup)
             if heads:

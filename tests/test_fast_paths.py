@@ -5,8 +5,8 @@ operation and keeps the call as its fallback and oracle: float ``+ - *`` and
 ``< >`` (:data:`repro.pel.vm.BINARY`), the ring test ``RING_IN``
 (:data:`repro.pel.vm.RING_IN_FORMS`), the default built-ins ``f_now``,
 ``f_wrap``, ``f_dist`` and ``f_fingerKey`` (:data:`repro.pel.vm.BUILTIN_FORMS`),
-the ``min``/``max`` fold step, and a single-group aggregate strand (narada
-R5).  Each is checked here against the function it stands for: exhaustively
+the ``min``/``max`` fold step, and a one-group aggregate strand over a key
+probe (narada R5).  Each is checked here against the function it stands for: exhaustively
 on small rings, on NaN, infinities, signed zeros, big ints and bool/int/float
 mixes, with overridden and late-registered built-ins, and through the
 reference run loop (``Twins``).
@@ -137,6 +137,8 @@ FOLD_PROGRAM = """
 materialize(m, infinity, infinity, keys(2)).
 F1 lo@NI(NI, min<V>) :- ev@NI(NI), m@NI(NI, I, V).
 F2 hi@NI(NI, max<V>) :- ev@NI(NI), m@NI(NI, I, V).
+F3 lo2@NI(NI, J, min<V>) :- ev@NI(NI), m@NI(NI, I, V), J := I * 0.
+F4 hi2@NI(NI, J, max<V>) :- ev@NI(NI), m@NI(NI, I, V), J := I * 0.
 """
 
 FAMILIES = {
@@ -151,9 +153,13 @@ FAMILIES = {
 def test_min_and_max_folds_equal_the_fold_in_every_order(family):
     """Three rows of a family in every order: the generated fold step (native
     on two exact ints, floats or strs) keeps what ``values.compare`` keeps —
-    the earliest of ties, and a NaN only where it came first."""
+    the earliest of ties, and a NaN only where it came first — whether the
+    state is a local of a one-group strand (F1, F2: grouped by the event's
+    field) or a ``groups`` entry (F3, F4: grouped by a computed field)."""
     twins = Twins(parse_program(FOLD_PROGRAM))
-    assert "in STRICT else compare(v, b)" in twins.procedure.compiled.procedure("ev").text
+    text = twins.procedure.compiled.procedure("ev").text
+    assert "in STRICT else compare(v, b)" in text
+    assert "in STRICT else compare(_1, a1)" in text
     for rows in itertools.permutations(FAMILIES[family], 3):
         for node in twins.nodes:
             table = node.tables.get("m")
@@ -161,7 +167,7 @@ def test_min_and_max_folds_equal_the_fold_in_every_order(family):
             for index, value in enumerate(rows):
                 table.insert(Tuple.make("m", "n1", index, value), 0.0)
         routes, error = twins.fire("ev", Tuple.make("ev", "n1"))
-        assert error is None and len(routes) == 2
+        assert error is None and len(routes) == 4
 
 
 # ------------------------------------------------------------------ built-ins
@@ -273,7 +279,7 @@ def test_pure_builtins_in_place_equal_the_defaults(name):
         assert _outcome(VM.execute, program, ctx()) == want, (name, args)
 
 
-# ------------------------------------------------------------------ single group
+# ------------------------------------------------------------------ one group
 def test_narada_r5_is_one_group_without_the_groups_machinery():
     twins = Twins(narada_program())
     text = twins.procedure.compiled.procedure("refresh").text

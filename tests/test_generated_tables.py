@@ -26,6 +26,7 @@ from repro.core import Tuple
 from repro.core.errors import TableError
 from repro.overlays.chord import chord_program
 from repro.overlays.narada import narada_program
+from repro.overlog.check import signatures
 from repro.planner import plan_program
 from repro.planner.strand_compiler import procedure_triggers
 from repro.tables import INFINITY, Table, covers_key
@@ -177,13 +178,14 @@ def _assert_follows(table, model, signals, probes, ident=id):
     max_size=st.sampled_from([3, INFINITY]),
 )
 def test_generated_writes_and_probes_follow_the_model(ops, shape, lifetime, max_size):
-    """A table a node's write block writes (unrolled for arity 3) and one
-    ``Table.insert`` writes (any arity) take the same operations as the
-    model, and every probe the key answers, through ``Table.prober``, finds
-    what the model finds — the row, nothing, or the same error.  A row the
-    model holds is ``Table.insert``'s very tuple, and for the node's block a
-    tuple of its very fields: either way a refresh keeps the stored row and
-    a change of content stores the new one."""
+    """A table a node's write block writes (unrolled for arity 3, refusing
+    any other length) and one ``Table.insert`` writes (any arity) each take
+    the same operations as their model — the model of arity 3, and the one
+    of any arity — and every probe the key answers, through
+    ``Table.prober``, finds what the model finds: the row, nothing, or the
+    same error.  A row the model holds is ``Table.insert``'s very tuple, and
+    for the node's block a tuple of its very fields: either way a refresh
+    keeps the stored row and a change of content stores the new one."""
     key_positions, indexes = shape
     clock = SimpleNamespace(now=0.0)
     tables = [Table("t", key_positions, lifetime, max_size) for _ in range(2)]
@@ -193,11 +195,12 @@ def test_generated_writes_and_probes_follow_the_model(ops, shape, lifetime, max_
             table.add_index(positions)
         table.on_change(lambda log=log: log.append(None))
     writes = [generated_writer(tables[0], 3, clock), lambda tup: tables[1].insert(tup, clock.now)]
+    models = [ModelTable(key_positions, lifetime, max_size, indexes, arity=3),
+              ModelTable(key_positions, lifetime, max_size, indexes)]
     idents = [lambda tup: id(tup.fields), id]
     covering = _covering(key_positions)
     probers = [[table.prober(p) for p in covering] for table in tables]
-    model = ModelTable(key_positions, lifetime, max_size, indexes)
-    probes = 0
+    probes = [0, 0]
     last = ("a", 1, 2)
     for op in ops:
         kind = op[0]
@@ -210,44 +213,43 @@ def test_generated_writes_and_probes_follow_the_model(ops, shape, lifetime, max_
                 last = last[:at] + (_retyped(last[at]),) + last[at + 1:]
             clock.now += op[-1]
             tup = Tuple("t", last)
-            # a row too short for the key or an index: the write expires
-            # what is due, raises, and moves nothing else
-            expected = _error(_outcome(lambda: model.insert(tup, clock.now)))
-            assert expected in (None, "TableError"), op
-            for write in writes:
+            # a row the table refuses: the write expires what is due,
+            # raises, and moves nothing else
+            for write, model in zip(writes, models):
+                expected = _error(_outcome(lambda: model.insert(tup, clock.now)))
+                assert expected in (None, "TableError"), op
                 assert _error(_outcome(lambda: write(tup))) == expected, op
         elif kind == "delete":
             _, fields, step = op
             clock.now += step
             tup = Tuple("t", tuple(fields[:3]))
             pk = tuple(fields[p] for p in key_positions)
-            removed = model.delete_by_key(pk, clock.now) is not None
-            for table in tables:
+            for table, model in zip(tables, models):
+                removed = model.delete_by_key(pk, clock.now) is not None
                 assert table.delete(tup, clock.now) is removed, op
         elif kind == "wait":
             clock.now += op[1]
         elif kind == "expire":
             clock.now += op[1]
-            expired = model.expire(clock.now)
-            for table, ident in zip(tables, idents):
+            for table, model, ident in zip(tables, models, idents):
+                expired = model.expire(clock.now)
                 assert [ident(t) for t in table.expire(clock.now)] == list(map(ident, expired)), op
         else:
-            for table in tables:
+            for table, model in zip(tables, models):
                 table.clear()
-            model.clear()
-        # every covering probe, on every stored row's fields and the last write's
-        for fields in [row[1].fields for row in model.rows] + [last]:
-            for at, positions in enumerate(covering):
-                if max(positions) < len(fields):
-                    key = tuple(fields[p] for p in positions)
-                    rows, error = _outcome(lambda: model.probe_key(positions, key, clock.now))
-                    for table_probers, ident in zip(probers, idents):
+                model.clear()
+        for n, (table, model, log, ident) in enumerate(zip(tables, models, signals, idents)):
+            # every covering probe, on every stored row's fields and the last write's
+            for fields in [row[1].fields for row in model.rows] + [last]:
+                for at, positions in enumerate(covering):
+                    if max(positions) < len(fields):
+                        key = tuple(fields[p] for p in positions)
+                        rows, error = _outcome(lambda: model.probe_key(positions, key, clock.now))
                         expected = (rows if error else list(map(ident, rows)), error)
-                        probe = table_probers[at]
+                        probe = probers[n][at]
                         assert _outcome(lambda: [ident(t) for t in probe(key, clock.now)]) == expected
-                    probes += 1
-        for table, log, ident in zip(tables, signals, idents):
-            _assert_follows(table, model, log, probes, ident)
+                        probes[n] += 1
+            _assert_follows(table, model, log, probes[n], ident)
 
 
 def test_a_short_tuple_raises_what_insert_raises_after_the_same_expiry():
@@ -300,7 +302,8 @@ def test_the_text_follows_the_declaration():
     plain = text(Table("t", (0,)))
     assert "_next_expiry = " not in plain and "t_evict" not in plain and "bucket = " not in plain
     assert "t_table.write_buckets(t_DECLARED)" in plain
-    assert "pk = f0[0]" in plain and "len(f0) == 3 else identical_fields(o, f0)" in plain
+    assert "pk = f0[0]" in plain and "if len(f0) != 3:" in plain
+    assert "if len(o := old[0].fields) == 3 else identical_fields(o, f0)" in plain
     bounded = Table("t", (0, 2), lifetime=5.0, max_size=4)
     bounded.add_index((1,))
     bounded.add_index((1, 2))
@@ -309,7 +312,9 @@ def test_the_text_follows_the_declaration():
     assert "t_index0.setdefault(f0[1], {})[pk] = row" in full
     assert "t_index1.setdefault((f0[1], f0[2]), {})[pk] = row" in full
     assert "pk = (f0[0], f0[2])" in full and "for index" not in full
-    assert "identical_fields((o := old[0].fields), f0)" in text(Table("t", (0,)), arity=None)
+    any_arity = text(Table("t", (0,)), arity=None)
+    assert "identical_fields((o := old[0].fields), f0)" in any_arity
+    assert "if len(f0) < 1:" in any_arity
 
 
 def test_an_index_added_after_bind_raises():
@@ -364,16 +369,16 @@ def test_binding_a_procedure_seals_its_tables_indexes():
 
 @pytest.mark.parametrize("name", sorted(OVERLAY_PROGRAMS))
 def test_no_strand_rechecks_the_arity_its_write_block_checked(name):
-    """A stored relation's write block raises for a tuple shorter than its
-    bound before any strand fires, so a strand tests only a larger arity."""
+    """A stored relation's write block raises for a tuple of another arity
+    than the relation's before any strand fires, so no strand tests it."""
     planned = plan_program(OVERLAY_PROGRAMS[name])
     program = planned.dataflow.program
     for trigger in procedure_triggers(planned.dataflow):
         if type(trigger) is str and program.is_materialized(trigger):
             text = planned.procedure(trigger).text
-            (bound,) = re.findall(r"if len\(f0\) < (\d+):\n *raise t_table\._misfit", text)
-            strand_bounds = re.findall(r"if len\(f0\) < (\d+):\n *raise s\d+_strand", text)
-            assert all(int(n) > int(bound) for n in strand_bounds), (trigger, bound)
+            (arity,) = re.findall(r"if len\(f0\) != (\d+):\n *raise t_table\._misfit", text)
+            assert int(arity) == signatures(program)[trigger].arity
+            assert not re.findall(r"if len\(f0\) .*:\n *raise s\d+_strand", text), trigger
 
 
 def test_a_short_succ_still_raises_the_tables_error():

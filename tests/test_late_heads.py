@@ -95,7 +95,7 @@ def test_a_subscriber_receives_a_tuple_equal_to_the_head():
 
 
 @pytest.mark.parametrize("trigger, fields, error", [
-    ("ev", ("n1",), "PlannerError: rule r1: event ev(n1) has arity 1, expected at least 2"),
+    ("ev", ("n1",), "PlannerError: rule r1: event ev(n1) has arity 1, expected 2"),
     ("t", ("n1",),
      "TableError: tuple t(n1) does not fit table 't' key (1,) and indexes (): 2 fields needed"),
 ])

@@ -86,12 +86,7 @@ EXPRESSIONS = st.one_of(
 class TestProgramBasics:
     def test_emit_and_len(self):
         p = Program().emit(Op.PUSH, 1).emit(Op.PUSH, 2).emit(Op.ADD)
-        assert len(p) == 3
-
-    def test_disassemble_mentions_opcodes(self):
-        p = Program(source="1 + 2").emit(Op.PUSH, 1).emit(Op.PUSH, 2).emit(Op.ADD)
-        text = p.disassemble()
-        assert "push" in text and "add" in text and "1 + 2" in text
+        assert len(p.instructions) == 3
 
 
 class TestArithmetic:
@@ -569,7 +564,7 @@ class TestSourceCompilation:
         program = Program().emit(Op.LOAD, 0)
         for _ in range(250):
             program.emit(Op.PUSH, 1).emit(Op.ADD)
-        assert len(program) > 500
+        assert len(program.instructions) > 500
         assert self._both(program, fields=(5,)) == (255, 255)
 
     def test_deeply_nested_program_under_the_length_cap_still_runs(self):

@@ -78,9 +78,9 @@ def bind_of(node):
 def triggers(node):
     """Every trigger *node* fires strands on, with the event arity they need."""
     compiled = node.compiled
-    out = [(name, max(s.min_event_arity for s in compiled.strands_by_event[name]))
+    out = [(name, max(s.event_arity for s in compiled.strands_by_event[name]))
            for name in sorted(compiled.strands_by_event)]
-    out += [(("periodic", i), spec.strand.min_event_arity)
+    out += [(("periodic", i), spec.strand.event_arity)
             for i, spec in enumerate(compiled.periodics)]
     return out
 
@@ -134,7 +134,7 @@ def drive_node_differentially(nodes, rng, events_per_stream=10):
         node.alive = True
     for name in event_names:
         arities = {
-            s.min_event_arity for s in nodes[0].compiled.strands_by_event[name]
+            s.event_arity for s in nodes[0].compiled.strands_by_event[name]
         }
         arity = max(arities)
         for _ in range(events_per_stream):

@@ -174,7 +174,7 @@ def _arities(node):
     compiled = node.compiled
     arities = table_arities(compiled.program)
     for name, strands in compiled.strands_by_event.items():
-        needed = max(s.min_event_arity for s in strands)
+        needed = max(s.event_arity for s in strands)
         arities[name] = max(arities.get(name, 0), needed, 1)
     return arities
 
@@ -269,7 +269,8 @@ def test_a_declined_strand_is_called_through_its_fire():
         pair.feed(Tuple.make("ev", "n1", v0))
     assert strand.produced == 1
     assert _generated(pair.handler("ev"))
-    assert "s0_part1(f19)" in Planner.explain_source(source)
+    rows = ", ".join(f"r{i}" for i in range(19))
+    assert f"s0_part1(f0, {rows})" in Planner.explain_source(source)
 
 
 def test_procedures_are_generated_once_per_program_and_bound_per_node():

@@ -64,13 +64,16 @@ class ModelTable:
     A write is a refresh when the rows have equal fields of equal types and
     no NaN (a NaN is identical to nothing), and re-adds the stored object;
     any other write adds the new one.  A row shorter than the key or an
-    index that does not hold the key (the table installs no such index)
-    raises once what is due has expired, and moves nothing else.  The change
+    index that does not hold the key (the table installs no such index) —
+    or, given the relation's *arity* (a node's write block), any row of
+    another length — raises once what is due has expired, and moves nothing
+    else.  The change
     signal is counted: once per write, per delete that finds its row and per
     expiry sweep that drops one."""
 
-    def __init__(self, key_positions, lifetime, max_size, indices):
+    def __init__(self, key_positions, lifetime, max_size, indices, arity=None):
         self.key_positions, self.lifetime, self.max_size = key_positions, lifetime, max_size
+        self.arity = arity
         self.rows = []  # [pk, tup, inserted_at]
         self.buckets = {tuple(p): {} for p in indices}  # positions -> key -> [tup, ...]
         stored = [p for p in indices if not set(key_positions) <= set(p)]
@@ -110,6 +113,8 @@ class ModelTable:
         self.expire(now)
         if len(tup.fields) < self.width:
             raise TableError(f"{tup!r} is shorter than {self.width} fields")
+        if self.arity is not None and len(tup.fields) != self.arity:
+            raise TableError(f"{tup!r} does not have {self.arity} fields")
         pk = self._key(tup, self.key_positions)
         old = self._find(pk)
         if old is not None:

@@ -15,10 +15,11 @@ import pytest
 
 import repro.planner
 from repro.core import IdSpace, Tuple
-from repro.core.errors import PELError
+from repro.core.errors import PELError, PlannerError, TableError
 from repro.overlog import parse_program
 from repro.planner import Planner, plan_program
 from repro.planner.strand_compiler import MAX_BLOCKS, procedure_triggers
+from repro.runtime.system import OverlaySimulation
 
 from tests.support.genprograms import make_node
 from tests.support.oracles import naive_plans
@@ -69,7 +70,12 @@ ERROR_CASES = {
     "arity-short event": (
         "r1 out@X(X, Y) :- ev@X(X, Y).",
         Tuple.make("ev", "n1"),
-        ([], "PlannerError: rule r1: event ev(n1) has arity 1, expected at least 2"),
+        ([], "PlannerError: rule r1: event ev(n1) has arity 1, expected 2"),
+    ),
+    "arity-long event": (
+        "r1 out@X(X, Y) :- ev@X(X, Y).",
+        Tuple.make("ev", "n1", 1, "EXTRA"),
+        ([], "PlannerError: rule r1: event ev(n1, 1, EXTRA) has arity 3, expected 2"),
     ),
 }
 
@@ -80,6 +86,30 @@ def test_errors_match_the_element_walk_message_for_message(case):
     twins = Twins(source)
     assert not calls_the_walk(twins.procedure, "ev")
     assert twins.fire("ev", event) == expected  # and the strands counted alike
+
+
+@pytest.mark.parametrize("stored", [False, True], ids=["event", "stored event"])
+def test_an_over_long_event_is_refused_not_read_shifted(stored):
+    """A rule reads its event's fields and each joined row's at fixed
+    positions: an event with an extra field is refused — as a short one
+    is, and a stored one before it is stored — instead of shifting every
+    joined column (``out(a, a)``: the table's ``X`` read as ``B``)."""
+    sim = OverlaySimulation(
+        "materialize(t, infinity, infinity, keys(1)).\n"
+        + "materialize(ev, infinity, infinity, keys(1, 2)).\n" * stored
+        + "r1 out@X(X, B) :- ev@X(X, A), t@X(X, B)."
+    )
+    node = sim.add_node("a")
+    derived = []
+    node.subscribe("out", derived.append)
+    node.inject(Tuple.make("t", "a", "b"))
+    error = (TableError, r"does not fit table 'ev'.*: 2 fields needed") if stored else (
+        PlannerError, r"event ev\(a, 1, EXTRA\) has arity 3")
+    with pytest.raises(error[0], match=error[1]):
+        node.inject(Tuple.make("ev", "a", 1, "EXTRA"))
+    assert derived == [] and (not stored or node.scan("ev") == [])
+    node.inject(Tuple.make("ev", "a", 1))
+    assert [head.fields for head in derived] == [("a", "b")]
 
 
 SHORT_ROW_RULES = {
@@ -174,6 +204,12 @@ def _many_joins_continuous(count):
                      + [f"C out@X(X, count<*>) :- {body}."])
 
 
+def _frame(rows):
+    """The variables a part of a split strand is passed: the event's fields
+    and the first *rows* matched rows."""
+    return ", ".join(["f0", *(f"r{i}" for i in range(rows))])
+
+
 def _fill(twins, count):
     for node in twins.nodes:
         for i in range(count):
@@ -191,8 +227,8 @@ def test_a_strand_nested_deeper_than_cpython_compiles_is_called_through_fire(joi
     _fill(twins, joins)
     assert not calls_the_walk(twins.procedure, "ev")
     text = Planner.explain_source(source)
-    assert ("def s0_part1(f19):" in text) == (joins >= MAX_BLOCKS)
-    assert ("def s0_part2(f39):" in text) == (joins >= 2 * MAX_BLOCKS)
+    assert (f"def s0_part1({_frame(19)}):" in text) == (joins >= MAX_BLOCKS)
+    assert (f"def s0_part2({_frame(39)}):" in text) == (joins >= 2 * MAX_BLOCKS)
     for v0 in (0, 1, "x"):
         routes, error = twins.fire("ev", Tuple.make("ev", "n1", v0))  # agrees after each
         assert error is None and len(routes) == (v0 == 0)
@@ -206,7 +242,7 @@ def test_a_continuous_strand_at_its_limit_is_called_through_refresh(joins):
     trigger = ("continuous", 0)
     assert not calls_the_walk(twins.procedure, trigger)
     text = twins.procedure.compiled.procedure(trigger).text
-    assert ("def s0_part1(f18):" in text) == (joins >= MAX_BLOCKS - 1)
+    assert (f"def s0_part1({_frame(18)}):" in text) == (joins >= MAX_BLOCKS - 1)
     _fill(twins, joins)
     for v0 in (0, 1, 5, 0):
         for node in twins.nodes:
@@ -228,7 +264,7 @@ def test_an_error_in_a_split_strand_is_the_references(short):
     ])
     twins = Twins(source)
     _fill(twins, 44)
-    assert "s0_part2(f39)" in twins.procedure.compiled.procedure("ev").text
+    assert f"s0_part2({_frame(39)})" in twins.procedure.compiled.procedure("ev").text
     row = Tuple.make("t44", "n1", 44) if short else Tuple.make("t44", "n1", 44, 45)
     for node in twins.nodes:
         node.tables.get("t44").insert(row, 0.0)
